@@ -10,10 +10,10 @@ import (
 // TestScalePerfBaselineFileValid guards the committed BENCH_scale.json:
 // it must parse, cover the full shard sweep on a ≥100-site world, and hold
 // the machine-independent budget — the million-key pipeline allocates
-// nothing per op in steady state. The wall-clock speedup budget (≥2.5x at
-// 4 shards) is a parallelism claim, so it is enforced only when the
-// committed baseline was measured on a host with at least 4 cores; a
-// single-core recording documents determinism overhead, not scaling.
+// nothing per op in steady state. The wall-clock speedup at 4 shards is a
+// parallelism claim, so a baseline recorded on fewer than 2 cores is
+// rejected outright and the budget scales with the cores it had: ≥1.25x on
+// 2–3 cores, ≥2.5x on 4 or more.
 func TestScalePerfBaselineFileValid(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_scale.json"))
 	if err != nil {
@@ -23,8 +23,12 @@ func TestScalePerfBaselineFileValid(t *testing.T) {
 	if err := json.Unmarshal(raw, &p); err != nil {
 		t.Fatalf("BENCH_scale.json does not parse: %v", err)
 	}
-	if p.GoVersion == "" || p.GOARCH == "" || p.Cores < 1 || p.GOMAXPROCS < 1 {
-		t.Fatalf("baseline missing toolchain/host stamp: %+v", p)
+	if p.GoVersion == "" || p.GOARCH == "" {
+		t.Fatalf("baseline missing toolchain stamp: %+v", p)
+	}
+	if p.Cores < 2 || p.GOMAXPROCS < 2 {
+		t.Fatalf("baseline recorded on %d cores (GOMAXPROCS %d): shard scaling needs >= 2, re-record with `go run ./cmd/sagebench -perf`",
+			p.Cores, p.GOMAXPROCS)
 	}
 	mk, ok := p.Benchmarks["MillionKeyPipeline"]
 	if !ok {
@@ -60,12 +64,12 @@ func TestScalePerfBaselineFileValid(t *testing.T) {
 			t.Fatalf("run at %d shards reports zero stage rounds; the parallel executor never engaged", shards)
 		}
 	}
+	budget := 1.25
 	if p.Cores >= 4 {
-		if p.SpeedupAt4Shards < 2.5 {
-			t.Fatalf("speedup at 4 shards is %.2fx on a %d-core host; the budget is >= 2.5x",
-				p.SpeedupAt4Shards, p.Cores)
-		}
-	} else if p.SpeedupAt4Shards <= 0 {
-		t.Fatalf("baseline missing the 4-shard speedup ratio: %+v", p)
+		budget = 2.5
+	}
+	if p.SpeedupAt4Shards < budget {
+		t.Fatalf("speedup at 4 shards is %.2fx on a %d-core host; the budget is >= %.2fx",
+			p.SpeedupAt4Shards, p.Cores, budget)
 	}
 }

@@ -56,8 +56,9 @@ type Engine struct {
 	// det is the engine-wide heartbeat failure detector, created lazily by
 	// the first resilient job (its config sets the shared heartbeat timing).
 	det *resilience.Detector
-	// shard is the parallel two-phase executor (nil when the engine runs
-	// with one shard); shardBySite maps every topology site to its shard.
+	// shard is the two-phase (stage → commit) executor every source window
+	// goes through; with one shard it fuses both phases into a plain
+	// scheduler event. shardBySite maps every topology site to its shard.
 	shard       *simtime.Sharded
 	shardBySite map[cloud.SiteID]int
 	// nextJob numbers job runs in Start order. The first job on an engine
@@ -69,21 +70,11 @@ type Engine struct {
 }
 
 // Shards returns the engine's shard count (1 = fully sequential core).
-func (e *Engine) Shards() int {
-	if e.shard == nil {
-		return 1
-	}
-	return e.shard.Shards()
-}
+func (e *Engine) Shards() int { return e.shard.Shards() }
 
 // ShardRounds returns how many staging barrier rounds the parallel executor
 // ran (0 for a sequential engine) — a cheap proof that sharding engaged.
-func (e *Engine) ShardRounds() uint64 {
-	if e.shard == nil {
-		return 0
-	}
-	return e.shard.Rounds()
-}
+func (e *Engine) ShardRounds() uint64 { return e.shard.Rounds() }
 
 // GainFor returns the gain used for planning transfers out of a site: the
 // calibrated value when enough observations exist, the static parameter
@@ -168,16 +159,14 @@ func NewEngine(opts ...Option) *Engine {
 		Params: opt.Params, Calib: NewCalibrator(), Trace: opt.Trace,
 		Obs: opt.Obs, met: newEngineMetrics(opt.Obs.Registry()),
 		defaultCkpt: opt.DefaultCheckpointInterval, audit: opt.Audit}
-	if opt.Shards > 1 {
-		lookahead := simtime.Time(opt.Topology.MinWANRTT())
-		if lookahead <= 0 {
-			lookahead = simtime.Time(10 * time.Millisecond)
-		}
-		e.shard = simtime.NewSharded(sched, opt.Shards, lookahead)
-		e.shardBySite = make(map[cloud.SiteID]int)
-		for i, id := range opt.Topology.SiteIDs() {
-			e.shardBySite[id] = i % opt.Shards
-		}
+	lookahead := simtime.Time(opt.Topology.MinWANRTT())
+	if lookahead <= 0 {
+		lookahead = simtime.Time(10 * time.Millisecond)
+	}
+	e.shard = simtime.NewSharded(sched, opt.Shards, lookahead)
+	e.shardBySite = make(map[cloud.SiteID]int)
+	for i, id := range opt.Topology.SiteIDs() {
+		e.shardBySite[id] = i % e.shard.Shards()
 	}
 	return e
 }
@@ -348,8 +337,11 @@ type Report struct {
 
 // sourceState is the engine's per-source runtime.
 type sourceState struct {
-	spec    SourceSpec
-	idx     int // slot in JobSpec.Sources: the source's identity
+	spec SourceSpec
+	idx  int // slot in JobSpec.Sources: the source's identity
+	// shard is the executor shard that runs this source's stages: its site's
+	// shard, or the shard of the first source drawing from the same generator.
+	shard   int
 	gen     *workload.SensorGen
 	agg     *stream.WindowAgg
 	buf     []stream.Event // event batch buffer, reused across windows
@@ -359,6 +351,17 @@ type sourceState struct {
 	// goroutine; the staging barrier orders the two).
 	pending     []stagedWindow
 	pendingHead int
+}
+
+// takeStaged pops the oldest staged window: stages append in the order
+// commits consume.
+func (s *sourceState) takeStaged() stagedWindow {
+	st := s.pending[s.pendingHead]
+	s.pendingHead++
+	if s.pendingHead == len(s.pending) {
+		s.pending, s.pendingHead = s.pending[:0], 0
+	}
+	return st
 }
 
 // stagedWindow is the output of one window's stage phase: everything the
@@ -371,13 +374,21 @@ type stagedWindow struct {
 	// preBytes[i] is closed[i]'s serialized size, measured during staging
 	// so the O(keys) scan parallelizes; nil when the job ships raw events.
 	preBytes []int64
+	// open is the source's still-open window state after this stage, taken
+	// for resilient jobs only: a stage may run one lookahead ahead of the
+	// commit clock, so a checkpoint reads the snapshot its last committed
+	// window published, never the live aggregate.
+	open []resilience.WindowCells
 }
 
 // windowState tracks global completion of one window at the sink.
 type windowState struct {
 	window  stream.Window
 	arrived int
-	merged  *stream.KeyedAgg
+	// merged accumulates the arrived partials; freed once the window
+	// completes (significant at 10^6-key scale, where each merged aggregate
+	// holds a cell per key).
+	merged *stream.KeyedAgg
 	// from marks which source slots have delivered this window — maintained
 	// only for resilient jobs, where replays can re-deliver a partial the
 	// sink already merged.
@@ -402,11 +413,11 @@ type JobRun struct {
 	// completedAt is the virtual time Done() first became true (0 until
 	// then): the job's precise finish for multi-job completion accounting.
 	completedAt simtime.Time
-	// live tracks in-flight acknowledged transfers with enough context to
-	// abort and ledger-resume them (non-resilient jobs only; resilient jobs
-	// track in-flight transfers through their guard). held queues ships
-	// deferred while the job's transfers are paused; each held entry owns
-	// one provisional inflight count.
+	// live is the one record of in-flight acknowledged transfers, keyed by
+	// source slot and window start: checkpoint ledgers, abort-on-death,
+	// preemption and cancellation all read it. held queues ships deferred
+	// while the job's transfers are paused; each held entry owns one
+	// provisional inflight count.
 	live       []liveXfer
 	held       []heldShip
 	xferPaused bool
@@ -418,24 +429,20 @@ type JobRun struct {
 	sink cloud.SiteID
 	// complete fires when a window's last partial lands at the sink.
 	complete func(*windowState, simtime.Time)
-	// guard is the job's resilience orchestrator (nil when disabled).
+	// guard is the job's resilience orchestrator (nil when disabled): a set
+	// of commit-phase hooks, never a different window path.
 	guard *jobGuard
 	// sinkTable is the union of every source generator's interned keys,
-	// built at Start for non-resilient jobs: the sink-side merge aggregates
-	// (per-window merged state and the global answer) index dense cells
-	// over it instead of hashing strings. Nil falls back to map cells.
+	// built at Start: the sink-side merge aggregates (per-window merged
+	// state, the global answer, and whatever recovery rebuilds from
+	// checkpoints and batch logs) index dense cells over it instead of
+	// hashing strings.
 	sinkTable *stream.KeyTable
 }
 
-// newSinkAgg returns an empty sink-side aggregate: dense over the union key
-// table when one exists, map-backed otherwise. Dense and map aggregates
-// produce identical results for identical inputs; only the cell storage
-// differs.
+// newSinkAgg returns an empty sink-side aggregate over the union key table.
 func (r *JobRun) newSinkAgg() *stream.KeyedAgg {
-	if r.sinkTable != nil {
-		return stream.NewKeyedAggDense(r.job.Agg, r.sinkTable)
-	}
-	return stream.NewKeyedAgg(r.job.Agg)
+	return stream.NewKeyedAggDense(r.job.Agg, r.sinkTable)
 }
 
 // Done reports whether all windows have been processed and every partial
@@ -539,36 +546,35 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 
 	srcs := make([]*sourceState, len(job.Sources))
 	genRoot := rng.New(77)
+	// Sources drawing from one generator share a shard, so the shard's
+	// (time, seq) stage order is the generator's draw order at any shard
+	// count.
+	genShard := make(map[*workload.SensorGen]int, len(job.Sources))
+	// Sink-side union key table: every key any source can emit, interned in
+	// source order, so the sink-side merge indexes cells instead of hashing
+	// strings.
+	run.sinkTable = stream.NewKeyTable()
 	for i, spec := range job.Sources {
 		gen := spec.Gen
 		if gen == nil {
 			gen = workload.NewSensorGen(genRoot.Split("src/"+string(spec.Site)), spec.Site, workload.SensorOpts{})
 		}
+		for id, t := 1, gen.Table(); id <= t.Len(); id++ {
+			run.sinkTable.Intern(t.Key(id))
+		}
+		shard, shared := genShard[gen]
+		if !shared {
+			shard = e.shardBySite[spec.Site]
+			genShard[gen] = shard
+		}
 		srcs[i] = &sourceState{
-			spec: spec,
-			idx:  i,
-			gen:  gen,
+			spec:  spec,
+			idx:   i,
+			shard: shard,
+			gen:   gen,
 			// Dense cells over the generator's interned key table: the
 			// per-event aggregation path does no string hashing.
 			agg: stream.NewWindowAggDense(job.Window, job.Agg, gen.Table()),
-		}
-	}
-	// Sink-side union key table: every key any source can emit, interned in
-	// source order. Non-resilient jobs merge partials into dense cells over
-	// it, so the sink-side merge indexes cells instead of hashing strings;
-	// resilient jobs keep map cells (checkpoint restore rebuilds merged
-	// state from snapshots along the map path). Dense and map merges
-	// produce identical values, so reports are unchanged either way.
-	if job.Resilience == nil {
-		tbl := stream.NewKeyTable()
-		for _, s := range srcs {
-			st := s.gen.Table()
-			for id := 1; id <= st.Len(); id++ {
-				tbl.Intern(st.Key(id))
-			}
-		}
-		if tbl.Len() > 0 {
-			run.sinkTable = tbl
 		}
 	}
 	run.rep = &Report{Global: run.newSinkAgg()}
@@ -590,13 +596,9 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 
 	run.complete = func(ws *windowState, at simtime.Time) {
 		rep.Global.Merge(ws.merged)
-		if run.guard == nil {
-			// Fully merged into the global answer, and without resilience
-			// replays no partial for this window can arrive again: free the
-			// per-window merge state (significant at 10^6-key scale, where
-			// each merged aggregate holds a cell per key).
-			ws.merged = nil
-		}
+		// Every source has delivered, so any later arrival for this window
+		// state is a duplicate the guard drops before merging.
+		ws.merged = nil
 		if run.guard != nil && !run.guard.noteComplete(ws.window.Start) {
 			// Re-collection of a window already counted before a failover:
 			// its contribution re-merged above, but the report counted it
@@ -616,64 +618,24 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 		}
 	}
 
-	// Per-window per-source processing, scheduled at every window close.
-	// Resilient jobs defer the close while the source's site is declared
-	// dead; the guard replays the queue, in order, on recovery. The
-	// sequential path fuses the stage and commit halves inline, so its
-	// execution is the refactored twin of the historical single closure.
-	process := func(s *sourceState, end simtime.Time) {
-		if run.guard != nil && run.guard.deferIfDown(s, end) {
-			return
-		}
-		e.commitWindow(run, s, end, e.stageWindow(run, s, end))
-	}
-
 	if job.Resilience != nil {
-		run.guard = newJobGuard(e, run, *job.Resilience, srcs, process)
+		run.guard = newJobGuard(e, run, *job.Resilience, srcs)
 	}
 
-	// Shard-parallel dispatch needs pure, shard-local stages: resilience
-	// replays re-enter processing out of band, and a generator shared by
-	// two sources couples their stages, so both force the sequential path.
-	useShards := e.shard != nil && run.guard == nil && !sharesGenerators(srcs)
+	// The one window path: every source window is a two-phase event on the
+	// source's shard — a pure stage, then a commit in exact (time, seq)
+	// order on the scheduler goroutine.
 	for _, s := range srcs {
-		s := s
-		if useShards {
-			shard := e.shardBySite[s.spec.Site]
-			for w := 1; w <= nWindows; w++ {
-				end := base + simtime.Time(w)*simtime.Time(job.Window)
-				e.shard.At(shard, end, func() {
-					s.pending = append(s.pending, e.stageWindow(run, s, end))
-				}, func() {
-					st := s.pending[s.pendingHead]
-					s.pendingHead++
-					if s.pendingHead == len(s.pending) {
-						s.pending, s.pendingHead = s.pending[:0], 0
-					}
-					e.commitWindow(run, s, end, st)
-				})
-			}
-		} else {
-			for w := 1; w <= nWindows; w++ {
-				end := base + simtime.Time(w)*simtime.Time(job.Window)
-				e.Sched.At(end, func() { process(s, e.Sched.Now()) })
-			}
+		for w := 1; w <= nWindows; w++ {
+			end := base + simtime.Time(w)*simtime.Time(job.Window)
+			e.shard.At(s.shard, end, func() {
+				s.pending = append(s.pending, e.stageWindow(run, s, end))
+			}, func() {
+				e.commitWindow(run, s, end, s.takeStaged())
+			})
 		}
 	}
 	return run, nil
-}
-
-// sharesGenerators reports whether two sources use the same generator
-// instance (its RNG stream would couple their stages).
-func sharesGenerators(srcs []*sourceState) bool {
-	seen := make(map[*workload.SensorGen]bool, len(srcs))
-	for _, s := range srcs {
-		if seen[s.gen] {
-			return true
-		}
-		seen[s.gen] = true
-	}
-	return false
 }
 
 // stageWindow is the pure half of one source's window close: draw the
@@ -681,7 +643,11 @@ func sharesGenerators(srcs []*sourceState) bool {
 // advance the watermark. It touches only state owned by the source (its
 // generator RNG, batch buffer and window aggregate), never the clock, the
 // network or the report — which is what makes it safe to run concurrently
-// with other shards' stages under the conservative barrier.
+// with other shards' stages under the conservative barrier. It may run up to
+// one lookahead ahead of the commit clock, so nothing on the scheduler
+// goroutine reads or replaces s.agg directly: the resilience guard sees the
+// open-window snapshot the commit publishes and swaps the aggregate through
+// a staged event of its own (jobGuard.loseOperator).
 func (e *Engine) stageWindow(run *JobRun, s *sourceState, end simtime.Time) stagedWindow {
 	job := run.job
 	start := end - simtime.Time(job.Window)
@@ -708,6 +674,13 @@ func (e *Engine) stageWindow(run *JobRun, s *sourceState, end simtime.Time) stag
 			st.preBytes[i] = st.closed[i].Agg.SerializedBytes()
 		}
 	}
+	if run.guard != nil {
+		for _, ow := range s.agg.OpenSnapshot() {
+			st.open = append(st.open, resilience.WindowCells{
+				Start: ow.Window.Start, End: ow.Window.End, Cells: ow.Cells,
+			})
+		}
+	}
 	return st
 }
 
@@ -718,6 +691,11 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 	if run.cancelled {
 		// A cancelled run's remaining window closes are no-ops; expected was
 		// clamped to processed at cancel time, so Done stays true.
+		return
+	}
+	if run.guard != nil && run.guard.parkOrPublish(s, end, st) {
+		// The source's site is down: the guard commits the staged window, in
+		// order, on recovery.
 		return
 	}
 	job := run.job
@@ -731,7 +709,7 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 		if st.preBytes != nil {
 			pre = st.preBytes[i]
 		}
-		e.shipPre(run, s, cw, st.kept, pre)
+		e.ship(run, s, cw, st.kept, pre, nil)
 	}
 	if !coveredCurrent {
 		// Every window ships a partial even when all events were
@@ -741,7 +719,7 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 			Window: stream.Window{Start: st.start, End: end},
 			Agg:    stream.NewKeyedAgg(job.Agg),
 		}
-		e.shipPre(run, s, empty, st.kept, -1)
+		e.ship(run, s, empty, st.kept, -1, nil)
 	}
 	run.rep.TotalEvents += int64(st.kept)
 	if e.Obs != nil {
@@ -752,20 +730,11 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 }
 
 // ship moves one closed window partial from a source site to the sink.
-func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int) {
-	e.shipResume(run, s, cw, events, -1, nil)
-}
-
-// shipPre is ship with the partial's serialized size measured during the
-// stage phase (-1: measure here).
-func (e *Engine) shipPre(run *JobRun, s *sourceState, cw stream.Closed, events int, preBytes int64) {
-	e.shipResume(run, s, cw, events, preBytes, nil)
-}
-
-// shipResume is ship with an optional transfer ledger: recovery replays pass
-// the checkpointed ledger of the interrupted transfer so delivery resumes
-// from the last acknowledged chunk.
-func (e *Engine) shipResume(run *JobRun, s *sourceState, cw stream.Closed, events int,
+// preBytes is the partial's serialized size when the stage phase measured it
+// (-1: measure here). resume, when non-nil, is the ledger of an interrupted
+// transfer of the same partial — a preemption hold or a checkpoint — so
+// delivery restarts from the last acknowledged chunk.
+func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 	preBytes int64, resume *transfer.Ledger) {
 
 	job := run.job
@@ -775,25 +744,6 @@ func (e *Engine) shipResume(run *JobRun, s *sourceState, cw stream.Closed, event
 
 	if run.cancelled {
 		return
-	}
-	if run.xferPaused && run.guard == nil {
-		// The scheduler has preempted this job's transfers: park the ship
-		// (with its resume ledger, if any) and keep one provisional inflight
-		// count so Done() stays false until the held work replays.
-		*inflight++
-		hs := heldShip{s: s, cw: cw, events: events, preBytes: preBytes}
-		if resume != nil {
-			hs.resume = *resume
-			hs.hasResume = true
-		}
-		run.held = append(run.held, hs)
-		return
-	}
-
-	ws := run.windows[cw.Window.Start]
-	if ws == nil {
-		ws = &windowState{window: cw.Window, merged: run.newSinkAgg()}
-		run.windows[cw.Window.Start] = ws
 	}
 	var bytes int64
 	switch {
@@ -805,9 +755,26 @@ func (e *Engine) shipResume(run *JobRun, s *sourceState, cw stream.Closed, event
 		bytes = cw.Agg.SerializedBytes()
 	}
 	bytes += job.PartialOverheadBytes
-
 	if run.guard != nil {
+		// Logged before a pause can park the ship: a held partial whose
+		// source or sink dies is dropped and re-shipped from the batch log.
 		run.guard.recordWindow(s, cw, events, bytes)
+	}
+	if run.xferPaused {
+		// The scheduler has preempted this job's transfers: park the ship
+		// (with its resume ledger, if any, and the size measured above) and
+		// keep one provisional inflight count so Done() stays false until the
+		// held work replays.
+		*inflight++
+		run.held = append(run.held, heldShip{s: s, cw: cw, events: events,
+			preBytes: bytes - job.PartialOverheadBytes, resume: resume})
+		return
+	}
+
+	ws := run.windows[cw.Window.Start]
+	if ws == nil {
+		ws = &windowState{window: cw.Window, merged: run.newSinkAgg()}
+		run.windows[cw.Window.Start] = ws
 	}
 	if e.Obs != nil {
 		e.met.partials.With(string(s.spec.Site), run.jobLabel).Inc()
@@ -827,8 +794,7 @@ func (e *Engine) shipResume(run *JobRun, s *sourceState, cw stream.Closed, event
 		ws.arrived++
 		if ws.merged != nil {
 			// Merged state is freed once the window completes; a partial
-			// landing after that (impossible without resilience replays,
-			// which keep the state alive) would be late data.
+			// landing after that would be late data.
 			ws.merged.Merge(cw.Agg)
 		}
 		if e.Obs != nil {
@@ -1006,8 +972,8 @@ func (e *Engine) shipResume(run *JobRun, s *sourceState, cw stream.Closed, event
 			aud.Replans = res.Replans
 			e.audit.TransferDone(*aud)
 		}
-		// noteArrive (inside arrive) has dropped the guard's reference, so
-		// the run can return to the manager's pool for the next window.
+		// untrack dropped the last reference to the handle, so the run can
+		// return to the manager's pool for the next window.
 		e.Mgr.Recycle(h)
 		run.noteDone(e.Sched.Now())
 	})
@@ -1018,9 +984,5 @@ func (e *Engine) shipResume(run *JobRun, s *sourceState, cw stream.Closed, event
 		// reported incomplete.
 		return
 	}
-	if run.guard != nil {
-		run.guard.trackTransfer(s, cw.Window.Start, h)
-	} else {
-		run.live = append(run.live, liveXfer{h: h, s: s, cw: cw, events: events})
-	}
+	run.live = append(run.live, liveXfer{h: h, s: s, cw: cw, events: events})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"sage/internal/simtime"
 	"sage/internal/stream"
 	"sage/internal/transfer"
@@ -10,8 +12,9 @@ import (
 // accounting and preemption hooks the sched package builds on. A single-job
 // engine never touches any of it beyond the zero-valued fields.
 
-// liveXfer tracks one in-flight acknowledged transfer of a non-resilient job
-// with enough context to abort it and later replay the ship from its ledger.
+// liveXfer tracks one in-flight acknowledged transfer, keyed by (s.idx,
+// cw.Window.Start), with enough context to checkpoint its ledger, abort it
+// and later replay the ship from that ledger.
 type liveXfer struct {
 	h      *transfer.Handle
 	s      *sourceState
@@ -23,12 +26,11 @@ type liveXfer struct {
 // held entry owns exactly one provisional inflight count, taken when the
 // ship was intercepted and released when the replay re-dispatches it.
 type heldShip struct {
-	s         *sourceState
-	cw        stream.Closed
-	events    int
-	preBytes  int64
-	resume    transfer.Ledger
-	hasResume bool
+	s        *sourceState
+	cw       stream.Closed
+	events   int
+	preBytes int64
+	resume   *transfer.Ledger // nil: never dispatched, ship from scratch
 }
 
 // ID returns the run's engine-assigned job number (Start order, first job 0).
@@ -56,8 +58,7 @@ func (r *JobRun) noteDone(now simtime.Time) {
 	}
 }
 
-// untrack drops a finished transfer from the live set (no-op for handles the
-// run is not tracking, e.g. resilient jobs whose guard tracks instead).
+// untrack drops a finished or aborted transfer from the live set.
 func (r *JobRun) untrack(h *transfer.Handle) {
 	for i := range r.live {
 		if r.live[i].h == h {
@@ -70,22 +71,50 @@ func (r *JobRun) untrack(h *transfer.Handle) {
 	}
 }
 
+// liveOf returns source slot i's in-flight transfers in window order.
+func (r *JobRun) liveOf(i int) []liveXfer {
+	var out []liveXfer
+	for _, lx := range r.live {
+		if lx.s.idx == i {
+			out = append(out, lx)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].cw.Window.Start < out[b].cw.Window.Start })
+	return out
+}
+
+// dropHeld withdraws the held ships of source slot i (every source when
+// i < 0) together with the provisional inflight counts they own, and returns
+// them.
+func (r *JobRun) dropHeld(i int) []heldShip {
+	var dropped []heldShip
+	kept := r.held[:0]
+	for _, hs := range r.held {
+		if i < 0 || hs.s.idx == i {
+			dropped = append(dropped, hs)
+		} else {
+			kept = append(kept, hs)
+		}
+	}
+	clear(r.held[len(kept):])
+	r.held = kept
+	r.inflight -= len(dropped)
+	return dropped
+}
+
 // PauseJobTransfers preempts a run's wide-area activity: every in-flight
 // acknowledged transfer is aborted with its ledger snapshotted, and every
 // subsequent ship is parked until ResumeJobTransfers. Acknowledged chunks
 // stay acknowledged — the resume replays only the remainder, so preemption
-// wastes at most one chunk per lane, not the transfer. Returns the number of
-// live transfers converted to held ledgers. Resilient jobs track transfers
-// through their guard and are not preemptible (the call only sets the hold).
-func (e *Engine) PauseJobTransfers(run *JobRun) int {
+// wastes at most one chunk per lane, not the transfer. Resilient runs pause
+// the same way: checkpoints taken meanwhile carry no ledgers, and a held ship
+// whose source or sink is declared dead is dropped and re-shipped from the
+// batch log by recovery (into the hold again if the pause still stands).
+func (e *Engine) PauseJobTransfers(run *JobRun) {
 	if run.xferPaused {
-		return 0
+		return
 	}
 	run.xferPaused = true
-	if run.guard != nil {
-		return 0
-	}
-	n := 0
 	for _, lx := range run.live {
 		led := lx.h.Ledger()
 		e.Mgr.Abort(lx.h)
@@ -93,16 +122,11 @@ func (e *Engine) PauseJobTransfers(run *JobRun) int {
 		// The dispatch already counted this ship inflight; moving it from
 		// live to held transfers that count to the held entry untouched.
 		run.held = append(run.held, heldShip{
-			s: lx.s, cw: lx.cw, events: lx.events,
-			preBytes: -1, resume: led, hasResume: true,
+			s: lx.s, cw: lx.cw, events: lx.events, preBytes: -1, resume: &led,
 		})
-		n++
 	}
-	for i := range run.live {
-		run.live[i] = liveXfer{}
-	}
+	clear(run.live)
 	run.live = run.live[:0]
-	return n
 }
 
 // Cancelled reports whether CancelJob withdrew the run.
@@ -116,27 +140,22 @@ func (r *JobRun) WindowsDone() int { return r.rep.Windows }
 // is aborted (Abort never fires the completion callback, so their dispatch
 // inflight counts are released by hand), held ships are dropped with the
 // provisional counts they own, and the run's remaining window closes become
-// no-ops. The run reads as Done immediately; its report is abandoned
-// wherever it was. Only non-resilient runs are cancellable — the scheduler
-// never starts resilient jobs.
+// no-ops. A resilient run's guard stops with it: no further checkpoints,
+// recovery or failover. The run reads as Done immediately; its report is
+// abandoned wherever it was.
 func (e *Engine) CancelJob(run *JobRun) {
 	if run.cancelled {
 		return
 	}
 	run.cancelled = true
-	for _, lx := range run.live {
-		e.Mgr.Abort(lx.h)
-		e.Mgr.Recycle(lx.h)
-		run.inflight--
-	}
-	for i := range run.live {
-		run.live[i] = liveXfer{}
-	}
-	run.live = run.live[:0]
-	// Each held ship owns exactly one provisional inflight count.
-	run.inflight -= len(run.held)
-	run.held = nil
+	// Abort whatever is in flight into the hold (a no-op when a pause already
+	// did), then drop the hold with the inflight counts it owns.
+	e.PauseJobTransfers(run)
+	run.dropHeld(-1)
 	run.xferPaused = false
+	if run.guard != nil {
+		run.guard.stop()
+	}
 	// Future commitWindow calls return before counting, so clamping expected
 	// to processed makes Done() permanent (datagram sends of lossy jobs may
 	// keep inflight counts until they land; Done completes when they drain).
@@ -153,13 +172,8 @@ func (e *Engine) ResumeJobTransfers(run *JobRun) {
 	run.xferPaused = false
 	held := run.held
 	run.held = nil
-	for i := range held {
-		hs := &held[i]
-		run.inflight-- // shipResume re-counts the dispatch
-		var resume *transfer.Ledger
-		if hs.hasResume {
-			resume = &hs.resume
-		}
-		e.shipResume(run, hs.s, hs.cw, hs.events, hs.preBytes, resume)
+	for _, hs := range held {
+		run.inflight-- // ship re-counts the dispatch
+		e.ship(run, hs.s, hs.cw, hs.events, hs.preBytes, hs.resume)
 	}
 }

@@ -14,9 +14,10 @@ import (
 
 // This file wires the resilience subsystem into the engine: the jobGuard
 // owns one resilient job's checkpointing, failure bookkeeping and recovery
-// orchestration. Every hook is gated on run.guard != nil in the engine's hot
-// paths, so a job without a Resilience config executes the exact event
-// sequence it always did.
+// orchestration. It hangs off the one window path as commit-phase hooks
+// gated on run.guard != nil — windows of a resilient job stage and commit
+// like any other job's — so a job without a Resilience config executes the
+// exact event sequence it always did.
 
 // detector lazily creates the engine-wide heartbeat failure detector. The
 // first resilient job's config fixes the shared heartbeat timing; later jobs
@@ -77,20 +78,21 @@ type jobGuard struct {
 	log *resilience.BatchLog
 	met resilience.Metrics
 
-	// process replays a deferred window close (the engine's per-window
-	// callback).
-	process func(*sourceState, simtime.Time)
-	srcs    []*sourceState
+	srcs []*sourceState
 
 	ckptTick *simtime.Ticker
 	ckptSeq  int
 	lastCkpt []byte // encoded latest checkpoint, nil before the first
 
-	// Per-source bookkeeping, indexed by source slot.
-	acked    []map[simtime.Time]bool             // window ever delivered to a sink
-	inflight []map[simtime.Time]*transfer.Handle // live partial transfers
-	aborted  []map[simtime.Time]int64            // acked bytes at abort time
-	deferred [][]simtime.Time                    // window closes queued during downtime
+	// Per-source bookkeeping, indexed by source slot. In-flight transfers
+	// are not tracked here: run.live is the one record.
+	acked   []map[simtime.Time]bool  // window ever delivered to a sink
+	aborted []map[simtime.Time]int64 // acked bytes at abort time
+	parked  [][]parkedWindow         // staged windows whose commit waits for recovery
+	// open[i] is source i's open-window state as of its last committed
+	// window (or operator swap): what a checkpoint records. Ordered by
+	// commit, where the live WindowAgg is ordered by staging.
+	open [][]resilience.WindowCells
 
 	// completed marks windows fully merged into the CURRENT sink's Global
 	// (reset to the checkpoint's set on failover); counted marks windows
@@ -107,9 +109,14 @@ type jobGuard struct {
 	stopped bool
 }
 
-func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, srcs []*sourceState,
-	process func(*sourceState, simtime.Time)) *jobGuard {
+// parkedWindow is a window staged on time whose commit found the source's
+// site declared dead.
+type parkedWindow struct {
+	end simtime.Time
+	st  stagedWindow
+}
 
+func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, srcs []*sourceState) *jobGuard {
 	cfg = cfg.WithDefaults()
 	g := &jobGuard{
 		e:         e,
@@ -117,20 +124,18 @@ func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, srcs []*sourceSt
 		cfg:       cfg,
 		det:       e.detector(cfg),
 		log:       resilience.NewBatchLog(cfg.RetainWindows),
-		process:   process,
 		srcs:      srcs,
 		completed: make(map[simtime.Time]bool),
 		counted:   make(map[simtime.Time]bool),
 	}
 	n := len(srcs)
 	g.acked = make([]map[simtime.Time]bool, n)
-	g.inflight = make([]map[simtime.Time]*transfer.Handle, n)
 	g.aborted = make([]map[simtime.Time]int64, n)
-	g.deferred = make([][]simtime.Time, n)
+	g.parked = make([][]parkedWindow, n)
+	g.open = make([][]resilience.WindowCells, n)
 	g.recovering = make([]map[simtime.Time]bool, n)
 	for i := range srcs {
 		g.acked[i] = make(map[simtime.Time]bool)
-		g.inflight[i] = make(map[simtime.Time]*transfer.Handle)
 		g.aborted[i] = make(map[simtime.Time]int64)
 		g.recovering[i] = make(map[simtime.Time]bool)
 	}
@@ -145,15 +150,19 @@ func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, srcs []*sourceSt
 	return g
 }
 
-// finish stops the guard's ticker and returns the final metrics; called from
+// stop ends checkpointing and makes every later hook and detector transition
+// a no-op; called when the run is finalized or cancelled.
+func (g *jobGuard) stop() {
+	g.stopped = true
+	if g.ckptTick != nil {
+		g.ckptTick.Stop()
+	}
+}
+
+// finish stops the guard and returns the final metrics; called from
 // JobRun.finalize.
 func (g *jobGuard) finish() *resilience.Metrics {
-	if !g.stopped {
-		g.stopped = true
-		if g.ckptTick != nil {
-			g.ckptTick.Stop()
-		}
-	}
+	g.stop()
 	for i := range g.srcs {
 		g.met.LostWindows += g.log.Evicted(i)
 	}
@@ -171,15 +180,17 @@ func (g *jobGuard) record(e trace.Event) {
 
 // ---- engine hooks ----------------------------------------------------------
 
-// deferIfDown queues a window close while the source's site is declared
-// dead. The queue drains, in order, on recovery — preserving the generator's
-// draw sequence.
-func (g *jobGuard) deferIfDown(s *sourceState, end simtime.Time) bool {
-	if g.stopped || g.det.State(s.spec.Site) != resilience.Dead {
-		return false
+// parkOrPublish is the commit-phase gate: while the source's site is declared
+// dead the already-staged window is parked (true) and commits, in order, on
+// recovery. Otherwise the commit proceeds and the window's open-state
+// snapshot becomes the source's checkpointable state.
+func (g *jobGuard) parkOrPublish(s *sourceState, end simtime.Time, st stagedWindow) bool {
+	if !g.stopped && g.det.State(s.spec.Site) == resilience.Dead {
+		g.parked[s.idx] = append(g.parked[s.idx], parkedWindow{end: end, st: st})
+		return true
 	}
-	g.deferred[s.idx] = append(g.deferred[s.idx], end)
-	return true
+	g.open[s.idx] = st.open
+	return false
 }
 
 // recordWindow retains a shipped window in the source's batch log (first
@@ -194,18 +205,11 @@ func (g *jobGuard) recordWindow(s *sourceState, cw stream.Closed, events int, by
 	})
 }
 
-// trackTransfer remembers the handle shipping one window's partial so its
-// ledger can be checkpointed and the transfer aborted on failure.
-func (g *jobGuard) trackTransfer(s *sourceState, start simtime.Time, h *transfer.Handle) {
-	g.inflight[s.idx][start] = h
-}
-
 // noteArrive updates delivery bookkeeping when a partial lands; it returns
 // true when the delivery is a duplicate the sink must not merge again.
 func (g *jobGuard) noteArrive(s *sourceState, ws *windowState, bytes int64) bool {
 	i := s.idx
 	start := ws.window.Start
-	delete(g.inflight[i], start)
 	if g.run.windows[start] != ws {
 		// The window state was rebuilt by a failover after this delivery was
 		// dispatched; whatever it carried is accounted against the old sink.
@@ -305,14 +309,10 @@ func (g *jobGuard) buildCheckpoint() *resilience.Checkpoint {
 	for i, s := range g.srcs {
 		ss := resilience.SourceState{Site: s.spec.Site, Index: i}
 		ss.Acked = g.currentAcked(i)
-		for _, ow := range s.agg.OpenSnapshot() {
-			ss.Open = append(ss.Open, resilience.WindowCells{
-				Start: ow.Window.Start, End: ow.Window.End, Cells: ow.Cells,
-			})
-		}
-		for _, start := range sortedTimes(g.inflight[i]) {
+		ss.Open = g.open[i]
+		for _, lx := range g.run.liveOf(i) {
 			ss.Ledgers = append(ss.Ledgers, resilience.WindowLedger{
-				Start: start, Ledger: g.inflight[i][start].Ledger(),
+				Start: lx.cw.Window.Start, Ledger: lx.h.Ledger(),
 			})
 		}
 		ck.Sources = append(ck.Sources, ss)
@@ -396,9 +396,7 @@ func (g *jobGuard) onDead(site cloud.SiteID) {
 			continue
 		}
 		g.abortInflight(i)
-		// The site's operator memory is lost with it; recovery restores
-		// open windows from the last checkpoint.
-		s.agg = stream.NewWindowAggDense(g.run.job.Window, g.run.job.Agg, s.gen.Table())
+		g.loseOperator(i, s)
 	}
 	if site == g.run.sink {
 		g.failover(site)
@@ -407,22 +405,61 @@ func (g *jobGuard) onDead(site cloud.SiteID) {
 
 // abortInflight kills source i's live transfers, recording their progress:
 // whatever the last checkpoint did not capture becomes duplicate work when
-// the window is re-sent.
+// the window is re-sent. Ships a preemption is holding are dropped the same
+// way — every held partial is in the batch log, so recovery re-ships it.
 func (g *jobGuard) abortInflight(i int) {
-	for _, start := range sortedTimes(g.inflight[i]) {
-		h := g.inflight[i][start]
-		done, _ := h.Progress()
-		g.aborted[i][start] = done
-		g.e.Mgr.Abort(h)
+	for _, lx := range g.run.liveOf(i) {
+		done, _ := lx.h.Progress()
+		g.aborted[i][lx.cw.Window.Start] = done
+		g.e.Mgr.Abort(lx.h)
+		g.run.untrack(lx.h)
 		g.run.inflight--
-		delete(g.inflight[i], start)
+	}
+	for _, hs := range g.run.dropHeld(i) {
+		if hs.resume != nil {
+			g.aborted[i][hs.cw.Window.Start] = hs.resume.AckedBytes()
+		}
 	}
 }
 
-// onRecover replays a returned source site back to consistency: operator
-// state restores from the checkpoint, interrupted transfers resume from
-// their checkpointed ledgers, un-acknowledged retained windows re-ship, and
-// the window closes deferred during downtime drain in order.
+// loseOperator models the site's operator memory dying with it: source i's
+// window aggregate restarts from the open-window state of the last
+// checkpoint (none can complete while the site is down, so it is the one
+// recovery will read). A stage may already have run up to one lookahead past
+// the commit clock, so the swap is itself a two-phase event on the source's
+// shard, one lookahead ahead — the earliest a control message could reach the
+// site — and the shard's (time, seq) order places it between the same two
+// window stages at any shard count.
+func (g *jobGuard) loseOperator(i int, s *sourceState) {
+	var open []resilience.WindowCells
+	if ss := ckptSource(g.decodeCkpt(), i); ss != nil {
+		open = ss.Open
+	}
+	sh := g.e.shard
+	sh.At(s.shard, g.e.Sched.Now()+sh.Lookahead(), func() {
+		s.agg = stream.NewWindowAggDense(g.run.job.Window, g.run.job.Agg, s.gen.Table())
+		for _, w := range open {
+			s.agg.RestoreWindow(stream.Window{Start: w.Start, End: w.End}, w.Cells)
+		}
+	}, func() { g.open[i] = open })
+}
+
+// ckptSource returns source i's entry in a checkpoint (nil without one).
+func ckptSource(ck *resilience.Checkpoint, i int) *resilience.SourceState {
+	if ck == nil {
+		return nil
+	}
+	for j := range ck.Sources {
+		if ck.Sources[j].Index == i {
+			return &ck.Sources[j]
+		}
+	}
+	return nil
+}
+
+// onRecover replays a returned source site back to consistency: interrupted
+// transfers resume from their checkpointed ledgers, un-acknowledged retained
+// windows re-ship, and the windows parked during downtime commit in order.
 func (g *jobGuard) onRecover(site cloud.SiteID) {
 	now := g.e.Sched.Now()
 	g.met.Recoveries++
@@ -439,21 +476,9 @@ func (g *jobGuard) onRecover(site cloud.SiteID) {
 }
 
 func (g *jobGuard) recoverSource(i int, s *sourceState, ck *resilience.Checkpoint, now simtime.Time) {
-	var ss *resilience.SourceState
-	if ck != nil {
-		for j := range ck.Sources {
-			if ck.Sources[j].Index == i {
-				ss = &ck.Sources[j]
-				break
-			}
-		}
-	}
 	ckAcked := make(map[simtime.Time]bool)
 	ckLed := make(map[simtime.Time]transfer.Ledger)
-	if ss != nil {
-		for _, w := range ss.Open {
-			s.agg.RestoreWindow(stream.Window{Start: w.Start, End: w.End}, w.Cells)
-		}
+	if ss := ckptSource(ck, i); ss != nil {
 		for _, t := range ss.Acked {
 			ckAcked[t] = true
 		}
@@ -467,54 +492,52 @@ func (g *jobGuard) recoverSource(i int, s *sourceState, ck *resilience.Checkpoin
 	// duplicate-work price of checkpoint staleness.
 	replay := append([]resilience.LoggedWindow(nil), g.log.Windows(i)...)
 	for _, lw := range replay {
-		start := lw.Window.Start
-		if ckAcked[start] {
+		if ckAcked[lw.Window.Start] {
 			continue
 		}
-		if led, ok := ckLed[start]; ok && led.To == g.run.sink {
+		var resume *transfer.Ledger
+		if led, ok := ckLed[lw.Window.Start]; ok && led.To == g.run.sink {
 			// Resume the interrupted transfer from its last checkpointed
 			// acknowledgement; progress beyond the ledger is re-sent.
-			if wasted := g.aborted[i][start] - led.AckedBytes(); wasted > 0 {
-				g.met.DuplicateBytes += wasted
-			}
-			g.met.ResumedTransfers++
-			g.markRecovering(i, start)
-			g.met.ReplayedWindows++
-			g.met.ReplayedEvents += int64(lw.Events)
-			ledger := led
-			g.e.shipResume(g.run, s, rebuildClosed(g.run.job, lw), lw.Events, -1, &ledger)
-		} else {
-			if wasted := g.aborted[i][start]; wasted > 0 {
-				g.met.DuplicateBytes += wasted
-			}
-			g.markRecovering(i, start)
-			g.met.ReplayedWindows++
-			g.met.ReplayedEvents += int64(lw.Events)
-			g.e.ship(g.run, s, rebuildClosed(g.run.job, lw), lw.Events)
+			resume = &led
 		}
-		delete(g.aborted[i], start)
+		g.reship(i, s, lw, resume)
 	}
 	clear(g.aborted[i])
-	// Drain the deferred window closes in order: event generation stays
-	// sequential, so the replayed stream is byte-identical to an unfailed
-	// run's.
-	ends := g.deferred[i]
-	g.deferred[i] = nil
-	for _, end := range ends {
+	// Commit the windows parked during downtime, in order: they were staged
+	// on time, so the generator's draw sequence — and the replayed stream —
+	// is byte-identical to an unfailed run's.
+	parked := g.parked[i]
+	g.parked[i] = nil
+	for _, p := range parked {
 		g.met.ReplayedWindows++
-		g.markRecovering(i, end-simtime.Time(g.run.job.Window))
-		g.process(s, end)
+		g.markRecovering(i, p.st.start)
+		g.e.commitWindow(g.run, s, p.end, p.st)
 	}
 }
 
-// rebuildClosed reconstructs a shipped window partial from its batch-log
-// cells.
-func rebuildClosed(job JobSpec, lw resilience.LoggedWindow) stream.Closed {
-	agg := stream.NewKeyedAgg(job.Agg)
+// reship replays one retained window of source i from its batch-log cells.
+// Whatever its aborted transfer had delivered beyond resume (the
+// checkpointed ledger; nil: nothing) is duplicate work.
+func (g *jobGuard) reship(i int, s *sourceState, lw resilience.LoggedWindow, resume *transfer.Ledger) {
+	start := lw.Window.Start
+	wasted := g.aborted[i][start]
+	delete(g.aborted[i], start)
+	if resume != nil {
+		wasted -= resume.AckedBytes()
+		g.met.ResumedTransfers++
+	}
+	if wasted > 0 {
+		g.met.DuplicateBytes += wasted
+	}
+	g.markRecovering(i, start)
+	g.met.ReplayedWindows++
+	g.met.ReplayedEvents += int64(lw.Events)
+	agg := g.run.newSinkAgg()
 	for _, c := range lw.Cells {
 		agg.RestoreCell(c)
 	}
-	return stream.Closed{Window: lw.Window, Agg: agg}
+	g.e.ship(g.run, s, stream.Closed{Window: lw.Window, Agg: agg}, lw.Events, -1, resume)
 }
 
 // ---- sink failover ---------------------------------------------------------
@@ -554,7 +577,7 @@ func (g *jobGuard) failover(oldSink cloud.SiteID) {
 	// Restore the sink's merged state from the last checkpoint; whatever it
 	// misses is re-collected below.
 	ck := g.decodeCkpt()
-	global := stream.NewKeyedAgg(run.job.Agg)
+	global := run.newSinkAgg()
 	completed := make(map[simtime.Time]bool)
 	run.windows = make(map[simtime.Time]*windowState)
 	if ck != nil {
@@ -567,7 +590,7 @@ func (g *jobGuard) failover(oldSink cloud.SiteID) {
 		for _, p := range ck.Sink.Partial {
 			ws := &windowState{
 				window: stream.Window{Start: p.Start, End: p.End},
-				merged: stream.NewKeyedAgg(run.job.Agg),
+				merged: run.newSinkAgg(),
 				from:   make(map[int]bool),
 			}
 			for _, c := range p.Cells {
@@ -599,14 +622,7 @@ func (g *jobGuard) failover(oldSink cloud.SiteID) {
 			if ws := run.windows[start]; ws != nil && ws.from[i] {
 				continue // the checkpoint carried this partial across
 			}
-			if wasted := g.aborted[i][start]; wasted > 0 {
-				g.met.DuplicateBytes += wasted
-				delete(g.aborted[i], start)
-			}
-			g.markRecovering(i, start)
-			g.met.ReplayedWindows++
-			g.met.ReplayedEvents += int64(lw.Events)
-			g.e.ship(run, s, rebuildClosed(run.job, lw), lw.Events)
+			g.reship(i, s, lw, nil)
 		}
 	}
 }

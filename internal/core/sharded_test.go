@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"sage/internal/cloud"
+	"sage/internal/resilience"
 	"sage/internal/rng"
+	"sage/internal/stream"
 	"sage/internal/trace"
 	"sage/internal/transfer"
 	"sage/internal/workload"
@@ -114,13 +116,15 @@ func TestShardedEngineActuallyShards(t *testing.T) {
 	}
 }
 
-// TestShardedSharedGenFallsBack: sources sharing one generator instance
-// couple their RNG streams, so the engine must not stage them in parallel.
-// The run still completes, and matches a sequential engine byte-for-byte.
-func TestShardedSharedGenFallsBack(t *testing.T) {
-	run := func(shards int) string {
+// TestShardedSharedGenCoSharded: sources sharing one generator instance
+// couple their RNG streams, so the engine places them on one shard, whose
+// (time, seq) stage order is the generator's draw order. The run still
+// stages in rounds and matches a one-shard engine byte-for-byte.
+func TestShardedSharedGenCoSharded(t *testing.T) {
+	run := func(shards int) (string, uint64) {
 		world := cloud.GenerateWorld(8, 2, 3)
-		e := NewEngine(WithTopology(world), WithShards(shards), WithSeed(9))
+		rec := trace.New(1 << 14)
+		e := NewEngine(WithTopology(world), WithShards(shards), WithSeed(9), WithTrace(rec))
 		e.DeployEverywhere(cloud.Small, 1)
 		gen := workload.NewSensorGen(rng.New(123), cloud.GeneratedSiteID(2), workload.SensorOpts{Keys: 50})
 		job := JobSpec{
@@ -130,15 +134,89 @@ func TestShardedSharedGenFallsBack(t *testing.T) {
 			Sources: []SourceSpec{
 				{Site: cloud.GeneratedSiteID(2), Rate: workload.ConstantRate(40), Gen: gen},
 				{Site: cloud.GeneratedSiteID(3), Rate: workload.ConstantRate(40), Gen: gen},
+				{Site: cloud.GeneratedSiteID(5), Rate: workload.ConstantRate(40)},
 			},
 		}
 		rep, err := e.Run(job, time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%d %d %d %v", rep.Windows, rep.TotalEvents, rep.TotalBytes, rep.Global.TopK(5))
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %d %d %v\n%s", rep.Windows, rep.TotalEvents, rep.TotalBytes,
+			rep.Global.TopK(5), buf.Bytes()), e.ShardRounds()
 	}
-	if seq, par := run(1), run(4); seq != par {
-		t.Fatalf("shared-generator job diverges under sharding:\nseq: %s\npar: %s", seq, par)
+	seq, _ := run(1)
+	par, rounds := run(4)
+	if seq != par {
+		t.Fatalf("shared-generator job diverges under sharding:\nseq: %.300s\npar: %.300s", seq, par)
+	}
+	if rounds == 0 {
+		t.Fatal("shared-generator job never staged in rounds: it fell back to sequential")
+	}
+}
+
+// TestGuardOrderedByCommit pins the stage-ahead hazard. A stage may run up
+// to one lookahead ahead of the commit clock, so everything the resilience
+// guard reads from or does to a source's WindowAgg — the open-window
+// snapshot at a checkpoint tick, the operator swap on a site death — must be
+// ordered by commit, not by staging. The job's Map shifts every event one
+// window later, so open-window state is never empty; two-phase no-ops one
+// lookahead before each window end make a 4-shard engine stage that window
+// early; and the checkpoint ticks and heartbeat polls (hence the death
+// declaration) land between that early stage and the window's commit. A
+// guard that looked at the live aggregate would checkpoint, and lose,
+// different state at 1 and 4 shards.
+func TestGuardOrderedByCommit(t *testing.T) {
+	const window = 30 * time.Second
+	run := func(shards int) (string, *resilience.Metrics) {
+		rec := trace.New(1 << 16)
+		e := NewEngine(WithOptions(Options{
+			Seed: 31, Topology: cloud.DefaultAzure(), Net: quietNetOptions(),
+			Trace: rec, Shards: shards,
+		}))
+		e.DeployEverywhere(cloud.Medium, 8)
+		look := e.shard.Lookahead()
+		// Tick k fires at k·window − k·d, poll 6k with it: inside the last
+		// lookahead before window end k for every k of the run.
+		d := look / 60 * 6
+		job := basicJob(transfer.EnvAware)
+		job.Window = window
+		job.Map = func(ev stream.Event) (stream.Event, bool) {
+			ev.Time += window
+			return ev, true
+		}
+		job.Resilience = &resilience.Config{
+			CheckpointInterval: window - d,
+			HeartbeatInterval:  (window - d) / 6,
+		}
+		for k := 1; k <= 10; k++ {
+			e.shard.At(0, time.Duration(k)*window-look, func() {}, func() {})
+		}
+		// Polls 17 and 18 miss, so NEU is declared dead at poll 18 = 90s − 3d,
+		// after window 3's early stage and before its commit.
+		killSite(e, cloud.NorthEU, 82*time.Second)
+		restoreSite(e, cloud.NorthEU, 140*time.Second)
+		rep, err := e.Run(job, 5*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("windows=%d incomplete=%d events=%d bytes=%d cost=%.9f res=%+v global=%v\n%s",
+			rep.Windows, rep.Incomplete, rep.TotalEvents, rep.TotalBytes, rep.TotalCost,
+			rep.Resilience, rep.Global.Snapshot(), buf.Bytes()), rep.Resilience
+	}
+	seq, rm := run(1)
+	par, _ := run(4)
+	if rm.Failures != 1 || rm.Recoveries != 1 || rm.Checkpoints == 0 || rm.ReplayedWindows == 0 {
+		t.Fatalf("schedule did not exercise the guard: %+v", rm)
+	}
+	if seq != par {
+		t.Fatalf("resilient run diverges between 1 and 4 shards:\nseq: %.400s\npar: %.400s", seq, par)
 	}
 }

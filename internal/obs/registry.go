@@ -198,13 +198,14 @@ func (v *vec) id(vals []string) int {
 	return id
 }
 
-func (v *vec) cell(vals []string) *cell { return v.cells[v.id(vals)] }
+func (v *vec) cell(vals []string) *cell { return v.cellByID(v.id(vals)) }
 
 // cellByID returns the cell for a dense ID previously returned by id.
 func (v *vec) cellByID(id int) *cell {
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.cells[id]
+	c := v.cells[id]
+	v.mu.Unlock()
+	return c
 }
 
 // CounterVec is a counter family. The zero CounterVec (disabled

@@ -118,9 +118,6 @@ func Validate(s *Scenario) error {
 		if mj.Arrival < 0 {
 			return fmt.Errorf("scenario %q: %s has a negative arrival", s.Name, label)
 		}
-		if mj.CheckpointInterval > 0 {
-			return fmt.Errorf("scenario %q: %s: checkpointing is not supported under the multi-job scheduler", s.Name, label)
-		}
 	}
 	if s.Scheduler != nil {
 		if _, ok := sched.ByName(s.Scheduler.Policy); !ok {

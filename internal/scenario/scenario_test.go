@@ -331,12 +331,55 @@ func TestMultiJobValidation(t *testing.T) {
 		`{"name":"x","scheduler":{"policy":"lifo"},"jobs":[{"sources":[{"site":"NEU","rate":1}],"sink":"NUS","window":"30s","agg":"mean","strategy":"envaware","duration":"1m"}]}`,
 		// bad roster job
 		`{"name":"x","jobs":[{"name":"bad","sources":[{"site":"NEU","rate":1}],"sink":"NUS","window":"30s","agg":"median","strategy":"envaware","duration":"1m"}]}`,
-		// checkpointing under the scheduler
-		`{"name":"x","jobs":[{"name":"ck","sources":[{"site":"NEU","rate":1}],"sink":"NUS","window":"30s","agg":"mean","strategy":"envaware","duration":"1m","checkpoint_interval":"30s"}]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {
 			t.Fatalf("case %d should fail validation", i)
 		}
+	}
+}
+
+// TestCheckpointedRosterRuns: checkpoint_interval composes with the
+// scheduler — a roster of checkpointed jobs loads, runs under preemption
+// through a source-site outage, takes checkpoints and recovers every window.
+func TestCheckpointedRosterRuns(t *testing.T) {
+	const roster = `{
+  "name": "resilient-roster",
+  "weather": "calm",
+  "scheduler": {"max_concurrent": 2, "preempt": true},
+  "jobs": [
+    {"name": "low", "sources": [{"site": "NEU", "rate": 200}, {"site": "WEU", "rate": 200}],
+     "sink": "NUS", "window": "30s", "agg": "mean", "strategy": "envaware",
+     "duration": "4m", "checkpoint_interval": "15s"},
+    {"name": "high", "priority": 1, "arrival": "30s",
+     "sources": [{"site": "SUS", "rate": 200}], "sink": "NUS", "window": "30s",
+     "agg": "mean", "strategy": "envaware", "duration": "1m", "checkpoint_interval": "30s"}
+  ],
+  "injections": [
+    {"at": "65s", "kind": "kill_site", "from": "NEU"},
+    {"at": "125s", "kind": "restore_site", "from": "NEU"}
+  ]
+}`
+	s, err := Load(strings.NewReader(roster))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range res.Multi.Jobs {
+		rm := j.Report.Resilience
+		if rm == nil || rm.Checkpoints == 0 {
+			t.Fatalf("job %s took no checkpoints under the scheduler: %+v", j.Name, rm)
+		}
+		if j.Report.Incomplete != 0 {
+			t.Fatalf("job %s: %d windows incomplete", j.Name, j.Report.Incomplete)
+		}
+	}
+	low := res.Multi.Jobs[0]
+	if low.Preemptions == 0 || low.Report.Resilience.Recoveries == 0 {
+		t.Fatalf("low job: preemptions=%d resilience=%+v — want a hold and a recovery",
+			low.Preemptions, low.Report.Resilience)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sage/internal/monitor"
 	"sage/internal/netsim"
 	"sage/internal/obs"
+	"sage/internal/resilience"
 	"sage/internal/stream"
 	"sage/internal/transfer"
 	"sage/internal/workload"
@@ -202,6 +203,97 @@ func TestPreemptionPausesLowerPriority(t *testing.T) {
 		t.Fatalf("preemption changed the low job's answer: %d/%d windows, %d/%d events",
 			low.Report.Windows, plain.Jobs[0].Report.Windows,
 			low.Report.TotalEvents, plain.Jobs[0].Report.TotalEvents)
+	}
+}
+
+// openPreemptPair opens a live scheduler over a low-priority job (resilient
+// or plain) and a priority-1 job arriving 30 s in with preemption on, and
+// returns it with the engine and the low job's bookkeeping.
+func openPreemptPair(t *testing.T, resilient bool) (*Scheduler, *core.Engine, *job) {
+	t.Helper()
+	e := testEngine(11, 1, nil)
+	s := New(e, Options{MaxConcurrent: 2, Preempt: true})
+	low := mkJob("low", "L", 0, 0, []cloud.SiteID{cloud.NorthEU}, 400, 2*time.Minute)
+	if resilient {
+		low.Spec.Resilience = &resilience.Config{CheckpointInterval: 10 * time.Second}
+	}
+	high := mkJob("high", "H", 1, 30*time.Second, []cloud.SiteID{cloud.WestEU}, 400, 40*time.Second)
+	for _, j := range []JobSpec{low, high} {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	return s, e, s.byName["low"]
+}
+
+// TestPreemptionHoldsResilientJob: preempting a job that runs with
+// Resilience is real, not cosmetic — while the priority-1 job streams, the
+// held job moves no bytes, and it finishes no earlier than the same job
+// without Resilience (which has always been held).
+func TestPreemptionHoldsResilientJob(t *testing.T) {
+	finish := func(resilient bool) time.Duration {
+		s, e, low := openPreemptPair(t, resilient)
+		start := e.Sched.Now()
+		// high is admitted at 30 s and streams until 70 s: low is held
+		// throughout (31 s, 69 s).
+		e.Sched.RunUntil(start + 31*time.Second)
+		if !low.paused {
+			t.Fatalf("resilient=%v: low job not paused beside the priority-1 job", resilient)
+		}
+		before := e.Net.JobEgressBytes(low.run.ID())
+		e.Sched.RunUntil(start + 69*time.Second)
+		if moved := e.Net.JobEgressBytes(low.run.ID()) - before; moved != 0 {
+			t.Fatalf("resilient=%v: held job moved %d bytes while preempted", resilient, moved)
+		}
+		for i := 0; !s.Done() && i < 3600; i++ {
+			e.Sched.RunFor(time.Second)
+		}
+		m, err := s.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lowRep := m.Jobs[0]
+		if lowRep.Preemptions != 1 || lowRep.Report.Incomplete != 0 {
+			t.Fatalf("resilient=%v: preemptions=%d incomplete=%d", resilient,
+				lowRep.Preemptions, lowRep.Report.Incomplete)
+		}
+		if resilient && lowRep.Report.Resilience.Checkpoints == 0 {
+			t.Fatal("resilient job took no checkpoints under the scheduler")
+		}
+		return lowRep.Finished
+	}
+	plain, resilient := finish(false), finish(true)
+	if resilient < plain {
+		t.Fatalf("resilient job finished at %v, before the plain job's %v: its hold was cosmetic",
+			resilient, plain)
+	}
+}
+
+// TestCancelResilientJob: cancelling a running resilient job aborts its
+// transfers, stops its checkpoint ticker and leaves nothing in flight.
+func TestCancelResilientJob(t *testing.T) {
+	s, e, low := openPreemptPair(t, true)
+	start := e.Sched.Now()
+	e.Sched.RunUntil(start + 25*time.Second) // mid-transfer of the first window
+	if err := s.Cancel("low"); err != nil {
+		t.Fatal(err)
+	}
+	if !low.run.Cancelled() || !low.run.Done() {
+		t.Fatalf("cancelled resilient run: cancelled=%v done=%v (transfers still in flight)",
+			low.run.Cancelled(), low.run.Done())
+	}
+	before := e.Net.JobEgressBytes(low.run.ID())
+	e.Sched.RunFor(2 * time.Minute)
+	if moved := e.Net.JobEgressBytes(low.run.ID()) - before; moved != 0 {
+		t.Fatalf("cancelled job moved %d bytes after Cancel", moved)
+	}
+	// Two checkpoint ticks (10 s, 20 s) fit before the cancel; a live ticker
+	// would have taken a dozen more by now.
+	if got := low.run.Finalize().Resilience.Checkpoints; got > 2 {
+		t.Fatalf("checkpoint ticker kept running after Cancel: %d checkpoints", got)
 	}
 }
 

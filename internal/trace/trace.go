@@ -101,18 +101,6 @@ func (r *Recorder) Record(e Event) {
 	r.dropped++
 }
 
-// Recordf is a convenience for events with a formatted note.
-//
-// Deprecated: use the typed New* constructors with Record so the per-kind
-// field conventions stay pinned.
-func (r *Recorder) Recordf(at time.Duration, kind Kind, site, peer string, bytes int64, value float64, format string, args ...any) {
-	if !r.enabled {
-		return
-	}
-	r.Record(Event{At: at, Kind: kind, Site: site, Peer: peer, Bytes: bytes,
-		Value: value, Note: fmt.Sprintf(format, args...)})
-}
-
 // Len returns the number of retained events.
 func (r *Recorder) Len() int { return len(r.events) }
 

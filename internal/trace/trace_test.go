@@ -44,7 +44,7 @@ func TestDisabledRecorderIsNoop(t *testing.T) {
 	r := New(4)
 	r.SetEnabled(false)
 	r.Record(ev(time.Second, Replan))
-	r.Recordf(time.Second, Replan, "A", "B", 1, 1, "x")
+	r.Record(NewReplan(time.Second, "A", "B", 1, "x"))
 	if r.Len() != 0 {
 		t.Fatal("disabled recorder stored events")
 	}
@@ -68,7 +68,7 @@ func TestFilter(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	r := New(10)
-	r.Recordf(time.Second, TransferStart, "NEU", "NUS", 1<<20, 0, "strategy=%s", "EnvAware")
+	r.Record(NewTransferStart(time.Second, "NEU", "NUS", 1<<20, "EnvAware"))
 	r.Record(ev(2*time.Second, TransferDone))
 	var b strings.Builder
 	if err := r.WriteJSONL(&b); err != nil {
@@ -82,7 +82,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || back[0].Note != "strategy=EnvAware" || back[0].Peer != "NUS" {
+	if len(back) != 2 || back[0].Note != "EnvAware" || back[0].Peer != "NUS" {
 		t.Fatalf("round trip = %+v", back)
 	}
 }
