@@ -50,7 +50,8 @@ func TestPerfBaselineFileValid(t *testing.T) {
 // same way: it must parse, cover every benchmark `-perf` sweeps, and hold
 // the allocation-free data-plane budgets — event generation and steady-state
 // watermark ticks allocate nothing, and the end-to-end pipeline stays at
-// ≤ 1 alloc per event.
+// ≤ 1 alloc per event — and the time budgets of the alias-table key draw and
+// the batch fold on the 2-vCPU reference host.
 func TestStreamPerfBaselineFileValid(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_stream.json"))
 	if err != nil {
@@ -91,5 +92,15 @@ func TestStreamPerfBaselineFileValid(t *testing.T) {
 		if r := p.Benchmarks[key]; r.AllocsPerOp > workload.PipelineBatch {
 			t.Fatalf("%s allocates %d per %d-event op; the budget is ≤ 1 alloc per event", key, r.AllocsPerOp, workload.PipelineBatch)
 		}
+	}
+	// Time budgets at 1000 keys. Before the alias table a Zipf-keyed event
+	// cost 46–52 ns to draw and 60–67 ns through the pipeline; the recorded
+	// numbers are 26–28 and 39–42.
+	if r := p.Benchmarks["SensorGen/keys=1000"]; r.NsPerOp > 30 {
+		t.Fatalf("SensorGen/keys=1000 costs %.1f ns/op in the committed baseline; the budget is 30", r.NsPerOp)
+	}
+	if r := p.Benchmarks["StreamPipeline/keys=1000"]; r.NsPerOp/workload.PipelineBatch > 45 {
+		t.Fatalf("StreamPipeline/keys=1000 costs %.1f ns/event in the committed baseline; the budget is 45",
+			r.NsPerOp/workload.PipelineBatch)
 	}
 }

@@ -344,7 +344,7 @@ type sourceState struct {
 	shard   int
 	gen     *workload.SensorGen
 	agg     *stream.WindowAgg
-	buf     []stream.Event // event batch buffer, reused across windows
+	buf     []stream.Event // one stage block of events, reused across blocks and windows
 	shipped int            // partials shipped, drives calibration exploration
 	// pending queues staged window results (appended by the source's stage
 	// on its shard goroutine, consumed FIFO by commits on the scheduler
@@ -638,6 +638,13 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	return run, nil
 }
 
+// stageBlock is how many events a stage generates before folding them. The
+// block's buffer (56 B per event, 56 KB) has to still be in cache when the
+// aggregate reads back what the generator wrote: on agg_wide 512 and 1024
+// tie, 4096 costs 3–4 % of events/s and 19 MB of RSS, and a whole 24 000-event
+// window 22 % and 150 MB.
+const stageBlock = 1024
+
 // stageWindow is the pure half of one source's window close: draw the
 // window's events, map and fold them into the source-local aggregate, and
 // advance the watermark. It touches only state owned by the source (its
@@ -652,18 +659,29 @@ func (e *Engine) stageWindow(run *JobRun, s *sourceState, end simtime.Time) stag
 	job := run.job
 	start := end - simtime.Time(job.Window)
 	n := workload.EventCount(s.spec.Rate, start, job.Window)
-	s.buf = s.gen.AppendEvents(s.buf[:0], n, start, job.Window)
 	kept := 0
-	for _, ev := range s.buf {
-		if job.Map != nil {
-			var ok bool
-			ev, ok = job.Map(ev)
-			if !ok {
-				continue
+	if n > 0 {
+		// Generate and fold the window a block at a time through one small
+		// buffer instead of materialising it whole. Blocks that start at
+		// multiples of the whole window's timestamp step and span a whole
+		// number of steps reproduce its timestamps and draw order exactly.
+		step := job.Window / time.Duration(n)
+		for i0 := 0; i0 < n; i0 += stageBlock {
+			m := min(stageBlock, n-i0)
+			s.buf = s.gen.AppendEvents(s.buf[:0], m, start+simtime.Time(i0)*step, time.Duration(m)*step)
+			evs := s.buf
+			if job.Map != nil {
+				// Compact in place: the write index never passes the read.
+				evs = evs[:0]
+				for _, ev := range s.buf {
+					if ev, ok := job.Map(ev); ok {
+						evs = append(evs, ev)
+					}
+				}
 			}
+			s.agg.AddBatch(evs)
+			kept += len(evs)
 		}
-		s.agg.Add(ev)
-		kept++
 	}
 	st := stagedWindow{start: start, closed: s.agg.Advance(end), kept: kept}
 	if !job.ShipRaw && len(st.closed) > 0 {
@@ -717,7 +735,7 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 		// from "site missing".
 		empty := stream.Closed{
 			Window: stream.Window{Start: st.start, End: end},
-			Agg:    stream.NewKeyedAgg(job.Agg),
+			Agg:    stream.NewKeyedAggDense(job.Agg, s.gen.Table()),
 		}
 		e.ship(run, s, empty, st.kept, -1, nil)
 	}

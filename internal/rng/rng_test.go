@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -160,34 +161,154 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	r := New(29)
-	z := NewZipf(r, 1.5, 1, 999)
-	counts := make(map[uint64]int)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := z.Uint64()
-		if v > 999 {
-			t.Fatalf("Zipf out of range: %d", v)
+// zipfPMF returns the analytic Zipf–Mandelbrot pmf (v+k)^-q / Z over
+// {0, ..., imax} — the reference the sampler is judged against.
+func zipfPMF(q, v float64, imax int) []float64 {
+	p := make([]float64, imax+1)
+	var z float64
+	for k := imax; k >= 0; k-- {
+		p[k] = math.Pow(v+float64(k), -q)
+		z += p[k]
+	}
+	for k := range p {
+		p[k] /= z
+	}
+	return p
+}
+
+// TestZipfGoodnessOfFit is a χ² test of the sampler against the analytic pmf.
+// With df degrees of freedom χ² has mean df and σ = sqrt(2·df); a correct
+// sampler lands within ±2σ on these fixed seeds, and the bound is df + 5σ.
+// The rejection-inversion sampler this one replaced (its acceptance constant
+// was 2 − hinv(…) where the 0-based method needs 1 − hinv(…)) scores
+// df + 16σ at the first point.
+func TestZipfGoodnessOfFit(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		q, v  float64
+		imax  int
+		draws int
+		// binOf maps a key to its χ² bin; nil means one bin per key.
+		binOf func(k uint64) int
+		bins  int
+	}{
+		{name: "q1.3_n1200", q: 1.3, v: 1, imax: 1199, draws: 8_000_000},
+		{name: "q1.5_n1000", q: 1.5, v: 1, imax: 999, draws: 2_000_000},
+		// 2^20 keys: keys 0–63 keep a bin each, the rest share one bin per
+		// power of two, so every bin expects thousands of draws.
+		{name: "q1.3_n2^20_binned", q: 1.3, v: 1, imax: 1<<20 - 1, draws: 1_000_000,
+			binOf: func(k uint64) int {
+				if k < 64 {
+					return int(k)
+				}
+				return 64 + bits.Len64(k) - 7
+			},
+			bins: 64 + 20 - 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			binOf, bins := tc.binOf, tc.bins
+			if binOf == nil {
+				binOf, bins = func(k uint64) int { return int(k) }, tc.imax+1
+			}
+			want := make([]float64, bins)
+			for k, p := range zipfPMF(tc.q, tc.v, tc.imax) {
+				want[binOf(uint64(k))] += p * float64(tc.draws)
+			}
+			z := NewZipf(New(29), tc.q, tc.v, uint64(tc.imax))
+			got := make([]int, bins)
+			for i := 0; i < tc.draws; i++ {
+				k := z.Uint64()
+				if k > uint64(tc.imax) {
+					t.Fatalf("Zipf out of range: %d > %d", k, tc.imax)
+				}
+				got[binOf(k)]++
+			}
+			var chi2 float64
+			for b, w := range want {
+				if w < 20 {
+					t.Fatalf("bin %d expects %.1f draws: too few for a χ² test", b, w)
+				}
+				d := float64(got[b]) - w
+				chi2 += d * d / w
+			}
+			df := float64(bins - 1)
+			sigma := math.Sqrt(2 * df)
+			t.Logf("χ² = %.0f on %d degrees of freedom (%+.1fσ)", chi2, bins-1, (chi2-df)/sigma)
+			if chi2 > df+5*sigma {
+				t.Fatalf("χ² = %.0f exceeds df + 5σ = %.0f: sampler does not follow (v+k)^-q", chi2, df+5*sigma)
+			}
+		})
+	}
+}
+
+// TestZipfOneUint64PerDraw pins the stream position: construction draws
+// nothing and every variate consumes exactly one Uint64, so a consumer that
+// interleaves Zipf keys with other draws from the same Rand stays aligned
+// with a twin that skips one word per key.
+func TestZipfOneUint64PerDraw(t *testing.T) {
+	r, twin := New(31), New(31)
+	z := NewZipf(r, 1.3, 1, 1199)
+	for i := 0; i < 1000; i++ {
+		z.Uint64()
+		twin.Uint64()
+		if got, want := r.Uint64(), twin.Uint64(); got != want {
+			t.Fatalf("after %d draws the streams diverge: %#x vs %#x", i+1, got, want)
 		}
-		counts[v]++
 	}
-	if counts[0] <= counts[1] {
-		t.Fatalf("Zipf rank 0 (%d) should outnumber rank 1 (%d)", counts[0], counts[1])
+}
+
+func TestZipfSingleKey(t *testing.T) {
+	z := NewZipf(New(1), 2, 1, 0)
+	for i := 0; i < 100; i++ {
+		if k := z.Uint64(); k != 0 {
+			t.Fatalf("one-key domain drew %d", k)
+		}
 	}
-	if counts[0] < n/10 {
-		t.Fatalf("Zipf head too light: rank 0 has %d of %d", counts[0], n)
+}
+
+func TestZipfZeroAllocs(t *testing.T) {
+	z := NewZipf(New(1), 1.3, 1, 1199)
+	if a := testing.AllocsPerRun(1000, func() { z.Uint64() }); a != 0 {
+		t.Fatalf("Zipf.Uint64 allocates %v per draw", a)
 	}
 }
 
 func TestZipfInvalidArgsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf with q<=1 should panic")
-		}
-	}()
-	NewZipf(New(1), 1.0, 1, 10)
+	for name, build := range map[string]func(){
+		"nil source": func() { NewZipf(nil, 1.3, 1, 10) },
+		"q<=1":       func() { NewZipf(New(1), 1.0, 1, 10) },
+		"v<1":        func() { NewZipf(New(1), 1.3, 0.5, 10) },
+		"huge imax":  func() { NewZipf(New(1), 1.3, 1, 1<<40) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewZipf with %s should panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
+
+func BenchmarkZipf(b *testing.B) {
+	z := NewZipf(New(1), 1.3, 1, 1199)
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		sum += z.Uint64()
+	}
+	sinkU64 = sum
+}
+
+func BenchmarkNewZipf(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		sinkU64 += NewZipf(r, 1.3, 1, 1199).Uint64()
+	}
+}
+
+var sinkU64 uint64
 
 func TestOUMeanReversion(t *testing.T) {
 	r := New(31)

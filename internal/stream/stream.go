@@ -173,7 +173,11 @@ func NewKeyedAggDense(kind AggKind, t *KeyTable) *KeyedAgg {
 }
 
 // Add folds one event into the aggregate.
-func (a *KeyedAgg) Add(e Event) {
+func (a *KeyedAgg) Add(e Event) { a.add(&e) }
+
+// add is the one cell update behind Add and WindowAgg's Add and AddBatch;
+// it takes the event by pointer so batch folds do not copy it per call.
+func (a *KeyedAgg) add(e *Event) {
 	if a.table != nil && e.KeyID > 0 && a.table.Key(e.KeyID) == e.Key {
 		a.addDense(e.KeyID, e.Value)
 		return
@@ -508,23 +512,36 @@ func (w *WindowAgg) Recycle(batch []Closed) {
 }
 
 // Add folds an event into its window.
-func (w *WindowAgg) Add(e Event) {
+func (w *WindowAgg) Add(e Event) { w.aggFor(e.Time).add(&e) }
+
+// AddBatch folds events into their windows, in order: the same result as
+// calling Add on each, without copying every event through two calls. Events
+// may straddle window boundaries or arrive late, exactly as with Add.
+func (w *WindowAgg) AddBatch(evs []Event) {
+	for i := range evs {
+		e := &evs[i]
+		w.aggFor(e.Time).add(e)
+	}
+}
+
+// aggFor returns the open aggregate of the window containing t, opening it
+// on first use.
+func (w *WindowAgg) aggFor(t simtime.Time) *KeyedAgg {
 	// In-window runs hit the cached window via a range check, skipping
 	// the 64-bit modulo below entirely.
 	if w.lastAgg != nil {
-		if d := e.Time - w.lastStart; d >= 0 && d < simtime.Time(w.Width) {
-			w.lastAgg.Add(e)
-			return
+		if d := t - w.lastStart; d >= 0 && d < simtime.Time(w.Width) {
+			return w.lastAgg
 		}
 	}
-	start := e.Time - (e.Time % simtime.Time(w.Width))
+	start := t - (t % simtime.Time(w.Width))
 	agg := w.open[start]
 	if agg == nil {
 		agg = w.newAgg()
 		w.open[start] = agg
 	}
 	w.lastStart, w.lastAgg = start, agg
-	agg.Add(e)
+	return agg
 }
 
 // Open returns the number of windows not yet closed.

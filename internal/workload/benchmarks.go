@@ -45,9 +45,7 @@ func RunBenchmarkStreamPipeline(b *testing.B, keys int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = g.AppendEvents(buf[:0], PipelineBatch, at, span)
-		for _, ev := range buf {
-			agg.Add(ev)
-		}
+		agg.AddBatch(buf)
 		at += simtime.Time(span)
 		agg.Recycle(agg.Advance(at))
 	}
@@ -75,9 +73,9 @@ var millionKeyState struct {
 // RunBenchmarkMillionKeyPipeline is RunBenchmarkStreamPipeline at the
 // million-key design point: each op pushes one PipelineBatch-event window
 // through generate → aggregate → advance → recycle against a 2^20-key
-// interned table. The Zipf domain exceeds the rejection-table bound, so key
-// draws take the per-draw math path; the dense window aggregate indexes a
-// million-cell slice. Steady-state budget: 0 allocs/op.
+// interned table: key draws index a 16 MB alias table and the dense window
+// aggregate a million-cell slice, so both miss the cache. Steady-state
+// budget: 0 allocs/op.
 func RunBenchmarkMillionKeyPipeline(b *testing.B) {
 	s := &millionKeyState
 	s.once.Do(func() {
@@ -88,18 +86,14 @@ func RunBenchmarkMillionKeyPipeline(b *testing.B) {
 	// One warmup window outside the timer so the dense cell slice and batch
 	// buffer exist before the first measured op.
 	s.buf = s.gen.AppendEvents(s.buf[:0], PipelineBatch, s.at, span)
-	for _, ev := range s.buf {
-		s.agg.Add(ev)
-	}
+	s.agg.AddBatch(s.buf)
 	s.at += simtime.Time(span)
 	s.agg.Recycle(s.agg.Advance(s.at))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.buf = s.gen.AppendEvents(s.buf[:0], PipelineBatch, s.at, span)
-		for _, ev := range s.buf {
-			s.agg.Add(ev)
-		}
+		s.agg.AddBatch(s.buf)
 		s.at += simtime.Time(span)
 		s.agg.Recycle(s.agg.Advance(s.at))
 	}

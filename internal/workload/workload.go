@@ -39,8 +39,9 @@ type SensorGen struct {
 type SensorOpts struct {
 	// Keys is the number of distinct sensors (default 100).
 	Keys int
-	// Skew is the Zipf exponent (>1; default 1.3). Skew <= 1 selects
-	// uniform keys.
+	// Skew is the Zipf exponent of key popularity, P(key k) ∝ (1+k)^-Skew.
+	// Only Skew > 1 skews: the zero value and every Skew <= 1 draw keys
+	// uniformly (there is no default exponent).
 	Skew float64
 	// Mean and Stddev shape the value distribution (defaults 20, 5).
 	Mean, Stddev float64

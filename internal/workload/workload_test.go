@@ -8,6 +8,7 @@ import (
 	"sage/internal/cloud"
 	"sage/internal/rng"
 	"sage/internal/simtime"
+	"sage/internal/stream"
 )
 
 func TestSensorGenDefaults(t *testing.T) {
@@ -186,6 +187,43 @@ func TestSensorGenInternedKeys(t *testing.T) {
 		}
 		if table.Key(e.KeyID) != e.Key {
 			t.Fatalf("KeyID %d maps to %q, event key %q", e.KeyID, table.Key(e.KeyID), e.Key)
+		}
+	}
+}
+
+// TestAppendEventsBlockIdentity pins what the engine's block-at-a-time stage
+// relies on: a window of n events over span, drawn in blocks that start at
+// multiples of step = span/n and span a whole number of steps, is the window
+// drawn in one call — every field of every event, so the same draws in the
+// same order and the same timestamps.
+func TestAppendEventsBlockIdentity(t *testing.T) {
+	const block = 64
+	from, span := simtime.Time(90*time.Second), 30*time.Second
+	for name, opt := range map[string]SensorOpts{
+		"uniform":    {Keys: 50},
+		"zipf":       {Keys: 50, Skew: 1.3},
+		"zipf+drift": {Keys: 50, Skew: 1.3, DriftPerHour: 4},
+	} {
+		for _, n := range []int{0, 1, block - 1, block, block + 1, 3*block + 17, 1000} {
+			whole := NewSensorGen(rng.New(9), "A", opt).AppendEvents(nil, n, from, span)
+			g := NewSensorGen(rng.New(9), "A", opt)
+			var blocks, buf []stream.Event
+			if n > 0 {
+				step := span / time.Duration(n)
+				for i0 := 0; i0 < n; i0 += block {
+					m := min(block, n-i0)
+					buf = g.AppendEvents(buf[:0], m, from+simtime.Time(i0)*step, time.Duration(m)*step)
+					blocks = append(blocks, buf...)
+				}
+			}
+			if len(blocks) != len(whole) {
+				t.Fatalf("%s n=%d: %d events in blocks, %d whole", name, n, len(blocks), len(whole))
+			}
+			for i := range whole {
+				if blocks[i] != whole[i] {
+					t.Fatalf("%s n=%d event %d: blocks %+v, whole %+v", name, n, i, blocks[i], whole[i])
+				}
+			}
 		}
 	}
 }
