@@ -341,9 +341,13 @@ type sourceState struct {
 	idx  int // slot in JobSpec.Sources: the source's identity
 	// shard is the executor shard that runs this source's stages: its site's
 	// shard, or the shard of the first source drawing from the same generator.
-	shard   int
-	gen     *workload.SensorGen
-	agg     *stream.WindowAgg
+	shard int
+	gen   *workload.SensorGen
+	agg   *stream.WindowAgg
+	// remap[id] is the sink-table ID of the key with ID id in gen.Table(),
+	// fixed at Start: the sink merges this source's partials through it, by
+	// index (stream.KeyedAgg.MergeMapped).
+	remap   []int
 	buf     []stream.Event // one stage block of events, reused across blocks and windows
 	shipped int            // partials shipped, drives calibration exploration
 	// pending queues staged window results (appended by the source's stage
@@ -434,9 +438,8 @@ type JobRun struct {
 	guard *jobGuard
 	// sinkTable is the union of every source generator's interned keys,
 	// built at Start: the sink-side merge aggregates (per-window merged
-	// state, the global answer, and whatever recovery rebuilds from
-	// checkpoints and batch logs) index dense cells over it instead of
-	// hashing strings.
+	// state, the global answer, and whatever a failover rebuilds from a
+	// checkpoint) index dense cells over it instead of hashing strings.
 	sinkTable *stream.KeyTable
 }
 
@@ -552,15 +555,18 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	genShard := make(map[*workload.SensorGen]int, len(job.Sources))
 	// Sink-side union key table: every key any source can emit, interned in
 	// source order, so the sink-side merge indexes cells instead of hashing
-	// strings.
+	// strings — and, with the source→sink IDs the interning hands back kept
+	// per source, never looks a key string up at all.
 	run.sinkTable = stream.NewKeyTable()
 	for i, spec := range job.Sources {
 		gen := spec.Gen
 		if gen == nil {
 			gen = workload.NewSensorGen(genRoot.Split("src/"+string(spec.Site)), spec.Site, workload.SensorOpts{})
 		}
-		for id, t := 1, gen.Table(); id <= t.Len(); id++ {
-			run.sinkTable.Intern(t.Key(id))
+		t := gen.Table()
+		remap := make([]int, t.Len()+1)
+		for id := 1; id <= t.Len(); id++ {
+			remap[id] = run.sinkTable.Intern(t.Key(id))
 		}
 		shard, shared := genShard[gen]
 		if !shared {
@@ -574,7 +580,8 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 			gen:   gen,
 			// Dense cells over the generator's interned key table: the
 			// per-event aggregation path does no string hashing.
-			agg: stream.NewWindowAggDense(job.Window, job.Agg, gen.Table()),
+			agg:   stream.NewWindowAggDense(job.Window, job.Agg, t),
+			remap: remap,
 		}
 	}
 	run.rep = &Report{Global: run.newSinkAgg()}
@@ -619,7 +626,7 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	}
 
 	if job.Resilience != nil {
-		run.guard = newJobGuard(e, run, *job.Resilience, srcs)
+		run.guard = newJobGuard(e, run, *job.Resilience, srcs, base)
 	}
 
 	// The one window path: every source window is a two-phase event on the
@@ -813,7 +820,7 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 		if ws.merged != nil {
 			// Merged state is freed once the window completes; a partial
 			// landing after that would be late data.
-			ws.merged.Merge(cw.Agg)
+			ws.merged.MergeMapped(cw.Agg, s.remap)
 		}
 		if e.Obs != nil {
 			e.Obs.Spans().Merge(e.Sched.Now(), string(sink), bytes, uint64(cw.Window.Start))

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sage/internal/simtime"
 	"sage/internal/stream"
@@ -79,7 +80,7 @@ func (r *JobRun) liveOf(i int) []liveXfer {
 			out = append(out, lx)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].cw.Window.Start < out[b].cw.Window.Start })
+	slices.SortFunc(out, func(a, b liveXfer) int { return cmp.Compare(a.cw.Window.Start, b.cw.Window.Start) })
 	return out
 }
 

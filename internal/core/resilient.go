@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"sage/internal/cloud"
 	"sage/internal/resilience"
@@ -83,6 +83,14 @@ type jobGuard struct {
 	ckptTick *simtime.Ticker
 	ckptSeq  int
 	lastCkpt []byte // encoded latest checkpoint, nil before the first
+	// A checkpoint round reuses its big storage: ckptCells takes the sink's
+	// cell snapshots, and the round encodes into ckptSpare — the buffer of the
+	// checkpoint before last — so lastCkpt stays whole until its successor is.
+	ckptCells []stream.KeyCell
+	ckptSpare []byte
+	// first is the start of the job's first window: where the completion
+	// frontier starts walking.
+	first simtime.Time
 
 	// Per-source bookkeeping, indexed by source slot. In-flight transfers
 	// are not tracked here: run.live is the one record.
@@ -116,7 +124,7 @@ type parkedWindow struct {
 	st  stagedWindow
 }
 
-func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, srcs []*sourceState) *jobGuard {
+func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, srcs []*sourceState, first simtime.Time) *jobGuard {
 	cfg = cfg.WithDefaults()
 	g := &jobGuard{
 		e:         e,
@@ -125,6 +133,7 @@ func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, srcs []*sourceSt
 		det:       e.detector(cfg),
 		log:       resilience.NewBatchLog(cfg.RetainWindows),
 		srcs:      srcs,
+		first:     first,
 		completed: make(map[simtime.Time]bool),
 		counted:   make(map[simtime.Time]bool),
 	}
@@ -194,13 +203,14 @@ func (g *jobGuard) parkOrPublish(s *sourceState, end simtime.Time, st stagedWind
 }
 
 // recordWindow retains a shipped window in the source's batch log (first
-// ship only; replays find their window already present).
+// ship only; replays find their window already present). The log keeps the
+// closed aggregate itself: nothing writes it again.
 func (g *jobGuard) recordWindow(s *sourceState, cw stream.Closed, events int, bytes int64) {
 	if _, ok := g.log.Get(s.idx, cw.Window.Start); ok {
 		return
 	}
 	g.log.Append(s.idx, resilience.LoggedWindow{
-		Window: cw.Window, Cells: cw.Agg.Snapshot(),
+		Window: cw.Window, Agg: cw.Agg,
 		Events: events, EventBytes: bytes,
 	})
 }
@@ -274,8 +284,8 @@ func (g *jobGuard) checkpoint() {
 	}
 	g.ckptSeq++
 	ck := g.buildCheckpoint()
-	b := ck.Encode()
-	g.lastCkpt = b
+	b := ck.AppendEncode(g.ckptSpare[:0])
+	g.ckptSpare, g.lastCkpt = g.lastCkpt, b
 	g.met.Checkpoints++
 	g.met.CheckpointBytes += int64(len(b))
 	g.met.LastCheckpointBytes = int64(len(b))
@@ -292,12 +302,14 @@ func (g *jobGuard) checkpoint() {
 	}
 }
 
-// completionFrontier returns the largest time T such that every window
-// ending at or before T has globally completed — batch-log entries behind it
-// are re-derivable from the checkpoint and safe to drop.
+// completionFrontier returns the largest time T such that every window of
+// the job ending at or before T has globally completed — batch-log entries
+// behind it are re-derivable from the checkpoint and safe to drop. The walk
+// starts at the job's first window, which is at virtual time 0 only for a
+// job started on a fresh engine.
 func (g *jobGuard) completionFrontier() simtime.Time {
 	w := simtime.Time(g.run.job.Window)
-	var t simtime.Time
+	t := g.first
 	for g.completed[t] {
 		t += w
 	}
@@ -305,7 +317,8 @@ func (g *jobGuard) completionFrontier() simtime.Time {
 }
 
 func (g *jobGuard) buildCheckpoint() *resilience.Checkpoint {
-	ck := &resilience.Checkpoint{Seq: g.ckptSeq, At: g.e.Sched.Now()}
+	ck := &resilience.Checkpoint{Seq: g.ckptSeq, At: g.e.Sched.Now(),
+		Sources: make([]resilience.SourceState, 0, len(g.srcs))}
 	for i, s := range g.srcs {
 		ss := resilience.SourceState{Site: s.spec.Site, Index: i}
 		ss.Acked = g.currentAcked(i)
@@ -319,7 +332,12 @@ func (g *jobGuard) buildCheckpoint() *resilience.Checkpoint {
 	}
 	ck.Sink.Site = g.run.sink
 	ck.Sink.Completed = sortedTimes(g.completed)
-	ck.Sink.Global = g.run.rep.Global.Snapshot()
+	// The sink's cells go into one scratch buffer that lives across rounds:
+	// the checkpoint is encoded before the next round overwrites it. (A list
+	// taken before the buffer grew keeps pointing at the old array, which
+	// still holds its cells.)
+	cells := g.run.rep.Global.AppendSnapshot(g.ckptCells[:0])
+	ck.Sink.Global = cells
 	for _, start := range sortedTimes(g.run.windows) {
 		ws := g.run.windows[start]
 		if g.completed[start] || ws.arrived == 0 {
@@ -329,26 +347,30 @@ func (g *jobGuard) buildCheckpoint() *resilience.Checkpoint {
 		for idx := range ws.from {
 			p.Sources = append(p.Sources, idx)
 		}
-		sort.Ints(p.Sources)
-		p.Cells = ws.merged.Snapshot()
+		slices.Sort(p.Sources)
+		from := len(cells)
+		cells = ws.merged.AppendSnapshot(cells)
+		p.Cells = cells[from:]
 		ck.Sink.Partial = append(ck.Sink.Partial, p)
 	}
+	g.ckptCells = cells
 	return ck
 }
 
 // currentAcked lists the windows whose partial from source i the CURRENT
 // sink holds: completed windows plus checkpointable partial arrivals.
 func (g *jobGuard) currentAcked(i int) []simtime.Time {
-	set := make(map[simtime.Time]bool)
+	out := make([]simtime.Time, 0, len(g.completed)+1)
 	for start := range g.completed {
-		set[start] = true
+		out = append(out, start)
 	}
 	for start, ws := range g.run.windows {
-		if ws.from[i] {
-			set[start] = true
+		if ws.from[i] && !g.completed[start] {
+			out = append(out, start)
 		}
 	}
-	return sortedTimes(set)
+	slices.Sort(out)
+	return out
 }
 
 // decodeCkpt deserializes the latest checkpoint (nil when none was taken —
@@ -516,7 +538,8 @@ func (g *jobGuard) recoverSource(i int, s *sourceState, ck *resilience.Checkpoin
 	}
 }
 
-// reship replays one retained window of source i from its batch-log cells.
+// reship replays one retained window of source i: the batch log's aggregate
+// ships again as it is.
 // Whatever its aborted transfer had delivered beyond resume (the
 // checkpointed ledger; nil: nothing) is duplicate work.
 func (g *jobGuard) reship(i int, s *sourceState, lw resilience.LoggedWindow, resume *transfer.Ledger) {
@@ -533,11 +556,7 @@ func (g *jobGuard) reship(i int, s *sourceState, lw resilience.LoggedWindow, res
 	g.markRecovering(i, start)
 	g.met.ReplayedWindows++
 	g.met.ReplayedEvents += int64(lw.Events)
-	agg := g.run.newSinkAgg()
-	for _, c := range lw.Cells {
-		agg.RestoreCell(c)
-	}
-	g.e.ship(g.run, s, stream.Closed{Window: lw.Window, Agg: agg}, lw.Events, -1, resume)
+	g.e.ship(g.run, s, stream.Closed{Window: lw.Window, Agg: lw.Agg}, lw.Events, -1, resume)
 }
 
 // ---- sink failover ---------------------------------------------------------
@@ -662,6 +681,6 @@ func sortedTimes[V any](m map[simtime.Time]V) []simtime.Time {
 	for t := range m {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

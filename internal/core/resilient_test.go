@@ -9,6 +9,7 @@ import (
 
 	"sage/internal/cloud"
 	"sage/internal/resilience"
+	"sage/internal/stream"
 	"sage/internal/transfer"
 )
 
@@ -38,6 +39,24 @@ func restoreSite(e *Engine, site cloud.SiteID, at time.Duration) {
 	})
 }
 
+// sameGlobal fails the test unless a recovered run's answer is the unfailed
+// run's: counts and extrema exact, sums up to the rounding a different merge
+// order of the partials leaves.
+func sameGlobal(t *testing.T, want, got *stream.KeyedAgg) {
+	t.Helper()
+	ws, gs := want.Snapshot(), got.Snapshot()
+	if len(gs) != len(ws) {
+		t.Fatalf("global has %d keys, want %d", len(gs), len(ws))
+	}
+	for i, w := range ws {
+		g := gs[i]
+		if g.Key != w.Key || g.Count != w.Count || g.Min != w.Min || g.Max != w.Max ||
+			math.Abs(g.Sum-w.Sum) > 1e-9*math.Abs(w.Sum) {
+			t.Fatalf("global cell %d = %+v, want %+v", i, g, w)
+		}
+	}
+}
+
 // TestRecoveredRunMatchesUnfailedResult is the subsystem's core property:
 // a run that loses a source site mid-stream and recovers it produces the
 // same final global aggregate as a run with no failure at all. Event
@@ -64,22 +83,7 @@ func TestRecoveredRunMatchesUnfailedResult(t *testing.T) {
 	if rep.Incomplete != 0 {
 		t.Fatalf("%d windows incomplete after recovery", rep.Incomplete)
 	}
-	want := cleanRep.Global.Snapshot()
-	got := rep.Global.Snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("global has %d keys, want %d", len(got), len(want))
-	}
-	for i := range want {
-		w, g := want[i], got[i]
-		// Counts and extrema are exact; sums may differ by rounding because
-		// recovery merges partials in a different order.
-		if g.Key != w.Key || g.Count != w.Count || g.Min != w.Min || g.Max != w.Max {
-			t.Fatalf("global cell %d = %+v, want %+v", i, g, w)
-		}
-		if diff := math.Abs(g.Sum - w.Sum); diff > 1e-9*math.Abs(w.Sum) {
-			t.Fatalf("global cell %d sum = %v, want %v", i, g.Sum, w.Sum)
-		}
-	}
+	sameGlobal(t, cleanRep.Global, rep.Global)
 
 	rm := rep.Resilience
 	if rm == nil {

@@ -290,18 +290,18 @@ type Network struct {
 	opt   Options
 	rand  *rng.Rand
 
-	nodes   []*Node
-	links   map[[2]cloud.SiteID]*wanLink
-	nextID  uint64
-	wake    *simtime.Event
-	onWake  func()
-	egress  map[cloud.SiteID]int64
+	nodes  []*Node
+	links  map[[2]cloud.SiteID]*wanLink
+	nextID uint64
+	wake   *simtime.Event
+	onWake func()
+	egress map[cloud.SiteID]int64
 	// jobEgress accumulates WAN egress bytes per job ID (dense; grown on
 	// demand). Cross-job flow attribution: every non-background WAN flow
 	// adds its delivered bytes to its job's cell, so a multi-job run can
 	// bill each tenant exactly, and the per-job sum equals the per-site sum.
 	jobEgress []int64
-	nodeSeq map[cloud.SiteID]int
+	nodeSeq   map[cloud.SiteID]int
 
 	// met / egressCtr are the observability families and the per-site
 	// egress handle cache (zero/nil when the layer is off).

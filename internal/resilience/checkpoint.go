@@ -17,9 +17,11 @@ import (
 // virtual-time instant: for every source site the windows it still holds and
 // the ledgers of its in-flight transfers, and for the sink the merged global
 // aggregate plus partially-merged windows. It serializes deterministically
-// (sorted keys, fixed-width fields, checksummed), so the same state always
-// produces the same bytes — the property the twice-run determinism suite
-// leans on.
+// (cells in the order the snapshot lists them — stream.AppendSnapshot's
+// storage order, fixed by the order the job interned its key tables in —
+// fixed-width fields, checksummed), so the same state always produces the
+// same bytes — the property the twice-run determinism suite leans on.
+// Decoding and restoring do not depend on the order of cells in a list.
 type Checkpoint struct {
 	// Seq numbers checkpoints of one job from 1; At is the snapshot time.
 	Seq int
@@ -79,11 +81,16 @@ type PartialWindow struct {
 // checkpointMagic versions the encoding; bump on layout changes.
 const checkpointMagic = "SAGECP01"
 
-// Encode serializes the checkpoint. Encoding the same checkpoint twice
-// yields identical bytes; the trailer is an FNV-64a checksum over everything
-// before it.
-func (c *Checkpoint) Encode() []byte {
-	var e ckptEncoder
+// Encode serializes the checkpoint into a fresh buffer.
+func (c *Checkpoint) Encode() []byte { return c.AppendEncode(nil) }
+
+// AppendEncode appends the serialized checkpoint to dst and returns the
+// extended buffer; a caller that encodes repeatedly passes a spent buffer
+// resliced to [:0]. Encoding the same checkpoint twice yields identical
+// bytes; the trailer is an FNV-64a checksum over everything before it.
+func (c *Checkpoint) AppendEncode(dst []byte) []byte {
+	start := len(dst)
+	e := ckptEncoder{buf: dst}
 	e.raw(checkpointMagic)
 	e.u64(uint64(c.Seq))
 	e.i64(int64(c.At))
@@ -125,7 +132,7 @@ func (c *Checkpoint) Encode() []byte {
 		e.cells(p.Cells)
 	}
 	h := fnv.New64a()
-	h.Write(e.buf)
+	h.Write(e.buf[start:])
 	e.u64(h.Sum64())
 	return e.buf
 }

@@ -1,16 +1,21 @@
 package resilience
 
 import (
+	"slices"
+
 	"sage/internal/simtime"
 	"sage/internal/stream"
 )
 
-// LoggedWindow is one retained window batch at a source: the aggregate cells
-// to rebuild the shipped partial, and the event count/bytes to rebuild a
-// raw-shipping window's payload size.
+// LoggedWindow is one retained window batch at a source: the aggregate the
+// window closed with, to re-ship as is, and the event count/bytes to rebuild
+// a raw-shipping window's payload size. Agg is held by reference, not copied:
+// an aggregate a window closed with is never written again (see
+// stream.WindowAgg.Recycle), and the log only ever hands it back to a merge,
+// which reads it.
 type LoggedWindow struct {
 	Window     stream.Window
-	Cells      []stream.KeyCell
+	Agg        *stream.KeyedAgg
 	Events     int
 	EventBytes int64
 }
@@ -19,7 +24,9 @@ type LoggedWindow struct {
 // replay: processed windows stay available until a checkpoint confirms the
 // sink no longer needs them (TrimThrough) or the retention bound evicts them
 // (the replay gap). Entries are keyed by job source index, appended in
-// window order.
+// window order. Both drops compact in place with slices.Delete, which zeroes
+// the slots it vacates: a dropped window's aggregate (a dense cell table) is
+// collectable, not pinned by storage nobody reads.
 type BatchLog struct {
 	retain  int
 	entries map[int][]LoggedWindow
@@ -43,7 +50,7 @@ func (l *BatchLog) Append(src int, w LoggedWindow) {
 	if l.retain > 0 && len(ws) > l.retain {
 		drop := len(ws) - l.retain
 		l.evicted[src] += drop
-		ws = append(ws[:0], ws[drop:]...)
+		ws = slices.Delete(ws, 0, drop)
 	}
 	l.entries[src] = ws
 }
@@ -71,7 +78,7 @@ func (l *BatchLog) TrimThrough(src int, cutoff simtime.Time) {
 		n++
 	}
 	if n > 0 {
-		l.entries[src] = append(ws[:0], ws[n:]...)
+		l.entries[src] = slices.Delete(ws, 0, n)
 	}
 }
 

@@ -2,6 +2,8 @@ package resilience
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -302,5 +304,138 @@ func TestPlanFailoverPicksWidestReachable(t *testing.T) {
 	// Everything excluded: no candidate.
 	if _, ok := PlanFailover(g, topo, sources, func(cloud.SiteID) bool { return true }); ok {
 		t.Fatal("planner invented a candidate")
+	}
+}
+
+// TestBatchLogDropsReleaseStorage: eviction and trim compact a source's
+// windows in place; the slots they vacate past the new length must not keep
+// pointing at the dropped windows' aggregates, or a trimmed window stays
+// reachable — and uncollectable — for as long as the log lives.
+func TestBatchLogDropsReleaseStorage(t *testing.T) {
+	win := func(i int) LoggedWindow {
+		w := simtime.Time(30 * time.Second)
+		return LoggedWindow{
+			Window: stream.Window{Start: simtime.Time(i) * w, End: simtime.Time(i+1) * w},
+			Agg:    stream.NewKeyedAgg(stream.Sum),
+		}
+	}
+	vacated := func(l *BatchLog) []LoggedWindow {
+		ws := l.Windows(0)
+		return ws[len(ws):cap(ws)]
+	}
+	check := func(what string, l *BatchLog, wantLen int) {
+		t.Helper()
+		if l.Len(0) != wantLen {
+			t.Fatalf("%s: len = %d, want %d", what, l.Len(0), wantLen)
+		}
+		for _, w := range l.Windows(0) {
+			if w.Agg == nil {
+				t.Fatalf("%s: retained window %v lost its aggregate", what, w.Window)
+			}
+		}
+		for i, w := range vacated(l) {
+			if w.Agg != nil {
+				t.Fatalf("%s: vacated slot %d still holds window %v's aggregate", what, i, w.Window)
+			}
+		}
+	}
+
+	trimmed := NewBatchLog(0)
+	for i := 0; i < 6; i++ {
+		trimmed.Append(0, win(i))
+	}
+	trimmed.TrimThrough(0, win(3).Window.End)
+	check("trim", trimmed, 2)
+	if got := trimmed.Windows(0)[0].Window; got != win(4).Window {
+		t.Fatalf("trim kept %v first, want %v", got, win(4).Window)
+	}
+
+	evicting := NewBatchLog(2)
+	for i := 0; i < 6; i++ {
+		evicting.Append(0, win(i))
+		check("evict", evicting, min(i+1, 2))
+	}
+	if got := evicting.Windows(0)[1].Window; got != win(5).Window {
+		t.Fatalf("eviction kept %v last, want %v", got, win(5).Window)
+	}
+}
+
+// TestCheckpointCellOrderDoesNotMatter: the order of cells inside a
+// checkpoint follows the snapshot's storage order and is no longer sorted,
+// so recovery must not depend on it. A checkpoint whose every cell list is
+// permuted still decodes, to the same size, and restores to the same
+// aggregates.
+func TestCheckpointCellOrderDoesNotMatter(t *testing.T) {
+	ck := sampleCheckpoint()
+	for i := 0; i < 40; i++ {
+		ck.Sink.Global = append(ck.Sink.Global, stream.KeyCell{
+			Key: fmt.Sprintf("g%02d", i*7%40), Count: int64(i + 1), Sum: float64(i) / 3, Min: -float64(i), Max: float64(i),
+		})
+	}
+	permuted := sampleCheckpoint()
+	permuted.Sink.Global = slices.Clone(ck.Sink.Global)
+	lists := []*[]stream.KeyCell{
+		&permuted.Sink.Global, &permuted.Sink.Partial[0].Cells, &permuted.Sources[0].Open[0].Cells,
+	}
+	for _, l := range lists {
+		slices.Reverse(*l)
+		if n := len(*l); n > 3 {
+			(*l)[1], (*l)[n-2] = (*l)[n-2], (*l)[1]
+		}
+	}
+
+	a, b := ck.Encode(), permuted.Encode()
+	if len(a) != len(b) {
+		t.Fatalf("permuting cells changed the encoded size: %d vs %d", len(b), len(a))
+	}
+	if bytes.Equal(a, b) {
+		t.Fatal("the permutation did not reach the bytes: the test checks nothing")
+	}
+	want, err := DecodeCheckpoint(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeCheckpoint(b)
+	if err != nil {
+		t.Fatalf("permuted checkpoint does not decode: %v", err)
+	}
+	restore := func(cells []stream.KeyCell) []stream.KV {
+		tb := stream.NewKeyTable()
+		tb.Intern("k2")
+		tb.Intern("g05")
+		agg := stream.NewKeyedAggDense(stream.Mean, tb)
+		for _, c := range cells {
+			agg.RestoreCell(c)
+		}
+		return agg.Result()
+	}
+	pairs := [][2][]stream.KeyCell{
+		{want.Sink.Global, got.Sink.Global},
+		{want.Sink.Partial[0].Cells, got.Sink.Partial[0].Cells},
+		{want.Sources[0].Open[0].Cells, got.Sources[0].Open[0].Cells},
+	}
+	for i, p := range pairs {
+		if w, g := restore(p[0]), restore(p[1]); len(w) == 0 || !slices.Equal(w, g) {
+			t.Fatalf("cell list %d restores to %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+// TestAppendEncodeReusesBuffer: encoding after a prefix leaves the prefix
+// alone and checksums only the checkpoint, and encoding into a spent buffer
+// gives Encode's bytes without allocating.
+func TestAppendEncodeReusesBuffer(t *testing.T) {
+	ck := sampleCheckpoint()
+	want := ck.Encode()
+	got := ck.AppendEncode([]byte("prefix"))
+	if string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want) {
+		t.Fatal("AppendEncode after a prefix differs from Encode")
+	}
+	buf := bytes.Repeat([]byte{0xee}, 2*len(want))
+	if buf = ck.AppendEncode(buf[:0]); !bytes.Equal(buf, want) {
+		t.Fatal("AppendEncode into a spent buffer differs from Encode")
+	}
+	if n := testing.AllocsPerRun(20, func() { buf = ck.AppendEncode(buf[:0]) }); n != 0 {
+		t.Fatalf("%v allocs per encode into a buffer that fits, want 0", n)
 	}
 }

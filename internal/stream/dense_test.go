@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -269,6 +270,69 @@ func TestPropertyAddBatchMatchesAdd(t *testing.T) {
 			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 				t.Errorf("kind %v dense %v: %v", kind, dense, err)
 			}
+		}
+	}
+}
+
+// Property: MergeMapped through a source→sink remap is Merge, cell for cell
+// and bit for bit, for every kind — over source and sink tables interned in
+// unrelated orders, with keys the sink never interned (remap 0: they land in
+// its map), a source table that grew after the remap was built (IDs past its
+// end: string path, dense or map at the sink as the key is known or not),
+// ad-hoc map cells on the source side, and a destination that already holds
+// cells. The merged-in aggregate is only read.
+func TestPropertyMergeMappedMatchesMerge(t *testing.T) {
+	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
+		kind := kind
+		f := func(raw []uint16, pick uint64) bool {
+			// pick decides, per key of a 24-key universe, whether the source
+			// table holds it, whether the sink's does, and whether the source
+			// interned it only after the remap was built.
+			src, sink := NewKeyTable(), NewKeyTable()
+			var late []string
+			for i := 0; i < 24; i++ {
+				bits := pick >> (2 * i) & 3
+				if bits&1 != 0 {
+					if i%5 == 4 {
+						late = append(late, key(i))
+					} else {
+						src.Intern(key(i))
+					}
+				}
+				if bits&2 != 0 {
+					sink.Intern(key(23 - i)) // a different subset, in another order
+				}
+			}
+			remap := make([]int, src.Len()+1)
+			for id := 1; id <= src.Len(); id++ {
+				remap[id], _ = sink.Lookup(src.Key(id))
+			}
+			for _, k := range late {
+				src.Intern(k)
+			}
+			o := NewKeyedAggDense(kind, src)
+			viaRemap, viaMerge := NewKeyedAggDense(kind, sink), NewKeyedAggDense(kind, sink)
+			for i, r := range raw {
+				// Keys outside the source table become ad-hoc map cells of o.
+				k, v := key(int(r)%24), float64(r%251)/3-40
+				if i%4 == 0 {
+					viaRemap.AddValue(k, v)
+					viaMerge.AddValue(k, v)
+				} else {
+					o.AddValue(k, v)
+				}
+			}
+			before := o.Snapshot()
+			viaRemap.MergeMapped(o, remap)
+			viaMerge.Merge(o)
+			return slices.Equal(viaRemap.Snapshot(), viaMerge.Snapshot()) &&
+				slices.Equal(viaRemap.Result(), viaMerge.Result()) &&
+				viaRemap.Keys() == viaMerge.Keys() &&
+				slices.Equal(o.Snapshot(), before)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("kind %v: %v", kind, err)
 		}
 	}
 }

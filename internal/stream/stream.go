@@ -12,7 +12,9 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"sage/internal/cloud"
@@ -223,28 +225,36 @@ func (a *KeyedAgg) AddValue(key string, v float64) {
 // corrupt results. The two sides need not share a table: cells migrate by
 // string key, landing dense when this side knows the key and in the map
 // otherwise. Per-key accumulation order is whatever the caller's merge
-// order is, exactly as with the map-only path.
-func (a *KeyedAgg) Merge(o *KeyedAgg) {
+// order is, exactly as with the map-only path. Merge only reads o.
+func (a *KeyedAgg) Merge(o *KeyedAgg) { a.MergeMapped(o, nil) }
+
+// MergeMapped is Merge for a caller that already knows where o's interned
+// keys live in this aggregate's table: remap[id] is the ID here of the key
+// with ID id in o's table, or 0 when this side does not know the key. Dense
+// cells the remap covers merge by index with no string hashed; IDs past the
+// end of remap (o's table grew after the remap was built), IDs mapped to 0
+// and o's ad-hoc map cells take the string path, so the result is Merge's
+// exactly. The remap must have been built from o's table to this
+// aggregate's: it is trusted, not checked, which is the point of it.
+func (a *KeyedAgg) MergeMapped(o *KeyedAgg, remap []int) {
 	if o == nil {
 		return
 	}
 	if a.Kind != o.Kind {
 		panic(fmt.Sprintf("stream: merging %v into %v", o.Kind, a.Kind))
 	}
-	if o.table != nil && o.table == a.table {
-		// Shared table: cells line up index for index.
-		for id := 1; id < len(o.dense); id++ {
-			if o.dense[id].count == 0 {
-				continue
-			}
-			a.mergeDense(id, &o.dense[id])
-		}
-	} else {
-		for id := 1; id < len(o.dense); id++ {
-			if o.dense[id].count == 0 {
-				continue
-			}
-			a.mergeCell(o.table.Key(id), &o.dense[id])
+	// A shared table needs no remap: cells line up index for index.
+	shared := o.table != nil && o.table == a.table
+	for id := 1; id < len(o.dense); id++ {
+		oc := &o.dense[id]
+		switch {
+		case oc.count == 0:
+		case shared:
+			a.mergeDense(id, oc)
+		case id < len(remap) && remap[id] > 0:
+			a.mergeDense(remap[id], oc)
+		default:
+			a.mergeCell(o.table.Key(id), oc)
 		}
 	}
 	for k, oc := range o.cells {
@@ -399,23 +409,33 @@ type KeyCell struct {
 	Max   float64
 }
 
-// Snapshot returns every key's raw accumulator, sorted by key. The result is
-// independent of the aggregate's storage (dense vs map) and of insertion
-// order, so it serializes deterministically.
-func (a *KeyedAgg) Snapshot() []KeyCell {
-	out := make([]KeyCell, 0, a.live+len(a.cells))
+// Snapshot returns every key's raw accumulator in a fresh slice; see
+// AppendSnapshot for the order.
+func (a *KeyedAgg) Snapshot() []KeyCell { return a.AppendSnapshot(nil) }
+
+// AppendSnapshot appends every key's raw accumulator to dst and returns the
+// extended slice: dense cells in KeyID order, then ad-hoc map cells sorted by
+// key. That is storage order — nothing is sorted but the (normally empty) map
+// part — and it is as deterministic as the aggregate's table: two aggregates
+// over tables interned in the same order snapshot identically whatever order
+// their events arrived in. RestoreCell does not depend on the order. A caller
+// that snapshots repeatedly passes its previous result resliced to [:0] and,
+// once that has grown to fit, allocates nothing.
+func (a *KeyedAgg) AppendSnapshot(dst []KeyCell) []KeyCell {
+	dst = slices.Grow(dst, a.live+len(a.cells))
 	for id := 1; id < len(a.dense); id++ {
 		c := &a.dense[id]
 		if c.count == 0 {
 			continue
 		}
-		out = append(out, KeyCell{Key: a.table.Key(id), Count: c.count, Sum: c.sum, Min: c.min, Max: c.max})
+		dst = append(dst, KeyCell{Key: a.table.Key(id), Count: c.count, Sum: c.sum, Min: c.min, Max: c.max})
 	}
+	adhoc := len(dst)
 	for k, c := range a.cells {
-		out = append(out, KeyCell{Key: k, Count: c.count, Sum: c.sum, Min: c.min, Max: c.max})
+		dst = append(dst, KeyCell{Key: k, Count: c.count, Sum: c.sum, Min: c.min, Max: c.max})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	slices.SortFunc(dst[adhoc:], func(x, y KeyCell) int { return strings.Compare(x.Key, y.Key) })
+	return dst
 }
 
 // RestoreCell folds one snapshot cell back in, as if the cell's original
@@ -498,8 +518,12 @@ func (w *WindowAgg) newAgg() *KeyedAgg {
 // internal pool: the aggregates are cleared and reused for future windows,
 // and the slice backs the next Advance result. Only call it once per batch,
 // and only after the caller is completely done with the aggregates —
-// recycled aggregates must not be retained (the engine, which ships closed
-// partials downstream, must NOT recycle them).
+// recycled aggregates must not be retained. Recycle is the only way an
+// aggregate Advance has returned is ever written again: the aggregator itself
+// has dropped it (a late event for the same start opens a fresh one) and
+// Merge only reads its argument. The engine ships closed partials downstream
+// and its resilience batch log retains them by reference for replay, so the
+// engine must NOT recycle them (core's TestLoggedAggregatesImmutable pins it).
 func (w *WindowAgg) Recycle(batch []Closed) {
 	for i := range batch {
 		if a := batch[i].Agg; a != nil {

@@ -709,12 +709,12 @@ type transferRun struct {
 
 	// slab holds the transfer's chunks contiguously; pending points into it
 	// (pendHead is the consumed prefix, reset when the queue drains).
-	slab     []chunk
-	pending  []*chunk
-	pendHead int
-	lanes    []*lane
-	laneSeq  int
-	rr       int // round-robin cursor for ParallelStatic
+	slab       []chunk
+	pending    []*chunk
+	pendHead   int
+	lanes      []*lane
+	laneSeq    int
+	rr         int // round-robin cursor for ParallelStatic
 	chunkBytes int64
 
 	// ackedBits is the receiver's dedup state, one bit per chunk index
