@@ -102,6 +102,8 @@ func main() {
 			r := p.Benchmarks[key]
 			fmt.Fprintf(os.Stderr, "%-26s %12.0f ns/op %6d allocs/op\n", key, r.NsPerOp, r.AllocsPerOp)
 		}
+		rw := p.Benchmarks["RoughWorldEvent/sites=60"]
+		fmt.Fprintf(os.Stderr, "%-26s %12.0f ns/op %6d allocs/op\n", "RoughWorldEvent/sites=60", rw.NsPerOp, rw.AllocsPerOp)
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *perfOut)
 
 		fmt.Fprintln(os.Stderr, "measuring stream perf baseline...")

@@ -61,11 +61,18 @@ func (p *PerfBaseline) record(name string, r testing.BenchmarkResult) {
 // perfFlowCounts are the concurrent-flow scales the micro-benchmarks sweep.
 var perfFlowCounts = []int{10, 100, 1000}
 
+// perfRoughWorldKey names the component-scoped reallocation row: ns per fired
+// event on raw_rough's 60-site world with cross-traffic and glitches on.
+const perfRoughWorldKey = "RoughWorldEvent/sites=60"
+
 // RunPerfBaseline measures the netsim allocator micro-benchmarks
-// (Reallocate and FlowChurn at 10/100/1000 concurrent flows) plus one
-// end-to-end quick experiment, and returns the snapshot.
+// (Reallocate — one world-wide pass — and FlowChurn at 10/100/1000
+// concurrent flows, and the per-event cost on the rough world, where passes
+// are component-scoped) plus one end-to-end quick experiment, and returns the
+// snapshot.
 func RunPerfBaseline() PerfBaseline {
 	p := newPerfBaseline()
+	p.record(perfRoughWorldKey, testing.Benchmark(netsim.RunBenchmarkRoughWorld))
 	for _, n := range perfFlowCounts {
 		n := n
 		p.record(fmt.Sprintf("Reallocate/flows=%d", n),

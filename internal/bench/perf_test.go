@@ -37,6 +37,19 @@ func TestPerfBaselineFileValid(t *testing.T) {
 	if p.Exp08MultiDCMillis <= 0 {
 		t.Fatal("baseline missing end-to-end exp08 timing")
 	}
+	// The component-scoped path: present, and allocation-free per event
+	// (the foreground path allocates nothing; tenant arrivals stay under one
+	// allocation per fired event).
+	if r, ok := p.Benchmarks[perfRoughWorldKey]; !ok || r.NsPerOp <= 0 {
+		t.Fatalf("baseline missing benchmark %q: %+v", perfRoughWorldKey, r)
+	} else if r.AllocsPerOp != 0 {
+		t.Fatalf("%s allocates %d per fired event in the committed baseline; the budget is 0", perfRoughWorldKey, r.AllocsPerOp)
+	}
+	for _, n := range perfFlowCounts {
+		if r := p.Benchmarks[fmt.Sprintf("Reallocate/flows=%d", n)]; r.AllocsPerOp != 0 {
+			t.Fatalf("Reallocate/flows=%d allocates %d per pass in the committed baseline; the budget is 0", n, r.AllocsPerOp)
+		}
+	}
 	// The headline acceptance numbers for the incremental allocator: churn
 	// at 1000 concurrent flows stays allocation-light. A regression that
 	// reintroduces per-event map/sort allocation trips this immediately

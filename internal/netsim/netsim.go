@@ -22,6 +22,24 @@
 // distinct VM pairs over distinct switch paths), as capacity(k) =
 // base * min(AggMax, k^AggAlpha). This is what makes adding nodes to a
 // transfer worthwhile, with diminishing returns.
+//
+// # Reallocation
+//
+// Rates change only at events (a flow activating or finishing, a capacity
+// resample, a glitch, an injection). Each event marks the resources whose
+// capacity or membership it changed; the allocator then walks flows and
+// resources outward from those marks and re-runs progressive filling over
+// the connected components it reaches, in flow-ID order. Max-min components
+// share no resource, so the result is bit for bit what filling the whole
+// world would give, at the cost of the handful of flows one event can
+// affect. Two things stay world-wide because laziness would move
+// floating-point results: every active flow is credited its bytes at every
+// event, and every active flow's completion is re-projected at every pass to
+// find the next wake-up (see advance and reallocate).
+//
+// Other tenants' cross-traffic (Options.CrossTrafficMeanGap) loads the link
+// it crosses and nothing else: its endpoints stand for many tenants' VMs and
+// have no NIC of their own.
 package netsim
 
 import (
@@ -138,6 +156,8 @@ type Node struct {
 	failed   bool
 	nicScale float64
 
+	// up / down are the node's NIC directions; nil on the hidden tenant
+	// nodes of the cross-traffic generator, whose flows load the link only.
 	up   *resource
 	down *resource
 }
@@ -181,11 +201,14 @@ type Flow struct {
 	// capRes is the per-flow rate-cap resource, embedded to avoid a
 	// separate allocation for capped flows.
 	capRes resource
-	// fixedEpoch marks the flow as rate-fixed during the reallocation pass
-	// with the matching Network.allocEpoch.
+	// compEpoch marks the flow as reached by the component walk, and
+	// fixedEpoch as rate-fixed, in the reallocation pass with the matching
+	// Network.allocEpoch. Epochs only grow, so a pooled flow's stale stamps
+	// never match and need no reset.
+	compEpoch  uint64
 	fixedEpoch uint64
 	// projEnd is the projected completion time under the current rate,
-	// maintained by reallocate for the wake-up heap.
+	// recomputed by every reallocate; the earliest one arms the wake event.
 	projEnd simtime.Time
 
 	// activateFn / doneFn are the activation and deferred-completion
@@ -243,8 +266,10 @@ type resource struct {
 	// allocator never rebuilds per-resource membership.
 	flows []*Flow
 
-	// seenEpoch marks the resource as visited by the reallocation pass with
-	// the matching Network.allocEpoch.
+	// compEpoch marks the resource as dirty for, or reached by the component
+	// walk of, the reallocation pass with that number (see markDirty);
+	// seenEpoch marks it as entered into that pass's fill order.
+	compEpoch uint64
 	seenEpoch uint64
 
 	// scratch fields used during allocation
@@ -290,12 +315,16 @@ type Network struct {
 	opt   Options
 	rand  *rng.Rand
 
-	nodes  []*Node
-	links  map[[2]cloud.SiteID]*wanLink
-	nextID uint64
-	wake   *simtime.Event
-	onWake func()
-	egress map[cloud.SiteID]int64
+	nodes []*Node
+	// links looks a directed link up by its endpoints; linkList holds the
+	// same links in topo.Links() order for everything that visits them all,
+	// so no pass depends on map iteration order.
+	links    map[[2]cloud.SiteID]*wanLink
+	linkList []*wanLink
+	nextID   uint64
+	wake     *simtime.Event
+	onWake   func()
+	egress   map[cloud.SiteID]int64
 	// jobEgress accumulates WAN egress bytes per job ID (dense; grown on
 	// demand). Cross-job flow attribution: every non-background WAN flow
 	// adds its delivered bytes to its job's cell, so a multi-job run can
@@ -314,17 +343,24 @@ type Network struct {
 	// map-dump-and-sort per event.
 	live []*Flow
 
-	// allocEpoch identifies the current reallocation pass; resources and
-	// flows are stamped with it instead of tracking membership in
-	// per-call maps.
+	// allocEpoch numbers the reallocation passes; resources and flows are
+	// stamped with it instead of tracking membership in per-call maps. It
+	// only ever grows.
 	allocEpoch uint64
+
+	// dirty lists the resources whose membership or capacity changed since
+	// the last pass (see markDirty). The next reallocate re-rates the flows
+	// reachable from them and nothing else, and uses the list as the walk's
+	// work stack, leaving it empty.
+	dirty []*resource
+	// rerated is the number of flows the last pass re-rated.
+	rerated int
 
 	// Reusable scratch buffers for the allocator and advance, so steady
 	// state reallocation performs no heap allocation.
 	activeScratch    []*Flow
 	resOrderScratch  []*resource
 	completedScratch []*Flow
-	etaHeap          []*Flow
 
 	// flowFree is the pool of finished flows handed back via ReleaseFlow,
 	// reused by StartFlow so steady-state traffic creates no Flow objects.
@@ -367,6 +403,7 @@ func New(sched *simtime.Scheduler, topo *cloud.Topology, r *rng.Rand, opt Option
 			capFn: func(k int) float64 { return l.capacityFor(len(l.senders), n.opt) },
 		}
 		n.links[key] = l
+		n.linkList = append(n.linkList, l)
 		n.scheduleGlitch(l, lr)
 	}
 	sched.NewTicker(opt.UpdateInterval, func(now simtime.Time) { n.resample() })
@@ -378,13 +415,16 @@ func New(sched *simtime.Scheduler, topo *cloud.Topology, r *rng.Rand, opt Option
 
 // startCrossTraffic provisions hidden per-site tenant nodes and schedules
 // Poisson background flows on every WAN link.
+//
+// Tenant nodes are unmetered: other tenants' traffic loads the link it
+// crosses and nothing else. One shared endpoint per site stands for many
+// tenants' VMs, so a NIC on it could never bind, yet as a resource it would
+// join every background flow of the site — and through the hubs of the
+// world — into one component that every arrival re-rates.
 func (n *Network) startCrossTraffic(r *rng.Rand) {
 	hidden := make(map[cloud.SiteID]*Node)
 	for _, s := range n.topo.Sites() {
-		node := n.NewNode(s.ID, cloud.VMClass{
-			Name: "tenant", CPUs: 8, MemGB: 14, NICMBps: 1e6, PricePerHour: 1, CPUScore: 8,
-		})
-		hidden[s.ID] = node
+		hidden[s.ID] = n.newNode(s.ID, cloud.VMClass{Name: "tenant"}, false)
 	}
 	for _, spec := range n.topo.Links() {
 		spec := spec
@@ -423,9 +463,10 @@ func (n *Network) Topology() *cloud.Topology { return n.topo }
 
 func (n *Network) resample() {
 	dt := n.opt.UpdateInterval.Seconds()
-	for _, l := range n.links {
+	for _, l := range n.linkList {
 		v := l.ou.Step(dt)
 		l.factor = math.Min(n.opt.CapacityCeil, math.Max(n.opt.CapacityFloor, v))
+		n.markDirty(l.res)
 		if l.capGauge.Enabled() {
 			l.capGauge.Set(l.capacityFor(len(l.senders), n.opt))
 			l.flowGauge.Set(float64(len(l.senders)))
@@ -443,9 +484,11 @@ func (n *Network) scheduleGlitch(l *wanLink, lr *rng.Rand) {
 		depth := n.opt.GlitchDepthMin + lr.Float64()*(n.opt.GlitchDepthMax-n.opt.GlitchDepthMin)
 		dur := time.Duration(lr.Exp(n.opt.GlitchMeanDur.Seconds()) * float64(time.Second))
 		l.glitch = depth
+		n.markDirty(l.res)
 		n.reschedule()
 		n.sched.After(dur, func() {
 			l.glitch = 1
+			n.markDirty(l.res)
 			n.reschedule()
 			n.scheduleGlitch(l, lr)
 		})
@@ -454,6 +497,12 @@ func (n *Network) scheduleGlitch(l *wanLink, lr *rng.Rand) {
 
 // NewNode provisions a VM in the given site.
 func (n *Network) NewNode(site cloud.SiteID, class cloud.VMClass) *Node {
+	return n.newNode(site, class, true)
+}
+
+// newNode provisions a node; an unmetered one has no NIC resources, so its
+// flows are limited by the link they cross (and their own cap) only.
+func (n *Network) newNode(site cloud.SiteID, class cloud.VMClass, metered bool) *Node {
 	if n.topo.Site(site) == nil {
 		panic(fmt.Sprintf("netsim: unknown site %q", site))
 	}
@@ -465,18 +514,16 @@ func (n *Network) NewNode(site cloud.SiteID, class cloud.VMClass) *Node {
 		Class:    class,
 		nicScale: 1,
 	}
-	node.up = &resource{name: node.ID + "/up", capFn: func(int) float64 {
-		if node.failed {
-			return 0
+	if metered {
+		nic := func(int) float64 {
+			if node.failed {
+				return 0
+			}
+			return node.Class.NICMBps * node.nicScale
 		}
-		return node.Class.NICMBps * node.nicScale
-	}}
-	node.down = &resource{name: node.ID + "/down", capFn: func(int) float64 {
-		if node.failed {
-			return 0
-		}
-		return node.Class.NICMBps * node.nicScale
-	}}
+		node.up = &resource{name: node.ID + "/up", capFn: nic}
+		node.down = &resource{name: node.ID + "/down", capFn: nic}
+	}
 	n.nodes = append(n.nodes, node)
 	return node
 }
@@ -531,7 +578,13 @@ func (n *Network) StartFlow(src, dst *Node, size int64, opts FlowOpts, onDone fu
 	f.onDone = onDone
 	f.network = n
 	n.nextID++
-	f.resources = append(f.resBuf[:0], src.up, dst.down)
+	f.resources = f.resBuf[:0]
+	if src.up != nil {
+		f.resources = append(f.resources, src.up)
+	}
+	if dst.down != nil {
+		f.resources = append(f.resources, dst.down)
+	}
 	f.link = nil
 	if src.Site != dst.Site {
 		f.link = n.links[[2]cloud.SiteID{src.Site, dst.Site}]
@@ -581,6 +634,7 @@ func (f *Flow) activate() {
 	if f.link != nil && !f.background {
 		f.link.senders[f.Src]++
 	}
+	n.markFlowDirty(f)
 	n.reallocate()
 }
 
@@ -595,7 +649,6 @@ func (n *Network) acquireFlow() *Flow {
 		f.active, f.finished = false, false
 		f.err = nil
 		f.ended = 0
-		f.fixedEpoch = 0
 		f.projEnd = 0
 		return f
 	}
@@ -648,6 +701,7 @@ func removeFlowByID(s []*Flow, f *Flow) []*Flow {
 // stall at zero rate until RestoreNode.
 func (n *Network) KillNode(node *Node) {
 	node.failed = true
+	n.markNodeDirty(node)
 	var victims []*Flow
 	for _, f := range n.live {
 		if f.Src == node || f.Dst == node {
@@ -663,6 +717,7 @@ func (n *Network) KillNode(node *Node) {
 // RestoreNode clears a node's failed state.
 func (n *Network) RestoreNode(node *Node) {
 	node.failed = false
+	n.markNodeDirty(node)
 	n.reschedule()
 }
 
@@ -674,6 +729,7 @@ func (n *Network) SetNodeNICScale(node *Node, factor float64) {
 		panic("netsim: negative NIC scale")
 	}
 	node.nicScale = factor
+	n.markNodeDirty(node)
 	n.reschedule()
 }
 
@@ -685,6 +741,7 @@ func (n *Network) SetLinkScale(from, to cloud.SiteID, scale float64) {
 		panic(fmt.Sprintf("netsim: no link %s -> %s", from, to))
 	}
 	l.scale = scale
+	n.markDirty(l.res)
 	n.reschedule()
 }
 
@@ -743,10 +800,12 @@ func (n *Network) JobsSeen() int { return len(n.jobEgress) }
 func (n *Network) ActiveFlows() int { return len(n.live) }
 
 // advance credits every active flow with bytes for time elapsed since the
-// last reallocation, and completes flows that have finished. The byte ledger
-// — not the projected-completion heap — decides completion, so
+// last event, and completes flows that have finished. The byte ledger — not
+// the projected completion behind the wake event — decides completion, so
 // floating-point rounding in the projection can never change which flows
-// finish at an event.
+// finish at an event. The ledger is world-wide on purpose, whatever the scope
+// of the pass that follows: crediting a flow only when its rate changes would
+// add up the same bytes in fewer, larger steps, and round differently.
 func (n *Network) advance() {
 	now := n.sched.Now()
 	completed := n.completedScratch[:0]
@@ -814,6 +873,7 @@ func (n *Network) finishFlow(f *Flow, err error) {
 		for _, r := range f.resources {
 			r.flows = removeFlowByID(r.flows, f)
 		}
+		n.markFlowDirty(f)
 	}
 	f.active = false
 	f.rate = 0
@@ -839,30 +899,137 @@ func (f *Flow) fireDone() {
 	}
 }
 
-// reschedule re-runs advance+reallocate; called after any capacity change.
+// markDirty records that r's capacity or flow membership changed, so the next
+// reallocate re-rates everything reachable from it. Every mutation of either
+// must call it: a rate is only ever recomputed for a flow the walk from the
+// dirty resources reaches. The stamp of the coming pass deduplicates marks
+// without a flag to clear, and doubles as the walk's "reached" mark.
+func (n *Network) markDirty(r *resource) {
+	if next := n.allocEpoch + 1; r.compEpoch != next {
+		r.compEpoch = next
+		n.dirty = append(n.dirty, r)
+	}
+}
+
+// markFlowDirty marks the shared resources f crosses, on its activation and
+// its finish (which also covers the sender count behind the link's aggregate
+// law). The per-flow cap is left out: it lives inside the pooled Flow and can
+// connect f to nothing.
+func (n *Network) markFlowDirty(f *Flow) {
+	for _, r := range f.resources {
+		if r != &f.capRes {
+			n.markDirty(r)
+		}
+	}
+}
+
+// markNodeDirty marks both NIC directions of a (metered) node.
+func (n *Network) markNodeDirty(node *Node) {
+	n.markDirty(node.up)
+	n.markDirty(node.down)
+}
+
+// reschedule re-runs advance+reallocate; called after any capacity change,
+// with the changed resources marked dirty.
 func (n *Network) reschedule() {
 	n.advance()
 	n.reallocate()
 }
 
-// reallocate computes max-min fair rates for all active flows by progressive
-// filling, then schedules a wake-up at the earliest projected completion.
+// reallocate recomputes max-min fair rates by progressive filling for the
+// flows an event can have changed, then schedules a wake-up at the earliest
+// projected completion.
 //
-// The pass is incremental and allocation-free in steady state: the active
-// list and per-resource flow lists are maintained on flow start/finish, the
-// per-pass resource ordering and "rate fixed" marks use epoch stamps instead
+// Scope. Max-min rates couple only through shared resources, so the pass
+// walks flows <-> resources outward from the dirty resources and re-rates
+// exactly the connected components it reaches; every other flow keeps its
+// rate, which is the one a world-wide pass would compute again because
+// nothing it depends on moved. The fill takes its flow and resource order
+// from n.live (flow ID, first-seen resource), never from the dirty list or
+// the walk: components share no resource, so the restricted sequence of
+// bottlenecks, subtractions and tie-breaks is the subsequence a world-wide
+// pass would execute for these flows, and every rate is bit-identical to it.
+//
+// The wake projection stays world-wide on purpose: every active flow's
+// completion is re-projected from the current instant each pass (one linear
+// scan), because projecting lazily would change where the nanosecond
+// truncation of the ETA falls and with it every downstream timestamp.
+//
+// The pass is allocation-free in steady state: per-resource flow lists are
+// maintained on flow start/finish, membership marks are epoch stamps instead
 // of maps, scratch buffers are reused across passes, and the single wake
-// event is rearmed in place. Iteration stays in deterministic (flow ID,
-// first-seen resource) order so floating-point accumulation and tie-breaking
-// are bit-identical to the original rebuild-per-event allocator.
+// event is rearmed in place.
 func (n *Network) reallocate() {
 	now := n.sched.Now()
 	n.allocEpoch++
 	epoch := n.allocEpoch
+
+	// Component walk: n.dirty holds resources already stamped with this
+	// epoch by markDirty and serves as the work stack.
+	work := n.dirty
+	reached := 0
+	for len(work) > 0 {
+		r := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, f := range r.flows {
+			if f.compEpoch == epoch {
+				continue
+			}
+			f.compEpoch = epoch
+			reached++
+			for _, fr := range f.resources {
+				// A resource f has to itself (its cap, usually its NICs)
+				// leads nowhere.
+				if len(fr.flows) > 1 && fr.compEpoch != epoch {
+					fr.compEpoch = epoch
+					work = append(work, fr)
+				}
+			}
+		}
+	}
+	n.dirty = work
+	n.rerated = reached
+	n.met.passes.Inc()
+	n.met.rerated.Add(int64(reached))
+
+	if reached > 0 {
+		n.fill(now, epoch)
+	}
+
+	// Re-project every active flow's completion and rearm the (reused) wake
+	// event at the earliest.
+	var next *Flow
+	for _, f := range n.live {
+		if !f.active || f.rate <= 0 {
+			continue
+		}
+		left := float64(f.size) - f.done
+		eta := time.Duration(left / (f.rate * 1e6) * float64(time.Second))
+		if eta < time.Microsecond {
+			eta = time.Microsecond
+		}
+		f.projEnd = now + eta
+		if next == nil || etaLess(f, next) {
+			next = f
+		}
+	}
+	switch {
+	case next == nil:
+		n.sched.Cancel(n.wake)
+	case n.wake == nil:
+		n.wake = n.sched.At(next.projEnd, n.onWake)
+	default:
+		n.sched.Reschedule(n.wake, next.projEnd)
+	}
+}
+
+// fill runs progressive filling over the flows stamped by this pass's
+// component walk, in n.live order.
+func (n *Network) fill(now simtime.Time, epoch uint64) {
 	active := n.activeScratch[:0]
 	resOrder := n.resOrderScratch[:0]
 	for _, f := range n.live {
-		if !f.active || f.finished {
+		if f.compEpoch != epoch {
 			continue
 		}
 		active = append(active, f)
@@ -879,12 +1046,6 @@ func (n *Network) reallocate() {
 		}
 	}
 	n.activeScratch, n.resOrderScratch = active, resOrder
-	if len(active) == 0 {
-		if n.wake != nil {
-			n.sched.Cancel(n.wake)
-		}
-		return
-	}
 	fixedCount := 0
 	for fixedCount < len(active) {
 		// Find bottleneck resource: minimum fair share among resources
@@ -922,64 +1083,13 @@ func (n *Network) reallocate() {
 			}
 		}
 	}
-	// Rebuild the projected-completion min-heap over the new rates; its top
-	// is the earliest completion, where the (reused) wake event is rearmed.
-	h := n.etaHeap[:0]
-	for _, f := range active {
-		if f.rate <= 0 {
-			continue
-		}
-		left := float64(f.size) - f.done
-		eta := time.Duration(left / (f.rate * 1e6) * float64(time.Second))
-		if eta < time.Microsecond {
-			eta = time.Microsecond
-		}
-		f.projEnd = now + eta
-		h = append(h, f)
-	}
-	heapifyETA(h)
-	n.etaHeap = h
-	if len(h) > 0 {
-		if n.wake != nil {
-			n.sched.Reschedule(n.wake, h[0].projEnd)
-		} else {
-			n.wake = n.sched.At(h[0].projEnd, n.onWake)
-		}
-	} else if n.wake != nil {
-		n.sched.Cancel(n.wake)
-	}
 }
 
 // etaLess orders flows by (projected completion, ID); the ID tie-break keeps
-// the heap deterministic.
+// the choice of the earliest flow deterministic.
 func etaLess(a, b *Flow) bool {
 	if a.projEnd != b.projEnd {
 		return a.projEnd < b.projEnd
 	}
 	return a.ID < b.ID
-}
-
-// heapifyETA builds a min-heap in place, O(n) with zero allocation.
-func heapifyETA(h []*Flow) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDownETA(h, i)
-	}
-}
-
-func siftDownETA(h []*Flow, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && etaLess(h[l], h[m]) {
-			m = l
-		}
-		if r < len(h) && etaLess(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }

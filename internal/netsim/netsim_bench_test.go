@@ -18,3 +18,5 @@ func BenchmarkFlowChurn(b *testing.B) {
 		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) { RunBenchmarkFlowChurn(b, n) })
 	}
 }
+
+func BenchmarkRoughWorld(b *testing.B) { RunBenchmarkRoughWorld(b) }
