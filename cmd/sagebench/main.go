@@ -113,6 +113,7 @@ func main() {
 			os.Exit(1)
 		}
 		for _, key := range []string{
+			"NormFloat64/polar", "NormFloat64/ziggurat",
 			"SensorGen/keys=1000", "WindowAggDense/keys=1000",
 			"WindowAggMap/keys=1000", "StreamPipeline/keys=1000",
 			"SlidingAdvanceEmpty", "WindowJoinAdvanceEmpty",

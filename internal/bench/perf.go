@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sage/internal/netsim"
+	"sage/internal/rng"
 	"sage/internal/stream"
 	"sage/internal/workload"
 )
@@ -24,8 +25,13 @@ type PerfResult struct {
 // on the same machine and compare against the committed copy to detect
 // allocator regressions (see the Performance section of DESIGN.md).
 type PerfBaseline struct {
-	GoVersion  string                `json:"go_version"`
-	GOARCH     string                `json:"goarch"`
+	GoVersion string `json:"go_version"`
+	GOARCH    string `json:"goarch"`
+	// Cores and GOMAXPROCS state the recording host: a time budget means
+	// nothing without them. Baselines recorded before the fields existed
+	// omit them.
+	Cores      int                   `json:"cores,omitempty"`
+	GOMAXPROCS int                   `json:"gomaxprocs,omitempty"`
 	Benchmarks map[string]PerfResult `json:"benchmarks"`
 	// Exp08MultiDCMillis is the wall-clock time of one quick-mode run of
 	// the end-to-end multi-datacenter experiment (seed 1). Only the netsim
@@ -45,6 +51,8 @@ func newPerfBaseline() PerfBaseline {
 	return PerfBaseline{
 		GoVersion:  runtime.Version(),
 		GOARCH:     runtime.GOARCH,
+		Cores:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: make(map[string]PerfResult),
 	}
 }
@@ -92,12 +100,23 @@ func RunPerfBaseline() PerfBaseline {
 // sweep.
 var perfKeyCounts = []int{100, 1000}
 
+// perfNormalKeys name the rows of the two standard-normal samplers, ns per
+// variate: the polar method the world's weather draws from and the ziggurat
+// that draws workload values.
+const (
+	perfPolarKey    = "NormFloat64/polar"
+	perfZigguratKey = "NormFloat64/ziggurat"
+)
+
 // RunStreamPerfBaseline measures the streaming data-plane micro-benchmarks
-// (event generation, dense vs map windowed aggregation, the end-to-end
-// generate→aggregate→advance pipeline, and the steady-state empty advances)
-// and returns the snapshot written to BENCH_stream.json.
+// (the two normal samplers, event generation, dense vs map windowed
+// aggregation, the fill→fold→advance pipeline a source's stage runs, and the
+// steady-state empty advances) and returns the snapshot written to
+// BENCH_stream.json.
 func RunStreamPerfBaseline() PerfBaseline {
 	p := newPerfBaseline()
+	p.record(perfPolarKey, testing.Benchmark(rng.RunBenchmarkNormFloat64))
+	p.record(perfZigguratKey, testing.Benchmark(rng.RunBenchmarkZigNormFloat64))
 	for _, k := range perfKeyCounts {
 		k := k
 		p.record(fmt.Sprintf("SensorGen/keys=%d", k),

@@ -347,9 +347,13 @@ type sourceState struct {
 	// remap[id] is the sink-table ID of the key with ID id in gen.Table(),
 	// fixed at Start: the sink merges this source's partials through it, by
 	// index (stream.KeyedAgg.MergeMapped).
-	remap   []int
-	buf     []stream.Event // one stage block of events, reused across blocks and windows
-	shipped int            // partials shipped, drives calibration exploration
+	remap []int
+	// block is the stage's one block of drawn events, refilled across blocks
+	// and windows; buf holds its materialised events for the job's Map and
+	// stays nil for a job that has none.
+	block   stream.Block
+	buf     []stream.Event
+	shipped int // partials shipped, drives calibration exploration
 	// pending queues staged window results (appended by the source's stage
 	// on its shard goroutine, consumed FIFO by commits on the scheduler
 	// goroutine; the staging barrier orders the two).
@@ -645,45 +649,53 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	return run, nil
 }
 
-// stageBlock is how many events a stage generates before folding them. The
-// block's buffer (56 B per event, 56 KB) has to still be in cache when the
-// aggregate reads back what the generator wrote: on agg_wide 512 and 1024
-// tie, 4096 costs 3–4 % of events/s and 19 MB of RSS, and a whole 24 000-event
-// window 22 % and 150 MB.
+// stageBlock is how many events a stage draws before folding them. The block
+// (two columns, 12 B an event: 12 KB) has to still be in cache when the
+// aggregate reads back what the generator wrote, and be long enough to
+// amortise the per-block calls. Now that a block is a fifth of the struct
+// buffer it replaced, agg_wide no longer tells the sizes apart: over four
+// alternating 6 s runs each, wall_s was 0.230–0.272 s at 512, 0.242–0.252 at
+// 1024, 0.232–0.265 at 2048 and 0.243–0.251 at 4096 (medians 0.258 / 0.249 /
+// 0.257 / 0.250), and peak RSS 106–113 / 106–108 / 109 / 112 MB. 1024 stays.
 const stageBlock = 1024
 
 // stageWindow is the pure half of one source's window close: draw the
-// window's events, map and fold them into the source-local aggregate, and
-// advance the watermark. It touches only state owned by the source (its
-// generator RNG, batch buffer and window aggregate), never the clock, the
-// network or the report — which is what makes it safe to run concurrently
-// with other shards' stages under the conservative barrier. It may run up to
-// one lookahead ahead of the commit clock, so nothing on the scheduler
-// goroutine reads or replaces s.agg directly: the resilience guard sees the
-// open-window snapshot the commit publishes and swaps the aggregate through
-// a staged event of its own (jobGuard.loseOperator).
+// window's events a columnar block at a time, fold each block into the
+// source-local aggregate, and advance the watermark. Only a job with a Map
+// sees stream.Events — MapFunc takes one — so only then is a block
+// materialised, mapped and folded event by event; which path runs is decided
+// by the job, and both fold the same draws in the same order. The stage
+// touches only state owned by the source (its generator's streams, its block
+// and buffer, its window aggregate), never the clock, the network or the
+// report — which is what makes it safe to run concurrently with other shards'
+// stages under the conservative barrier. It may run up to one lookahead ahead
+// of the commit clock, so nothing on the scheduler goroutine reads or
+// replaces s.agg directly: the resilience guard sees the open-window snapshot
+// the commit publishes and swaps the aggregate through a staged event of its
+// own (jobGuard.loseOperator).
 func (e *Engine) stageWindow(run *JobRun, s *sourceState, end simtime.Time) stagedWindow {
 	job := run.job
 	start := end - simtime.Time(job.Window)
 	n := workload.EventCount(s.spec.Rate, start, job.Window)
 	kept := 0
 	if n > 0 {
-		// Generate and fold the window a block at a time through one small
-		// buffer instead of materialising it whole. Blocks that start at
-		// multiples of the whole window's timestamp step and span a whole
-		// number of steps reproduce its timestamps and draw order exactly.
+		// Blocks that start at multiples of the whole window's timestamp step
+		// reproduce its timestamps and draw order exactly.
 		step := job.Window / time.Duration(n)
 		for i0 := 0; i0 < n; i0 += stageBlock {
 			m := min(stageBlock, n-i0)
-			s.buf = s.gen.AppendEvents(s.buf[:0], m, start+simtime.Time(i0)*step, time.Duration(m)*step)
-			evs := s.buf
-			if job.Map != nil {
-				// Compact in place: the write index never passes the read.
-				evs = evs[:0]
-				for _, ev := range s.buf {
-					if ev, ok := job.Map(ev); ok {
-						evs = append(evs, ev)
-					}
+			s.gen.FillBlock(&s.block, m, start+simtime.Time(i0)*step, step)
+			if job.Map == nil {
+				s.agg.AddBlock(&s.block)
+				kept += m
+				continue
+			}
+			s.buf = s.block.AppendEvents(s.buf[:0])
+			// Compact in place: the write index never passes the read.
+			evs := s.buf[:0]
+			for _, ev := range s.buf {
+				if ev, ok := job.Map(ev); ok {
+					evs = append(evs, ev)
 				}
 			}
 			s.agg.AddBatch(evs)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -39,15 +40,46 @@ func stageJob(mapFn stream.MapFunc) (JobSpec, func() *workload.SensorGen) {
 }
 
 // TestStageBufferIsOneBlock pins the memory claim of the block-at-a-time
-// stage: a 24 000-event window goes through a buffer of one block.
+// stage: a 24 000-event window goes through one columnar block of stageBlock
+// events, 12 bytes each, and a job without a Map never materialises a
+// stream.Event, so the event buffer does not exist.
 func TestStageBufferIsOneBlock(t *testing.T) {
 	job, newGen := stageJob(nil)
 	s, st := stageOne(job, newGen(), simtime.Time(60*time.Second))
 	if st.kept != 24000 {
 		t.Fatalf("staged %d events, want 24000", st.kept)
 	}
-	if cap(s.buf) != stageBlock {
-		t.Fatalf("stage buffer holds %d events, want one block of %d", cap(s.buf), stageBlock)
+	if s.buf != nil {
+		t.Fatalf("a Map-less stage allocated an event buffer of %d events", cap(s.buf))
+	}
+	if bytes := 4*cap(s.block.IDs) + 8*cap(s.block.Values); bytes != 12*stageBlock {
+		t.Fatalf("stage block holds %d IDs and %d values (%d bytes), want one block of %d × 12 bytes",
+			cap(s.block.IDs), cap(s.block.Values), bytes, stageBlock)
+	}
+}
+
+// TestStagePathsAgree: the columnar fold a Map-less job takes and the
+// materialise → Map → AddBatch path a job with a Map takes stage the same
+// partial, bit for bit, when the Map is the identity — which path runs is the
+// job's choice, never a different answer.
+func TestStagePathsAgree(t *testing.T) {
+	end := simtime.Time(60 * time.Second)
+	job, newGen := stageJob(nil)
+	_, columnar := stageOne(job, newGen(), end)
+	job.Map = func(ev stream.Event) (stream.Event, bool) { return ev, true }
+	s, mapped := stageOne(job, newGen(), end)
+	if cap(s.buf) < stageBlock {
+		t.Fatalf("the Map path ran without its event buffer (cap %d)", cap(s.buf))
+	}
+	if columnar.kept != mapped.kept || len(columnar.closed) != 1 || len(mapped.closed) != 1 {
+		t.Fatalf("columnar staged %d events in %d windows, mapped %d in %d",
+			columnar.kept, len(columnar.closed), mapped.kept, len(mapped.closed))
+	}
+	a, b := columnar.closed[0], mapped.closed[0]
+	if a.Window != b.Window || !slices.Equal(a.Agg.Snapshot(), b.Agg.Snapshot()) ||
+		!slices.Equal(columnar.preBytes, mapped.preBytes) {
+		t.Fatalf("columnar partial %v (%d keys, %v bytes) differs from the mapped one %v (%d keys, %v bytes)",
+			a.Window, a.Agg.Keys(), columnar.preBytes, b.Window, b.Agg.Keys(), mapped.preBytes)
 	}
 }
 

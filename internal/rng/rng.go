@@ -6,6 +6,17 @@
 //
 // The core generator is xoshiro256**, seeded through SplitMix64, both
 // implemented here so the sequence is independent of math/rand internals.
+//
+// There are two standard-normal samplers and nothing selects between them:
+// every caller is fixed in code. NormFloat64 (Marsaglia polar, and Normal,
+// LogNormal and OU on top of it) draws the world and its weather — the
+// generated topologies, link variability, probe noise, cross-traffic sizes —
+// a thousand times a virtual second, and every golden table and benchmark
+// bound pins that realisation, so its sequence must not move. ZigNormFloat64
+// (ziggurat, a third of the cost) draws workload values, ten million times a
+// wall second, where only the distribution is pinned. A change that is
+// allowed to move the weather can migrate the remaining callers and delete
+// the polar method with Rand.hasSpare / spare.
 package rng
 
 import (
@@ -17,7 +28,9 @@ import (
 // Rand is a deterministic pseudo-random generator. It is not safe for
 // concurrent use; split one stream per goroutine instead.
 type Rand struct {
-	s [4]uint64
+	// xoshiro256** state, as four fields rather than an array so that Uint64
+	// fits the inlining budget.
+	s0, s1, s2, s3 uint64
 	// cached second normal variate from the polar method
 	hasSpare bool
 	spare    float64
@@ -26,20 +39,20 @@ type Rand struct {
 // New returns a generator seeded from seed via SplitMix64, which guarantees
 // well-mixed state even for small or similar seeds.
 func New(seed uint64) *Rand {
-	r := &Rand{}
+	var s [4]uint64
 	sm := seed
-	for i := range r.s {
+	for i := range s {
 		sm += 0x9e3779b97f4a7c15
 		z := sm
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		s[i] = z ^ (z >> 31)
 	}
 	// xoshiro must not start from the all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 1
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = 1
 	}
-	return r
+	return &Rand{s0: s[0], s1: s[1], s2: s[2], s3: s[3]}
 }
 
 // Split derives an independent stream identified by name. Streams derived
@@ -50,21 +63,19 @@ func (r *Rand) Split(name string) *Rand {
 	return New(r.Uint64() ^ h.Sum64())
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 uniformly random bits (xoshiro256**). The state
 // is stepped in locals and stored once: under the race detector, which
 // charges per memory access, that is a third off every draw in the suite.
 func (r *Rand) Uint64() uint64 {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	result := rotl(s1*5, 7) * 9
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	result := bits.RotateLeft64(s1*5, 7) * 9
 	t := s1 << 17
 	s2 ^= s0
 	s3 ^= s1
 	s1 ^= s2
 	s0 ^= s3
 	s2 ^= t
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, rotl(s3, 45)
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, bits.RotateLeft64(s3, 45)
 	return result
 }
 
@@ -97,7 +108,8 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
+// NormFloat64 returns a standard normal variate (Marsaglia polar method). Its
+// sequence is pinned (TestPolarNormalSequencePinned): see the package comment.
 func (r *Rand) NormFloat64() float64 {
 	if r.hasSpare {
 		r.hasSpare = false
@@ -114,6 +126,59 @@ func (r *Rand) NormFloat64() float64 {
 		r.spare = v * f
 		r.hasSpare = true
 		return u * f
+	}
+}
+
+// ZigNormFloat64 returns a standard normal variate by the ziggurat method
+// (Marsaglia–Tsang, 256 layers; tables in zigtable.go). One Uint64 decides an
+// accepted draw: the low 8 bits pick the layer, bit 8 the sign and the top 53
+// bits the position within the layer, so a value has the full float64
+// fraction. 99.3 % of draws land in their layer's inner rectangle and return
+// from here; the rest take zigFinish. The common case is kept straight-line
+// on purpose: with the retry loop in this function a draw costs 4.0 ns, not
+// 3.7.
+func (r *Rand) ZigNormFloat64() float64 {
+	u := r.Uint64()
+	c := &zigCells[u%zigLayers]
+	if j := u >> 11; j < c.k {
+		return zigSigned(float64(int64(j))*c.w, u)
+	}
+	return r.zigFinish(u)
+}
+
+// zigSigned gives x the sign that bit 8 of u holds.
+func zigSigned(x float64, u uint64) float64 {
+	return math.Float64frombits(math.Float64bits(x) | u&(1<<8)<<55)
+}
+
+// zigFinish completes a draw whose word u fell outside its layer's inner
+// rectangle. In a layer above the base the draw is in the wedge between the
+// rectangle and the curve, and is accepted by the exact test against
+// exp(-x²/2). In the base strip it is beyond zigR, and is replaced by a draw
+// from the exact tail (Marsaglia: x = -ln(U)/R, accepted when
+// -2·ln(U') >= x²). A rejected word is replaced by a fresh one, which may
+// land anywhere.
+func (r *Rand) zigFinish(u uint64) float64 {
+	for {
+		i, j := u%zigLayers, u>>11
+		c := &zigCells[i]
+		x := float64(int64(j)) * c.w
+		switch {
+		case j < c.k:
+			return zigSigned(x, u)
+		case i == 0:
+			for {
+				// 1 - Float64() is in (0, 1]: the logarithm is finite.
+				x = -math.Log(1-r.Float64()) / zigR
+				y := -math.Log(1 - r.Float64())
+				if y+y >= x*x {
+					return zigSigned(zigR+x, u)
+				}
+			}
+		case zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-0.5*x*x):
+			return zigSigned(x, u)
+		}
+		u = r.Uint64()
 	}
 }
 
@@ -229,10 +294,13 @@ func NewZipf(r *Rand, q, v float64, imax uint64) *Zipf {
 func (z *Zipf) Uint64() uint64 {
 	col, frac := bits.Mul64(z.r.Uint64(), uint64(len(z.cells)))
 	c := &z.cells[col]
+	// Which side of keep a draw falls is close to a coin flip; loading both
+	// candidates first lets the compiler select without a branch.
+	k := c.alias
 	if frac < c.keep {
-		return col
+		k = col
 	}
-	return c.alias
+	return k
 }
 
 // OU is an Ornstein–Uhlenbeck mean-reverting process, the variability model

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -271,6 +272,100 @@ func TestPropertyAddBatchMatchesAdd(t *testing.T) {
 				t.Errorf("kind %v dense %v: %v", kind, dense, err)
 			}
 		}
+	}
+}
+
+// Property: AddBlock(b) leaves a WindowAgg in the state AddBatch of b's
+// materialised events does — rows, snapshots, key and event counts, wire
+// size, bit for bit — for every kind, onto dense and map-backed aggregators,
+// over blocks that are empty, sit inside one window, straddle one boundary or
+// several (steps of 0, 1, 7, 31 and 95 s against 30 s windows), descend
+// (folded event by event), start before time zero, arrive late after an
+// Advance, or carry a foreign table: the same keys interned in another order
+// plus one key the aggregate's table has never seen.
+func TestPropertyAddBlockMatchesAddBatch(t *testing.T) {
+	steps := []time.Duration{0, time.Second, 7 * time.Second, 31 * time.Second, 95 * time.Second, -3 * time.Second}
+	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
+		for _, dense := range []bool{true, false} {
+			f := func(seed int64, shape []uint8) bool {
+				rnd := rand.New(rand.NewSource(seed))
+				own, foreign := NewKeyTable(), NewKeyTable()
+				for i := 0; i < 6; i++ {
+					own.Intern(fmt.Sprintf("sensor-%04d", i))
+					foreign.Intern(fmt.Sprintf("sensor-%04d", 5-i))
+				}
+				foreign.Intern("elsewhere")
+				table := own
+				if !dense {
+					table = nil
+				}
+				blocked := NewWindowAggDense(30*time.Second, kind, table)
+				batched := NewWindowAggDense(30*time.Second, kind, table)
+				same := func(mark simtime.Time) bool {
+					a, b := blocked.Advance(mark), batched.Advance(mark)
+					if sameAggs(a, b) != nil {
+						return false
+					}
+					for i := range a {
+						if !slices.Equal(a[i].Agg.Snapshot(), b[i].Agg.Snapshot()) {
+							return false
+						}
+					}
+					return true
+				}
+				var mark simtime.Time
+				for i := 0; len(shape) > 0; i++ {
+					sh := shape[0]
+					shape = shape[1:]
+					n := int(sh) % 40
+					b := Block{Table: own, Step: steps[int(sh)%len(steps)], Site: "A"}
+					if i%4 == 3 {
+						b.Table = foreign
+					}
+					// Starts range from 100 s before time zero to 180 s: behind
+					// the watermark once it has moved.
+					b.From = simtime.Time(rnd.Intn(280_000)-100_000) * simtime.Time(time.Millisecond)
+					for j := 0; j < n; j++ {
+						b.IDs = append(b.IDs, int32(rnd.Intn(b.Table.Len()))+1)
+						b.Values = append(b.Values, float64(rnd.Intn(251))/3-40)
+					}
+					blocked.AddBlock(&b)
+					batched.AddBatch(b.AppendEvents(nil))
+					if blocked.Open() != batched.Open() {
+						return false
+					}
+					if sh%3 == 0 {
+						mark += simtime.Time(sh) * simtime.Time(time.Second)
+						if !same(mark) {
+							return false
+						}
+					}
+				}
+				return same(simtime.Time(time.Hour))
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Errorf("kind %v dense %v: %v", kind, dense, err)
+			}
+		}
+	}
+}
+
+// A block's IDs are trusted once its table is the aggregate's. An ID the
+// table never issued must stop the fold, not land in another key's cell or in
+// the unused cell 0.
+func TestAddBlockRejectsIDsOutsideItsTable(t *testing.T) {
+	table := NewKeyTable()
+	table.Intern("only")
+	for _, id := range []int32{0, -1, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddBlock folded ID %d of a one-key table", id)
+				}
+			}()
+			w := NewWindowAggDense(30*time.Second, Sum, table)
+			w.AddBlock(&Block{Table: table, IDs: []int32{id}, Values: []float64{1}})
+		}()
 	}
 }
 

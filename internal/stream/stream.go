@@ -29,6 +29,9 @@ type Event struct {
 	// never interned. Aggregates built over the same table use it to index
 	// cells directly instead of hashing Key; stages that rewrite Key must
 	// clear it (stale IDs are detected and fall back to the string path).
+	// An Event cannot say which table its ID came from, so that detection
+	// compares key strings per event; a Block names its table and is checked
+	// once (WindowAgg.AddBlock).
 	KeyID int
 	// Value is the measurement.
 	Value float64
@@ -93,7 +96,21 @@ type cell struct {
 	max   float64
 }
 
+// add folds one value in. A value strictly inside the range seen so far
+// moves neither extreme, which is all but the first few values of a key; an
+// empty cell (min = max = 0) and a NaN extreme never pass that test. The
+// split keeps add inlinable in the fold loops.
 func (c *cell) add(v float64) {
+	if v > c.min && v < c.max {
+		c.count++
+		c.sum += v
+		return
+	}
+	c.addExtreme(v)
+}
+
+// addExtreme is add for a value that may be a new minimum or maximum.
+func (c *cell) addExtreme(v float64) {
 	if c.count == 0 {
 		c.min, c.max = v, v
 	} else {
@@ -187,12 +204,17 @@ func (a *KeyedAgg) add(e *Event) {
 	a.AddValue(e.Key, e.Value)
 }
 
+// growDense extends the dense cells to cover every ID the table has issued.
+func (a *KeyedAgg) growDense() {
+	grown := make([]cell, a.table.cap())
+	copy(grown, a.dense)
+	a.dense = grown
+}
+
 // addDense folds a value into the slice-indexed cell for an interned key.
 func (a *KeyedAgg) addDense(id int, v float64) {
 	if id >= len(a.dense) {
-		grown := make([]cell, a.table.cap())
-		copy(grown, a.dense)
-		a.dense = grown
+		a.growDense()
 	}
 	c := &a.dense[id]
 	if c.count == 0 {
@@ -265,9 +287,7 @@ func (a *KeyedAgg) MergeMapped(o *KeyedAgg, remap []int) {
 // mergeDense folds one cell into the dense cell for an interned key.
 func (a *KeyedAgg) mergeDense(id int, oc *cell) {
 	if id >= len(a.dense) {
-		grown := make([]cell, a.table.cap())
-		copy(grown, a.dense)
-		a.dense = grown
+		a.growDense()
 	}
 	c := &a.dense[id]
 	if c.count == 0 {
@@ -483,6 +503,8 @@ type WindowAgg struct {
 	// window churn without allocating.
 	aggPool    []*KeyedAgg
 	closedPool []Closed
+	// events is AddBlock's scratch for a block it has to fold event by event.
+	events []Event
 }
 
 // NewWindowAgg returns an empty windowed aggregator.

@@ -18,84 +18,89 @@ import (
 // cost is ns_per_op / PipelineBatch.
 const PipelineBatch = 1000
 
-// RunBenchmarkSensorGen measures drawing one Zipf-keyed event. Steady-state
-// budget: 0 allocs/op (the key strings are interned at construction).
+// RunBenchmarkSensorGen measures drawing one Zipf-keyed event the way the
+// engine draws them, PipelineBatch at a time into a reused columnar block;
+// one op is one event. Steady-state budget: 0 allocs/op (the key strings are
+// interned at construction).
 func RunBenchmarkSensorGen(b *testing.B, keys int) {
 	g := NewSensorGen(rng.New(1), "NEU", SensorOpts{Keys: keys, Skew: 1.3})
-	step := simtime.Time(time.Millisecond)
+	var blk stream.Block
+	g.FillBlock(&blk, PipelineBatch, 0, time.Millisecond)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Next(simtime.Time(i) * step)
+	for i := 0; i < b.N; i += PipelineBatch {
+		g.FillBlock(&blk, min(PipelineBatch, b.N-i), simtime.Time(i)*simtime.Time(time.Millisecond), time.Millisecond)
 	}
 }
 
-// RunBenchmarkStreamPipeline measures the full simulated data plane the way
-// the engine drives it: each op generates one PipelineBatch-event window
-// into a reused buffer, folds it into a dense windowed aggregate, advances
-// the watermark, and recycles the closed batch. Steady-state budget:
+// RunBenchmarkStreamPipeline measures the site-local data plane the way the
+// engine's stage drives it: each op draws one PipelineBatch-event window into
+// a reused columnar block, folds the block into a dense windowed aggregate,
+// advances the watermark, and recycles the closed batch. Steady-state budget:
 // 0 allocs/op.
 func RunBenchmarkStreamPipeline(b *testing.B, keys int) {
 	g := NewSensorGen(rng.New(1), "NEU", SensorOpts{Keys: keys, Skew: 1.3})
-	agg := stream.NewWindowAggDense(30*time.Second, stream.Mean, g.Table())
-	span := 30 * time.Second
-	var buf []stream.Event
-	at := simtime.Time(0)
+	p := pipeline{gen: g, agg: stream.NewWindowAggDense(pipelineSpan, stream.Mean, g.Table())}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = g.AppendEvents(buf[:0], PipelineBatch, at, span)
-		agg.AddBatch(buf)
-		at += simtime.Time(span)
-		agg.Recycle(agg.Advance(at))
+		p.window()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*PipelineBatch), "ns/event")
+}
+
+const pipelineSpan = 30 * time.Second
+
+// pipeline is the state one source's stage holds between windows.
+type pipeline struct {
+	gen   *SensorGen
+	agg   *stream.WindowAgg
+	block stream.Block
+	at    simtime.Time
+}
+
+// window stages one PipelineBatch-event window: fill, fold, advance, recycle.
+func (p *pipeline) window() {
+	p.gen.FillBlock(&p.block, PipelineBatch, p.at, pipelineSpan/PipelineBatch)
+	p.agg.AddBlock(&p.block)
+	p.at += simtime.Time(pipelineSpan)
+	p.agg.Recycle(p.agg.Advance(p.at))
 }
 
 // MillionKeys is the key cardinality of the million-key pipeline benchmark:
 // the design point of the dense KeyTable/KeyedAgg plane.
 const MillionKeys = 1 << 20
 
-// millionKeyState caches the generator and aggregate across testing.Benchmark
-// probe rounds: constructing a 2^20-key generator formats and interns a
-// million strings, which would otherwise dominate every b.N calibration run.
-// Steady-state measurements are unaffected — the pipeline state is exactly
-// what a long-running engine would hold.
+// millionKeyState caches the pipeline across testing.Benchmark probe rounds:
+// constructing a 2^20-key generator formats and interns a million strings,
+// which would otherwise dominate every b.N calibration run. Steady-state
+// measurements are unaffected — the pipeline state is exactly what a
+// long-running engine would hold.
 var millionKeyState struct {
 	once sync.Once
-	gen  *SensorGen
-	agg  *stream.WindowAgg
-	buf  []stream.Event
-	at   simtime.Time
+	pipeline
 }
 
 // RunBenchmarkMillionKeyPipeline is RunBenchmarkStreamPipeline at the
 // million-key design point: each op pushes one PipelineBatch-event window
-// through generate → aggregate → advance → recycle against a 2^20-key
-// interned table: key draws index a 16 MB alias table and the dense window
-// aggregate a million-cell slice, so both miss the cache. Steady-state
-// budget: 0 allocs/op.
+// through fill → fold → advance → recycle against a 2^20-key interned table:
+// key draws index a 16 MB alias table and the dense window aggregate a
+// million-cell slice, so both miss the cache. Steady-state budget:
+// 0 allocs/op.
 func RunBenchmarkMillionKeyPipeline(b *testing.B) {
 	s := &millionKeyState
 	s.once.Do(func() {
 		s.gen = NewSensorGen(rng.New(1), "NEU", SensorOpts{Keys: MillionKeys, Skew: 1.2})
-		s.agg = stream.NewWindowAggDense(30*time.Second, stream.Mean, s.gen.Table())
+		s.agg = stream.NewWindowAggDense(pipelineSpan, stream.Mean, s.gen.Table())
 	})
-	span := 30 * time.Second
-	// One warmup window outside the timer so the dense cell slice and batch
-	// buffer exist before the first measured op.
-	s.buf = s.gen.AppendEvents(s.buf[:0], PipelineBatch, s.at, span)
-	s.agg.AddBatch(s.buf)
-	s.at += simtime.Time(span)
-	s.agg.Recycle(s.agg.Advance(s.at))
+	// One warmup window outside the timer so the dense cell slice and the
+	// block exist before the first measured op.
+	s.window()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.buf = s.gen.AppendEvents(s.buf[:0], PipelineBatch, s.at, span)
-		s.agg.AddBatch(s.buf)
-		s.at += simtime.Time(span)
-		s.agg.Recycle(s.agg.Advance(s.at))
+		s.window()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*PipelineBatch), "ns/event")

@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"sage/internal/cloud"
@@ -19,20 +20,31 @@ import (
 // SensorGen produces events with Zipf-skewed key popularity and normally
 // distributed values — the shape of telemetry from a fleet of sensors where
 // a few are chatty and most are quiet. The "sensor-%04d" key strings are
-// formatted once at construction and interned into a KeyTable, so drawing
-// an event allocates nothing: Next hands out the prebuilt string plus its
-// integer KeyID, which table-aware aggregates use to index cells directly.
+// formatted once at construction and interned, in order, into the
+// generator's own KeyTable, so key k has ID k+1 and drawing allocates
+// nothing. What the generator produces is a columnar stream.Block — KeyIDs and
+// values, timestamps implicit — which table-aware aggregates fold without
+// ever seeing a key string; Next, Events and AppendEvents materialise blocks
+// into stream.Events for consumers that want the struct.
+//
+// Keys and values draw from separate streams: keys from the stream the
+// generator was built from, values from a "values" stream split off it at
+// construction. The key sequence — the only thing partial sizes, and with
+// them bytes, cost and latency, depend on — is therefore independent of
+// Mean, Stddev, DriftPerHour and of how values are sampled (rng's ziggurat
+// normal; the polar one belongs to the world's weather).
 type SensorGen struct {
-	r       *rng.Rand
-	zipf    *rng.Zipf
-	keys    int
-	keyStrs []string // keyStrs[k] = "sensor-%04d" formatted once
-	keyIDs  []int    // keyIDs[k] = interned ID in table
-	table   *stream.KeyTable
-	mean    float64
-	sd      float64
-	site    cloud.SiteID
-	drift   float64
+	r     *rng.Rand // key draws
+	vr    *rng.Rand // value draws
+	zipf  *rng.Zipf // over r; nil draws keys uniformly
+	keys  int
+	table *stream.KeyTable
+	mean  float64
+	sd    float64
+	site  cloud.SiteID
+	drift float64
+	// scratch is the block Next and AppendEvents materialise events from.
+	scratch stream.Block
 }
 
 // SensorOpts configures a generator.
@@ -64,15 +76,14 @@ func NewSensorGen(r *rng.Rand, site cloud.SiteID, opt SensorOpts) *SensorGen {
 		opt.Mean, opt.Stddev = 20, 5
 	}
 	g := &SensorGen{
-		r: r, keys: opt.Keys, mean: opt.Mean, sd: opt.Stddev,
+		r: r, vr: r.Split("values"), keys: opt.Keys, mean: opt.Mean, sd: opt.Stddev,
 		site: site, drift: opt.DriftPerHour,
-		keyStrs: make([]string, opt.Keys),
-		keyIDs:  make([]int, opt.Keys),
-		table:   stream.NewKeyTable(),
+		table: stream.NewKeyTable(),
 	}
-	for k := range g.keyStrs {
-		g.keyStrs[k] = fmt.Sprintf("%ssensor-%04d", opt.KeyPrefix, k)
-		g.keyIDs[k] = g.table.Intern(g.keyStrs[k])
+	// Distinct k format to distinct strings, so in this fresh table key k
+	// gets ID k+1: FillBlock computes IDs instead of looking them up.
+	for k := 0; k < opt.Keys; k++ {
+		g.table.Intern(fmt.Sprintf("%ssensor-%04d", opt.KeyPrefix, k))
 	}
 	if opt.Skew > 1 {
 		g.zipf = rng.NewZipf(r, opt.Skew, 1, uint64(opt.Keys-1))
@@ -84,55 +95,68 @@ func NewSensorGen(r *rng.Rand, site cloud.SiteID, opt SensorOpts) *SensorGen {
 // over its events (e.g. stream.NewWindowAggDense).
 func (g *SensorGen) Table() *stream.KeyTable { return g.table }
 
-// Next draws one event stamped at the given virtual time.
-func (g *SensorGen) Next(at simtime.Time) stream.Event {
-	var e stream.Event
-	g.nextInto(&e, at)
-	return e
+// FillBlock draws n events into b, event i stamped from + i·step, reusing
+// b's columns when they are large enough. It is the one draw loop: every
+// other way of getting events out of the generator goes through it, so a
+// window drawn in blocks that start at multiples of step is the window drawn
+// at once. The two columns fill in separate passes — keys and values come
+// from separate streams, so the order between them is free — which keeps the
+// key-law and drift tests out of the per-event loops.
+func (g *SensorGen) FillBlock(b *stream.Block, n int, from simtime.Time, step time.Duration) {
+	n = max(n, 0)
+	b.Table, b.Site, b.From, b.Step = g.table, g.site, from, step
+	b.IDs = slices.Grow(b.IDs[:0], n)[:n]
+	b.Values = slices.Grow(b.Values[:0], n)[:n]
+	// Everything the loops read is in locals: the draws are calls, after
+	// which a field would have to be loaded again.
+	ids, vals := b.IDs, b.Values
+	if zipf := g.zipf; zipf != nil {
+		for i := range ids {
+			ids[i] = int32(zipf.Uint64()) + 1
+		}
+	} else {
+		r, keys := g.r, g.keys
+		for i := range ids {
+			ids[i] = int32(r.Intn(keys)) + 1
+		}
+	}
+	vr, mean, sd := g.vr, g.mean, g.sd
+	if g.drift == 0 {
+		for i := range vals {
+			vals[i] = mean + sd*vr.ZigNormFloat64()
+		}
+		return
+	}
+	drift, at := g.drift, from
+	for i := range vals {
+		vals[i] = mean + drift*at.Hours() + sd*vr.ZigNormFloat64()
+		at += step
+	}
 }
 
-// nextInto draws one event directly into *e, so batch fills copy each event
-// once instead of twice.
-func (g *SensorGen) nextInto(e *stream.Event, at simtime.Time) {
-	var k int
-	if g.zipf != nil {
-		k = int(g.zipf.Uint64())
-	} else {
-		k = g.r.Intn(g.keys)
-	}
-	mu := g.mean
-	if g.drift != 0 {
-		// Driftless generators skip the Duration→hours conversion; adding
-		// drift*hours == 0 would not change mu, so values are identical.
-		mu += g.drift * at.Hours()
-	}
-	e.Key = g.keyStrs[k]
-	e.KeyID = g.keyIDs[k]
-	e.Value = g.r.Normal(mu, g.sd)
-	e.Time = at
-	e.Site = g.site
+// Next draws one event stamped at the given virtual time.
+func (g *SensorGen) Next(at simtime.Time) stream.Event {
+	g.FillBlock(&g.scratch, 1, at, 0)
+	return g.scratch.Event(0)
 }
+
+// appendChunk bounds the scratch block AppendEvents draws through, so
+// regenerating a whole window costs one small block, not a second copy of it.
+const appendChunk = 1024
 
 // AppendEvents draws n events with timestamps spread uniformly over
 // [from, from+span) in ascending order, appending them to dst and returning
-// the extended slice. Hot callers pass buf[:0] to reuse one batch buffer
-// across windows.
+// the extended slice. Callers that regenerate windows pass buf[:0] to reuse
+// one buffer across them.
 func (g *SensorGen) AppendEvents(dst []stream.Event, n int, from simtime.Time, span time.Duration) []stream.Event {
 	if n <= 0 {
 		return dst
 	}
-	if need := len(dst) + n; cap(dst) < need {
-		grown := make([]stream.Event, len(dst), need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, n)
 	step := span / time.Duration(n)
-	at := from
-	base := len(dst)
-	dst = dst[:base+n]
-	for i := 0; i < n; i++ {
-		g.nextInto(&dst[base+i], at)
-		at += step
+	for i0 := 0; i0 < n; i0 += appendChunk {
+		g.FillBlock(&g.scratch, min(appendChunk, n-i0), from+simtime.Time(i0)*step, step)
+		dst = g.scratch.AppendEvents(dst)
 	}
 	return dst
 }
