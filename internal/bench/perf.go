@@ -100,6 +100,15 @@ func RunPerfBaseline() PerfBaseline {
 // sweep.
 var perfKeyCounts = []int{100, 1000}
 
+// perfUniformKeys name the rows of the columnar fold at resil_recover's
+// shape — one 100 000-event window over 20 000 uniform keys, where the cells
+// miss the cache — for the sum loop (Mean) and an extreme loop (Min).
+const (
+	perfUniformKeyCount = 20000
+	perfUniformMeanKey  = "WindowAggDense/keys=20000/uniform"
+	perfUniformMinKey   = "WindowAggDense/keys=20000/uniform/min"
+)
+
 // perfNormalKeys name the rows of the two standard-normal samplers, ns per
 // variate: the polar method the world's weather draws from and the ziggurat
 // that draws workload values.
@@ -110,9 +119,9 @@ const (
 
 // RunStreamPerfBaseline measures the streaming data-plane micro-benchmarks
 // (the two normal samplers, event generation, dense vs map windowed
-// aggregation, the fill→fold→advance pipeline a source's stage runs, and the
-// steady-state empty advances) and returns the snapshot written to
-// BENCH_stream.json.
+// aggregation, the fill→fold→advance pipeline a source's stage runs, the
+// columnar fold over 20 000 uniform keys, and the steady-state empty
+// advances) and returns the snapshot written to BENCH_stream.json.
 func RunStreamPerfBaseline() PerfBaseline {
 	p := newPerfBaseline()
 	p.record(perfPolarKey, testing.Benchmark(rng.RunBenchmarkNormFloat64))
@@ -128,6 +137,12 @@ func RunStreamPerfBaseline() PerfBaseline {
 		p.record(fmt.Sprintf("StreamPipeline/keys=%d", k),
 			testing.Benchmark(func(b *testing.B) { workload.RunBenchmarkStreamPipeline(b, k) }))
 	}
+	p.record(perfUniformMeanKey, testing.Benchmark(func(b *testing.B) {
+		stream.RunBenchmarkWindowAggDenseUniform(b, perfUniformKeyCount, stream.Mean)
+	}))
+	p.record(perfUniformMinKey, testing.Benchmark(func(b *testing.B) {
+		stream.RunBenchmarkWindowAggDenseUniform(b, perfUniformKeyCount, stream.Min)
+	}))
 	p.record("SlidingAdvanceEmpty",
 		testing.Benchmark(stream.RunBenchmarkSlidingAdvanceEmpty))
 	p.record("WindowJoinAdvanceEmpty",

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sage/internal/stream"
 	"sage/internal/workload"
 )
 
@@ -63,8 +64,9 @@ func TestPerfBaselineFileValid(t *testing.T) {
 // same way: it must parse, say how many cores it was recorded on, cover every
 // benchmark `-perf` sweeps, and hold the allocation-free data-plane budgets —
 // the samplers, event generation and steady-state watermark ticks allocate
-// nothing, and the stage pipeline stays at ≤ 1 alloc per event — and the time
-// budgets of the draw and the columnar fold on the 2-vCPU reference host.
+// nothing, and the stage pipeline stays at ≤ 1 alloc per event — the
+// uniform-key fold rows, the 16-byte cell table, and the time budgets of the
+// draw and the columnar fold on the 2-vCPU reference host.
 func TestStreamPerfBaselineFileValid(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_stream.json"))
 	if err != nil {
@@ -118,15 +120,39 @@ func TestStreamPerfBaselineFileValid(t *testing.T) {
 			t.Fatalf("%s allocates %d per %d-event op; the budget is ≤ 1 alloc per event", key, r.AllocsPerOp, workload.PipelineBatch)
 		}
 	}
+	// The columnar fold where cells miss the cache (one 100 000-event window
+	// over 20 000 uniform keys): the sum loop and an extreme loop each have a
+	// row. The sum loop has no data-dependent step; an extreme loop has the
+	// compare, so it may cost more, but a sum row that costs as much as the
+	// extreme row has grown one.
+	mean, least := p.Benchmarks[perfUniformMeanKey], p.Benchmarks[perfUniformMinKey]
+	if mean.NsPerOp <= 0 || least.NsPerOp <= 0 {
+		t.Fatalf("baseline uniform-key fold rows: mean %+v, min %+v; both must be present", mean, least)
+	}
+	if mean.NsPerOp >= least.NsPerOp {
+		t.Fatalf("the sum fold costs %.2f ns/event over 20 000 uniform keys against %.2f for the Min fold in the committed baseline",
+			mean.NsPerOp/stream.UniformWindowEvents, least.NsPerOp/stream.UniformWindowEvents)
+	}
+	// A dense window's table is 16 B a key (it was 32): one op of
+	// WindowAggDense/keys=1000 allocates one table plus the Advance result.
+	if r := p.Benchmarks["WindowAggDense/keys=1000"]; r.BytesPerOp > 16*1001+512 {
+		t.Fatalf("WindowAggDense/keys=1000 allocates %d B per window in the committed baseline; a 16-byte cell gives ≈ 16.5 KB", r.BytesPerOp)
+	}
 	// Time budgets at 1000 keys: the recorded numbers + 30 %. With struct
 	// events, the polar value draw and the per-event fold a Zipf-keyed event
-	// cost 26–28 ns to draw and 39–42 ns through the pipeline; two
-	// recordings of the columnar kernel gave 9.2–10.4 and 20.2–21.5.
+	// cost 26–28 ns to draw and 39–42 ns through the pipeline; the columnar
+	// kernel with a four-field cell 9.2–10.4 and 20.2–21.5. The recording
+	// with the 16-byte cell was made in a faster phase of the shared host
+	// (its polar row reads 10.3 ns against 18.9 in the file before it, same
+	// code): three recordings gave 7.6–8.4 ns/event through the pipeline,
+	// two of the parent commit in the same session 13.8–16.8, with the draw
+	// at 6.1–6.5 on both. A re-recording that misses the pipeline budget
+	// should be read against its own polar row before it is believed.
 	if r := p.Benchmarks["SensorGen/keys=1000"]; r.NsPerOp > 13.5 {
 		t.Fatalf("SensorGen/keys=1000 costs %.1f ns/op in the committed baseline; the budget is 13.5", r.NsPerOp)
 	}
-	if r := p.Benchmarks["StreamPipeline/keys=1000"]; r.NsPerOp/workload.PipelineBatch > 26 {
-		t.Fatalf("StreamPipeline/keys=1000 costs %.1f ns/event in the committed baseline; the budget is 26",
+	if r := p.Benchmarks["StreamPipeline/keys=1000"]; r.NsPerOp/workload.PipelineBatch > 11 {
+		t.Fatalf("StreamPipeline/keys=1000 costs %.1f ns/event in the committed baseline; the budget is 11",
 			r.NsPerOp/workload.PipelineBatch)
 	}
 }

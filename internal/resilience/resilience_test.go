@@ -2,8 +2,12 @@ package resilience
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -195,6 +199,109 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	copy(bad, "NOTMAGIC")
 	if _, err := DecodeCheckpoint(bad); err == nil {
 		t.Fatal("wrong magic decoded")
+	}
+}
+
+// TestCheckpointRefusesVersion01: a well-formed blob of the previous
+// encoding — SAGECP01 magic, FNV-64a trailer that matches its payload — is
+// refused for its magic, before any checksum is compared: the two versions
+// differ in nothing but the trailer, so a decoder that looked at the checksum
+// first would report a good old checkpoint as a corrupt new one.
+func TestCheckpointRefusesVersion01(t *testing.T) {
+	b := sampleCheckpoint().Encode()
+	old := append([]byte("SAGECP01"), b[len(checkpointMagic):len(b)-8]...)
+	h := fnv.New64a()
+	h.Write(old)
+	old = binary.BigEndian.AppendUint64(old, h.Sum64())
+	if len(old) != len(b) {
+		t.Fatalf("version 01 blob is %d bytes, version 02 is %d: the trailer width moved", len(old), len(b))
+	}
+	_, err := DecodeCheckpoint(old)
+	if err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("a SAGECP01 checkpoint: err = %v, want it refused by its magic", err)
+	}
+	// The same payload under the current magic and trailer decodes.
+	if _, err := DecodeCheckpoint(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointRoundTripPerKind: an aggregate of each kind, snapshotted into
+// a checkpoint, encoded, decoded and restored — into a sink-style dense
+// aggregate and into an open window — reports what it reported before, bit
+// for bit, and goes on merging as the original does. A record is 32 bytes
+// plus the key whatever the kind: the aggregate fills in the count and its
+// kind's field and leaves the others zero.
+func TestCheckpointRoundTripPerKind(t *testing.T) {
+	values := []float64{3.5, -1.25, math.Copysign(0, -1), 0, 7, math.Inf(1), -1.25, 2}
+	var sizes []int
+	for _, kind := range []stream.AggKind{stream.Count, stream.Sum, stream.Mean, stream.Min, stream.Max} {
+		tb := stream.NewKeyTable()
+		for _, k := range []string{"b", "a", "c"} {
+			tb.Intern(k)
+		}
+		orig := stream.NewKeyedAggDense(kind, tb)
+		for i, v := range values {
+			orig.AddValue([]string{"a", "b", "adhoc"}[i%3], v)
+		}
+		win := stream.Window{Start: simtime.Time(30 * time.Second), End: simtime.Time(60 * time.Second)}
+		ck := &Checkpoint{Seq: 1, Sources: []SourceState{{Site: "NEU", Open: []WindowCells{
+			{Start: win.Start, End: win.End, Cells: orig.Snapshot()},
+		}}}, Sink: SinkState{Site: "NUS", Global: orig.Snapshot()}}
+		for _, c := range ck.Sink.Global {
+			zero := 0
+			for _, f := range []float64{c.Sum, c.Min, c.Max} {
+				if math.Float64bits(f) == 0 {
+					zero++
+				}
+			}
+			if zero < 2 {
+				t.Fatalf("%v: cell %+v fills in more than its kind's field", kind, c)
+			}
+		}
+		b := ck.Encode()
+		sizes = append(sizes, len(b))
+		got, err := DecodeCheckpoint(b)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+
+		sink := stream.NewKeyedAggDense(kind, tb)
+		for _, c := range got.Sink.Global {
+			sink.RestoreCell(c)
+		}
+		w := stream.NewWindowAggDense(30*time.Second, kind, tb)
+		open := got.Sources[0].Open[0]
+		w.RestoreWindow(stream.Window{Start: open.Start, End: open.End}, open.Cells)
+		// Both go on folding after the restore, as the original does.
+		more := stream.Event{Key: "a", KeyID: 2, Value: -8, Time: win.Start + 1}
+		orig.Add(more)
+		sink.Add(more)
+		w.Add(more)
+		closed := w.Advance(win.End)
+		if len(closed) != 1 || closed[0].Window != win {
+			t.Fatalf("%v: restored window closed as %+v", kind, closed)
+		}
+		for name, agg := range map[string]*stream.KeyedAgg{"sink": sink, "window": closed[0].Agg} {
+			want, have := orig.Result(), agg.Result()
+			if len(want) != len(have) {
+				t.Fatalf("%v/%s: restored %+v, want %+v", kind, name, have, want)
+			}
+			for i := range want {
+				if want[i].Key != have[i].Key || math.Float64bits(want[i].Value) != math.Float64bits(have[i].Value) {
+					t.Fatalf("%v/%s: restored %+v, want %+v", kind, name, have[i], want[i])
+				}
+			}
+			if agg.Events() != orig.Events() || agg.SerializedBytes() != orig.SerializedBytes() {
+				t.Fatalf("%v/%s: %d events %d bytes, want %d and %d", kind, name,
+					agg.Events(), agg.SerializedBytes(), orig.Events(), orig.SerializedBytes())
+			}
+		}
+	}
+	for _, n := range sizes {
+		if n != sizes[0] {
+			t.Fatalf("encoded sizes by kind %v: the record width depends on the kind", sizes)
+		}
 	}
 }
 

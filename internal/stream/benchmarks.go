@@ -62,6 +62,47 @@ func RunBenchmarkWindowAggDense(b *testing.B, keys int) {
 	}
 }
 
+// UniformWindowEvents is the number of events one
+// RunBenchmarkWindowAggDenseUniform op folds: one window of one source of the
+// resil_recover benchmark workload (5 000 events/s for 20 s).
+const UniformWindowEvents = 100_000
+
+// RunBenchmarkWindowAggDenseUniform measures the columnar fold where the
+// cells miss the cache and no key is hot: one op folds a window of
+// UniformWindowEvents events, keys uniform over the table — five events a key
+// at 20 000 keys — as one Block into a dense WindowAgg of the given kind and
+// closes the window. Closed aggregates are not recycled, as in the engine,
+// which ships them: the op pays for its 16 B × keys cell table.
+func RunBenchmarkWindowAggDenseUniform(b *testing.B, keys int, kind AggKind) {
+	_, table := benchEvents(keys)
+	const span = simtime.Time(20 * time.Second)
+	blk := Block{
+		Table:  table,
+		IDs:    make([]int32, UniformWindowEvents),
+		Values: make([]float64, UniformWindowEvents),
+		Step:   time.Duration(span) / UniformWindowEvents,
+	}
+	// A 64-bit LCG stands in for the generator's uniform key and normal value
+	// draws: what the fold is sensitive to is that neither column has a
+	// pattern a predictor can learn.
+	x := uint64(1)
+	for i := range blk.IDs {
+		x = x*6364136223846793005 + 1442695040888963407
+		blk.IDs[i] = int32((x>>33)%uint64(keys)) + 1
+		blk.Values[i] = 20 + float64(int64(x>>20)%10000-5000)/1000
+	}
+	w := NewWindowAggDense(time.Duration(span), kind, table)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk.From = simtime.Time(i) * span
+		w.AddBlock(&blk)
+		w.Advance(blk.From + span)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*UniformWindowEvents), "ns/event")
+}
+
 // RunBenchmarkWindowAggMap measures the same workload through the
 // string-map path (no key table), the pre-interning baseline.
 func RunBenchmarkWindowAggMap(b *testing.B, keys int) {

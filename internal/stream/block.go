@@ -83,8 +83,9 @@ func (w *WindowAgg) AddBlock(b *Block) {
 	}
 }
 
-// addColumns folds values into the dense cells of their IDs, in order. The
-// IDs are trusted to be IDs of a.table; one outside it panics on the index.
+// addColumns folds values into the dense cells of their IDs, in order: one
+// loop per accumulator, chosen here so that no per-event step asks the kind.
+// The IDs are trusted to be IDs of a.table; one outside it panics on the index.
 func (a *KeyedAgg) addColumns(ids []int32, vals []float64) {
 	if len(a.dense) < a.table.cap() {
 		a.growDense()
@@ -92,13 +93,40 @@ func (a *KeyedAgg) addColumns(ids []int32, vals []float64) {
 	// Indexing from ID 1 makes the bounds check reject ID 0 (dense[0] is
 	// never a key's cell) along with everything past the table.
 	cells := a.dense[1:]
+	vals = vals[:len(ids)]
 	live := a.live
-	for i, id := range ids {
-		c := &cells[id-1]
-		if c.count == 0 {
-			live++
+	switch a.Kind {
+	case Min:
+		for i, id := range ids {
+			c, v := &cells[id-1], vals[i]
+			if c.count == 0 {
+				live++
+				c.acc = v
+			} else if below(v, c.acc) {
+				c.acc = v
+			}
+			c.count++
 		}
-		c.add(vals[i])
+	case Max:
+		for i, id := range ids {
+			c, v := &cells[id-1], vals[i]
+			if c.count == 0 {
+				live++
+				c.acc = v
+			} else if above(v, c.acc) {
+				c.acc = v
+			}
+			c.count++
+		}
+	default:
+		for i, id := range ids {
+			c := &cells[id-1]
+			if c.count == 0 {
+				live++
+			}
+			c.count++
+			c.acc += vals[i]
+		}
 	}
 	a.live = live
 }

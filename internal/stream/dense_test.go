@@ -41,6 +41,30 @@ func TestKeyTableInternLookup(t *testing.T) {
 	}
 }
 
+// A sized table is a plain table that has its room already: the same IDs for
+// the same interning order, no regrowth of the key list on the way to n keys,
+// and no limit at n.
+func TestKeyTableSizedSameIDs(t *testing.T) {
+	const n = 1000
+	plain, sized := NewKeyTable(), NewKeyTableSized(n)
+	room := cap(sized.keys)
+	for i := 0; i < n+50; i++ {
+		k := fmt.Sprintf("sensor-%04d", i%(n+25)) // some keys interned twice
+		if a, b := plain.Intern(k), sized.Intern(k); a != b {
+			t.Fatalf("key %q: ID %d in a sized table, %d in a plain one", k, b, a)
+		}
+		if i == n-1 && cap(sized.keys) != room {
+			t.Fatalf("the key list regrew (%d → %d) before the table held its %d keys", room, cap(sized.keys), n)
+		}
+	}
+	if sized.Len() != n+25 || sized.Len() != plain.Len() {
+		t.Fatalf("Len = %d, want %d", sized.Len(), n+25)
+	}
+	if sized.Key(n+25) != plain.Key(n+25) || sized.Key(0) != "" {
+		t.Fatal("a sized table names its IDs differently")
+	}
+}
+
 // denseEvents deterministically builds a mixed event sequence: most keys are
 // interned in the table, a few are ad-hoc strings that exercise the map
 // fallback, and raw drives values, timestamps, and duplicates.
@@ -94,7 +118,9 @@ func sameClosed(a, b []Closed) error {
 // Property: for every aggregation kind, a dense (KeyID-indexed) tumbling
 // aggregate and the plain string-map aggregate produce identical closed
 // windows — same windows, same keys, same order, bit-identical values —
-// for the same event sequence.
+// for the same event sequence, and they are the windows of the four-field
+// oracle, which computes every kind's number for every key: a kind that fell
+// into another kind's fold on both sides alike would still fail.
 func TestPropertyDenseMatchesMapTumbling(t *testing.T) {
 	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
 		kind := kind
@@ -103,13 +129,17 @@ func TestPropertyDenseMatchesMapTumbling(t *testing.T) {
 			events := denseEvents(raw, table)
 			dense := NewWindowAggDense(30*time.Second, kind, table)
 			plain := NewWindowAgg(30*time.Second, kind)
+			oracle := newOracleWindows(30*time.Second, kind)
 			for _, e := range events {
 				dense.Add(e)
 				me := e
 				me.KeyID = 0 // force the string-map path
 				plain.Add(me)
+				oracle.add(e)
 			}
-			return sameClosed(dense.Advance(simtime.Time(time.Hour)), plain.Advance(simtime.Time(time.Hour))) == nil
+			closed := dense.Advance(simtime.Time(time.Hour))
+			return sameClosed(closed, plain.Advance(simtime.Time(time.Hour))) == nil &&
+				closedMatchOracle(closed, oracle.advance(simtime.Time(time.Hour))) == nil
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 			t.Errorf("kind %v: %v", kind, err)
@@ -282,7 +312,10 @@ func TestPropertyAddBatchMatchesAdd(t *testing.T) {
 // several (steps of 0, 1, 7, 31 and 95 s against 30 s windows), descend
 // (folded event by event), start before time zero, arrive late after an
 // Advance, or carry a foreign table: the same keys interned in another order
-// plus one key the aggregate's table has never seen.
+// plus one key the aggregate's table has never seen. Both sides are also held
+// to the four-field oracle's windows, so each kind must have gone through a
+// fold of its own: addColumns taking, say, the sum loop for Min would agree
+// with nothing the oracle reads from its min field.
 func TestPropertyAddBlockMatchesAddBatch(t *testing.T) {
 	steps := []time.Duration{0, time.Second, 7 * time.Second, 31 * time.Second, 95 * time.Second, -3 * time.Second}
 	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
@@ -301,9 +334,10 @@ func TestPropertyAddBlockMatchesAddBatch(t *testing.T) {
 				}
 				blocked := NewWindowAggDense(30*time.Second, kind, table)
 				batched := NewWindowAggDense(30*time.Second, kind, table)
+				oracle := newOracleWindows(30*time.Second, kind)
 				same := func(mark simtime.Time) bool {
 					a, b := blocked.Advance(mark), batched.Advance(mark)
-					if sameAggs(a, b) != nil {
+					if sameAggs(a, b) != nil || closedMatchOracle(a, oracle.advance(mark)) != nil {
 						return false
 					}
 					for i := range a {
@@ -330,7 +364,11 @@ func TestPropertyAddBlockMatchesAddBatch(t *testing.T) {
 						b.Values = append(b.Values, float64(rnd.Intn(251))/3-40)
 					}
 					blocked.AddBlock(&b)
-					batched.AddBatch(b.AppendEvents(nil))
+					events := b.AppendEvents(nil)
+					batched.AddBatch(events)
+					for _, e := range events {
+						oracle.add(e)
+					}
 					if blocked.Open() != batched.Open() {
 						return false
 					}

@@ -16,8 +16,13 @@ type KeyTable struct {
 }
 
 // NewKeyTable returns an empty table.
-func NewKeyTable() *KeyTable {
-	return &KeyTable{ids: make(map[string]int), keys: []string{""}}
+func NewKeyTable() *KeyTable { return NewKeyTableSized(0) }
+
+// NewKeyTableSized returns an empty table with room for n keys, so a caller
+// that knows how many it is about to intern pays for no rehash and no regrowth
+// on the way there. The table still grows past n.
+func NewKeyTableSized(n int) *KeyTable {
+	return &KeyTable{ids: make(map[string]int, n), keys: make([]string, 1, n+1)}
 }
 
 // Intern returns the ID for key, assigning the next free ID on first use.

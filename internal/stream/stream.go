@@ -88,46 +88,46 @@ func (k AggKind) String() string {
 	}
 }
 
-// cell is the mergeable accumulator for one key.
+// cell is the mergeable accumulator for one key: a count and the one number
+// the aggregate's kind reads — the sum for Count, Sum and Mean, the minimum
+// for Min, the maximum for Max. A cell does not know its kind; the aggregate
+// that owns it does, and the loops that fold many cells (addColumns,
+// mergeIndexed) are chosen by kind outside the loop.
 type cell struct {
 	count int64
-	sum   float64
-	min   float64
-	max   float64
+	acc   float64
 }
 
-// add folds one value in. A value strictly inside the range seen so far
-// moves neither extreme, which is all but the first few values of a key; an
-// empty cell (min = max = 0) and a NaN extreme never pass that test. The
-// split keeps add inlinable in the fold loops.
-func (c *cell) add(v float64) {
-	if v > c.min && v < c.max {
-		c.count++
-		c.sum += v
-		return
-	}
-	c.addExtreme(v)
+// below and above report whether v replaces the extreme m: branchy
+// equivalents of math.Min(m, v) == v and math.Max(m, v) == v (including their
+// NaN and ±0 behaviour) that inline, unlike the arch function calls.
+func below(v, m float64) bool {
+	return v < m || v != v || (v == 0 && m == 0 && math.Signbit(v))
 }
 
-// addExtreme is add for a value that may be a new minimum or maximum.
-func (c *cell) addExtreme(v float64) {
-	if c.count == 0 {
-		c.min, c.max = v, v
-	} else {
-		// Branchy equivalents of math.Min/math.Max (including their NaN
-		// and ±0 behavior) that inline, unlike the arch function calls.
-		if v < c.min || v != v || (v == 0 && c.min == 0 && math.Signbit(v)) {
-			c.min = v
+func above(v, m float64) bool {
+	return v > m || v != v || (v == 0 && m == 0 && math.Signbit(m) && !math.Signbit(v))
+}
+
+// add folds one value into a cell of the given kind.
+func (c *cell) add(kind AggKind, v float64) {
+	switch kind {
+	case Min:
+		if c.count == 0 || below(v, c.acc) {
+			c.acc = v
 		}
-		if v > c.max || v != v || (v == 0 && c.max == 0 && math.Signbit(c.max) && !math.Signbit(v)) {
-			c.max = v
+	case Max:
+		if c.count == 0 || above(v, c.acc) {
+			c.acc = v
 		}
+	default:
+		c.acc += v
 	}
 	c.count++
-	c.sum += v
 }
 
-func (c *cell) merge(o *cell) {
+// merge folds another cell of the same kind in.
+func (c *cell) merge(kind AggKind, o *cell) {
 	if o.count == 0 {
 		return
 	}
@@ -135,27 +135,28 @@ func (c *cell) merge(o *cell) {
 		*c = *o
 		return
 	}
-	c.min = math.Min(c.min, o.min)
-	c.max = math.Max(c.max, o.max)
+	switch kind {
+	case Min:
+		c.acc = math.Min(c.acc, o.acc)
+	case Max:
+		c.acc = math.Max(c.acc, o.acc)
+	default:
+		c.acc += o.acc
+	}
 	c.count += o.count
-	c.sum += o.sum
 }
 
 func (c *cell) value(kind AggKind) float64 {
 	switch kind {
 	case Count:
 		return float64(c.count)
-	case Sum:
-		return c.sum
+	case Sum, Min, Max:
+		return c.acc
 	case Mean:
 		if c.count == 0 {
 			return 0
 		}
-		return c.sum / float64(c.count)
-	case Min:
-		return c.min
-	case Max:
-		return c.max
+		return c.acc / float64(c.count)
 	default:
 		panic(fmt.Sprintf("stream: unknown AggKind %d", kind))
 	}
@@ -198,11 +199,14 @@ func (a *KeyedAgg) Add(e Event) { a.add(&e) }
 // it takes the event by pointer so batch folds do not copy it per call.
 func (a *KeyedAgg) add(e *Event) {
 	if a.table != nil && e.KeyID > 0 && a.table.Key(e.KeyID) == e.Key {
-		a.addDense(e.KeyID, e.Value)
+		a.denseSlot(e.KeyID).add(a.Kind, e.Value)
 		return
 	}
 	a.AddValue(e.Key, e.Value)
 }
+
+// AddValue folds a raw key/value pair.
+func (a *KeyedAgg) AddValue(key string, v float64) { a.slot(key).add(a.Kind, v) }
 
 // growDense extends the dense cells to cover every ID the table has issued.
 func (a *KeyedAgg) growDense() {
@@ -211,8 +215,9 @@ func (a *KeyedAgg) growDense() {
 	a.dense = grown
 }
 
-// addDense folds a value into the slice-indexed cell for an interned key.
-func (a *KeyedAgg) addDense(id int, v float64) {
+// denseSlot returns the slice-indexed cell of an interned key for a caller
+// about to fold into it: a cell still empty is counted live.
+func (a *KeyedAgg) denseSlot(id int) *cell {
 	if id >= len(a.dense) {
 		a.growDense()
 	}
@@ -220,15 +225,15 @@ func (a *KeyedAgg) addDense(id int, v float64) {
 	if c.count == 0 {
 		a.live++
 	}
-	c.add(v)
+	return c
 }
 
-// AddValue folds a raw key/value pair.
-func (a *KeyedAgg) AddValue(key string, v float64) {
+// slot is denseSlot by key string: the dense cell when the key is interned
+// here, the ad-hoc map cell — made on first use — otherwise.
+func (a *KeyedAgg) slot(key string) *cell {
 	if a.table != nil {
 		if id, ok := a.table.Lookup(key); ok {
-			a.addDense(id, v)
-			return
+			return a.denseSlot(id)
 		}
 	}
 	c := a.cells[key]
@@ -239,7 +244,7 @@ func (a *KeyedAgg) AddValue(key string, v float64) {
 		c = &cell{}
 		a.cells[key] = c
 	}
-	c.add(v)
+	return c
 }
 
 // Merge folds another aggregate of the same kind into this one. Merging
@@ -267,53 +272,89 @@ func (a *KeyedAgg) MergeMapped(o *KeyedAgg, remap []int) {
 	}
 	// A shared table needs no remap: cells line up index for index.
 	shared := o.table != nil && o.table == a.table
-	for id := 1; id < len(o.dense); id++ {
-		oc := &o.dense[id]
-		switch {
-		case oc.count == 0:
-		case shared:
-			a.mergeDense(id, oc)
-		case id < len(remap) && remap[id] > 0:
-			a.mergeDense(remap[id], oc)
-		default:
-			a.mergeCell(o.table.Key(id), oc)
+	src := o.dense // src[1:] are the cells placed by index
+	if shared {
+		remap = nil
+	} else {
+		src = src[:min(len(src), len(remap))]
+	}
+	if len(src) > 1 {
+		a.mergeIndexed(src, remap)
+	}
+	// What a remap does not place — IDs mapped to 0 or past its end — and
+	// o's ad-hoc cells go by key string.
+	if !shared {
+		for id := 1; id < len(o.dense); id++ {
+			if oc := &o.dense[id]; oc.count != 0 && (id >= len(remap) || remap[id] <= 0) {
+				a.slot(o.table.Key(id)).merge(a.Kind, oc)
+			}
 		}
 	}
 	for k, oc := range o.cells {
-		a.mergeCell(k, oc)
+		a.slot(k).merge(a.Kind, oc)
 	}
 }
 
-// mergeDense folds one cell into the dense cell for an interned key.
-func (a *KeyedAgg) mergeDense(id int, oc *cell) {
-	if id >= len(a.dense) {
+// mergeIndexed folds src[id] into the dense cell remap[id] — into cell id
+// when remap is nil — skipping empty cells and IDs mapped to 0; a destination
+// that is still empty takes the cell whole. One loop per accumulator, chosen
+// here: no per-cell step asks the kind.
+func (a *KeyedAgg) mergeIndexed(src []cell, remap []int) {
+	if len(a.dense) < a.table.cap() {
 		a.growDense()
 	}
-	c := &a.dense[id]
-	if c.count == 0 {
-		a.live++
+	at := func(id int) int {
+		if remap == nil {
+			return id
+		}
+		return remap[id]
 	}
-	c.merge(oc)
-}
-
-// mergeCell folds one cell in under its string key, routing to the dense
-// slice when the key is interned here.
-func (a *KeyedAgg) mergeCell(key string, oc *cell) {
-	if a.table != nil {
-		if id, ok := a.table.Lookup(key); ok {
-			a.mergeDense(id, oc)
-			return
+	dst, live := a.dense, a.live
+	switch a.Kind {
+	case Min:
+		for id := 1; id < len(src); id++ {
+			oc, to := &src[id], at(id)
+			if oc.count == 0 || to <= 0 {
+				continue
+			}
+			if c := &dst[to]; c.count == 0 {
+				live++
+				*c = *oc
+			} else {
+				c.count += oc.count
+				c.acc = math.Min(c.acc, oc.acc)
+			}
+		}
+	case Max:
+		for id := 1; id < len(src); id++ {
+			oc, to := &src[id], at(id)
+			if oc.count == 0 || to <= 0 {
+				continue
+			}
+			if c := &dst[to]; c.count == 0 {
+				live++
+				*c = *oc
+			} else {
+				c.count += oc.count
+				c.acc = math.Max(c.acc, oc.acc)
+			}
+		}
+	default:
+		for id := 1; id < len(src); id++ {
+			oc, to := &src[id], at(id)
+			if oc.count == 0 || to <= 0 {
+				continue
+			}
+			if c := &dst[to]; c.count == 0 {
+				live++
+				*c = *oc
+			} else {
+				c.count += oc.count
+				c.acc += oc.acc
+			}
 		}
 	}
-	c := a.cells[key]
-	if c == nil {
-		if a.cells == nil {
-			a.cells = make(map[string]*cell)
-		}
-		c = &cell{}
-		a.cells[key] = c
-	}
-	c.merge(oc)
+	a.live = live
 }
 
 // Reset clears every accumulated value while keeping the aggregate's kind,
@@ -418,15 +459,38 @@ func (a *KeyedAgg) SerializedBytes() int64 {
 }
 
 // KeyCell is one key's raw accumulator state — the unit of operator-state
-// snapshot and restore used by the resilience subsystem. Unlike KV it carries
-// all four accumulator fields, so a restored aggregate keeps merging exactly
-// as the original would have.
+// snapshot and restore used by the resilience subsystem, and the wire model
+// of a partial: the fixed 32-byte record (count, sum, min, max as fixed64)
+// that SerializedBytes prices and a checkpoint encodes per key. It is not the
+// memory layout. An aggregate fills in Count and the one field its kind
+// reads — Sum for Count, Sum and Mean, Min for Min, Max for Max — leaves the
+// others zero, and reads back the same two, so a restored aggregate keeps
+// merging exactly as the original would have.
 type KeyCell struct {
 	Key   string
 	Count int64
 	Sum   float64
 	Min   float64
 	Max   float64
+}
+
+// field returns the field of the record that holds a kind's accumulator.
+func (kc *KeyCell) field(kind AggKind) *float64 {
+	switch kind {
+	case Min:
+		return &kc.Min
+	case Max:
+		return &kc.Max
+	default:
+		return &kc.Sum
+	}
+}
+
+// keyCell renders the cell of a kind-kind aggregate as its wire record.
+func (c *cell) keyCell(kind AggKind, key string) KeyCell {
+	kc := KeyCell{Key: key, Count: c.count}
+	*kc.field(kind) = c.acc
+	return kc
 }
 
 // Snapshot returns every key's raw accumulator in a fresh slice; see
@@ -448,11 +512,11 @@ func (a *KeyedAgg) AppendSnapshot(dst []KeyCell) []KeyCell {
 		if c.count == 0 {
 			continue
 		}
-		dst = append(dst, KeyCell{Key: a.table.Key(id), Count: c.count, Sum: c.sum, Min: c.min, Max: c.max})
+		dst = append(dst, c.keyCell(a.Kind, a.table.Key(id)))
 	}
 	adhoc := len(dst)
 	for k, c := range a.cells {
-		dst = append(dst, KeyCell{Key: k, Count: c.count, Sum: c.sum, Min: c.min, Max: c.max})
+		dst = append(dst, c.keyCell(a.Kind, k))
 	}
 	slices.SortFunc(dst[adhoc:], func(x, y KeyCell) int { return strings.Compare(x.Key, y.Key) })
 	return dst
@@ -461,7 +525,7 @@ func (a *KeyedAgg) AppendSnapshot(dst []KeyCell) []KeyCell {
 // RestoreCell folds one snapshot cell back in, as if the cell's original
 // events had been merged here. Restoring into a non-empty aggregate merges.
 func (a *KeyedAgg) RestoreCell(kc KeyCell) {
-	a.mergeCell(kc.Key, &cell{count: kc.Count, sum: kc.Sum, min: kc.Min, max: kc.Max})
+	a.slot(kc.Key).merge(a.Kind, &cell{count: kc.Count, acc: *kc.field(a.Kind)})
 }
 
 // Window is a half-open event-time interval [Start, End).

@@ -78,7 +78,7 @@ func NewSensorGen(r *rng.Rand, site cloud.SiteID, opt SensorOpts) *SensorGen {
 	g := &SensorGen{
 		r: r, vr: r.Split("values"), keys: opt.Keys, mean: opt.Mean, sd: opt.Stddev,
 		site: site, drift: opt.DriftPerHour,
-		table: stream.NewKeyTable(),
+		table: stream.NewKeyTableSized(opt.Keys),
 	}
 	// Distinct k format to distinct strings, so in this fresh table key k
 	// gets ID k+1: FillBlock computes IDs instead of looking them up.
