@@ -114,7 +114,7 @@ func main() {
 		}
 		for _, key := range []string{
 			"NormFloat64/polar", "NormFloat64/ziggurat",
-			"SensorGen/keys=1000", "WindowAggDense/keys=1000",
+			"SensorGen/keys=1000", "SensorGen/keys=20000/uniform", "WindowAggDense/keys=1000",
 			"WindowAggDense/keys=20000/uniform", "WindowAggDense/keys=20000/uniform/min",
 			"WindowAggMap/keys=1000", "StreamPipeline/keys=1000",
 			"SlidingAdvanceEmpty", "WindowJoinAdvanceEmpty",

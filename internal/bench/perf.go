@@ -100,18 +100,22 @@ func RunPerfBaseline() PerfBaseline {
 // sweep.
 var perfKeyCounts = []int{100, 1000}
 
-// perfUniformKeys name the rows of the columnar fold at resil_recover's
-// shape — one 100 000-event window over 20 000 uniform keys, where the cells
-// miss the cache — for the sum loop (Mean) and an extreme loop (Min).
+// perfUniformKeys name the rows at resil_recover's shape, 20 000 uniform
+// keys: the draw (the multiply-reduced uniform key fill, where the Zipf rows
+// measure the alias table), and the columnar fold of one 100 000-event window,
+// where the cells miss the cache, for the sum loop (Mean) and an extreme loop
+// (Min).
 const (
 	perfUniformKeyCount = 20000
+	perfUniformDrawKey  = "SensorGen/keys=20000/uniform"
 	perfUniformMeanKey  = "WindowAggDense/keys=20000/uniform"
 	perfUniformMinKey   = "WindowAggDense/keys=20000/uniform/min"
 )
 
 // perfNormalKeys name the rows of the two standard-normal samplers, ns per
 // variate: the polar method the world's weather draws from and the ziggurat
-// that draws workload values.
+// that draws workload values, measured as the engine draws from it, a block
+// at a time.
 const (
 	perfPolarKey    = "NormFloat64/polar"
 	perfZigguratKey = "NormFloat64/ziggurat"
@@ -129,7 +133,7 @@ func RunStreamPerfBaseline() PerfBaseline {
 	for _, k := range perfKeyCounts {
 		k := k
 		p.record(fmt.Sprintf("SensorGen/keys=%d", k),
-			testing.Benchmark(func(b *testing.B) { workload.RunBenchmarkSensorGen(b, k) }))
+			testing.Benchmark(func(b *testing.B) { workload.RunBenchmarkSensorGen(b, k, 1.3) }))
 		p.record(fmt.Sprintf("WindowAggDense/keys=%d", k),
 			testing.Benchmark(func(b *testing.B) { stream.RunBenchmarkWindowAggDense(b, k) }))
 		p.record(fmt.Sprintf("WindowAggMap/keys=%d", k),
@@ -137,6 +141,9 @@ func RunStreamPerfBaseline() PerfBaseline {
 		p.record(fmt.Sprintf("StreamPipeline/keys=%d", k),
 			testing.Benchmark(func(b *testing.B) { workload.RunBenchmarkStreamPipeline(b, k) }))
 	}
+	p.record(perfUniformDrawKey, testing.Benchmark(func(b *testing.B) {
+		workload.RunBenchmarkSensorGen(b, perfUniformKeyCount, 0)
+	}))
 	p.record(perfUniformMeanKey, testing.Benchmark(func(b *testing.B) {
 		stream.RunBenchmarkWindowAggDenseUniform(b, perfUniformKeyCount, stream.Mean)
 	}))

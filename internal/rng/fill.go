@@ -1,28 +1,135 @@
 package rng
 
-// Block forms of the three draws the engine makes once per event. Each is
-// defined by the per-draw method it repeats: same values, same order, same
-// generator state afterwards (fill_test.go).
+import (
+	"math"
+	"math/bits"
+)
 
-// Fill draws len(ids) keys: ids[i] = int32(z.Uint64()) + off.
+// Block forms of the three draws the engine makes once per event. Each is
+// defined by the per-draw method it repeats — same values, same order, same
+// generator state afterwards (fill_test.go, fuzz_test.go) — and differs from
+// calling it in a loop in this: the xoshiro state is lifted into locals once,
+// stepped in registers for the whole slice and stored back once, and nothing
+// is called per draw. A per-draw call loads and stores the four words every
+// time, so the recurrence runs through store-to-load forwarding.
+//
+// The step (Uint64's body) is written out in each loop. As an inlined helper
+// returning the word and the four new state words it compiles (go1.24, amd64)
+// to a loop that spills s1 to the stack and reloads it every iteration — the
+// memory round trip the fills exist to remove; written out, Zipf.Fill and
+// FillZigNorm keep the state in registers and spill only loop invariants.
+// FillIntn's three multiplies pin AX:DX and still push one state word out.
+// The sequence tests hold the copies together.
+
+// Fill draws len(ids) keys: ids[i] = int32(z.Uint64()) + off. It panics when
+// the largest key plus off does not fit an int32.
 func (z *Zipf) Fill(ids []int32, off int32) {
-	for i := range ids {
-		ids[i] = int32(z.Uint64()) + off
+	cells := z.cells
+	n := uint64(len(cells))
+	if int64(n)-1+int64(off) > math.MaxInt32 {
+		panic("rng: Zipf.Fill keys do not fit int32")
 	}
+	r := z.r
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for i := range ids {
+		u := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		col, frac := bits.Mul64(u, n)
+		c := &cells[col]
+		k := c.alias
+		if frac < c.keep {
+			k = col
+		}
+		ids[i] = int32(k) + off
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
 // FillZigNorm draws len(vals) standard normal variates: vals[i] =
-// r.ZigNormFloat64().
+// r.ZigNormFloat64(). The draws that leave their layer's inner rectangle
+// hand the state back to the Rand, take zigFinish and reload.
 func (r *Rand) FillZigNorm(vals []float64) {
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	for i := range vals {
-		vals[i] = r.ZigNormFloat64()
+		u := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		c := &zigCells[u%zigLayers]
+		if j := u >> 11; j < c.k {
+			vals[i] = zigSigned(float64(int64(j))*c.w, u)
+			continue
+		}
+		r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+		vals[i] = r.zigFinish(u)
+		s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
 	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
 // FillIntn draws len(ids) uniform keys: ids[i] = int32(r.Intn(n)) + off. It
-// panics when n <= 0.
+// panics when n <= 0, as Intn does, and when n-1+off does not fit an int32.
 func (r *Rand) FillIntn(ids []int32, n int, off int32) {
-	for i := range ids {
-		ids[i] = int32(r.Intn(n)) + off
+	if n <= 0 {
+		panic("rng: Intn with non-positive n")
 	}
+	if int64(n)-1+int64(off) > math.MaxInt32 {
+		panic("rng: FillIntn keys do not fit int32")
+	}
+	m := newModulus(uint64(n))
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for i := range ids {
+		u := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		ids[i] = int32(m.reduce(u)) + off
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+}
+
+// modulus computes u % n for one n and many u without dividing (Lemire, Kaser
+// and Kurz, "Faster remainder by direct computation", at 64 bits): with
+// M = ceil(2^128 / n), the fraction u/n is (M·u mod 2^128) / 2^128 up to an
+// error too small to carry into the product's integer part, so multiplying
+// that fraction by n and keeping the integer part gives the remainder. It is
+// exact for every u and every n >= 1 (FuzzIntnReduction); a 64-bit DIV costs
+// as much as the rest of a key draw.
+type modulus struct {
+	n        uint64
+	mhi, mlo uint64 // M mod 2^128; n = 1 gives M = 2^128, stored as 0, and u % 1 = 0
+}
+
+func newModulus(n uint64) modulus {
+	// M = floor((2^128 - 1) / n) + 1, by long division of the two all-ones
+	// words: the first quotient word's remainder is below n, as Div64 requires.
+	mhi, rem := math.MaxUint64/n, math.MaxUint64%n
+	mlo, _ := bits.Div64(rem, math.MaxUint64, n)
+	mlo, carry := bits.Add64(mlo, 1, 0)
+	return modulus{n: n, mhi: mhi + carry, mlo: mlo}
+}
+
+// reduce returns u % m.n.
+func (m modulus) reduce(u uint64) uint64 {
+	// f = M·u mod 2^128, then floor(f·n / 2^128).
+	fhi, flo := bits.Mul64(m.mlo, u)
+	fhi += m.mhi * u
+	top, mid := bits.Mul64(fhi, m.n)
+	low, _ := bits.Mul64(flo, m.n)
+	_, carry := bits.Add64(mid, low, 0)
+	return top + carry
 }

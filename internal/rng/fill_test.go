@@ -14,53 +14,56 @@ type filler struct {
 	bind func(r *Rand) (fill, scalar func(n int) []uint64)
 }
 
-const (
-	fillZipfKeys = 1200
-	fillIntnKeys = 20_000
-)
-
-var fillers = []filler{
-	{"Zipf.Fill", func(r *Rand) (fill, scalar func(n int) []uint64) {
-		z := NewZipf(r, 1.3, 1, fillZipfKeys-1)
-		return func(n int) []uint64 {
-				ids := make([]int32, n)
-				z.Fill(ids, 1)
-				return idBits(ids)
-			}, func(n int) []uint64 {
-				ids := make([]int32, n)
-				for i := range ids {
-					ids[i] = int32(z.Uint64()) + 1
+// newFillers binds the three fills for a Zipf domain of zipfKeys keys, a
+// uniform one of intnKeys and the ID offset off.
+func newFillers(zipfKeys, intnKeys int, off int32) []filler {
+	return []filler{
+		{"Zipf.Fill", func(r *Rand) (fill, scalar func(n int) []uint64) {
+			z := NewZipf(r, 1.3, 1, uint64(zipfKeys-1))
+			return func(n int) []uint64 {
+					ids := make([]int32, n)
+					z.Fill(ids, off)
+					return idBits(ids)
+				}, func(n int) []uint64 {
+					ids := make([]int32, n)
+					for i := range ids {
+						ids[i] = int32(z.Uint64()) + off
+					}
+					return idBits(ids)
 				}
-				return idBits(ids)
-			}
-	}},
-	{"FillZigNorm", func(r *Rand) (fill, scalar func(n int) []uint64) {
-		return func(n int) []uint64 {
-				vals := make([]float64, n)
-				r.FillZigNorm(vals)
-				return valueBits(vals)
-			}, func(n int) []uint64 {
-				vals := make([]float64, n)
-				for i := range vals {
-					vals[i] = r.ZigNormFloat64()
+		}},
+		{"FillZigNorm", func(r *Rand) (fill, scalar func(n int) []uint64) {
+			return func(n int) []uint64 {
+					vals := make([]float64, n)
+					r.FillZigNorm(vals)
+					return valueBits(vals)
+				}, func(n int) []uint64 {
+					vals := make([]float64, n)
+					for i := range vals {
+						vals[i] = r.ZigNormFloat64()
+					}
+					return valueBits(vals)
 				}
-				return valueBits(vals)
-			}
-	}},
-	{"FillIntn", func(r *Rand) (fill, scalar func(n int) []uint64) {
-		return func(n int) []uint64 {
-				ids := make([]int32, n)
-				r.FillIntn(ids, fillIntnKeys, 1)
-				return idBits(ids)
-			}, func(n int) []uint64 {
-				ids := make([]int32, n)
-				for i := range ids {
-					ids[i] = int32(r.Intn(fillIntnKeys)) + 1
+		}},
+		{"FillIntn", func(r *Rand) (fill, scalar func(n int) []uint64) {
+			return func(n int) []uint64 {
+					ids := make([]int32, n)
+					r.FillIntn(ids, intnKeys, off)
+					return idBits(ids)
+				}, func(n int) []uint64 {
+					ids := make([]int32, n)
+					for i := range ids {
+						ids[i] = int32(r.Intn(intnKeys)) + off
+					}
+					return idBits(ids)
 				}
-				return idBits(ids)
-			}
-	}},
+		}},
+	}
 }
+
+// fillers are the fills at the engine's shapes: agg_wide's Zipf domain,
+// resil_recover's uniform one, IDs from 1.
+var fillers = newFillers(1200, 20_000, 1)
 
 func idBits(ids []int32) []uint64 {
 	out := make([]uint64, len(ids))

@@ -17,6 +17,17 @@
 // wall second, where only the distribution is pinned. A change that is
 // allowed to move the weather can migrate the remaining callers and delete
 // the polar method with Rand.hasSpare / spare.
+//
+// The three draws the engine makes once per event — a Zipf key, a uniform
+// key, a ziggurat normal — each have two forms. The per-draw methods
+// (Zipf.Uint64, Rand.Intn, Rand.ZigNormFloat64) are the definitions: they say
+// which variate a word of the stream becomes, and the distribution and
+// stream-cost tests judge them. What runs is the block form of each
+// (Zipf.Fill, Rand.FillIntn, Rand.FillZigNorm in fill.go), which steps the
+// generator in registers for a whole column of a stream.Block and is pinned
+// to its definition bit for bit, generator state included. Zipf.Uint64 and
+// ZigNormFloat64 have no caller outside tests; Intn keeps the many it has
+// away from the kernel.
 package rng
 
 import (
@@ -65,7 +76,9 @@ func (r *Rand) Split(name string) *Rand {
 
 // Uint64 returns the next 64 uniformly random bits (xoshiro256**). The state
 // is stepped in locals and stored once: under the race detector, which
-// charges per memory access, that is a third off every draw in the suite.
+// charges per memory access, that is a third off every draw in the suite. The
+// fills go further and load and store the state once per block, which takes
+// the kernel's draws off that per-access charge altogether.
 func (r *Rand) Uint64() uint64 {
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	result := bits.RotateLeft64(s1*5, 7) * 9
@@ -318,7 +331,16 @@ type OU struct {
 	Sigma float64
 	// X is the current value.
 	X float64
+	// last holds the two constants of Step for the (Theta, Sigma, dt) it was
+	// last called with: a link is stepped once a tick with the same three for
+	// a whole run, and they cost a math.Exp and a math.Sqrt.
+	last ouStep
 }
+
+// ouStep is one discretization of an OU process: over dt seconds the
+// displacement from the mean shrinks by decay and gains noise of standard
+// deviation scale.
+type ouStep struct{ theta, sigma, dt, decay, scale float64 }
 
 // NewOU returns a process started at its mean.
 func NewOU(r *Rand, mean, theta, sigma float64) *OU {
@@ -331,8 +353,11 @@ func (o *OU) Step(dt float64) float64 {
 	if dt <= 0 {
 		return o.X
 	}
-	decay := math.Exp(-o.Theta * dt)
-	variance := o.Sigma * o.Sigma / (2 * o.Theta) * (1 - decay*decay)
-	o.X = o.Mean + (o.X-o.Mean)*decay + math.Sqrt(variance)*o.r.NormFloat64()
+	if c := o.last; c.dt != dt || c.theta != o.Theta || c.sigma != o.Sigma {
+		decay := math.Exp(-o.Theta * dt)
+		variance := o.Sigma * o.Sigma / (2 * o.Theta) * (1 - decay*decay)
+		o.last = ouStep{o.Theta, o.Sigma, dt, decay, math.Sqrt(variance)}
+	}
+	o.X = o.Mean + (o.X-o.Mean)*o.last.decay + o.last.scale*o.r.NormFloat64()
 	return o.X
 }

@@ -292,13 +292,15 @@ func TestZipfInvalidArgsPanic(t *testing.T) {
 	}
 }
 
+// BenchmarkZipf measures the key draw the way the engine makes it, a block at
+// a time (Zipf.Fill); one op is one key.
 func BenchmarkZipf(b *testing.B) {
 	z := NewZipf(New(1), 1.3, 1, 1199)
-	var sum uint64
-	for i := 0; i < b.N; i++ {
-		sum += z.Uint64()
+	ids := make([]int32, fillBenchBlock)
+	for i := 0; i < b.N; i += len(ids) {
+		z.Fill(ids[:min(len(ids), b.N-i)], 1)
 	}
-	sinkU64 = sum
+	sinkU64 = uint64(ids[0])
 }
 
 func BenchmarkNewZipf(b *testing.B) {
@@ -353,6 +355,33 @@ func TestOUZeroStepNoChange(t *testing.T) {
 	x := ou.X
 	if got := ou.Step(0); got != x {
 		t.Fatalf("Step(0) changed value: %v -> %v", x, got)
+	}
+}
+
+// TestOUStepSequenceOverChangingDt: Step keeps exp(-θ·dt) and the noise scale
+// for the last (θ, σ, dt) it saw; the sequence must be the one the formula
+// gives when both are evaluated on every step — bit for bit, over repeated,
+// changing and zero dt and over θ and σ changed under a running process.
+func TestOUStepSequenceOverChangingDt(t *testing.T) {
+	ou, twin := NewOU(New(73), 1, 0.2, 0.15), New(73)
+	x := ou.X
+	dts := []float64{1, 1, 1, 0.25, 0.25, 1, 0, 3.5, 1e-3, 1, 1}
+	for i := 0; i < 3000; i++ {
+		switch i {
+		case 1000:
+			ou.Theta = 0.7
+		case 2000:
+			ou.Sigma = 0.4
+		}
+		dt := dts[i%len(dts)]
+		if dt > 0 {
+			decay := math.Exp(-ou.Theta * dt)
+			variance := ou.Sigma * ou.Sigma / (2 * ou.Theta) * (1 - decay*decay)
+			x = ou.Mean + (x-ou.Mean)*decay + math.Sqrt(variance)*twin.NormFloat64()
+		}
+		if got := ou.Step(dt); math.Float64bits(got) != math.Float64bits(x) {
+			t.Fatalf("step %d (dt %v): X = %x, the formula evaluated afresh gives %x", i, dt, got, x)
+		}
 	}
 }
 

@@ -18,12 +18,13 @@ import (
 // cost is ns_per_op / PipelineBatch.
 const PipelineBatch = 1000
 
-// RunBenchmarkSensorGen measures drawing one Zipf-keyed event the way the
-// engine draws them, PipelineBatch at a time into a reused columnar block;
-// one op is one event. Steady-state budget: 0 allocs/op (the key strings are
-// interned at construction).
-func RunBenchmarkSensorGen(b *testing.B, keys int) {
-	g := NewSensorGen(rng.New(1), "NEU", SensorOpts{Keys: keys, Skew: 1.3})
+// RunBenchmarkSensorGen measures drawing one event the way the engine draws
+// them, PipelineBatch at a time into a reused columnar block, with Zipf keys
+// of the given skew or, at skew 0, uniform ones; one op is one event.
+// Steady-state budget: 0 allocs/op (the key strings are interned at
+// construction).
+func RunBenchmarkSensorGen(b *testing.B, keys int, skew float64) {
+	g := NewSensorGen(rng.New(1), "NEU", SensorOpts{Keys: keys, Skew: skew})
 	var blk stream.Block
 	g.FillBlock(&blk, PipelineBatch, 0, time.Millisecond)
 	b.ReportAllocs()

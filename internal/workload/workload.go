@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"sage/internal/cloud"
@@ -81,14 +83,45 @@ func NewSensorGen(r *rng.Rand, site cloud.SiteID, opt SensorOpts) *SensorGen {
 		table: stream.NewKeyTableSized(opt.Keys),
 	}
 	// Distinct k format to distinct strings, so in this fresh table key k
-	// gets ID k+1: FillBlock computes IDs instead of looking them up.
+	// gets ID k+1: FillBlock computes IDs instead of looking them up. The keys
+	// are substrings of one string, written once into a buffer sized by the
+	// longest key: a roster's generators format a hundred thousand of them at
+	// set-up, and fmt.Sprintf on each was most of that.
+	var all strings.Builder
+	all.Grow(opt.Keys * sensorKeyLen(opt.KeyPrefix, opt.Keys-1))
 	for k := 0; k < opt.Keys; k++ {
-		g.table.Intern(fmt.Sprintf("%ssensor-%04d", opt.KeyPrefix, k))
+		writeSensorKey(&all, opt.KeyPrefix, k)
+	}
+	for k, rest := 0, all.String(); k < opt.Keys; k++ {
+		n := sensorKeyLen(opt.KeyPrefix, k)
+		g.table.Intern(rest[:n])
+		rest = rest[n:]
 	}
 	if opt.Skew > 1 {
 		g.zipf = rng.NewZipf(r, opt.Skew, 1, uint64(opt.Keys-1))
 	}
 	return g
+}
+
+// writeSensorKey writes key k as fmt.Sprintf("%ssensor-%04d", prefix, k)
+// formats it.
+func writeSensorKey(b *strings.Builder, prefix string, k int) {
+	b.WriteString(prefix)
+	b.WriteString("sensor-")
+	for p := 1000; p > k && p > 1; p /= 10 {
+		b.WriteByte('0')
+	}
+	var digits [20]byte
+	b.Write(strconv.AppendInt(digits[:0], int64(k), 10))
+}
+
+// sensorKeyLen is the length of what writeSensorKey writes.
+func sensorKeyLen(prefix string, k int) int {
+	n := len(prefix) + len("sensor-0000")
+	for ; k >= 10000; k /= 10 {
+		n++
+	}
+	return n
 }
 
 // Table returns the generator's key table, for building dense aggregates
@@ -99,37 +132,32 @@ func (g *SensorGen) Table() *stream.KeyTable { return g.table }
 // b's columns when they are large enough. It is the one draw loop: every
 // other way of getting events out of the generator goes through it, so a
 // window drawn in blocks that start at multiples of step is the window drawn
-// at once. The two columns fill in separate passes — keys and values come
-// from separate streams, so the order between them is free — which keeps the
-// key-law and drift tests out of the per-event loops.
+// at once. Each column is one of rng's block draws, which step the generator
+// in registers for the whole column (keys and values come from separate
+// streams, so the order between them is free); the standard normals are
+// scaled in place afterwards.
 func (g *SensorGen) FillBlock(b *stream.Block, n int, from simtime.Time, step time.Duration) {
 	n = max(n, 0)
 	b.Table, b.Site, b.From, b.Step = g.table, g.site, from, step
 	b.IDs = slices.Grow(b.IDs[:0], n)[:n]
 	b.Values = slices.Grow(b.Values[:0], n)[:n]
-	// Everything the loops read is in locals: the draws are calls, after
-	// which a field would have to be loaded again.
-	ids, vals := b.IDs, b.Values
-	if zipf := g.zipf; zipf != nil {
-		for i := range ids {
-			ids[i] = int32(zipf.Uint64()) + 1
-		}
+	if g.zipf != nil {
+		g.zipf.Fill(b.IDs, 1)
 	} else {
-		r, keys := g.r, g.keys
-		for i := range ids {
-			ids[i] = int32(r.Intn(keys)) + 1
-		}
+		g.r.FillIntn(b.IDs, g.keys, 1)
 	}
-	vr, mean, sd := g.vr, g.mean, g.sd
+	vals := b.Values
+	g.vr.FillZigNorm(vals)
+	mean, sd := g.mean, g.sd
 	if g.drift == 0 {
-		for i := range vals {
-			vals[i] = mean + sd*vr.ZigNormFloat64()
+		for i, z := range vals {
+			vals[i] = mean + sd*z
 		}
 		return
 	}
 	drift, at := g.drift, from
-	for i := range vals {
-		vals[i] = mean + drift*at.Hours() + sd*vr.ZigNormFloat64()
+	for i, z := range vals {
+		vals[i] = mean + drift*at.Hours() + sd*z
 		at += step
 	}
 }

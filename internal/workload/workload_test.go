@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -423,6 +424,24 @@ func TestFillBlockSequencePinned(t *testing.T) {
 		for i, w := range c.want {
 			if got := (pair{b.IDs[i], math.Float64bits(b.Values[i])}); got != w {
 				t.Fatalf("%s: event %d is (%d, %#x), pinned (%d, %#x)", c.name, i, got.id, got.value, w.id, w.value)
+			}
+		}
+	}
+}
+
+// TestSensorKeysMatchSprintf: the keys NewSensorGen builds in one buffer are
+// the strings fmt.Sprintf("%ssensor-%04d") gave — zero-padded to four digits,
+// five and six digits unpadded — with and without a prefix, in ID order.
+func TestSensorKeysMatchSprintf(t *testing.T) {
+	const keys = 100_001
+	for _, prefix := range []string{"", "NEU/"} {
+		table := NewSensorGen(rng.New(1), "A", SensorOpts{Keys: keys, KeyPrefix: prefix}).Table()
+		if table.Len() != keys {
+			t.Fatalf("prefix %q: table holds %d keys, want %d", prefix, table.Len(), keys)
+		}
+		for k := 0; k < keys; k++ {
+			if got, want := table.Key(k+1), fmt.Sprintf("%ssensor-%04d", prefix, k); got != want {
+				t.Fatalf("prefix %q: key %d is %q, Sprintf gives %q", prefix, k, got, want)
 			}
 		}
 	}
