@@ -141,18 +141,25 @@ func TestStreamPerfBaselineFileValid(t *testing.T) {
 	// Time budgets at 1000 keys: the recorded numbers + 30 %. With struct
 	// events, the polar value draw and the per-event fold a Zipf-keyed event
 	// cost 26–28 ns to draw and 39–42 ns through the pipeline; the columnar
-	// kernel with a four-field cell 9.2–10.4 and 20.2–21.5. The recording
-	// with the 16-byte cell was made in a faster phase of the shared host
-	// (its polar row reads 10.3 ns against 18.9 in the file before it, same
-	// code): three recordings gave 7.6–8.4 ns/event through the pipeline,
-	// two of the parent commit in the same session 13.8–16.8, with the draw
-	// at 6.1–6.5 on both. A re-recording that misses the pipeline budget
+	// kernel with a four-field cell 9.2–10.4 and 20.2–21.5; the 16-byte cell
+	// 6.1–6.5 and 7.6–8.4. With rng's block draws (the state in registers for
+	// a whole column, no call per event) the committed recording reads 5.0 and
+	// 6.9 against 6.9 and 8.6 for its parent recorded minutes earlier. The
+	// shared host moves between phases 40 % apart within an hour (the polar
+	// row, whose code has not changed since it was pinned, reads 11.0 in this
+	// recording and 15.7 in two made later the same session, where the draw
+	// read 7.0–8.0 and its parent 8.8): a re-recording that misses a budget
 	// should be read against its own polar row before it is believed.
-	if r := p.Benchmarks["SensorGen/keys=1000"]; r.NsPerOp > 13.5 {
-		t.Fatalf("SensorGen/keys=1000 costs %.1f ns/op in the committed baseline; the budget is 13.5", r.NsPerOp)
+	if r := p.Benchmarks["SensorGen/keys=1000"]; r.NsPerOp > 6.5 {
+		t.Fatalf("SensorGen/keys=1000 costs %.1f ns/op in the committed baseline; the budget is 6.5", r.NsPerOp)
 	}
-	if r := p.Benchmarks["StreamPipeline/keys=1000"]; r.NsPerOp/workload.PipelineBatch > 11 {
-		t.Fatalf("StreamPipeline/keys=1000 costs %.1f ns/event in the committed baseline; the budget is 11",
+	if r := p.Benchmarks["StreamPipeline/keys=1000"]; r.NsPerOp/workload.PipelineBatch > 9 {
+		t.Fatalf("StreamPipeline/keys=1000 costs %.1f ns/event in the committed baseline; the budget is 9",
 			r.NsPerOp/workload.PipelineBatch)
+	}
+	// The uniform key draw — FillIntn's multiply reduction where the rows
+	// above run the alias table — has a row of its own, allocation-free.
+	if r, ok := p.Benchmarks[perfUniformDrawKey]; !ok || r.NsPerOp <= 0 || r.AllocsPerOp != 0 {
+		t.Fatalf("baseline %q: %+v; the row must be present at 0 allocs/op", perfUniformDrawKey, r)
 	}
 }
