@@ -78,10 +78,11 @@ func (r *Rand) FillZigNorm(vals []float64) {
 }
 
 // FillIntn draws len(ids) uniform keys: ids[i] = int32(r.Intn(n)) + off. It
-// panics when n <= 0, as Intn does, and when n-1+off does not fit an int32.
+// panics when n <= 0, as Intn does, and when n-1+off does not fit an int32,
+// whatever len(ids).
 func (r *Rand) FillIntn(ids []int32, n int, off int32) {
 	if n <= 0 {
-		panic("rng: Intn with non-positive n")
+		panic(errIntnRange)
 	}
 	if int64(n)-1+int64(off) > math.MaxInt32 {
 		panic("rng: FillIntn keys do not fit int32")

@@ -100,10 +100,13 @@ func (r *Rand) Float64() float64 {
 // Intn returns a uniform int in [0, n). It panics when n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
-		panic("rng: Intn with non-positive n")
+		panic(errIntnRange)
 	}
 	return int(r.Uint64() % uint64(n))
 }
+
+// errIntnRange is what Intn and its block form FillIntn panic with.
+const errIntnRange = "rng: Intn with non-positive n"
 
 // Int63 returns a non-negative 63-bit integer.
 func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }

@@ -84,18 +84,15 @@ func NewSensorGen(r *rng.Rand, site cloud.SiteID, opt SensorOpts) *SensorGen {
 	}
 	// Distinct k format to distinct strings, so in this fresh table key k
 	// gets ID k+1: FillBlock computes IDs instead of looking them up. The keys
-	// are substrings of one string, written once into a buffer sized by the
-	// longest key: a roster's generators format a hundred thousand of them at
-	// set-up, and fmt.Sprintf on each was most of that.
+	// are substrings of one buffer, sized by the longest of them: a roster's
+	// generators format a hundred thousand keys at set-up, and fmt.Sprintf on
+	// each was most of that.
 	var all strings.Builder
-	all.Grow(opt.Keys * sensorKeyLen(opt.KeyPrefix, opt.Keys-1))
+	all.Grow(opt.Keys * (len(opt.KeyPrefix) + len("sensor-") + max(4, len(strconv.Itoa(opt.Keys-1)))))
 	for k := 0; k < opt.Keys; k++ {
+		start := all.Len()
 		writeSensorKey(&all, opt.KeyPrefix, k)
-	}
-	for k, rest := 0, all.String(); k < opt.Keys; k++ {
-		n := sensorKeyLen(opt.KeyPrefix, k)
-		g.table.Intern(rest[:n])
-		rest = rest[n:]
+		g.table.Intern(all.String()[start:])
 	}
 	if opt.Skew > 1 {
 		g.zipf = rng.NewZipf(r, opt.Skew, 1, uint64(opt.Keys-1))
@@ -113,15 +110,6 @@ func writeSensorKey(b *strings.Builder, prefix string, k int) {
 	}
 	var digits [20]byte
 	b.Write(strconv.AppendInt(digits[:0], int64(k), 10))
-}
-
-// sensorKeyLen is the length of what writeSensorKey writes.
-func sensorKeyLen(prefix string, k int) int {
-	n := len(prefix) + len("sensor-0000")
-	for ; k >= 10000; k /= 10 {
-		n++
-	}
-	return n
 }
 
 // Table returns the generator's key table, for building dense aggregates
