@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -19,6 +20,15 @@ import (
 	"time"
 
 	"sage/internal/daemon"
+)
+
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers.
+	readHeaderTimeout = 10 * time.Second
+	// shutdownGrace is how long a stopping saged waits for in-flight
+	// requests.
+	shutdownGrace = 5 * time.Second
 )
 
 func main() {
@@ -47,7 +57,7 @@ func main() {
 		os.Exit(1)
 	}
 	d := daemon.New(opt)
-	srv := &http.Server{Handler: d.Handler()}
+	srv := &http.Server{Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Printf("saged: listening on http://%s\n", ln.Addr())
 
 	errC := make(chan error, 1)
@@ -55,15 +65,32 @@ func main() {
 
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
+	failed := false
 	select {
 	case sig := <-sigC:
 		fmt.Printf("saged: %v, shutting down\n", sig)
 	case err := <-errC:
 		fmt.Fprintf(os.Stderr, "saged: %v\n", err)
+		failed = true
 	}
-	srv.Close()
-	d.Stop()
+	// Let in-flight requests finish; a request still waiting for the driver
+	// when the grace period ends is cut off.
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	if err := srv.Shutdown(ctx); err != nil {
+		srv.Close()
+	}
+	cancel()
+	if err := d.Stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "saged: %v\n", err)
+		failed = true
+	}
 	if auditFile != nil {
-		auditFile.Close()
+		if err := auditFile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "saged: audit log: %v\n", err)
+			failed = true
+		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 }

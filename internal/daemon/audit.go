@@ -1,12 +1,15 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"time"
 
 	apiv1 "sage/api/v1"
 	"sage/internal/core"
+	"sage/internal/obs"
 	"sage/internal/route"
 )
 
@@ -16,21 +19,45 @@ import (
 // and plannerDiff between quanta), plus one final api call from Stop after
 // the driver is dead — so the encoder needs no lock.
 type auditor struct {
+	w io.Writer
+	// enc encodes one record into buf, which is then written whole: a
+	// json.Encoder on w itself would refuse every record after its first
+	// failed write.
 	enc *json.Encoder
+	buf bytes.Buffer
 	// prev is the planner counter snapshot the next plannerDiff diffs
 	// against.
 	prev route.PlannerStats
 	// wall stamps records with wall-clock time; a test seam.
 	wall func() time.Time
+	// err is the first write error; writeErrs counts every failed record.
+	// A failed record is lost, the daemon keeps running, and Stop reports
+	// err.
+	err       error
+	writeErrs obs.Counter
 }
 
-func newAuditor(w io.Writer) *auditor {
-	return &auditor{enc: json.NewEncoder(w), wall: time.Now}
+func newAuditor(w io.Writer, reg *obs.Registry) *auditor {
+	a := &auditor{w: w, wall: time.Now,
+		writeErrs: reg.Counter("sage_daemon_audit_write_errors_total",
+			"audit records the log writer failed to take").With()}
+	a.enc = json.NewEncoder(&a.buf)
+	return a
 }
 
 func (a *auditor) record(rec apiv1.AuditRecord) {
 	rec.Wall = a.wall().UTC().Format(time.RFC3339Nano)
-	a.enc.Encode(&rec)
+	a.buf.Reset()
+	err := a.enc.Encode(&rec)
+	if err == nil {
+		_, err = a.w.Write(a.buf.Bytes())
+	}
+	if err != nil {
+		a.writeErrs.Inc()
+		if a.err == nil {
+			a.err = fmt.Errorf("daemon: audit write: %w", err)
+		}
+	}
 }
 
 // api records one API mutation (submit, cancel, pause, resume, clock

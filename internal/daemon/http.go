@@ -71,10 +71,28 @@ func writeErr(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(&resp)
 }
 
+// Request body limits. A roster of a few hundred jobs is tens of kilobytes;
+// a clock action is one short object.
+const (
+	maxRosterBytes = 4 << 20
+	maxClockBytes  = 4 << 10
+)
+
+// bodyErr classifies a request-body decode failure: a body over its limit is
+// a 413, anything else a malformed request.
+func bodyErr(err error) error {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	return &httpError{status: status, err: err}
+}
+
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	ros, err := apiv1.DecodeRoster(r.Body)
+	ros, err := apiv1.DecodeRoster(http.MaxBytesReader(w, r.Body, maxRosterBytes))
 	if err != nil {
-		writeErr(w, &httpError{status: http.StatusBadRequest, err: err})
+		writeErr(w, bodyErr(err))
 		return
 	}
 	var resp *apiv1.SubmitResponse
@@ -221,8 +239,8 @@ func (d *Daemon) handleClockGet(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleClockPost(w http.ResponseWriter, r *http.Request) {
 	var act apiv1.ClockAction
-	if err := json.NewDecoder(r.Body).Decode(&act); err != nil {
-		writeErr(w, &httpError{status: http.StatusBadRequest, err: err})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxClockBytes)).Decode(&act); err != nil {
+		writeErr(w, bodyErr(err))
 		return
 	}
 	if act.Action != "pause" && act.Action != "resume" {

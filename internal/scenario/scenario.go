@@ -228,12 +228,13 @@ func BuildEngine(s *Scenario, extra ...core.Option) *core.Engine {
 }
 
 // Run builds an engine, applies deployments and injections, executes the
-// workload, and returns the outcome.
-func Run(s *Scenario) (*Result, error) {
+// workload, and returns the outcome. Extra engine options (a shard count,
+// tracing) compose on top of the scenario's world, as in BuildEngine.
+func Run(s *Scenario, extra ...core.Option) (*Result, error) {
 	if err := Validate(s); err != nil {
 		return nil, err
 	}
-	e := BuildEngine(s)
+	e := BuildEngine(s, extra...)
 	res := &Result{Name: s.Name}
 	if s.Job != nil {
 		job, err := BuildJob(s.Seed, s.Job, "scenario/")

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sage/internal/core"
 )
 
 const jobJSON = `{
@@ -318,6 +320,31 @@ func TestMultiJobScenarioDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic multi-job scenario: %016x vs %016x", a, b)
+	}
+}
+
+// TestRunShardsOption: Run hands its extra options to the engine it builds,
+// so a pinned shard count reaches a roster run, and one shard and four give
+// the same multi-job report.
+func TestRunShardsOption(t *testing.T) {
+	run := func(shards int) uint64 {
+		s, err := Load(strings.NewReader(multiJobJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := -1
+		probe := func(o *core.Options) { got = o.Shards }
+		res, err := Run(s, core.WithShards(shards), probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != shards {
+			t.Fatalf("engine built with Shards %d, want %d", got, shards)
+		}
+		return res.Multi.Fingerprint()
+	}
+	if one, four := run(1), run(4); one != four {
+		t.Fatalf("roster fingerprint %016x at 1 shard, %016x at 4", one, four)
 	}
 }
 
