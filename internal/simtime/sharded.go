@@ -2,7 +2,7 @@ package simtime
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Sharded layers conservative parallel execution over a sequential Scheduler
@@ -35,9 +35,16 @@ import (
 //
 // A Sharded with one shard degenerates to plain Scheduler.At calls with
 // stage and commit fused, so the sequential path pays nothing.
+//
+// A shard is a unit of state ownership, not a thread: a round's shard runs
+// are claimed one at a time by at most Workers goroutines, the scheduler
+// goroutine among them. With more shards than workers, a worker whose core
+// is taken away mid-round holds up only the run it has claimed, and the
+// others take the rest.
 type Sharded struct {
 	s         *Scheduler
 	lookahead Time
+	workers   int
 	queues    []shardQueue // one pending-stage min-heap per shard
 	seq       uint64       // global staging order for ties inside one shard
 	rounds    uint64
@@ -52,21 +59,29 @@ type shardTask struct {
 	staged bool
 }
 
-// NewSharded wraps a Scheduler with a sharded executor. shards < 1 is
-// treated as 1 (fully sequential); lookahead < 0 as 0 (stages batch only
-// with exactly-simultaneous events).
+// NewSharded wraps a Scheduler with a sharded executor that stages with one
+// worker per shard. shards < 1 is treated as 1 (fully sequential);
+// lookahead < 0 as 0 (stages batch only with exactly-simultaneous events).
 func NewSharded(s *Scheduler, shards int, lookahead Time) *Sharded {
-	if shards < 1 {
-		shards = 1
-	}
+	return NewShardedWorkers(s, shards, shards, lookahead)
+}
+
+// NewShardedWorkers is NewSharded with at most workers stages running at
+// once; workers is clamped to [1, shards].
+func NewShardedWorkers(s *Scheduler, shards, workers int, lookahead Time) *Sharded {
+	shards = max(shards, 1)
+	workers = min(max(workers, 1), shards)
 	if lookahead < 0 {
 		lookahead = 0
 	}
-	return &Sharded{s: s, lookahead: lookahead, queues: make([]shardQueue, shards)}
+	return &Sharded{s: s, lookahead: lookahead, workers: workers, queues: make([]shardQueue, shards)}
 }
 
 // Shards returns the shard count.
 func (sh *Sharded) Shards() int { return len(sh.queues) }
+
+// Workers returns how many stages may run at once.
+func (sh *Sharded) Workers() int { return sh.workers }
 
 // Lookahead returns the conservative horizon.
 func (sh *Sharded) Lookahead() Time { return sh.lookahead }
@@ -127,10 +142,14 @@ type stagePanic struct {
 
 // stageThrough pops every pending stage with at <= horizon and runs them:
 // tasks of one shard sequentially in (time, seq) order, different shards
-// concurrently. It returns after a full barrier (every popped stage has
-// finished), so commits that follow observe completed staging. Panics inside
-// stages are re-raised here, on the scheduler goroutine, picking the lowest
-// (shard, seq) offender so the failure is independent of goroutine timing.
+// concurrently. The scheduler goroutine and up to Workers-1 helpers each
+// claim the next unclaimed shard run until none is left, so a helper that
+// has not got a core yet costs nothing: the runs it would have taken are
+// claimed by whoever is running. It returns after a full barrier (every
+// popped stage has finished), so commits that follow observe completed
+// staging. Panics inside stages are re-raised here, on the scheduler
+// goroutine, picking the lowest (shard, seq) offender so the failure is
+// independent of goroutine timing.
 func (sh *Sharded) stageThrough(horizon Time) {
 	var runs []stagedRun
 	for i := range sh.queues {
@@ -160,20 +179,30 @@ func (sh *Sharded) stageThrough(horizon Time) {
 		return
 	}
 	panics := make([]*stagePanic, len(runs))
-	var wg sync.WaitGroup
-	for ri := range runs {
-		wg.Add(1)
-		go func(ri int) {
-			defer wg.Done()
+	var next, done atomic.Int64
+	finished := make(chan struct{})
+	work := func() {
+		for {
+			ri := int(next.Add(1)) - 1
+			if ri >= len(runs) {
+				return
+			}
 			r := runs[ri]
 			for _, t := range r.tasks {
 				if !runStage(t, r.shard, &panics[ri]) {
-					return // abandon the rest of a panicked shard's run
+					break // abandon the rest of a panicked shard's run
 				}
 			}
-		}(ri)
+			if int(done.Add(1)) == len(runs) {
+				close(finished)
+			}
+		}
 	}
-	wg.Wait()
+	for range min(sh.workers, len(runs)) - 1 {
+		go work()
+	}
+	work()
+	<-finished
 	var first *stagePanic
 	for _, p := range panics {
 		if p != nil && (first == nil || p.seq < first.seq) {

@@ -3,6 +3,7 @@ package simtime
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -128,6 +129,72 @@ func TestShardedStagesRunConcurrently(t *testing.T) {
 	}
 	if !met {
 		t.Fatal("rendezvous did not complete")
+	}
+}
+
+// TestShardedWorkersClaimDynamically: with more shards than workers, shard
+// runs are claimed one at a time rather than split up front. Shard 0's stage
+// waits for the stages of shards 1–7; two workers finish the round only if
+// the one not holding shard 0 claims all seven — a fixed half each would
+// leave three of them behind the blocked stage and deadlock.
+func TestShardedWorkersClaimDynamically(t *testing.T) {
+	s := New()
+	sh := NewShardedWorkers(s, 8, 2, 10*time.Millisecond)
+	rest := make(chan struct{}, 7)
+	sh.At(0, Time(time.Millisecond), func() {
+		for i := 0; i < 7; i++ {
+			<-rest
+		}
+	}, func() {})
+	for sd := 1; sd < 8; sd++ {
+		sh.At(sd, Time(time.Millisecond), func() { rest <- struct{}{} }, func() {})
+	}
+	done := make(chan struct{})
+	go func() { s.Run(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("round did not finish: shard runs were not claimed dynamically")
+	}
+	if sh.Rounds() != 1 || sh.Staged() != 8 {
+		t.Fatalf("rounds %d, staged %d; want 1 and 8", sh.Rounds(), sh.Staged())
+	}
+}
+
+// TestShardedWorkersCap: no more stages run at once than the executor has
+// workers, and the worker count is clamped to [1, shards].
+func TestShardedWorkersCap(t *testing.T) {
+	s := New()
+	sh := NewShardedWorkers(s, 8, 3, 10*time.Millisecond)
+	if sh.Shards() != 8 || sh.Workers() != 3 {
+		t.Fatalf("Shards() = %d, Workers() = %d; want 8 and 3", sh.Shards(), sh.Workers())
+	}
+	var running, peak atomic.Int64
+	for sd := 0; sd < 8; sd++ {
+		sh.At(sd, Time(time.Millisecond), func() {
+			n := running.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+			running.Add(-1)
+		}, func() {})
+	}
+	s.Run()
+	if p := peak.Load(); p < 1 || p > 3 {
+		t.Fatalf("%d stages ran at once, want 1..3", p)
+	}
+	if w := NewShardedWorkers(s, 2, 5, 0).Workers(); w != 2 {
+		t.Fatalf("5 workers on 2 shards: Workers() = %d, want 2", w)
+	}
+	if w := NewShardedWorkers(s, 4, 0, 0).Workers(); w != 1 {
+		t.Fatalf("0 workers: Workers() = %d, want 1", w)
+	}
+	if w := NewSharded(s, 4, 0).Workers(); w != 4 {
+		t.Fatalf("NewSharded(4): Workers() = %d, want 4", w)
 	}
 }
 
