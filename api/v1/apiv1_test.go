@@ -88,6 +88,41 @@ func TestRosterRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeRoster: DecodeRoster never panics on outside bytes, and a roster
+// it accepts has a stable encoding: encoding it, decoding that and encoding
+// again gives the same bytes. (Not the same value: an empty "workers" object
+// decodes to an empty map that encodes as absent, and decodes back as nil.)
+// Seeded with the full roster, an empty document and near misses.
+func FuzzDecodeRoster(f *testing.F) {
+	var buf bytes.Buffer
+	if err := apiv1.EncodeRoster(&buf, fullRoster()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"name":"x","windwo":"30s"}`))
+	f.Add([]byte(`{"jobs":[{"name":"a","duration":"-1h","sources":[{"site":"NEU","rate":1e308}]}],"cross_traffic":"5m"}`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		ros, err := apiv1.DecodeRoster(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var re bytes.Buffer
+		if err := apiv1.EncodeRoster(&re, ros); err != nil {
+			t.Fatalf("accepted roster does not encode: %v", err)
+		}
+		first := re.String()
+		again, err := apiv1.DecodeRoster(&re)
+		if err != nil {
+			t.Fatalf("re-encoded roster refused: %v\n%s", err, first)
+		}
+		re.Reset()
+		if err := apiv1.EncodeRoster(&re, again); err != nil || re.String() != first {
+			t.Fatalf("encoding of input %q is not stable (%v):\n%s\n%s", doc, err, first, re.String())
+		}
+	})
+}
+
 func TestDecodeRosterRejectsUnknownFields(t *testing.T) {
 	_, err := apiv1.DecodeRoster(strings.NewReader(`{"name":"x","windwo":"30s"}`))
 	if err == nil {

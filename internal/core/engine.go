@@ -582,13 +582,7 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	// share a shard, so the shard's (time, seq) stage order is the
 	// generator's draw order at any shard count.
 	genShard := make(map[*workload.SensorGen]int, len(job.Sources))
-	// unionKeys sizes the sink's key table before anything is interned into
-	// it. Generators whose tables open with the same key draw from one key
-	// population (the same prefix, one nested in the other), so a population
-	// counts once, at its largest table. It is only a hint: too low costs a
-	// rehash, too high memory — five sources of one 20 000-key population
-	// counted five times were 10 MB of a job's 50 MB peak RSS.
-	unionKeys, population := 0, make(map[string]int)
+	gens := make([]*workload.SensorGen, len(job.Sources))
 	for i, spec := range job.Sources {
 		gen := spec.Gen
 		if gen == nil {
@@ -597,12 +591,8 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 		if _, shared := genShard[gen]; !shared {
 			genShard[gen] = e.nextShard
 			e.nextShard = (e.nextShard + 1) % e.shard.Shards()
-			t := gen.Table()
-			if n, first := t.Len(), t.Key(1); n > population[first] {
-				unionKeys += n - population[first]
-				population[first] = n
-			}
 		}
+		gens[i] = gen
 		srcs[i] = &sourceState{
 			spec:  spec,
 			idx:   i,
@@ -613,18 +603,12 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 			agg: stream.NewWindowAggDense(job.Window, job.Agg, gen.Table()),
 		}
 	}
-	// Sink-side union key table: every key any source can emit, interned in
-	// source order, so the sink-side merge indexes cells instead of hashing
-	// strings — and, with the source→sink IDs the interning hands back kept
-	// per source, never looks a key string up at all. It is sized for the
-	// generators' tables up front: interning is most of a wide job's set-up.
-	run.sinkTable = stream.NewKeyTableSized(unionKeys)
-	for _, s := range srcs {
-		t := s.gen.Table()
-		s.remap = make([]int, t.Len()+1)
-		for id := 1; id <= t.Len(); id++ {
-			s.remap[id] = run.sinkTable.Intern(t.Key(id))
-		}
+	// The sink merges each source's partials into the union table by index,
+	// through the source's remap: no key string is looked up.
+	var remaps [][]int
+	run.sinkTable, remaps = workload.KeyUnion(gens)
+	for i, s := range srcs {
+		s.remap = remaps[i]
 	}
 	run.rep = &Report{Global: run.newSinkAgg()}
 	rep := run.rep

@@ -14,25 +14,29 @@ import (
 )
 
 // auditor writes the append-only JSONL audit log: one apiv1.AuditRecord per
-// line. Every method runs on the driver goroutine (the engine calls
+// line. Records are encoded into a buffer and written out by flush, which the
+// daemon calls at every safe point — after each command, after each quantum
+// and in Stop — so a quantum's transfer and planner rows cost one write, not
+// one each. Every method runs on the driver goroutine (the engine calls
 // TransferDone synchronously during event processing, the daemon calls api
-// and plannerDiff between quanta), plus one final api call from Stop after
-// the driver is dead — so the encoder needs no lock.
+// and plannerDiff between quanta), plus the final api call and flush from
+// Stop after the driver is dead — so the encoder needs no lock.
 type auditor struct {
 	w io.Writer
-	// enc encodes one record into buf, which is then written whole: a
-	// json.Encoder on w itself would refuse every record after its first
-	// failed write.
-	enc *json.Encoder
-	buf bytes.Buffer
+	// enc encodes records into buf, which flush writes whole; pending counts
+	// the records in it. (A json.Encoder on w itself would refuse every record
+	// after its first failed write.)
+	enc     *json.Encoder
+	buf     bytes.Buffer
+	pending int
 	// prev is the planner counter snapshot the next plannerDiff diffs
 	// against.
 	prev route.PlannerStats
 	// wall stamps records with wall-clock time; a test seam.
 	wall func() time.Time
-	// err is the first write error; writeErrs counts every failed record.
-	// A failed record is lost, the daemon keeps running, and Stop reports
-	// err.
+	// err is the first write error; writeErrs counts every lost record. A
+	// failed flush loses the records it carried, the daemon keeps running,
+	// and Stop reports err.
 	err       error
 	writeErrs obs.Counter
 }
@@ -47,16 +51,31 @@ func newAuditor(w io.Writer, reg *obs.Registry) *auditor {
 
 func (a *auditor) record(rec apiv1.AuditRecord) {
 	rec.Wall = a.wall().UTC().Format(time.RFC3339Nano)
-	a.buf.Reset()
-	err := a.enc.Encode(&rec)
-	if err == nil {
-		_, err = a.w.Write(a.buf.Bytes())
+	if err := a.enc.Encode(&rec); err != nil {
+		a.lose(1, err)
+		return
 	}
-	if err != nil {
-		a.writeErrs.Inc()
-		if a.err == nil {
-			a.err = fmt.Errorf("daemon: audit write: %w", err)
-		}
+	a.pending++
+}
+
+// flush writes the buffered records in one write. The records a failed write
+// did not take whole are lost and counted.
+func (a *auditor) flush() {
+	if a.pending == 0 {
+		return
+	}
+	if n, err := a.w.Write(a.buf.Bytes()); err != nil {
+		a.lose(a.pending-bytes.Count(a.buf.Bytes()[:n], []byte{'\n'}), err)
+	}
+	a.buf.Reset()
+	a.pending = 0
+}
+
+// lose counts records the log did not take and keeps the first error.
+func (a *auditor) lose(records int, err error) {
+	a.writeErrs.Add(int64(records))
+	if a.err == nil {
+		a.err = fmt.Errorf("daemon: audit write: %w", err)
 	}
 }
 

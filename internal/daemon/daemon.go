@@ -47,9 +47,11 @@ type Options struct {
 	// Audit, when non-nil, receives the append-only JSONL audit log: one
 	// apiv1.AuditRecord per line for every API mutation, every completed
 	// transfer (predicted vs. actual cost/time) and every burst of route
-	// planner activity. The daemon writes to it only from the driver
-	// goroutine and once more from Stop. A failed write loses that record
-	// and nothing else: the daemon keeps running, counts the failure in
+	// planner activity. Records are buffered and written at every safe
+	// point — after each command (before its caller is answered), after
+	// each quantum, and in Stop — one write per flush, from the driver
+	// goroutine and once more from Stop. A failed write loses the records
+	// it carried and nothing else: the daemon keeps running, adds them to
 	// sage_daemon_audit_write_errors_total, and Stop returns the first
 	// error.
 	Audit io.Writer
@@ -132,6 +134,7 @@ func (d *Daemon) Stop() error {
 		now = d.eng.Sched.Now()
 	}
 	d.aud.api(now, "shutdown", "", "")
+	d.aud.flush()
 	return d.aud.err
 }
 
@@ -161,8 +164,7 @@ func (d *Daemon) loop() {
 		for { // drain every queued command at this safe point
 			select {
 			case c := <-d.cmdC:
-				c.fn()
-				close(c.done)
+				d.serve(c)
 				continue
 			default:
 			}
@@ -176,8 +178,7 @@ func (d *Daemon) loop() {
 		if d.eng == nil || d.paused || d.sc.Runnable() == 0 {
 			select {
 			case c := <-d.cmdC:
-				c.fn()
-				close(c.done)
+				d.serve(c)
 			case <-d.stopC:
 				return
 			}
@@ -189,9 +190,20 @@ func (d *Daemon) loop() {
 		d.rounds = rounds
 		if d.aud != nil {
 			d.aud.plannerDiff(d.eng.Sched.Now(), d.eng.Mgr.Planner().Stats())
+			d.aud.flush()
 		}
 		d.pace()
 	}
+}
+
+// serve runs one command at a safe point, writes the audit records it made
+// and answers its caller.
+func (d *Daemon) serve(c command) {
+	c.fn()
+	if d.aud != nil {
+		d.aud.flush()
+	}
+	close(c.done)
 }
 
 // pace sleeps the wall-clock cost of one quantum at the configured speed,
@@ -207,8 +219,7 @@ func (d *Daemon) pace() {
 		case <-timer.C:
 			return
 		case c := <-d.cmdC:
-			c.fn()
-			close(c.done)
+			d.serve(c)
 		case <-d.stopC:
 			return // the loop observes stopC on its next turn
 		}

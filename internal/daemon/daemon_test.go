@@ -608,29 +608,36 @@ func TestDaemonStagesOnEveryCore(t *testing.T) {
 	}
 }
 
-// failingWriter takes the first n bytes and fails every write after them.
+// failingWriter takes the first n bytes and fails every write after them,
+// counting the records (lines) it refused and the most records one write it
+// took carried.
 type failingWriter struct {
-	mu       sync.Mutex
-	n, fails int
+	mu                    sync.Mutex
+	n, lost, fails, batch int
 }
 
 func (w *failingWriter) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	records := bytes.Count(p, []byte{'\n'})
 	if len(p) > w.n {
 		w.n = 0
 		w.fails++
+		w.lost += records
 		return 0, errors.New("disk full")
 	}
 	w.n -= len(p)
+	w.batch = max(w.batch, records)
 	return len(p), nil
 }
 
 // TestDaemonAuditWriteErrors: an audit log that stops taking writes costs the
-// records it refuses and nothing else — the roster still drains, every
-// failure is counted on /metrics, and Stop returns the first error.
+// records of the flushes it refuses and nothing else — the roster still
+// drains, every lost record is counted on /metrics, and Stop returns the first
+// error. Records are buffered between safe points: a quantum's rows reach the
+// writer in one write.
 func TestDaemonAuditWriteErrors(t *testing.T) {
-	w := &failingWriter{n: 1000}
+	w := &failingWriter{n: 2000}
 	d := New(Options{StartPaused: true, Quantum: 5 * time.Second, Audit: w})
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
@@ -646,13 +653,16 @@ func TestDaemonAuditWriteErrors(t *testing.T) {
 	// Read before Stop, which writes one more record; the driver is idle
 	// (the roster drained), so the count is settled.
 	w.mu.Lock()
-	fails := w.fails
+	fails, lost, batch := w.fails, w.lost, w.batch
 	w.mu.Unlock()
 	if fails == 0 {
 		t.Fatal("fixture: the audit log never overflowed its writer")
 	}
-	if got := metricValue(t, ts, "sage_daemon_audit_write_errors_total"); int(got) != fails {
-		t.Fatalf("sage_daemon_audit_write_errors_total = %v, writer refused %d records", got, fails)
+	if batch < 2 {
+		t.Fatalf("every write the log took carried %d record(s); a quantum's rows should share one", batch)
+	}
+	if got := metricValue(t, ts, "sage_daemon_audit_write_errors_total"); int(got) != lost {
+		t.Fatalf("sage_daemon_audit_write_errors_total = %v, writer refused %d records in %d writes", got, lost, fails)
 	}
 	err := d.Stop()
 	if err == nil || !strings.Contains(err.Error(), "disk full") {

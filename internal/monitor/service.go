@@ -14,9 +14,11 @@ import (
 // History is a fixed-capacity ring buffer of samples, oldest first when
 // listed. The monitoring agent records history both for operator inspection
 // (profiling an application's cloud behaviour) and as the base data for
-// self-healing decisions.
+// self-healing decisions. Its storage grows by doubling, up to the capacity,
+// as samples arrive: a link probed a few times holds a few samples.
 type History struct {
 	buf   []Sample
+	limit int // the capacity: buf never holds more
 	next  int
 	total int
 }
@@ -26,16 +28,21 @@ func NewHistory(capacity int) *History {
 	if capacity <= 0 {
 		panic("monitor: history capacity must be positive")
 	}
-	return &History{buf: make([]Sample, 0, capacity)}
+	return &History{limit: capacity}
 }
 
 // Add appends a sample, evicting the oldest when full.
 func (h *History) Add(s Sample) {
-	if len(h.buf) < cap(h.buf) {
-		h.buf = append(h.buf, s)
-	} else {
+	switch {
+	case len(h.buf) == h.limit:
 		h.buf[h.next] = s
-		h.next = (h.next + 1) % cap(h.buf)
+		h.next = (h.next + 1) % h.limit
+	case len(h.buf) == cap(h.buf):
+		grown := make([]Sample, len(h.buf), min(max(2*cap(h.buf), 4), h.limit))
+		copy(grown, h.buf)
+		h.buf = append(grown, s)
+	default:
+		h.buf = append(h.buf, s)
 	}
 	h.total++
 }
@@ -55,7 +62,7 @@ func (h *History) Samples() []Sample {
 // extended slice — the zero-allocation variant of Samples for polling
 // callers that reuse a scratch buffer across rounds.
 func (h *History) AppendTo(dst []Sample) []Sample {
-	if len(h.buf) == cap(h.buf) {
+	if len(h.buf) == h.limit {
 		dst = append(dst, h.buf[h.next:]...)
 		dst = append(dst, h.buf[:h.next]...)
 	} else {

@@ -50,6 +50,62 @@ func TestHistoryPartial(t *testing.T) {
 	}
 }
 
+// fixedRing is the ring History was before its storage grew on demand: all
+// capacity slots allocated up front. It is the oracle of
+// TestHistoryMatchesFixedRing.
+type fixedRing struct {
+	buf         []Sample
+	next, total int
+}
+
+func (r *fixedRing) add(s Sample) {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, s)
+	} else {
+		r.buf[r.next] = s
+		r.next = (r.next + 1) % cap(r.buf)
+	}
+	r.total++
+}
+
+func (r *fixedRing) samples() []Sample {
+	if len(r.buf) == cap(r.buf) {
+		return append(append([]Sample{}, r.buf[r.next:]...), r.buf[:r.next]...)
+	}
+	return append([]Sample{}, r.buf...)
+}
+
+// TestHistoryMatchesFixedRing: a History whose storage grows as samples
+// arrive lists, counts and totals exactly what the fixed-capacity ring did
+// after N = 0, 1, cap−1, cap, cap+1 and 3·cap samples, and never holds more
+// than twice the samples it has seen (at least four slots) or more than its
+// capacity.
+func TestHistoryMatchesFixedRing(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 5, 8, 512} {
+		for _, n := range []int{0, 1, capacity - 1, capacity, capacity + 1, 3 * capacity} {
+			h, ring := NewHistory(capacity), &fixedRing{buf: make([]Sample, 0, capacity)}
+			for i := 0; i < n; i++ {
+				s := Sample{Value: float64(i), At: simtime.Time(i) * simtime.Time(time.Second)}
+				h.Add(s)
+				ring.add(s)
+				if room := cap(h.buf); room > capacity || room > max(4, 2*(i+1)) {
+					t.Fatalf("cap %d: %d slots after %d samples", capacity, room, i+1)
+				}
+			}
+			got, want := h.Samples(), ring.samples()
+			if h.Len() != len(ring.buf) || h.Total() != ring.total || len(got) != len(want) {
+				t.Fatalf("cap %d, N %d: Len %d Total %d Samples %v; ring %d %d %v",
+					capacity, n, h.Len(), h.Total(), got, len(ring.buf), ring.total, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("cap %d, N %d: Samples %v, ring %v", capacity, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestHistoryInvalidCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -226,6 +226,67 @@ func TestCheckpointRefusesVersion01(t *testing.T) {
 	}
 }
 
+var allKinds = []stream.AggKind{stream.Count, stream.Sum, stream.Mean, stream.Min, stream.Max}
+
+// perKindCheckpoint is the fixture of TestCheckpointRoundTripPerKind: an
+// aggregate of the kind over a three-key table plus an ad-hoc key, ±0 and +Inf
+// among its values, snapshotted into a checkpoint as a source's open window
+// and as the sink's global answer.
+func perKindCheckpoint(kind stream.AggKind) (ck *Checkpoint, tb *stream.KeyTable, orig *stream.KeyedAgg, win stream.Window) {
+	tb = stream.NewKeyTable()
+	for _, k := range []string{"b", "a", "c"} {
+		tb.Intern(k)
+	}
+	orig = stream.NewKeyedAggDense(kind, tb)
+	for i, v := range []float64{3.5, -1.25, math.Copysign(0, -1), 0, 7, math.Inf(1), -1.25, 2} {
+		orig.AddValue([]string{"a", "b", "adhoc"}[i%3], v)
+	}
+	win = stream.Window{Start: simtime.Time(30 * time.Second), End: simtime.Time(60 * time.Second)}
+	ck = &Checkpoint{Seq: 1, Sources: []SourceState{{Site: "NEU", Open: []WindowCells{
+		{Start: win.Start, End: win.End, Cells: orig.Snapshot()},
+	}}}, Sink: SinkState{Site: "NUS", Global: orig.Snapshot()}}
+	return ck, tb, orig, win
+}
+
+// FuzzDecodeCheckpoint: DecodeCheckpoint never panics on outside bytes, and
+// whatever it accepts re-encodes to exactly those bytes, which decode again
+// to the same checkpoint. Each input is tried as it is and resealed — its
+// last eight bytes replaced by the checksum of the rest — so mutations reach
+// the parser behind the trailer check. Seeded with the per-kind round trip's
+// encodings and the sample checkpoint.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	for _, kind := range allKinds {
+		ck, _, _, _ := perKindCheckpoint(kind)
+		f.Add(ck.Encode())
+	}
+	f.Add(sampleCheckpoint().Encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		inputs := [][]byte{b}
+		if len(b) >= 8 {
+			sealed := slices.Clone(b)
+			binary.BigEndian.PutUint64(sealed[len(b)-8:], checksum(sealed[:len(b)-8]))
+			inputs = append(inputs, sealed)
+		}
+		for _, in := range inputs {
+			ck, err := DecodeCheckpoint(in)
+			if err != nil {
+				continue
+			}
+			re := ck.Encode()
+			if !bytes.Equal(re, in) {
+				t.Fatalf("accepted %x, re-encoded as %x", in, re)
+			}
+			again, err := DecodeCheckpoint(re)
+			if err != nil {
+				t.Fatalf("re-encoding refused: %v", err)
+			}
+			if !bytes.Equal(again.Encode(), re) {
+				t.Fatalf("re-encoding decodes to a different checkpoint: %+v, was %+v", again, ck)
+			}
+		}
+	})
+}
+
 // TestCheckpointRoundTripPerKind: an aggregate of each kind, snapshotted into
 // a checkpoint, encoded, decoded and restored — into a sink-style dense
 // aggregate and into an open window — reports what it reported before, bit
@@ -233,21 +294,9 @@ func TestCheckpointRefusesVersion01(t *testing.T) {
 // plus the key whatever the kind: the aggregate fills in the count and its
 // kind's field and leaves the others zero.
 func TestCheckpointRoundTripPerKind(t *testing.T) {
-	values := []float64{3.5, -1.25, math.Copysign(0, -1), 0, 7, math.Inf(1), -1.25, 2}
 	var sizes []int
-	for _, kind := range []stream.AggKind{stream.Count, stream.Sum, stream.Mean, stream.Min, stream.Max} {
-		tb := stream.NewKeyTable()
-		for _, k := range []string{"b", "a", "c"} {
-			tb.Intern(k)
-		}
-		orig := stream.NewKeyedAggDense(kind, tb)
-		for i, v := range values {
-			orig.AddValue([]string{"a", "b", "adhoc"}[i%3], v)
-		}
-		win := stream.Window{Start: simtime.Time(30 * time.Second), End: simtime.Time(60 * time.Second)}
-		ck := &Checkpoint{Seq: 1, Sources: []SourceState{{Site: "NEU", Open: []WindowCells{
-			{Start: win.Start, End: win.End, Cells: orig.Snapshot()},
-		}}}, Sink: SinkState{Site: "NUS", Global: orig.Snapshot()}}
+	for _, kind := range allKinds {
+		ck, tb, orig, win := perKindCheckpoint(kind)
 		for _, c := range ck.Sink.Global {
 			zero := 0
 			for _, f := range []float64{c.Sum, c.Min, c.Max} {

@@ -22,12 +22,9 @@ const benchBatch = 1000
 // skews which keys repeat, standing in for the Zipf draw without an RNG
 // dependency.
 func benchEvents(keys int) ([]Event, *KeyTable) {
-	t := NewKeyTable()
 	strs := make([]string, keys)
-	ids := make([]int, keys)
-	for k := 0; k < keys; k++ {
+	for k := range strs {
 		strs[k] = fmt.Sprintf("sensor-%04d", k)
-		ids[k] = t.Intern(strs[k])
 	}
 	events := make([]Event, benchBatch)
 	step := simtime.Time(30*time.Second) / benchBatch
@@ -35,12 +32,12 @@ func benchEvents(keys int) ([]Event, *KeyTable) {
 		k := (i * 2654435761) % keys
 		events[i] = Event{
 			Key:   strs[k],
-			KeyID: ids[k],
+			KeyID: k + 1,
 			Value: float64(i%97) / 7,
 			Time:  simtime.Time(i) * step,
 		}
 	}
-	return events, t
+	return events, NewKeyTableOf(strs)
 }
 
 // RunBenchmarkWindowAggDense measures the dense (KeyID-indexed) window

@@ -41,28 +41,68 @@ func TestKeyTableInternLookup(t *testing.T) {
 	}
 }
 
-// A sized table is a plain table that has its room already: the same IDs for
-// the same interning order, no regrowth of the key list on the way to n keys,
-// and no limit at n.
-func TestKeyTableSizedSameIDs(t *testing.T) {
-	const n = 1000
-	plain, sized := NewKeyTable(), NewKeyTableSized(n)
-	room := cap(sized.keys)
-	for i := 0; i < n+50; i++ {
-		k := fmt.Sprintf("sensor-%04d", i%(n+25)) // some keys interned twice
-		if a, b := plain.Intern(k), sized.Intern(k); a != b {
-			t.Fatalf("key %q: ID %d in a sized table, %d in a plain one", k, b, a)
+// FuzzKeyTable: a table built from a list of distinct keys, then interned
+// into and looked up in in any interleaving, is the table that interned the
+// list key by key and then did the same — the same ID from every Intern, the
+// same answer from every Lookup, the same key under every ID — and it builds
+// no index until a Lookup or Intern asks for one.
+//
+// ops[0] sizes the list, whose keys are the next bytes (repeats dropped);
+// every later byte is one operation on key b&63: Intern for b < 0x80, Lookup
+// for b < 0xc0, Key(b&63) otherwise.
+func FuzzKeyTable(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 2, 0x80, 1, 0x45, 0xc0, 0xc3, 7})
+	f.Add([]byte{0, 0x81, 5, 5, 0x85, 0xc1})
+	f.Add([]byte{6, 9, 9, 4, 63, 0, 1, 0x7f, 0x3f, 0xbf, 0xff})
+	key := func(b byte) string { return fmt.Sprintf("k%02d", b&63) }
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
 		}
-		if i == n-1 && cap(sized.keys) != room {
-			t.Fatalf("the key list regrew (%d → %d) before the table held its %d keys", room, cap(sized.keys), n)
+		n := min(int(ops[0])%16, len(ops)-1)
+		var list []string
+		for _, b := range ops[1 : 1+n] {
+			if !slices.Contains(list, key(b)) {
+				list = append(list, key(b))
+			}
 		}
-	}
-	if sized.Len() != n+25 || sized.Len() != plain.Len() {
-		t.Fatalf("Len = %d, want %d", sized.Len(), n+25)
-	}
-	if sized.Key(n+25) != plain.Key(n+25) || sized.Key(0) != "" {
-		t.Fatal("a sized table names its IDs differently")
-	}
+		want := NewKeyTable()
+		for _, k := range list {
+			want.Intern(k)
+		}
+		got := NewKeyTableOf(slices.Clone(list))
+		if got.Len() != len(list) || got.Key(len(list)) != want.Key(len(list)) || got.ids != nil {
+			t.Fatalf("built from %q: Len %d, last key %q, indexed %v", list, got.Len(), got.Key(len(list)), got.ids != nil)
+		}
+		asked := false
+		for i, b := range ops[1+n:] {
+			asked = asked || b < 0xc0
+			switch k := key(b); {
+			case b < 0x80:
+				if g, w := got.Intern(k), want.Intern(k); g != w {
+					t.Fatalf("op %d: Intern(%q) = %d, want %d", i, k, g, w)
+				}
+			case b < 0xc0:
+				g, gok := got.Lookup(k)
+				w, wok := want.Lookup(k)
+				if g != w || gok != wok {
+					t.Fatalf("op %d: Lookup(%q) = %d,%v, want %d,%v", i, k, g, gok, w, wok)
+				}
+			default:
+				if g, w := got.Key(int(b&63)), want.Key(int(b&63)); g != w {
+					t.Fatalf("op %d: Key(%d) = %q, want %q", i, b&63, g, w)
+				}
+			}
+		}
+		if got.Len() != want.Len() || (got.ids != nil) != asked {
+			t.Fatalf("Len %d, want %d; indexed %v after %d ops", got.Len(), want.Len(), got.ids != nil, len(ops)-1-n)
+		}
+		for id := 0; id <= want.Len()+1; id++ {
+			if got.Key(id) != want.Key(id) {
+				t.Fatalf("Key(%d) = %q, want %q", id, got.Key(id), want.Key(id))
+			}
+		}
+	})
 }
 
 // denseEvents deterministically builds a mixed event sequence: most keys are

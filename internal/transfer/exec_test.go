@@ -249,10 +249,14 @@ func TestTransferZeroAllocs(t *testing.T) {
 }
 
 // newZeroAllocRig is the bench rig with a 2s replan interval, so the dynamic
-// strategies exercise the replan path inside the zero-alloc window.
+// strategies exercise the replan path inside the zero-alloc window. It probes
+// for three simulated hours first: the monitor's per-link rings grow as
+// samples arrive, and one that doubles inside the window is the monitor's
+// allocation, not the executor's.
 func newZeroAllocRig() *benchRig {
 	r := newBenchRig()
 	r.mgr.opt.ReplanInterval = 2 * time.Second
+	r.sched.RunFor(3 * time.Hour)
 	return r
 }
 

@@ -786,7 +786,7 @@ func (t *transferRun) ackedBit(idx int) bool {
 
 // plan builds the initial lane set for the request's strategy.
 func (t *transferRun) plan() error {
-	lanes, err := t.buildLanes()
+	lanes, err := t.buildLanes(true)
 	if err != nil {
 		return err
 	}
@@ -798,8 +798,11 @@ func (t *transferRun) plan() error {
 // estimates. The returned slice is the run's scratch: callers copy it into
 // t.lanes before the next build. On error, partially built lanes return to
 // the pool (node-usage notes from them persist, matching the historical
-// accounting).
-func (t *transferRun) buildLanes() ([]*lane, error) {
+// accounting). initial marks the transfer's first build, which a multipath
+// strategy without a plan starts on the direct chain: refusing the transfer
+// would lose its payload, while a later build that finds no plan keeps the
+// lanes the transfer has.
+func (t *transferRun) buildLanes(initial bool) ([]*lane, error) {
 	chains := t.chains[:0]
 	switch t.req.Strategy {
 	case Direct:
@@ -822,7 +825,11 @@ func (t *transferRun) buildLanes() ([]*lane, error) {
 	case MultipathStatic, MultipathDynamic:
 		alloc, ok := t.m.planMultipath(t.req.From, t.req.To,
 			t.req.NodeBudget, t.planParams(), t.req.MaxPaths)
-		if !ok {
+		switch {
+		case !ok && initial:
+			t.directChain[0], t.directChain[1] = t.req.From, t.req.To
+			chains = append(chains, t.directChain[:])
+		case !ok:
 			t.chains = chains
 			return nil, fmt.Errorf("transfer: multipath planning failed %s -> %s", t.req.From, t.req.To)
 		}
@@ -1022,7 +1029,7 @@ func (t *transferRun) requeue(c *chunk, from *lane) {
 		}
 	}
 	if !healthy {
-		if lanes, err := t.buildLanes(); err == nil {
+		if lanes, err := t.buildLanes(false); err == nil {
 			anyNew := false
 			for _, l := range lanes {
 				if l.healthy() {
@@ -1152,7 +1159,7 @@ func (t *transferRun) replan() {
 	if t.finished {
 		return
 	}
-	lanes, err := t.buildLanes()
+	lanes, err := t.buildLanes(false)
 	if err != nil {
 		return // keep current lanes; the environment may recover
 	}

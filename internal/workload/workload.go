@@ -22,7 +22,7 @@ import (
 // SensorGen produces events with Zipf-skewed key popularity and normally
 // distributed values — the shape of telemetry from a fleet of sensors where
 // a few are chatty and most are quiet. The "sensor-%04d" key strings are
-// formatted once at construction and interned, in order, into the
+// formatted once at construction, in order, into the key list of the
 // generator's own KeyTable, so key k has ID k+1 and drawing allocates
 // nothing. What the generator produces is a columnar stream.Block — KeyIDs and
 // values, timestamps implicit — which table-aware aggregates fold without
@@ -36,15 +36,16 @@ import (
 // Mean, Stddev, DriftPerHour and of how values are sampled (rng's ziggurat
 // normal; the polar one belongs to the world's weather).
 type SensorGen struct {
-	r     *rng.Rand // key draws
-	vr    *rng.Rand // value draws
-	zipf  *rng.Zipf // over r; nil draws keys uniformly
-	keys  int
-	table *stream.KeyTable
-	mean  float64
-	sd    float64
-	site  cloud.SiteID
-	drift float64
+	r      *rng.Rand // key draws
+	vr     *rng.Rand // value draws
+	zipf   *rng.Zipf // over r; nil draws keys uniformly
+	keys   int
+	prefix string // SensorOpts.KeyPrefix
+	table  *stream.KeyTable
+	mean   float64
+	sd     float64
+	site   cloud.SiteID
+	drift  float64
 	// scratch is the block Next and AppendEvents materialise events from.
 	scratch stream.Block
 }
@@ -79,21 +80,22 @@ func NewSensorGen(r *rng.Rand, site cloud.SiteID, opt SensorOpts) *SensorGen {
 	}
 	g := &SensorGen{
 		r: r, vr: r.Split("values"), keys: opt.Keys, mean: opt.Mean, sd: opt.Stddev,
-		site: site, drift: opt.DriftPerHour,
-		table: stream.NewKeyTableSized(opt.Keys),
+		site: site, drift: opt.DriftPerHour, prefix: opt.KeyPrefix,
 	}
-	// Distinct k format to distinct strings, so in this fresh table key k
-	// gets ID k+1: FillBlock computes IDs instead of looking them up. The keys
-	// are substrings of one buffer, sized by the longest of them: a roster's
-	// generators format a hundred thousand keys at set-up, and fmt.Sprintf on
-	// each was most of that.
+	// Distinct k format to distinct strings, so the key list is a table as it
+	// stands, hashed by nobody, with key k at ID k+1: FillBlock computes IDs
+	// instead of looking them up. The keys are substrings of one buffer, sized
+	// by the longest of them: a roster's generators format a hundred thousand
+	// keys at set-up, and fmt.Sprintf on each was most of that.
 	var all strings.Builder
 	all.Grow(opt.Keys * (len(opt.KeyPrefix) + len("sensor-") + max(4, len(strconv.Itoa(opt.Keys-1)))))
-	for k := 0; k < opt.Keys; k++ {
+	keys := make([]string, opt.Keys)
+	for k := range keys {
 		start := all.Len()
 		writeSensorKey(&all, opt.KeyPrefix, k)
-		g.table.Intern(all.String()[start:])
+		keys[k] = all.String()[start:]
 	}
+	g.table = stream.NewKeyTableOf(keys)
 	if opt.Skew > 1 {
 		g.zipf = rng.NewZipf(r, opt.Skew, 1, uint64(opt.Keys-1))
 	}
@@ -115,6 +117,41 @@ func writeSensorKey(b *strings.Builder, prefix string, k int) {
 // Table returns the generator's key table, for building dense aggregates
 // over its events (e.g. stream.NewWindowAggDense).
 func (g *SensorGen) Table() *stream.KeyTable { return g.table }
+
+// KeyUnion returns the table of every key the generators draw, with the IDs
+// interning their tables in gens order would assign, and for each generator
+// the remap from its table's IDs to the union's (remaps[i][0] is 0), as
+// stream.KeyedAgg.MergeMapped takes it. No key is hashed: generators with one
+// KeyPrefix draw nested key lists, and different prefixes disjoint ones — a
+// key is prefix + "sensor-" + digits, and "sensor-" cannot overlap itself.
+// Keys interned into a generator's table after construction are not included.
+func KeyUnion(gens []*SensorGen) (*stream.KeyTable, [][]int) {
+	// A prefix's keys are its largest generator's. Sizing the lists first
+	// matters: grown by appends, a 119 × 1 200-key union took 10 ms and 12 MB
+	// to build, against 2.5 ms and 3.5 MB sized (2-vCPU Xeon, go1.24).
+	size, union := make(map[string]int), 0
+	for _, g := range gens {
+		if n := size[g.prefix]; g.keys > n {
+			size[g.prefix], union = g.keys, union+g.keys-n
+		}
+	}
+	keys := make([]string, 0, union)
+	ids := make(map[string][]int, len(size)) // ids[p][k+1]: the union ID of prefix p's key k
+	remaps := make([][]int, len(gens))
+	for i, g := range gens {
+		have := ids[g.prefix]
+		if have == nil {
+			have = make([]int, 1, size[g.prefix]+1)
+		}
+		for k := len(have) - 1; k < g.keys; k++ {
+			keys = append(keys, g.table.Key(k+1))
+			have = append(have, len(keys))
+		}
+		ids[g.prefix] = have
+		remaps[i] = have[: g.keys+1 : g.keys+1]
+	}
+	return stream.NewKeyTableOf(keys), remaps
+}
 
 // FillBlock draws n events into b, event i stamped from + i·step, reusing
 // b's columns when they are large enough. It is the one draw loop: every
