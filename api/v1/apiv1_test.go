@@ -133,6 +133,61 @@ func TestDecodeRosterRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDecodersRefuseASecondValue: a body is one JSON value. Trailing white
+// space is fine; a second value, or garbage after the first, is refused.
+func TestDecodersRefuseASecondValue(t *testing.T) {
+	for _, tail := range []string{"{}", `{"name":"y"}`, "[]", "x", "}"} {
+		if _, err := apiv1.DecodeRoster(strings.NewReader(`{"name":"x"}` + tail)); err == nil {
+			t.Fatalf("roster followed by %q accepted", tail)
+		}
+		if _, err := apiv1.DecodeClockAction(strings.NewReader(`{"action":"pause"}` + tail)); err == nil {
+			t.Fatalf("clock action followed by %q accepted", tail)
+		}
+	}
+	if _, err := apiv1.DecodeRoster(strings.NewReader("{\"name\":\"x\"}\n \t\n")); err != nil {
+		t.Fatalf("roster with trailing white space refused: %v", err)
+	}
+}
+
+// TestDecodeClockAction: pause and resume are the actions; an unknown field,
+// another action or none at all is refused.
+func TestDecodeClockAction(t *testing.T) {
+	for _, action := range []string{"pause", "resume"} {
+		a, err := apiv1.DecodeClockAction(strings.NewReader(`{"action":"` + action + `"}` + "\n"))
+		if err != nil || a.Action != action {
+			t.Fatalf("%s: got %+v, %v", action, a, err)
+		}
+	}
+	for _, body := range []string{`{"action":"pause","x":1}`, `{"action":"warp"}`, `{}`, `null`, `{"action":"Pause"}`, ``} {
+		if a, err := apiv1.DecodeClockAction(strings.NewReader(body)); err == nil {
+			t.Fatalf("%q accepted as %+v", body, a)
+		}
+	}
+}
+
+// FuzzDecodeClockAction: DecodeClockAction never panics, and an action it
+// accepts re-encodes to a body it decodes to the same value.
+func FuzzDecodeClockAction(f *testing.F) {
+	for _, seed := range []string{`{"action":"pause"}`, `{"action":"resume"} `, `{"action":"pause","x":1}`,
+		`{"action":"pause"}{}`, `{"ACTION":"resume"}`, `{"action":"warp"}`, `null`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		a, err := apiv1.DecodeClockAction(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		re, err := json.Marshal(a)
+		if err != nil {
+			t.Fatalf("accepted action %+v does not encode: %v", a, err)
+		}
+		again, err := apiv1.DecodeClockAction(bytes.NewReader(re))
+		if err != nil || again != a {
+			t.Fatalf("input %q decoded to %+v, its encoding %s to %+v (%v)", body, a, re, again, err)
+		}
+	})
+}
+
 func TestDurationCodec(t *testing.T) {
 	b, err := json.Marshal(apiv1.Duration(90 * time.Second))
 	if err != nil {

@@ -13,6 +13,7 @@ package apiv1
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -152,18 +153,48 @@ type Injection struct {
 	Node   int     `json:"node,omitempty"`
 }
 
-// DecodeRoster parses a roster document, rejecting unknown fields so typos
+// DecodeRoster parses a roster document strictly (see decodeStrict), so typos
 // in config files and API bodies fail loudly instead of silently running a
 // different experiment. It performs no semantic validation — that is
 // scenario.Validate's job.
 func DecodeRoster(r io.Reader) (*Roster, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Roster
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("apiv1: %w", err)
+	if err := decodeStrict(r, &s); err != nil {
+		return nil, err
 	}
 	return &s, nil
+}
+
+// DecodeClockAction parses a POST /api/v1/clock body as strictly as
+// DecodeRoster parses a roster, and refuses any action but "pause" and
+// "resume".
+func DecodeClockAction(r io.Reader) (ClockAction, error) {
+	var a ClockAction
+	if err := decodeStrict(r, &a); err != nil {
+		return ClockAction{}, err
+	}
+	if a.Action != "pause" && a.Action != "resume" {
+		return ClockAction{}, fmt.Errorf("apiv1: clock action must be \"pause\" or \"resume\", got %q", a.Action)
+	}
+	return a, nil
+}
+
+// decodeStrict decodes the one JSON value r holds into v. It refuses unknown
+// fields and anything but white space after the value; an error reading past
+// the value (a body over its size limit) is returned wrapped.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("apiv1: %w", err)
+	}
+	switch _, err := dec.Token(); {
+	case err == nil:
+		return errors.New("apiv1: more than one JSON value")
+	case err != io.EOF:
+		return fmt.Errorf("apiv1: after the JSON value: %w", err)
+	}
+	return nil
 }
 
 // EncodeRoster writes a roster document as indented JSON.

@@ -228,7 +228,9 @@ func TestShardedSharedGenCoSharded(t *testing.T) {
 // Lookup builds that table's index. Each generator's stages run on the one
 // shard it was dealt (sources sharing a generator share it), so under -race a
 // 4-shard run indexes every table from one goroutine at a time, and it reports
-// what a one-shard run does.
+// what a one-shard run does. Siblings of the shared generator are generators
+// of their own, dealt their own shards: each indexes its own table over the
+// one key list they all read.
 func TestStageLookupsOnOwnTables(t *testing.T) {
 	var names [30]string
 	for k := range names {
@@ -251,8 +253,11 @@ func TestStageLookupsOnOwnTables(t *testing.T) {
 		}
 		for i := 3; i < 12; i++ {
 			src := SourceSpec{Site: cloud.GeneratedSiteID(i), Rate: workload.ConstantRate(60)}
-			if i < 5 {
+			switch {
+			case i < 5:
 				src.Gen = shared
+			case i < 9:
+				src.Gen = shared.Sibling(rng.New(uint64(i)), src.Site)
 			}
 			job.Sources = append(job.Sources, src)
 		}

@@ -265,14 +265,9 @@ func (d *Daemon) submit(ros *scenario.Scenario) (*apiv1.SubmitResponse, error) {
 		sc = sched.New(eng, scenario.SchedOptions(ros.Scheduler))
 		seed = ros.Seed
 	}
-	base := sc.Jobs()
-	specs := make([]sched.JobSpec, 0, len(ros.Jobs))
-	seen := make(map[string]bool, len(ros.Jobs))
-	for i := range ros.Jobs {
-		spec, err := scenario.BuildSchedJob(seed, &ros.Jobs[i], base+i)
-		if err != nil {
-			return nil, &httpError{status: 400, err: err}
-		}
+	specs := scenario.BuildSchedJobs(seed, ros.Jobs, sc.Jobs())
+	seen := make(map[string]bool, len(specs))
+	for _, spec := range specs {
 		if err := eng.ValidateSpec(spec.Spec); err != nil {
 			return nil, &httpError{status: 400, err: err}
 		}
@@ -280,7 +275,6 @@ func (d *Daemon) submit(ros *scenario.Scenario) (*apiv1.SubmitResponse, error) {
 			return nil, errStatus(409, "daemon: duplicate job name %q", spec.Name)
 		}
 		seen[spec.Name] = true
-		specs = append(specs, spec)
 	}
 	// Every Submit precondition is established above — positive durations by
 	// scenario.Validate, unique names by the seen/Has checks, live-mode

@@ -470,9 +470,18 @@ func TestDaemonErrorMapping(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Bad clock action.
+	// Bad clock actions: an unknown action, an unknown field, a second value.
 	if code := statusOf(t, postJSON(t, ts.URL+"/api/v1/clock", apiv1.ClockAction{Action: "warp"})); code != http.StatusBadRequest {
 		t.Fatalf("bad clock action: status %d", code)
+	}
+	for _, body := range []string{`{"action":"pause","x":1}`, `{"action":"pause"}{}`} {
+		resp, err := http.Post(ts.URL+"/api/v1/clock", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := statusOf(t, resp); code != http.StatusBadRequest {
+			t.Fatalf("clock body %s: status %d, want 400", body, code)
+		}
 	}
 
 	// Regression: the rejected first roster must not have half-adopted a
@@ -605,6 +614,44 @@ func TestDaemonStagesOnEveryCore(t *testing.T) {
 	}
 	if r := metricValue(t, ts, "sage_core_stage_rounds_total"); r <= 0 {
 		t.Fatalf("sage_core_stage_rounds_total = %v after a full roster, want > 0", r)
+	}
+}
+
+// TestDaemonSharedPopulationsFingerprint: a roster whose sources share two
+// key-population shapes across four jobs reports, through the daemon, the
+// fingerprint recorded when every source built its own key list and alias
+// table — and so does a batch run of it. Re-record the constant only in a
+// change that means to move the workload's draws.
+func TestDaemonSharedPopulationsFingerprint(t *testing.T) {
+	const recorded = "24c73967997ebfbe"
+	ros := testRoster()
+	ros.Jobs = nil
+	for i := 0; i < 4; i++ {
+		ros.Jobs = append(ros.Jobs, apiv1.MultiJobConfig{
+			Name: fmt.Sprintf("shape%d", i), Arrival: apiv1.Duration(time.Duration(i) * 5 * time.Second),
+			JobConfig: apiv1.JobConfig{
+				Sources: []apiv1.SourceConfig{
+					{Site: "NEU", Rate: 300, Keys: 400, Skew: 1.2},
+					{Site: "WEU", Rate: 300, Keys: 400, Skew: 1.2},
+					{Site: "SUS", Rate: 200, Keys: 150},
+				},
+				Sink: "NUS", Window: apiv1.Duration(30 * time.Second), Agg: "sum",
+				Strategy: "direct", Lanes: 2, Duration: apiv1.Duration(time.Minute),
+			},
+		})
+	}
+	_, ts := startDaemon(t, Options{StartPaused: true, Quantum: 5 * time.Second})
+	submitRoster(t, ts, ros)
+	setClock(t, ts, "resume")
+	if rep := pollReport(t, ts); rep.Fingerprint != recorded {
+		t.Fatalf("daemon fingerprint %s, recorded %s", rep.Fingerprint, recorded)
+	}
+	res, err := scenario.Run(ros)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%016x", res.Multi.Fingerprint()); got != recorded {
+		t.Fatalf("batch fingerprint %s, recorded %s", got, recorded)
 	}
 }
 

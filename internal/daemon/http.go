@@ -238,14 +238,9 @@ func (d *Daemon) handleClockGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleClockPost(w http.ResponseWriter, r *http.Request) {
-	var act apiv1.ClockAction
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxClockBytes)).Decode(&act); err != nil {
+	act, err := apiv1.DecodeClockAction(http.MaxBytesReader(w, r.Body, maxClockBytes))
+	if err != nil {
 		writeErr(w, bodyErr(err))
-		return
-	}
-	if act.Action != "pause" && act.Action != "resume" {
-		writeErr(w, errStatus(http.StatusBadRequest,
-			"daemon: clock action must be \"pause\" or \"resume\", got %q", act.Action))
 		return
 	}
 	var c apiv1.Clock

@@ -304,6 +304,11 @@ func NewZipf(r *Rand, q, v float64, imax uint64) *Zipf {
 	return &Zipf{r: r, cells: cells}
 }
 
+// On returns a sampler that draws from r through z's alias table. The two
+// share the table read-only, so one distribution is built once however many
+// streams draw from it.
+func (z *Zipf) On(r *Rand) *Zipf { return &Zipf{r: r, cells: z.cells} }
+
 // Uint64 returns a Zipf-distributed value in [0, imax]. It consumes exactly
 // one Uint64 of the underlying stream: the high half of u·n picks the
 // column, the low half is the uniform fraction within it.

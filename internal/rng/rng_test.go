@@ -258,6 +258,25 @@ func TestZipfOneUint64PerDraw(t *testing.T) {
 	}
 }
 
+// TestZipfOnSharesTheTable: a sampler On another stream reads the alias
+// cells it was made from, not a copy, and draws what a table built afresh
+// over that stream draws, generator state included.
+func TestZipfOnSharesTheTable(t *testing.T) {
+	z := NewZipf(New(1), 1.3, 1, 1199)
+	on, fresh := z.On(New(9)), NewZipf(New(9), 1.3, 1, 1199)
+	if &on.cells[0] != &z.cells[0] || len(on.cells) != len(z.cells) {
+		t.Fatal("On copied the alias table")
+	}
+	for i := 0; i < 10_000; i++ {
+		if got, want := on.Uint64(), fresh.Uint64(); got != want {
+			t.Fatalf("draw %d: On gives %d, a fresh table %d", i, got, want)
+		}
+	}
+	if *on.r != *fresh.r {
+		t.Fatal("On and a fresh table left their streams in different states")
+	}
+}
+
 func TestZipfSingleKey(t *testing.T) {
 	z := NewZipf(New(1), 2, 1, 0)
 	for i := 0; i < 100; i++ {

@@ -291,38 +291,37 @@ func SchedOptions(c *SchedulerConfig) sched.Options {
 	}
 }
 
-// BuildSchedJob converts one roster entry into the scheduler's JobSpec,
-// applying the roster seed to the entry's generators. idx names anonymous
-// entries ("jobN") and must be the entry's roster position so names are
+// BuildSchedJobs converts roster entries into the scheduler's JobSpecs,
+// applying the roster seed to the entries' generators, which share one
+// population per source shape across the whole roster. base is the roster
+// position of jobs[0]: it names anonymous entries ("jobN"), so names are
 // stable across codecs.
-func BuildSchedJob(seed uint64, mj *MultiJobConfig, idx int) (sched.JobSpec, error) {
-	name := mj.Name
-	if name == "" {
-		name = fmt.Sprintf("job%d", idx)
+func BuildSchedJobs(seed uint64, jobs []MultiJobConfig, base int) []sched.JobSpec {
+	gens := generators{}
+	specs := make([]sched.JobSpec, len(jobs))
+	for i := range jobs {
+		mj := &jobs[i]
+		name := mj.Name
+		if name == "" {
+			name = fmt.Sprintf("job%d", base+i)
+		}
+		specs[i] = sched.JobSpec{
+			Name:     name,
+			Tenant:   mj.Tenant,
+			Priority: mj.Priority,
+			Arrival:  time.Duration(mj.Arrival),
+			Duration: time.Duration(mj.Duration),
+			Spec:     *buildJob(seed, &mj.JobConfig, "scenario/"+name+"/", gens),
+		}
 	}
-	spec, err := BuildJob(seed, &mj.JobConfig, "scenario/"+name+"/")
-	if err != nil {
-		return sched.JobSpec{}, err
-	}
-	return sched.JobSpec{
-		Name:     name,
-		Tenant:   mj.Tenant,
-		Priority: mj.Priority,
-		Arrival:  time.Duration(mj.Arrival),
-		Duration: time.Duration(mj.Duration),
-		Spec:     *spec,
-	}, nil
+	return specs
 }
 
 // runJobs submits the roster to the admission scheduler and drives it to
 // completion on the shared engine.
 func runJobs(s *Scenario, e *core.Engine) (*sched.MultiReport, error) {
 	sc := sched.New(e, SchedOptions(s.Scheduler))
-	for i := range s.Jobs {
-		spec, err := BuildSchedJob(s.Seed, &s.Jobs[i], i)
-		if err != nil {
-			return nil, err
-		}
+	for _, spec := range BuildSchedJobs(s.Seed, s.Jobs, 0) {
 		if err := sc.Submit(spec); err != nil {
 			return nil, err
 		}
@@ -330,10 +329,30 @@ func runJobs(s *Scenario, e *core.Engine) (*sched.MultiReport, error) {
 	return sc.Run()
 }
 
+// generators builds the event generators of one build (a BuildJob or a
+// BuildSchedJobs call): the first source of each SensorOpts builds the key
+// list and alias table, and every later one is a Sibling drawing over them.
+// The memo lives as long as the build, so nothing outlives the generators.
+type generators map[workload.SensorOpts]*workload.SensorGen
+
+func (m generators) gen(r *rng.Rand, site cloud.SiteID, opt workload.SensorOpts) *workload.SensorGen {
+	if g, ok := m[opt]; ok {
+		return g.Sibling(r, site)
+	}
+	g := workload.NewSensorGen(r, site, opt)
+	m[opt] = g
+	return g
+}
+
 // BuildJob converts a declarative job config into a core spec. genPrefix
 // namespaces the workload generator streams so every roster job draws an
 // independent deterministic event sequence; seed 0 means the default seed 1.
 func BuildJob(seed uint64, j *JobConfig, genPrefix string) (*core.JobSpec, error) {
+	return buildJob(seed, j, genPrefix, generators{}), nil
+}
+
+// buildJob is BuildJob drawing its sources' generators from gens.
+func buildJob(seed uint64, j *JobConfig, genPrefix string, gens generators) *core.JobSpec {
 	if seed == 0 {
 		seed = 1
 	}
@@ -346,7 +365,7 @@ func BuildJob(seed uint64, j *JobConfig, genPrefix string) (*core.JobSpec, error
 		}
 		src := core.SourceSpec{Site: cloud.SiteID(sc.Site), Rate: rate}
 		if sc.Keys > 0 || sc.Skew > 0 {
-			src.Gen = workload.NewSensorGen(genRoot.Split(genPrefix+sc.Site),
+			src.Gen = gens.gen(genRoot.Split(genPrefix+sc.Site),
 				cloud.SiteID(sc.Site), workload.SensorOpts{Keys: sc.Keys, Skew: sc.Skew})
 		}
 		sources = append(sources, src)
@@ -368,7 +387,7 @@ func BuildJob(seed uint64, j *JobConfig, genPrefix string) (*core.JobSpec, error
 			CheckpointInterval: time.Duration(j.CheckpointInterval),
 		}
 	}
-	return spec, nil
+	return spec
 }
 
 func applyInjection(e *core.Engine, inj Injection) {

@@ -41,6 +41,23 @@ func TestKeyTableInternLookup(t *testing.T) {
 	}
 }
 
+// TestKeyTablesShareAList: tables built from one list never write it, even
+// when it has room to grow — an Intern into one table reaches neither the
+// other table nor the list.
+func TestKeyTablesShareAList(t *testing.T) {
+	list := append(make([]string, 0, 8), "a", "b", "c")
+	one, two := NewKeyTableOf(list), NewKeyTableOf(list)
+	if id := one.Intern("d"); id != 4 || one.Key(4) != "d" {
+		t.Fatalf("Intern(d) = %d, Key(4) = %q", id, one.Key(4))
+	}
+	if two.Len() != 3 || two.Key(4) != "" || list[:4][3] != "" {
+		t.Fatalf("an Intern into one table wrote the shared list: other table Len %d, Key(4) %q; list %q", two.Len(), two.Key(4), list[:4])
+	}
+	if id := two.Intern("e"); id != 4 || one.Key(4) != "d" || two.Key(4) != "e" {
+		t.Fatalf("Intern(e) = %d; tables hold %q and %q at ID 4", id, one.Key(4), two.Key(4))
+	}
+}
+
 // FuzzKeyTable: a table built from a list of distinct keys, then interned
 // into and looked up in in any interleaving, is the table that interned the
 // list key by key and then did the same — the same ID from every Intern, the

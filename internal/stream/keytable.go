@@ -1,5 +1,7 @@
 package stream
 
+import "slices"
+
 // KeyTable interns event keys into small dense integer IDs shared between
 // generators and operators. A generator builds its table from its key list
 // once, at construction; every event it emits then carries the integer KeyID
@@ -12,7 +14,10 @@ package stream
 // so a table only ever addressed by ID hashes no key. Ownership: a KeyTable is
 // not safe for concurrent mutation, and a Lookup on a table not yet indexed
 // writes the index, so Intern and Lookup come from the one goroutine that owns
-// the table. Key and Len read only the key list, which only Intern writes.
+// the table. Key and Len read only the key list, which only Intern extends.
+// A table built from a list shares it (the generators of one key population
+// build their tables from one list) but never writes into it: the list is
+// clipped, so an Intern past its end appends to a copy.
 type KeyTable struct {
 	keys []string       // keys[id-1] is the key with ID id
 	ids  map[string]int // key → ID; nil until the first Lookup or Intern
@@ -23,8 +28,9 @@ func NewKeyTable() *KeyTable { return &KeyTable{} }
 
 // NewKeyTableOf returns a table holding keys, which must be distinct: the key
 // at keys[i] gets ID i+1, as interning them in order would assign. The table
-// takes the slice as it is, hashing nothing, and owns it from then on.
-func NewKeyTableOf(keys []string) *KeyTable { return &KeyTable{keys: keys} }
+// reads the list as it is, hashing nothing, and never writes it (see
+// KeyTable), so any number of tables can be built over one list.
+func NewKeyTableOf(keys []string) *KeyTable { return &KeyTable{keys: slices.Clip(keys)} }
 
 // index returns the string → ID index, building it on first use.
 func (t *KeyTable) index() map[string]int {

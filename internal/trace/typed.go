@@ -23,11 +23,6 @@ func NewTransferDone(at time.Duration, from, to string, bytes int64, dur time.Du
 		Value: dur.Seconds(), Note: strategy}
 }
 
-// NewChunkAck records one chunk acknowledgement on the from→to transfer.
-func NewChunkAck(at time.Duration, from, to string, bytes int64) Event {
-	return Event{At: at, Kind: ChunkAck, Site: from, Peer: to, Bytes: bytes}
-}
-
 // NewRetransmit records a chunk being resent after attempts tries.
 func NewRetransmit(at time.Duration, from, to string, bytes int64, attempts int) Event {
 	return Event{At: at, Kind: Retransmit, Site: from, Peer: to, Bytes: bytes, Value: float64(attempts)}
@@ -44,16 +39,6 @@ func NewReplan(at time.Duration, from, to string, count int, reason string) Even
 // end-to-end latency; window is the window's human-readable bounds.
 func NewWindowComplete(at time.Duration, sink string, latency time.Duration, window string) Event {
 	return Event{At: at, Kind: WindowComplete, Site: sink, Value: latency.Seconds(), Note: window}
-}
-
-// NewInjection records a scenario fault injection at site.
-func NewInjection(at time.Duration, site, note string) Event {
-	return Event{At: at, Kind: Injection, Site: site, Note: note}
-}
-
-// NewProbeSample records a monitor probe measuring mbps on the from→to link.
-func NewProbeSample(at time.Duration, from, to string, mbps float64) Event {
-	return Event{At: at, Kind: ProbeSample, Site: from, Peer: to, Value: mbps}
 }
 
 // NewSiteFail records the failure detector declaring site dead after

@@ -23,9 +23,6 @@ func TestTypedConstructorsWireCompatible(t *testing.T) {
 		{"transfer_done",
 			NewTransferDone(at, "tokyo", "paris", 1<<20, 12500*time.Millisecond, "direct"),
 			Event{At: at, Kind: TransferDone, Site: "tokyo", Peer: "paris", Bytes: 1 << 20, Value: 12.5, Note: "direct"}},
-		{"chunk_ack",
-			NewChunkAck(at, "tokyo", "paris", 4096),
-			Event{At: at, Kind: ChunkAck, Site: "tokyo", Peer: "paris", Bytes: 4096}},
 		{"retransmit",
 			NewRetransmit(at, "tokyo", "paris", 4096, 3),
 			Event{At: at, Kind: Retransmit, Site: "tokyo", Peer: "paris", Bytes: 4096, Value: 3}},
@@ -35,12 +32,6 @@ func TestTypedConstructorsWireCompatible(t *testing.T) {
 		{"window_complete",
 			NewWindowComplete(at, "paris", 1500*time.Millisecond, "[60s,90s)"),
 			Event{At: at, Kind: WindowComplete, Site: "paris", Value: 1.5, Note: "[60s,90s)"}},
-		{"injection",
-			NewInjection(at, "tokyo", "link degraded"),
-			Event{At: at, Kind: Injection, Site: "tokyo", Note: "link degraded"}},
-		{"probe",
-			NewProbeSample(at, "tokyo", "paris", 87.5),
-			Event{At: at, Kind: ProbeSample, Site: "tokyo", Peer: "paris", Value: 87.5}},
 		{"site_fail",
 			NewSiteFail(at, "tokyo", 45*time.Second),
 			Event{At: at, Kind: SiteFail, Site: "tokyo", Value: 45, Note: "declared dead"}},

@@ -22,8 +22,8 @@ import (
 // SensorGen produces events with Zipf-skewed key popularity and normally
 // distributed values — the shape of telemetry from a fleet of sensors where
 // a few are chatty and most are quiet. The "sensor-%04d" key strings are
-// formatted once at construction, in order, into the key list of the
-// generator's own KeyTable, so key k has ID k+1 and drawing allocates
+// formatted once, in order, into the key list the generator's own KeyTable
+// is built from, so key k has ID k+1 and drawing allocates
 // nothing. What the generator produces is a columnar stream.Block — KeyIDs and
 // values, timestamps implicit — which table-aware aggregates fold without
 // ever seeing a key string; Next, Events and AppendEvents materialise blocks
@@ -35,19 +35,27 @@ import (
 // them bytes, cost and latency, depend on — is therefore independent of
 // Mean, Stddev, DriftPerHour and of how values are sampled (rng's ziggurat
 // normal; the polar one belongs to the world's weather).
+//
+// What depends only on the options — the key list and the Zipf alias table —
+// is the generator's population, built once by NewSensorGen and shared
+// read-only by every generator Sibling makes from it.
 type SensorGen struct {
-	r      *rng.Rand // key draws
-	vr     *rng.Rand // value draws
-	zipf   *rng.Zipf // over r; nil draws keys uniformly
-	keys   int
-	prefix string // SensorOpts.KeyPrefix
-	table  *stream.KeyTable
-	mean   float64
-	sd     float64
-	site   cloud.SiteID
-	drift  float64
+	r     *rng.Rand // key draws
+	vr    *rng.Rand // value draws
+	zipf  *rng.Zipf // over r and pop's alias table; nil draws keys uniformly
+	pop   *population
+	table *stream.KeyTable // over pop.keys, the generator's own
+	site  cloud.SiteID
 	// scratch is the block Next and AppendEvents materialise events from.
 	scratch stream.Block
+}
+
+// population is what the generators of one SensorOpts draw from: the key
+// list and, for skewed keys, the alias table. Nothing writes it once built.
+type population struct {
+	opt  SensorOpts // defaults applied
+	keys []string
+	zipf *rng.Zipf // nil for uniform keys; generators draw through On
 }
 
 // SensorOpts configures a generator.
@@ -78,26 +86,40 @@ func NewSensorGen(r *rng.Rand, site cloud.SiteID, opt SensorOpts) *SensorGen {
 	if opt.Mean == 0 && opt.Stddev == 0 {
 		opt.Mean, opt.Stddev = 20, 5
 	}
-	g := &SensorGen{
-		r: r, vr: r.Split("values"), keys: opt.Keys, mean: opt.Mean, sd: opt.Stddev,
-		site: site, drift: opt.DriftPerHour, prefix: opt.KeyPrefix,
-	}
 	// Distinct k format to distinct strings, so the key list is a table as it
 	// stands, hashed by nobody, with key k at ID k+1: FillBlock computes IDs
 	// instead of looking them up. The keys are substrings of one buffer, sized
 	// by the longest of them: a roster's generators format a hundred thousand
 	// keys at set-up, and fmt.Sprintf on each was most of that.
+	p := &population{opt: opt, keys: make([]string, opt.Keys)}
 	var all strings.Builder
 	all.Grow(opt.Keys * (len(opt.KeyPrefix) + len("sensor-") + max(4, len(strconv.Itoa(opt.Keys-1)))))
-	keys := make([]string, opt.Keys)
-	for k := range keys {
+	for k := range p.keys {
 		start := all.Len()
 		writeSensorKey(&all, opt.KeyPrefix, k)
-		keys[k] = all.String()[start:]
+		p.keys[k] = all.String()[start:]
 	}
-	g.table = stream.NewKeyTableOf(keys)
 	if opt.Skew > 1 {
-		g.zipf = rng.NewZipf(r, opt.Skew, 1, uint64(opt.Keys-1))
+		p.zipf = rng.NewZipf(r, opt.Skew, 1, uint64(opt.Keys-1))
+	}
+	return p.gen(r, site)
+}
+
+// Sibling returns a generator for site that draws from r what
+// NewSensorGen(r, site, opt) with g's options would, bit for bit, over g's
+// key list and alias table instead of copies of them. Its table is its own:
+// keys interned into it, or into g's, reach neither the other nor later
+// siblings.
+func (g *SensorGen) Sibling(r *rng.Rand, site cloud.SiteID) *SensorGen {
+	return g.pop.gen(r, site)
+}
+
+// gen builds a generator over p that draws keys from r and values from a
+// stream split off r.
+func (p *population) gen(r *rng.Rand, site cloud.SiteID) *SensorGen {
+	g := &SensorGen{r: r, vr: r.Split("values"), pop: p, table: stream.NewKeyTableOf(p.keys), site: site}
+	if p.zipf != nil {
+		g.zipf = p.zipf.On(r)
 	}
 	return g
 }
@@ -131,24 +153,26 @@ func KeyUnion(gens []*SensorGen) (*stream.KeyTable, [][]int) {
 	// to build, against 2.5 ms and 3.5 MB sized (2-vCPU Xeon, go1.24).
 	size, union := make(map[string]int), 0
 	for _, g := range gens {
-		if n := size[g.prefix]; g.keys > n {
-			size[g.prefix], union = g.keys, union+g.keys-n
+		prefix, n := g.pop.opt.KeyPrefix, len(g.pop.keys)
+		if have := size[prefix]; n > have {
+			size[prefix], union = n, union+n-have
 		}
 	}
 	keys := make([]string, 0, union)
 	ids := make(map[string][]int, len(size)) // ids[p][k+1]: the union ID of prefix p's key k
 	remaps := make([][]int, len(gens))
 	for i, g := range gens {
-		have := ids[g.prefix]
+		prefix, n := g.pop.opt.KeyPrefix, len(g.pop.keys)
+		have := ids[prefix]
 		if have == nil {
-			have = make([]int, 1, size[g.prefix]+1)
+			have = make([]int, 1, size[prefix]+1)
 		}
-		for k := len(have) - 1; k < g.keys; k++ {
-			keys = append(keys, g.table.Key(k+1))
+		for k := len(have) - 1; k < n; k++ {
+			keys = append(keys, g.pop.keys[k])
 			have = append(have, len(keys))
 		}
-		ids[g.prefix] = have
-		remaps[i] = have[: g.keys+1 : g.keys+1]
+		ids[prefix] = have
+		remaps[i] = have[: n+1 : n+1]
 	}
 	return stream.NewKeyTableOf(keys), remaps
 }
@@ -169,18 +193,19 @@ func (g *SensorGen) FillBlock(b *stream.Block, n int, from simtime.Time, step ti
 	if g.zipf != nil {
 		g.zipf.Fill(b.IDs, 1)
 	} else {
-		g.r.FillIntn(b.IDs, g.keys, 1)
+		g.r.FillIntn(b.IDs, len(g.pop.keys), 1)
 	}
 	vals := b.Values
 	g.vr.FillZigNorm(vals)
-	mean, sd := g.mean, g.sd
-	if g.drift == 0 {
+	opt := &g.pop.opt
+	mean, sd := opt.Mean, opt.Stddev
+	if opt.DriftPerHour == 0 {
 		for i, z := range vals {
 			vals[i] = mean + sd*z
 		}
 		return
 	}
-	drift, at := g.drift, from
+	drift, at := opt.DriftPerHour, from
 	for i, z := range vals {
 		vals[i] = mean + drift*at.Hours() + sd*z
 		at += step
