@@ -117,7 +117,6 @@ func main() {
 			"SensorGen/keys=1000", "SensorGen/keys=20000/uniform", "WindowAggDense/keys=1000",
 			"WindowAggDense/keys=20000/uniform", "WindowAggDense/keys=20000/uniform/min",
 			"WindowAggMap/keys=1000", "StreamPipeline/keys=1000",
-			"SlidingAdvanceEmpty", "WindowJoinAdvanceEmpty",
 		} {
 			r := s.Benchmarks[key]
 			fmt.Fprintf(os.Stderr, "%-38s %12.0f ns/op %6d allocs/op\n", key, r.NsPerOp, r.AllocsPerOp)

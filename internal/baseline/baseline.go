@@ -74,9 +74,6 @@ func NewBlobStore(net *netsim.Network, site cloud.SiteID, opt BlobOptions) *Blob
 	}
 }
 
-// Site returns the site hosting the store.
-func (b *BlobStore) Site() cloud.SiteID { return b.site }
-
 func (b *BlobStore) frontend() *netsim.Node {
 	f := b.frontends[b.next%len(b.frontends)]
 	b.next++

@@ -123,9 +123,9 @@ const (
 
 // RunStreamPerfBaseline measures the streaming data-plane micro-benchmarks
 // (the two normal samplers, event generation, dense vs map windowed
-// aggregation, the fill→fold→advance pipeline a source's stage runs, the
-// columnar fold over 20 000 uniform keys, and the steady-state empty
-// advances) and returns the snapshot written to BENCH_stream.json.
+// aggregation, the fill→fold→advance pipeline a source's stage runs and the
+// columnar fold over 20 000 uniform keys) and returns the snapshot written to
+// BENCH_stream.json.
 func RunStreamPerfBaseline() PerfBaseline {
 	p := newPerfBaseline()
 	p.record(perfPolarKey, testing.Benchmark(rng.RunBenchmarkNormFloat64))
@@ -150,10 +150,6 @@ func RunStreamPerfBaseline() PerfBaseline {
 	p.record(perfUniformMinKey, testing.Benchmark(func(b *testing.B) {
 		stream.RunBenchmarkWindowAggDenseUniform(b, perfUniformKeyCount, stream.Min)
 	}))
-	p.record("SlidingAdvanceEmpty",
-		testing.Benchmark(stream.RunBenchmarkSlidingAdvanceEmpty))
-	p.record("WindowJoinAdvanceEmpty",
-		testing.Benchmark(stream.RunBenchmarkWindowJoinAdvanceEmpty))
 	return p
 }
 

@@ -100,15 +100,6 @@ func TestStreamPerfBaselineFileValid(t *testing.T) {
 			}
 		}
 	}
-	for _, key := range []string{"SlidingAdvanceEmpty", "WindowJoinAdvanceEmpty"} {
-		r, ok := p.Benchmarks[key]
-		if !ok {
-			t.Fatalf("baseline missing benchmark %q", key)
-		}
-		if r.AllocsPerOp != 0 {
-			t.Fatalf("%s allocates %d per op in the committed baseline; the steady-state watermark-tick budget is 0", key, r.AllocsPerOp)
-		}
-	}
 	for _, k := range perfKeyCounts {
 		key := fmt.Sprintf("SensorGen/keys=%d", k)
 		if r := p.Benchmarks[key]; r.AllocsPerOp != 0 {

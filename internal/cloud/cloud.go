@@ -15,7 +15,9 @@ package cloud
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -85,6 +87,10 @@ type LinkSpec struct {
 type Topology struct {
 	sites map[SiteID]*Site
 	links map[[2]SiteID]*LinkSpec
+	// order is links sorted as Links returns them, built by the first Links
+	// after an AddLink. Atomic because engines built in parallel may share
+	// one topology.
+	order atomic.Pointer[[]*LinkSpec]
 	// IntraMBps is the node-to-node throughput inside one site. The
 	// defining empirical fact is intra-site >= 10x inter-site.
 	IntraMBps float64
@@ -124,6 +130,7 @@ func (t *Topology) AddLink(l LinkSpec) {
 	}
 	spec := l
 	t.links[[2]SiteID{l.From, l.To}] = &spec
+	t.order.Store(nil)
 }
 
 // AddSymmetricLink registers the link in both directions.
@@ -162,23 +169,29 @@ func (t *Topology) Link(from, to SiteID) *LinkSpec {
 	return t.links[[2]SiteID{from, to}]
 }
 
-// Links returns all links in deterministic order.
+// Links returns all links sorted by (From, To), in a slice the caller owns.
+// The order is sorted once per set of links, not once per call.
 func (t *Topology) Links() []*LinkSpec {
-	keys := make([][2]SiteID, 0, len(t.links))
-	for k := range t.links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	order := t.order.Load()
+	if order == nil {
+		keys := make([][2]SiteID, 0, len(t.links))
+		for k := range t.links {
+			keys = append(keys, k)
 		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]*LinkSpec, len(keys))
-	for i, k := range keys {
-		out[i] = t.links[k]
+		sort.Slice(keys, func(i, j int) bool {
+			if keys[i][0] != keys[j][0] {
+				return keys[i][0] < keys[j][0]
+			}
+			return keys[i][1] < keys[j][1]
+		})
+		links := make([]*LinkSpec, len(keys))
+		for i, k := range keys {
+			links[i] = t.links[k]
+		}
+		order = &links
+		t.order.Store(order)
 	}
-	return out
+	return slices.Clone(*order)
 }
 
 // MinWANRTT returns the smallest round-trip latency of any inter-site link,
@@ -251,18 +264,6 @@ func DefaultAzure() *Topology {
 		t.AddSymmetricLink(l)
 	}
 	return t
-}
-
-// Deployment is a homogeneous group of VMs leased in one site.
-type Deployment struct {
-	Site  SiteID
-	Class VMClass
-	N     int
-}
-
-// HourCost returns the lease cost of the deployment for the given duration.
-func (d Deployment) HourCost(dur time.Duration) float64 {
-	return float64(d.N) * d.Class.PricePerHour * dur.Hours()
 }
 
 // EgressCost returns the price of sending bytes out of a site.

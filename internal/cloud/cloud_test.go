@@ -1,6 +1,8 @@
 package cloud
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -141,6 +143,40 @@ func TestSitesSorted(t *testing.T) {
 	}
 }
 
+// TestLinksOrderSurvivesCallers: Links sorts once per set of links, engines
+// built at once over one topology may all ask for the first sort, a caller
+// that writes the slice it got leaves the next caller's order intact, and an
+// AddLink is in the next order.
+func TestLinksOrderSurvivesCallers(t *testing.T) {
+	topo := DefaultAzure()
+	concurrent := make([][]*LinkSpec, 4)
+	var wg sync.WaitGroup
+	for i := range concurrent {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			concurrent[i] = topo.Links()
+		}(i)
+	}
+	wg.Wait()
+	for _, links := range concurrent[1:] {
+		if !slices.Equal(links, concurrent[0]) {
+			t.Fatalf("concurrent first calls disagree: %v, %v", links, concurrent[0])
+		}
+	}
+	first := topo.Links()
+	want := slices.Clone(first)
+	first[0], first[1] = nil, first[0]
+	if got := topo.Links(); !slices.Equal(got, want) {
+		t.Fatalf("a caller's write reached the next Links: %v, want %v", got, want)
+	}
+	topo.AddSite(&Site{ID: "AAA"})
+	topo.AddLink(LinkSpec{From: "AAA", To: NorthEU, BaseMBps: 5})
+	if got := topo.Links(); len(got) != len(want)+1 || got[0].From != "AAA" || !slices.Equal(got[1:], want) {
+		t.Fatalf("Links after AddLink = %v, want the new link first, then %v", got, want)
+	}
+}
+
 func TestVMClasses(t *testing.T) {
 	if Small.NICMBps*2 != Medium.NICMBps {
 		t.Fatalf("Medium NIC should be 2x Small: %v vs %v", Medium.NICMBps, Small.NICMBps)
@@ -150,15 +186,6 @@ func TestVMClasses(t *testing.T) {
 	}
 	if !(Small.PricePerHour < Medium.PricePerHour && Medium.PricePerHour < XLarge.PricePerHour) {
 		t.Fatal("prices must increase with class size")
-	}
-}
-
-func TestDeploymentHourCost(t *testing.T) {
-	d := Deployment{Site: NorthEU, Class: Small, N: 10}
-	got := d.HourCost(30 * time.Minute)
-	want := 10 * Small.PricePerHour * 0.5
-	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("HourCost = %v, want %v", got, want)
 	}
 }
 

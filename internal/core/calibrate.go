@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"sage/internal/cloud"
@@ -69,27 +68,4 @@ func (c *Calibrator) Gain(site cloud.SiteID, now time.Duration) (float64, bool) 
 		return 0, false
 	}
 	return model.FitGain(recent)
-}
-
-// Sites returns the sites with observations, sorted.
-func (c *Calibrator) Sites() []cloud.SiteID {
-	out := make([]cloud.SiteID, 0, len(c.obs))
-	for s := range c.obs {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Prune drops observations older than the window.
-func (c *Calibrator) Prune(now time.Duration) {
-	for s, list := range c.obs {
-		kept := list[:0]
-		for _, o := range list {
-			if now-o.at <= c.Window {
-				kept = append(kept, o)
-			}
-		}
-		c.obs[s] = kept
-	}
 }

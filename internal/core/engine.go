@@ -51,9 +51,6 @@ type Engine struct {
 	// met holds the engine's pre-registered metric handles; the zero value
 	// (observability off) is all no-ops.
 	met engineMetrics
-	// defaultCkpt, when positive, arms resilience with this checkpoint
-	// interval for jobs that do not carry their own Resilience config.
-	defaultCkpt time.Duration
 	// det is the engine-wide heartbeat failure detector, created lazily by
 	// the first resilient job (its config sets the shared heartbeat timing).
 	det *resilience.Detector
@@ -112,10 +109,6 @@ type Options struct {
 	// registry + span timeline) through every subsystem. Nil disables the
 	// layer at zero cost; simulation behavior is identical either way.
 	Obs *obs.Observer
-	// DefaultCheckpointInterval, when positive, arms the resilience
-	// subsystem (checkpointing at this interval) for every job started
-	// without its own Resilience config.
-	DefaultCheckpointInterval time.Duration
 	// Audit, when non-nil, receives one TransferDone record per completed
 	// partial transfer: the model's dispatch-time prediction next to the
 	// actual outcome. Nil disables auditing at zero cost.
@@ -163,8 +156,7 @@ func NewEngine(opts ...Option) *Engine {
 	mgr := transfer.NewManager(net, mon, opt.Transfer)
 	e := &Engine{Sched: sched, Net: net, Monitor: mon, Mgr: mgr,
 		Params: opt.Params, Calib: NewCalibrator(), Trace: opt.Trace,
-		Obs: opt.Obs, met: newEngineMetrics(opt.Obs.Registry()),
-		defaultCkpt: opt.DefaultCheckpointInterval, audit: opt.Audit}
+		Obs: opt.Obs, met: newEngineMetrics(opt.Obs.Registry()), audit: opt.Audit}
 	lookahead := simtime.Time(opt.Topology.MinWANRTT())
 	if lookahead <= 0 {
 		lookahead = simtime.Time(10 * time.Millisecond)
@@ -188,11 +180,6 @@ func NewEngine(opts ...Option) *Engine {
 // the other worker stages the rest. Eight puts serve_roster's 15 live
 // sources on 16 shards, nearly one each.
 const shardsPerWorker = 8
-
-// Deploy provisions worker VMs in one site.
-func (e *Engine) Deploy(site cloud.SiteID, class cloud.VMClass, n int) {
-	e.Mgr.Deploy(site, class, n)
-}
 
 // DeployEverywhere provisions an identical pool in every site.
 func (e *Engine) DeployEverywhere(class cloud.VMClass, n int) {
@@ -561,9 +548,6 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	}
 	if e.Net.Topology().Site(job.Sink) == nil {
 		return nil, specErrorf("Sink", "unknown sink %q", job.Sink)
-	}
-	if job.Resilience == nil && e.defaultCkpt > 0 {
-		job.Resilience = &resilience.Config{CheckpointInterval: e.defaultCkpt}
 	}
 	e.met.jobs.With().Inc()
 	run := &JobRun{

@@ -168,39 +168,6 @@ func TestObservabilityInert(t *testing.T) {
 	}
 }
 
-func TestWithCheckpointIntervalArmsResilience(t *testing.T) {
-	e := NewEngine(
-		WithOptions(Options{Topology: cloud.DefaultAzure(), Net: quietNetOptions()}),
-		WithSeed(4),
-		WithCheckpointInterval(30*time.Second),
-	)
-	e.DeployEverywhere(cloud.Medium, 8)
-	rep, err := e.Run(basicJob(transfer.EnvAware), 3*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Resilience == nil {
-		t.Fatal("WithCheckpointInterval did not arm resilience")
-	}
-	if rep.Resilience.Checkpoints == 0 {
-		t.Fatal("no checkpoints taken")
-	}
-
-	// A job with its own config keeps it.
-	e2 := NewEngine(
-		WithOptions(Options{Topology: cloud.DefaultAzure(), Net: quietNetOptions()}),
-		WithSeed(4),
-	)
-	e2.DeployEverywhere(cloud.Medium, 8)
-	rep2, err := e2.Run(basicJob(transfer.EnvAware), 3*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Resilience != nil {
-		t.Fatal("engine without the option armed resilience")
-	}
-}
-
 func TestFunctionalOptionsCompose(t *testing.T) {
 	ob := obs.NewObserver()
 	e := NewEngine(WithSeed(9), WithObservability(ob))

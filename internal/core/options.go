@@ -1,16 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"sage/internal/cloud"
-	"sage/internal/model"
-	"sage/internal/monitor"
-	"sage/internal/netsim"
-	"sage/internal/obs"
-	"sage/internal/trace"
-	"sage/internal/transfer"
-)
+import "sage/internal/obs"
 
 // Option configures engine construction. Options compose left to right:
 // NewEngine(WithSeed(3), WithObservability(o)). The Options struct stays the
@@ -25,24 +15,6 @@ func WithOptions(o Options) Option { return func(dst *Options) { *dst = o } }
 
 // WithSeed sets the root random seed.
 func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
-
-// WithTopology sets the cloud topology.
-func WithTopology(t *cloud.Topology) Option { return func(o *Options) { o.Topology = t } }
-
-// WithNet tunes the network simulator.
-func WithNet(n netsim.Options) Option { return func(o *Options) { o.Net = n } }
-
-// WithMonitor tunes the monitoring service.
-func WithMonitor(m monitor.Options) Option { return func(o *Options) { o.Monitor = m } }
-
-// WithTransfer tunes the transfer service.
-func WithTransfer(t transfer.Options) Option { return func(o *Options) { o.Transfer = t } }
-
-// WithParams sets the cost/time model calibration.
-func WithParams(p model.Params) Option { return func(o *Options) { o.Params = p } }
-
-// WithTrace attaches a trace recorder to the run.
-func WithTrace(r *trace.Recorder) Option { return func(o *Options) { o.Trace = r } }
 
 // WithObservability attaches the unified observability layer: the observer's
 // metrics registry and span timeline are wired through every subsystem. Nil
@@ -65,11 +37,3 @@ func WithAuditSink(a AuditSink) Option { return func(o *Options) { o.Audit = a }
 // byte-identical to a 1-shard engine. 1 keeps the fused single-threaded core;
 // 0, the default, is one shard per core (runtime.GOMAXPROCS(0)).
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
-// WithCheckpointInterval arms the resilience subsystem for every job started
-// on the engine that does not carry its own Resilience config, checkpointing
-// at the given interval. Zero (the default) leaves jobs non-resilient unless
-// their spec says otherwise.
-func WithCheckpointInterval(d time.Duration) Option {
-	return func(o *Options) { o.DefaultCheckpointInterval = d }
-}

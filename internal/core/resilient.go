@@ -30,10 +30,6 @@ func (e *Engine) detector(cfg resilience.Config) *resilience.Detector {
 	return e.det
 }
 
-// Detector exposes the engine's failure detector (nil until a resilient job
-// starts) for tests and reports.
-func (e *Engine) Detector() *resilience.Detector { return e.det }
-
 // siteAlive is the engine's heartbeat probe: a site answers while any worker
 // VM in its deployment pool is up. Sites without a deployment carry no job
 // state, so they count as alive.

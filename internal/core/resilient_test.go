@@ -232,7 +232,7 @@ func TestConcurrentResilientJobsShareDetector(t *testing.T) {
 			t.Fatalf("job %d left %d windows incomplete", i, rep.Incomplete)
 		}
 	}
-	if e.Detector() == nil {
+	if e.det == nil {
 		t.Fatal("engine has no shared detector")
 	}
 }

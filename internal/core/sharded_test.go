@@ -26,10 +26,9 @@ func shardedFixture(t *testing.T, shards int) ([]byte, string) {
 	world := cloud.GenerateWorld(24, 4, 5)
 	rec := trace.New(1 << 16)
 	e := NewEngine(
-		WithTopology(world),
+		WithOptions(Options{Topology: world, Trace: rec}),
 		WithSeed(11),
 		WithShards(shards),
-		WithTrace(rec),
 	)
 	e.DeployEverywhere(cloud.Medium, 2)
 	job := JobSpec{
@@ -90,7 +89,7 @@ func TestShardedEngineByteIdentical(t *testing.T) {
 // a multi-shard engine reports its shard count and stages work in rounds.
 func TestShardedEngineActuallyShards(t *testing.T) {
 	world := cloud.GenerateWorld(12, 3, 2)
-	e := NewEngine(WithTopology(world), WithShards(4))
+	e := NewEngine(WithOptions(Options{Topology: world}), WithShards(4))
 	if e.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", e.Shards())
 	}
@@ -128,7 +127,7 @@ func TestShardsDefaultIsOnePerCore(t *testing.T) {
 		t.Fatalf("NewEngine().Shards() = %d under GOMAXPROCS 3, want 3", n)
 	}
 	run := func(opts ...Option) (*Engine, string) {
-		e := NewEngine(append([]Option{WithNet(quietNetOptions())}, opts...)...)
+		e := NewEngine(append([]Option{WithOptions(Options{Net: quietNetOptions()})}, opts...)...)
 		e.DeployEverywhere(cloud.Medium, 8)
 		rep, err := e.Run(basicJob(transfer.EnvAware), 2*time.Minute)
 		if err != nil {
@@ -155,16 +154,17 @@ func TestShardsDefaultIsOnePerCore(t *testing.T) {
 // spread over a 2-worker engine's 16 executor shards at most one apart —
 // dealing by site index would put 6 : 9 on two shards.
 func TestSourcesDealtRoundRobin(t *testing.T) {
-	// A checkpoint interval gives every run a resilience guard, which keeps
-	// the run's sources where the test can read their shards.
-	e := NewEngine(WithShards(2), WithCheckpointInterval(time.Minute))
+	e := NewEngine(WithShards(2))
 	if e.Shards() != 2 || e.shard.Shards() != 2*shardsPerWorker {
 		t.Fatalf("WithShards(2): %d workers over %d executor shards, want 2 over %d",
 			e.Shards(), e.shard.Shards(), 2*shardsPerWorker)
 	}
 	perShard := make([]int, e.shard.Shards())
 	for j := 0; j < 3; j++ {
-		job := JobSpec{Sink: cloud.NorthUS, Window: 30 * time.Second, Strategy: transfer.Direct}
+		// A checkpoint interval gives every run a resilience guard, which
+		// keeps the run's sources where the test can read their shards.
+		job := JobSpec{Sink: cloud.NorthUS, Window: 30 * time.Second, Strategy: transfer.Direct,
+			Resilience: &resilience.Config{CheckpointInterval: time.Minute}}
 		for _, site := range []cloud.SiteID{cloud.NorthEU, cloud.WestEU, cloud.SouthUS, cloud.EastUS, cloud.WestUS} {
 			job.Sources = append(job.Sources, SourceSpec{Site: site, Rate: workload.ConstantRate(10)})
 		}
@@ -189,7 +189,7 @@ func TestShardedSharedGenCoSharded(t *testing.T) {
 	run := func(shards int) (string, uint64) {
 		world := cloud.GenerateWorld(8, 2, 3)
 		rec := trace.New(1 << 14)
-		e := NewEngine(WithTopology(world), WithShards(shards), WithSeed(9), WithTrace(rec))
+		e := NewEngine(WithOptions(Options{Topology: world, Trace: rec}), WithShards(shards), WithSeed(9))
 		e.DeployEverywhere(cloud.Small, 1)
 		gen := workload.NewSensorGen(rng.New(123), cloud.GeneratedSiteID(2), workload.SensorOpts{Keys: 50})
 		job := JobSpec{
@@ -238,7 +238,7 @@ func TestStageLookupsOnOwnTables(t *testing.T) {
 	}
 	run := func(shards int) (string, uint64) {
 		world := cloud.GenerateWorld(12, 3, 2)
-		e := NewEngine(WithTopology(world), WithShards(shards), WithSeed(5))
+		e := NewEngine(WithOptions(Options{Topology: world}), WithShards(shards), WithSeed(5))
 		e.DeployEverywhere(cloud.Small, 1)
 		shared := workload.NewSensorGen(rng.New(7), cloud.GeneratedSiteID(3), workload.SensorOpts{Keys: 40})
 		job := JobSpec{Sink: cloud.GeneratedHub(0), Window: 10 * time.Second, Strategy: transfer.Direct}

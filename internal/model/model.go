@@ -30,7 +30,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -63,25 +62,6 @@ type Params struct {
 func Default() Params {
 	return Params{Gain: 0.55, MaxSpeedup: 4, Intr: 0.10, Class: cloud.Small,
 		EgressPerGB: 0.12, SitesPerLane: 2}
-}
-
-// Validate reports a descriptive error for out-of-range parameters.
-func (p Params) Validate() error {
-	switch {
-	case p.Gain < 0 || p.Gain > 1:
-		return fmt.Errorf("model: Gain %v outside [0,1]", p.Gain)
-	case p.MaxSpeedup < 1:
-		return fmt.Errorf("model: MaxSpeedup %v < 1", p.MaxSpeedup)
-	case p.Intr <= 0 || p.Intr > 1:
-		return fmt.Errorf("model: Intr %v outside (0,1]", p.Intr)
-	case p.Class.PricePerHour <= 0:
-		return fmt.Errorf("model: VM class %q has no price", p.Class.Name)
-	case p.EgressPerGB < 0:
-		return fmt.Errorf("model: negative egress price")
-	case p.SitesPerLane < 1:
-		return fmt.Errorf("model: SitesPerLane %v < 1", p.SitesPerLane)
-	}
-	return nil
 }
 
 // Speedup returns the parallel speedup for n nodes.

@@ -9,28 +9,6 @@ import (
 	"sage/internal/cloud"
 )
 
-func TestDefaultValid(t *testing.T) {
-	if err := Default().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejectsBadParams(t *testing.T) {
-	cases := map[string]Params{
-		"negative gain": {Gain: -0.1, MaxSpeedup: 4, Intr: 0.1, Class: cloud.Small, EgressPerGB: 0.1},
-		"gain over 1":   {Gain: 1.5, MaxSpeedup: 4, Intr: 0.1, Class: cloud.Small, EgressPerGB: 0.1},
-		"speedup < 1":   {Gain: 0.5, MaxSpeedup: 0.5, Intr: 0.1, Class: cloud.Small, EgressPerGB: 0.1},
-		"zero intr":     {Gain: 0.5, MaxSpeedup: 4, Intr: 0, Class: cloud.Small, EgressPerGB: 0.1},
-		"no price":      {Gain: 0.5, MaxSpeedup: 4, Intr: 0.1, Class: cloud.VMClass{}, EgressPerGB: 0.1},
-		"neg egress":    {Gain: 0.5, MaxSpeedup: 4, Intr: 0.1, Class: cloud.Small, EgressPerGB: -1},
-	}
-	for name, p := range cases {
-		if p.Validate() == nil {
-			t.Fatalf("%s: expected validation error", name)
-		}
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	p := Default() // gain 0.55, cap 4
 	if got := p.Speedup(1); got != 1 {

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"sage/internal/cloud"
@@ -204,14 +203,6 @@ func (s *Service) Start() {
 	s.tick = s.sched.NewTicker(s.opt.Interval, func(simtime.Time) { s.probeAll() })
 }
 
-// Stop halts periodic probing.
-func (s *Service) Stop() {
-	if s.tick != nil {
-		s.tick.Stop()
-		s.tick = nil
-	}
-}
-
 func (s *Service) probeAll() {
 	for _, k := range s.order {
 		st := s.links[k]
@@ -230,20 +221,7 @@ func (s *Service) probeAll() {
 	}
 }
 
-// Pause suspends probing of one link (e.g. while a transfer runs on it).
-// Pauses nest: each Pause must be matched by one Resume before probing
-// restarts, so independent pausers — concurrent jobs sharing the one
-// world-scoped monitor — compose instead of clobbering each other.
-func (s *Service) Pause(from, to cloud.SiteID) { s.state(from, to).paused++ }
-
-// Resume undoes one Pause of the link. Extra Resumes are ignored.
-func (s *Service) Resume(from, to cloud.SiteID) {
-	if st := s.state(from, to); st.paused > 0 {
-		st.paused--
-	}
-}
-
-// PauseSite suspends probing of every link that touches the site (one Pause
+// PauseSite suspends probing of every link that touches the site (one pause
 // depth per link). The resilience detector calls it when a site is declared
 // dead: probing a dead site wastes intrusiveness budget and would only feed
 // the estimators zeroes.
@@ -308,33 +286,3 @@ func (s *Service) Estimate(from, to cloud.SiteID) (mean, stddev float64) {
 
 // State exposes the tracked state of a link for reports and tests.
 func (s *Service) State(from, to cloud.SiteID) *LinkState { return s.state(from, to) }
-
-// MapEntry is one cell of the inter-site throughput map.
-type MapEntry struct {
-	From, To     cloud.SiteID
-	MBps, Stddev float64
-	Samples      int
-}
-
-// ThroughputMap returns the live map of estimated inter-site throughputs,
-// sorted by (From, To) — the real-time "online map of the cloud" the
-// monitoring agent publishes.
-func (s *Service) ThroughputMap() []MapEntry {
-	out := make([]MapEntry, 0, len(s.order))
-	for _, k := range s.order {
-		st := s.links[k]
-		out = append(out, MapEntry{
-			From: k.From, To: k.To,
-			MBps:    st.Estimator.Mean(),
-			Stddev:  st.Estimator.Stddev(),
-			Samples: st.Estimator.Count(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
-}

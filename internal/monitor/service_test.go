@@ -138,11 +138,6 @@ func TestServicePeriodicProbing(t *testing.T) {
 	if got := st.Estimator.Count(); got != 21 { // 1 learning + 20 ticks
 		t.Fatalf("samples = %d, want 21", got)
 	}
-	s.Stop()
-	sched.RunFor(10 * time.Minute)
-	if got := st.Estimator.Count(); got != 21 {
-		t.Fatalf("samples after Stop = %d, want 21", got)
-	}
 }
 
 func TestServiceEstimateTracksCapacity(t *testing.T) {
@@ -163,27 +158,6 @@ func TestServiceEstimateTracksCapacity(t *testing.T) {
 	mean, _ = s.Estimate("A", "B")
 	if math.Abs(mean-5) > 1.5 {
 		t.Fatalf("estimate after degradation = %v, want ~5", mean)
-	}
-}
-
-func TestServicePauseResume(t *testing.T) {
-	sched, net := testNet()
-	s := NewService(net, Options{Interval: 10 * time.Second, LearningProbes: 1})
-	s.Start()
-	s.Pause("A", "B")
-	sched.RunFor(5 * time.Minute)
-	paused := s.State("A", "B").Estimator.Count()
-	active := s.State("B", "C").Estimator.Count()
-	if paused != 1 {
-		t.Fatalf("paused link took %d samples, want 1 (learning only)", paused)
-	}
-	if active <= 1 {
-		t.Fatalf("active link took %d samples", active)
-	}
-	s.Resume("A", "B")
-	sched.RunFor(time.Minute)
-	if got := s.State("A", "B").Estimator.Count(); got <= paused {
-		t.Fatal("resume did not restart probing")
 	}
 }
 
@@ -211,28 +185,6 @@ func TestServiceObserveTransfer(t *testing.T) {
 	s.ObserveTransfer("A", "Z", 100)
 }
 
-func TestThroughputMapSortedAndComplete(t *testing.T) {
-	sched, net := testNet()
-	s := NewService(net, Options{Interval: 10 * time.Second})
-	s.Start()
-	sched.RunFor(time.Minute)
-	m := s.ThroughputMap()
-	if len(m) != 4 { // A<->B, B<->C
-		t.Fatalf("map has %d entries, want 4", len(m))
-	}
-	for i := 1; i < len(m); i++ {
-		a, b := m[i-1], m[i]
-		if a.From > b.From || (a.From == b.From && a.To >= b.To) {
-			t.Fatal("map not sorted")
-		}
-	}
-	for _, e := range m {
-		if e.Samples == 0 || e.MBps <= 0 {
-			t.Fatalf("entry %v has no data", e)
-		}
-	}
-}
-
 func TestServiceUnknownLinkPanics(t *testing.T) {
 	_, net := testNet()
 	s := NewService(net, Options{})
@@ -241,7 +193,7 @@ func TestServiceUnknownLinkPanics(t *testing.T) {
 			t.Fatal("expected panic for unknown link")
 		}
 	}()
-	s.Pause("A", "Z")
+	s.State("A", "Z")
 }
 
 func TestServiceStartTwicePanics(t *testing.T) {

@@ -165,9 +165,6 @@ type Node struct {
 // Failed reports whether the node is currently marked failed.
 func (n *Node) Failed() bool { return n.failed }
 
-// NICScale returns the node's current NIC degradation factor (1 = nominal).
-func (n *Node) NICScale() float64 { return n.nicScale }
-
 // ErrAborted is reported by flows cancelled explicitly or killed by a node
 // failure.
 var ErrAborted = errors.New("netsim: flow aborted")
@@ -221,9 +218,6 @@ type Flow struct {
 	released   bool
 }
 
-// Size returns the flow size in bytes.
-func (f *Flow) Size() int64 { return f.size }
-
 // BytesDone returns the bytes transferred so far (advanced lazily; exact at
 // event boundaries).
 func (f *Flow) BytesDone() int64 { return int64(f.done) }
@@ -237,14 +231,9 @@ func (f *Flow) Err() error { return f.err }
 // Finished reports whether the flow has completed or aborted.
 func (f *Flow) Finished() bool { return f.finished }
 
-// Started returns the virtual time the flow was created.
-func (f *Flow) Started() simtime.Time { return f.started }
-
-// Ended returns the virtual time the flow finished (valid once Finished).
-func (f *Flow) Ended() simtime.Time { return f.ended }
-
-// Duration returns Ended - Started for a finished flow, and 0 for a flow
-// that is still in progress (whose end time is not yet meaningful).
+// Duration returns the virtual time from a finished flow's start to its end,
+// and 0 for a flow that is still in progress (whose end time is not yet
+// meaningful).
 func (f *Flow) Duration() time.Duration {
 	if !f.finished {
 		return 0

@@ -235,7 +235,8 @@ func TestDirtyOrderCannotReachARate(t *testing.T) {
 				d[i], d[j] = d[j], d[i]
 			}
 		} else {
-			for i, j := range r.Perm(len(d)) {
+			for i := len(d) - 1; i > 0; i-- {
+				j := r.Intn(i + 1)
 				d[i], d[j] = d[j], d[i]
 			}
 		}

@@ -85,20 +85,6 @@ func (g Gauge) Set(v float64) {
 	}
 }
 
-// Add adds d with a CAS loop (allocation-free).
-func (g Gauge) Add(d float64) {
-	if g.c == nil {
-		return
-	}
-	for {
-		old := g.c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g Gauge) Value() float64 {
 	if g.c == nil {
@@ -113,9 +99,6 @@ type Histogram struct {
 	c     *cell
 	upper []float64
 }
-
-// Enabled reports whether the handle is wired to a registry cell.
-func (h Histogram) Enabled() bool { return h.c != nil }
 
 // Observe records v: one bucket increment (linear scan over the fixed upper
 // bounds, which beats binary search at realistic bucket counts), the count,
@@ -176,8 +159,9 @@ type vec struct {
 // site/link labels, so the join is unambiguous.
 func labelSig(vals []string) string { return strings.Join(vals, "\xff") }
 
-// id interns a label-value tuple, returning its dense ID.
-func (v *vec) id(vals []string) int {
+// cell returns the cell of a label-value tuple, interning the tuple under
+// the next dense ID on first use.
+func (v *vec) cell(vals []string) *cell {
 	if len(vals) != len(v.keys) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", v.name, len(v.keys), len(vals)))
 	}
@@ -185,26 +169,15 @@ func (v *vec) id(vals []string) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if id, ok := v.ids[sig]; ok {
-		return id
+		return v.cells[id]
 	}
-	id := len(v.cells)
 	c := &cell{}
 	if v.kind == KindHistogram {
 		c.buckets = make([]atomic.Int64, len(v.upper)+1)
 	}
+	v.ids[sig] = len(v.cells)
 	v.cells = append(v.cells, c)
 	v.labels = append(v.labels, append([]string(nil), vals...))
-	v.ids[sig] = id
-	return id
-}
-
-func (v *vec) cell(vals []string) *cell { return v.cellByID(v.id(vals)) }
-
-// cellByID returns the cell for a dense ID previously returned by id.
-func (v *vec) cellByID(id int) *cell {
-	v.mu.Lock()
-	c := v.cells[id]
-	v.mu.Unlock()
 	return c
 }
 
@@ -221,22 +194,6 @@ func (cv CounterVec) With(vals ...string) Counter {
 	return Counter{c: cv.v.cell(vals)}
 }
 
-// ID interns a label tuple and returns its dense ID for ByID addressing.
-func (cv CounterVec) ID(vals ...string) int {
-	if cv.v == nil {
-		return 0
-	}
-	return cv.v.id(vals)
-}
-
-// ByID resolves a dense ID (from ID) to its handle.
-func (cv CounterVec) ByID(id int) Counter {
-	if cv.v == nil {
-		return Counter{}
-	}
-	return Counter{c: cv.v.cellByID(id)}
-}
-
 // GaugeVec is a gauge family. The zero GaugeVec hands out no-op handles.
 type GaugeVec struct{ v *vec }
 
@@ -246,22 +203,6 @@ func (gv GaugeVec) With(vals ...string) Gauge {
 		return Gauge{}
 	}
 	return Gauge{c: gv.v.cell(vals)}
-}
-
-// ID interns a label tuple and returns its dense ID.
-func (gv GaugeVec) ID(vals ...string) int {
-	if gv.v == nil {
-		return 0
-	}
-	return gv.v.id(vals)
-}
-
-// ByID resolves a dense ID to its handle.
-func (gv GaugeVec) ByID(id int) Gauge {
-	if gv.v == nil {
-		return Gauge{}
-	}
-	return Gauge{c: gv.v.cellByID(id)}
 }
 
 // HistogramVec is a histogram family. The zero HistogramVec hands out no-op
@@ -274,22 +215,6 @@ func (hv HistogramVec) With(vals ...string) Histogram {
 		return Histogram{}
 	}
 	return Histogram{c: hv.v.cell(vals), upper: hv.v.upper}
-}
-
-// ID interns a label tuple and returns its dense ID.
-func (hv HistogramVec) ID(vals ...string) int {
-	if hv.v == nil {
-		return 0
-	}
-	return hv.v.id(vals)
-}
-
-// ByID resolves a dense ID to its handle.
-func (hv HistogramVec) ByID(id int) Histogram {
-	if hv.v == nil {
-		return Histogram{}
-	}
-	return Histogram{c: hv.v.cellByID(id), upper: hv.v.upper}
 }
 
 // DefBuckets are general-purpose latency buckets in seconds.

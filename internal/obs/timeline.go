@@ -60,9 +60,6 @@ type Span struct {
 	ID    uint64        `json:"id,omitempty"`
 }
 
-// End returns Start + Dur.
-func (s Span) End() time.Duration { return s.Start + s.Dur }
-
 // Timeline is the bounded flight recorder: a ring of the most recent spans,
 // cheap enough to leave running for a whole job and snapshot into the final
 // Report. A nil *Timeline is a no-op recorder. Recording is serialized by a
@@ -144,11 +141,6 @@ func (t *Timeline) Snapshot() []Span {
 // against: each names one decision-loop phase and takes exactly the fields
 // that phase produces, so call sites read as documentation and the span
 // vocabulary cannot drift per-caller. All are nil-safe.
-
-// Instant records a zero-duration span of an arbitrary phase.
-func (t *Timeline) Instant(p Phase, at time.Duration, site, peer string, bytes int64, value float64, id uint64) {
-	t.Record(Span{Phase: p, Site: site, Peer: peer, Start: at, Bytes: bytes, Value: value, ID: id})
-}
 
 // WindowClose marks a source site closing the window that starts at id.
 func (t *Timeline) WindowClose(at time.Duration, site string, events int, id uint64) {

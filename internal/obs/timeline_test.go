@@ -60,7 +60,7 @@ func TestTypedConstructors(t *testing.T) {
 		t.Fatalf("WindowClose span = %+v", wc)
 	}
 	tr := snap[3]
-	if tr.Phase != PhaseTransfer || tr.Dur != 4*time.Second || tr.Bytes != 1<<20 || tr.End() != 14*time.Second {
+	if tr.Phase != PhaseTransfer || tr.Dur != 4*time.Second || tr.Bytes != 1<<20 || tr.Start+tr.Dur != 14*time.Second {
 		t.Fatalf("TransferSpan = %+v", tr)
 	}
 	win := snap[4]

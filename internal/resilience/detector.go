@@ -103,14 +103,6 @@ func (d *Detector) Start() {
 	d.tick = d.sched.NewTicker(d.cfg.HeartbeatInterval, func(simtime.Time) { d.Poll() })
 }
 
-// Stop halts polling.
-func (d *Detector) Stop() {
-	if d.tick != nil {
-		d.tick.Stop()
-		d.tick = nil
-	}
-}
-
 // Poll runs one heartbeat round over every watched site. It is exported so
 // tests (and recovery orchestration needing an immediate verdict) can force
 // a round outside the ticker.
@@ -180,9 +172,4 @@ func (d *Detector) DetectLatency(site cloud.SiteID) time.Duration {
 		return h.detectLat
 	}
 	return 0
-}
-
-// Watched lists the watched sites in poll order.
-func (d *Detector) Watched() []cloud.SiteID {
-	return append([]cloud.SiteID(nil), d.order...)
 }

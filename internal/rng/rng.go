@@ -108,22 +108,6 @@ func (r *Rand) Intn(n int) int {
 // errIntnRange is what Intn and its block form FillIntn panic with.
 const errIntnRange = "rng: Intn with non-positive n"
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // NormFloat64 returns a standard normal variate (Marsaglia polar method). Its
 // sequence is pinned (TestPolarNormalSequencePinned): see the package comment.
 func (r *Rand) NormFloat64() float64 {
@@ -216,17 +200,6 @@ func (r *Rand) ExpFloat64() float64 {
 
 // Exp returns an exponential variate with the given mean (= 1/rate).
 func (r *Rand) Exp(mean float64) float64 { return mean * r.ExpFloat64() }
-
-// Pareto returns a Pareto variate with minimum xm and shape alpha. Heavy
-// tails (alpha near 1) model occasional very large stream records.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return xm / math.Pow(u, 1/alpha)
-		}
-	}
-}
 
 // LogNormal returns exp(Normal(mu, sigma)).
 func (r *Rand) LogNormal(mu, sigma float64) float64 {

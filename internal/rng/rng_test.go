@@ -96,18 +96,6 @@ func TestIntnBoundsAndPanic(t *testing.T) {
 	r.Intn(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(9)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := New(13)
 	const n = 200000
@@ -140,15 +128,6 @@ func TestExpMean(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-4) > 0.1 {
 		t.Fatalf("exp mean = %v, want ~4", mean)
-	}
-}
-
-func TestParetoMinimum(t *testing.T) {
-	r := New(19)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(2, 1.5); v < 2 {
-			t.Fatalf("Pareto below xm: %v", v)
-		}
 	}
 }
 

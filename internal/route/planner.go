@@ -165,9 +165,6 @@ func NewPlanner(sites []cloud.SiteID, est func(from, to cloud.SiteID) float64) *
 	}
 }
 
-// Sites returns the planner's site list in sorted order.
-func (p *Planner) Sites() []cloud.SiteID { return p.g.Sites() }
-
 // MarkDirty records that the directed pair from → to may have a new
 // estimate. Unknown sites are ignored (the monitor may track links the
 // planner's world does not), duplicate marks between queries are free.

@@ -137,19 +137,6 @@ func (g *Graph) Edge(from, to cloud.SiteID) float64 {
 	return g.thr[fi*len(g.sites)+ti]
 }
 
-// Sites returns the sites in sorted order.
-func (g *Graph) Sites() []cloud.SiteID { return append([]cloud.SiteID(nil), g.sites...) }
-
-// Clone returns a deep copy; planners mutate clones when removing paths.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.sites)
-	copy(c.thr, g.thr)
-	for i, adj := range g.out {
-		c.out[i] = append([]int32(nil), adj...)
-	}
-	return c
-}
-
 // maskPathEdges masks every edge of the site-index path rev (hop pairs of
 // consecutive entries) for the current mask epoch.
 func (g *Graph) maskPathSites(sites []cloud.SiteID) {
@@ -176,12 +163,6 @@ type Path struct {
 	Sites      []cloud.SiteID
 	Bottleneck float64
 }
-
-// Hops returns the number of edges in the path.
-func (p Path) Hops() int { return len(p.Sites) - 1 }
-
-// Direct reports whether the path is a single hop.
-func (p Path) Direct() bool { return p.Hops() == 1 }
 
 // String renders "NEU>WEU>NUS (7.5 MB/s)".
 func (p Path) String() string {
@@ -388,14 +369,6 @@ func (g *Graph) WidestPath(src, dst cloud.SiteID) (Path, bool) {
 		return Path{}, false
 	}
 	return Path{Sites: sites, Bottleneck: g.ws.width[di]}, true
-}
-
-// RemovePath zeroes every edge used by the path, so the next WidestPath call
-// finds an alternative.
-func (g *Graph) RemovePath(p Path) {
-	for i := 0; i+1 < len(p.Sites); i++ {
-		g.SetEdge(p.Sites[i], p.Sites[i+1], 0)
-	}
 }
 
 // AlternativePaths returns up to k paths from src to dst, each found on the

@@ -47,7 +47,7 @@ func TestWidestPathTieBreaksOnHops(t *testing.T) {
 	g.SetEdge("A", "B", 5)
 	g.SetEdge("B", "C", 5)
 	p, ok := g.WidestPath("A", "C")
-	if !ok || p.Hops() != 1 {
+	if !ok || len(p.Sites) != 2 {
 		t.Fatalf("path = %v, want direct A>C on tie", p)
 	}
 }
@@ -63,7 +63,7 @@ func TestWidestPathDirectWhenOnlyOption(t *testing.T) {
 	g := NewGraph([]cloud.SiteID{"A", "B"})
 	g.SetEdge("A", "B", 3)
 	p, ok := g.WidestPath("A", "B")
-	if !ok || !p.Direct() || p.Bottleneck != 3 {
+	if !ok || len(p.Sites) != 2 || p.Bottleneck != 3 {
 		t.Fatalf("path = %+v, ok=%v", p, ok)
 	}
 }
@@ -106,27 +106,6 @@ func TestAlternativePathsRespectsK(t *testing.T) {
 	paths := diamond().AlternativePaths("A", "D", 2)
 	if len(paths) != 2 {
 		t.Fatalf("k=2 returned %d paths", len(paths))
-	}
-}
-
-func TestRemovePathZeroesEdges(t *testing.T) {
-	g := diamond()
-	p, _ := g.WidestPath("A", "D")
-	g.RemovePath(p)
-	if g.Edge("A", "B") != 0 || g.Edge("B", "D") != 0 {
-		t.Fatal("RemovePath left edges intact")
-	}
-	if g.Edge("A", "C") != 6 {
-		t.Fatal("RemovePath removed unrelated edge")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := diamond()
-	c := g.Clone()
-	c.SetEdge("A", "B", 99)
-	if g.Edge("A", "B") != 10 {
-		t.Fatal("Clone shares storage with original")
 	}
 }
 

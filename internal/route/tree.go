@@ -19,29 +19,6 @@ type Tree struct {
 	Bottleneck map[cloud.SiteID]float64
 }
 
-// Children returns a site's children in sorted order.
-func (t Tree) Children(s cloud.SiteID) []cloud.SiteID {
-	var out []cloud.SiteID
-	for c, p := range t.Parent {
-		if p == s {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Sites returns every site in the tree (root first, then sorted).
-func (t Tree) Sites() []cloud.SiteID {
-	out := []cloud.SiteID{t.Root}
-	var rest []cloud.SiteID
-	for c := range t.Parent {
-		rest = append(rest, c)
-	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-	return append(out, rest...)
-}
-
 // Edges returns the tree's (parent, child) edges sorted by (parent, child).
 func (t Tree) Edges() [][2]cloud.SiteID {
 	out := make([][2]cloud.SiteID, 0, len(t.Parent))
@@ -55,31 +32,6 @@ func (t Tree) Edges() [][2]cloud.SiteID {
 		return out[i][1] < out[j][1]
 	})
 	return out
-}
-
-// PathTo returns the root-to-dest site sequence.
-func (t Tree) PathTo(dest cloud.SiteID) ([]cloud.SiteID, bool) {
-	if dest == t.Root {
-		return []cloud.SiteID{t.Root}, true
-	}
-	var rev []cloud.SiteID
-	for at := dest; ; {
-		rev = append(rev, at)
-		p, ok := t.Parent[at]
-		if !ok {
-			return nil, false
-		}
-		at = p
-		if at == t.Root {
-			rev = append(rev, t.Root)
-			break
-		}
-	}
-	out := make([]cloud.SiteID, len(rev))
-	for i, s := range rev {
-		out[len(rev)-1-i] = s
-	}
-	return out, true
 }
 
 // String renders "NEU -> {EUS -> {NUS, SUS}}" style edges.

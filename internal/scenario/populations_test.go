@@ -8,6 +8,7 @@ import (
 	"time"
 	"unsafe"
 
+	apiv1 "sage/api/v1"
 	"sage/internal/rng"
 	"sage/internal/stream"
 	"sage/internal/workload"
@@ -20,9 +21,9 @@ func sharedShapeRoster() []MultiJobConfig {
 	jobs := make([]MultiJobConfig, 28)
 	for i := range jobs {
 		j := &jobs[i]
-		j.Sink, j.Window, j.Agg, j.Strategy, j.Duration = "NUS", Duration(30*time.Second), "sum", "direct", Duration(time.Minute)
+		j.Sink, j.Window, j.Agg, j.Strategy, j.Duration = "NUS", apiv1.Duration(30*time.Second), "sum", "direct", apiv1.Duration(time.Minute)
 		for k, site := range []string{"NEU", "WEU", "SUS", "WUS", "SEA"} {
-			sc := SourceConfig{Site: site, Rate: 100, Keys: 2000, Skew: 1.2}
+			sc := apiv1.SourceConfig{Site: site, Rate: 100, Keys: 2000, Skew: 1.2}
 			if k == 0 && i%2 == 1 {
 				sc.Keys, sc.Skew = 500, 0
 			}

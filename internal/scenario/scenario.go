@@ -29,18 +29,12 @@ import (
 type (
 	// Scenario is a complete run description (apiv1.Roster).
 	Scenario = apiv1.Roster
-	// Duration wraps time.Duration with human-readable JSON.
-	Duration = apiv1.Duration
 	// JobConfig mirrors core.JobSpec declaratively.
 	JobConfig = apiv1.JobConfig
 	// MultiJobConfig is one roster entry with scheduling metadata.
 	MultiJobConfig = apiv1.MultiJobConfig
 	// SchedulerConfig mirrors sched.Options declaratively.
 	SchedulerConfig = apiv1.SchedulerConfig
-	// SourceConfig declares one event source.
-	SourceConfig = apiv1.SourceConfig
-	// GatherConfig mirrors core.GatherSpec declaratively.
-	GatherConfig = apiv1.GatherConfig
 	// Injection is a timed fault.
 	Injection = apiv1.Injection
 )

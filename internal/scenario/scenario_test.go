@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	apiv1 "sage/api/v1"
 	"sage/internal/core"
 )
 
@@ -87,7 +88,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestDurationRoundTrip(t *testing.T) {
-	d := Duration(90 * time.Second)
+	d := apiv1.Duration(90 * time.Second)
 	b, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestDurationRoundTrip(t *testing.T) {
 	if string(b) != `"1m30s"` {
 		t.Fatalf("marshal = %s", b)
 	}
-	var back Duration
+	var back apiv1.Duration
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 // arrivals for every job submitted so far are scheduled and the admission
 // tick installed, then Open returns without advancing virtual time. Further
 // Submits stay legal and take effect Arrival after the submission instant.
-// The caller drives e.Sched and reads progress through Status, Done and
-// Report. Run and Open are mutually exclusive.
+// The caller drives e.Sched and reads progress through Status and Report.
+// Run and Open are mutually exclusive.
 func (s *Scheduler) Open() error {
 	if s.started {
 		return errors.New("sched: Open after Run or Open")
@@ -31,16 +31,8 @@ func (s *Scheduler) Open() error {
 		j := j
 		j.arrivalEv = s.e.Sched.After(j.spec.Arrival, func() { s.arrive(j) })
 	}
-	s.ticker = s.e.Sched.NewTicker(s.opt.Tick, func(now simtime.Time) { s.Step(now) })
+	s.e.Sched.NewTicker(s.opt.Tick, func(now simtime.Time) { s.Step(now) })
 	return nil
-}
-
-// Close stops the live admission tick. Only meaningful after Open.
-func (s *Scheduler) Close() {
-	if s.ticker != nil {
-		s.ticker.Stop()
-		s.ticker = nil
-	}
 }
 
 // Sentinel errors of the control operations, matchable with errors.Is.
@@ -233,23 +225,12 @@ func (s *Scheduler) Status() []JobStatus {
 	return out
 }
 
-// Active counts jobs not yet finished or cancelled — zero means driving
-// the clock further only burns the admission tick.
-func (s *Scheduler) Active() int {
-	n := 0
-	for _, j := range s.jobs {
-		if j.state != jobDone && j.state != jobCancelled {
-			n++
-		}
-	}
-	return n
-}
-
-// Runnable counts active jobs not held by a manual pause — the jobs for
-// which advancing the clock can make progress. Zero with Active() > 0 means
-// every surviving job is manually paused: pausing already aborted any
-// in-flight transfers, so driving the clock would only burn the admission
-// tick until a Resume or Cancel changes the answer.
+// Runnable counts jobs neither finished, cancelled nor held by a manual
+// pause — the jobs for which advancing the clock can make progress. Zero
+// while some job is unfinished means every surviving job is manually
+// paused: pausing already aborted any in-flight transfers, so driving the
+// clock would only burn the admission tick until a Resume or Cancel changes
+// the answer.
 func (s *Scheduler) Runnable() int {
 	n := 0
 	for _, j := range s.jobs {
@@ -260,12 +241,6 @@ func (s *Scheduler) Runnable() int {
 	}
 	return n
 }
-
-// Done reports whether every submitted job has finished or been cancelled.
-func (s *Scheduler) Done() bool { return s.allDone() }
-
-// Err returns the scheduler's sticky error (a failed admission), if any.
-func (s *Scheduler) Err() error { return s.err }
 
 // Report assembles the multi-job report of a live scheduler. It requires
 // every job to have finished or been cancelled; Run-driven schedulers get

@@ -132,9 +132,8 @@ type Scheduler struct {
 	started bool
 	// live marks a scheduler started with Open: the caller owns the clock
 	// and Submit stays legal.
-	live   bool
-	ticker *simtime.Ticker
-	err    error
+	live bool
+	err  error
 }
 
 // New builds a scheduler over an engine. The engine must outlive the

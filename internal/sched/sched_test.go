@@ -248,7 +248,7 @@ func TestPreemptionHoldsResilientJob(t *testing.T) {
 		if moved := e.Net.JobEgressBytes(low.run.ID()) - before; moved != 0 {
 			t.Fatalf("resilient=%v: held job moved %d bytes while preempted", resilient, moved)
 		}
-		for i := 0; !s.Done() && i < 3600; i++ {
+		for i := 0; !s.allDone() && i < 3600; i++ {
 			e.Sched.RunFor(time.Second)
 		}
 		m, err := s.Report()

@@ -59,15 +59,10 @@ type shardTask struct {
 	staged bool
 }
 
-// NewSharded wraps a Scheduler with a sharded executor that stages with one
-// worker per shard. shards < 1 is treated as 1 (fully sequential);
-// lookahead < 0 as 0 (stages batch only with exactly-simultaneous events).
-func NewSharded(s *Scheduler, shards int, lookahead Time) *Sharded {
-	return NewShardedWorkers(s, shards, shards, lookahead)
-}
-
-// NewShardedWorkers is NewSharded with at most workers stages running at
-// once; workers is clamped to [1, shards].
+// NewShardedWorkers wraps a Scheduler with a sharded executor that runs at
+// most workers stages at once. shards < 1 is treated as 1 (fully
+// sequential); workers is clamped to [1, shards]; lookahead < 0 is treated
+// as 0 (stages batch only with exactly-simultaneous events).
 func NewShardedWorkers(s *Scheduler, shards, workers int, lookahead Time) *Sharded {
 	shards = max(shards, 1)
 	workers = min(max(workers, 1), shards)

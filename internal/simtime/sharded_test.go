@@ -8,6 +8,11 @@ import (
 	"time"
 )
 
+// newSharded is a sharded executor with one worker per shard.
+func newSharded(s *Scheduler, shards int, lookahead Time) *Sharded {
+	return NewShardedWorkers(s, shards, shards, lookahead)
+}
+
 // shardedOrder runs the same synthetic workload on a Sharded with the given
 // shard count and returns the commit-order log. The workload spreads 60
 // two-phase events across 4 logical streams with interleaved, partially tied
@@ -15,7 +20,7 @@ import (
 func shardedOrder(t *testing.T, shards int) []string {
 	t.Helper()
 	s := New()
-	sh := NewSharded(s, shards, 10*time.Millisecond)
+	sh := newSharded(s, shards, 10*time.Millisecond)
 	var log []string
 	// Distinct slice slots per task: stages on different shards write
 	// different indices, so the hammer is race-free by construction.
@@ -63,7 +68,7 @@ func TestShardedCommitOrderMatchesSequential(t *testing.T) {
 // seq) order even when staged in batched rounds.
 func TestShardedStageOrderWithinShard(t *testing.T) {
 	s := New()
-	sh := NewSharded(s, 2, time.Second) // huge lookahead: everything one round
+	sh := newSharded(s, 2, time.Second) // huge lookahead: everything one round
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
@@ -87,7 +92,7 @@ func TestShardedStageOrderWithinShard(t *testing.T) {
 // pre-staged: a task outside now+lookahead waits for a later round.
 func TestShardedLookaheadBounds(t *testing.T) {
 	s := New()
-	sh := NewSharded(s, 2, 10*time.Millisecond)
+	sh := newSharded(s, 2, 10*time.Millisecond)
 	stagedLate := false
 	sh.At(0, Time(5*time.Millisecond), func() {}, func() {
 		if stagedLate {
@@ -108,7 +113,7 @@ func TestShardedLookaheadBounds(t *testing.T) {
 // channel blocking — and deadlocks (test timeout) if staging were serial.
 func TestShardedStagesRunConcurrently(t *testing.T) {
 	s := New()
-	sh := NewSharded(s, 2, 10*time.Millisecond)
+	sh := newSharded(s, 2, 10*time.Millisecond)
 	ping, pong := make(chan struct{}), make(chan struct{})
 	met := false
 	sh.At(0, Time(time.Millisecond), func() {
@@ -193,8 +198,8 @@ func TestShardedWorkersCap(t *testing.T) {
 	if w := NewShardedWorkers(s, 4, 0, 0).Workers(); w != 1 {
 		t.Fatalf("0 workers: Workers() = %d, want 1", w)
 	}
-	if w := NewSharded(s, 4, 0).Workers(); w != 4 {
-		t.Fatalf("NewSharded(4): Workers() = %d, want 4", w)
+	if w := newSharded(s, 4, 0).Workers(); w != 4 {
+		t.Fatalf("one worker per shard: Workers() = %d, want 4", w)
 	}
 }
 
@@ -203,7 +208,7 @@ func TestShardedWorkersCap(t *testing.T) {
 // sequence when several shards panic in one round.
 func TestShardedPanicPropagation(t *testing.T) {
 	s := New()
-	sh := NewSharded(s, 4, 10*time.Millisecond)
+	sh := newSharded(s, 4, 10*time.Millisecond)
 	sh.At(2, Time(time.Millisecond), func() { panic("boom-a") }, func() {})
 	sh.At(3, Time(time.Millisecond), func() { panic("boom-b") }, func() {})
 	defer func() {
@@ -223,7 +228,7 @@ func TestShardedPanicPropagation(t *testing.T) {
 // TestShardedInvalidShardPanics pins the API misuse guard.
 func TestShardedInvalidShardPanics(t *testing.T) {
 	s := New()
-	sh := NewSharded(s, 2, 0)
+	sh := newSharded(s, 2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected out-of-range shard to panic")
@@ -240,7 +245,7 @@ func TestShardedInvalidShardPanics(t *testing.T) {
 func TestShardedRaceHammer(t *testing.T) {
 	const shards, perShard = 8, 200
 	s := New()
-	sh := NewSharded(s, shards, 3*time.Millisecond)
+	sh := newSharded(s, shards, 3*time.Millisecond)
 	local := make([]int, shards)
 	total := 0
 	for sd := 0; sd < shards; sd++ {

@@ -121,12 +121,6 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Addf appends a row of formatted values.
-func (t *Table) Addf(format string, cells ...any) {
-	parts := strings.Split(fmt.Sprintf(format, cells...), "\t")
-	t.Add(parts...)
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Headers))

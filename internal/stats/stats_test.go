@@ -88,7 +88,7 @@ func TestDurations(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Demo", "name", "value")
 	tb.Add("alpha", "1")
-	tb.Addf("beta\t%d", 22)
+	tb.Add("beta", "22")
 	s := tb.String()
 	if !strings.Contains(s, "== Demo ==") {
 		t.Fatalf("missing title:\n%s", s)

@@ -120,41 +120,3 @@ func RunBenchmarkWindowAggMap(b *testing.B, keys int) {
 		w.Advance(off + span)
 	}
 }
-
-// RunBenchmarkSlidingAdvanceEmpty measures a sliding-window Advance that
-// closes nothing — the steady-state watermark tick. Budget: 0 allocs/op.
-func RunBenchmarkSlidingAdvanceEmpty(b *testing.B) {
-	a := NewSlidingAgg(NewSlidingWindows(30*time.Second, 10*time.Second), Mean)
-	for i := 0; i < 32; i++ {
-		a.Add(Event{Key: "k", Value: 1, Time: simtime.Time(i) * simtime.Time(10*time.Second)})
-	}
-	// Prime: one closing advance allocates the scratch slice; the
-	// steady-state ticks that close nothing must then reuse it.
-	watermark := simtime.Time(160 * time.Second)
-	a.Advance(watermark)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Advance(watermark)
-	}
-}
-
-// RunBenchmarkWindowJoinAdvanceEmpty measures a join Advance with nothing
-// to close — both sides' watermark ticks plus the (reused) right-side
-// index. Budget: 0 allocs/op.
-func RunBenchmarkWindowJoinAdvanceEmpty(b *testing.B) {
-	j := NewWindowJoin(10*time.Second, Sum)
-	for i := 0; i < 16; i++ {
-		at := simtime.Time(i) * simtime.Time(10*time.Second)
-		j.AddLeft(Event{Key: "k", Value: 1, Time: at})
-		j.AddRight(Event{Key: "k", Value: 2, Time: at})
-	}
-	// Prime: a real close allocates the right-side index and scratch
-	// slices once; steady-state ticks must then reuse them.
-	j.Advance(simtime.Time(time.Hour))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j.Advance(simtime.Time(time.Hour))
-	}
-}

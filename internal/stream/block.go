@@ -87,9 +87,6 @@ func (w *WindowAgg) AddBlock(b *Block) {
 // loop per accumulator, chosen here so that no per-event step asks the kind.
 // The IDs are trusted to be IDs of a.table; one outside it panics on the index.
 func (a *KeyedAgg) addColumns(ids []int32, vals []float64) {
-	if len(a.dense) < a.table.cap() {
-		a.growDense()
-	}
 	// Indexing from ID 1 makes the bounds check reject ID 0 (dense[0] is
 	// never a key's cell) along with everything past the table.
 	cells := a.dense[1:]

@@ -11,62 +11,14 @@ import (
 	"sage/internal/simtime"
 )
 
-func TestKeyTableInternLookup(t *testing.T) {
-	kt := NewKeyTable()
-	if kt.Len() != 0 {
-		t.Fatalf("empty table Len = %d", kt.Len())
-	}
-	a := kt.Intern("alpha")
-	b := kt.Intern("beta")
-	if a == 0 || b == 0 || a == b {
-		t.Fatalf("ids = %d, %d; want distinct non-zero", a, b)
-	}
-	if kt.Intern("alpha") != a {
-		t.Fatal("re-interning must return the same id")
-	}
-	if id, ok := kt.Lookup("alpha"); !ok || id != a {
-		t.Fatalf("Lookup(alpha) = %d,%v", id, ok)
-	}
-	if _, ok := kt.Lookup("absent"); ok {
-		t.Fatal("Lookup of an unknown key must report !ok")
-	}
-	if kt.Key(a) != "alpha" || kt.Key(b) != "beta" {
-		t.Fatal("Key round-trip mismatch")
-	}
-	if kt.Key(0) != "" || kt.Key(-1) != "" || kt.Key(99) != "" {
-		t.Fatal("out-of-range ids must map to the empty string")
-	}
-	if kt.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", kt.Len())
-	}
-}
-
-// TestKeyTablesShareAList: tables built from one list never write it, even
-// when it has room to grow — an Intern into one table reaches neither the
-// other table nor the list.
-func TestKeyTablesShareAList(t *testing.T) {
-	list := append(make([]string, 0, 8), "a", "b", "c")
-	one, two := NewKeyTableOf(list), NewKeyTableOf(list)
-	if id := one.Intern("d"); id != 4 || one.Key(4) != "d" {
-		t.Fatalf("Intern(d) = %d, Key(4) = %q", id, one.Key(4))
-	}
-	if two.Len() != 3 || two.Key(4) != "" || list[:4][3] != "" {
-		t.Fatalf("an Intern into one table wrote the shared list: other table Len %d, Key(4) %q; list %q", two.Len(), two.Key(4), list[:4])
-	}
-	if id := two.Intern("e"); id != 4 || one.Key(4) != "d" || two.Key(4) != "e" {
-		t.Fatalf("Intern(e) = %d; tables hold %q and %q at ID 4", id, one.Key(4), two.Key(4))
-	}
-}
-
-// FuzzKeyTable: a table built from a list of distinct keys, then interned
-// into and looked up in in any interleaving, is the table that interned the
-// list key by key and then did the same — the same ID from every Intern, the
-// same answer from every Lookup, the same key under every ID — and it builds
-// no index until a Lookup or Intern asks for one.
+// FuzzKeyTable: a table built from a list of distinct keys answers every
+// Lookup and Key as the list does — the ID of a key is its position plus one,
+// an absent key or an out-of-range ID has none — and it builds no index until
+// a Lookup asks for one.
 //
 // ops[0] sizes the list, whose keys are the next bytes (repeats dropped);
-// every later byte is one operation on key b&63: Intern for b < 0x80, Lookup
-// for b < 0xc0, Key(b&63) otherwise.
+// every later byte is one operation: Lookup of key b&63 for b < 0x80,
+// Key(b&63) otherwise.
 func FuzzKeyTable(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 0x80, 1, 0x45, 0xc0, 0xc3, 7})
 	f.Add([]byte{0, 0x81, 5, 5, 0x85, 0xc1})
@@ -83,55 +35,55 @@ func FuzzKeyTable(f *testing.F) {
 				list = append(list, key(b))
 			}
 		}
-		want := NewKeyTable()
-		for _, k := range list {
-			want.Intern(k)
-		}
 		got := NewKeyTableOf(slices.Clone(list))
-		if got.Len() != len(list) || got.Key(len(list)) != want.Key(len(list)) || got.ids != nil {
-			t.Fatalf("built from %q: Len %d, last key %q, indexed %v", list, got.Len(), got.Key(len(list)), got.ids != nil)
+		if got.Len() != len(list) || got.ids != nil {
+			t.Fatalf("built from %q: Len %d, indexed %v", list, got.Len(), got.ids != nil)
 		}
 		asked := false
 		for i, b := range ops[1+n:] {
-			asked = asked || b < 0xc0
-			switch k := key(b); {
-			case b < 0x80:
-				if g, w := got.Intern(k), want.Intern(k); g != w {
-					t.Fatalf("op %d: Intern(%q) = %d, want %d", i, k, g, w)
+			if b < 0x80 {
+				asked = true
+				k := key(b)
+				w := slices.Index(list, k) + 1
+				if g, ok := got.Lookup(k); g != w || ok != (w > 0) {
+					t.Fatalf("op %d: Lookup(%q) = %d,%v, want %d,%v", i, k, g, ok, w, w > 0)
 				}
-			case b < 0xc0:
-				g, gok := got.Lookup(k)
-				w, wok := want.Lookup(k)
-				if g != w || gok != wok {
-					t.Fatalf("op %d: Lookup(%q) = %d,%v, want %d,%v", i, k, g, gok, w, wok)
-				}
-			default:
-				if g, w := got.Key(int(b&63)), want.Key(int(b&63)); g != w {
-					t.Fatalf("op %d: Key(%d) = %q, want %q", i, b&63, g, w)
-				}
+			} else if id := int(b & 63); got.Key(id) != listKey(list, id) {
+				t.Fatalf("op %d: Key(%d) = %q, want %q", i, id, got.Key(id), listKey(list, id))
 			}
 		}
-		if got.Len() != want.Len() || (got.ids != nil) != asked {
-			t.Fatalf("Len %d, want %d; indexed %v after %d ops", got.Len(), want.Len(), got.ids != nil, len(ops)-1-n)
+		if got.Len() != len(list) || (got.ids != nil) != asked {
+			t.Fatalf("Len %d, want %d; indexed %v after %d ops", got.Len(), len(list), got.ids != nil, len(ops)-1-n)
 		}
-		for id := 0; id <= want.Len()+1; id++ {
-			if got.Key(id) != want.Key(id) {
-				t.Fatalf("Key(%d) = %q, want %q", id, got.Key(id), want.Key(id))
+		for id := -1; id <= len(list)+1; id++ {
+			if got.Key(id) != listKey(list, id) {
+				t.Fatalf("Key(%d) = %q, want %q", id, got.Key(id), listKey(list, id))
 			}
 		}
 	})
 }
 
-// denseEvents deterministically builds a mixed event sequence: most keys are
-// interned in the table, a few are ad-hoc strings that exercise the map
-// fallback, and raw drives values, timestamps, and duplicates.
-func denseEvents(raw []uint16, table *KeyTable) []Event {
-	interned := make([]string, 5)
-	ids := make([]int, 5)
-	for i := range interned {
-		interned[i] = fmt.Sprintf("sensor-%04d", i)
-		ids[i] = table.Intern(interned[i])
+// listKey is the key a table built from list holds under id, "" for none.
+func listKey(list []string, id int) string {
+	if id <= 0 || id > len(list) {
+		return ""
 	}
+	return list[id-1]
+}
+
+// denseTable returns a table of the five keys denseEvents draws from.
+func denseTable() *KeyTable {
+	keys := make([]string, 5)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("sensor-%04d", i)
+	}
+	return NewKeyTableOf(keys)
+}
+
+// denseEvents deterministically builds a mixed event sequence: most keys are
+// the keys of table, a denseTable, a few are ad-hoc strings that exercise the
+// map fallback, and raw drives values, timestamps, and duplicates.
+func denseEvents(raw []uint16, table *KeyTable) []Event {
 	events := make([]Event, len(raw))
 	for i, r := range raw {
 		e := Event{
@@ -139,12 +91,12 @@ func denseEvents(raw []uint16, table *KeyTable) []Event {
 			Time:  simtime.Time(r%200) * simtime.Time(time.Second),
 		}
 		if i%7 == 3 {
-			// Ad-hoc key: never interned, exercises the map path even
-			// inside a dense aggregate.
+			// Ad-hoc key: in no table, exercises the map path even inside
+			// a dense aggregate.
 			e.Key = fmt.Sprintf("adhoc-%d", r%4)
 		} else {
-			k := int(r) % len(interned)
-			e.Key, e.KeyID = interned[k], ids[k]
+			e.KeyID = int(r)%table.Len() + 1
+			e.Key = table.Key(e.KeyID)
 		}
 		events[i] = e
 	}
@@ -182,7 +134,7 @@ func TestPropertyDenseMatchesMapTumbling(t *testing.T) {
 	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
 		kind := kind
 		f := func(raw []uint16) bool {
-			table := NewKeyTable()
+			table := denseTable()
 			events := denseEvents(raw, table)
 			dense := NewWindowAggDense(30*time.Second, kind, table)
 			plain := NewWindowAgg(30*time.Second, kind)
@@ -204,50 +156,23 @@ func TestPropertyDenseMatchesMapTumbling(t *testing.T) {
 	}
 }
 
-// Property: same equivalence for sliding windows, where each event lands in
-// several overlapping windows.
-func TestPropertyDenseMatchesMapSliding(t *testing.T) {
-	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
-		kind := kind
-		f := func(raw []uint16) bool {
-			table := NewKeyTable()
-			events := denseEvents(raw, table)
-			win := NewSlidingWindows(30*time.Second, 10*time.Second)
-			dense := NewSlidingAggDense(win, kind, table)
-			plain := NewSlidingAgg(win, kind)
-			for _, e := range events {
-				dense.Add(e)
-				me := e
-				me.KeyID = 0
-				plain.Add(me)
-			}
-			return sameClosed(dense.Advance(simtime.Time(time.Hour)), plain.Advance(simtime.Time(time.Hour))) == nil
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-			t.Errorf("kind %v: %v", kind, err)
-		}
-	}
-}
-
 // A stale KeyID — one that does not match the event's Key in the aggregate's
 // table — must fall back to the string path, not corrupt another key's cell.
 func TestDenseStaleKeyIDFallsBack(t *testing.T) {
-	table := NewKeyTable()
-	id := table.Intern("real")
-	a := NewKeyedAggDense(Sum, table)
-	a.Add(Event{Key: "impostor", KeyID: id, Value: 7})
+	a := NewKeyedAggDense(Sum, NewKeyTableOf([]string{"real"}))
+	a.Add(Event{Key: "impostor", KeyID: 1, Value: 7})
 	if v, ok := a.Value("impostor"); !ok || v != 7 {
 		t.Fatalf("impostor value = %v,%v", v, ok)
 	}
 	if _, ok := a.Value("real"); ok {
-		t.Fatal("stale KeyID credited the interned key")
+		t.Fatal("stale KeyID credited the table's key")
 	}
 }
 
 // Merging a dense aggregate into a map aggregate (and vice versa) must agree
 // with merging the map aggregates — the cross-representation migration path.
 func TestDenseMergeAcrossRepresentations(t *testing.T) {
-	table := NewKeyTable()
+	table := denseTable()
 	mk := func(densePart bool) *KeyedAgg {
 		var a *KeyedAgg
 		if densePart {
@@ -296,9 +221,9 @@ func sameAggs(a, b []Closed) error {
 	}
 	for i := range a {
 		x, y := a[i].Agg, b[i].Agg
-		if x.Keys() != y.Keys() || x.Events() != y.Events() || x.SerializedBytes() != y.SerializedBytes() {
+		if x.Keys() != y.Keys() || eventCount(x) != eventCount(y) || x.SerializedBytes() != y.SerializedBytes() {
 			return fmt.Errorf("window %v: keys %d/%d events %d/%d bytes %d/%d", a[i].Window,
-				x.Keys(), y.Keys(), x.Events(), y.Events(), x.SerializedBytes(), y.SerializedBytes())
+				x.Keys(), y.Keys(), eventCount(x), eventCount(y), x.SerializedBytes(), y.SerializedBytes())
 		}
 	}
 	return nil
@@ -313,7 +238,7 @@ func TestPropertyAddBatchMatchesAdd(t *testing.T) {
 	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
 		for _, dense := range []bool{true, false} {
 			f := func(raw []uint16, cuts []uint8) bool {
-				table := NewKeyTable()
+				table := denseTable()
 				events := denseEvents(raw, table)
 				for i := range events {
 					switch i % 11 {
@@ -350,7 +275,7 @@ func TestPropertyAddBatchMatchesAdd(t *testing.T) {
 					}
 					events = events[n:]
 				}
-				if batched.Open() != single.Open() {
+				if len(batched.open) != len(single.open) {
 					return false
 				}
 				return sameAggs(batched.Advance(simtime.Time(time.Hour)), single.Advance(simtime.Time(time.Hour))) == nil
@@ -369,7 +294,7 @@ func TestPropertyAddBatchMatchesAdd(t *testing.T) {
 // several (steps of 0, 1, 7, 31 and 95 s against 30 s windows), descend
 // (folded event by event), start before time zero, arrive late after an
 // Advance, or carry a foreign table: the same keys interned in another order
-// plus one key the aggregate's table has never seen. Both sides are also held
+// plus one key the aggregate's table does not hold. Both sides are also held
 // to the four-field oracle's windows, so each kind must have gone through a
 // fold of its own: addColumns taking, say, the sum loop for Min would agree
 // with nothing the oracle reads from its min field.
@@ -379,12 +304,12 @@ func TestPropertyAddBlockMatchesAddBatch(t *testing.T) {
 		for _, dense := range []bool{true, false} {
 			f := func(seed int64, shape []uint8) bool {
 				rnd := rand.New(rand.NewSource(seed))
-				own, foreign := NewKeyTable(), NewKeyTable()
+				var ownKeys, foreignKeys []string
 				for i := 0; i < 6; i++ {
-					own.Intern(fmt.Sprintf("sensor-%04d", i))
-					foreign.Intern(fmt.Sprintf("sensor-%04d", 5-i))
+					ownKeys = append(ownKeys, fmt.Sprintf("sensor-%04d", i))
+					foreignKeys = append(foreignKeys, fmt.Sprintf("sensor-%04d", 5-i))
 				}
-				foreign.Intern("elsewhere")
+				own, foreign := NewKeyTableOf(ownKeys), NewKeyTableOf(append(foreignKeys, "elsewhere"))
 				table := own
 				if !dense {
 					table = nil
@@ -426,7 +351,7 @@ func TestPropertyAddBlockMatchesAddBatch(t *testing.T) {
 					for _, e := range events {
 						oracle.add(e)
 					}
-					if blocked.Open() != batched.Open() {
+					if len(blocked.open) != len(batched.open) {
 						return false
 					}
 					if sh%3 == 0 {
@@ -449,8 +374,7 @@ func TestPropertyAddBlockMatchesAddBatch(t *testing.T) {
 // table never issued must stop the fold, not land in another key's cell or in
 // the unused cell 0.
 func TestAddBlockRejectsIDsOutsideItsTable(t *testing.T) {
-	table := NewKeyTable()
-	table.Intern("only")
+	table := NewKeyTableOf([]string{"only"})
 	for _, id := range []int32{0, -1, 2} {
 		func() {
 			defer func() {
@@ -465,10 +389,10 @@ func TestAddBlockRejectsIDsOutsideItsTable(t *testing.T) {
 }
 
 // Property: MergeMapped through a source→sink remap is Merge, cell for cell
-// and bit for bit, for every kind — over source and sink tables interned in
-// unrelated orders, with keys the sink never interned (remap 0: they land in
-// its map), a source table that grew after the remap was built (IDs past its
-// end: string path, dense or map at the sink as the key is known or not),
+// and bit for bit, for every kind — over source and sink tables holding keys
+// in unrelated orders, with keys the sink's table lacks (remap 0: they land in
+// its map), a remap shorter than the source table (IDs past its end: string
+// path, dense or map at the sink as the key is known or not),
 // ad-hoc map cells on the source side, and a destination that already holds
 // cells. The merged-in aggregate is only read.
 func TestPropertyMergeMappedMatchesMerge(t *testing.T) {
@@ -478,28 +402,25 @@ func TestPropertyMergeMappedMatchesMerge(t *testing.T) {
 		f := func(raw []uint16, pick uint64) bool {
 			// pick decides, per key of a 24-key universe, whether the source
 			// table holds it, whether the sink's does, and whether the source
-			// interned it only after the remap was built.
-			src, sink := NewKeyTable(), NewKeyTable()
-			var late []string
+			// holds it past the end of the remap.
+			var srcKeys, late, sinkKeys []string
 			for i := 0; i < 24; i++ {
 				bits := pick >> (2 * i) & 3
 				if bits&1 != 0 {
 					if i%5 == 4 {
 						late = append(late, key(i))
 					} else {
-						src.Intern(key(i))
+						srcKeys = append(srcKeys, key(i))
 					}
 				}
 				if bits&2 != 0 {
-					sink.Intern(key(23 - i)) // a different subset, in another order
+					sinkKeys = append(sinkKeys, key(23-i)) // a different subset, in another order
 				}
 			}
-			remap := make([]int, src.Len()+1)
-			for id := 1; id <= src.Len(); id++ {
+			src, sink := NewKeyTableOf(append(srcKeys, late...)), NewKeyTableOf(sinkKeys)
+			remap := make([]int, len(srcKeys)+1)
+			for id := 1; id <= len(srcKeys); id++ {
 				remap[id], _ = sink.Lookup(src.Key(id))
-			}
-			for _, k := range late {
-				src.Intern(k)
 			}
 			o := NewKeyedAggDense(kind, src)
 			viaRemap, viaMerge := NewKeyedAggDense(kind, sink), NewKeyedAggDense(kind, sink)

@@ -1,62 +1,37 @@
 package stream
 
-import "slices"
-
-// KeyTable interns event keys into small dense integer IDs shared between
+// KeyTable maps event keys to small dense integer IDs shared between
 // generators and operators. A generator builds its table from its key list
 // once, at construction; every event it emits then carries the integer KeyID
 // next to the string Key, and keyed aggregates index a slice of cells instead
 // of hashing strings — the allocation-free fast path of the streaming data
 // plane.
 //
-// IDs start at 1; 0 is reserved as "no interned key" so the Event zero value
-// stays valid. The string → ID index is built by the first Lookup or Intern,
-// so a table only ever addressed by ID hashes no key. Ownership: a KeyTable is
-// not safe for concurrent mutation, and a Lookup on a table not yet indexed
-// writes the index, so Intern and Lookup come from the one goroutine that owns
-// the table. Key and Len read only the key list, which only Intern extends.
-// A table built from a list shares it (the generators of one key population
-// build their tables from one list) but never writes into it: the list is
-// clipped, so an Intern past its end appends to a copy.
+// IDs start at 1; 0 is reserved as "no key ID" so the Event zero value stays
+// valid. A table's keys are fixed when it is built. The string → ID index is
+// built by the first Lookup, so a table only ever addressed by ID hashes no
+// key. Ownership: a Lookup on a table not yet indexed writes the index, so
+// Lookups come from the one goroutine that owns the table; Key and Len read
+// only the key list, which nothing writes, so any goroutine may call them.
 type KeyTable struct {
 	keys []string       // keys[id-1] is the key with ID id
-	ids  map[string]int // key → ID; nil until the first Lookup or Intern
+	ids  map[string]int // key → ID; nil until the first Lookup
 }
 
-// NewKeyTable returns an empty table.
-func NewKeyTable() *KeyTable { return &KeyTable{} }
-
 // NewKeyTableOf returns a table holding keys, which must be distinct: the key
-// at keys[i] gets ID i+1, as interning them in order would assign. The table
-// reads the list as it is, hashing nothing, and never writes it (see
-// KeyTable), so any number of tables can be built over one list.
-func NewKeyTableOf(keys []string) *KeyTable { return &KeyTable{keys: slices.Clip(keys)} }
+// at keys[i] gets ID i+1. The table reads the list as it is, hashing nothing,
+// and never writes it, so any number of tables can be built over one list.
+func NewKeyTableOf(keys []string) *KeyTable { return &KeyTable{keys: keys} }
 
-// index returns the string → ID index, building it on first use.
-func (t *KeyTable) index() map[string]int {
+// Lookup returns the ID for a key of the table.
+func (t *KeyTable) Lookup(key string) (int, bool) {
 	if t.ids == nil {
 		t.ids = make(map[string]int, len(t.keys))
 		for i, k := range t.keys {
 			t.ids[k] = i + 1
 		}
 	}
-	return t.ids
-}
-
-// Intern returns the ID for key, assigning the next free ID on first use.
-func (t *KeyTable) Intern(key string) int {
-	ids := t.index()
-	if id, ok := ids[key]; ok {
-		return id
-	}
-	t.keys = append(t.keys, key)
-	ids[key] = len(t.keys)
-	return len(t.keys)
-}
-
-// Lookup returns the ID for an already-interned key.
-func (t *KeyTable) Lookup(key string) (int, bool) {
-	id, ok := t.index()[key]
+	id, ok := t.ids[key]
 	return id, ok
 }
 
@@ -68,8 +43,8 @@ func (t *KeyTable) Key(id int) string {
 	return t.keys[id-1]
 }
 
-// Len returns the number of interned keys.
+// Len returns the number of keys.
 func (t *KeyTable) Len() int { return len(t.keys) }
 
-// cap returns the cell-slice length needed to index every current ID.
+// cap returns the cell-slice length needed to index every ID.
 func (t *KeyTable) cap() int { return len(t.keys) + 1 }

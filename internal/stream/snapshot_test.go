@@ -42,11 +42,9 @@ func TestKeyedAggSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 func TestKeyedAggSnapshotCoversDenseCells(t *testing.T) {
-	tb := NewKeyTable()
-	id := tb.Intern("hot")
-	a := NewKeyedAggDense(Sum, tb)
-	a.Add(Event{Key: "hot", KeyID: id, Value: 3})
-	a.Add(Event{Key: "cold", Value: 4}) // un-interned: map path
+	a := NewKeyedAggDense(Sum, NewKeyTableOf([]string{"hot"}))
+	a.Add(Event{Key: "hot", KeyID: 1, Value: 3})
+	a.Add(Event{Key: "cold", Value: 4}) // not in the table: map path
 	snap := a.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot = %+v, want both dense and map cells", snap)
@@ -137,13 +135,10 @@ func TestRestoreWindowMergesIntoOpenWindow(t *testing.T) {
 
 // snapshotFixtures are the three storage shapes AppendSnapshot walks: dense
 // cells only, map cells only, and a dense aggregate that also holds ad-hoc
-// keys its table does not know. The dense keys are interned in an order that
-// is not key order, and only some of them receive events.
+// keys its table does not know. The table holds its keys in an order that is
+// not key order, and only some of them receive events.
 func snapshotFixtures(kind AggKind) map[string]*KeyedAgg {
-	tb := NewKeyTable()
-	for _, k := range []string{"m", "c", "x", "a", "q"} {
-		tb.Intern(k)
-	}
+	tb := NewKeyTableOf([]string{"m", "c", "x", "a", "q"})
 	dense := NewKeyedAggDense(kind, tb)
 	plain := NewKeyedAgg(kind)
 	mixed := NewKeyedAggDense(kind, tb)
@@ -171,9 +166,7 @@ func TestAppendSnapshotRoundTrip(t *testing.T) {
 			if len(snap) != a.Keys() {
 				t.Fatalf("%v/%s: %d cells for %d keys", kind, name, len(snap), a.Keys())
 			}
-			other := NewKeyTable()
-			other.Intern("n")
-			other.Intern("x")
+			other := NewKeyTableOf([]string{"n", "x"})
 			for _, b := range []*KeyedAgg{NewKeyedAgg(kind), NewKeyedAggDense(kind, other)} {
 				for _, c := range snap {
 					b.RestoreCell(c)
@@ -187,7 +180,7 @@ func TestAppendSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestAppendSnapshotStorageOrder pins the order checkpoints serialize in:
-// dense cells by KeyID (the order the table was interned in, whatever order
+// dense cells by KeyID (the order of the table's key list, whatever order
 // events arrived in), then ad-hoc map cells by key.
 func TestAppendSnapshotStorageOrder(t *testing.T) {
 	var keys []string

@@ -1,6 +1,6 @@
 // Package stream provides SAGE's streaming-analysis primitives: events,
-// map/filter stages, keyed mergeable aggregations, tumbling windows and
-// mergeable histogram sketches.
+// columnar event blocks, key tables, keyed mergeable aggregations and
+// tumbling windows.
 //
 // The geo-distributed setting imposes one structural requirement on every
 // aggregation here: partial results computed independently at different
@@ -25,10 +25,10 @@ import (
 type Event struct {
 	// Key partitions the aggregation (sensor id, gene id, ...).
 	Key string
-	// KeyID is Key's ID in the producer's KeyTable, or 0 when the key was
-	// never interned. Aggregates built over the same table use it to index
-	// cells directly instead of hashing Key; stages that rewrite Key must
-	// clear it (stale IDs are detected and fall back to the string path).
+	// KeyID is Key's ID in the producer's KeyTable, or 0 when the key has
+	// none. Aggregates built over the same table use it to index cells
+	// directly instead of hashing Key; stages that rewrite Key must clear it
+	// (stale IDs are detected and fall back to the string path).
 	// An Event cannot say which table its ID came from, so that detection
 	// compares key strings per event; a Block names its table and is checked
 	// once (WindowAgg.AddBlock).
@@ -43,20 +43,6 @@ type Event struct {
 
 // MapFunc transforms an event; returning false drops it (filter).
 type MapFunc func(Event) (Event, bool)
-
-// Chain composes map stages left to right, short-circuiting on drop.
-func Chain(fns ...MapFunc) MapFunc {
-	return func(e Event) (Event, bool) {
-		for _, f := range fns {
-			var ok bool
-			e, ok = f(e)
-			if !ok {
-				return e, false
-			}
-		}
-		return e, true
-	}
-}
 
 // AggKind selects the per-key aggregation function.
 type AggKind int
@@ -208,19 +194,9 @@ func (a *KeyedAgg) add(e *Event) {
 // AddValue folds a raw key/value pair.
 func (a *KeyedAgg) AddValue(key string, v float64) { a.slot(key).add(a.Kind, v) }
 
-// growDense extends the dense cells to cover every ID the table has issued.
-func (a *KeyedAgg) growDense() {
-	grown := make([]cell, a.table.cap())
-	copy(grown, a.dense)
-	a.dense = grown
-}
-
 // denseSlot returns the slice-indexed cell of an interned key for a caller
 // about to fold into it: a cell still empty is counted live.
 func (a *KeyedAgg) denseSlot(id int) *cell {
-	if id >= len(a.dense) {
-		a.growDense()
-	}
 	c := &a.dense[id]
 	if c.count == 0 {
 		a.live++
@@ -259,10 +235,10 @@ func (a *KeyedAgg) Merge(o *KeyedAgg) { a.MergeMapped(o, nil) }
 // keys live in this aggregate's table: remap[id] is the ID here of the key
 // with ID id in o's table, or 0 when this side does not know the key. Dense
 // cells the remap covers merge by index with no string hashed; IDs past the
-// end of remap (o's table grew after the remap was built), IDs mapped to 0
-// and o's ad-hoc map cells take the string path, so the result is Merge's
-// exactly. The remap must have been built from o's table to this
-// aggregate's: it is trusted, not checked, which is the point of it.
+// end of remap, IDs mapped to 0 and o's ad-hoc map cells take the string
+// path, so the result is Merge's exactly. The remap must have been built
+// from o's table to this aggregate's: it is trusted, not checked, which is
+// the point of it.
 func (a *KeyedAgg) MergeMapped(o *KeyedAgg, remap []int) {
 	if o == nil {
 		return
@@ -300,9 +276,6 @@ func (a *KeyedAgg) MergeMapped(o *KeyedAgg, remap []int) {
 // that is still empty takes the cell whole. One loop per accumulator, chosen
 // here: no per-cell step asks the kind.
 func (a *KeyedAgg) mergeIndexed(src []cell, remap []int) {
-	if len(a.dense) < a.table.cap() {
-		a.growDense()
-	}
 	at := func(id int) int {
 		if remap == nil {
 			return id
@@ -372,18 +345,6 @@ func (a *KeyedAgg) Reset() {
 
 // Keys returns the number of distinct keys.
 func (a *KeyedAgg) Keys() int { return a.live + len(a.cells) }
-
-// Events returns the number of events folded in.
-func (a *KeyedAgg) Events() int64 {
-	var n int64
-	for id := 1; id < len(a.dense); id++ {
-		n += a.dense[id].count
-	}
-	for _, c := range a.cells {
-		n += c.count
-	}
-	return n
-}
 
 // Value returns the aggregate value for one key (0 for absent keys, with
 // ok=false).
@@ -501,7 +462,7 @@ func (a *KeyedAgg) Snapshot() []KeyCell { return a.AppendSnapshot(nil) }
 // extended slice: dense cells in KeyID order, then ad-hoc map cells sorted by
 // key. That is storage order — nothing is sorted but the (normally empty) map
 // part — and it is as deterministic as the aggregate's table: two aggregates
-// over tables interned in the same order snapshot identically whatever order
+// over tables of the same key list snapshot identically whatever order
 // their events arrived in. RestoreCell does not depend on the order. A caller
 // that snapshots repeatedly passes its previous result resliced to [:0] and,
 // once that has grown to fit, allocates nothing.
@@ -533,20 +494,8 @@ type Window struct {
 	Start, End simtime.Time
 }
 
-// Contains reports whether t falls in the window.
-func (w Window) Contains(t simtime.Time) bool { return t >= w.Start && t < w.End }
-
 // String renders "[10s,20s)".
 func (w Window) String() string { return fmt.Sprintf("[%v,%v)", w.Start, w.End) }
-
-// WindowFor returns the tumbling window of the given width containing t.
-func WindowFor(t simtime.Time, width time.Duration) Window {
-	if width <= 0 {
-		panic("stream: window width must be positive")
-	}
-	start := t - (t % width)
-	return Window{Start: start, End: start + width}
-}
 
 // WindowAgg accumulates keyed aggregates per tumbling window and releases
 // windows as a watermark advances — the site-local stage of a SAGE job.
@@ -653,9 +602,6 @@ func (w *WindowAgg) aggFor(t simtime.Time) *KeyedAgg {
 	w.lastStart, w.lastAgg = start, agg
 	return agg
 }
-
-// Open returns the number of windows not yet closed.
-func (w *WindowAgg) Open() int { return len(w.open) }
 
 // OpenWindow is one still-open window's snapshotted accumulator state.
 type OpenWindow struct {

@@ -10,7 +10,5 @@ func BenchmarkWindowAggDenseUniform20000(b *testing.B) {
 func BenchmarkWindowAggDenseUniform20000Min(b *testing.B) {
 	RunBenchmarkWindowAggDenseUniform(b, 20000, Min)
 }
-func BenchmarkWindowAggMap100(b *testing.B)        { RunBenchmarkWindowAggMap(b, 100) }
-func BenchmarkWindowAggMap1000(b *testing.B)       { RunBenchmarkWindowAggMap(b, 1000) }
-func BenchmarkSlidingAdvanceEmpty(b *testing.B)    { RunBenchmarkSlidingAdvanceEmpty(b) }
-func BenchmarkWindowJoinAdvanceEmpty(b *testing.B) { RunBenchmarkWindowJoinAdvanceEmpty(b) }
+func BenchmarkWindowAggMap100(b *testing.B)  { RunBenchmarkWindowAggMap(b, 100) }
+func BenchmarkWindowAggMap1000(b *testing.B) { RunBenchmarkWindowAggMap(b, 1000) }

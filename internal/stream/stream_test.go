@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,18 +12,6 @@ import (
 
 func ev(key string, v float64, at time.Duration) Event {
 	return Event{Key: key, Value: v, Time: at}
-}
-
-func TestChain(t *testing.T) {
-	double := func(e Event) (Event, bool) { e.Value *= 2; return e, true }
-	dropNeg := func(e Event) (Event, bool) { return e, e.Value >= 0 }
-	f := Chain(double, dropNeg)
-	if out, ok := f(ev("k", 3, 0)); !ok || out.Value != 6 {
-		t.Fatalf("chain = %v,%v", out, ok)
-	}
-	if _, ok := f(ev("k", -1, 0)); ok {
-		t.Fatal("chain should drop negative after doubling")
-	}
 }
 
 func TestKeyedAggKinds(t *testing.T) {
@@ -60,8 +49,8 @@ func TestKeyedAggCounters(t *testing.T) {
 	agg.AddValue("x", 1)
 	agg.AddValue("x", 1)
 	agg.AddValue("y", 1)
-	if agg.Keys() != 2 || agg.Events() != 3 {
-		t.Fatalf("Keys=%d Events=%d", agg.Keys(), agg.Events())
+	if agg.Keys() != 2 || eventCount(agg) != 3 {
+		t.Fatalf("Keys=%d events=%d", agg.Keys(), eventCount(agg))
 	}
 }
 
@@ -151,26 +140,13 @@ func TestSerializedBytes(t *testing.T) {
 	}
 }
 
-func TestWindowFor(t *testing.T) {
-	w := WindowFor(25*time.Second, 10*time.Second)
-	if w.Start != 20*time.Second || w.End != 30*time.Second {
-		t.Fatalf("window = %v", w)
-	}
-	if !w.Contains(20*time.Second) || w.Contains(30*time.Second) {
-		t.Fatal("half-open semantics violated")
-	}
-	if WindowFor(30*time.Second, 10*time.Second).Start != 30*time.Second {
-		t.Fatal("boundary event must open the next window")
-	}
-}
-
 func TestWindowAggAdvance(t *testing.T) {
 	wa := NewWindowAgg(10*time.Second, Sum)
 	wa.Add(ev("k", 1, 5*time.Second))
 	wa.Add(ev("k", 2, 15*time.Second))
 	wa.Add(ev("k", 4, 25*time.Second))
-	if wa.Open() != 3 {
-		t.Fatalf("Open = %d", wa.Open())
+	if len(wa.open) != 3 {
+		t.Fatalf("open windows = %d", len(wa.open))
 	}
 	closed := wa.Advance(20 * time.Second)
 	if len(closed) != 2 {
@@ -182,8 +158,8 @@ func TestWindowAggAdvance(t *testing.T) {
 	if v, _ := closed[0].Agg.Value("k"); v != 1 {
 		t.Fatalf("window 0 sum = %v", v)
 	}
-	if wa.Open() != 1 {
-		t.Fatalf("Open after advance = %d", wa.Open())
+	if len(wa.open) != 1 {
+		t.Fatalf("open windows after advance = %d", len(wa.open))
 	}
 	// Watermark not past end: window stays open.
 	if got := wa.Advance(25 * time.Second); len(got) != 0 {
@@ -206,105 +182,16 @@ func TestWindowAggLateEventOpensNewWindow(t *testing.T) {
 }
 
 func TestWindowInvalidWidthPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewWindowAgg(0, Sum) },
-		func() { WindowFor(0, 0) },
-	} {
+	for _, width := range []time.Duration{0, -time.Second} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("expected panic")
+					t.Fatalf("NewWindowAgg(%v) did not panic", width)
 				}
 			}()
-			fn()
+			NewWindowAgg(width, Sum)
 		}()
 	}
-}
-
-func TestSketchQuantiles(t *testing.T) {
-	s := NewSketch(0, 100, 200)
-	for i := 0; i < 10000; i++ {
-		s.Add(float64(i%100) + 0.5)
-	}
-	for _, q := range []struct{ q, want float64 }{
-		{0.5, 50}, {0.95, 95}, {0.99, 99},
-	} {
-		got := s.Quantile(q.q)
-		if math.Abs(got-q.want) > 1.5 {
-			t.Fatalf("Quantile(%v) = %v, want ~%v", q.q, got, q.want)
-		}
-	}
-	if s.Count() != 10000 {
-		t.Fatalf("Count = %d", s.Count())
-	}
-	if math.Abs(s.Mean()-50) > 0.5 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-}
-
-func TestSketchEdgeBuckets(t *testing.T) {
-	s := NewSketch(10, 20, 10)
-	s.Add(5)   // under
-	s.Add(25)  // over
-	s.Add(100) // over
-	if s.Quantile(0) > 10 {
-		t.Fatalf("q0 = %v, should clamp low", s.Quantile(0))
-	}
-	if s.Quantile(1) < 20 {
-		t.Fatalf("q1 = %v, should clamp high", s.Quantile(1))
-	}
-	if s.Min() != 5 || s.Max() != 100 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-}
-
-func TestSketchEmpty(t *testing.T) {
-	s := NewSketch(0, 1, 4)
-	if s.Quantile(0.5) != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Fatal("empty sketch should return zeros")
-	}
-}
-
-func TestSketchMergeExact(t *testing.T) {
-	a := NewSketch(0, 100, 50)
-	b := NewSketch(0, 100, 50)
-	whole := NewSketch(0, 100, 50)
-	for i := 0; i < 1000; i++ {
-		v := float64((i * 37) % 100)
-		whole.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(b)
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("merged quantile %v differs: %v vs %v", q, a.Quantile(q), whole.Quantile(q))
-		}
-	}
-	if a.Count() != whole.Count() || a.Mean() != whole.Mean() {
-		t.Fatal("merged moments differ")
-	}
-}
-
-func TestSketchMergeGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSketch(0, 1, 4).Merge(NewSketch(0, 2, 4))
-}
-
-func TestSketchInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSketch(1, 1, 4)
 }
 
 // Property: Merge is equivalent to adding all values into one aggregate,
@@ -341,25 +228,29 @@ func TestPropertyMergeEquivalence(t *testing.T) {
 	}
 }
 
-// Property: windows partition time — every event lands in exactly the
-// window that contains its timestamp.
+// Property: windows partition time — a WindowAgg folds every event into the
+// one aligned window of its width that contains the event's timestamp.
 func TestPropertyWindowPartition(t *testing.T) {
 	f := func(offsets []uint32) bool {
 		width := 10 * time.Second
-		for _, o := range offsets {
-			at := simtime.Time(o) * time.Millisecond
-			w := WindowFor(at, width)
-			if !w.Contains(at) {
+		w := NewWindowAgg(width, Count)
+		for i, o := range offsets {
+			w.Add(ev(strconv.Itoa(i), 1, simtime.Time(o)*time.Millisecond))
+		}
+		folded := 0
+		for _, c := range w.Advance(simtime.Time(1 << 62)) {
+			if c.Window.End-c.Window.Start != width || c.Window.Start%width != 0 {
 				return false
 			}
-			if w.End-w.Start != simtime.Time(width) {
-				return false
-			}
-			if w.Start%simtime.Time(width) != 0 {
-				return false
+			for _, kv := range c.Agg.Result() {
+				i, _ := strconv.Atoi(kv.Key)
+				if at := simtime.Time(offsets[i]) * time.Millisecond; at < c.Window.Start || at >= c.Window.End {
+					return false
+				}
+				folded++
 			}
 		}
-		return true
+		return folded == len(offsets)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

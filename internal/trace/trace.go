@@ -73,7 +73,6 @@ type Recorder struct {
 	events  []Event
 	next    int
 	dropped uint64
-	enabled bool
 }
 
 // New returns a Recorder retaining up to capacity events.
@@ -81,17 +80,11 @@ func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		panic("trace: capacity must be positive")
 	}
-	return &Recorder{cap: capacity, events: make([]Event, 0, capacity), enabled: true}
+	return &Recorder{cap: capacity, events: make([]Event, 0, capacity)}
 }
-
-// SetEnabled toggles recording; Record while disabled is a cheap no-op.
-func (r *Recorder) SetEnabled(on bool) { r.enabled = on }
 
 // Record appends an event, evicting the oldest when full.
 func (r *Recorder) Record(e Event) {
-	if !r.enabled {
-		return
-	}
 	if len(r.events) < r.cap {
 		r.events = append(r.events, e)
 		return
@@ -139,22 +132,6 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadJSONL parses a JSON Lines trace.
-func ReadJSONL(rd io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(rd)
-	var out []Event
-	for {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-		out = append(out, e)
-	}
 }
 
 // KindSummary aggregates one event kind.

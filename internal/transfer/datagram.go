@@ -28,17 +28,12 @@ type DatagramResult struct {
 	EgressCost float64
 }
 
-// SendDatagram transmits size bytes from a worker in `from` to a worker in
-// `to` at the given pace without acknowledgements. onDone fires when the
-// sender finishes pacing (a fixed, rate-determined time), reporting how much
-// actually arrived. rateMBps must be positive; Intr caps are the caller's
-// responsibility via the rate.
-func (m *Manager) SendDatagram(from, to cloud.SiteID, size int64, rateMBps float64, onDone func(DatagramResult)) error {
-	return m.SendDatagramJob(0, from, to, size, rateMBps, onDone)
-}
-
-// SendDatagramJob is SendDatagram with the flow attributed to a job of a
-// multi-job run (netsim.FlowOpts.JobID).
+// SendDatagramJob transmits size bytes from a worker in `from` to a worker in
+// `to` at the given pace without acknowledgements, the flow attributed to a
+// job of a multi-job run (netsim.FlowOpts.JobID; 0 for a single job). onDone
+// fires when the sender finishes pacing (a fixed, rate-determined time),
+// reporting how much actually arrived. rateMBps must be positive; Intr caps
+// are the caller's responsibility via the rate.
 func (m *Manager) SendDatagramJob(job int, from, to cloud.SiteID, size int64, rateMBps float64, onDone func(DatagramResult)) error {
 	if size <= 0 {
 		return errors.New("transfer: datagram size must be positive")

@@ -12,7 +12,7 @@ func TestDatagramFullDeliveryOnHealthyLink(t *testing.T) {
 	r := newRig(t, false)
 	var res *DatagramResult
 	// Pace at 5 MB/s over a 10 MB/s link: everything must arrive.
-	err := r.mgr.SendDatagram("A", "B", 50<<20, 5, func(x DatagramResult) { res = &x })
+	err := r.mgr.SendDatagramJob(0, "A", "B", 50<<20, 5, func(x DatagramResult) { res = &x })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestDatagramLossWhenOverdriven(t *testing.T) {
 	r := newRig(t, false)
 	var res *DatagramResult
 	// Pace at 20 MB/s over a 10 MB/s link: about half must be lost.
-	err := r.mgr.SendDatagram("A", "B", 50<<20, 20, func(x DatagramResult) { res = &x })
+	err := r.mgr.SendDatagramJob(0, "A", "B", 50<<20, 20, func(x DatagramResult) { res = &x })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDatagramDeterministicLatencyUnderCollapse(t *testing.T) {
 	// schedule — the whole point of the lossy mode.
 	r := newRig(t, false)
 	var res *DatagramResult
-	err := r.mgr.SendDatagram("A", "B", 50<<20, 5, func(x DatagramResult) { res = &x })
+	err := r.mgr.SendDatagramJob(0, "A", "B", 50<<20, 5, func(x DatagramResult) { res = &x })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDatagramValidation(t *testing.T) {
 		{"A", "A", 100, 5},
 	}
 	for i, c := range cases {
-		if err := r.mgr.SendDatagram(c.from, c.to, c.size, c.rate, nil); err == nil {
+		if err := r.mgr.SendDatagramJob(0, c.from, c.to, c.size, c.rate, nil); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
@@ -94,7 +94,7 @@ func TestDatagramValidation(t *testing.T) {
 func TestDatagramCost(t *testing.T) {
 	r := newRig(t, false)
 	var res *DatagramResult
-	if err := r.mgr.SendDatagram("A", "B", 1<<30, 8, func(x DatagramResult) { res = &x }); err != nil {
+	if err := r.mgr.SendDatagramJob(0, "A", "B", 1<<30, 8, func(x DatagramResult) { res = &x }); err != nil {
 		t.Fatal(err)
 	}
 	r.sched.RunFor(3 * time.Hour)

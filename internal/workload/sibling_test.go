@@ -25,13 +25,12 @@ var siblingShapes = map[string]SensorOpts{
 // options over the same stream, bit for bit — the blocks it draws at every
 // length around the block size and at 10⁵, its table's keys and IDs, the
 // remaps KeyUnion gives it, and the state of both its streams after drawing.
-// The generator it is made from has drawn and interned first, which must not
-// matter.
+// The generator it is made from has drawn first, which must not matter.
 func TestSiblingMatchesNewSensorGen(t *testing.T) {
 	for name, opt := range siblingShapes {
 		proto := NewSensorGen(rng.New(1), "A", opt)
-		proto.Events(777, 0, time.Minute)
-		proto.Table().Intern("interned-by-the-prototype")
+		proto.AppendEvents(nil, 777, 0, time.Minute)
+		proto.Table().Lookup("sensor-0001")
 		sib, fresh := proto.Sibling(rng.New(5), "B"), NewSensorGen(rng.New(5), "B", opt)
 
 		if sib.Table().Len() != fresh.Table().Len() {
@@ -108,30 +107,5 @@ func TestSiblingsShareThePopulation(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / sibs; per > 1024 {
 		t.Fatalf("a sibling over %d keys allocates %d B; its population is %d keys and %d alias cells", keys, per, keys, keys)
-	}
-}
-
-// TestSiblingInternIsolated: interning a new key into one sibling's table
-// extends that table only. Its prototype, the other siblings and siblings
-// made afterwards keep the population's keys: same Len, nothing at ID n+1.
-func TestSiblingInternIsolated(t *testing.T) {
-	const n = 40
-	proto := NewSensorGen(rng.New(1), "A", SensorOpts{Keys: n, Skew: 1.3})
-	a, b := proto.Sibling(rng.New(2), "B"), proto.Sibling(rng.New(3), "C")
-	b.Table().Lookup("sensor-0001") // indexes b's table before a interns
-	if id := a.Table().Intern("sensor-new"); id != n+1 || a.Table().Key(n+1) != "sensor-new" {
-		t.Fatalf("intern into a sibling gave ID %d, key %q", id, a.Table().Key(n+1))
-	}
-	later := proto.Sibling(rng.New(4), "D")
-	for name, g := range map[string]*SensorGen{"prototype": proto, "sibling": b, "later sibling": later} {
-		if tb := g.Table(); tb.Len() != n || tb.Key(n+1) != "" {
-			t.Fatalf("%s table after a sibling interned: Len %d, Key(%d) %q", name, tb.Len(), n+1, tb.Key(n+1))
-		}
-		if _, ok := g.Table().Lookup("sensor-new"); ok {
-			t.Fatalf("%s table finds the key a sibling interned", name)
-		}
-	}
-	if id := proto.Table().Intern("sensor-other"); id != n+1 || a.Table().Key(n+1) != "sensor-new" {
-		t.Fatalf("intern into the prototype gave ID %d and left the sibling with %q", id, a.Table().Key(n+1))
 	}
 }

@@ -26,8 +26,8 @@ import (
 // is built from, so key k has ID k+1 and drawing allocates
 // nothing. What the generator produces is a columnar stream.Block — KeyIDs and
 // values, timestamps implicit — which table-aware aggregates fold without
-// ever seeing a key string; Next, Events and AppendEvents materialise blocks
-// into stream.Events for consumers that want the struct.
+// ever seeing a key string; AppendEvents materialises blocks into
+// stream.Events for consumers that want the struct.
 //
 // Keys and values draw from separate streams: keys from the stream the
 // generator was built from, values from a "values" stream split off it at
@@ -46,7 +46,7 @@ type SensorGen struct {
 	pop   *population
 	table *stream.KeyTable // over pop.keys, the generator's own
 	site  cloud.SiteID
-	// scratch is the block Next and AppendEvents materialise events from.
+	// scratch is the block AppendEvents materialises events from.
 	scratch stream.Block
 }
 
@@ -107,9 +107,8 @@ func NewSensorGen(r *rng.Rand, site cloud.SiteID, opt SensorOpts) *SensorGen {
 
 // Sibling returns a generator for site that draws from r what
 // NewSensorGen(r, site, opt) with g's options would, bit for bit, over g's
-// key list and alias table instead of copies of them. Its table is its own:
-// keys interned into it, or into g's, reach neither the other nor later
-// siblings.
+// key list and alias table instead of copies of them. Its table is its own,
+// over the shared list, so a Lookup indexes no other generator's table.
 func (g *SensorGen) Sibling(r *rng.Rand, site cloud.SiteID) *SensorGen {
 	return g.pop.gen(r, site)
 }
@@ -146,7 +145,6 @@ func (g *SensorGen) Table() *stream.KeyTable { return g.table }
 // stream.KeyedAgg.MergeMapped takes it. No key is hashed: generators with one
 // KeyPrefix draw nested key lists, and different prefixes disjoint ones — a
 // key is prefix + "sensor-" + digits, and "sensor-" cannot overlap itself.
-// Keys interned into a generator's table after construction are not included.
 func KeyUnion(gens []*SensorGen) (*stream.KeyTable, [][]int) {
 	// A prefix's keys are its largest generator's. Sizing the lists first
 	// matters: grown by appends, a 119 × 1 200-key union took 10 ms and 12 MB
@@ -212,12 +210,6 @@ func (g *SensorGen) FillBlock(b *stream.Block, n int, from simtime.Time, step ti
 	}
 }
 
-// Next draws one event stamped at the given virtual time.
-func (g *SensorGen) Next(at simtime.Time) stream.Event {
-	g.FillBlock(&g.scratch, 1, at, 0)
-	return g.scratch.Event(0)
-}
-
 // appendChunk bounds the scratch block AppendEvents draws through, so
 // regenerating a whole window costs one small block, not a second copy of it.
 const appendChunk = 1024
@@ -237,15 +229,6 @@ func (g *SensorGen) AppendEvents(dst []stream.Event, n int, from simtime.Time, s
 		dst = g.scratch.AppendEvents(dst)
 	}
 	return dst
-}
-
-// Events draws n events with timestamps spread uniformly over
-// [from, from+span) in ascending order.
-func (g *SensorGen) Events(n int, from simtime.Time, span time.Duration) []stream.Event {
-	if n <= 0 {
-		return nil
-	}
-	return g.AppendEvents(make([]stream.Event, 0, n), n, from, span)
 }
 
 // RateFunc maps virtual time to an event rate in events/second.
@@ -289,11 +272,6 @@ type Partials struct {
 	Sites     []cloud.SiteID
 	Files     int
 	FileBytes int64
-}
-
-// TotalBytes returns the workload's total volume.
-func (p Partials) TotalBytes() int64 {
-	return int64(len(p.Sites)) * int64(p.Files) * p.FileBytes
 }
 
 // PerSiteBytes returns one site's volume.

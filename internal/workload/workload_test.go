@@ -15,7 +15,7 @@ import (
 
 func TestSensorGenDefaults(t *testing.T) {
 	g := NewSensorGen(rng.New(1), "NEU", SensorOpts{})
-	e := g.Next(time.Second)
+	e := g.AppendEvents(nil, 1, time.Second, time.Second)[0]
 	if e.Site != "NEU" || e.Time != time.Second {
 		t.Fatalf("event = %+v", e)
 	}
@@ -27,8 +27,8 @@ func TestSensorGenDefaults(t *testing.T) {
 func TestSensorGenKeyRange(t *testing.T) {
 	g := NewSensorGen(rng.New(2), "A", SensorOpts{Keys: 10})
 	seen := map[string]bool{}
-	for i := 0; i < 1000; i++ {
-		seen[g.Next(0).Key] = true
+	for _, e := range g.AppendEvents(nil, 1000, 0, time.Second) {
+		seen[e.Key] = true
 	}
 	if len(seen) > 10 {
 		t.Fatalf("saw %d distinct keys, want <= 10", len(seen))
@@ -41,8 +41,8 @@ func TestSensorGenKeyRange(t *testing.T) {
 func TestSensorGenZipfSkew(t *testing.T) {
 	g := NewSensorGen(rng.New(3), "A", SensorOpts{Keys: 100, Skew: 1.5})
 	counts := map[string]int{}
-	for i := 0; i < 10000; i++ {
-		counts[g.Next(0).Key]++
+	for _, e := range g.AppendEvents(nil, 10000, 0, time.Second) {
+		counts[e.Key]++
 	}
 	if counts["sensor-0000"] < 10*counts["sensor-0050"]+1 {
 		t.Fatalf("zipf head %d not dominant over mid %d",
@@ -52,8 +52,8 @@ func TestSensorGenZipfSkew(t *testing.T) {
 
 func TestSensorGenDrift(t *testing.T) {
 	g := NewSensorGen(rng.New(4), "A", SensorOpts{Mean: 10, Stddev: 0.001, DriftPerHour: 5})
-	early := g.Next(0).Value
-	late := g.Next(simtime.Time(2 * time.Hour)).Value
+	early := g.AppendEvents(nil, 1, 0, time.Second)[0].Value
+	late := g.AppendEvents(nil, 1, simtime.Time(2*time.Hour), time.Second)[0].Value
 	if late-early < 8 {
 		t.Fatalf("drift missing: %v -> %v", early, late)
 	}
@@ -61,7 +61,7 @@ func TestSensorGenDrift(t *testing.T) {
 
 func TestEventsSpacingAndOrder(t *testing.T) {
 	g := NewSensorGen(rng.New(5), "A", SensorOpts{})
-	evs := g.Events(10, 100*time.Second, 10*time.Second)
+	evs := g.AppendEvents(nil, 10, 100*time.Second, 10*time.Second)
 	if len(evs) != 10 {
 		t.Fatalf("len = %d", len(evs))
 	}
@@ -73,8 +73,8 @@ func TestEventsSpacingAndOrder(t *testing.T) {
 			t.Fatal("events out of order")
 		}
 	}
-	if got := g.Events(0, 0, time.Second); got != nil {
-		t.Fatal("zero events should be nil")
+	if got := g.AppendEvents(evs, 0, 0, time.Second); len(got) != len(evs) {
+		t.Fatal("zero events should append nothing")
 	}
 }
 
@@ -125,8 +125,8 @@ func TestPartials(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.TotalBytes() != 150 || p.PerSiteBytes() != 50 {
-		t.Fatalf("Total=%d PerSite=%d", p.TotalBytes(), p.PerSiteBytes())
+	if p.PerSiteBytes() != 50 {
+		t.Fatalf("PerSite=%d", p.PerSiteBytes())
 	}
 	bad := []Partials{
 		{Files: 10, FileBytes: 5},
@@ -161,31 +161,15 @@ func TestAppendEventsReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestEventsMatchesAppendEvents(t *testing.T) {
-	a := NewSensorGen(rng.New(7), "A", SensorOpts{Keys: 20, Skew: 1.3})
-	b := NewSensorGen(rng.New(7), "A", SensorOpts{Keys: 20, Skew: 1.3})
-	evs := a.Events(50, 0, 30*time.Second)
-	app := b.AppendEvents(nil, 50, 0, 30*time.Second)
-	if len(evs) != len(app) {
-		t.Fatalf("%d vs %d events", len(evs), len(app))
-	}
-	for i := range evs {
-		if evs[i] != app[i] {
-			t.Fatalf("event %d: %+v vs %+v", i, evs[i], app[i])
-		}
-	}
-}
-
 func TestSensorGenInternedKeys(t *testing.T) {
 	g := NewSensorGen(rng.New(8), "A", SensorOpts{Keys: 5})
 	table := g.Table()
 	if table == nil || table.Len() != 5 {
 		t.Fatalf("table = %v", table)
 	}
-	for i := 0; i < 100; i++ {
-		e := g.Next(0)
+	for i, e := range g.AppendEvents(nil, 100, 0, time.Second) {
 		if e.KeyID == 0 {
-			t.Fatalf("event %d has no interned KeyID", i)
+			t.Fatalf("event %d has no KeyID", i)
 		}
 		if table.Key(e.KeyID) != e.Key {
 			t.Fatalf("KeyID %d maps to %q, event key %q", e.KeyID, table.Key(e.KeyID), e.Key)
@@ -239,18 +223,6 @@ func TestAppendEventsBlockIdentity(t *testing.T) {
 	}
 }
 
-// TestNextIsAOneEventWindow: Next is the same draw loop too.
-func TestNextIsAOneEventWindow(t *testing.T) {
-	opt := SensorOpts{Keys: 50, Skew: 1.3, DriftPerHour: 4}
-	a, b := NewSensorGen(rng.New(10), "A", opt), NewSensorGen(rng.New(10), "A", opt)
-	for i := 0; i < 100; i++ {
-		at := simtime.Time(i) * simtime.Time(7*time.Minute)
-		if got, want := a.Next(at), b.AppendEvents(nil, 1, at, time.Second)[0]; got != want {
-			t.Fatalf("draw %d: Next %+v, AppendEvents %+v", i, got, want)
-		}
-	}
-}
-
 // TestKeysHaveTheirOwnStream pins rng's rule — every stochastic component
 // draws from its own stream — inside the generator: keys are drawn from the
 // stream the generator was built from and from nothing else, so the key
@@ -281,7 +253,7 @@ func TestKeysHaveTheirOwnStream(t *testing.T) {
 			{Keys: c.keys, Skew: c.skew, Mean: 7, Stddev: 0.5, DriftPerHour: 9},
 		} {
 			g := NewSensorGen(rng.New(12), "A", opt)
-			evs := g.Events(n, 0, time.Hour)
+			evs := g.AppendEvents(nil, n, 0, time.Hour)
 			if i == 0 {
 				ref = evs
 				for j, e := range evs {
@@ -313,7 +285,7 @@ func TestSensorGenValueMoments(t *testing.T) {
 	g := NewSensorGen(rng.New(13), "A", SensorOpts{Mean: -3, Stddev: 40})
 	const n = 200_000
 	var sum, sumSq float64
-	for _, e := range g.Events(n, 0, time.Hour) {
+	for _, e := range g.AppendEvents(nil, n, 0, time.Hour) {
 		sum += e.Value
 		sumSq += e.Value * e.Value
 	}
