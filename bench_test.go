@@ -11,10 +11,10 @@
 //
 // For full-size (non-quick) tables use the sagebench binary instead.
 //
-// These end-to-end benchmarks sit on top of the netsim allocator
-// micro-benchmarks (BenchmarkReallocate / BenchmarkFlowChurn in
-// internal/netsim); `go run ./cmd/sagebench -perf` snapshots both layers to
-// BENCH_netsim.json for regression tracking.
+// These end-to-end benchmarks sit on top of the per-layer micro-benchmarks
+// (BenchmarkReallocate in internal/netsim, BenchmarkWindowAggDense in
+// internal/stream, …); `go run ./cmd/sagebench -perf` records the
+// micro-benchmarks, not these, to BENCH.json.
 package sage_test
 
 import (

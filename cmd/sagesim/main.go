@@ -31,6 +31,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -61,45 +62,58 @@ var strategies = map[string]transfer.Strategy{
 }
 
 func main() {
+	os.Exit(run(os.Args[1:]))
+}
+
+// run is the whole command; it returns the exit status, so the deferred
+// profile writes run before the process exits on every path.
+func run(args []string) (code int) {
+	fs := flag.NewFlagSet("sagesim", flag.ContinueOnError)
 	var (
-		scenarioPath = flag.String("scenario", "", "run a JSON scenario file instead of flag-built job")
-		jobsFile     = flag.String("jobs-file", "", "run a multi-job JSON scenario (a scenario file with a jobs roster) under the admission scheduler")
-		reportJSON   = flag.String("report-json", "", "with -jobs-file: also write the multi-job report as api/v1 JSON to this file (\"-\" for stdout)")
+		scenarioPath = fs.String("scenario", "", "run a JSON scenario file instead of flag-built job")
+		jobsFile     = fs.String("jobs-file", "", "run a multi-job JSON scenario (a scenario file with a jobs roster) under the admission scheduler")
+		reportJSON   = fs.String("report-json", "", "with -jobs-file: also write the multi-job report as api/v1 JSON to this file (\"-\" for stdout)")
 
-		sources   = flag.String("sources", "NEU,WEU,SUS", "comma-separated source sites")
-		sink      = flag.String("sink", "NUS", "sink (meta-reducer) site")
-		rate      = flag.Float64("rate", 1000, "events/second per source site")
-		window    = flag.Duration("window", 30*time.Second, "tumbling window width")
-		minutes   = flag.Float64("minutes", 10, "virtual minutes of stream")
-		strategy  = flag.String("strategy", "envaware", "direct|parallel|envaware|widest|multipath")
-		budget    = flag.Float64("budget", 0, "max $ per window transfer (0 = unconstrained)")
-		raw       = flag.Bool("raw", false, "ship raw events instead of partials (centralized baseline)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 8, "worker VMs per site")
-		tracePath = flag.String("trace", "", "write the run's event timeline as JSON Lines to this file")
-		ckptEvery = flag.Duration("checkpoint-interval", 0, "enable resilience: checkpoint operator state at this interval (0 = off)")
+		sources   = fs.String("sources", "NEU,WEU,SUS", "comma-separated source sites")
+		sink      = fs.String("sink", "NUS", "sink (meta-reducer) site")
+		rate      = fs.Float64("rate", 1000, "events/second per source site")
+		window    = fs.Duration("window", 30*time.Second, "tumbling window width")
+		minutes   = fs.Float64("minutes", 10, "virtual minutes of stream")
+		strategy  = fs.String("strategy", "envaware", "direct|parallel|envaware|widest|multipath")
+		budget    = fs.Float64("budget", 0, "max $ per window transfer (0 = unconstrained)")
+		raw       = fs.Bool("raw", false, "ship raw events instead of partials (centralized baseline)")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		workers   = fs.Int("workers", 8, "worker VMs per site")
+		tracePath = fs.String("trace", "", "write the run's event timeline as JSON Lines to this file")
+		ckptEvery = fs.Duration("checkpoint-interval", 0, "enable resilience: checkpoint operator state at this interval (0 = off)")
 
-		shards       = flag.Int("shards", 0, "event-core shards (0 = library default: one stage worker per core; 1 = sequential; any count gives byte-identical results)")
-		worldSites   = flag.Int("world-sites", 0, "simulate a generated world with this many sites (0 = the built-in topology)")
-		worldRegions = flag.Int("world-regions", 4, "regions of the generated world (used with -world-sites)")
+		shards       = fs.Int("shards", 0, "event-core shards (0 = library default: one stage worker per core; 1 = sequential; any count gives byte-identical results)")
+		worldSites   = fs.Int("world-sites", 0, "simulate a generated world with this many sites (0 = the built-in topology)")
+		worldRegions = fs.Int("world-regions", 4, "regions of the generated world (used with -world-sites)")
 
-		cpuprofile = flag.String("cpuprofile", "", "write CPU profile of the run to file")
-		memprofile = flag.String("memprofile", "", "write heap profile of the run to file")
+		cpuprofile = fs.String("cpuprofile", "", "write CPU profile of the run to file")
+		memprofile = fs.String("memprofile", "", "write heap profile of the run to file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	fail := func(err error) int {
+		fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
+		return 1
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -109,30 +123,26 @@ func main() {
 		}
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-			os.Exit(1)
+			code = fail(err)
+			return
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-			os.Exit(1)
+			code = fail(err)
 		}
 	}()
 
-	if *jobsFile != "" {
-		runScenario(*jobsFile, true, *reportJSON, *shards)
-		return
-	}
-	if *scenarioPath != "" {
-		runScenario(*scenarioPath, false, *reportJSON, *shards)
-		return
+	if path := cmp.Or(*jobsFile, *scenarioPath); path != "" {
+		if err := runScenario(path, *jobsFile != "", *reportJSON, *shards); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	st, ok := strategies[*strategy]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "sagesim: unknown strategy %q\n", *strategy)
-		os.Exit(1)
+		return fail(fmt.Errorf("unknown strategy %q", *strategy))
 	}
 	var rec *trace.Recorder
 	if *tracePath != "" {
@@ -184,8 +194,7 @@ func main() {
 	}
 	rep, err := e.Run(job, time.Duration(*minutes*float64(time.Minute)))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	fmt.Printf("job: %d sources -> %s, window %v, strategy %v, %s\n",
@@ -217,16 +226,15 @@ func main() {
 	if rec != nil {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := rec.WriteJSONL(f); err != nil {
-			fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events written to %s\n", rec.Len(), *tracePath)
 	}
+	return 0
 }
 
 // runScenario executes a declarative JSON scenario file. With requireJobs
@@ -234,26 +242,22 @@ func main() {
 // reportJSON additionally writes the multi-job report as the api/v1 wire
 // document — the same shape the saged daemon serves at /api/v1/report.
 // shards is the -shards flag, passed through to the engine.
-func runScenario(path string, requireJobs bool, reportJSON string, shards int) {
+func runScenario(path string, requireJobs bool, reportJSON string, shards int) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	defer f.Close()
 	sc, err := scenario.Load(f)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if requireJobs && len(sc.Jobs) == 0 {
-		fmt.Fprintf(os.Stderr, "sagesim: -jobs-file %s has no jobs roster\n", path)
-		os.Exit(1)
+		return fmt.Errorf("-jobs-file %s has no jobs roster", path)
 	}
 	res, err := scenario.Run(sc, core.WithShards(shards))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Printf("scenario %q\n", res.Name)
 	switch {
@@ -295,16 +299,13 @@ func runScenario(path string, requireJobs bool, reportJSON string, shards int) {
 		tb.Add("report fingerprint", fmt.Sprintf("%016x", m.Fingerprint()))
 		fmt.Println(tb.String())
 		if reportJSON != "" {
-			if err := writeReportJSON(reportJSON, m); err != nil {
-				fmt.Fprintf(os.Stderr, "sagesim: %v\n", err)
-				os.Exit(1)
-			}
+			return writeReportJSON(reportJSON, m)
 		}
 	}
 	if reportJSON != "" && res.Multi == nil {
-		fmt.Fprintln(os.Stderr, "sagesim: -report-json needs a multi-job roster")
-		os.Exit(1)
+		return fmt.Errorf("-report-json needs a multi-job roster")
 	}
+	return nil
 }
 
 // writeReportJSON encodes the multi-job report as the api/v1 wire document,

@@ -1,0 +1,23 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// An error exit still writes both profiles: the deferred writes run before
+// the exit status reaches os.Exit.
+func TestErrorExitKeepsProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	args := []string{"-scenario", filepath.Join(dir, "missing.json"), "-cpuprofile", cpu, "-memprofile", mem}
+	if code := run(args); code != 1 {
+		t.Fatalf("missing scenario exits %d, want 1", code)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s after an error exit: %v, %v", filepath.Base(f), st, err)
+		}
+	}
+}

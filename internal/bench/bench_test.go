@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"sage/internal/obs"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -85,6 +87,23 @@ func TestExperimentDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("experiment 5 not deterministic:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestObservabilityInertExp19 pins the gating guarantee at suite scale: the
+// recovery experiment renders byte-identical tables with the layer detached
+// and attached.
+func TestObservabilityInertExp19(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick recovery experiment twice")
+	}
+	e := mustByID(t, 19)
+	prev := obsHook.Swap(nil)
+	defer obsHook.Store(prev)
+	off := renderQuick(e, 1)
+	obsHook.Store(obs.NewObserver())
+	if on := renderQuick(e, 1); off != on {
+		t.Fatal("observability changed the rendered recovery tables")
 	}
 }
 

@@ -74,12 +74,10 @@ func scaleJob(cfg Config, world *cloud.Topology, keysPerSite int, rate float64) 
 }
 
 // runScaleJob runs the scale workload on a fresh engine with the given
-// shard count and returns the report, the engine, and the wall-clock time
-// of the simulation (build + run).
-func runScaleJob(cfg Config, shards int) (*core.Report, *core.Engine, time.Duration) {
+// shard count and returns the report and the engine.
+func runScaleJob(cfg Config, shards int) (*core.Report, *core.Engine) {
 	sites, regions, keysPerSite, rate, dur := scaleShape(cfg)
 	world := cloud.GenerateWorld(sites, regions, cfg.Seed)
-	start := time.Now()
 	e := core.NewEngine(core.WithOptions(core.Options{
 		Seed:     cfg.Seed,
 		Topology: world,
@@ -93,7 +91,7 @@ func runScaleJob(cfg Config, shards int) (*core.Report, *core.Engine, time.Durat
 	if err != nil {
 		panic(fmt.Sprintf("scale experiment: %v", err))
 	}
-	return rep, e, time.Since(start)
+	return rep, e
 }
 
 // answerFNV fingerprints the merged global answer: every (key, value) pair
@@ -110,8 +108,8 @@ func answerFNV(rep *core.Report) uint64 {
 // expScale is the sharded-core scaling experiment: the same generated-world
 // streaming job at shard counts 1/2/4/8, asserting byte-level agreement of
 // every deterministic output. Wall-clock numbers deliberately stay out of
-// the table (they vary per machine); `sagebench -perf` records them in
-// BENCH_scale.json with the core-count context needed to judge speedups.
+// the table: they vary per machine, and whether shards pay is measured end to
+// end by the benchmark module (benchmark/), not by the suite.
 func expScale(cfg Config) []*stats.Table {
 	cfg = cfg.withDefaults()
 	sites, regions, keysPerSite, rate, dur := scaleShape(cfg)
@@ -123,7 +121,7 @@ func expScale(cfg Config) []*stats.Table {
 	}
 	results := make([]cell, len(shardCounts))
 	parMap(len(shardCounts), func(i int) {
-		rep, e, _ := runScaleJob(cfg, shardCounts[i])
+		rep, e := runScaleJob(cfg, shardCounts[i])
 		results[i] = cell{rep: rep, rounds: e.ShardRounds()}
 	})
 

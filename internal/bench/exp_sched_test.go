@@ -57,3 +57,16 @@ func TestSchedFairBeatsFIFOTail(t *testing.T) {
 			fair.Completion.P95, fifo.Completion.P95)
 	}
 }
+
+// TestDispatchSteadyStateZeroAlloc runs the dispatch benchmark in-process
+// so the budget holds on every test run, not only when the baseline is
+// re-recorded.
+func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark loop")
+	}
+	r := testing.Benchmark(func(b *testing.B) { sched.RunBenchmarkDispatch(b, 16) })
+	if allocs := r.AllocsPerOp(); allocs != 0 {
+		t.Fatalf("steady-state dispatch allocates %d per Step; budget is 0", allocs)
+	}
+}

@@ -9,23 +9,15 @@ import (
 
 // obsHook carries the observer every bench-built engine attaches. It is nil
 // by default, so the experiment suite runs with the observability layer off
-// and the golden tables stay byte-identical; SetObservability (or the
-// SAGE_OBS=1 environment variable, read once at init) turns it on for the
-// whole suite — the overhead-measurement and inertness tests depend on both
-// paths.
+// and the golden tables stay byte-identical; the SAGE_OBS=1 environment
+// variable, read once at init, turns it on for the whole suite, and the
+// inertness test swaps it directly.
 var obsHook atomic.Pointer[obs.Observer]
 
 func init() {
 	if os.Getenv("SAGE_OBS") == "1" {
 		obsHook.Store(obs.NewObserver())
 	}
-}
-
-// SetObservability attaches ob to every engine the bench package builds from
-// now on (nil detaches) and returns the previous observer so callers can
-// restore it.
-func SetObservability(ob *obs.Observer) *obs.Observer {
-	return obsHook.Swap(ob)
 }
 
 // observer returns the observer bench-built engines should attach; nil when

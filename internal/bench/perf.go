@@ -1,15 +1,16 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"sage/internal/netsim"
+	"sage/internal/obs"
 	"sage/internal/rng"
+	"sage/internal/route"
+	"sage/internal/sched"
 	"sage/internal/stream"
+	"sage/internal/transfer"
 	"sage/internal/workload"
 )
 
@@ -20,144 +21,119 @@ type PerfResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// PerfBaseline is the machine-readable performance snapshot written to
-// BENCH_netsim.json by `sagebench -perf`. Future PRs regenerate the snapshot
-// on the same machine and compare against the committed copy to detect
-// allocator regressions (see the Performance section of DESIGN.md).
-type PerfBaseline struct {
-	GoVersion string `json:"go_version"`
-	GOARCH    string `json:"goarch"`
-	// Cores and GOMAXPROCS state the recording host: a time budget means
-	// nothing without them. Baselines recorded before the fields existed
-	// omit them.
-	Cores      int                   `json:"cores,omitempty"`
-	GOMAXPROCS int                   `json:"gomaxprocs,omitempty"`
-	Benchmarks map[string]PerfResult `json:"benchmarks"`
-	// Exp08MultiDCMillis is the wall-clock time of one quick-mode run of
-	// the end-to-end multi-datacenter experiment (seed 1). Only the netsim
-	// baseline records it; the stream baseline omits it.
-	Exp08MultiDCMillis float64 `json:"exp08_multidc_quick_ms,omitempty"`
-	// Exp19RecoveryMillisOff/On are best-of-N wall-clock times of a
-	// quick-mode recovery-experiment run (seed 1) with the observability
-	// layer detached and attached; Exp19ObsOverheadPct is the relative
-	// cost of turning the layer on. Only the obs baseline records them.
-	Exp19RecoveryMillisOff float64 `json:"exp19_recovery_quick_ms_off,omitempty"`
-	Exp19RecoveryMillisOn  float64 `json:"exp19_recovery_quick_ms_on,omitempty"`
-	Exp19ObsOverheadPct    float64 `json:"exp19_obs_overhead_pct,omitempty"`
+// Perf is the micro-baseline `sagebench -perf` writes to BENCH.json: the
+// recording host, stamped once, and one testing.Benchmark result per row of
+// perfRows. Budgets are checked against it by TestPerfBaseline; numbers
+// derived from rows are computed there, never stored.
+type Perf struct {
+	GoVersion  string                `json:"go_version"`
+	GOARCH     string                `json:"goarch"`
+	Cores      int                   `json:"cores"`
+	GOMAXPROCS int                   `json:"gomaxprocs"`
+	Rows       map[string]PerfResult `json:"rows"`
 }
 
-// newPerfBaseline returns an empty snapshot stamped with the toolchain.
-func newPerfBaseline() PerfBaseline {
-	return PerfBaseline{
+// perfRow is one micro-benchmark of the baseline: its key,
+// "<package>/<benchmark>", and the benchmark body the package exports.
+type perfRow struct {
+	key string
+	run func(*testing.B)
+}
+
+// perfRows is the one list the writer runs and the check reads.
+var perfRows = []perfRow{
+	// One world-wide reallocation pass and flow churn at 10/100/1000
+	// concurrent flows; ns per fired event on raw_rough's 60-site world, where
+	// passes are component-scoped.
+	{"netsim/Reallocate/flows=10", func(b *testing.B) { netsim.RunBenchmarkReallocate(b, 10) }},
+	{"netsim/Reallocate/flows=100", func(b *testing.B) { netsim.RunBenchmarkReallocate(b, 100) }},
+	{"netsim/Reallocate/flows=1000", func(b *testing.B) { netsim.RunBenchmarkReallocate(b, 1000) }},
+	{"netsim/FlowChurn/flows=10", func(b *testing.B) { netsim.RunBenchmarkFlowChurn(b, 10) }},
+	{"netsim/FlowChurn/flows=100", func(b *testing.B) { netsim.RunBenchmarkFlowChurn(b, 100) }},
+	{"netsim/FlowChurn/flows=1000", func(b *testing.B) { netsim.RunBenchmarkFlowChurn(b, 1000) }},
+	{"netsim/RoughWorldEvent/sites=60", netsim.RunBenchmarkRoughWorld},
+
+	// The two normal samplers, ns per variate: the polar method the weather
+	// draws from, and the ziggurat as the engine draws workload values, a
+	// block at a time.
+	{"stream/NormFloat64/polar", rng.RunBenchmarkNormFloat64},
+	{"stream/NormFloat64/ziggurat", rng.RunBenchmarkZigNormFloat64},
+	// Event generation, dense vs map windowed aggregation and the
+	// fill → fold → advance pipeline a source's stage runs.
+	{"stream/SensorGen/keys=100", func(b *testing.B) { workload.RunBenchmarkSensorGen(b, 100, 1.3) }},
+	{"stream/SensorGen/keys=1000", func(b *testing.B) { workload.RunBenchmarkSensorGen(b, 1000, 1.3) }},
+	{"stream/WindowAggDense/keys=100", func(b *testing.B) { stream.RunBenchmarkWindowAggDense(b, 100) }},
+	{"stream/WindowAggDense/keys=1000", func(b *testing.B) { stream.RunBenchmarkWindowAggDense(b, 1000) }},
+	{"stream/WindowAggMap/keys=100", func(b *testing.B) { stream.RunBenchmarkWindowAggMap(b, 100) }},
+	{"stream/WindowAggMap/keys=1000", func(b *testing.B) { stream.RunBenchmarkWindowAggMap(b, 1000) }},
+	{"stream/StreamPipeline/keys=100", func(b *testing.B) { workload.RunBenchmarkStreamPipeline(b, 100) }},
+	{"stream/StreamPipeline/keys=1000", func(b *testing.B) { workload.RunBenchmarkStreamPipeline(b, 1000) }},
+	// resil_recover's shape, 20 000 uniform keys: the multiply-reduced key
+	// draw, and the columnar fold of one 100 000-event window, where cells
+	// miss the cache, for the sum loop (Mean) and an extreme loop (Min).
+	{"stream/SensorGen/keys=20000/uniform", func(b *testing.B) { workload.RunBenchmarkSensorGen(b, 20000, 0) }},
+	{"stream/WindowAggDense/keys=20000/uniform", func(b *testing.B) {
+		stream.RunBenchmarkWindowAggDenseUniform(b, 20000, stream.Mean)
+	}},
+	{"stream/WindowAggDense/keys=20000/uniform/min", func(b *testing.B) {
+		stream.RunBenchmarkWindowAggDenseUniform(b, 20000, stream.Min)
+	}},
+
+	// Live and no-op instrument updates and flight-recorder appends.
+	{"obs/CounterInc", obs.RunBenchmarkCounterInc},
+	{"obs/GaugeSet", obs.RunBenchmarkGaugeSet},
+	{"obs/HistogramObserve", obs.RunBenchmarkHistogramObserve},
+	{"obs/DisabledCounterInc", obs.RunBenchmarkDisabledCounterInc},
+	{"obs/TimelineRecord", obs.RunBenchmarkTimelineRecord},
+
+	// The dense plane at 2²⁰ keys per table.
+	{"scale/MillionKeyPipeline", workload.RunBenchmarkMillionKeyPipeline},
+
+	// Widest paths across world sizes, the from-scratch replan the
+	// incremental planner replaced, and incremental replans by dirty-edge
+	// count on the 500-site world.
+	{"route/WidestPath/sites=50", func(b *testing.B) { route.RunBenchmarkWidestPath(b, 50) }},
+	{"route/WidestPath/sites=200", func(b *testing.B) { route.RunBenchmarkWidestPath(b, 200) }},
+	{"route/WidestPath/sites=500", func(b *testing.B) { route.RunBenchmarkWidestPath(b, 500) }},
+	{"route/FromScratchReplan/sites=50", func(b *testing.B) { route.RunBenchmarkFromScratchReplan(b, 50) }},
+	{"route/FromScratchReplan/sites=200", func(b *testing.B) { route.RunBenchmarkFromScratchReplan(b, 200) }},
+	{"route/FromScratchReplan/sites=500", func(b *testing.B) { route.RunBenchmarkFromScratchReplan(b, 500) }},
+	{"route/ReplanChurn/sites=500/dirty=1", func(b *testing.B) { route.RunBenchmarkReplanChurn(b, 500, 1) }},
+	{"route/ReplanChurn/sites=500/dirty=10", func(b *testing.B) { route.RunBenchmarkReplanChurn(b, 500, 10) }},
+	{"route/ReplanChurn/sites=500/dirty=100", func(b *testing.B) { route.RunBenchmarkReplanChurn(b, 500, 100) }},
+	{"route/ReplanRepair/sites=500", func(b *testing.B) { route.RunBenchmarkReplanRepair(b, 500) }},
+
+	// Whole pooled transfers of 1 MiB chunks, and lane failover churn.
+	{"transfer/TransferDirect/chunks=100", func(b *testing.B) { transfer.RunBenchmarkTransfer(b, transfer.Direct, 100) }},
+	{"transfer/TransferDirect/chunks=1000", func(b *testing.B) { transfer.RunBenchmarkTransfer(b, transfer.Direct, 1000) }},
+	{"transfer/TransferDirect/chunks=10000", func(b *testing.B) { transfer.RunBenchmarkTransfer(b, transfer.Direct, 10000) }},
+	{"transfer/TransferEnvAware/chunks=10000", func(b *testing.B) { transfer.RunBenchmarkTransfer(b, transfer.EnvAware, 10000) }},
+	{"transfer/TransferMultipathDynamic/chunks=10000", func(b *testing.B) {
+		transfer.RunBenchmarkTransfer(b, transfer.MultipathDynamic, 10000)
+	}},
+	{"transfer/TransferFailoverChurn/chunks=1000", func(b *testing.B) { transfer.RunBenchmarkFailoverChurn(b, 1000) }},
+
+	// One steady-state dispatch round at 16 concurrent jobs.
+	{"sched/SchedDispatch/jobs=16", func(b *testing.B) { sched.RunBenchmarkDispatch(b, 16) }},
+}
+
+// RunPerf runs every row of the micro-baseline through testing.Benchmark and
+// returns the recording, stamped with the host it ran on.
+func RunPerf() Perf {
+	p := Perf{
 		GoVersion:  runtime.Version(),
 		GOARCH:     runtime.GOARCH,
 		Cores:      runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Benchmarks: make(map[string]PerfResult),
+		Rows:       make(map[string]PerfResult, len(perfRows)),
 	}
-}
-
-// record stores one testing.Benchmark result under the given name.
-func (p *PerfBaseline) record(name string, r testing.BenchmarkResult) {
-	p.Benchmarks[name] = PerfResult{
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
-}
-
-// perfFlowCounts are the concurrent-flow scales the micro-benchmarks sweep.
-var perfFlowCounts = []int{10, 100, 1000}
-
-// perfRoughWorldKey names the component-scoped reallocation row: ns per fired
-// event on raw_rough's 60-site world with cross-traffic and glitches on.
-const perfRoughWorldKey = "RoughWorldEvent/sites=60"
-
-// RunPerfBaseline measures the netsim allocator micro-benchmarks
-// (Reallocate — one world-wide pass — and FlowChurn at 10/100/1000
-// concurrent flows, and the per-event cost on the rough world, where passes
-// are component-scoped) plus one end-to-end quick experiment, and returns the
-// snapshot.
-func RunPerfBaseline() PerfBaseline {
-	p := newPerfBaseline()
-	p.record(perfRoughWorldKey, testing.Benchmark(netsim.RunBenchmarkRoughWorld))
-	for _, n := range perfFlowCounts {
-		n := n
-		p.record(fmt.Sprintf("Reallocate/flows=%d", n),
-			testing.Benchmark(func(b *testing.B) { netsim.RunBenchmarkReallocate(b, n) }))
-		p.record(fmt.Sprintf("FlowChurn/flows=%d", n),
-			testing.Benchmark(func(b *testing.B) { netsim.RunBenchmarkFlowChurn(b, n) }))
-	}
-	if e, ok := ByID(8); ok {
-		start := time.Now()
-		e.Run(Config{Seed: 1, Quick: true})
-		p.Exp08MultiDCMillis = float64(time.Since(start).Microseconds()) / 1e3
+	for _, row := range perfRows {
+		r := testing.Benchmark(row.run)
+		p.Rows[row.key] = PerfResult{
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+		}
 	}
 	return p
-}
-
-// perfKeyCounts are the key-cardinality scales the stream micro-benchmarks
-// sweep.
-var perfKeyCounts = []int{100, 1000}
-
-// perfUniformKeys name the rows at resil_recover's shape, 20 000 uniform
-// keys: the draw (the multiply-reduced uniform key fill, where the Zipf rows
-// measure the alias table), and the columnar fold of one 100 000-event window,
-// where the cells miss the cache, for the sum loop (Mean) and an extreme loop
-// (Min).
-const (
-	perfUniformKeyCount = 20000
-	perfUniformDrawKey  = "SensorGen/keys=20000/uniform"
-	perfUniformMeanKey  = "WindowAggDense/keys=20000/uniform"
-	perfUniformMinKey   = "WindowAggDense/keys=20000/uniform/min"
-)
-
-// perfNormalKeys name the rows of the two standard-normal samplers, ns per
-// variate: the polar method the world's weather draws from and the ziggurat
-// that draws workload values, measured as the engine draws from it, a block
-// at a time.
-const (
-	perfPolarKey    = "NormFloat64/polar"
-	perfZigguratKey = "NormFloat64/ziggurat"
-)
-
-// RunStreamPerfBaseline measures the streaming data-plane micro-benchmarks
-// (the two normal samplers, event generation, dense vs map windowed
-// aggregation, the fill→fold→advance pipeline a source's stage runs and the
-// columnar fold over 20 000 uniform keys) and returns the snapshot written to
-// BENCH_stream.json.
-func RunStreamPerfBaseline() PerfBaseline {
-	p := newPerfBaseline()
-	p.record(perfPolarKey, testing.Benchmark(rng.RunBenchmarkNormFloat64))
-	p.record(perfZigguratKey, testing.Benchmark(rng.RunBenchmarkZigNormFloat64))
-	for _, k := range perfKeyCounts {
-		k := k
-		p.record(fmt.Sprintf("SensorGen/keys=%d", k),
-			testing.Benchmark(func(b *testing.B) { workload.RunBenchmarkSensorGen(b, k, 1.3) }))
-		p.record(fmt.Sprintf("WindowAggDense/keys=%d", k),
-			testing.Benchmark(func(b *testing.B) { stream.RunBenchmarkWindowAggDense(b, k) }))
-		p.record(fmt.Sprintf("WindowAggMap/keys=%d", k),
-			testing.Benchmark(func(b *testing.B) { stream.RunBenchmarkWindowAggMap(b, k) }))
-		p.record(fmt.Sprintf("StreamPipeline/keys=%d", k),
-			testing.Benchmark(func(b *testing.B) { workload.RunBenchmarkStreamPipeline(b, k) }))
-	}
-	p.record(perfUniformDrawKey, testing.Benchmark(func(b *testing.B) {
-		workload.RunBenchmarkSensorGen(b, perfUniformKeyCount, 0)
-	}))
-	p.record(perfUniformMeanKey, testing.Benchmark(func(b *testing.B) {
-		stream.RunBenchmarkWindowAggDenseUniform(b, perfUniformKeyCount, stream.Mean)
-	}))
-	p.record(perfUniformMinKey, testing.Benchmark(func(b *testing.B) {
-		stream.RunBenchmarkWindowAggDenseUniform(b, perfUniformKeyCount, stream.Min)
-	}))
-	return p
-}
-
-// JSON renders the baseline as indented JSON with a trailing newline.
-func (p PerfBaseline) JSON() []byte {
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		panic(err) // static struct: cannot fail
-	}
-	return append(b, '\n')
 }

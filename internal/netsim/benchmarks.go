@@ -1,8 +1,8 @@
 // Benchmark drivers for the netsim hot path, shared between the Go benchmark
 // wrappers in netsim_bench_test.go and the `sagebench -perf` baseline mode.
 // They live in a non-test file so the sagebench binary can run the exact same
-// workloads through testing.Benchmark and snapshot the results to
-// BENCH_netsim.json (see internal/bench/perf.go).
+// workloads through testing.Benchmark and record the results as the netsim/
+// rows of BENCH.json (see internal/bench/perf.go).
 package netsim
 
 import (
@@ -65,12 +65,17 @@ func RunBenchmarkReallocate(b *testing.B, nflows int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched.RunFor(time.Millisecond)
-		for _, l := range net.linkList {
-			net.markDirty(l.res)
-		}
-		net.reschedule()
+		reallocateAll(sched, net)
 	}
+}
+
+// reallocateAll advances a millisecond and runs one world-wide pass.
+func reallocateAll(sched *simtime.Scheduler, net *Network) {
+	sched.RunFor(time.Millisecond)
+	for _, l := range net.linkList {
+		net.markDirty(l.res)
+	}
+	net.reschedule()
 }
 
 // RunBenchmarkFlowChurn measures flow arrival/departure under load: each

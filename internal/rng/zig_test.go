@@ -172,6 +172,7 @@ func TestZigguratZeroAllocs(t *testing.T) {
 	}
 }
 
-// The two normal samplers side by side; BENCH_stream.json records both.
+// The two normal samplers side by side; BENCH.json records both
+// (stream/NormFloat64/polar and /ziggurat).
 func BenchmarkNormFloat64(b *testing.B)    { RunBenchmarkNormFloat64(b) }
 func BenchmarkZigNormFloat64(b *testing.B) { RunBenchmarkZigNormFloat64(b) }

@@ -8,7 +8,7 @@ import (
 
 // This file holds the route benchmark bodies as exported Run* functions so
 // both `go test -bench` wrappers (bench_test.go) and the bench package's
-// baseline writer (bench.RunRoutePerfBaseline → BENCH_route.json) drive the
+// baseline writer (bench.RunPerf → the route/ rows of BENCH.json) drive the
 // exact same code.
 
 // benchWorld is the benchmark fixture: a generated multi-region topology

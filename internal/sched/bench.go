@@ -15,12 +15,6 @@ import (
 	"sage/internal/workload"
 )
 
-// DispatchBenchName is the baseline key of the steady-state dispatch
-// benchmark at a given concurrency.
-func DispatchBenchName(jobs int) string {
-	return fmt.Sprintf("SchedDispatch/jobs=%d", jobs)
-}
-
 // newBenchScheduler builds a scheduler mid-flight: `jobs` long-running jobs
 // admitted and four more queued behind a full slot table, the state every
 // tick pays for while a roster drains.

@@ -287,7 +287,7 @@ func TestPropertyAddBatchMatchesAdd(t *testing.T) {
 	}
 }
 
-// Property: AddBlock(b) leaves a WindowAgg in the state AddBatch of b's
+// FuzzAddBlock: AddBlock(b) leaves a WindowAgg in the state AddBatch of b's
 // materialised events does — rows, snapshots, key and event counts, wire
 // size, bit for bit — for every kind, onto dense and map-backed aggregators,
 // over blocks that are empty, sit inside one window, straddle one boundary or
@@ -298,76 +298,83 @@ func TestPropertyAddBatchMatchesAdd(t *testing.T) {
 // to the four-field oracle's windows, so each kind must have gone through a
 // fold of its own: addColumns taking, say, the sum loop for Min would agree
 // with nothing the oracle reads from its min field.
-func TestPropertyAddBlockMatchesAddBatch(t *testing.T) {
-	steps := []time.Duration{0, time.Second, 7 * time.Second, 31 * time.Second, 95 * time.Second, -3 * time.Second}
-	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
+//
+// kind%5 picks the aggregation and dense the table; each byte of shape is one
+// block (its length, step and, every third byte, a watermark advance), every
+// fourth block on the foreign table; seed draws starts, IDs and values. The
+// corpus is 60 random (seed, shape) pairs for each kind × table.
+func FuzzAddBlock(f *testing.F) {
+	gen := rand.New(rand.NewSource(1))
+	for kind := uint8(0); kind < 5; kind++ {
 		for _, dense := range []bool{true, false} {
-			f := func(seed int64, shape []uint8) bool {
-				rnd := rand.New(rand.NewSource(seed))
-				var ownKeys, foreignKeys []string
-				for i := 0; i < 6; i++ {
-					ownKeys = append(ownKeys, fmt.Sprintf("sensor-%04d", i))
-					foreignKeys = append(foreignKeys, fmt.Sprintf("sensor-%04d", 5-i))
-				}
-				own, foreign := NewKeyTableOf(ownKeys), NewKeyTableOf(append(foreignKeys, "elsewhere"))
-				table := own
-				if !dense {
-					table = nil
-				}
-				blocked := NewWindowAggDense(30*time.Second, kind, table)
-				batched := NewWindowAggDense(30*time.Second, kind, table)
-				oracle := newOracleWindows(30*time.Second, kind)
-				same := func(mark simtime.Time) bool {
-					a, b := blocked.Advance(mark), batched.Advance(mark)
-					if sameAggs(a, b) != nil || closedMatchOracle(a, oracle.advance(mark)) != nil {
-						return false
-					}
-					for i := range a {
-						if !slices.Equal(a[i].Agg.Snapshot(), b[i].Agg.Snapshot()) {
-							return false
-						}
-					}
-					return true
-				}
-				var mark simtime.Time
-				for i := 0; len(shape) > 0; i++ {
-					sh := shape[0]
-					shape = shape[1:]
-					n := int(sh) % 40
-					b := Block{Table: own, Step: steps[int(sh)%len(steps)], Site: "A"}
-					if i%4 == 3 {
-						b.Table = foreign
-					}
-					// Starts range from 100 s before time zero to 180 s: behind
-					// the watermark once it has moved.
-					b.From = simtime.Time(rnd.Intn(280_000)-100_000) * simtime.Time(time.Millisecond)
-					for j := 0; j < n; j++ {
-						b.IDs = append(b.IDs, int32(rnd.Intn(b.Table.Len()))+1)
-						b.Values = append(b.Values, float64(rnd.Intn(251))/3-40)
-					}
-					blocked.AddBlock(&b)
-					events := b.AppendEvents(nil)
-					batched.AddBatch(events)
-					for _, e := range events {
-						oracle.add(e)
-					}
-					if len(blocked.open) != len(batched.open) {
-						return false
-					}
-					if sh%3 == 0 {
-						mark += simtime.Time(sh) * simtime.Time(time.Second)
-						if !same(mark) {
-							return false
-						}
-					}
-				}
-				return same(simtime.Time(time.Hour))
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-				t.Errorf("kind %v dense %v: %v", kind, dense, err)
+			for i := 0; i < 60; i++ {
+				shape := make([]byte, gen.Intn(50))
+				gen.Read(shape)
+				f.Add(gen.Int63(), shape, kind, dense)
 			}
 		}
 	}
+	steps := []time.Duration{0, time.Second, 7 * time.Second, 31 * time.Second, 95 * time.Second, -3 * time.Second}
+	f.Fuzz(func(t *testing.T, seed int64, shape []byte, kind uint8, dense bool) {
+		k := AggKind(kind % 5)
+		rnd := rand.New(rand.NewSource(seed))
+		var ownKeys, foreignKeys []string
+		for i := 0; i < 6; i++ {
+			ownKeys = append(ownKeys, fmt.Sprintf("sensor-%04d", i))
+			foreignKeys = append(foreignKeys, fmt.Sprintf("sensor-%04d", 5-i))
+		}
+		own, foreign := NewKeyTableOf(ownKeys), NewKeyTableOf(append(foreignKeys, "elsewhere"))
+		table := own
+		if !dense {
+			table = nil
+		}
+		blocked := NewWindowAggDense(30*time.Second, k, table)
+		batched := NewWindowAggDense(30*time.Second, k, table)
+		oracle := newOracleWindows(30*time.Second, k)
+		same := func(mark simtime.Time) {
+			a, b := blocked.Advance(mark), batched.Advance(mark)
+			if err := sameAggs(a, b); err != nil {
+				t.Fatalf("advance to %v: AddBlock vs AddBatch: %v", mark, err)
+			}
+			if err := closedMatchOracle(a, oracle.advance(mark)); err != nil {
+				t.Fatalf("advance to %v: AddBlock vs the oracle: %v", mark, err)
+			}
+			for i := range a {
+				if !slices.Equal(a[i].Agg.Snapshot(), b[i].Agg.Snapshot()) {
+					t.Fatalf("advance to %v: window %v snapshots differ", mark, a[i].Window)
+				}
+			}
+		}
+		var mark simtime.Time
+		for i, sh := range shape {
+			n := int(sh) % 40
+			b := Block{Table: own, Step: steps[int(sh)%len(steps)], Site: "A"}
+			if i%4 == 3 {
+				b.Table = foreign
+			}
+			// Starts range from 100 s before time zero to 180 s: behind the
+			// watermark once it has moved.
+			b.From = simtime.Time(rnd.Intn(280_000)-100_000) * simtime.Time(time.Millisecond)
+			for j := 0; j < n; j++ {
+				b.IDs = append(b.IDs, int32(rnd.Intn(b.Table.Len()))+1)
+				b.Values = append(b.Values, float64(rnd.Intn(251))/3-40)
+			}
+			blocked.AddBlock(&b)
+			events := b.AppendEvents(nil)
+			batched.AddBatch(events)
+			for _, e := range events {
+				oracle.add(e)
+			}
+			if len(blocked.open) != len(batched.open) {
+				t.Fatalf("block %d: %d open windows, AddBatch has %d", i, len(blocked.open), len(batched.open))
+			}
+			if sh%3 == 0 {
+				mark += simtime.Time(sh) * simtime.Time(time.Second)
+				same(mark)
+			}
+		}
+		same(simtime.Time(time.Hour))
+	})
 }
 
 // A block's IDs are trusted once its table is the aggregate's. An ID the

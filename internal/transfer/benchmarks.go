@@ -1,7 +1,6 @@
 package transfer
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -113,9 +112,4 @@ func RunBenchmarkFailoverChurn(b *testing.B, chunks int) {
 	for i := 0; i < b.N; i++ {
 		r.runToDone(b, req)
 	}
-}
-
-// BenchName is the canonical benchmark key used by the perf baseline.
-func BenchName(strategy Strategy, chunks int) string {
-	return fmt.Sprintf("Transfer%s/chunks=%d", strategy, chunks)
 }
