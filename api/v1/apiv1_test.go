@@ -213,10 +213,12 @@ func TestDurationCodec(t *testing.T) {
 // must decode losslessly through apiv1.Span.
 func TestSpanPinsTimelineJSON(t *testing.T) {
 	tl := obs.NewTimeline(16)
-	tl.WindowClose(10*time.Second, "NEU", 500, 7)
-	tl.EstimateUsed(10*time.Second, "NEU", "NUS", 88.5, 7)
-	tl.Dispatch(10*time.Second, "NEU", "NUS", 1<<20, 3)
-	tl.TransferSpan(10*time.Second, 12*time.Second, "NEU", "NUS", 1<<20, 3)
+	ob := &obs.Observer{Timeline: tl}
+	ob.Emit(obs.Event{Kind: obs.EvWindowClose, At: 10 * time.Second, Site: "NEU", Value: 500, ID: 7})
+	ob.Emit(obs.Event{Kind: obs.EvEstimate, At: 10 * time.Second, Site: "NEU", Peer: "NUS", Value: 88.5, ID: 7})
+	ob.Emit(obs.Event{Kind: obs.EvDispatch, At: 10 * time.Second, Site: "NEU", Peer: "NUS", Bytes: 1 << 20, ID: 3})
+	ob.Emit(obs.Event{Kind: obs.EvTransferDone, At: 12 * time.Second, Dur: 2 * time.Second,
+		Site: "NEU", Peer: "NUS", Bytes: 1 << 20, ID: 3})
 
 	var buf bytes.Buffer
 	if err := tl.WriteJSON(&buf); err != nil {

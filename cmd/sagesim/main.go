@@ -26,6 +26,9 @@
 // api/v1 wire document — the same JSON the saged daemon serves at
 // /api/v1/report.
 //
+// -trace writes the run's event timeline as JSON Lines, for flag-built jobs,
+// -scenario files and -jobs-file rosters alike.
+//
 // -cpuprofile/-memprofile capture pprof profiles of the run, mirroring the
 // same flags on sagebench.
 package main
@@ -43,6 +46,7 @@ import (
 
 	"sage/internal/cloud"
 	"sage/internal/core"
+	"sage/internal/obs"
 	"sage/internal/resilience"
 	"sage/internal/scenario"
 	"sage/internal/sched"
@@ -134,7 +138,7 @@ func run(args []string) (code int) {
 	}()
 
 	if path := cmp.Or(*jobsFile, *scenarioPath); path != "" {
-		if err := runScenario(path, *jobsFile != "", *reportJSON, *shards); err != nil {
+		if err := runScenario(path, *jobsFile != "", *reportJSON, *shards, *tracePath); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -144,11 +148,8 @@ func run(args []string) (code int) {
 	if !ok {
 		return fail(fmt.Errorf("unknown strategy %q", *strategy))
 	}
-	var rec *trace.Recorder
-	if *tracePath != "" {
-		rec = trace.New(1 << 20)
-	}
-	opt := core.Options{Seed: *seed, Trace: rec, Shards: *shards}
+	rec, ob := newTrace(*tracePath)
+	opt := core.Options{Seed: *seed, Obs: ob, Shards: *shards}
 	if *worldSites > 0 {
 		// Generated world: unless overridden, sink at the region-0 hub and
 		// every other site streaming toward it.
@@ -223,26 +224,51 @@ func run(args []string) (code int) {
 	}
 	fmt.Println(top.String())
 
-	if rec != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		if err := rec.WriteJSONL(f); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace: %d events written to %s\n", rec.Len(), *tracePath)
+	if err := writeTrace(rec, *tracePath); err != nil {
+		return fail(err)
 	}
 	return 0
+}
+
+// newTrace returns the -trace recorder and the observer that feeds it; both
+// nil when path is empty.
+func newTrace(path string) (*trace.Recorder, *obs.Observer) {
+	if path == "" {
+		return nil, nil
+	}
+	rec := trace.New(1 << 20)
+	return rec, &obs.Observer{Subscribers: []obs.Subscriber{rec}}
+}
+
+// writeTrace writes the recorded events to path as JSON Lines (nothing for
+// a nil recorder) and reports how many were written and how many the ring
+// dropped.
+func writeTrace(rec *trace.Recorder, path string) error {
+	if rec == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rec.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "trace: %d events written to %s (%d dropped)\n", rec.Len(), path, rec.Dropped())
+	return nil
 }
 
 // runScenario executes a declarative JSON scenario file. With requireJobs
 // (the -jobs-file path) the file must carry a multi-job roster. A non-empty
 // reportJSON additionally writes the multi-job report as the api/v1 wire
 // document — the same shape the saged daemon serves at /api/v1/report.
-// shards is the -shards flag, passed through to the engine.
-func runScenario(path string, requireJobs bool, reportJSON string, shards int) error {
+// shards is the -shards flag, passed through to the engine; a non-empty
+// tracePath writes the run's trace there.
+func runScenario(path string, requireJobs bool, reportJSON string, shards int, tracePath string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -255,8 +281,12 @@ func runScenario(path string, requireJobs bool, reportJSON string, shards int) e
 	if requireJobs && len(sc.Jobs) == 0 {
 		return fmt.Errorf("-jobs-file %s has no jobs roster", path)
 	}
-	res, err := scenario.Run(sc, core.WithShards(shards))
+	rec, ob := newTrace(tracePath)
+	res, err := scenario.Run(sc, core.WithShards(shards), core.WithObservability(ob))
 	if err != nil {
+		return err
+	}
+	if err := writeTrace(rec, tracePath); err != nil {
 		return err
 	}
 	fmt.Printf("scenario %q\n", res.Name)

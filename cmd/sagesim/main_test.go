@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -18,6 +19,24 @@ func TestErrorExitKeepsProfiles(t *testing.T) {
 	for _, f := range []string{cpu, mem} {
 		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
 			t.Errorf("profile %s after an error exit: %v, %v", filepath.Base(f), st, err)
+		}
+	}
+}
+
+// -trace records a -jobs-file roster run too, with every job's events.
+func TestTraceUnderJobsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	args := []string{"-jobs-file", filepath.Join("..", "..", "examples", "multijob", "jobs.json"), "-trace", path}
+	if code := run(args); code != 0 {
+		t.Fatalf("roster run exits %d, want 0", code)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no trace written: %v", err)
+	}
+	for _, want := range []string{`"kind":"transfer_start"`, `"kind":"window_complete"`, `"job":2`} {
+		if !strings.Contains(string(b), want) {
+			t.Errorf("trace lacks %s", want)
 		}
 	}
 }

@@ -16,7 +16,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"time"
 
 	"sage/internal/cloud"
@@ -29,7 +28,6 @@ import (
 	"sage/internal/simtime"
 	"sage/internal/stats"
 	"sage/internal/stream"
-	"sage/internal/trace"
 	"sage/internal/transfer"
 	"sage/internal/workload"
 )
@@ -44,13 +42,9 @@ type Engine struct {
 	// Calib accumulates (lanes, duration) observations per source site for
 	// online gain refitting (used when JobSpec.Calibrate is set).
 	Calib *Calibrator
-	// Trace records the run's timeline when configured.
-	Trace *trace.Recorder
-	// Obs is the unified observability layer (nil when disabled).
+	// Obs is the event spine every engine fact is emitted on (nil: the
+	// layer is off).
 	Obs *obs.Observer
-	// met holds the engine's pre-registered metric handles; the zero value
-	// (observability off) is all no-ops.
-	met engineMetrics
 	// det is the engine-wide heartbeat failure detector, created lazily by
 	// the first resilient job (its config sets the shared heartbeat timing).
 	det *resilience.Detector
@@ -65,8 +59,6 @@ type Engine struct {
 	// is job 0, so single-job traces and metrics are indistinguishable from
 	// the pre-multi-job format.
 	nextJob int
-	// audit receives per-transfer predicted-vs-actual records (nil: off).
-	audit AuditSink
 }
 
 // Shards returns the engine's shard count, Options.Shards after its default:
@@ -102,17 +94,11 @@ type Options struct {
 	Transfer transfer.Options
 	// Params is the cost/time model calibration (default model.Default()).
 	Params model.Params
-	// Trace, when non-nil, records the run's timeline (transfers, replans,
-	// window completions).
-	Trace *trace.Recorder
-	// Obs, when non-nil, wires the unified observability layer (metrics
-	// registry + span timeline) through every subsystem. Nil disables the
-	// layer at zero cost; simulation behavior is identical either way.
+	// Obs, when non-nil, receives every engine fact — metrics, timeline
+	// spans and whatever subscribers it carries (a trace, an audit log) —
+	// and wires its registry through every subsystem. Simulation behavior
+	// is identical with and without it.
 	Obs *obs.Observer
-	// Audit, when non-nil, receives one TransferDone record per completed
-	// partial transfer: the model's dispatch-time prediction next to the
-	// actual outcome. Nil disables auditing at zero cost.
-	Audit AuditSink
 	// Shards is the event-core shard count: how many stage workers run at
 	// once; 0 means runtime.GOMAXPROCS(0), one per core. With Shards > 1
 	// the engine deals each source's generator round-robin to one of
@@ -151,12 +137,10 @@ func NewEngine(opts ...Option) *Engine {
 	mon := monitor.NewService(net, opt.Monitor)
 	mon.Start()
 	opt.Transfer.Params = opt.Params
-	opt.Transfer.Trace = opt.Trace
 	opt.Transfer.Obs = opt.Obs
 	mgr := transfer.NewManager(net, mon, opt.Transfer)
 	e := &Engine{Sched: sched, Net: net, Monitor: mon, Mgr: mgr,
-		Params: opt.Params, Calib: NewCalibrator(), Trace: opt.Trace,
-		Obs: opt.Obs, met: newEngineMetrics(opt.Obs.Registry()), audit: opt.Audit}
+		Params: opt.Params, Calib: NewCalibrator(), Obs: opt.Obs}
 	lookahead := simtime.Time(opt.Topology.MinWANRTT())
 	if lookahead <= 0 {
 		lookahead = simtime.Time(10 * time.Millisecond)
@@ -339,10 +323,6 @@ type Report struct {
 	// Resilience reports what the resilience machinery did, when the job
 	// enabled it (nil otherwise).
 	Resilience *resilience.Metrics
-	// Timeline is the flight-recorder snapshot taken at job end when the
-	// engine runs with observability (nil otherwise). Spans are oldest-first
-	// on the simulated clock.
-	Timeline []obs.Span
 }
 
 // sourceState is the engine's per-source runtime.
@@ -425,10 +405,8 @@ type JobRun struct {
 	processed int
 	expected  int
 	finalized bool
-	// id numbers the run on its engine (Start order, first job 0);
-	// jobLabel is the cached decimal form for metric labels.
-	id       int
-	jobLabel string
+	// id numbers the run on its engine (Start order, first job 0).
+	id int
 	// completedAt is the virtual time Done() first became true (0 until
 	// then): the job's precise finish for multi-job completion accounting.
 	completedAt simtime.Time
@@ -520,9 +498,6 @@ func (e *Engine) Wait(dur time.Duration, runs ...*JobRun) []*Report {
 	out := make([]*Report, len(runs))
 	for i, r := range runs {
 		out[i] = r.finalize()
-		if e.Obs != nil && out[i].Timeline == nil {
-			out[i].Timeline = e.Obs.Spans().Snapshot()
-		}
 	}
 	return out
 }
@@ -549,15 +524,14 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	if e.Net.Topology().Site(job.Sink) == nil {
 		return nil, specErrorf("Sink", "unknown sink %q", job.Sink)
 	}
-	e.met.jobs.With().Inc()
 	run := &JobRun{
 		job:     job,
 		windows: make(map[simtime.Time]*windowState),
 		sink:    job.Sink,
+		id:      e.nextJob,
 	}
-	run.id = e.nextJob
 	e.nextJob++
-	run.jobLabel = strconv.Itoa(run.id)
+	e.Obs.Emit(obs.Event{Kind: obs.EvJobStart, At: e.Sched.Now(), Job: run.id})
 
 	srcs := make([]*sourceState, len(job.Sources))
 	genRoot := rng.New(77)
@@ -624,15 +598,8 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 		}
 		rep.Windows++
 		rep.Latencies = append(rep.Latencies, at-ws.window.End)
-		if e.Trace != nil {
-			e.Trace.Record(trace.NewWindowComplete(at, string(run.sink),
-				at-ws.window.End, ws.window.String()).WithJob(run.id))
-		}
-		if e.Obs != nil {
-			e.met.windows.With(string(run.sink), run.jobLabel).Inc()
-			e.met.winLatency.With(string(run.sink), run.jobLabel).Observe((at - ws.window.End).Seconds())
-			e.Obs.Spans().WindowSpan(ws.window.End, at, string(run.sink), uint64(ws.window.Start))
-		}
+		e.Obs.Emit(obs.Event{Kind: obs.EvWindowDone, At: at, Dur: at - ws.window.End,
+			Job: run.id, Site: string(run.sink), ID: uint64(ws.window.Start)})
 	}
 
 	if job.Resilience != nil {
@@ -765,10 +732,8 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 		e.ship(run, s, empty, st.kept, -1, nil)
 	}
 	run.rep.TotalEvents += int64(st.kept)
-	if e.Obs != nil {
-		e.met.events.With(string(s.spec.Site), run.jobLabel).Add(int64(st.kept))
-		e.Obs.Spans().WindowClose(end, string(s.spec.Site), st.kept, uint64(st.start))
-	}
+	e.Obs.Emit(obs.Event{Kind: obs.EvWindowClose, At: end, Job: run.id,
+		Site: string(s.spec.Site), Value: float64(st.kept), ID: uint64(st.start)})
 	run.noteDone(e.Sched.Now())
 }
 
@@ -819,9 +784,7 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 		ws = &windowState{window: cw.Window, merged: run.newSinkAgg()}
 		run.windows[cw.Window.Start] = ws
 	}
-	if e.Obs != nil {
-		e.met.partials.With(string(s.spec.Site), run.jobLabel).Inc()
-	}
+	e.Obs.Emit(obs.Event{Kind: obs.EvPartialShipped, At: e.Sched.Now(), Job: run.id, Site: string(s.spec.Site)})
 
 	arrive := func(tr time.Duration, lanes int, cost, egress float64) {
 		rep.EgressCost += egress
@@ -840,9 +803,8 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 			// landing after that would be late data.
 			ws.merged.MergeMapped(cw.Agg, s.remap)
 		}
-		if e.Obs != nil {
-			e.Obs.Spans().Merge(e.Sched.Now(), string(sink), bytes, uint64(cw.Window.Start))
-		}
+		e.Obs.Emit(obs.Event{Kind: obs.EvMerge, At: e.Sched.Now(), Job: run.id,
+			Site: string(sink), Bytes: bytes, ID: uint64(cw.Window.Start)})
 		rep.SiteWindows = append(rep.SiteWindows, SiteWindow{
 			Site: s.spec.Site, Window: cw.Window,
 			Events: events, Keys: cw.Agg.Keys(), Bytes: bytes,
@@ -905,10 +867,8 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 		if job.RiskFactor > 0 {
 			est = model.Conservative(est, sigma, job.RiskFactor)
 		}
-		if e.Obs != nil {
-			e.Obs.Spans().EstimateUsed(e.Sched.Now(), string(s.spec.Site), string(sink),
-				est, uint64(cw.Window.Start))
-		}
+		e.Obs.Emit(obs.Event{Kind: obs.EvEstimate, At: e.Sched.Now(), Job: run.id,
+			Site: string(s.spec.Site), Peer: string(sink), Value: est, ID: uint64(cw.Window.Start)})
 		p := e.Params
 		if job.Intr > 0 {
 			p.Intr = job.Intr
@@ -921,10 +881,9 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 			} else {
 				req.Lanes = n
 			}
-			if e.Obs != nil {
-				e.Obs.Spans().ModelSize(e.Sched.Now(), string(s.spec.Site), string(sink),
-					bytes, n, uint64(cw.Window.Start))
-			}
+			e.Obs.Emit(obs.Event{Kind: obs.EvModelSize, At: e.Sched.Now(), Job: run.id,
+				Site: string(s.spec.Site), Peer: string(sink), Bytes: bytes, Lanes: n,
+				ID: uint64(cw.Window.Start)})
 		}
 		explored := false
 		if job.Calibrate {
@@ -958,37 +917,13 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 	}
 	s.shipped++
 	*inflight++
-	if e.Obs != nil {
-		e.Obs.Spans().Dispatch(e.Sched.Now(), string(s.spec.Site), string(sink),
-			bytes, uint64(cw.Window.Start))
-	}
-	// Freeze the dispatch-time prediction for the audit trail. Estimate is a
-	// pure read and the model arithmetic touches no state, so runs with and
-	// without a sink are byte-identical.
-	var aud *TransferAudit
-	if e.audit != nil {
-		est, _ := e.Monitor.Estimate(s.spec.Site, sink)
-		if est <= 0 {
-			if l := e.Net.Topology().Link(s.spec.Site, sink); l != nil {
-				est = l.BaseMBps
-			}
-		}
-		if est <= 0 {
-			est = 1
-		}
-		n := req.Lanes
-		if n <= 0 {
-			n = 1
-		}
-		aud = &TransferAudit{
-			JobID: run.id, From: s.spec.Site, To: sink,
-			Strategy: job.Strategy.String(), Bytes: bytes, Lanes: req.Lanes,
-			PredictedMBps: est,
-			PredictedTime: e.Params.TransferTime(bytes, est, n),
-			PredictedCost: e.Params.Cost(bytes, est, n),
-		}
-	}
-	lanes := req.Lanes
+	e.Obs.Emit(obs.Event{Kind: obs.EvDispatch, At: e.Sched.Now(), Job: run.id,
+		Site: string(s.spec.Site), Peer: string(sink), Bytes: bytes, ID: uint64(cw.Window.Start)})
+	// Freeze the dispatch-time prediction the delivery event reports beside
+	// the outcome. Estimate is a pure read and the model arithmetic touches
+	// no state, so it costs the simulation nothing.
+	pred := e.predict(s.spec.Site, sink, bytes, req.Lanes)
+	lanes, size := req.Lanes, bytes
 	var h *transfer.Handle
 	var err error
 	h, err = e.Mgr.Transfer(req, func(res transfer.Result) {
@@ -1006,15 +941,10 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 			}
 		}
 		arrive(res.Duration, res.NodesUsed, res.Cost, res.EgressCost)
-		if aud != nil {
-			aud.At = e.Sched.Now()
-			aud.ActualMBps = res.MBps
-			aud.ActualTime = res.Duration
-			aud.ActualCost = res.Cost
-			aud.NodesUsed = res.NodesUsed
-			aud.Replans = res.Replans
-			e.audit.TransferDone(*aud)
-		}
+		e.Obs.Emit(obs.Event{Kind: obs.EvDelivered, At: e.Sched.Now(), Job: run.id,
+			Site: string(s.spec.Site), Peer: string(sink), Bytes: size, Note: job.Strategy.String(),
+			Lanes: lanes, Predicted: pred, Nodes: res.NodesUsed, Replans: res.Replans,
+			Actual: obs.Outcome{MBps: res.MBps, Time: res.Duration, Cost: res.Cost}})
 		// untrack dropped the last reference to the handle, so the run can
 		// return to the manager's pool for the next window.
 		e.Mgr.Recycle(h)
@@ -1028,4 +958,21 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 		return
 	}
 	run.live = append(run.live, liveXfer{h: h, s: s, cw: cw, events: events})
+}
+
+// predict is the model's dispatch-time outcome for a bytes-sized transfer
+// from one site to another on lanes lanes (0: one), at the monitor's current
+// estimate — or the link's baseline before the monitor has one.
+func (e *Engine) predict(from, to cloud.SiteID, bytes int64, lanes int) obs.Outcome {
+	est, _ := e.Monitor.Estimate(from, to)
+	if est <= 0 {
+		if l := e.Net.Topology().Link(from, to); l != nil {
+			est = l.BaseMBps
+		}
+	}
+	if est <= 0 {
+		est = 1
+	}
+	n := max(lanes, 1)
+	return obs.Outcome{MBps: est, Time: e.Params.TransferTime(bytes, est, n), Cost: e.Params.Cost(bytes, est, n)}
 }

@@ -16,18 +16,11 @@ func WithOptions(o Options) Option { return func(dst *Options) { *dst = o } }
 // WithSeed sets the root random seed.
 func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 
-// WithObservability attaches the unified observability layer: the observer's
-// metrics registry and span timeline are wired through every subsystem. Nil
-// (the default) disables the layer with zero behavioral or allocation cost.
+// WithObservability attaches the unified observability layer: every engine
+// fact is emitted on the observer's event spine, which feeds its metrics
+// registry, span timeline and subscribers (a trace, an audit log). Nil (the
+// default) disables the layer; the simulation is identical either way.
 func WithObservability(ob *obs.Observer) Option { return func(o *Options) { o.Obs = ob } }
-
-// WithAuditSink attaches a planner-decision audit sink: one TransferDone
-// record per completed partial transfer, carrying the predicted throughput,
-// time and cost frozen at dispatch next to the actual outcome. Nil (the
-// default) disables auditing at zero cost. The sink must not re-enter the
-// engine; predictions are computed from pure model/monitor reads, so the
-// simulation is byte-identical with and without a sink.
-func WithAuditSink(a AuditSink) Option { return func(o *Options) { o.Audit = a } }
 
 // WithShards sets the event-core shard count: n > 1 stages the pure half of
 // window processing on n workers at once, each source's generator dealt

@@ -4,11 +4,11 @@ import (
 	"slices"
 
 	"sage/internal/cloud"
+	"sage/internal/obs"
 	"sage/internal/resilience"
 	"sage/internal/route"
 	"sage/internal/simtime"
 	"sage/internal/stream"
-	"sage/internal/trace"
 	"sage/internal/transfer"
 )
 
@@ -175,12 +175,10 @@ func (g *jobGuard) finish() *resilience.Metrics {
 	return &m
 }
 
-// record emits a typed trace event when tracing is configured.
-func (g *jobGuard) record(e trace.Event) {
-	if g.e.Trace == nil {
-		return
-	}
-	g.e.Trace.Record(e)
+// emit puts one resilience fact of the job on the engine's event spine.
+func (g *jobGuard) emit(ev obs.Event) {
+	ev.At, ev.Job = g.e.Sched.Now(), g.run.id
+	g.e.Obs.Emit(ev)
 }
 
 // ---- engine hooks ----------------------------------------------------------
@@ -289,13 +287,7 @@ func (g *jobGuard) checkpoint() {
 	for i := range g.srcs {
 		g.log.TrimThrough(i, cutoff)
 	}
-	g.record(trace.NewCheckpoint(g.e.Sched.Now(), string(g.run.sink), int64(len(b)), g.ckptSeq))
-	if g.e.Obs != nil {
-		g.e.met.checkpoints.With(string(g.run.sink)).Inc()
-		g.e.met.ckptBytes.With(string(g.run.sink)).Add(int64(len(b)))
-		g.e.Obs.Spans().CheckpointMark(g.e.Sched.Now(), string(g.run.sink),
-			int64(len(b)), uint64(g.ckptSeq))
-	}
+	g.emit(obs.Event{Kind: obs.EvCheckpoint, Site: string(g.run.sink), Bytes: int64(len(b)), ID: uint64(g.ckptSeq)})
 }
 
 // completionFrontier returns the largest time T such that every window of
@@ -378,7 +370,7 @@ func (g *jobGuard) decodeCkpt() *resilience.Checkpoint {
 	ck, err := resilience.DecodeCheckpoint(g.lastCkpt)
 	if err != nil {
 		// A corrupt checkpoint is equivalent to having none.
-		g.record(trace.NewCheckpointDecodeFailed(g.e.Sched.Now(), string(g.run.sink), err))
+		g.emit(obs.Event{Kind: obs.EvCheckpointLost, Site: string(g.run.sink), Note: err.Error()})
 		return nil
 	}
 	return ck
@@ -407,8 +399,7 @@ func (g *jobGuard) onDead(site cloud.SiteID) {
 		g.met.DetectTime = lat
 	}
 	g.e.Monitor.PauseSite(site)
-	g.record(trace.NewSiteFail(g.e.Sched.Now(), string(site), g.det.DetectLatency(site)))
-	g.e.met.siteFails.With(string(site)).Inc()
+	g.emit(obs.Event{Kind: obs.EvSiteFail, Site: string(site), Dur: g.det.DetectLatency(site)})
 	for i, s := range g.srcs {
 		if s.spec.Site != site {
 			continue
@@ -482,8 +473,7 @@ func (g *jobGuard) onRecover(site cloud.SiteID) {
 	now := g.e.Sched.Now()
 	g.met.Recoveries++
 	g.e.Monitor.ResumeSite(site)
-	g.record(trace.NewSiteRecover(g.e.Sched.Now(), string(site)))
-	g.e.met.recoveries.With(string(site)).Inc()
+	g.emit(obs.Event{Kind: obs.EvSiteRecover, Site: string(site)})
 	ck := g.decodeCkpt()
 	for i, s := range g.srcs {
 		if s.spec.Site != site {
@@ -577,17 +567,13 @@ func (g *jobGuard) failover(oldSink cloud.SiteID) {
 	}
 	newSink, ok := resilience.PlanFailover(g.e.routeGraph(), g.e.Net.Topology(), sourceSites, exclude)
 	if !ok {
-		g.record(trace.NewFailoverStall(g.e.Sched.Now(), string(oldSink)))
+		g.emit(obs.Event{Kind: obs.EvFailoverStall, Site: string(oldSink)})
 		return
 	}
 	run.sink = newSink
 	g.det.Watch(newSink) // the replacement sink can fail too
 	g.met.Failovers++
-	g.record(trace.NewFailover(g.e.Sched.Now(), string(oldSink), string(newSink)))
-	if g.e.Obs != nil {
-		g.e.met.failovers.With(string(oldSink)).Inc()
-		g.e.Obs.Spans().FailoverMark(g.e.Sched.Now(), string(oldSink), string(newSink))
-	}
+	g.emit(obs.Event{Kind: obs.EvFailover, Site: string(oldSink), Peer: string(newSink)})
 
 	// Restore the sink's merged state from the last checkpoint; whatever it
 	// misses is re-collected below.
@@ -667,8 +653,7 @@ func (g *jobGuard) doneRecovering(i int, start simtime.Time) {
 	}
 	g.recoveryActive = false
 	g.met.RecoveryTime += g.e.Sched.Now() - g.recoveryStart
-	g.record(trace.NewBacklogDrained(g.e.Sched.Now(), string(g.run.sink),
-		g.e.Sched.Now()-g.recoveryStart))
+	g.emit(obs.Event{Kind: obs.EvBacklogDrained, Site: string(g.run.sink), Dur: g.e.Sched.Now() - g.recoveryStart})
 }
 
 // sortedTimes returns a map's simtime keys in ascending order.

@@ -26,7 +26,7 @@ func shardedFixture(t *testing.T, shards int) ([]byte, string) {
 	world := cloud.GenerateWorld(24, 4, 5)
 	rec := trace.New(1 << 16)
 	e := NewEngine(
-		WithOptions(Options{Topology: world, Trace: rec}),
+		WithOptions(Options{Topology: world, Obs: traced(rec)}),
 		WithSeed(11),
 		WithShards(shards),
 	)
@@ -189,7 +189,7 @@ func TestShardedSharedGenCoSharded(t *testing.T) {
 	run := func(shards int) (string, uint64) {
 		world := cloud.GenerateWorld(8, 2, 3)
 		rec := trace.New(1 << 14)
-		e := NewEngine(WithOptions(Options{Topology: world, Trace: rec}), WithShards(shards), WithSeed(9))
+		e := NewEngine(WithOptions(Options{Topology: world, Obs: traced(rec)}), WithShards(shards), WithSeed(9))
 		e.DeployEverywhere(cloud.Small, 1)
 		gen := workload.NewSensorGen(rng.New(123), cloud.GeneratedSiteID(2), workload.SensorOpts{Keys: 50})
 		job := JobSpec{
@@ -297,7 +297,7 @@ func TestGuardOrderedByCommit(t *testing.T) {
 		rec := trace.New(1 << 16)
 		e := NewEngine(WithOptions(Options{
 			Seed: 31, Topology: cloud.DefaultAzure(), Net: quietNetOptions(),
-			Trace: rec, Shards: shards,
+			Obs: traced(rec), Shards: shards,
 		}))
 		e.DeployEverywhere(cloud.Medium, 8)
 		look := e.shard.Lookahead()

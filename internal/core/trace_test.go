@@ -7,6 +7,7 @@ import (
 
 	"sage/internal/cloud"
 	"sage/internal/netsim"
+	"sage/internal/obs"
 	"sage/internal/trace"
 	"sage/internal/transfer"
 	"sage/internal/workload"
@@ -14,12 +15,17 @@ import (
 	"sage/internal/stream"
 )
 
+// traced returns an observer that feeds only rec.
+func traced(rec *trace.Recorder) *obs.Observer {
+	return &obs.Observer{Subscribers: []obs.Subscriber{rec}}
+}
+
 func TestEngineTraceTimeline(t *testing.T) {
 	rec := trace.New(10000)
 	e := NewEngine(WithOptions(Options{
-		Seed:  51,
-		Net:   netsim.Options{GlitchMeanGap: -1, ProbeNoise: 1e-9},
-		Trace: rec,
+		Seed: 51,
+		Net:  netsim.Options{GlitchMeanGap: -1, ProbeNoise: 1e-9},
+		Obs:  traced(rec),
 	}))
 	e.DeployEverywhere(cloud.Medium, 6)
 	job := JobSpec{
@@ -69,9 +75,9 @@ func TestEngineTraceTimeline(t *testing.T) {
 func TestEngineTraceRecordsReplans(t *testing.T) {
 	rec := trace.New(10000)
 	e := NewEngine(WithOptions(Options{
-		Seed:  52,
-		Net:   netsim.Options{GlitchMeanGap: -1, ProbeNoise: 1e-9},
-		Trace: rec,
+		Seed: 52,
+		Net:  netsim.Options{GlitchMeanGap: -1, ProbeNoise: 1e-9},
+		Obs:  traced(rec),
 	}))
 	e.DeployEverywhere(cloud.Medium, 8)
 	e.Sched.RunFor(time.Minute)

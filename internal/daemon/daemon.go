@@ -112,6 +112,7 @@ func New(opt Options) *Daemon {
 	}
 	if opt.Audit != nil {
 		d.aud = newAuditor(opt.Audit, ob.Metrics)
+		ob.Subscribers = []obs.Subscriber{d.aud}
 	}
 	go d.loop()
 	return d
@@ -253,15 +254,11 @@ func (d *Daemon) submit(ros *scenario.Scenario) (*apiv1.SubmitResponse, error) {
 	// rejected first roster must leave the daemon world-less, so the next
 	// roster is still "first" and gets its arrivals scheduled through Open.
 	// (A discarded engine is harmless — metric registration is find-or-create
-	// and the audit sink sees no events from a world that never runs.)
+	// and the audit log sees no events from a world that never runs.)
 	first := d.eng == nil
 	eng, sc, seed := d.eng, d.sc, d.seed
 	if first {
-		extra := []core.Option{core.WithObservability(d.obs)}
-		if d.aud != nil {
-			extra = append(extra, core.WithAuditSink(d.aud))
-		}
-		eng = scenario.BuildEngine(ros, extra...)
+		eng = scenario.BuildEngine(ros, core.WithObservability(d.obs))
 		sc = sched.New(eng, scenario.SchedOptions(ros.Scheduler))
 		seed = ros.Seed
 	}

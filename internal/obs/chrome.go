@@ -10,19 +10,13 @@ import (
 // WriteChromeTrace renders the timeline's retained spans in the Chrome
 // trace_event JSON format (the JSON Object Format: {"traceEvents": [...]}),
 // loadable in chrome://tracing and Perfetto. A nil timeline writes an empty
-// trace.
+// trace. Sites are interned into thread IDs with "M" thread_name metadata
+// records so each site renders as its own track; spans with Dur > 0 become
+// "X" complete events and instantaneous decision-loop records become "i"
+// instant events. Timestamps and durations are virtual time in
+// microseconds, so the export is deterministic for a deterministic run.
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTraceSpans(w, t.Snapshot())
-}
-
-// WriteChromeTraceSpans renders an explicit span slice (for example a
-// Report.Timeline snapshot) as a Chrome trace_event JSON document. Sites are
-// interned into thread IDs with "M" thread_name metadata records so each
-// site renders as its own track; spans with Dur > 0 become "X" complete
-// events and instantaneous decision-loop records become "i" instant events.
-// Timestamps and durations are virtual time in microseconds, so the export
-// is deterministic for a deterministic run.
-func WriteChromeTraceSpans(w io.Writer, spans []Span) error {
+	spans := t.Snapshot()
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"traceEvents":[`)
 	first := true

@@ -77,9 +77,11 @@ type chromeDoc struct {
 
 func TestWriteChromeTrace(t *testing.T) {
 	tl := NewTimeline(16)
-	tl.WindowClose(2*time.Second, "tokyo", 10, 1)
-	tl.TransferSpan(2*time.Second, 5*time.Second, "tokyo", "paris", 1<<20, 3)
-	tl.WindowSpan(2*time.Second, 6*time.Second, "paris", 1)
+	o := &Observer{Timeline: tl}
+	o.Emit(Event{Kind: EvWindowClose, At: 2 * time.Second, Site: "tokyo", Value: 10, ID: 1})
+	o.Emit(Event{Kind: EvTransferDone, At: 5 * time.Second, Dur: 3 * time.Second,
+		Site: "tokyo", Peer: "paris", Bytes: 1 << 20, ID: 3})
+	o.Emit(Event{Kind: EvWindowDone, At: 6 * time.Second, Dur: 4 * time.Second, Site: "paris", ID: 1})
 
 	var sb strings.Builder
 	if err := tl.WriteChromeTrace(&sb); err != nil {

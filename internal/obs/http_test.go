@@ -44,8 +44,10 @@ func TestNilRegistryHandlerServesEmpty(t *testing.T) {
 // document.
 func TestTimelineHandlerMatchesWriteJSON(t *testing.T) {
 	tl := NewTimeline(4)
-	tl.WindowClose(time.Second, "NEU", 100, 1)
-	tl.TransferSpan(time.Second, 3*time.Second, "NEU", "NUS", 1<<20, 1)
+	o := &Observer{Timeline: tl}
+	o.Emit(Event{Kind: EvWindowClose, At: time.Second, Site: "NEU", Value: 100, ID: 1})
+	o.Emit(Event{Kind: EvTransferDone, At: 3 * time.Second, Dur: 2 * time.Second,
+		Site: "NEU", Peer: "NUS", Bytes: 1 << 20, ID: 1})
 
 	var sb strings.Builder
 	if err := tl.WriteJSON(&sb); err != nil {

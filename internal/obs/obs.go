@@ -1,32 +1,42 @@
-// Package obs is SAGE's unified observability layer: a zero-allocation
-// metrics registry, a phase-span timeline ("flight recorder") over the
-// scheduler decision loop and transfer lifecycle, and exporters for the two
-// formats operators actually load — Prometheus text and Chrome trace_event
-// JSON (Perfetto).
+// Package obs is SAGE's unified observability layer: one event spine that
+// every engine fact goes through once, and the recorders subscribed to it —
+// a zero-allocation metrics registry, a phase-span timeline ("flight
+// recorder") over the scheduler decision loop and transfer lifecycle, and
+// whatever else an Observer carries (the JSONL trace, the daemon's audit
+// log). Exporters render the two formats operators actually load —
+// Prometheus text and Chrome trace_event JSON (Perfetto).
 //
-// The design splits cost between a cold registration path and a free hot
-// path, the same interning discipline as stream.KeyTable: instruments are
-// pre-registered into vectors addressed by dense IDs, label sets resolve
+// The metrics side splits cost between a cold registration path and a free
+// hot path, the same interning discipline as stream.KeyTable: instruments
+// are pre-registered into vectors addressed by dense IDs, label sets resolve
 // once to a handle, and every hot-path update is a single atomic operation
-// on the handle's cell. Handles are nil-safe values — a subsystem built
-// without an Observer holds zero handles whose methods are no-op branches —
-// so the whole layer can be compiled in permanently and gated behind one
-// engine option with no behavioural or allocation cost when disabled.
+// on the handle's cell. The spine keeps the handles it resolved per (site,
+// job) and per link, so an observed emit allocates nothing. A nil *Observer
+// is the disabled layer: Emit returns at once, and engines built without one
+// behave bit for bit as engines built with one.
 //
-// Concurrency: the Registry and its handles are safe for concurrent use
-// from any number of goroutines (parallel simulations share one registry);
-// the Timeline serializes recording with a mutex, which is cheap at its
-// per-window/per-transfer call rate.
+// Concurrency: Emit, the Registry and its handles are safe for concurrent
+// use from any number of goroutines (parallel simulations share one
+// observer); the Timeline serializes recording with a mutex, which is cheap
+// at its per-window/per-chunk call rate. Subscribers see events on the
+// emitting goroutine and guard their own state.
 package obs
 
-// Observer bundles the two recording surfaces a subsystem is wired with.
-// A nil *Observer disables the layer: the nil-safe accessors below return
-// nil recorders, which in turn hand out no-op handles.
+import "sync"
+
+// Observer bundles the recorders the engine's event spine feeds. A nil
+// *Observer disables the layer.
 type Observer struct {
 	// Metrics is the shared metrics registry.
 	Metrics *Registry
 	// Timeline is the bounded flight recorder of phase spans.
 	Timeline *Timeline
+	// Subscribers receive every event after the two recorders above, in
+	// order: the JSONL trace, the daemon's audit log.
+	Subscribers []Subscriber
+
+	once sync.Once
+	fam  *families
 }
 
 // DefaultTimelineCap is the flight-recorder ring capacity NewObserver uses.
@@ -46,10 +56,17 @@ func (o *Observer) Registry() *Registry {
 	return o.Metrics
 }
 
-// Spans returns the observer's timeline, nil when o is nil.
-func (o *Observer) Spans() *Timeline {
+// Emit delivers one engine fact to every recorder: the metric families, the
+// timeline, then each subscriber. It is the layer's only gate — emitters
+// never ask whether anyone listens.
+func (o *Observer) Emit(ev Event) {
 	if o == nil {
-		return nil
+		return
 	}
-	return o.Timeline
+	o.once.Do(func() { o.fam = newFamilies(o.Metrics) })
+	o.fam.observe(ev)
+	o.Timeline.observe(ev)
+	for _, s := range o.Subscribers {
+		s.Observe(ev)
+	}
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // Phase identifies one step of the scheduler decision loop or transfer
-// lifecycle. The enumeration replaces the free-form note conventions of
-// trace.Event with a closed, typed vocabulary: window-close → estimate →
-// model-size → route → dispatch → chunks → merge, plus the lifecycle spans
-// (transfer, window) and resilience events (checkpoint, failover).
+// lifecycle: window-close → estimate → model-size → route → dispatch →
+// chunks → merge, plus the lifecycle spans (transfer, window) and resilience
+// events (checkpoint, failover). Each is the span of one event kind.
 type Phase uint8
 
 // The phases, in decision-loop order.
@@ -61,8 +60,8 @@ type Span struct {
 }
 
 // Timeline is the bounded flight recorder: a ring of the most recent spans,
-// cheap enough to leave running for a whole job and snapshot into the final
-// Report. A nil *Timeline is a no-op recorder. Recording is serialized by a
+// cheap enough to leave running for a whole daemon's life. A nil *Timeline
+// is a no-op recorder. Recording is serialized by a
 // mutex — spans land per window and per transfer, not per event, so the lock
 // is far off any hot path — which makes one Timeline safe to share between
 // parallel simulations.
@@ -135,75 +134,39 @@ func (t *Timeline) Snapshot() []Span {
 	return out
 }
 
-// ---- typed instrumentation API ---------------------------------------------
-//
-// The constructors below are the instrumentation surface the engine programs
-// against: each names one decision-loop phase and takes exactly the fields
-// that phase produces, so call sites read as documentation and the span
-// vocabulary cannot drift per-caller. All are nil-safe.
-
-// WindowClose marks a source site closing the window that starts at id.
-func (t *Timeline) WindowClose(at time.Duration, site string, events int, id uint64) {
-	t.Record(Span{Phase: PhaseWindowClose, Site: site, Start: at, Value: float64(events), ID: id})
-}
-
-// EstimateUsed marks the scheduler consulting the monitor's estimate (MB/s)
-// for sizing a transfer out of site toward peer.
-func (t *Timeline) EstimateUsed(at time.Duration, site, peer string, mbps float64, id uint64) {
-	t.Record(Span{Phase: PhaseEstimate, Site: site, Peer: peer, Start: at, Value: mbps, ID: id})
-}
-
-// ModelSize marks the cost/time model choosing n nodes for a bytes-sized
-// transfer.
-func (t *Timeline) ModelSize(at time.Duration, site, peer string, bytes int64, n int, id uint64) {
-	t.Record(Span{Phase: PhaseModelSize, Site: site, Peer: peer, Start: at, Bytes: bytes, Value: float64(n), ID: id})
-}
-
-// Route marks a transfer's lane set being planned; lanes is the resulting
-// lane count.
-func (t *Timeline) Route(at time.Duration, site, peer string, lanes int, id uint64) {
-	t.Record(Span{Phase: PhaseRoute, Site: site, Peer: peer, Start: at, Value: float64(lanes), ID: id})
-}
-
-// Dispatch marks a partial leaving the source toward the sink.
-func (t *Timeline) Dispatch(at time.Duration, site, peer string, bytes int64, id uint64) {
-	t.Record(Span{Phase: PhaseDispatch, Site: site, Peer: peer, Start: at, Bytes: bytes, ID: id})
-}
-
-// Chunk marks one chunk acknowledgement of transfer id.
-func (t *Timeline) Chunk(at time.Duration, site, peer string, bytes int64, id uint64) {
-	t.Record(Span{Phase: PhaseChunk, Site: site, Peer: peer, Start: at, Bytes: bytes, ID: id})
-}
-
-// Merge marks a partial being merged into the sink's window state.
-func (t *Timeline) Merge(at time.Duration, site string, bytes int64, id uint64) {
-	t.Record(Span{Phase: PhaseMerge, Site: site, Start: at, Bytes: bytes, ID: id})
-}
-
-// TransferSpan records a completed transfer's lifecycle from dispatch to
-// last acknowledgement.
-func (t *Timeline) TransferSpan(start, end time.Duration, site, peer string, bytes int64, id uint64) {
-	t.Record(Span{Phase: PhaseTransfer, Site: site, Peer: peer, Start: start, Dur: end - start, Bytes: bytes, ID: id})
-}
-
-// WindowSpan records a window's end-to-end life at the sink: from window
-// close to the arrival of its last partial. value is the latency in seconds.
-func (t *Timeline) WindowSpan(start, end time.Duration, site string, id uint64) {
-	t.Record(Span{Phase: PhaseWindow, Site: site, Start: start, Dur: end - start, Value: (end - start).Seconds(), ID: id})
-}
-
-// CheckpointMark records a coordinated checkpoint of bytes encoded state.
-func (t *Timeline) CheckpointMark(at time.Duration, site string, bytes int64, seq uint64) {
-	t.Record(Span{Phase: PhaseCheckpoint, Site: site, Start: at, Bytes: bytes, ID: seq})
-}
-
-// FailoverMark records a sink failover from site to peer.
-func (t *Timeline) FailoverMark(at time.Duration, site, peer string) {
-	t.Record(Span{Phase: PhaseFailover, Site: site, Peer: peer, Start: at})
-}
-
-// Replan marks transfer id's lane set being re-planned mid-flight; lanes is
-// the new lane count.
-func (t *Timeline) Replan(at time.Duration, site, peer string, lanes int, id uint64) {
-	t.Record(Span{Phase: PhaseReplan, Site: site, Peer: peer, Start: at, Value: float64(lanes), ID: id})
+// observe records the span an event makes, if it makes one. No-op on nil.
+func (t *Timeline) observe(ev Event) {
+	if t == nil {
+		return
+	}
+	s := Span{Site: ev.Site, Peer: ev.Peer, Start: ev.At, Bytes: ev.Bytes, ID: ev.ID}
+	switch ev.Kind {
+	case EvWindowClose:
+		s.Phase, s.Value = PhaseWindowClose, ev.Value
+	case EvEstimate:
+		s.Phase, s.Value = PhaseEstimate, ev.Value
+	case EvModelSize:
+		s.Phase, s.Value = PhaseModelSize, float64(ev.Lanes)
+	case EvRoute:
+		s.Phase, s.Value = PhaseRoute, float64(ev.Lanes)
+	case EvDispatch:
+		s.Phase = PhaseDispatch
+	case EvChunkAck:
+		s.Phase = PhaseChunk
+	case EvMerge:
+		s.Phase = PhaseMerge
+	case EvTransferDone:
+		s.Phase, s.Start, s.Dur = PhaseTransfer, ev.At-ev.Dur, ev.Dur
+	case EvWindowDone:
+		s.Phase, s.Start, s.Dur, s.Value = PhaseWindow, ev.At-ev.Dur, ev.Dur, ev.Dur.Seconds()
+	case EvCheckpoint:
+		s.Phase = PhaseCheckpoint
+	case EvFailover:
+		s.Phase = PhaseFailover
+	case EvReplan:
+		s.Phase, s.Value = PhaseReplan, float64(ev.Lanes)
+	default:
+		return
+	}
+	t.Record(s)
 }

@@ -27,33 +27,37 @@ func TestTimelineRing(t *testing.T) {
 func TestNilTimelineNoops(t *testing.T) {
 	var tl *Timeline
 	tl.Record(Span{})
-	tl.WindowClose(0, "s", 1, 0)
-	tl.EstimateUsed(0, "s", "p", 1, 0)
-	tl.ModelSize(0, "s", "p", 1, 1, 0)
-	tl.Route(0, "s", "p", 1, 0)
-	tl.Dispatch(0, "s", "p", 1, 0)
-	tl.Chunk(0, "s", "p", 1, 0)
-	tl.Merge(0, "s", 1, 0)
-	tl.TransferSpan(0, time.Second, "s", "p", 1, 0)
-	tl.WindowSpan(0, time.Second, "s", 0)
-	tl.CheckpointMark(0, "s", 1, 0)
-	tl.FailoverMark(0, "s", "p")
+	for k := EvJobStart; k <= EvFailover; k++ {
+		tl.observe(Event{Kind: k, Site: "s", Peer: "p", Dur: time.Second})
+	}
 	if tl.Len() != 0 || tl.Dropped() != 0 || tl.Snapshot() != nil {
 		t.Fatal("nil timeline accumulated state")
 	}
 }
 
-func TestTypedConstructors(t *testing.T) {
+// TestTimelineSpansFromEvents pins the span each event kind makes: the
+// decision-loop and lifecycle kinds make one, the rest none.
+func TestTimelineSpansFromEvents(t *testing.T) {
 	tl := NewTimeline(32)
-	tl.WindowClose(10*time.Second, "tokyo", 42, 7)
-	tl.EstimateUsed(10*time.Second, "tokyo", "paris", 95.5, 7)
-	tl.ModelSize(10*time.Second, "tokyo", "paris", 1<<20, 3, 7)
-	tl.TransferSpan(10*time.Second, 14*time.Second, "tokyo", "paris", 1<<20, 9)
-	tl.WindowSpan(10*time.Second, 15*time.Second, "paris", 7)
+	o := &Observer{Timeline: tl}
+	o.Emit(Event{Kind: EvWindowClose, At: 10 * time.Second, Site: "tokyo", Value: 42, ID: 7})
+	o.Emit(Event{Kind: EvEstimate, At: 10 * time.Second, Site: "tokyo", Peer: "paris", Value: 95.5, ID: 7})
+	o.Emit(Event{Kind: EvModelSize, At: 10 * time.Second, Site: "tokyo", Peer: "paris", Bytes: 1 << 20, Lanes: 3, ID: 7})
+	o.Emit(Event{Kind: EvTransferDone, At: 14 * time.Second, Dur: 4 * time.Second,
+		Site: "tokyo", Peer: "paris", Bytes: 1 << 20, ID: 9})
+	o.Emit(Event{Kind: EvWindowDone, At: 15 * time.Second, Dur: 5 * time.Second, Site: "paris", ID: 7})
+	for _, k := range []EventKind{EvJobStart, EvPartialShipped, EvDelivered, EvTransferStart,
+		EvRetransmit, EvSelfHeal, EvDuplicateAck, EvSiteFail, EvSiteRecover, EvBacklogDrained,
+		EvCheckpointLost, EvFailoverStall} {
+		o.Emit(Event{Kind: k, At: 20 * time.Second, Site: "tokyo"})
+	}
 
 	snap := tl.Snapshot()
 	if len(snap) != 5 {
 		t.Fatalf("len = %d, want 5", len(snap))
+	}
+	if ms := snap[2]; ms.Phase != PhaseModelSize || ms.Value != 3 || ms.Bytes != 1<<20 {
+		t.Fatalf("ModelSize span = %+v", ms)
 	}
 	wc := snap[0]
 	if wc.Phase != PhaseWindowClose || wc.Site != "tokyo" || wc.Value != 42 || wc.ID != 7 || wc.Dur != 0 {
@@ -99,11 +103,12 @@ func TestPhaseString(t *testing.T) {
 
 func TestObserverNilAccessors(t *testing.T) {
 	var o *Observer
-	if o.Registry() != nil || o.Spans() != nil {
-		t.Fatal("nil observer accessors not nil")
+	if o.Registry() != nil {
+		t.Fatal("nil observer accessor not nil")
 	}
+	o.Emit(Event{Kind: EvJobStart}) // the disabled layer: a no-op
 	o = NewObserver()
-	if o.Registry() == nil || o.Spans() == nil {
+	if o.Registry() == nil || o.Timeline == nil {
 		t.Fatal("NewObserver missing parts")
 	}
 }

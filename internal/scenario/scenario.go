@@ -172,8 +172,8 @@ type Result struct {
 
 // BuildEngine constructs the scenario's world: engine options from the
 // topology/weather/cross-traffic presets, worker deployments, the monitor
-// warm-up, and the timed fault injections. Extra engine options (tracing,
-// observability, an audit sink) compose on top. Run uses it; so does the
+// warm-up, and the timed fault injections. Extra engine options (a shard
+// count, an observer carrying a trace or an audit log) compose on top. Run uses it; so does the
 // saged daemon, which builds its world from the first posted roster through
 // this exact path so daemon runs and batch runs are bit-identical.
 func BuildEngine(s *Scenario, extra ...core.Option) *core.Engine {
@@ -223,7 +223,7 @@ func BuildEngine(s *Scenario, extra ...core.Option) *core.Engine {
 
 // Run builds an engine, applies deployments and injections, executes the
 // workload, and returns the outcome. Extra engine options (a shard count,
-// tracing) compose on top of the scenario's world, as in BuildEngine.
+// an observer) compose on top of the scenario's world, as in BuildEngine.
 func Run(s *Scenario, extra ...core.Option) (*Result, error) {
 	if err := Validate(s); err != nil {
 		return nil, err

@@ -1,8 +1,10 @@
 // Package trace records structured timelines of a SAGE run: transfers,
-// chunk acknowledgements, replans, window completions, injections. Traces
-// are ring-buffered in memory, exportable as JSON Lines for external
-// analysis, and summarizable into per-kind counts and rates — the raw
-// material for debugging a scheduler decision after the fact.
+// retransmits, replans, window completions and the resilience subsystem's
+// failures, checkpoints and failovers. A Recorder subscribes to an
+// obs.Observer's event spine; traces are ring-buffered in memory, exportable
+// as JSON Lines for external analysis, and summarizable into per-kind counts
+// and rates — the raw material for debugging a scheduler decision after the
+// fact.
 package trace
 
 import (
@@ -12,6 +14,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"sage/internal/obs"
 )
 
 // Kind classifies an event.
@@ -36,13 +40,9 @@ const (
 	Failover    Kind = "failover"
 )
 
-// Event is one timeline record. Fields beyond Kind and At are free-form but
-// conventional: Site/Peer name locations, Bytes sizes, Value carries a
-// kind-specific number (duration seconds, throughput, ...).
-//
-// Emission sites should build events with the typed New* constructors, which
-// pin those conventions per kind; constructing literals directly when
-// emitting is deprecated (decoding into Event is of course fine).
+// Event is one timeline record. Fields beyond Kind and At are conventional
+// per kind — Observe fixes them: Site/Peer name locations, Bytes sizes,
+// Value carries a kind-specific number (duration seconds, a count, ...).
 type Event struct {
 	At    time.Duration `json:"at"`
 	Kind  Kind          `json:"kind"`
@@ -55,13 +55,6 @@ type Event struct {
 	// runs are job 0, which omitempty keeps off the wire — their JSONL is
 	// byte-identical to the pre-multi-job format.
 	Job int `json:"job,omitempty"`
-}
-
-// WithJob returns a copy of the event attributed to the given job, for
-// chaining onto the typed constructors: Record(NewReplan(...).WithJob(id)).
-func (e Event) WithJob(job int) Event {
-	e.Job = job
-	return e
 }
 
 // Recorder collects events in a bounded ring. The zero value is unusable;
@@ -92,6 +85,46 @@ func (r *Recorder) Record(e Event) {
 	r.events[r.next] = e
 	r.next = (r.next + 1) % r.cap
 	r.dropped++
+}
+
+// Observe implements obs.Subscriber: it records the trace event an engine
+// fact makes, if it makes one. Only transfer and window events carry their
+// job: the resilience records predate multi-job runs, and the wire keeps
+// them as they were.
+func (r *Recorder) Observe(ev obs.Event) {
+	e := Event{At: ev.At, Site: ev.Site, Peer: ev.Peer}
+	switch ev.Kind {
+	case obs.EvTransferStart:
+		e.Kind, e.Job, e.Bytes, e.Note = TransferStart, ev.Job, ev.Bytes, ev.Note
+	case obs.EvTransferDone:
+		e.Kind, e.Job, e.Bytes, e.Value, e.Note = TransferDone, ev.Job, ev.Bytes, ev.Dur.Seconds(), ev.Note
+	case obs.EvRetransmit:
+		e.Kind, e.Job, e.Bytes, e.Value = Retransmit, ev.Job, ev.Bytes, ev.Value
+	case obs.EvReplan:
+		e.Kind, e.Job, e.Value, e.Note = Replan, ev.Job, ev.Value, ev.Note
+	case obs.EvSelfHeal:
+		e.Kind, e.Job, e.Value, e.Note = Replan, ev.Job, ev.Value, "self-heal"
+	case obs.EvWindowDone:
+		e.Kind, e.Job, e.Value = WindowComplete, ev.Job, ev.Dur.Seconds()
+		e.Note = fmt.Sprintf("[%v,%v)", time.Duration(ev.ID), ev.At-ev.Dur)
+	case obs.EvSiteFail:
+		e.Kind, e.Value, e.Note = SiteFail, ev.Dur.Seconds(), "declared dead"
+	case obs.EvSiteRecover:
+		e.Kind = SiteRecover
+	case obs.EvBacklogDrained:
+		e.Kind, e.Value, e.Note = SiteRecover, ev.Dur.Seconds(), "backlog drained"
+	case obs.EvCheckpoint:
+		e.Kind, e.Bytes, e.Value = Checkpoint, ev.Bytes, float64(ev.ID)
+	case obs.EvCheckpointLost:
+		e.Kind, e.Note = Checkpoint, "decode failed: "+ev.Note
+	case obs.EvFailoverStall:
+		e.Kind, e.Note = Failover, "no viable sink; stalling"
+	case obs.EvFailover:
+		e.Kind, e.Note = Failover, "meta-reducer re-elected"
+	default:
+		return
+	}
+	r.Record(e)
 }
 
 // Len returns the number of retained events.

@@ -54,7 +54,7 @@ func TestFilter(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	r := New(10)
-	r.Record(NewTransferStart(time.Second, "NEU", "NUS", 1<<20, "EnvAware"))
+	r.Record(Event{At: time.Second, Kind: TransferStart, Site: "NEU", Peer: "NUS", Bytes: 1 << 20, Note: "EnvAware"})
 	r.Record(ev(2*time.Second, TransferDone))
 	var b strings.Builder
 	if err := r.WriteJSONL(&b); err != nil {

@@ -1,31 +1,6 @@
 package transfer
 
-import (
-	"sage/internal/cloud"
-	"sage/internal/obs"
-)
-
-// transferMetrics holds the manager's instrument families; the zero value
-// (observability disabled) hands out no-op handles.
-type transferMetrics struct {
-	started     obs.CounterVec   // from,to: transfers dispatched
-	bytes       obs.CounterVec   // from,to: payload bytes delivered
-	acks        obs.CounterVec   // from,to: chunk acknowledgements
-	retransmits obs.CounterVec   // from,to: chunks re-sent
-	replans     obs.CounterVec   // from,to: lane replans
-	seconds     obs.HistogramVec // from,to: transfer wall time
-}
-
-func newTransferMetrics(r *obs.Registry) transferMetrics {
-	return transferMetrics{
-		started:     r.Counter("sage_transfers_started_total", "wide-area transfers dispatched", "from", "to"),
-		bytes:       r.Counter("sage_transfer_bytes_total", "payload bytes delivered", "from", "to"),
-		acks:        r.Counter("sage_chunk_acks_total", "chunk acknowledgements", "from", "to"),
-		retransmits: r.Counter("sage_retransmits_total", "chunks re-sent after loss or timeout", "from", "to"),
-		replans:     r.Counter("sage_replans_total", "lane replans (periodic and self-heal)", "from", "to"),
-		seconds:     r.Histogram("sage_transfer_seconds", "transfer wall time", obs.DefBuckets, "from", "to"),
-	}
-}
+import "sage/internal/obs"
 
 // plannerMetrics exports the incremental route planner's behaviour: how
 // often replans were requested and how each was answered (cache hit,
@@ -52,12 +27,9 @@ func newPlannerMetrics(r *obs.Registry) plannerMetrics {
 	}
 }
 
-// notePlanner folds the planner's cumulative stats delta into the obs
-// counters. A single branch keeps the disabled path free.
+// notePlanner folds the planner's cumulative stats delta into the planner
+// counters (no-op handles when the layer is off).
 func (m *Manager) notePlanner() {
-	if m.opt.Obs == nil {
-		return
-	}
 	s := m.planner.Stats()
 	d := m.lastPlanner
 	m.pm.replans.Add(int64(s.Replans - d.Replans))
@@ -67,62 +39,4 @@ func (m *Manager) notePlanner() {
 	m.pm.dirty.Add(int64(s.DirtyEdges - d.DirtyEdges))
 	m.pm.dirtyLast.Set(float64(s.DirtyEdges - d.DirtyEdges))
 	m.lastPlanner = s
-}
-
-// linkMetrics is the per-link handle set, resolved once per (from, to) pair
-// and cached on the manager so per-chunk updates stay off the interning path.
-type linkMetrics struct {
-	started     obs.Counter
-	bytes       obs.Counter
-	acks        obs.Counter
-	retransmits obs.Counter
-	replans     obs.Counter
-	seconds     obs.Histogram
-}
-
-// link returns the cached handle set for a directed link, nil when
-// observability is off — callers nil-check once per transfer, not per chunk.
-// Handles live in a flat site-index table (lazily sized n²) so the lookup is
-// two map-free loads; sites registered after NewManager fall back to the
-// overflow map.
-func (m *Manager) link(from, to cloud.SiteID) *linkMetrics {
-	if m.opt.Obs == nil {
-		return nil
-	}
-	fi, fok := m.siteIdx[from]
-	ti, tok := m.siteIdx[to]
-	if fok && tok && fi < m.lmStride && ti < m.lmStride {
-		if m.lmArr == nil {
-			m.lmArr = make([]*linkMetrics, m.lmStride*m.lmStride)
-		}
-		if lm := m.lmArr[fi*m.lmStride+ti]; lm != nil {
-			return lm
-		}
-		lm := m.newLinkMetrics(from, to)
-		m.lmArr[fi*m.lmStride+ti] = lm
-		return lm
-	}
-	key := [2]cloud.SiteID{from, to}
-	if lm, ok := m.lmOver[key]; ok {
-		return lm
-	}
-	if m.lmOver == nil {
-		m.lmOver = make(map[[2]cloud.SiteID]*linkMetrics)
-	}
-	lm := m.newLinkMetrics(from, to)
-	m.lmOver[key] = lm
-	return lm
-}
-
-// newLinkMetrics resolves the six per-link handles once.
-func (m *Manager) newLinkMetrics(from, to cloud.SiteID) *linkMetrics {
-	f, t := string(from), string(to)
-	return &linkMetrics{
-		started:     m.met.started.With(f, t),
-		bytes:       m.met.bytes.With(f, t),
-		acks:        m.met.acks.With(f, t),
-		retransmits: m.met.retransmits.With(f, t),
-		replans:     m.met.replans.With(f, t),
-		seconds:     m.met.seconds.With(f, t),
-	}
 }
