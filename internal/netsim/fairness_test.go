@@ -174,7 +174,7 @@ func checkMaxMinInvariants(t *testing.T, net *Network) {
 	for r := range resources {
 		sum := 0.0
 		for _, f := range r.flows {
-			sum += f.rate
+			sum += f.Rate()
 		}
 		load[r] = sum
 		cap := r.capacity(len(r.flows))
@@ -189,7 +189,7 @@ func checkMaxMinInvariants(t *testing.T, net *Network) {
 			saturated := load[r] >= cap-1e-6*cap-1e-9
 			maximal := true
 			for _, g := range r.flows {
-				if g.rate > f.rate+1e-6*f.rate+1e-9 {
+				if g.Rate() > f.Rate()+1e-6*f.Rate()+1e-9 {
 					maximal = false
 					break
 				}
@@ -200,7 +200,7 @@ func checkMaxMinInvariants(t *testing.T, net *Network) {
 			}
 		}
 		if !bottlenecked {
-			t.Fatalf("flow %d (rate %v) has no saturated bottleneck resource: max-min violated", f.ID, f.rate)
+			t.Fatalf("flow %d (rate %v) has no saturated bottleneck resource: max-min violated", f.ID, f.Rate())
 		}
 	}
 }
