@@ -45,18 +45,10 @@ type Sharded struct {
 	s         *Scheduler
 	lookahead Time
 	workers   int
-	queues    []shardQueue // one pending-stage min-heap per shard
+	queues    []eventQueue // one pending-stage queue per shard
 	seq       uint64       // global staging order for ties inside one shard
 	rounds    uint64
 	staged    uint64
-}
-
-// shardTask is one pending two-phase event's stage half.
-type shardTask struct {
-	at     Time
-	seq    uint64
-	stage  func()
-	staged bool
 }
 
 // NewShardedWorkers wraps a Scheduler with a sharded executor that runs at
@@ -69,7 +61,7 @@ func NewShardedWorkers(s *Scheduler, shards, workers int, lookahead Time) *Shard
 	if lookahead < 0 {
 		lookahead = 0
 	}
-	return &Sharded{s: s, lookahead: lookahead, workers: workers, queues: make([]shardQueue, shards)}
+	return &Sharded{s: s, lookahead: lookahead, workers: workers, queues: make([]eventQueue, shards)}
 }
 
 // Shards returns the shard count.
@@ -101,11 +93,13 @@ func (sh *Sharded) At(shard int, t Time, stage, commit func()) {
 		sh.s.At(t, func() { stage(); commit() })
 		return
 	}
-	task := &shardTask{at: t, seq: sh.seq, stage: stage}
+	// The stage half is an Event of the shard's queue, ordered by the
+	// staging sequence; staging clears its fn.
+	task := &Event{at: t, seq: sh.seq, fn: stage}
 	sh.seq++
 	sh.queues[shard].push(task)
 	sh.s.At(t, func() {
-		if !task.staged {
+		if task.fn != nil {
 			sh.stageThrough(sh.saturatingHorizon())
 		}
 		commit()
@@ -124,7 +118,7 @@ func (sh *Sharded) saturatingHorizon() Time {
 // stagedRun is one shard's ordered batch for a round.
 type stagedRun struct {
 	shard int
-	tasks []*shardTask
+	tasks []*Event
 }
 
 // stagePanic captures a panic raised inside a stage function so it can be
@@ -149,8 +143,8 @@ func (sh *Sharded) stageThrough(horizon Time) {
 	var runs []stagedRun
 	for i := range sh.queues {
 		q := &sh.queues[i]
-		var tasks []*shardTask
-		for q.Len() > 0 && (*q)[0].at <= horizon {
+		var tasks []*Event
+		for len(*q) > 0 && (*q)[0].at <= horizon {
 			tasks = append(tasks, q.pop())
 		}
 		if len(tasks) > 0 {
@@ -168,8 +162,8 @@ func (sh *Sharded) stageThrough(horizon Time) {
 		// Only one shard has work in this horizon: run inline, panics
 		// propagate naturally.
 		for _, t := range runs[0].tasks {
-			t.stage()
-			t.staged = true
+			t.fn()
+			t.fn = nil
 		}
 		return
 	}
@@ -210,71 +204,19 @@ func (sh *Sharded) stageThrough(horizon Time) {
 	}
 	for _, r := range runs {
 		for _, t := range r.tasks {
-			t.staged = true
+			t.fn = nil
 		}
 	}
 }
 
 // runStage executes one stage, converting a panic into a stagePanic record.
 // It reports whether the stage completed normally.
-func runStage(t *shardTask, shard int, out **stagePanic) (ok bool) {
+func runStage(t *Event, shard int, out **stagePanic) (ok bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			*out = &stagePanic{shard: shard, seq: t.seq, val: v}
 		}
 	}()
-	t.stage()
+	t.fn()
 	return true
-}
-
-// shardQueue is a min-heap of pending stages ordered by (at, seq). A plain
-// slice heap (no container/heap interface) keeps push/pop inline-friendly.
-type shardQueue []*shardTask
-
-func (q shardQueue) Len() int { return len(q) }
-
-func (q shardQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *shardQueue) push(t *shardTask) {
-	*q = append(*q, t)
-	i := len(*q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		(*q)[i], (*q)[parent] = (*q)[parent], (*q)[i]
-		i = parent
-	}
-}
-
-func (q *shardQueue) pop() *shardTask {
-	old := *q
-	n := len(old)
-	top := old[0]
-	old[0] = old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(*q) && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(*q) && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		(*q)[i], (*q)[smallest] = (*q)[smallest], (*q)[i]
-		i = smallest
-	}
-	return top
 }

@@ -9,7 +9,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -72,7 +71,7 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	}
 	ev := &Event{at: t, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return ev
 }
 
@@ -114,9 +113,9 @@ func (s *Scheduler) Reschedule(ev *Event, t Time) {
 	s.seq++
 	ev.cancel = false
 	if ev.index >= 0 {
-		heap.Fix(&s.queue, ev.index)
+		s.queue.fix(ev.index)
 	} else {
-		heap.Push(&s.queue, ev)
+		s.queue.push(ev)
 	}
 }
 
@@ -124,7 +123,7 @@ func (s *Scheduler) Reschedule(ev *Event, t Time) {
 // It returns false when no events remain.
 func (s *Scheduler) Step() bool {
 	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*Event)
+		ev := s.queue.pop()
 		if ev.cancel {
 			continue
 		}
@@ -168,7 +167,7 @@ func (s *Scheduler) peek() *Event {
 	for len(s.queue) > 0 {
 		ev := s.queue[0]
 		if ev.cancel {
-			heap.Pop(&s.queue)
+			s.queue.pop()
 			continue
 		}
 		return ev
@@ -223,36 +222,79 @@ func (t *Ticker) Stop() {
 	t.s.Cancel(t.ev)
 }
 
-// eventQueue is a min-heap ordered by (time, sequence).
+// eventQueue is a binary min-heap of events ordered by (time, sequence),
+// which keeps each event's index current so that a queued event can be moved
+// in place. It is the scheduler's queue and each shard's stage queue.
+// (time, sequence) is a total order, so the pop order is fully determined.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
+func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 	q[i].index = i
 	q[j].index = j
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
+func (q *eventQueue) push(ev *Event) {
 	ev.index = len(*q)
 	*q = append(*q, ev)
+	q.up(ev.index)
 }
 
-func (q *eventQueue) Pop() any {
+// pop removes and returns the earliest event; the queue must not be empty.
+func (q *eventQueue) pop() *Event {
 	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	last := len(old) - 1
+	old.swap(0, last)
+	ev := old[last]
+	old[last] = nil
 	ev.index = -1
-	*q = old[:n-1]
+	*q = old[:last]
+	q.down(0)
 	return ev
+}
+
+// fix restores the order after the event at i changed its key.
+func (q eventQueue) fix(i int) {
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+func (q eventQueue) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q.swap(i, parent)
+		i = parent
+	}
+}
+
+// down sifts the event at i toward the leaves and reports whether it moved.
+func (q eventQueue) down(i int) bool {
+	start := i
+	for {
+		l := 2*i + 1
+		if l >= len(q) {
+			break
+		}
+		child := l
+		if r := l + 1; r < len(q) && q.less(r, l) {
+			child = r
+		}
+		if !q.less(child, i) {
+			break
+		}
+		q.swap(i, child)
+		i = child
+	}
+	return i > start
 }
