@@ -40,7 +40,7 @@ func sageRun(strategy transfer.Strategy) (*core.GatherReport, error) {
 
 func blobRun() (time.Duration, float64) {
 	engine := core.NewEngine(core.WithSeed(11))
-	store := baseline.NewBlobStore(engine.Net, cloud.NorthUS, baseline.BlobOptions{})
+	store := baseline.NewBlobStore(engine.Net, cloud.NorthUS)
 	remaining := len(sites)
 	var makespan time.Duration
 	var cost float64

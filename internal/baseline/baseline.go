@@ -28,49 +28,28 @@ type BlobStore struct {
 	// frontends are the storage service's ingestion nodes.
 	frontends []*netsim.Node
 	next      int
-	opt       BlobOptions
 }
 
-// BlobOptions tunes the storage model.
-type BlobOptions struct {
-	// Frontends is the number of storage frontend nodes (default 4).
-	Frontends int
-	// RequestOverhead is the fixed HTTP/auth cost per request
-	// (default 120ms), charged on every put and every get.
-	RequestOverhead time.Duration
-	// HTTPFactor derates achievable throughput relative to raw TCP
-	// (default 0.7): headers, chunked encoding, server-side replication.
-	HTTPFactor float64
-	// PricePerGBOp is the storage fee charged per GB written (default
-	// $0.01, a coarse stand-in for transactions + short-term storage).
-	PricePerGBOp float64
-}
-
-func (o BlobOptions) withDefaults() BlobOptions {
-	if o.Frontends <= 0 {
-		o.Frontends = 4
-	}
-	if o.RequestOverhead <= 0 {
-		o.RequestOverhead = 120 * time.Millisecond
-	}
-	if o.HTTPFactor <= 0 {
-		o.HTTPFactor = 0.7
-	}
-	if o.PricePerGBOp <= 0 {
-		o.PricePerGBOp = 0.01
-	}
-	return o
-}
+// The storage model: frontends is the number of ingestion nodes;
+// requestOverhead the fixed HTTP/auth cost charged on every put and every
+// get; httpFactor derates achievable throughput relative to raw TCP
+// (headers, chunked encoding, server-side replication); pricePerGBOp the
+// storage fee per GB written, a coarse stand-in for transactions and
+// short-term storage.
+const (
+	frontends       = 4
+	requestOverhead = 120 * time.Millisecond
+	httpFactor      = 0.7
+	pricePerGBOp    = 0.01
+)
 
 // NewBlobStore provisions a storage service in the given site. Frontend
 // nodes are XLarge, as real storage services run on fat hardware.
-func NewBlobStore(net *netsim.Network, site cloud.SiteID, opt BlobOptions) *BlobStore {
-	opt = opt.withDefaults()
+func NewBlobStore(net *netsim.Network, site cloud.SiteID) *BlobStore {
 	return &BlobStore{
 		net:       net,
 		site:      site,
-		frontends: net.NewNodes(site, cloud.XLarge, opt.Frontends),
-		opt:       opt,
+		frontends: net.NewNodes(site, cloud.XLarge, frontends),
 	}
 }
 
@@ -85,8 +64,8 @@ func (b *BlobStore) frontend() *netsim.Node {
 func (b *BlobStore) Put(client *netsim.Node, size int64, onDone func()) {
 	fe := b.frontend()
 	sched := b.net.Scheduler()
-	sched.After(b.opt.RequestOverhead, func() {
-		cap := client.Class.NICMBps * b.opt.HTTPFactor
+	sched.After(requestOverhead, func() {
+		cap := client.Class.NICMBps * httpFactor
 		b.net.StartFlow(client, fe, size, netsim.FlowOpts{CapMBps: cap}, func(f *netsim.Flow) {
 			onDone()
 		})
@@ -97,8 +76,8 @@ func (b *BlobStore) Put(client *netsim.Node, size int64, onDone func()) {
 func (b *BlobStore) Get(client *netsim.Node, size int64, onDone func()) {
 	fe := b.frontend()
 	sched := b.net.Scheduler()
-	sched.After(b.opt.RequestOverhead, func() {
-		cap := client.Class.NICMBps * b.opt.HTTPFactor
+	sched.After(requestOverhead, func() {
+		cap := client.Class.NICMBps * httpFactor
 		b.net.StartFlow(fe, client, size, netsim.FlowOpts{CapMBps: cap}, func(f *netsim.Flow) {
 			onDone()
 		})
@@ -153,7 +132,7 @@ func (b *BlobStore) Relay(spec RelaySpec, onDone func(RelayResult)) error {
 			if s := topo.Site(b.site); s != nil && b.site != spec.Dst.Site {
 				cost += cloud.EgressCost(s, int64(spec.Files)*spec.FileBytes)
 			}
-			cost += b.opt.PricePerGBOp * float64(int64(spec.Files)*spec.FileBytes) / (1 << 30)
+			cost += pricePerGBOp * float64(int64(spec.Files)*spec.FileBytes) / (1 << 30)
 			cost += spec.Src.Class.PricePerHour * dur.Hours()
 			cost += spec.Dst.Class.PricePerHour * dur.Hours()
 			onDone(RelayResult{

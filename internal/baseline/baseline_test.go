@@ -19,7 +19,7 @@ func testEnv() (*simtime.Scheduler, *netsim.Network) {
 
 func TestPutGetRoundTrip(t *testing.T) {
 	sched, net := testEnv()
-	store := NewBlobStore(net, cloud.NorthUS, BlobOptions{})
+	store := NewBlobStore(net, cloud.NorthUS)
 	src := net.NewNode(cloud.NorthEU, cloud.Medium)
 	dst := net.NewNode(cloud.NorthUS, cloud.Medium)
 	var putDone, getDone bool
@@ -35,7 +35,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestRelayCompletes(t *testing.T) {
 	sched, net := testEnv()
-	store := NewBlobStore(net, cloud.NorthUS, BlobOptions{})
+	store := NewBlobStore(net, cloud.NorthUS)
 	src := net.NewNode(cloud.NorthEU, cloud.Medium)
 	dst := net.NewNode(cloud.NorthUS, cloud.Medium)
 	var res *RelayResult
@@ -60,7 +60,7 @@ func TestRelaySlowerThanDirectFlow(t *testing.T) {
 	// The two-phase staging path must be slower than one direct flow of
 	// the same size — the core comparison of the baselines figure.
 	sched, net := testEnv()
-	store := NewBlobStore(net, cloud.NorthUS, BlobOptions{})
+	store := NewBlobStore(net, cloud.NorthUS)
 	src := net.NewNode(cloud.NorthEU, cloud.Medium)
 	dst := net.NewNode(cloud.NorthUS, cloud.Medium)
 	size := int64(100 << 20)
@@ -93,7 +93,7 @@ func TestRelayOverheadDominatesSmallFiles(t *testing.T) {
 	// Same volume, 100x more files: per-request overhead must show.
 	run := func(files int, fileBytes int64) time.Duration {
 		sched, net := testEnv()
-		store := NewBlobStore(net, cloud.NorthUS, BlobOptions{})
+		store := NewBlobStore(net, cloud.NorthUS)
 		src := net.NewNode(cloud.NorthEU, cloud.Medium)
 		dst := net.NewNode(cloud.NorthUS, cloud.Medium)
 		var res *RelayResult
@@ -116,7 +116,7 @@ func TestRelayOverheadDominatesSmallFiles(t *testing.T) {
 
 func TestStageTime(t *testing.T) {
 	sched, net := testEnv()
-	store := NewBlobStore(net, cloud.NorthUS, BlobOptions{})
+	store := NewBlobStore(net, cloud.NorthUS)
 	src := net.NewNode(cloud.NorthEU, cloud.Small)
 	var staged time.Duration
 	store.StageTime(src, 100<<20, func(d time.Duration) { staged = d })
@@ -133,7 +133,7 @@ func TestStageTime(t *testing.T) {
 
 func TestRelayValidation(t *testing.T) {
 	_, net := testEnv()
-	store := NewBlobStore(net, cloud.NorthUS, BlobOptions{})
+	store := NewBlobStore(net, cloud.NorthUS)
 	src := net.NewNode(cloud.NorthEU, cloud.Small)
 	dst := net.NewNode(cloud.NorthUS, cloud.Small)
 	if err := store.Relay(RelaySpec{Src: src, Dst: dst}, func(RelayResult) {}); err == nil {
@@ -141,22 +141,14 @@ func TestRelayValidation(t *testing.T) {
 	}
 }
 
-func TestBlobOptionsDefaults(t *testing.T) {
-	opt := BlobOptions{}.withDefaults()
-	if opt.Frontends != 4 || opt.RequestOverhead != 120*time.Millisecond ||
-		opt.HTTPFactor != 0.7 || opt.PricePerGBOp != 0.01 {
-		t.Fatalf("defaults = %+v", opt)
-	}
-}
-
 func TestFrontendsRoundRobin(t *testing.T) {
 	_, net := testEnv()
-	store := NewBlobStore(net, cloud.NorthUS, BlobOptions{Frontends: 3})
+	store := NewBlobStore(net, cloud.NorthUS)
 	seen := map[string]bool{}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 2*frontends; i++ {
 		seen[store.frontend().ID] = true
 	}
-	if len(seen) != 3 {
-		t.Fatalf("round-robin visited %d frontends, want 3", len(seen))
+	if len(seen) != frontends {
+		t.Fatalf("round-robin visited %d frontends, want %d", len(seen), frontends)
 	}
 }

@@ -67,7 +67,7 @@ func expApplication(cfg Config) []*stats.Table {
 		}
 		// Blob staging: each site relays its files through the store.
 		e := deployedEngine(cfg, true, 8)
-		store := baseline.NewBlobStore(e.Net, sink, baseline.BlobOptions{})
+		store := baseline.NewBlobStore(e.Net, sink)
 		remaining := 0
 		var makespan time.Duration
 		var cost float64

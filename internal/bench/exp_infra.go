@@ -83,7 +83,7 @@ func expVariabilityWeek(cfg Config) []*stats.Table {
 		topo := cloud.DefaultAzure()
 		net := netsim.New(sched, topo, rng.New(cfg.Seed+uint64(ti)), netsim.Options{})
 		client := net.NewNode(cloud.NorthEU, cloud.Small)
-		store := baseline.NewBlobStore(net, target, baseline.BlobOptions{})
+		store := baseline.NewBlobStore(net, target)
 		var thr, stage []float64
 		probeGap := 24 * time.Hour / time.Duration(probesPerDay)
 		stageGap := 24 * time.Hour / time.Duration(stagesPerDay)

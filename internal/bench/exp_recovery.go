@@ -137,7 +137,7 @@ func expRecovery(cfg Config) []*stats.Table {
 	// and recovery lasts detection plus the re-processing span.
 	clean := reports[0]
 	hb := resilience.Config{}.WithDefaults()
-	detect := time.Duration(hb.DeadMisses)*hb.HeartbeatInterval + hb.HeartbeatInterval
+	detect := time.Duration(resilience.DeadMisses)*hb.HeartbeatInterval + hb.HeartbeatInterval
 	if clean != nil {
 		// Windows are stamped in absolute virtual time; the job starts
 		// after the warmup.

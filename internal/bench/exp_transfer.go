@@ -221,7 +221,7 @@ func expBaselines(cfg Config) []*stats.Table {
 		switch options[oi] {
 		case "BlobRelay":
 			e := deployedEngine(cfg, true, 8)
-			store := baseline.NewBlobStore(e.Net, cloud.NorthUS, baseline.BlobOptions{})
+			store := baseline.NewBlobStore(e.Net, cloud.NorthUS)
 			src := e.Net.NewNode(cloud.NorthEU, cloud.Medium)
 			dst := e.Net.NewNode(cloud.NorthUS, cloud.Medium)
 			var res *baseline.RelayResult

@@ -14,7 +14,7 @@ import (
 
 func TestCalibratorFitsGain(t *testing.T) {
 	c := NewCalibrator()
-	truth := model.Params{Gain: 0.6, MaxSpeedup: 100, Intr: 1, Class: cloud.XLarge, SitesPerLane: 2}
+	truth := model.Params{Gain: 0.6, MaxSpeedup: 100, Intr: 1, Class: cloud.XLarge}
 	now := time.Hour
 	for n := 1; n <= 4; n++ {
 		for rep := 0; rep < 2; rep++ {
@@ -43,7 +43,7 @@ func TestCalibratorNeedsEnoughData(t *testing.T) {
 
 func TestCalibratorWindowExpiry(t *testing.T) {
 	c := NewCalibrator()
-	truth := model.Params{Gain: 0.5, MaxSpeedup: 100, Intr: 1, Class: cloud.XLarge, SitesPerLane: 2}
+	truth := model.Params{Gain: 0.5, MaxSpeedup: 100, Intr: 1, Class: cloud.XLarge}
 	for n := 1; n <= 4; n++ {
 		for rep := 0; rep < 2; rep++ {
 			c.Record("NEU", time.Minute, n, truth.TransferTime(100e6, 10, n))

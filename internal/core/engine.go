@@ -73,10 +73,8 @@ func (e *Engine) ShardRounds() uint64 { return e.shard.Rounds() }
 // calibrated value when enough observations exist, the static parameter
 // otherwise.
 func (e *Engine) GainFor(site cloud.SiteID) float64 {
-	if e.Calib != nil {
-		if g, ok := e.Calib.Gain(site, e.Sched.Now()); ok {
-			return g
-		}
+	if g, ok := e.Calib.Gain(site, e.Sched.Now()); ok {
+		return g
 	}
 	return e.Params.Gain
 }
@@ -180,9 +178,16 @@ type SourceSpec struct {
 	// Gen produces the events (default: sensor generator with 100 keys).
 	Gen *workload.SensorGen
 	// EventBytes is the serialized size of one raw event, used when the
-	// job ships raw events instead of partials (default 200).
+	// job ships raw events instead of partials (default DefaultEventBytes).
 	EventBytes int64
 }
+
+// The sizes a job ships: DefaultEventBytes is a raw event's when its source
+// sets none, PartialOverheadBytes the fixed envelope around every partial.
+const (
+	DefaultEventBytes    = 200
+	PartialOverheadBytes = 1024
+)
 
 // JobSpec describes a geo-distributed streaming job.
 type JobSpec struct {
@@ -205,10 +210,10 @@ type JobSpec struct {
 	ShipRaw bool
 	// Strategy is the wide-area transfer strategy for partials.
 	Strategy transfer.Strategy
-	// Lanes / NodeBudget / MaxPaths / Intr parameterize transfers
-	// (see transfer.Request).
-	Lanes, NodeBudget, MaxPaths int
-	Intr                        float64
+	// Lanes / MaxPaths / Intr parameterize transfers (see
+	// transfer.Request).
+	Lanes, MaxPaths int
+	Intr            float64
 	// BudgetPerWindow, when positive, lets the cost model choose the node
 	// count each window: the largest count whose predicted cost stays
 	// within the budget.
@@ -228,13 +233,6 @@ type JobSpec struct {
 	// drops. Report.BytesLost and MeanLoss quantify the damage. Lossy
 	// ignores Strategy.
 	Lossy bool
-	// RiskFactor, when positive, sizes budget/deadline transfers against
-	// the conservative estimate mean − RiskFactor·σ instead of the mean:
-	// more nodes are provisioned when the link has been volatile.
-	RiskFactor float64
-	// PartialOverheadBytes is the fixed envelope around one partial
-	// (default 1024).
-	PartialOverheadBytes int64
 	// Resilience, when non-nil, arms the resilience subsystem for this job:
 	// heartbeat failure detection, periodic checkpointing, transfer
 	// resumption, batch-log gap replay and sink failover. Nil (the default)
@@ -258,11 +256,8 @@ func (j *JobSpec) withDefaults() error {
 			return specErrorf(fmt.Sprintf("Sources[%d].Rate", i), "source has no rate")
 		}
 		if j.Sources[i].EventBytes <= 0 {
-			j.Sources[i].EventBytes = 200
+			j.Sources[i].EventBytes = DefaultEventBytes
 		}
-	}
-	if j.PartialOverheadBytes <= 0 {
-		j.PartialOverheadBytes = 1024
 	}
 	if j.BudgetPerWindow > 0 && j.DeadlinePerWindow > 0 {
 		return &SpecError{Field: "BudgetPerWindow",
@@ -270,9 +265,6 @@ func (j *JobSpec) withDefaults() error {
 	}
 	if j.Lanes <= 0 {
 		j.Lanes = 2
-	}
-	if j.NodeBudget <= 0 {
-		j.NodeBudget = 8
 	}
 	return nil
 }
@@ -762,7 +754,7 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 	default:
 		bytes = cw.Agg.SerializedBytes()
 	}
-	bytes += job.PartialOverheadBytes
+	bytes += PartialOverheadBytes
 	if run.guard != nil {
 		// Logged before a pause can park the ship: a held partial whose
 		// source or sink dies is dropped and re-shipped from the batch log.
@@ -775,7 +767,7 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 		// held work replays.
 		*inflight++
 		run.held = append(run.held, heldShip{s: s, cw: cw, events: events,
-			preBytes: bytes - job.PartialOverheadBytes, resume: resume})
+			preBytes: bytes - PartialOverheadBytes, resume: resume})
 		return
 	}
 
@@ -826,10 +818,7 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 	if job.Lossy {
 		// Datagram shipping: pace at the estimated link rate (bounded by
 		// the intrusiveness NIC share), lose what the network drops.
-		est, _ := e.Monitor.Estimate(s.spec.Site, sink)
-		if l := e.Net.Topology().Link(s.spec.Site, sink); est <= 0 && l != nil {
-			est = l.BaseMBps
-		}
+		est := e.estimate(s.spec.Site, sink)
 		if est < 0.5 {
 			est = 0.5
 		}
@@ -850,7 +839,7 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 	req := transfer.Request{
 		From: s.spec.Site, To: sink, Size: bytes,
 		Strategy: job.Strategy, Lanes: job.Lanes,
-		NodeBudget: job.NodeBudget, MaxPaths: job.MaxPaths, Intr: job.Intr,
+		MaxPaths: job.MaxPaths, Intr: job.Intr,
 		Resume: resume,
 		JobID:  run.id,
 	}
@@ -858,15 +847,7 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 	// a node count against the monitor's current estimate, using the
 	// calibrated gain when available.
 	if job.BudgetPerWindow > 0 || job.DeadlinePerWindow > 0 {
-		est, sigma := e.Monitor.Estimate(s.spec.Site, sink)
-		if est <= 0 {
-			if l := e.Net.Topology().Link(s.spec.Site, sink); l != nil {
-				est = l.BaseMBps
-			}
-		}
-		if job.RiskFactor > 0 {
-			est = model.Conservative(est, sigma, job.RiskFactor)
-		}
+		est := e.estimate(s.spec.Site, sink)
 		e.Obs.Emit(obs.Event{Kind: obs.EvEstimate, At: e.Sched.Now(), Job: run.id,
 			Site: string(s.spec.Site), Peer: string(sink), Value: est, ID: uint64(cw.Window.Start)})
 		p := e.Params
@@ -877,7 +858,7 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 		// budget counts individual VMs (SitesPerLane per lane).
 		apply := func(n int) {
 			if job.Strategy == transfer.MultipathStatic || job.Strategy == transfer.MultipathDynamic {
-				req.NodeBudget = int(float64(n) * p.SitesPerLane)
+				req.NodeBudget = n * model.SitesPerLane
 			} else {
 				req.Lanes = n
 			}
@@ -929,7 +910,7 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 	h, err = e.Mgr.Transfer(req, func(res transfer.Result) {
 		*inflight--
 		run.untrack(h)
-		if job.Calibrate && e.Calib != nil {
+		if job.Calibrate {
 			e.Calib.RecordNormalized(s.spec.Site, e.Sched.Now(), lanes, res.Duration, res.Bytes)
 		}
 		if res.SkippedBytes > 0 {
@@ -960,16 +941,23 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 	run.live = append(run.live, liveXfer{h: h, s: s, cw: cw, events: events})
 }
 
-// predict is the model's dispatch-time outcome for a bytes-sized transfer
-// from one site to another on lanes lanes (0: one), at the monitor's current
-// estimate — or the link's baseline before the monitor has one.
-func (e *Engine) predict(from, to cloud.SiteID, bytes int64, lanes int) obs.Outcome {
+// estimate is the monitor's current rate estimate of the link from one site
+// to another, or the link's baseline before the monitor has one (0 when
+// there is no such link).
+func (e *Engine) estimate(from, to cloud.SiteID) float64 {
 	est, _ := e.Monitor.Estimate(from, to)
 	if est <= 0 {
 		if l := e.Net.Topology().Link(from, to); l != nil {
 			est = l.BaseMBps
 		}
 	}
+	return est
+}
+
+// predict is the model's dispatch-time outcome for a bytes-sized transfer
+// from one site to another on lanes lanes (0: one), at estimate's rate.
+func (e *Engine) predict(from, to cloud.SiteID, bytes int64, lanes int) obs.Outcome {
+	est := e.estimate(from, to)
 	if est <= 0 {
 		est = 1
 	}

@@ -1,16 +1,11 @@
 package core
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	"sage/internal/cloud"
-	"sage/internal/model"
-	"sage/internal/netsim"
-	"sage/internal/stream"
 	"sage/internal/transfer"
-	"sage/internal/workload"
 )
 
 // These tests inject infrastructure failures under a running job and assert
@@ -94,56 +89,5 @@ func TestJobSurvivesLinkBlackout(t *testing.T) {
 	}
 	if rep.Windows < 8 {
 		t.Fatalf("blackout sank the job: %d windows", rep.Windows)
-	}
-}
-
-func TestRiskAverseSizingUsesMoreLanesUnderVolatility(t *testing.T) {
-	run := func(risk float64) int {
-		e := NewEngine(WithOptions(Options{
-			Seed: 64,
-			// Volatile link: high sigma in the monitor's estimates.
-			Net:      netsim.Options{ProbeNoise: 0.3},
-			Transfer: transfer.Options{ChunkBytes: 8 << 20},
-			Params:   model.Default(),
-		}))
-		e.DeployEverywhere(cloud.Medium, 12)
-		e.Sched.RunFor(5 * time.Minute)
-		job := JobSpec{
-			Sources:           []SourceSpec{{Site: cloud.NorthEU, Rate: workload.ConstantRate(4000)}},
-			Sink:              cloud.NorthUS,
-			Window:            30 * time.Second,
-			Agg:               stream.Mean,
-			ShipRaw:           true,
-			Strategy:          transfer.EnvAware,
-			Intr:              1,
-			DeadlinePerWindow: 10 * time.Second,
-			RiskFactor:        risk,
-		}
-		rep, err := e.Run(job, 3*time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		maxLanes := 0
-		for _, sw := range rep.SiteWindows {
-			if sw.Lanes > maxLanes {
-				maxLanes = sw.Lanes
-			}
-		}
-		return maxLanes
-	}
-	neutral := run(0)
-	averse := run(2)
-	if averse < neutral {
-		t.Fatalf("risk-averse sizing used %d lanes < neutral %d", averse, neutral)
-	}
-}
-
-func TestConservativeEstimate(t *testing.T) {
-	if got := model.Conservative(10, 2, 1.5); math.Abs(got-7) > 1e-12 {
-		t.Fatalf("Conservative = %v, want 7", got)
-	}
-	// Floored at 5% of the mean.
-	if got := model.Conservative(10, 100, 2); got != 0.5 {
-		t.Fatalf("floor = %v, want 0.5", got)
 	}
 }

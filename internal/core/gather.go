@@ -17,10 +17,10 @@ type GatherSpec struct {
 	Partials workload.Partials
 	Sink     cloud.SiteID
 	Strategy transfer.Strategy
-	// Lanes / NodeBudget / MaxPaths / Intr parameterize each site's
-	// transfer (see transfer.Request).
-	Lanes, NodeBudget, MaxPaths int
-	Intr                        float64
+	// Lanes / NodeBudget / Intr parameterize each site's transfer (see
+	// transfer.Request).
+	Lanes, NodeBudget int
+	Intr              float64
 }
 
 // SiteGather reports one site's file collection.
@@ -68,7 +68,7 @@ func (e *Engine) Gather(spec GatherSpec) (*GatherReport, error) {
 			ChunkBytes: spec.Partials.FileBytes,
 			Strategy:   spec.Strategy,
 			Lanes:      spec.Lanes, NodeBudget: spec.NodeBudget,
-			MaxPaths: spec.MaxPaths, Intr: spec.Intr,
+			Intr: spec.Intr,
 		}
 		remaining++
 		var h *transfer.Handle

@@ -62,7 +62,7 @@ func TestBatchLogTrimsAfterWarmup(t *testing.T) {
 	rep := e.Wait(0, run)[0]
 
 	rm := rep.Resilience
-	if rm.Failures != 1 || rm.Recoveries != 1 || rm.ReplayedWindows == 0 || rm.LostWindows != 0 {
+	if rm.Failures != 1 || rm.Recoveries != 1 || rm.ReplayedWindows == 0 {
 		t.Fatalf("schedule did not exercise recovery: %+v", rm)
 	}
 	if rep.Windows != cleanRep.Windows || rep.Incomplete != 0 {

@@ -127,7 +127,7 @@ func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, srcs []*sourceSt
 		run:       run,
 		cfg:       cfg,
 		det:       e.detector(cfg),
-		log:       resilience.NewBatchLog(cfg.RetainWindows),
+		log:       resilience.NewBatchLog(),
 		srcs:      srcs,
 		first:     first,
 		completed: make(map[simtime.Time]bool),
@@ -168,9 +168,6 @@ func (g *jobGuard) stop() {
 // JobRun.finalize.
 func (g *jobGuard) finish() *resilience.Metrics {
 	g.stop()
-	for i := range g.srcs {
-		g.met.LostWindows += g.log.Evicted(i)
-	}
 	m := g.met
 	return &m
 }

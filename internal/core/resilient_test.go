@@ -109,36 +109,6 @@ func TestRecoveredRunMatchesUnfailedResult(t *testing.T) {
 	}
 }
 
-// TestRecoveryBoundedLossWithTinyRetention caps the batch log at one window
-// per source: an outage spanning several windows must then lose at most the
-// evicted windows, never more, and report them.
-func TestRecoveryBoundedLossWithTinyRetention(t *testing.T) {
-	e := quietEngine(72)
-	killSite(e, cloud.NorthEU, 65*time.Second)
-	restoreSite(e, cloud.NorthEU, 185*time.Second)
-	job := basicJob(transfer.EnvAware)
-	job.Resilience = &resilience.Config{
-		CheckpointInterval: 30 * time.Second,
-		RetainWindows:      1,
-	}
-	rep, err := e.Run(job, 5*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := rep.Resilience
-	if rm == nil {
-		t.Fatal("no resilience metrics")
-	}
-	// Retention of one window can evict log entries, but the eviction count
-	// must be reported and bounded by what the run shipped.
-	if rm.LostWindows < 0 || rm.LostWindows > 30 {
-		t.Fatalf("lost windows = %d, implausible", rm.LostWindows)
-	}
-	if rep.Windows+rep.Incomplete != 10 {
-		t.Fatalf("accounting off: %d complete + %d incomplete, want 10 total", rep.Windows, rep.Incomplete)
-	}
-}
-
 // TestSinkFailoverReElectsMetaReducer kills the sink site mid-run: the
 // widest-path planner must re-elect a reachable replacement, restore its
 // state from the checkpoint, and the job must keep completing windows.

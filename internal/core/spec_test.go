@@ -67,10 +67,10 @@ func TestSpecValidAppliesDefaults(t *testing.T) {
 	if err := job.withDefaults(); err != nil {
 		t.Fatal(err)
 	}
-	if job.Sources[0].EventBytes != 200 || job.PartialOverheadBytes != 1024 {
+	if job.Sources[0].EventBytes != DefaultEventBytes {
 		t.Fatalf("defaults not applied: %+v", job)
 	}
-	if job.Lanes != 2 || job.NodeBudget != 8 {
+	if job.Lanes != 2 {
 		t.Fatalf("lane defaults not applied: %+v", job)
 	}
 }

@@ -50,18 +50,19 @@ type Params struct {
 	Class cloud.VMClass
 	// EgressPerGB is the outbound-data price at the source site.
 	EgressPerGB float64
-	// SitesPerLane is the number of VMs one parallel lane engages: 2 for a
-	// direct source->destination pair, 3 when routing through an
-	// intermediate datacenter. The cost model charges every engaged VM.
-	SitesPerLane float64
 }
 
+// SitesPerLane is the number of VMs one parallel lane engages: the source
+// and the destination of a direct pair. The cost model charges every
+// engaged VM.
+const SitesPerLane = 2
+
 // Default returns the calibration used throughout the evaluation: gain 0.55,
-// speedup cap 4 (the netsim AggMax), 10% intrusiveness, Small instances,
-// $0.12/GB egress.
+// speedup cap 4 (netsim's aggregate-parallelism cap), 10% intrusiveness,
+// Small instances, $0.12/GB egress.
 func Default() Params {
 	return Params{Gain: 0.55, MaxSpeedup: 4, Intr: 0.10, Class: cloud.Small,
-		EgressPerGB: 0.12, SitesPerLane: 2}
+		EgressPerGB: 0.12}
 }
 
 // Speedup returns the parallel speedup for n nodes.
@@ -100,11 +101,7 @@ func (p Params) TransferTime(size int64, thrMBps float64, n int) time.Duration {
 // parallel lanes, each engaging SitesPerLane VMs for the transfer duration
 // at the configured intrusiveness.
 func (p Params) ResourceCost(tt time.Duration, n int) float64 {
-	lane := p.SitesPerLane
-	if lane < 1 {
-		lane = 2
-	}
-	return float64(n) * lane * tt.Hours() * p.Class.PricePerHour * p.Intr
+	return float64(n) * SitesPerLane * tt.Hours() * p.Class.PricePerHour * p.Intr
 }
 
 // EgressCost returns the provider egress charge for size bytes.
@@ -120,19 +117,6 @@ func (p Params) Cost(size int64, thrMBps float64, n int) float64 {
 		return math.Inf(1)
 	}
 	return p.ResourceCost(tt, n) + p.EgressCost(size)
-}
-
-// Conservative discounts a throughput estimate by z standard deviations —
-// the risk-averse planning input: a scheduler sizing against the mean is
-// late half the time, one sizing against mean − z·σ is late only when the
-// environment is worse than its recent history suggests. The result is
-// floored at 5% of the mean so a noisy link never becomes unplannable.
-func Conservative(mean, stddev, z float64) float64 {
-	v := mean - z*stddev
-	if floor := 0.05 * mean; v < floor {
-		return floor
-	}
-	return v
 }
 
 // Prediction bundles the model outputs for one candidate node count.

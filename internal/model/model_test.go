@@ -202,7 +202,7 @@ func TestFitGainNeedsVariety(t *testing.T) {
 
 func TestFitGainWithoutBaseline(t *testing.T) {
 	// Observations at n = 2 and n = 4 only — no n = 1 baseline.
-	true_ := Params{Gain: 0.5, MaxSpeedup: 100, Intr: 1, Class: cloud.Small, EgressPerGB: 0, SitesPerLane: 2}
+	true_ := Params{Gain: 0.5, MaxSpeedup: 100, Intr: 1, Class: cloud.Small, EgressPerGB: 0}
 	obs := []Observation{
 		{Nodes: 2, Duration: true_.TransferTime(500e6, 10, 2)},
 		{Nodes: 4, Duration: true_.TransferTime(500e6, 10, 4)},

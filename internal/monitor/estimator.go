@@ -42,8 +42,6 @@ type Estimator interface {
 	Stddev() float64
 	// Count returns the number of samples observed.
 	Count() int
-	// Name identifies the strategy in reports.
-	Name() string
 }
 
 // LastSample is the trivial estimator: trust the newest measurement.
@@ -78,9 +76,6 @@ func (e *LastSample) Stddev() float64 {
 // Count implements Estimator.
 func (e *LastSample) Count() int { return e.n }
 
-// Name implements Estimator.
-func (e *LastSample) Name() string { return "Monitor" }
-
 // LSI is linear sample integration: a running arithmetic mean and variance
 // (Welford's algorithm) over all samples seen.
 type LSI struct {
@@ -113,9 +108,6 @@ func (e *LSI) Stddev() float64 {
 
 // Count implements Estimator.
 func (e *LSI) Count() int { return e.n }
-
-// Name implements Estimator.
-func (e *LSI) Name() string { return "LSI" }
 
 // WSI is weighted sample integration, SAGE's estimator. Each sample S gets a
 // trust weight
@@ -216,9 +208,6 @@ func (e *WSI) Stddev() float64 {
 
 // Count implements Estimator.
 func (e *WSI) Count() int { return e.n }
-
-// Name implements Estimator.
-func (e *WSI) Name() string { return "WSI" }
 
 // Factory builds fresh estimators; the monitoring service keeps one per
 // tracked link.

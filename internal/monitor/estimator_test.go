@@ -164,14 +164,6 @@ func TestWSIDefaults(t *testing.T) {
 	}
 }
 
-func TestEstimatorNames(t *testing.T) {
-	if NewWSI(12, time.Minute).Name() != "WSI" ||
-		NewLSI().Name() != "LSI" ||
-		NewLastSample().Name() != "Monitor" {
-		t.Fatal("estimator names changed; reports depend on them")
-	}
-}
-
 // Property: WSI mean always stays within the observed sample range.
 func TestPropertyWSIMeanWithinRange(t *testing.T) {
 	f := func(raw []uint16) bool {

@@ -94,19 +94,22 @@ type LinkState struct {
 	estGauge obs.Gauge
 }
 
+// Each link keeps a history ring of historySize samples, and Start takes
+// learningProbes immediate back-to-back probes per link: the "initial
+// learning phase".
+const (
+	historySize    = 512
+	learningProbes = 3
+)
+
 // Options configures the monitoring service.
 type Options struct {
 	// Interval between probes of each link (default 30s). The paper's
 	// non-intrusiveness requirement is expressed here: probing is periodic
 	// and suspendable, not continuous.
 	Interval time.Duration
-	// HistorySize is the per-link ring capacity (default 512).
-	HistorySize int
 	// Factory builds the per-link estimator (default WSI).
 	Factory Factory
-	// LearningProbes is the number of immediate back-to-back probes taken
-	// per link at Start, the "initial learning phase" (default 3).
-	LearningProbes int
 	// Obs, when non-nil, exports per-link probe counters and estimate
 	// gauges through the observability layer.
 	Obs *obs.Observer
@@ -116,14 +119,8 @@ func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = 30 * time.Second
 	}
-	if o.HistorySize <= 0 {
-		o.HistorySize = 512
-	}
 	if o.Factory == nil {
 		o.Factory = DefaultFactory
-	}
-	if o.LearningProbes <= 0 {
-		o.LearningProbes = 3
 	}
 	return o
 }
@@ -162,7 +159,7 @@ func NewService(net *netsim.Network, opt Options) *Service {
 		s.links[k] = &LinkState{
 			Key:       k,
 			Estimator: opt.Factory(),
-			History:   NewHistory(opt.HistorySize),
+			History:   NewHistory(historySize),
 
 			probeCtr: probes.With(string(l.From), string(l.To)),
 			estGauge: ests.With(string(l.From), string(l.To)),
@@ -197,7 +194,7 @@ func (s *Service) Start() {
 	if s.tick != nil {
 		panic("monitor: Start called twice")
 	}
-	for i := 0; i < s.opt.LearningProbes; i++ {
+	for i := 0; i < learningProbes; i++ {
 		s.probeAll()
 	}
 	s.tick = s.sched.NewTicker(s.opt.Interval, func(simtime.Time) { s.probeAll() })

@@ -117,26 +117,26 @@ func TestHistoryInvalidCapacityPanics(t *testing.T) {
 
 func TestServiceLearningPhase(t *testing.T) {
 	_, net := testNet()
-	s := NewService(net, Options{LearningProbes: 3})
+	s := NewService(net, Options{})
 	s.Start()
 	// Without advancing time, the learning probes must already be present.
 	if mean, _ := s.Estimate("A", "B"); math.Abs(mean-10) > 2 {
 		t.Fatalf("post-learning estimate = %v, want ~10", mean)
 	}
 	st := s.State("A", "B")
-	if st.Estimator.Count() != 3 {
-		t.Fatalf("learning probes = %d, want 3", st.Estimator.Count())
+	if st.Estimator.Count() != learningProbes {
+		t.Fatalf("learning probes = %d, want %d", st.Estimator.Count(), learningProbes)
 	}
 }
 
 func TestServicePeriodicProbing(t *testing.T) {
 	sched, net := testNet()
-	s := NewService(net, Options{Interval: 30 * time.Second, LearningProbes: 1})
+	s := NewService(net, Options{Interval: 30 * time.Second})
 	s.Start()
 	sched.RunFor(10 * time.Minute)
 	st := s.State("A", "B")
-	if got := st.Estimator.Count(); got != 21 { // 1 learning + 20 ticks
-		t.Fatalf("samples = %d, want 21", got)
+	if got := st.Estimator.Count(); got != learningProbes+20 { // 20 ticks
+		t.Fatalf("samples = %d, want %d", got, learningProbes+20)
 	}
 }
 

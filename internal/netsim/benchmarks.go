@@ -50,7 +50,7 @@ func NewBenchNetwork(nflows int) (*simtime.Scheduler, *Network, []*Flow) {
 	for i := range flows {
 		src := net.NewNode(ids[i%benchSites], cloud.Medium)
 		dst := net.NewNode(ids[(i+1)%benchSites], cloud.Medium)
-		flows[i] = net.StartFlow(src, dst, benchFlowBytes, FlowOpts{NoActivationDelay: true}, nil)
+		flows[i] = net.StartFlow(src, dst, benchFlowBytes, FlowOpts{noActivationDelay: true}, nil)
 	}
 	sched.RunFor(time.Second)
 	return sched, net, flows
@@ -91,7 +91,7 @@ func RunBenchmarkFlowChurn(b *testing.B, nflows int) {
 		victim := flows[idx]
 		net.CancelFlow(victim)
 		flows[idx] = net.StartFlow(victim.Src, victim.Dst, benchFlowBytes,
-			FlowOpts{NoActivationDelay: true}, nil)
+			FlowOpts{noActivationDelay: true}, nil)
 		sched.RunFor(time.Microsecond)
 	}
 }

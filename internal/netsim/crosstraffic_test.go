@@ -62,7 +62,7 @@ func TestBackgroundFlowsDoNotInflateAggregation(t *testing.T) {
 	bgSrc := net.NewNode("A", cloud.XLarge)
 	bgDst := net.NewNode("B", cloud.XLarge)
 	// Long-lived background flow.
-	net.StartFlow(bgSrc, bgDst, 1e12, FlowOpts{Background: true}, nil)
+	net.StartFlow(bgSrc, bgDst, 1e12, FlowOpts{background: true}, nil)
 	var done *Flow
 	net.StartFlow(src, dst, 50e6, FlowOpts{}, func(f *Flow) { done = f })
 	sched.RunUntil(time.Hour)

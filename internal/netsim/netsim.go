@@ -12,7 +12,7 @@
 // fairness), the standard fluid approximation of long-lived TCP sharing.
 //
 // Wide-area capacity is time-varying: each link runs an Ornstein–Uhlenbeck
-// process resampled every UpdateInterval, plus a Poisson "glitch" process
+// process resampled every updateInterval, plus a Poisson "glitch" process
 // that multiplies capacity by a random depth for a random duration —
 // reproducing the published observation that cloud WAN performance has high
 // variance, no trend, and drops or bursts at any moment.
@@ -20,7 +20,7 @@
 // Aggregate parallelism: a wide-area link's capacity grows sublinearly with
 // the number of distinct sender nodes using it (cloud providers route
 // distinct VM pairs over distinct switch paths), as capacity(k) =
-// base * min(AggMax, k^AggAlpha). This is what makes adding nodes to a
+// base * min(aggMax, k^aggAlpha). This is what makes adding nodes to a
 // transfer worthwhile, with diminishing returns.
 //
 // # Reallocation
@@ -58,15 +58,21 @@ import (
 	"sage/internal/simtime"
 )
 
+// The simulator's fixed laws: how often link capacity is resampled, the
+// exponent and cap of the sublinear aggregate-parallelism law, the
+// multipliers of an outlier probe, and the default mean size of a
+// background flow.
+const (
+	updateInterval        = 5 * time.Second
+	aggAlpha              = 0.65
+	aggMax                = 4.0
+	probeOutlierLow       = 0.25
+	probeOutlierHigh      = 2.5
+	meanCrossTrafficBytes = 64 << 20
+)
+
 // Options configures the simulator. Zero fields take defaults.
 type Options struct {
-	// UpdateInterval is how often link capacity is resampled (default 5s).
-	UpdateInterval time.Duration
-	// AggAlpha is the exponent of the sublinear aggregate-parallelism law
-	// (default 0.65).
-	AggAlpha float64
-	// AggMax caps the aggregate factor (default 4.0).
-	AggMax float64
 	// OUTheta is the mean-reversion rate of link capacity per second
 	// (default 1/120).
 	OUTheta float64
@@ -83,22 +89,20 @@ type Options struct {
 	ProbeNoise float64
 	// ProbeOutlierProb is the probability that a probe returns a wild
 	// transient (slow-start artifacts, co-tenant bursts) unrelated to
-	// deliverable capacity: the sample is multiplied by ProbeOutlierLow or
-	// ProbeOutlierHigh with equal probability. Default 0 (disabled).
+	// deliverable capacity: the sample is multiplied by 0.25 or 2.5 with
+	// equal probability. Default 0 (disabled).
 	ProbeOutlierProb float64
-	// ProbeOutlierLow/High are the outlier multipliers (defaults 0.25, 2.5).
-	ProbeOutlierLow, ProbeOutlierHigh float64
 	// CapacityFloor/Ceil clamp the OU factor (defaults 0.15 and 1.8).
 	CapacityFloor, CapacityCeil float64
 	// CrossTrafficMeanGap, when positive, generates background flows on
 	// every WAN link with exponentially distributed inter-arrival times:
 	// other tenants' traffic competing for the same links. Background flows
 	// consume capacity in the max-min allocation but do not add aggregate
-	// parallelism.
+	// parallelism. Their sizes are drawn log-normally.
 	CrossTrafficMeanGap time.Duration
-	// CrossTrafficMeanBytes is the mean background flow size, drawn
-	// log-normally (default 64 MB).
-	CrossTrafficMeanBytes int64
+	// crossTrafficMeanBytes is the mean background flow size (default
+	// 64 MB); the churn oracle shrinks it to keep its world small.
+	crossTrafficMeanBytes int64
 	// Obs, when non-nil, exports per-link capacity/flow gauges and per-site
 	// egress counters through the observability layer. Nil (the default)
 	// keeps the simulator's behavior and allocation profile untouched.
@@ -106,15 +110,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.UpdateInterval <= 0 {
-		o.UpdateInterval = 5 * time.Second
-	}
-	if o.AggAlpha == 0 {
-		o.AggAlpha = 0.65
-	}
-	if o.AggMax == 0 {
-		o.AggMax = 4.0
-	}
 	if o.OUTheta == 0 {
 		o.OUTheta = 1.0 / 120
 	}
@@ -133,20 +128,14 @@ func (o Options) withDefaults() Options {
 	if o.ProbeNoise == 0 {
 		o.ProbeNoise = 0.08
 	}
-	if o.ProbeOutlierLow == 0 {
-		o.ProbeOutlierLow = 0.25
-	}
-	if o.ProbeOutlierHigh == 0 {
-		o.ProbeOutlierHigh = 2.5
-	}
 	if o.CapacityFloor == 0 {
 		o.CapacityFloor = 0.15
 	}
 	if o.CapacityCeil == 0 {
 		o.CapacityCeil = 1.8
 	}
-	if o.CrossTrafficMeanBytes <= 0 {
-		o.CrossTrafficMeanBytes = 64 << 20
+	if o.crossTrafficMeanBytes <= 0 {
+		o.crossTrafficMeanBytes = meanCrossTrafficBytes
 	}
 	return o
 }
@@ -303,11 +292,11 @@ type wanLink struct {
 	flowGauge obs.Gauge
 }
 
-func (l *wanLink) capacityFor(k int, opt Options) float64 {
+func (l *wanLink) capacityFor(k int) float64 {
 	if k < 1 {
 		k = 1
 	}
-	agg := math.Min(opt.AggMax, math.Pow(float64(k), opt.AggAlpha))
+	agg := math.Min(aggMax, math.Pow(float64(k), aggAlpha))
 	return l.spec.BaseMBps * l.factor * l.glitch * l.scale * agg
 }
 
@@ -422,13 +411,13 @@ func New(sched *simtime.Scheduler, topo *cloud.Topology, r *rng.Rand, opt Option
 		}
 		l.res = &resource{
 			name:  fmt.Sprintf("wan:%s>%s", spec.From, spec.To),
-			capFn: func(k int) float64 { return l.capacityFor(len(l.senders), n.opt) },
+			capFn: func(k int) float64 { return l.capacityFor(len(l.senders)) },
 		}
 		n.links[key] = l
 		n.linkList = append(n.linkList, l)
 		n.scheduleGlitch(l, lr)
 	}
-	sched.NewTicker(opt.UpdateInterval, func(now simtime.Time) { n.resample() })
+	sched.NewTicker(updateInterval, func(now simtime.Time) { n.resample() })
 	if opt.CrossTrafficMeanGap > 0 {
 		n.startCrossTraffic(r)
 	}
@@ -461,14 +450,14 @@ func (n *Network) startCrossTraffic(r *rng.Rand) {
 				// solver's flow count stable even at saturating arrival
 				// rates.
 				if active < 8 {
-					mean := float64(n.opt.CrossTrafficMeanBytes)
+					mean := float64(n.opt.crossTrafficMeanBytes)
 					size := int64(lr.LogNormal(math.Log(mean)-0.5, 1.0))
 					if size < 1<<20 {
 						size = 1 << 20
 					}
 					active++
 					n.StartFlow(hidden[spec.From], hidden[spec.To], size,
-						FlowOpts{Background: true}, func(*Flow) { active-- })
+						FlowOpts{background: true}, func(*Flow) { active-- })
 				}
 				schedule()
 			})
@@ -484,13 +473,13 @@ func (n *Network) Scheduler() *simtime.Scheduler { return n.sched }
 func (n *Network) Topology() *cloud.Topology { return n.topo }
 
 func (n *Network) resample() {
-	dt := n.opt.UpdateInterval.Seconds()
+	dt := updateInterval.Seconds()
 	for _, l := range n.linkList {
 		v := l.ou.Step(dt)
 		l.factor = math.Min(n.opt.CapacityCeil, math.Max(n.opt.CapacityFloor, v))
 		n.markDirty(l.res)
 		if l.capGauge.Enabled() {
-			l.capGauge.Set(l.capacityFor(len(l.senders), n.opt))
+			l.capGauge.Set(l.capacityFor(len(l.senders)))
 			l.flowGauge.Set(float64(len(l.senders)))
 		}
 	}
@@ -565,12 +554,13 @@ type FlowOpts struct {
 	// intrusiveness limits (a transfer may only use a fraction of a VM's
 	// NIC).
 	CapMBps float64
-	// NoActivationDelay skips the connection-setup latency (used by probes).
-	NoActivationDelay bool
-	// Background marks other-tenant traffic: it consumes link capacity but
-	// does not count toward the aggregate-parallelism law or egress
-	// accounting.
-	Background bool
+	// noActivationDelay skips the connection-setup latency: the package's
+	// benchmarks start their flows active.
+	noActivationDelay bool
+	// background marks other-tenant traffic (the cross-traffic generator's):
+	// it consumes link capacity but does not count toward the
+	// aggregate-parallelism law or egress accounting.
+	background bool
 	// JobID attributes the flow's egress to one job of a multi-job run
 	// (see Network.JobEgressBytes). Single-job traffic is job 0.
 	JobID int
@@ -595,7 +585,7 @@ func (n *Network) StartFlow(src, dst *Node, size int64, opts FlowOpts, onDone fu
 	f.size = size
 	f.started = n.sched.Now()
 	f.capMBps = opts.CapMBps
-	f.background = opts.Background
+	f.background = opts.background
 	f.job = opts.JobID
 	f.onDone = onDone
 	f.network = n
@@ -621,7 +611,7 @@ func (n *Network) StartFlow(src, dst *Node, size int64, opts FlowOpts, onDone fu
 		f.resources = append(f.resources, &f.capRes)
 	}
 	n.live = append(n.live, f) // IDs increase, so append keeps ID order
-	if opts.NoActivationDelay {
+	if opts.noActivationDelay {
 		f.activate()
 	} else {
 		rtt, ok := n.topo.RTT(src.Site, dst.Site)
@@ -823,9 +813,9 @@ func (n *Network) Probe(from, to cloud.SiteID) float64 {
 	v := truth * (1 + n.opt.ProbeNoise*n.rand.NormFloat64())
 	if n.opt.ProbeOutlierProb > 0 && n.rand.Float64() < n.opt.ProbeOutlierProb {
 		if n.rand.Float64() < 0.5 {
-			v *= n.opt.ProbeOutlierLow
+			v *= probeOutlierLow
 		} else {
-			v *= n.opt.ProbeOutlierHigh
+			v *= probeOutlierHigh
 		}
 	}
 	if v < 0.01*truth {

@@ -112,7 +112,7 @@ func TestScopedMatchesWorldWideUnderChurn(t *testing.T) {
 	sched := simtime.New()
 	opts := roughOptions()
 	opts.CrossTrafficMeanGap = 30 * time.Second
-	opts.CrossTrafficMeanBytes = 8 << 20
+	opts.crossTrafficMeanBytes = 8 << 20
 	opts.GlitchMeanGap = time.Minute
 	net := New(sched, cloud.GenerateWorld(sites, regions, 3), rng.New(11), opts)
 	r := rng.New(4242)
@@ -145,7 +145,7 @@ func TestScopedMatchesWorldWideUnderChurn(t *testing.T) {
 		if r.Intn(3) == 0 {
 			fo.CapMBps = 0.5 + 6*r.Float64()
 		}
-		fo.NoActivationDelay = r.Intn(4) == 0
+		fo.noActivationDelay = r.Intn(4) == 0
 		size := int64(1e6 + r.Float64()*40e6)
 		f := net.StartFlow(src, dst, size, fo, func(f *Flow) {
 			if f.Err() == nil {
@@ -228,7 +228,7 @@ func TestScopedMatchesWorldWideUnderChurn(t *testing.T) {
 	if completed < 50 {
 		t.Errorf("only %d natural completions; workload too weak", completed)
 	}
-	if sched.Now() < 2*opts.UpdateInterval {
+	if sched.Now() < 2*updateInterval {
 		t.Errorf("run ended at %v, before any resample tick", sched.Now())
 	}
 }
@@ -291,13 +291,13 @@ func TestFillMeetsResourcesInIDOrder(t *testing.T) {
 			return net.NewNode("A", cloud.VMClass{Name: name, NICMBps: mbps})
 		}
 		if beside {
-			net.StartFlow(nic("x", 1), nic("y", 1), 1e12, FlowOpts{NoActivationDelay: true}, nil)
+			net.StartFlow(nic("x", 1), nic("y", 1), 1e12, FlowOpts{noActivationDelay: true}, nil)
 		}
 		s0, s1, recv := nic("s0", s0NIC), nic("s1", s1NIC), nic("recv", recvNIC)
 		flows := []*Flow{
-			net.StartFlow(s1, recv, 1e12, FlowOpts{NoActivationDelay: true}, nil),
-			net.StartFlow(s1, recv, 1e12, FlowOpts{NoActivationDelay: true}, nil),
-			net.StartFlow(s0, recv, 1e12, FlowOpts{NoActivationDelay: true}, nil),
+			net.StartFlow(s1, recv, 1e12, FlowOpts{noActivationDelay: true}, nil),
+			net.StartFlow(s1, recv, 1e12, FlowOpts{noActivationDelay: true}, nil),
+			net.StartFlow(s0, recv, 1e12, FlowOpts{noActivationDelay: true}, nil),
 		}
 		for i, f := range flows {
 			if got := f.Rate(); got != want {
@@ -310,7 +310,7 @@ func TestFillMeetsResourcesInIDOrder(t *testing.T) {
 // tenantFlow starts a background flow between two of the cross-traffic
 // generator's tenant nodes, the way the generator does, already active.
 func tenantFlow(net *Network, src, dst *Node) *Flow {
-	return net.StartFlow(src, dst, 1e12, FlowOpts{Background: true, NoActivationDelay: true}, nil)
+	return net.StartFlow(src, dst, 1e12, FlowOpts{background: true, noActivationDelay: true}, nil)
 }
 
 // TestScopeOfAPass pins how far single events reach.
@@ -474,7 +474,7 @@ func TestPinnedCrossTrafficWorld(t *testing.T) {
 		if i%3 == 2 {
 			opts.CapMBps = 2.5
 		}
-		opts.NoActivationDelay = i%5 == 4
+		opts.noActivationDelay = i%5 == 4
 		lane(src, dst, opts)
 	}
 
@@ -533,7 +533,7 @@ func TestWakeWithNothingToDo(t *testing.T) {
 	fat := cloud.VMClass{Name: "fat", NICMBps: 5000}
 	var done *Flow
 	net.StartFlow(net.NewNode("A", fat), net.NewNode("A", fat), 1e9+3,
-		FlowOpts{NoActivationDelay: true}, func(f *Flow) { done = f })
+		FlowOpts{noActivationDelay: true}, func(f *Flow) { done = f })
 	sched.RunFor(200 * time.Millisecond)
 	if done != nil || net.ActiveFlows() != 1 {
 		t.Fatal("flow finished at the truncated ETA; the test no longer produces an idle wake")
@@ -587,7 +587,7 @@ func TestPinnedAbortsAndWakes(t *testing.T) {
 		if i%3 == 2 {
 			opts.CapMBps = 2.5
 		}
-		opts.NoActivationDelay = i%5 == 4
+		opts.noActivationDelay = i%5 == 4
 		current[i] = start(srcs[i], dsts[i], size, opts, func(*Flow) { lane(i) })
 	}
 	for i := 0; i < lanes; i++ {

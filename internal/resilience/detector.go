@@ -13,7 +13,7 @@ import (
 type SiteState int
 
 // The detector states. A site starts Alive, moves to Suspect after
-// SuspectMisses consecutive missed heartbeats, to Dead after DeadMisses, and
+// suspectMisses consecutive missed heartbeats, to Dead after DeadMisses, and
 // back to Alive on the first answered heartbeat.
 const (
 	Alive SiteState = iota
@@ -87,7 +87,7 @@ func (d *Detector) Watch(site cloud.SiteID) {
 	if _, ok := d.sites[site]; ok {
 		return
 	}
-	d.sites[site] = &siteHealth{history: monitor.NewHistory(d.cfg.HistorySize)}
+	d.sites[site] = &siteHealth{history: monitor.NewHistory(heartbeatHistory)}
 	d.order = append(d.order, site)
 }
 
@@ -127,10 +127,10 @@ func (d *Detector) Poll() {
 			h.firstMiss = now
 		}
 		h.misses++
-		if h.state == Alive && h.misses >= d.cfg.SuspectMisses {
+		if h.state == Alive && h.misses >= suspectMisses {
 			d.transition(site, h, Suspect)
 		}
-		if h.state == Suspect && h.misses >= d.cfg.DeadMisses {
+		if h.state == Suspect && h.misses >= DeadMisses {
 			// Modeled detection latency: the failure happened at most one
 			// interval before the first missed beat.
 			h.detectLat = (now - h.firstMiss) + d.cfg.HeartbeatInterval

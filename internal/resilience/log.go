@@ -22,37 +22,23 @@ type LoggedWindow struct {
 
 // BatchLog models the durable batch retention each source site keeps for
 // replay: processed windows stay available until a checkpoint confirms the
-// sink no longer needs them (TrimThrough) or the retention bound evicts them
-// (the replay gap). Entries are keyed by job source index, appended in
-// window order. Both drops compact in place with slices.Delete, which zeroes
-// the slots it vacates: a dropped window's aggregate (a dense cell table) is
-// collectable, not pinned by storage nobody reads.
+// sink no longer needs them (TrimThrough). Entries are keyed by job source
+// index, appended in window order. A trim compacts in place with
+// slices.Delete, which zeroes the slots it vacates: a dropped window's
+// aggregate (a dense cell table) is collectable, not pinned by storage nobody
+// reads.
 type BatchLog struct {
-	retain  int
 	entries map[int][]LoggedWindow
-	evicted map[int]int
 }
 
-// NewBatchLog returns a log retaining up to retainPerSource windows per
-// source (0 = unlimited).
-func NewBatchLog(retainPerSource int) *BatchLog {
-	return &BatchLog{
-		retain:  retainPerSource,
-		entries: make(map[int][]LoggedWindow),
-		evicted: make(map[int]int),
-	}
+// NewBatchLog returns an empty log.
+func NewBatchLog() *BatchLog {
+	return &BatchLog{entries: make(map[int][]LoggedWindow)}
 }
 
-// Append retains one processed window for a source, evicting the oldest when
-// over the retention bound.
+// Append retains one processed window for a source.
 func (l *BatchLog) Append(src int, w LoggedWindow) {
-	ws := append(l.entries[src], w)
-	if l.retain > 0 && len(ws) > l.retain {
-		drop := len(ws) - l.retain
-		l.evicted[src] += drop
-		ws = slices.Delete(ws, 0, drop)
-	}
-	l.entries[src] = ws
+	l.entries[src] = append(l.entries[src], w)
 }
 
 // Windows returns the retained windows of a source, oldest first. The slice
@@ -84,7 +70,3 @@ func (l *BatchLog) TrimThrough(src int, cutoff simtime.Time) {
 
 // Len returns the number of retained windows for a source.
 func (l *BatchLog) Len(src int) int { return len(l.entries[src]) }
-
-// Evicted returns how many windows the retention bound dropped for a source
-// — the potential replay gap.
-func (l *BatchLog) Evicted(src int) int { return l.evicted[src] }

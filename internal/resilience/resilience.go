@@ -35,18 +35,6 @@ type Config struct {
 	CheckpointInterval time.Duration
 	// HeartbeatInterval is the detector's probe period (default 5s).
 	HeartbeatInterval time.Duration
-	// SuspectMisses consecutive missed heartbeats move a site to Suspect
-	// (default 1); DeadMisses declare it Dead (default 2). DeadMisses is
-	// forced strictly above SuspectMisses.
-	SuspectMisses int
-	DeadMisses    int
-	// HistorySize bounds the per-site heartbeat sample ring (default 128).
-	HistorySize int
-	// RetainWindows bounds the per-source batch log used for gap replay
-	// (0 = unlimited). Windows evicted before a failure cannot be replayed:
-	// this is the configured replay-gap bound, and evictions surface as
-	// Metrics.LostWindows.
-	RetainWindows int
 }
 
 // WithDefaults fills unset fields.
@@ -54,17 +42,17 @@ func (c Config) WithDefaults() Config {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 5 * time.Second
 	}
-	if c.SuspectMisses <= 0 {
-		c.SuspectMisses = 1
-	}
-	if c.DeadMisses <= c.SuspectMisses {
-		c.DeadMisses = c.SuspectMisses + 1
-	}
-	if c.HistorySize <= 0 {
-		c.HistorySize = 128
-	}
 	return c
 }
+
+// The detector's thresholds: suspectMisses consecutive missed heartbeats
+// move a site to Suspect, DeadMisses declare it Dead. Each site keeps its
+// last heartbeatHistory heartbeat samples.
+const (
+	suspectMisses    = 1
+	DeadMisses       = 2
+	heartbeatHistory = 128
+)
 
 // Metrics aggregates what the resilience machinery did during one job run.
 type Metrics struct {
@@ -85,10 +73,9 @@ type Metrics struct {
 	DetectTime   time.Duration
 	RecoveryTime time.Duration
 	// ReplayedWindows / ReplayedEvents count work re-done from the batch
-	// log; LostWindows counts log evictions that made a gap unreplayable.
+	// log.
 	ReplayedWindows int
 	ReplayedEvents  int64
-	LostWindows     int
 	// ResumedTransfers counts transfers restarted from a checkpointed
 	// ledger; SkippedBytes are chunk bytes those resumptions did not re-send.
 	ResumedTransfers int

@@ -20,13 +20,13 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.WithDefaults()
-	if cfg.HeartbeatInterval <= 0 || cfg.SuspectMisses <= 0 || cfg.DeadMisses <= cfg.SuspectMisses {
+	if cfg.HeartbeatInterval != 5*time.Second || cfg.CheckpointInterval != 0 {
 		t.Fatalf("bad defaults: %+v", cfg)
 	}
-	// Explicit values survive; DeadMisses is forced above SuspectMisses.
-	cfg = Config{SuspectMisses: 5, DeadMisses: 2}.WithDefaults()
-	if cfg.DeadMisses <= cfg.SuspectMisses {
-		t.Fatalf("DeadMisses %d not forced above SuspectMisses %d", cfg.DeadMisses, cfg.SuspectMisses)
+	// Explicit values survive.
+	cfg = Config{CheckpointInterval: time.Minute, HeartbeatInterval: time.Second}.WithDefaults()
+	if cfg.HeartbeatInterval != time.Second || cfg.CheckpointInterval != time.Minute {
+		t.Fatalf("explicit values lost: %+v", cfg)
 	}
 }
 
@@ -36,8 +36,6 @@ func TestDetectorTransitions(t *testing.T) {
 	var events []string
 	d := NewDetector(sched, func(s cloud.SiteID) bool { return up[s] }, Config{
 		HeartbeatInterval: 5 * time.Second,
-		SuspectMisses:     1,
-		DeadMisses:        2,
 	})
 	d.Watch("A")
 	d.Watch("B")
@@ -355,7 +353,7 @@ func TestCheckpointRoundTripPerKind(t *testing.T) {
 }
 
 func TestBatchLogRetentionAndTrim(t *testing.T) {
-	l := NewBatchLog(3)
+	l := NewBatchLog()
 	win := func(i int) LoggedWindow {
 		return LoggedWindow{
 			Window: stream.Window{
@@ -365,36 +363,26 @@ func TestBatchLogRetentionAndTrim(t *testing.T) {
 			Events: 10 * (i + 1),
 		}
 	}
-	for i := 0; i < 5; i++ {
+	// Retention is unbounded: every appended window stays until a trim.
+	for i := 0; i < 100; i++ {
 		l.Append(0, win(i))
 	}
-	if l.Len(0) != 3 {
-		t.Fatalf("len = %d, want 3 after retention", l.Len(0))
-	}
-	if l.Evicted(0) != 2 {
-		t.Fatalf("evicted = %d, want 2", l.Evicted(0))
-	}
-	if _, ok := l.Get(0, win(1).Window.Start); ok {
-		t.Fatal("evicted window still retrievable")
+	if l.Len(0) != 100 {
+		t.Fatalf("len = %d, want 100 before any trim", l.Len(0))
 	}
 	if w, ok := l.Get(0, win(3).Window.Start); !ok || w.Events != 40 {
 		t.Fatalf("retained window lost: %+v %v", w, ok)
 	}
 	// Trim behind a checkpoint frontier.
-	l.TrimThrough(0, win(3).Window.End)
+	l.TrimThrough(0, win(98).Window.End)
 	if l.Len(0) != 1 {
 		t.Fatalf("len after trim = %d, want 1", l.Len(0))
 	}
-	if l.Evicted(0) != 2 {
-		t.Fatal("trim must not count as eviction")
+	if _, ok := l.Get(0, win(3).Window.Start); ok {
+		t.Fatal("trimmed window still retrievable")
 	}
-	// Unlimited retention never evicts.
-	u := NewBatchLog(0)
-	for i := 0; i < 100; i++ {
-		u.Append(1, win(i))
-	}
-	if u.Len(1) != 100 || u.Evicted(1) != 0 {
-		t.Fatalf("unlimited log: len %d evicted %d", u.Len(1), u.Evicted(1))
+	if w, ok := l.Get(0, win(99).Window.Start); !ok || w.Events != 1000 {
+		t.Fatalf("window past the frontier lost: %+v %v", w, ok)
 	}
 }
 
@@ -463,8 +451,8 @@ func TestPlanFailoverPicksWidestReachable(t *testing.T) {
 	}
 }
 
-// TestBatchLogDropsReleaseStorage: eviction and trim compact a source's
-// windows in place; the slots they vacate past the new length must not keep
+// TestBatchLogDropsReleaseStorage: a trim compacts a source's windows in
+// place; the slots it vacates past the new length must not keep
 // pointing at the dropped windows' aggregates, or a trimmed window stays
 // reachable — and uncollectable — for as long as the log lives.
 func TestBatchLogDropsReleaseStorage(t *testing.T) {
@@ -496,7 +484,7 @@ func TestBatchLogDropsReleaseStorage(t *testing.T) {
 		}
 	}
 
-	trimmed := NewBatchLog(0)
+	trimmed := NewBatchLog()
 	for i := 0; i < 6; i++ {
 		trimmed.Append(0, win(i))
 	}
@@ -504,15 +492,6 @@ func TestBatchLogDropsReleaseStorage(t *testing.T) {
 	check("trim", trimmed, 2)
 	if got := trimmed.Windows(0)[0].Window; got != win(4).Window {
 		t.Fatalf("trim kept %v first, want %v", got, win(4).Window)
-	}
-
-	evicting := NewBatchLog(2)
-	for i := 0; i < 6; i++ {
-		evicting.Append(0, win(i))
-		check("evict", evicting, min(i+1, 2))
-	}
-	if got := evicting.Windows(0)[1].Window; got != win(5).Window {
-		t.Fatalf("eviction kept %v last, want %v", got, win(5).Window)
 	}
 }
 

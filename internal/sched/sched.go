@@ -347,22 +347,18 @@ func (s *Scheduler) allDone() bool {
 // generator default (100 keys) capped by the event count.
 func (s *Scheduler) estWindowBytes(j core.JobSpec, src core.SourceSpec) int64 {
 	n := workload.EventCount(src.Rate, 0, j.Window)
-	overhead := j.PartialOverheadBytes
-	if overhead <= 0 {
-		overhead = 1024
-	}
 	if j.ShipRaw {
 		eb := src.EventBytes
 		if eb <= 0 {
-			eb = 200
+			eb = core.DefaultEventBytes
 		}
-		return int64(n)*eb + overhead
+		return int64(n)*eb + core.PartialOverheadBytes
 	}
 	keys := int64(100)
 	if int64(n) < keys {
 		keys = int64(n)
 	}
-	return keys*48 + overhead
+	return keys*48 + core.PartialOverheadBytes
 }
 
 // estimateDuration is the SJF input: stream duration plus the predicted

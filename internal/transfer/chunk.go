@@ -232,19 +232,6 @@ func (l *lane) pump(i int) {
 	if t.req.Intr > 0 {
 		cap = t.req.Intr * h.src.Class.NICMBps
 	}
-	if t.req.MaxMBps > 0 {
-		// Split the aggregate QoS cap across the lanes that can still carry
-		// chunks. Dead and draining lanes take no new work, so counting them
-		// (as this once did) under-caps the healthy lanes after a failover.
-		lanes := t.liveLanes()
-		if lanes < 1 {
-			lanes = 1
-		}
-		perLane := t.req.MaxMBps / float64(lanes)
-		if cap == 0 || perLane < cap {
-			cap = perLane
-		}
-	}
 	h.c = c
 	h.started = t.m.sched.Now()
 	t.activeFlows++

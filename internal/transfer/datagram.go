@@ -80,7 +80,7 @@ func (m *Manager) SendDatagramJob(job int, from, to cloud.SiteID, size int64, ra
 			res.Cost += res.EgressCost
 		}
 		hours := res.Duration.Hours()
-		res.Cost += (src.Class.PricePerHour + dst.Class.PricePerHour) * hours * m.opt.DefaultIntr
+		res.Cost += (src.Class.PricePerHour + dst.Class.PricePerHour) * hours * defaultIntr
 		if onDone != nil {
 			onDone(res)
 		}

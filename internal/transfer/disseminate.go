@@ -24,10 +24,8 @@ type DisseminateRequest struct {
 	// LanesPerEdge is the parallel lane count on each tree edge or unicast
 	// transfer (default 2).
 	LanesPerEdge int
-	// Intr is the intrusiveness cap (default from Manager options).
+	// Intr is the intrusiveness cap (default 0.10).
 	Intr float64
-	// ChunkBytes overrides the manager chunk size (0 = default).
-	ChunkBytes int64
 }
 
 // DestReport is one destination's delivery outcome.
@@ -85,7 +83,7 @@ func (m *Manager) Disseminate(req DisseminateRequest, onDone func(DisseminateRes
 		req.LanesPerEdge = 2
 	}
 	if req.Intr <= 0 {
-		req.Intr = m.opt.DefaultIntr
+		req.Intr = defaultIntr
 	}
 	if !req.Tree {
 		return m.disseminateUnicast(req, onDone)
@@ -103,7 +101,7 @@ func (m *Manager) disseminateUnicast(req DisseminateRequest, onDone func(Dissemi
 		_, err := m.Transfer(Request{
 			From: req.From, To: d, Size: req.Size,
 			Strategy: EnvAware, Lanes: req.LanesPerEdge,
-			Intr: req.Intr, ChunkBytes: req.ChunkBytes,
+			Intr: req.Intr,
 		}, func(r Result) {
 			remaining--
 			res.Dests = append(res.Dests, DestReport{Dest: d, Duration: r.Duration})
@@ -148,11 +146,7 @@ func (m *Manager) disseminateTree(req DisseminateRequest, onDone func(Disseminat
 	if !ok {
 		return fmt.Errorf("transfer: no dissemination tree %s -> %v", req.From, req.Dests)
 	}
-	chunkBytes := m.opt.ChunkBytes
-	if req.ChunkBytes > 0 {
-		chunkBytes = req.ChunkBytes
-	}
-	slab := splitChunks(m.nextID, req.Size, chunkBytes, nil)
+	slab := splitChunks(m.nextID, req.Size, m.opt.ChunkBytes, nil)
 	m.nextID++
 	chunks := make([]*chunk, len(slab))
 	for i := range slab {

@@ -30,37 +30,6 @@ func TestChunkHashMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestMaxMBpsSplitsOverLiveLanesOnly is the regression test for the QoS cap
-// denominator: the aggregate MaxMBps must be divided across lanes that can
-// still carry chunks, not across len(lanes). With one of two lanes draining,
-// the surviving lane gets the full 2 MB/s and 20 MB finishes in ~10.5s; the
-// old len(lanes) split would halve it to 1 MB/s and take ~19.5s.
-func TestMaxMBpsSplitsOverLiveLanesOnly(t *testing.T) {
-	r := newRig(t, false)
-	var res *Result
-	h, err := r.mgr.Transfer(Request{
-		From: "A", To: "D", Size: 20 << 20, ChunkBytes: 1 << 20,
-		Strategy: EnvAware, Lanes: 2, Intr: 1, MaxMBps: 2,
-	}, func(x Result) { res = &x })
-	if err != nil {
-		t.Fatalf("Transfer: %v", err)
-	}
-	h.run.lanes[0].drain = true
-	r.sched.RunFor(2 * time.Minute)
-	if res == nil {
-		t.Fatal("transfer did not complete")
-	}
-	if res.Bytes != 20<<20 {
-		t.Fatalf("bytes = %d, want %d", res.Bytes, 20<<20)
-	}
-	if res.Duration > 15*time.Second {
-		t.Fatalf("duration = %v: the QoS cap was split across drained lanes", res.Duration)
-	}
-	if res.Duration < 8*time.Second {
-		t.Fatalf("duration = %v: the 2 MB/s aggregate cap was not applied", res.Duration)
-	}
-}
-
 // TestAckDedupDoubleDelivery injects a duplicate acknowledgement straight
 // into the coordinator (the receiver-side path a retransmitted chunk takes)
 // and checks the bitset dedup: the duplicate is counted but contributes no
@@ -208,7 +177,7 @@ func TestRecycleReusesRun(t *testing.T) {
 // TestTransferZeroAllocs holds the executor to its headline budget: with the
 // manager's pools warm, a complete transfer — Transfer, dispatch, hop flows,
 // acks, completion, Recycle — performs zero heap allocations, for the simple
-// strategy and for the replanning one (short ReplanInterval so several replan
+// strategy and for the replanning one (short replanInterval so several replan
 // cycles run inside the measured window).
 func TestTransferZeroAllocs(t *testing.T) {
 	cases := []struct {
@@ -255,7 +224,7 @@ func TestTransferZeroAllocs(t *testing.T) {
 // allocation, not the executor's.
 func newZeroAllocRig() *benchRig {
 	r := newBenchRig()
-	r.mgr.opt.ReplanInterval = 2 * time.Second
+	r.mgr.opt.replanInterval = 2 * time.Second
 	r.sched.RunFor(3 * time.Hour)
 	return r
 }

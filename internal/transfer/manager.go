@@ -32,13 +32,13 @@ const (
 	// WidestStatic routes lanes along the widest inter-site path computed
 	// once at transfer start.
 	WidestStatic
-	// WidestDynamic recomputes the widest path every ReplanInterval.
+	// WidestDynamic recomputes the widest path every replan interval (60s).
 	WidestDynamic
 	// MultipathStatic spreads lanes across alternative multi-datacenter
 	// paths, planned once.
 	MultipathStatic
-	// MultipathDynamic replans the multipath allocation every
-	// ReplanInterval — the full SAGE strategy.
+	// MultipathDynamic replans the multipath allocation every replan
+	// interval — the full SAGE strategy.
 	MultipathDynamic
 )
 
@@ -82,16 +82,12 @@ type Request struct {
 	// MaxPaths bounds multipath alternatives (default 3).
 	MaxPaths int
 	// Intr is the intrusiveness: fraction of each VM's NIC the transfer
-	// may use (default from Manager options).
+	// may use (default 0.10).
 	Intr float64
 	// ChunkBytes overrides the manager's chunk size for this request
 	// (0 = manager default). File-oriented workloads set it to the file
 	// size so each file is one acknowledged unit.
 	ChunkBytes int64
-	// MaxMBps caps the transfer's aggregate rate (0 = uncapped): the QoS
-	// knob for transfers that must not starve the application's own
-	// traffic beyond the per-VM intrusiveness limit.
-	MaxMBps float64
 	// Resume, when non-nil, restarts an interrupted transfer from its
 	// ledger: the original transfer ID and chunking are reused (so re-sent
 	// chunks hash identically and stay idempotent at the receiver) and
@@ -162,15 +158,16 @@ type Result struct {
 	EgressCost float64
 }
 
+// defaultIntr is the intrusiveness applied when a request leaves Intr zero.
+const defaultIntr = 0.10
+
 // Options configures a Manager.
 type Options struct {
 	// ChunkBytes is the chunk size (default 32 MB).
 	ChunkBytes int64
-	// ReplanInterval drives the dynamic strategies (default 60s).
-	ReplanInterval time.Duration
-	// DefaultIntr is the intrusiveness applied when a request leaves Intr
-	// zero (default 0.10).
-	DefaultIntr float64
+	// replanInterval drives the dynamic strategies (default 60s); the
+	// zero-allocation test shortens it to replan inside its window.
+	replanInterval time.Duration
 	// Params is the cost/time model calibration (default model.Default).
 	Params model.Params
 	// Obs, when non-nil, receives the transfer lifecycle's events (start,
@@ -183,11 +180,8 @@ func (o Options) withDefaults() Options {
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = 32 << 20
 	}
-	if o.ReplanInterval <= 0 {
-		o.ReplanInterval = time.Minute
-	}
-	if o.DefaultIntr <= 0 {
-		o.DefaultIntr = 0.10
+	if o.replanInterval <= 0 {
+		o.replanInterval = time.Minute
 	}
 	if o.Params.Class.Name == "" {
 		o.Params = model.Default()
@@ -567,7 +561,7 @@ func (m *Manager) Transfer(req Request, onDone func(Result)) (*Handle, error) {
 		req.MaxPaths = 3
 	}
 	if req.Intr <= 0 {
-		req.Intr = m.opt.DefaultIntr
+		req.Intr = defaultIntr
 	}
 	chunkBytes := m.opt.ChunkBytes
 	if req.ChunkBytes > 0 {
@@ -885,19 +879,6 @@ func (t *transferRun) timeoutFor(c *chunk) time.Duration {
 	return d
 }
 
-// liveLanes counts lanes still accepting work — the denominator for the
-// MaxMBps QoS split. Dead and draining lanes take no new chunks, so they
-// must not dilute the cap.
-func (t *transferRun) liveLanes() int {
-	n := 0
-	for _, l := range t.lanes {
-		if !l.dead && !l.drain {
-			n++
-		}
-	}
-	return n
-}
-
 // fill hands pending chunks to free lanes according to the strategy.
 func (t *transferRun) fill() {
 	if t.finished {
@@ -1090,7 +1071,7 @@ func (t *transferRun) maybeFree() {
 // The arm/refire/stop protocol mirrors simtime.Ticker exactly.
 func (t *transferRun) armReplan() {
 	t.replanStop = false
-	d := t.m.opt.ReplanInterval
+	d := t.m.opt.replanInterval
 	if t.replanEv == nil {
 		t.replanEv = t.m.sched.After(d, t.replanFn)
 	} else {
@@ -1105,7 +1086,7 @@ func (t *transferRun) replanFire() {
 	}
 	t.replan()
 	if !t.replanStop {
-		t.m.sched.Reschedule(t.replanEv, t.m.sched.Now()+t.m.opt.ReplanInterval)
+		t.m.sched.Reschedule(t.replanEv, t.m.sched.Now()+t.m.opt.replanInterval)
 	}
 }
 

@@ -294,20 +294,6 @@ func TestIntrusivenessCapsThroughput(t *testing.T) {
 	}
 }
 
-func TestMaxMBpsQoSCap(t *testing.T) {
-	r := newRig(t, false)
-	res := r.run(t, Request{From: "A", To: "B", Size: 40 << 20, Strategy: ParallelStatic,
-		Lanes: 2, Intr: 1, MaxMBps: 2}, 3*time.Hour)
-	// 40 MiB at an aggregate 2 MB/s cap: >= 20s even though the link
-	// could carry it in ~4s.
-	if res.Duration < 19*time.Second {
-		t.Fatalf("QoS cap ignored: %v", res.Duration)
-	}
-	if res.MBps > 2.2 {
-		t.Fatalf("goodput %v exceeds the 2 MB/s cap", res.MBps)
-	}
-}
-
 func TestCostAccounting(t *testing.T) {
 	r := newRig(t, false)
 	res := r.run(t, Request{From: "A", To: "B", Size: 1 << 30, Strategy: Direct, Intr: 1}, 3*time.Hour)

@@ -14,11 +14,11 @@ import (
 )
 
 // siblingShapes are the three kinds of population a roster asks for: Zipf
-// keys, uniform keys, and a prefixed key list with drifting values.
+// keys, uniform keys, and a prefixed key list with its own value law.
 var siblingShapes = map[string]SensorOpts{
 	"zipf":     {Keys: 2000, Skew: 1.2},
 	"uniform":  {Keys: 300},
-	"prefixed": {Keys: 500, Skew: 1.3, KeyPrefix: "NEU/", Mean: 7, Stddev: 0.5, DriftPerHour: 4},
+	"prefixed": {Keys: 500, Skew: 1.3, KeyPrefix: "NEU/", Mean: 7, Stddev: 0.5},
 }
 
 // TestSiblingMatchesNewSensorGen: a Sibling is NewSensorGen with the same

@@ -33,7 +33,7 @@ import (
 // generator was built from, values from a "values" stream split off it at
 // construction. The key sequence — the only thing partial sizes, and with
 // them bytes, cost and latency, depend on — is therefore independent of
-// Mean, Stddev, DriftPerHour and of how values are sampled (rng's ziggurat
+// Mean, Stddev and of how values are sampled (rng's ziggurat
 // normal; the polar one belongs to the world's weather).
 //
 // What depends only on the options — the key list and the Zipf alias table —
@@ -68,9 +68,6 @@ type SensorOpts struct {
 	Skew float64
 	// Mean and Stddev shape the value distribution (defaults 20, 5).
 	Mean, Stddev float64
-	// DriftPerHour adds a slow linear trend to values, exercising
-	// window-to-window change (default 0).
-	DriftPerHour float64
 	// KeyPrefix prefixes every generated key (default ""). Distinct
 	// prefixes give sites disjoint key populations, so the global
 	// distinct-key count scales with the number of sites — the million-key
@@ -195,18 +192,9 @@ func (g *SensorGen) FillBlock(b *stream.Block, n int, from simtime.Time, step ti
 	}
 	vals := b.Values
 	g.vr.FillZigNorm(vals)
-	opt := &g.pop.opt
-	mean, sd := opt.Mean, opt.Stddev
-	if opt.DriftPerHour == 0 {
-		for i, z := range vals {
-			vals[i] = mean + sd*z
-		}
-		return
-	}
-	drift, at := opt.DriftPerHour, from
+	mean, sd := g.pop.opt.Mean, g.pop.opt.Stddev
 	for i, z := range vals {
-		vals[i] = mean + drift*at.Hours() + sd*z
-		at += step
+		vals[i] = mean + sd*z
 	}
 }
 

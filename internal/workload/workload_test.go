@@ -50,15 +50,6 @@ func TestSensorGenZipfSkew(t *testing.T) {
 	}
 }
 
-func TestSensorGenDrift(t *testing.T) {
-	g := NewSensorGen(rng.New(4), "A", SensorOpts{Mean: 10, Stddev: 0.001, DriftPerHour: 5})
-	early := g.AppendEvents(nil, 1, 0, time.Second)[0].Value
-	late := g.AppendEvents(nil, 1, simtime.Time(2*time.Hour), time.Second)[0].Value
-	if late-early < 8 {
-		t.Fatalf("drift missing: %v -> %v", early, late)
-	}
-}
-
 func TestEventsSpacingAndOrder(t *testing.T) {
 	g := NewSensorGen(rng.New(5), "A", SensorOpts{})
 	evs := g.AppendEvents(nil, 10, 100*time.Second, 10*time.Second)
@@ -187,9 +178,8 @@ func TestAppendEventsBlockIdentity(t *testing.T) {
 	const block = 64
 	from, span := simtime.Time(90*time.Second), 30*time.Second
 	for name, opt := range map[string]SensorOpts{
-		"uniform":    {Keys: 50},
-		"zipf":       {Keys: 50, Skew: 1.3},
-		"zipf+drift": {Keys: 50, Skew: 1.3, DriftPerHour: 4},
+		"uniform": {Keys: 50},
+		"zipf":    {Keys: 50, Skew: 1.3},
 	} {
 		for _, n := range []int{0, 1, block - 1, block, block + 1, 3*block + 17, 1000} {
 			whole := NewSensorGen(rng.New(9), "A", opt).AppendEvents(nil, n, from, span)
@@ -250,7 +240,7 @@ func TestKeysHaveTheirOwnStream(t *testing.T) {
 		for i, opt := range []SensorOpts{
 			{Keys: c.keys, Skew: c.skew},
 			{Keys: c.keys, Skew: c.skew, Mean: -3, Stddev: 40},
-			{Keys: c.keys, Skew: c.skew, Mean: 7, Stddev: 0.5, DriftPerHour: 9},
+			{Keys: c.keys, Skew: c.skew, Mean: 7, Stddev: 0.5},
 		} {
 			g := NewSensorGen(rng.New(12), "A", opt)
 			evs := g.AppendEvents(nil, n, 0, time.Hour)
@@ -299,11 +289,11 @@ func TestSensorGenValueMoments(t *testing.T) {
 
 // TestStageSteadyStateAllocs: a source's stage in steady state — refill the
 // block, fold it, advance, recycle, as RunBenchmarkStreamPipeline drives it —
-// allocates nothing, for either key law and with drift.
+// allocates nothing, for either key law.
 func TestStageSteadyStateAllocs(t *testing.T) {
 	for name, opt := range map[string]SensorOpts{
-		"uniform":    {Keys: 50},
-		"zipf+drift": {Keys: 50, Skew: 1.3, DriftPerHour: 4},
+		"uniform": {Keys: 50},
+		"zipf":    {Keys: 50, Skew: 1.3},
 	} {
 		g := NewSensorGen(rng.New(14), "A", opt)
 		p := pipeline{gen: g, agg: stream.NewWindowAggDense(pipelineSpan, stream.Mean, g.Table())}
@@ -318,13 +308,11 @@ func TestStageSteadyStateAllocs(t *testing.T) {
 }
 
 // TestFillBlockSequencePinned pins what FillBlock draws: the first 64
-// (KeyID, value bits) pairs of a Zipf, a uniform and a Zipf + drift generator
-// on seed 17, recorded before rng grew block forms of the key and value
+// (KeyID, value bits) pairs of a Zipf and a uniform generator on seed 17, recorded before rng grew block forms of the key and value
 // draws. Only exp20 among the goldens prints an answer that depends on these
 // draws; this is the pin that says which sequence a faster draw loop must
 // still produce. Re-record it only in a change that means to move the draws.
-// Stddev and DriftPerHour are powers of two, so their products are exact and
-// the values do not depend on whether the platform fuses mean + sd·z.
+// Stddev is a power of two, so its products are exact and the values do not depend on whether the platform fuses mean + sd·z.
 func TestFillBlockSequencePinned(t *testing.T) {
 	type pair struct {
 		id    int32
@@ -370,24 +358,6 @@ func TestFillBlockSequencePinned(t *testing.T) {
 			{17940, 0xc04a5cd1467545c3}, {12033, 0x4027fef292095567}, {7044, 0xc034f5fad6e14754}, {4064, 0x401df9949fa36e3e},
 			{1781, 0xc039574bf12922cd}, {7914, 0x40112bea1b707a76}, {16443, 0xc0383433c039474e}, {6455, 0x402b67453e7e4d60},
 			{13239, 0xc0430236c7e831e8}, {7281, 0xc027f51b2883787d}, {9609, 0xc03a303ebf7a8f08}, {1841, 0xc025371bc1818c84},
-		}},
-		{"zipf+drift", SensorOpts{Keys: 50, Skew: 1.5, Mean: 7, Stddev: 0.5, DriftPerHour: 8}, [64]pair{
-			{1, 0x40326e2bf473e5a9}, {1, 0x40332035d49bc87d}, {1, 0x4033413b33a758a1}, {1, 0x4033ba86e15b96e1},
-			{1, 0x40336f73ef06fde4}, {1, 0x40335db9d7448e7b}, {1, 0x403334ab48582e51}, {28, 0x4032f45093d2357e},
-			{34, 0x40336daa26988310}, {1, 0x40326b2940928d66}, {1, 0x4032d28786de01d7}, {3, 0x4032b6f977667dcd},
-			{6, 0x4032a04a64c95d4f}, {3, 0x4032ce43c932cb5b}, {6, 0x4032f422da36e25f}, {5, 0x4032a4f0673aa071},
-			{10, 0x4033180454b4746c}, {1, 0x40336084a21b9663}, {2, 0x4033ad1d4f689dca}, {1, 0x40326fee36bf0a35},
-			{2, 0x403374e24013fbf2}, {2, 0x40333140fc79bda8}, {29, 0x403216bdcc06886a}, {6, 0x4032055c3f940465},
-			{3, 0x4033808bdcf03ffb}, {5, 0x4033423a0cad17df}, {1, 0x4032173f5c1ead23}, {1, 0x40334b31afeb4c80},
-			{1, 0x40332f62807cea91}, {7, 0x40338e22774316f4}, {14, 0x4033433a78f00a3b}, {3, 0x4032745e583cd06a},
-			{3, 0x4032cc53c7f132bf}, {1, 0x4032e227d0261647}, {1, 0x403413e3c4eacdd3}, {1, 0x40336c4d2689bc89},
-			{6, 0x4032f73008cfea74}, {20, 0x40339fb99037d86c}, {1, 0x40327f2168db07b5}, {5, 0x4032cec5e514c439},
-			{6, 0x40330f2e1343b8a3}, {3, 0x40336868fd786c2d}, {5, 0x4032ee6f5de13429}, {1, 0x4033bb109aa35b2e},
-			{42, 0x4033251477d5623a}, {6, 0x40327da18c1d749f}, {3, 0x4032b9a184c1b8e6}, {7, 0x40333ecbd5061300},
-			{1, 0x40328668ed2f3f29}, {1, 0x40333349b7233f01}, {1, 0x4032873788451a2d}, {1, 0x403258fb11b14e48},
-			{1, 0x403246695507ba2c}, {2, 0x4033498f4d96c2cc}, {2, 0x4032c5fb064e76cb}, {1, 0x4033380e0f80eb1c},
-			{1, 0x4032b4f8d453eeea}, {24, 0x40332bc3776b4fb6}, {5, 0x4032ba08478645e5}, {11, 0x403351e92a3b7364},
-			{2, 0x4032834a72b68100}, {3, 0x4032ebb37bdc0765}, {1, 0x4032b31e40666fe1}, {1, 0x4032f1b28d18a2ca},
 		}},
 	} {
 		g := NewSensorGen(rng.New(17), "A", c.opt)
