@@ -142,6 +142,27 @@ func TestAggMaxCapsParallelism(t *testing.T) {
 	}
 }
 
+// TestAggregateLawTable pins the tabulated aggregate-parallelism law to its
+// closed form, bit for bit, for 0 to 1000 senders (fewer than one read as
+// one) on a link whose factor, glitch and scale are all off 1, and the table
+// to end where the law reaches aggMax.
+func TestAggregateLawTable(t *testing.T) {
+	_, net := newQuiet(t)
+	l := net.links[[2]cloud.SiteID{"A", "B"}]
+	l.factor, l.glitch, l.scale = 1.13, 0.37, 2.5
+	for k := 0; k <= 1000; k++ {
+		want := l.spec.BaseMBps * l.factor * l.glitch * l.scale *
+			math.Min(aggMax, math.Pow(float64(max(k, 1)), aggAlpha))
+		if got := l.capacityFor(k); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("capacityFor(%d) = %v, closed form %v", k, got, want)
+		}
+	}
+	last := len(aggLaw) - 1
+	if aggLaw[last] != aggMax || aggLaw[last-1] >= aggMax {
+		t.Fatalf("law table ends %v, %v; want it to end at its first aggMax", aggLaw[last-1], aggLaw[last])
+	}
+}
+
 func TestFlowCap(t *testing.T) {
 	sched, net := newQuiet(t)
 	src := net.NewNode("A", cloud.Small)
