@@ -163,21 +163,6 @@ func parMap(n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	run := func(i int) (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				panic(fmt.Sprintf("bench: parMap task %d panicked: %v\n%s", i, r, debug.Stack()))
-			}
-		}()
-		fn(i)
-		return true
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
-	}
 	var (
 		mu        sync.Mutex
 		failIdx   = -1

@@ -241,7 +241,8 @@ type JobSpec struct {
 	Resilience *resilience.Config
 }
 
-func (j *JobSpec) withDefaults() error {
+// check rejects a spec no engine can run, naming the field.
+func (j *JobSpec) check() error {
 	if len(j.Sources) == 0 {
 		return &SpecError{Field: "Sources", Reason: "job needs at least one source"}
 	}
@@ -255,18 +256,24 @@ func (j *JobSpec) withDefaults() error {
 		if j.Sources[i].Rate == nil {
 			return specErrorf(fmt.Sprintf("Sources[%d].Rate", i), "source has no rate")
 		}
-		if j.Sources[i].EventBytes <= 0 {
-			j.Sources[i].EventBytes = DefaultEventBytes
-		}
 	}
 	if j.BudgetPerWindow > 0 && j.DeadlinePerWindow > 0 {
 		return &SpecError{Field: "BudgetPerWindow",
 			Reason: "mutually exclusive with DeadlinePerWindow"}
 	}
+	return nil
+}
+
+// withDefaults fills the fields a spec may leave zero.
+func (j *JobSpec) withDefaults() {
+	for i := range j.Sources {
+		if j.Sources[i].EventBytes <= 0 {
+			j.Sources[i].EventBytes = DefaultEventBytes
+		}
+	}
 	if j.Lanes <= 0 {
 		j.Lanes = 2
 	}
-	return nil
 }
 
 // SiteWindow reports one site's partial for one window.
@@ -499,23 +506,27 @@ func (e *Engine) Wait(dur time.Duration, runs ...*JobRun) []*Report {
 // use it to reject a bad job at submission time instead of poisoning the
 // scheduler at admission time.
 func (e *Engine) ValidateSpec(job JobSpec) error {
-	if err := job.withDefaults(); err != nil {
+	if err := job.check(); err != nil {
 		return err
 	}
-	if e.Net.Topology().Site(job.Sink) == nil {
+	topo := e.Net.Topology()
+	if topo.Site(job.Sink) == nil {
 		return specErrorf("Sink", "unknown sink %q", job.Sink)
+	}
+	for i, src := range job.Sources {
+		if topo.Site(src.Site) == nil {
+			return specErrorf(fmt.Sprintf("Sources[%d].Site", i), "unknown source site %q", src.Site)
+		}
 	}
 	return nil
 }
 
 // Start schedules a job's window processing without driving the clock.
 func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
-	if err := job.withDefaults(); err != nil {
+	if err := e.ValidateSpec(job); err != nil {
 		return nil, err
 	}
-	if e.Net.Topology().Site(job.Sink) == nil {
-		return nil, specErrorf("Sink", "unknown sink %q", job.Sink)
-	}
+	job.withDefaults()
 	run := &JobRun{
 		job:     job,
 		windows: make(map[simtime.Time]*windowState),

@@ -6,7 +6,6 @@ import (
 	"sage/internal/cloud"
 	"sage/internal/obs"
 	"sage/internal/resilience"
-	"sage/internal/route"
 	"sage/internal/simtime"
 	"sage/internal/stream"
 	"sage/internal/transfer"
@@ -52,14 +51,6 @@ func (e *Engine) poolAlive(site cloud.SiteID) bool {
 		}
 	}
 	return false
-}
-
-// routeGraph returns the failover planner's view of the WAN: the transfer
-// manager's persistent incremental graph, brought up to date with any dirty
-// monitor estimates. The manager's estimate function applies the same
-// monitor-mean / topology-baseline fallback this file used to duplicate.
-func (e *Engine) routeGraph() *route.Graph {
-	return e.Mgr.RouteGraph()
 }
 
 // jobGuard orchestrates one resilient job: it keeps the batch log and
@@ -562,7 +553,7 @@ func (g *jobGuard) failover(oldSink cloud.SiteID) {
 	exclude := func(c cloud.SiteID) bool {
 		return c == oldSink || g.det.State(c) != resilience.Alive || !g.e.poolAlive(c)
 	}
-	newSink, ok := resilience.PlanFailover(g.e.routeGraph(), g.e.Net.Topology(), sourceSites, exclude)
+	newSink, ok := resilience.PlanFailover(g.e.Mgr.RouteGraph(), g.e.Net.Topology(), sourceSites, exclude)
 	if !ok {
 		g.emit(obs.Event{Kind: obs.EvFailoverStall, Site: string(oldSink)})
 		return

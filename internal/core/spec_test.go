@@ -36,12 +36,18 @@ func TestSpecErrorPerField(t *testing.T) {
 			j.BudgetPerWindow = 1
 			j.DeadlinePerWindow = time.Second
 		}, "BudgetPerWindow"},
+		{"unknown-sink", func(j *JobSpec) { j.Sink = "atlantis" }, "Sink"},
+		{"unknown-source-site", func(j *JobSpec) { j.Sources[0].Site = "MARS" }, "Sources[0].Site"},
+		{"unknown-source-site-second", func(j *JobSpec) {
+			j.Sources = append(j.Sources, SourceSpec{Site: "MARS", Rate: workload.ConstantRate(1)})
+		}, "Sources[1].Site"},
 	}
+	e := quietEngine(1)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			job := validSpec()
 			tc.mutate(&job)
-			err := job.withDefaults()
+			err := e.ValidateSpec(job)
 			if err == nil {
 				t.Fatal("invalid spec accepted")
 			}
@@ -64,9 +70,7 @@ func TestSpecErrorPerField(t *testing.T) {
 
 func TestSpecValidAppliesDefaults(t *testing.T) {
 	job := validSpec()
-	if err := job.withDefaults(); err != nil {
-		t.Fatal(err)
-	}
+	job.withDefaults()
 	if job.Sources[0].EventBytes != DefaultEventBytes {
 		t.Fatalf("defaults not applied: %+v", job)
 	}

@@ -243,7 +243,7 @@ func errStatus(status int, format string, args ...any) *httpError {
 // submit accepts one roster on the driver goroutine: validate everything,
 // build the world if this is the first roster, then submit every job.
 // Rejection is atomic — a roster with one bad job submits nothing.
-func (d *Daemon) submit(ros *scenario.Scenario) (*apiv1.SubmitResponse, error) {
+func (d *Daemon) submit(ros *apiv1.Roster) (*apiv1.SubmitResponse, error) {
 	if err := scenario.Validate(ros); err != nil {
 		return nil, &httpError{status: 400, err: err}
 	}

@@ -411,24 +411,34 @@ func TestDaemonErrorMapping(t *testing.T) {
 		t.Fatalf("report before roster: status %d", code)
 	}
 
-	// A roster with an unknown sink is rejected as a structured 400 naming
-	// the spec field — the same typed error the CLI prints.
-	bad := testRoster()
-	bad.Jobs[1].Sink = "NOWHERE"
-	var buf bytes.Buffer
-	if err := apiv1.EncodeRoster(&buf, bad); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(ts.URL+"/api/v1/jobs", "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad sink: status %d", resp.StatusCode)
-	}
-	er := decodeBody[apiv1.ErrorResponse](t, resp)
-	if er.Field != "Sink" || er.Reason == "" {
-		t.Fatalf("bad sink error not structured: %+v", er)
+	// A roster with an unknown sink or source site is rejected as a
+	// structured 400 naming the spec field — the same typed error the CLI
+	// prints; a negative rate is a 400 whose message names the field.
+	for _, bad := range []struct {
+		name, field, text string
+		mutate            func(*apiv1.Roster)
+	}{
+		{"bad sink", "Sink", "NOWHERE", func(r *apiv1.Roster) { r.Jobs[1].Sink = "NOWHERE" }},
+		{"bad source site", "Sources[0].Site", "MARS", func(r *apiv1.Roster) { r.Jobs[1].Sources[0].Site = "MARS" }},
+		{"negative rate", "", "rate", func(r *apiv1.Roster) { r.Jobs[1].Sources[0].Rate = -5 }},
+	} {
+		ros := testRoster()
+		bad.mutate(ros)
+		var buf bytes.Buffer
+		if err := apiv1.EncodeRoster(&buf, ros); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d", bad.name, resp.StatusCode)
+		}
+		er := decodeBody[apiv1.ErrorResponse](t, resp)
+		if er.Field != bad.field || (bad.field != "" && er.Reason == "") || !strings.Contains(er.Error, bad.text) {
+			t.Fatalf("%s: error not structured: %+v", bad.name, er)
+		}
 	}
 
 	// Atomic rejection: the two valid jobs of the bad roster submitted

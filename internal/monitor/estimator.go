@@ -40,8 +40,6 @@ type Estimator interface {
 	Mean() float64
 	// Stddev returns the current variability estimate.
 	Stddev() float64
-	// Count returns the number of samples observed.
-	Count() int
 }
 
 // LastSample is the trivial estimator: trust the newest measurement.
@@ -73,9 +71,6 @@ func (e *LastSample) Stddev() float64 {
 	return math.Abs(e.value - e.prev)
 }
 
-// Count implements Estimator.
-func (e *LastSample) Count() int { return e.n }
-
 // LSI is linear sample integration: a running arithmetic mean and variance
 // (Welford's algorithm) over all samples seen.
 type LSI struct {
@@ -105,9 +100,6 @@ func (e *LSI) Stddev() float64 {
 	}
 	return math.Sqrt(e.m2 / float64(e.n))
 }
-
-// Count implements Estimator.
-func (e *LSI) Count() int { return e.n }
 
 // WSI is weighted sample integration, SAGE's estimator. Each sample S gets a
 // trust weight
@@ -205,9 +197,6 @@ func (e *WSI) Stddev() float64 {
 	}
 	return math.Sqrt(v)
 }
-
-// Count implements Estimator.
-func (e *WSI) Count() int { return e.n }
 
 // Factory builds fresh estimators; the monitoring service keeps one per
 // tracked link.

@@ -124,8 +124,8 @@ func TestServiceLearningPhase(t *testing.T) {
 		t.Fatalf("post-learning estimate = %v, want ~10", mean)
 	}
 	st := s.State("A", "B")
-	if st.Estimator.Count() != learningProbes {
-		t.Fatalf("learning probes = %d, want %d", st.Estimator.Count(), learningProbes)
+	if st.History.Total() != learningProbes {
+		t.Fatalf("learning probes = %d, want %d", st.History.Total(), learningProbes)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestServicePeriodicProbing(t *testing.T) {
 	s.Start()
 	sched.RunFor(10 * time.Minute)
 	st := s.State("A", "B")
-	if got := st.Estimator.Count(); got != learningProbes+20 { // 20 ticks
+	if got := st.History.Total(); got != learningProbes+20 { // 20 ticks
 		t.Fatalf("samples = %d, want %d", got, learningProbes+20)
 	}
 }

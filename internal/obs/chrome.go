@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"strconv"
 	"time"
@@ -104,25 +105,8 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeJSONString writes s as a JSON string literal. Site names are plain
-// ASCII identifiers; the escape covers control characters, quotes, and
-// backslashes for arbitrary input.
+// writeJSONString writes s as a JSON string literal.
 func writeJSONString(bw *bufio.Writer, s string) {
-	bw.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			bw.WriteByte('\\')
-			bw.WriteByte(c)
-		case c < 0x20:
-			const hex = "0123456789abcdef"
-			bw.WriteString(`\u00`)
-			bw.WriteByte(hex[c>>4])
-			bw.WriteByte(hex[c&0xf])
-		default:
-			bw.WriteByte(c)
-		}
-	}
-	bw.WriteByte('"')
+	b, _ := json.Marshal(s) // a string always marshals
+	bw.Write(b)
 }

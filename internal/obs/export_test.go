@@ -54,11 +54,11 @@ sage_lat_seconds_count{sink="paris"} 3
 }
 
 func TestEscapeLabel(t *testing.T) {
-	if got := escapeLabel(`a"b\c` + "\n"); got != `a\"b\\c\n` {
+	if got := labelEscaper.Replace(`a"b\c` + "\n"); got != `a\"b\\c\n` {
 		t.Fatalf("escapeLabel = %q", got)
 	}
-	if got := escapeLabel("plain"); got != "plain" {
-		t.Fatalf("escapeLabel(plain) = %q", got)
+	if got := labelEscaper.Replace("plain"); got != "plain" {
+		t.Fatalf("labelEscaper.Replace(plain) = %q", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // WritePrometheus renders every registered series in the Prometheus text
@@ -81,7 +82,7 @@ func writeSeries(bw *bufio.Writer, name string, keys, vals []string, extraKey, e
 			}
 			bw.WriteString(k)
 			bw.WriteString(`="`)
-			bw.WriteString(escapeLabel(vals[i]))
+			bw.WriteString(labelEscaper.Replace(vals[i]))
 			bw.WriteByte('"')
 		}
 		if extraKey != "" {
@@ -98,35 +99,10 @@ func writeSeries(bw *bufio.Writer, name string, keys, vals []string, extraKey, e
 	bw.WriteByte(' ')
 }
 
-// escapeLabel escapes backslash, double-quote and newline per the text
+// labelEscaper escapes backslash, double-quote and newline per the text
 // format. Site/link labels never contain these; the escape keeps the
 // exporter correct for arbitrary labels anyway.
-func escapeLabel(s string) string {
-	clean := true
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' || s[i] == '"' || s[i] == '\n' {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return s
-	}
-	out := make([]byte, 0, len(s)+4)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			out = append(out, '\\', '\\')
-		case '"':
-			out = append(out, '\\', '"')
-		case '\n':
-			out = append(out, '\\', 'n')
-		default:
-			out = append(out, s[i])
-		}
-	}
-	return string(out)
-}
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 

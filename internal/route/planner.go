@@ -331,9 +331,6 @@ func (p *Planner) PlanMultipath(src, dst cloud.SiteID, nodeBudget int, par model
 	si, di := p.lookupPair(src, dst)
 	p.commitLocked()
 	p.stats.Replans++
-	if maxPaths <= 0 {
-		maxPaths = 3
-	}
 	key := planKey{src: int32(si), dst: int32(di), kind: kindMultipath,
 		budget: int32(nodeBudget), maxPaths: int32(maxPaths), par: par}
 	c, existed := p.cacheFor(key)

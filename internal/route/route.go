@@ -499,11 +499,8 @@ func filterLanePaths(raw []Path, maxPaths int, buf []Path) []Path {
 // of shortest-path transfer scheduling that needs only per-link estimates,
 // not full topology knowledge.
 //
-// maxPaths bounds the alternatives considered (0 means 3).
+// maxPaths bounds the alternatives considered.
 func PlanMultipath(g *Graph, src, dst cloud.SiteID, nodeBudget int, par model.Params, maxPaths int) (Allocation, bool) {
-	if maxPaths <= 0 {
-		maxPaths = 3
-	}
 	paths := filterLanePaths(g.AlternativePaths(src, dst, maxPaths+2), maxPaths, nil)
 	if len(paths) == 0 {
 		return Allocation{}, false

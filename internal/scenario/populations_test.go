@@ -17,8 +17,8 @@ import (
 // sharedShapeRoster is 28 anonymous jobs of five sources each. Every source
 // asks for 2 000 Zipf keys at skew 1.2 except the first source of every odd
 // job, which asks for 500 uniform keys: 140 generators of two shapes.
-func sharedShapeRoster() []MultiJobConfig {
-	jobs := make([]MultiJobConfig, 28)
+func sharedShapeRoster() []apiv1.MultiJobConfig {
+	jobs := make([]apiv1.MultiJobConfig, 28)
 	for i := range jobs {
 		j := &jobs[i]
 		j.Sink, j.Window, j.Agg, j.Strategy, j.Duration = "NUS", apiv1.Duration(30*time.Second), "sum", "direct", apiv1.Duration(time.Minute)

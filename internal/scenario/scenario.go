@@ -1,9 +1,7 @@
 // Package scenario gives the declarative run description (apiv1.Roster) its
 // semantics: validation, world construction, and execution. The wire types
 // themselves live in api/v1 — one codec shared by config files, the sagesim
-// CLI and the saged HTTP API — and this package re-exports them under their
-// historical names, so `scenario.Scenario` and `apiv1.Roster` are the same
-// type. This is the integration surface a downstream user scripts against:
+// CLI and the saged HTTP API. This is the integration surface a downstream user scripts against:
 // `sagesim -scenario run.json`, or `curl -d @run.json saged/api/v1/jobs`.
 package scenario
 
@@ -24,21 +22,6 @@ import (
 	"sage/internal/workload"
 )
 
-// The declarative types are the api/v1 wire types; these aliases keep the
-// historical scenario.* names working.
-type (
-	// Scenario is a complete run description (apiv1.Roster).
-	Scenario = apiv1.Roster
-	// JobConfig mirrors core.JobSpec declaratively.
-	JobConfig = apiv1.JobConfig
-	// MultiJobConfig is one roster entry with scheduling metadata.
-	MultiJobConfig = apiv1.MultiJobConfig
-	// SchedulerConfig mirrors sched.Options declaratively.
-	SchedulerConfig = apiv1.SchedulerConfig
-	// Injection is a timed fault.
-	Injection = apiv1.Injection
-)
-
 var aggKinds = map[string]stream.AggKind{
 	"count": stream.Count, "sum": stream.Sum, "mean": stream.Mean,
 	"min": stream.Min, "max": stream.Max,
@@ -55,7 +38,7 @@ var classes = map[string]cloud.VMClass{
 }
 
 // Load parses and validates a scenario from JSON.
-func Load(r io.Reader) (*Scenario, error) {
+func Load(r io.Reader) (*apiv1.Roster, error) {
 	s, err := apiv1.DecodeRoster(r)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
@@ -67,7 +50,7 @@ func Load(r io.Reader) (*Scenario, error) {
 }
 
 // Validate checks the scenario's internal consistency.
-func Validate(s *Scenario) error {
+func Validate(s *apiv1.Roster) error {
 	modes := 0
 	for _, set := range []bool{s.Job != nil, s.Gather != nil, len(s.Jobs) > 0} {
 		if set {
@@ -131,7 +114,7 @@ func Validate(s *Scenario) error {
 }
 
 // validateJob checks one job config, labelled for error messages.
-func validateJob(s *Scenario, j *JobConfig, label string) error {
+func validateJob(s *apiv1.Roster, j *apiv1.JobConfig, label string) error {
 	if len(j.Sources) == 0 || j.Sink == "" || j.Window <= 0 || j.Duration <= 0 {
 		return fmt.Errorf("scenario %q: %s needs sources, sink, window, duration", s.Name, label)
 	}
@@ -141,6 +124,17 @@ func validateJob(s *Scenario, j *JobConfig, label string) error {
 	if _, ok := strategies[j.Strategy]; !ok {
 		return fmt.Errorf("scenario %q: unknown strategy %q", s.Name, j.Strategy)
 	}
+	if j.Lanes < 0 {
+		return fmt.Errorf("scenario %q: %s: negative lanes %d", s.Name, label, j.Lanes)
+	}
+	for i, src := range j.Sources {
+		if src.Rate < 0 {
+			return fmt.Errorf("scenario %q: %s: sources[%d]: negative rate %g", s.Name, label, i, src.Rate)
+		}
+		if src.Keys < 0 {
+			return fmt.Errorf("scenario %q: %s: sources[%d]: negative keys %d", s.Name, label, i, src.Keys)
+		}
+	}
 	return nil
 }
 
@@ -148,7 +142,7 @@ func validateJob(s *Scenario, j *JobConfig, label string) error {
 // scenario builds, and against the worker pool it deploys at every site: a
 // link, site or node it does not have would make the injection panic when it
 // fires, or do nothing.
-func validateInjections(s *Scenario, topo *cloud.Topology) error {
+func validateInjections(s *apiv1.Roster, topo *cloud.Topology) error {
 	pool := 0
 	for _, n := range workers(s) {
 		pool += max(n, 0)
@@ -181,7 +175,7 @@ func validateInjections(s *Scenario, topo *cloud.Topology) error {
 
 // topology builds the scenario's world: the world-wide preset or the
 // default Azure one.
-func topology(s *Scenario) *cloud.Topology {
+func topology(s *apiv1.Roster) *cloud.Topology {
 	if s.Topology == "world" {
 		return cloud.WorldWide()
 	}
@@ -190,7 +184,7 @@ func topology(s *Scenario) *cloud.Topology {
 
 // workers returns the worker count per VM class that BuildEngine deploys at
 // every site: the scenario's, or eight Medium VMs.
-func workers(s *Scenario) map[string]int {
+func workers(s *apiv1.Roster) map[string]int {
 	if len(s.Workers) == 0 {
 		return map[string]int{"Medium": 8}
 	}
@@ -211,7 +205,7 @@ type Result struct {
 // count, an observer carrying a trace or an audit log) compose on top. Run uses it; so does the
 // saged daemon, which builds its world from the first posted roster through
 // this exact path so daemon runs and batch runs are bit-identical.
-func BuildEngine(s *Scenario, extra ...core.Option) *core.Engine {
+func BuildEngine(s *apiv1.Roster, extra ...core.Option) *core.Engine {
 	seed := s.Seed
 	if seed == 0 {
 		seed = 1
@@ -253,7 +247,7 @@ func BuildEngine(s *Scenario, extra ...core.Option) *core.Engine {
 // Run builds an engine, applies deployments and injections, executes the
 // workload, and returns the outcome. Extra engine options (a shard count,
 // an observer) compose on top of the scenario's world, as in BuildEngine.
-func Run(s *Scenario, extra ...core.Option) (*Result, error) {
+func Run(s *apiv1.Roster, extra ...core.Option) (*Result, error) {
 	if err := Validate(s); err != nil {
 		return nil, err
 	}
@@ -301,7 +295,7 @@ func Run(s *Scenario, extra ...core.Option) (*Result, error) {
 // SchedOptions converts a declarative scheduler block into sched.Options.
 // A nil config yields the defaults. The policy name must have passed
 // Validate; unknown names degrade to the default policy.
-func SchedOptions(c *SchedulerConfig) sched.Options {
+func SchedOptions(c *apiv1.SchedulerConfig) sched.Options {
 	if c == nil {
 		return sched.Options{}
 	}
@@ -319,7 +313,7 @@ func SchedOptions(c *SchedulerConfig) sched.Options {
 // population per source shape across the whole roster. base is the roster
 // position of jobs[0]: it names anonymous entries ("jobN"), so names are
 // stable across codecs.
-func BuildSchedJobs(seed uint64, jobs []MultiJobConfig, base int) []sched.JobSpec {
+func BuildSchedJobs(seed uint64, jobs []apiv1.MultiJobConfig, base int) []sched.JobSpec {
 	gens := generators{}
 	specs := make([]sched.JobSpec, len(jobs))
 	for i := range jobs {
@@ -342,7 +336,7 @@ func BuildSchedJobs(seed uint64, jobs []MultiJobConfig, base int) []sched.JobSpe
 
 // runJobs submits the roster to the admission scheduler and drives it to
 // completion on the shared engine.
-func runJobs(s *Scenario, e *core.Engine) (*sched.MultiReport, error) {
+func runJobs(s *apiv1.Roster, e *core.Engine) (*sched.MultiReport, error) {
 	sc := sched.New(e, SchedOptions(s.Scheduler))
 	for _, spec := range BuildSchedJobs(s.Seed, s.Jobs, 0) {
 		if err := sc.Submit(spec); err != nil {
@@ -370,12 +364,12 @@ func (m generators) gen(r *rng.Rand, site cloud.SiteID, opt workload.SensorOpts)
 // BuildJob converts a declarative job config into a core spec. genPrefix
 // namespaces the workload generator streams so every roster job draws an
 // independent deterministic event sequence; seed 0 means the default seed 1.
-func BuildJob(seed uint64, j *JobConfig, genPrefix string) (*core.JobSpec, error) {
+func BuildJob(seed uint64, j *apiv1.JobConfig, genPrefix string) (*core.JobSpec, error) {
 	return buildJob(seed, j, genPrefix, generators{}), nil
 }
 
 // buildJob is BuildJob drawing its sources' generators from gens.
-func buildJob(seed uint64, j *JobConfig, genPrefix string, gens generators) *core.JobSpec {
+func buildJob(seed uint64, j *apiv1.JobConfig, genPrefix string, gens generators) *core.JobSpec {
 	if seed == 0 {
 		seed = 1
 	}
@@ -413,7 +407,7 @@ func buildJob(seed uint64, j *JobConfig, genPrefix string, gens generators) *cor
 	return spec
 }
 
-func applyInjection(e *core.Engine, inj Injection) {
+func applyInjection(e *core.Engine, inj apiv1.Injection) {
 	switch inj.Kind {
 	case "link_scale":
 		e.Net.SetLinkScale(cloud.SiteID(inj.From), cloud.SiteID(inj.To), inj.Factor)

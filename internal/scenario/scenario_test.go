@@ -80,6 +80,9 @@ func TestValidation(t *testing.T) {
 		`{"name":"badclass","workers":{"Tiny":1},"gather":{"sites":["NEU"],"files":1,"file_bytes":1,"sink":"NUS","strategy":"envaware"}}`,
 		`{"name":"badinj","gather":{"sites":["NEU"],"files":1,"file_bytes":1,"sink":"NUS","strategy":"envaware"},"injections":[{"at":"1s","kind":"meteor"}]}`,
 		`{"name":"baddur","job":{"sources":[{"site":"NEU","rate":1}],"sink":"NUS","window":"xx","agg":"mean","strategy":"envaware","duration":"1m"}}`,
+		`{"name":"negrate","job":{"sources":[{"site":"NEU","rate":-1}],"sink":"NUS","window":"30s","agg":"mean","strategy":"envaware","duration":"1m"}}`,
+		`{"name":"negkeys","job":{"sources":[{"site":"NEU","rate":1,"keys":-3}],"sink":"NUS","window":"30s","agg":"mean","strategy":"envaware","duration":"1m"}}`,
+		`{"name":"neglanes","jobs":[{"sources":[{"site":"NEU","rate":1}],"sink":"NUS","window":"30s","agg":"mean","strategy":"envaware","lanes":-2,"duration":"1m"}]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {
@@ -296,7 +299,7 @@ func TestApplyInjectionPanicsOnUnhandledKind(t *testing.T) {
 			t.Fatal("unhandled injection kind must panic")
 		}
 	}()
-	applyInjection(nil, Injection{Kind: "meteor"})
+	applyInjection(nil, apiv1.Injection{Kind: "meteor"})
 }
 
 const multiJobJSON = `{

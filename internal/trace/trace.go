@@ -1,18 +1,15 @@
 // Package trace records structured timelines of a SAGE run: transfers,
 // retransmits, replans, window completions and the resilience subsystem's
 // failures, checkpoints and failovers. A Recorder subscribes to an
-// obs.Observer's event spine; traces are ring-buffered in memory, exportable
-// as JSON Lines for external analysis, and summarizable into per-kind counts
-// and rates — the raw material for debugging a scheduler decision after the
-// fact.
+// obs.Observer's event spine; traces are ring-buffered in memory and
+// exportable as JSON Lines for external analysis — the raw material for
+// debugging a scheduler decision after the fact.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"time"
 
 	"sage/internal/obs"
@@ -165,45 +162,4 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// KindSummary aggregates one event kind.
-type KindSummary struct {
-	Kind  Kind
-	Count int
-	Bytes int64
-	// MeanValue averages the kind-specific value over its events.
-	MeanValue float64
-}
-
-// Summary aggregates the retained events per kind, sorted by kind.
-func (r *Recorder) Summary() []KindSummary {
-	acc := map[Kind]*KindSummary{}
-	for _, e := range r.Events() {
-		s := acc[e.Kind]
-		if s == nil {
-			s = &KindSummary{Kind: e.Kind}
-			acc[e.Kind] = s
-		}
-		s.Count++
-		s.Bytes += e.Bytes
-		s.MeanValue += (e.Value - s.MeanValue) / float64(s.Count)
-	}
-	out := make([]KindSummary, 0, len(acc))
-	for _, s := range acc {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	return out
-}
-
-// String renders a compact multi-line summary.
-func (r *Recorder) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %d events (%d dropped)\n", r.Len(), r.Dropped())
-	for _, s := range r.Summary() {
-		fmt.Fprintf(&b, "  %-16s %6d events  %12d bytes  mean %.3f\n",
-			s.Kind, s.Count, s.Bytes, s.MeanValue)
-	}
-	return b.String()
 }

@@ -77,24 +77,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	r := New(10)
-	r.Record(Event{At: 1, Kind: ChunkAck, Bytes: 10, Value: 2})
-	r.Record(Event{At: 2, Kind: ChunkAck, Bytes: 30, Value: 4})
-	r.Record(Event{At: 3, Kind: Replan})
-	sum := r.Summary()
-	if len(sum) != 2 {
-		t.Fatalf("summary = %v", sum)
-	}
-	// Sorted by kind: chunk_ack < replan.
-	if sum[0].Kind != ChunkAck || sum[0].Count != 2 || sum[0].Bytes != 40 || sum[0].MeanValue != 3 {
-		t.Fatalf("chunk summary = %+v", sum[0])
-	}
-	if !strings.Contains(r.String(), "chunk_ack") {
-		t.Fatal("String missing kinds")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -102,32 +84,4 @@ func TestNewValidation(t *testing.T) {
 		}
 	}()
 	New(0)
-}
-
-func TestResilienceKindsInSummary(t *testing.T) {
-	r := New(10)
-	r.Record(Event{At: 1, Kind: SiteFail, Site: "NEU", Value: 10})
-	r.Record(Event{At: 2, Kind: Checkpoint, Site: "NUS", Bytes: 512, Value: 1})
-	r.Record(Event{At: 3, Kind: Checkpoint, Site: "NUS", Bytes: 768, Value: 2})
-	r.Record(Event{At: 4, Kind: Failover, Site: "NUS", Peer: "SUS"})
-	r.Record(Event{At: 5, Kind: SiteRecover, Site: "NEU"})
-	sum := r.Summary()
-	counts := map[Kind]int{}
-	bytes := map[Kind]int64{}
-	for _, row := range sum {
-		counts[row.Kind] = row.Count
-		bytes[row.Kind] = row.Bytes
-	}
-	if counts[SiteFail] != 1 || counts[SiteRecover] != 1 || counts[Failover] != 1 {
-		t.Fatalf("summary counts wrong: %+v", sum)
-	}
-	if counts[Checkpoint] != 2 || bytes[Checkpoint] != 1280 {
-		t.Fatalf("checkpoint aggregation wrong: %+v", sum)
-	}
-	s := r.String()
-	for _, want := range []string{"site_fail", "site_recover", "checkpoint", "failover"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() missing %q:\n%s", want, s)
-		}
-	}
 }

@@ -179,9 +179,6 @@ type lane struct {
 // hopsInUse returns the active hop slice.
 func (l *lane) hopsInUse() []*hopState { return l.hops[:l.nhops] }
 
-// hops returns the number of flow stages.
-func (l *lane) hopCount() int { return l.nhops }
-
 // free reports whether the lane can start a new chunk now: its first hop is
 // idle and nothing waits for it. Without the inUse check a lane with a chunk
 // in flight would keep accepting work while sibling lanes idle.

@@ -200,11 +200,9 @@ type Manager struct {
 	poolNext map[cloud.SiteID]int
 	nextID   uint64
 
-	// siteList / siteIdx give every site a dense index in lexicographic
-	// SiteID order — the basis for the per-run egress arrays. Sites added
-	// to the topology after NewManager are appended past the sorted prefix
-	// (they cannot appear in planner paths, so ordering guarantees are
-	// unaffected).
+	// siteList / siteIdx give every site of the topology at NewManager a
+	// dense index in lexicographic SiteID order — the basis for the per-run
+	// egress arrays.
 	siteList []cloud.SiteID
 	siteIdx  map[cloud.SiteID]int
 
@@ -260,15 +258,13 @@ func NewManager(net *netsim.Network, mon *monitor.Service, opt Options) *Manager
 	return m
 }
 
-// siteIndex returns the dense index of a site, registering unknown (late
-// added) sites at the end of the list.
+// siteIndex returns the dense index of a site. Every pool node sits in a
+// site the topology had when the manager was built.
 func (m *Manager) siteIndex(s cloud.SiteID) int {
-	if i, ok := m.siteIdx[s]; ok {
-		return i
+	i, ok := m.siteIdx[s]
+	if !ok {
+		panic(fmt.Sprintf("transfer: site %s was added after the manager was built", s))
 	}
-	i := len(m.siteList)
-	m.siteList = append(m.siteList, s)
-	m.siteIdx[s] = i
 	return i
 }
 
@@ -845,10 +841,7 @@ func (t *transferRun) buildLanes(initial bool) ([]*lane, error) {
 func (t *transferRun) noteNode(nd *netsim.Node) {
 	idx, ok := t.m.nodeIdx[nd]
 	if !ok {
-		// Not pool-deployed (cannot happen via take, but stay safe).
-		idx = len(t.m.nodeList)
-		t.m.nodeIdx[nd] = idx
-		t.m.nodeList = append(t.m.nodeList, nd)
+		panic(fmt.Sprintf("transfer: node %s was not taken from a pool", nd.ID))
 	}
 	for idx>>6 >= len(t.nodeBits) {
 		t.nodeBits = append(t.nodeBits, 0)
