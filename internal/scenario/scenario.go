@@ -1,8 +1,9 @@
 // Package scenario gives the declarative run description (apiv1.Roster) its
 // semantics: validation, world construction, and execution. The wire types
 // themselves live in api/v1 — one codec shared by config files, the sagesim
-// CLI and the saged HTTP API. This is the integration surface a downstream user scripts against:
-// `sagesim -scenario run.json`, or `curl -d @run.json saged/api/v1/jobs`.
+// CLI and the saged HTTP API. This is the integration surface a downstream
+// user scripts against: `sagesim -scenario run.json`, or
+// `curl -d @run.json saged/api/v1/jobs`.
 package scenario
 
 import (
