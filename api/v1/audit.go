@@ -15,7 +15,7 @@ const (
 	// actual transfer result.
 	AuditTransfer = "transfer"
 	// AuditPlanner records incremental route-planner activity since the
-	// previous planner record (diffed PlannerStats counters).
+	// previous planner record (the planner calls in between, summed).
 	AuditPlanner = "planner"
 )
 
@@ -61,7 +61,8 @@ type TransferAudit struct {
 }
 
 // PlannerAudit is the route-planner activity since the previous planner
-// record: a diff of the cumulative route.PlannerStats counters.
+// record: the route.PlannerStats counters the planner calls in between
+// advanced, summed call by call.
 type PlannerAudit struct {
 	Replans        uint64 `json:"replans"`
 	CacheHits      uint64 `json:"cache_hits"`

@@ -68,6 +68,22 @@ func TestKnobCensus(t *testing.T) {
 		"is listed in %s but a program sets it or it is gone: drop the line")
 }
 
+// metricOwners are the packages that may register metric families and hold
+// their handles: obs, whose event spine owns every family an engine fact
+// feeds, and the daemon, which registers the families only saged has.
+var metricOwners = []string{"internal/obs", "internal/daemon"}
+
+// TestMetricFamiliesOwnedByObs guards that ownership rule: no non-test file
+// outside the owners calls (*obs.Registry).Counter, Gauge or Histogram, or
+// declares a struct field whose type holds an obs handle (Counter, Gauge,
+// Histogram) or vector (CounterVec, GaugeVec, HistogramVec). A fact that
+// feeds a family is an obs.Event on Observer.Emit instead.
+func TestMetricFamiliesOwnedByObs(t *testing.T) {
+	for _, found := range repoTree(t).foreignMetrics() {
+		t.Errorf("%s: metric families are registered and held only in %v; emit an obs.Event instead", found, metricOwners)
+	}
+}
+
 // TestKnobCensusRejectsDoctoredTree runs the knob census on a scratch module
 // that holds a copy of netsim.FlowOpts and a program writing every exported
 // field of the copy but the last, once for each kind of write. The census
@@ -655,6 +671,82 @@ func (l *censusLoader) markInterfaceMethods(referenced map[types.Object]bool) {
 			}
 		}
 	}
+}
+
+// foreignMetrics returns, as file:line and what, every registration of a
+// metric family and every struct field holding an obs handle or vector in a
+// non-test file outside the metric owners.
+func (l *censusLoader) foreignMetrics() []string {
+	obsPath := l.rootPath + "/internal/obs"
+	owned := make(map[string]bool)
+	for _, p := range metricOwners {
+		owned[l.rootPath+"/"+p] = true
+	}
+	var out []string
+	report := func(n ast.Node, what string) {
+		pos := l.fset.Position(n.Pos())
+		m, _ := l.innermost(pos.Filename, func(m censusModule) string { return m.dir }, string(filepath.Separator))
+		rel, _ := filepath.Rel(m.dir, pos.Filename)
+		out = append(out, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, what))
+	}
+	for _, f := range l.refFiles {
+		if owned[l.filePkg[f]] || strings.HasSuffix(l.fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				fn, ok := l.info.Uses[n.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != obsPath {
+					break
+				}
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.TypeString(recv.Type(), nil) == "*"+obsPath+".Registry" {
+					switch fn.Name() {
+					case "Counter", "Gauge", "Histogram":
+						report(n, "registers a metric family through (*obs.Registry)."+fn.Name())
+					}
+				}
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					if h := obsHandle(l.info.Types[field.Type].Type, obsPath); h != "" {
+						report(field, "a struct field holds obs."+h)
+					}
+				}
+			}
+			return true
+		})
+	}
+	slices.Sort(out)
+	return out
+}
+
+// obsHandle returns the name of the obs handle or vector type t is or holds
+// (through pointers, slices, arrays, maps and channels), "" if none.
+func obsHandle(t types.Type, obsPath string) string {
+	switch t := t.(type) {
+	case *types.Named:
+		obj := t.Obj()
+		if obj.Pkg() != nil && obj.Pkg().Path() == obsPath {
+			switch obj.Name() {
+			case "Counter", "Gauge", "Histogram", "CounterVec", "GaugeVec", "HistogramVec":
+				return obj.Name()
+			}
+		}
+	case *types.Pointer:
+		return obsHandle(t.Elem(), obsPath)
+	case *types.Slice:
+		return obsHandle(t.Elem(), obsPath)
+	case *types.Array:
+		return obsHandle(t.Elem(), obsPath)
+	case *types.Chan:
+		return obsHandle(t.Elem(), obsPath)
+	case *types.Map:
+		if h := obsHandle(t.Key(), obsPath); h != "" {
+			return h
+		}
+		return obsHandle(t.Elem(), obsPath)
+	}
+	return ""
 }
 
 // modulePath returns the module path a go.mod declares.

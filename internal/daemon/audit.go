@@ -9,7 +9,6 @@ import (
 
 	apiv1 "sage/api/v1"
 	"sage/internal/obs"
-	"sage/internal/route"
 )
 
 // auditor writes the append-only JSONL audit log: one apiv1.AuditRecord per
@@ -18,7 +17,7 @@ import (
 // and in Stop — so a quantum's transfer and planner rows cost one write, not
 // one each. Every method runs on the driver goroutine (the engine's event
 // spine calls Observe synchronously during event processing, the daemon
-// calls api and plannerDiff between quanta), plus the final api call and
+// calls api and plannerRow between quanta), plus the final api call and
 // flush from Stop after the driver is dead — so the encoder needs no lock.
 type auditor struct {
 	w io.Writer
@@ -28,9 +27,9 @@ type auditor struct {
 	enc     *json.Encoder
 	buf     bytes.Buffer
 	pending int
-	// prev is the planner counter snapshot the next plannerDiff diffs
-	// against.
-	prev route.PlannerStats
+	// plan is the planner row being folded from planner-call events; the
+	// next plannerRow writes it.
+	plan obs.PlanCounts
 	// wall stamps records with wall-clock time; a test seam.
 	wall func() time.Time
 	// err is the first write error; writeErrs counts every lost record. A
@@ -88,43 +87,39 @@ func (a *auditor) api(now time.Duration, action, job, detail string) {
 }
 
 // Observe implements obs.Subscriber: one predicted-vs-actual row per
-// delivered partial transfer.
+// delivered partial transfer, and each planner call folded into the pending
+// planner row.
 func (a *auditor) Observe(ev obs.Event) {
-	if ev.Kind != obs.EvDelivered {
-		return
+	switch ev.Kind {
+	case obs.EvDelivered:
+		a.record(apiv1.AuditRecord{
+			T: apiv1.Duration(ev.At), Kind: apiv1.AuditTransfer,
+			Transfer: &apiv1.TransferAudit{
+				JobID: ev.Job, From: ev.Site, To: ev.Peer,
+				Strategy: ev.Note, Bytes: ev.Bytes, Lanes: ev.Lanes,
+				PredictedMBps: ev.Predicted.MBps,
+				PredictedTime: apiv1.Duration(ev.Predicted.Time),
+				PredictedCost: ev.Predicted.Cost,
+				ActualMBps:    ev.Actual.MBps,
+				ActualTime:    apiv1.Duration(ev.Actual.Time),
+				ActualCost:    ev.Actual.Cost,
+				NodesUsed:     ev.Nodes,
+				Replans:       ev.Replans,
+			},
+		})
+	case obs.EvPlan:
+		a.plan.Add(ev)
 	}
-	a.record(apiv1.AuditRecord{
-		T: apiv1.Duration(ev.At), Kind: apiv1.AuditTransfer,
-		Transfer: &apiv1.TransferAudit{
-			JobID: ev.Job, From: ev.Site, To: ev.Peer,
-			Strategy: ev.Note, Bytes: ev.Bytes, Lanes: ev.Lanes,
-			PredictedMBps: ev.Predicted.MBps,
-			PredictedTime: apiv1.Duration(ev.Predicted.Time),
-			PredictedCost: ev.Predicted.Cost,
-			ActualMBps:    ev.Actual.MBps,
-			ActualTime:    apiv1.Duration(ev.Actual.Time),
-			ActualCost:    ev.Actual.Cost,
-			NodesUsed:     ev.Nodes,
-			Replans:       ev.Replans,
-		},
-	})
 }
 
-// plannerDiff records route-planner activity since the previous call as a
-// counter diff; quiet quanta write nothing.
-func (a *auditor) plannerDiff(now time.Duration, st route.PlannerStats) {
-	if st == a.prev {
+// plannerRow records the planner activity folded since the previous row;
+// quiet quanta write nothing.
+func (a *auditor) plannerRow(now time.Duration) {
+	if a.plan == (obs.PlanCounts{}) {
 		return
 	}
-	d := apiv1.PlannerAudit{
-		Replans:        st.Replans - a.prev.Replans,
-		CacheHits:      st.CacheHits - a.prev.CacheHits,
-		Repairs:        st.Repairs - a.prev.Repairs,
-		FullRecomputes: st.FullRecomputes - a.prev.FullRecomputes,
-		DirtyEdges:     st.DirtyEdges - a.prev.DirtyEdges,
-		ChangedEdges:   st.ChangedEdges - a.prev.ChangedEdges,
-	}
-	a.prev = st
+	d := apiv1.PlannerAudit(a.plan)
+	a.plan = obs.PlanCounts{}
 	a.record(apiv1.AuditRecord{
 		T: apiv1.Duration(now), Kind: apiv1.AuditPlanner, Planner: &d,
 	})

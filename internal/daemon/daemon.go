@@ -190,7 +190,7 @@ func (d *Daemon) loop() {
 		d.stageRounds.Add(int64(rounds - d.rounds))
 		d.rounds = rounds
 		if d.aud != nil {
-			d.aud.plannerDiff(d.eng.Sched.Now(), d.eng.Mgr.Planner().Stats())
+			d.aud.plannerRow(d.eng.Sched.Now())
 			d.aud.flush()
 		}
 		d.pace()

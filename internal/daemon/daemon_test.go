@@ -20,6 +20,7 @@ import (
 
 	apiv1 "sage/api/v1"
 	"sage/internal/core"
+	"sage/internal/route"
 	"sage/internal/scenario"
 )
 
@@ -269,13 +270,15 @@ func TestDaemonEndToEnd(t *testing.T) {
 	ts.Close()
 	d.Stop()
 	auditFile.Close()
-	checkAuditLog(t, auditPath)
+	// The driver is dead: the planner's counters are final.
+	checkAuditLog(t, auditPath, d.eng.Mgr.Planner().Stats())
 }
 
 // checkAuditLog decodes every JSONL line through the apiv1 schema and checks
 // the log captured the API mutations, predicted-vs-actual transfer rows, and
-// planner activity of the run.
-func checkAuditLog(t *testing.T, path string) {
+// planner activity of the run: the planner rows sum to the planner's
+// counters at Stop.
+func checkAuditLog(t *testing.T, path string, planner route.PlannerStats) {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -285,6 +288,7 @@ func checkAuditLog(t *testing.T, path string) {
 
 	kinds := map[string]int{}
 	actions := map[string]int{}
+	var plan apiv1.PlannerAudit
 	sc := bufio.NewScanner(f)
 	lines := 0
 	for sc.Scan() {
@@ -317,9 +321,19 @@ func checkAuditLog(t *testing.T, path string) {
 				t.Fatalf("audit line %d: incomplete transfer row: %+v", lines, tr)
 			}
 		case apiv1.AuditPlanner:
-			if rec.Planner == nil {
+			p := rec.Planner
+			if p == nil {
 				t.Fatalf("audit line %d: planner record without payload", lines)
 			}
+			if *p == (apiv1.PlannerAudit{}) {
+				t.Fatalf("audit line %d: empty planner row", lines)
+			}
+			plan.Replans += p.Replans
+			plan.CacheHits += p.CacheHits
+			plan.Repairs += p.Repairs
+			plan.FullRecomputes += p.FullRecomputes
+			plan.DirtyEdges += p.DirtyEdges
+			plan.ChangedEdges += p.ChangedEdges
 		default:
 			t.Fatalf("audit line %d: unknown kind %q", lines, rec.Kind)
 		}
@@ -332,6 +346,11 @@ func checkAuditLog(t *testing.T, path string) {
 	}
 	if kinds[apiv1.AuditPlanner] == 0 {
 		t.Fatal("no planner audit rows")
+	}
+	if want := (apiv1.PlannerAudit{Replans: planner.Replans, CacheHits: planner.CacheHits,
+		Repairs: planner.Repairs, FullRecomputes: planner.FullRecomputes,
+		DirtyEdges: planner.DirtyEdges, ChangedEdges: planner.ChangedEdges}); plan != want {
+		t.Fatalf("planner rows sum to %+v, planner counted %+v", plan, want)
 	}
 	for _, want := range []string{"submit", "cancel", "clock-resume", "shutdown"} {
 		if actions[want] == 0 {

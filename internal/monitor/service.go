@@ -87,11 +87,6 @@ type LinkState struct {
 	// same link independently. The link resumes probing only when every
 	// pauser has resumed.
 	paused int
-
-	// probeCtr / estGauge export probing activity and the current estimate;
-	// no-op handles when observability is off.
-	probeCtr obs.Counter
-	estGauge obs.Gauge
 }
 
 // Each link keeps a history ring of historySize samples, and Start takes
@@ -110,8 +105,8 @@ type Options struct {
 	Interval time.Duration
 	// Factory builds the per-link estimator (default WSI).
 	Factory Factory
-	// Obs, when non-nil, exports per-link probe counters and estimate
-	// gauges through the observability layer.
+	// Obs, when non-nil, receives one event per probe, carrying the link's
+	// estimate after the sample.
 	Obs *obs.Observer
 }
 
@@ -152,17 +147,12 @@ func NewService(net *netsim.Network, opt Options) *Service {
 		opt:   opt,
 		links: make(map[LinkKey]*LinkState),
 	}
-	probes := opt.Obs.Registry().Counter("sage_probes_total", "monitoring probes taken", "from", "to")
-	ests := opt.Obs.Registry().Gauge("sage_link_estimate_mbps", "current link throughput estimate", "from", "to")
 	for _, l := range net.Topology().Links() {
 		k := LinkKey{l.From, l.To}
 		s.links[k] = &LinkState{
 			Key:       k,
 			Estimator: opt.Factory(),
 			History:   NewHistory(historySize),
-
-			probeCtr: probes.With(string(l.From), string(l.To)),
-			estGauge: ests.With(string(l.From), string(l.To)),
 		}
 		s.order = append(s.order, k)
 	}
@@ -211,10 +201,8 @@ func (s *Service) probeAll() {
 		st.Estimator.Observe(sm)
 		st.History.Add(sm)
 		s.notifyChange(k)
-		if st.probeCtr.Enabled() {
-			st.probeCtr.Inc()
-			st.estGauge.Set(st.Estimator.Mean())
-		}
+		s.opt.Obs.Emit(obs.Event{Kind: obs.EvProbe, At: sm.At,
+			Site: string(k.From), Peer: string(k.To), Value: st.Estimator.Mean()})
 	}
 }
 

@@ -106,9 +106,10 @@ type Options struct {
 	// crossTrafficMeanBytes is the mean background flow size (default
 	// 64 MB); the churn oracle shrinks it to keep its world small.
 	crossTrafficMeanBytes int64
-	// Obs, when non-nil, exports per-link capacity/flow gauges and per-site
-	// egress counters through the observability layer. Nil (the default)
-	// keeps the simulator's behavior and allocation profile untouched.
+	// Obs, when non-nil, receives the network's events: each link resample
+	// (capacity and senders), each finished WAN flow's egress and each
+	// reallocation pass. Nil (the default) records nothing; the simulation
+	// is the same either way.
 	Obs *obs.Observer
 }
 
@@ -289,11 +290,6 @@ type wanLink struct {
 	scale   float64 // experiment injection multiplier
 	res     *resource
 	senders map[*Node]int // distinct sender nodes with active flows
-
-	// capGauge / flowGauge export the link's state each resample; no-op
-	// handles when observability is off.
-	capGauge  obs.Gauge
-	flowGauge obs.Gauge
 }
 
 // aggLaw tabulates the aggregate-parallelism law: aggLaw[k] is
@@ -350,11 +346,6 @@ type Network struct {
 	// bill each tenant exactly, and the per-job sum equals the per-site sum.
 	jobEgress []int64
 	nodeSeq   map[cloud.SiteID]int
-
-	// met / egressCtr are the observability families and the per-site
-	// egress handle cache (zero/nil when the layer is off).
-	met       netMetrics
-	egressCtr map[cloud.SiteID]obs.Counter
 
 	// live is the ID-ordered list of unfinished flows (including flows
 	// still in their activation delay). IDs are assigned in increasing
@@ -413,9 +404,6 @@ func New(sched *simtime.Scheduler, topo *cloud.Topology, r *rng.Rand, opt Option
 		links:   make(map[[2]cloud.SiteID]*wanLink),
 		egress:  make(map[cloud.SiteID]int64),
 		nodeSeq: make(map[cloud.SiteID]int),
-
-		met:       newNetMetrics(opt.Obs.Registry()),
-		egressCtr: make(map[cloud.SiteID]obs.Counter),
 	}
 	n.onWake = func() { n.reschedule() }
 	for _, spec := range topo.Links() {
@@ -428,9 +416,6 @@ func New(sched *simtime.Scheduler, topo *cloud.Topology, r *rng.Rand, opt Option
 			glitch:  1,
 			scale:   1,
 			senders: make(map[*Node]int),
-
-			capGauge:  n.met.capacity.With(string(spec.From), string(spec.To)),
-			flowGauge: n.met.flows.With(string(spec.From), string(spec.To)),
 		}
 		l.res = &resource{
 			name:  fmt.Sprintf("wan:%s>%s", spec.From, spec.To),
@@ -501,10 +486,9 @@ func (n *Network) resample() {
 		v := l.ou.Step(dt)
 		l.factor = math.Min(n.opt.CapacityCeil, math.Max(n.opt.CapacityFloor, v))
 		n.markDirty(l.res)
-		if l.capGauge.Enabled() {
-			l.capGauge.Set(l.capacityFor(len(l.senders)))
-			l.flowGauge.Set(float64(len(l.senders)))
-		}
+		n.opt.Obs.Emit(obs.Event{Kind: obs.EvResample, At: n.sched.Now(),
+			Site: string(l.spec.From), Peer: string(l.spec.To),
+			Value: l.capacityFor(len(l.senders)), Nodes: len(l.senders)})
 	}
 	n.reschedule()
 }
@@ -957,11 +941,12 @@ func (n *Network) finishFlow(f *Flow, err error) {
 			}
 		}
 		n.egress[f.Src.Site] += int64(f.done)
-		n.egressCounter(f.Src.Site).Add(int64(f.done))
 		job := f.job
 		if job < 0 {
 			job = 0
 		}
+		n.opt.Obs.Emit(obs.Event{Kind: obs.EvEgress, At: n.sched.Now(), Job: job,
+			Site: string(f.Src.Site), Bytes: int64(f.done)})
 		for len(n.jobEgress) <= job {
 			n.jobEgress = append(n.jobEgress, 0)
 		}
@@ -1101,8 +1086,7 @@ func (n *Network) reallocate() {
 	n.workScratch = work
 	n.dirty = n.dirty[:0]
 	n.rerated = rerated
-	n.met.passes.Inc()
-	n.met.rerated.Add(int64(rerated))
+	n.opt.Obs.Emit(obs.Event{Kind: obs.EvRealloc, At: n.sched.Now(), Value: float64(rerated)})
 	n.project()
 }
 

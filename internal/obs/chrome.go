@@ -10,8 +10,8 @@ import (
 
 // WriteChromeTrace renders the timeline's retained spans in the Chrome
 // trace_event JSON format (the JSON Object Format: {"traceEvents": [...]}),
-// loadable in chrome://tracing and Perfetto. A nil timeline writes an empty
-// trace. Sites are interned into thread IDs with "M" thread_name metadata
+// loadable in chrome://tracing and Perfetto. An empty timeline writes an
+// empty trace. Sites are interned into thread IDs with "M" thread_name metadata
 // records so each site renders as its own track; spans with Dur > 0 become
 // "X" complete events and instantaneous decision-loop records become "i"
 // instant events. Timestamps and durations are virtual time in

@@ -137,7 +137,7 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestWriteChromeTraceEmpty(t *testing.T) {
-	var tl *Timeline
+	tl := NewTimeline(1)
 	var sb strings.Builder
 	if err := tl.WriteChromeTrace(&sb); err != nil {
 		t.Fatal(err)

@@ -48,21 +48,17 @@ func NewObserver() *Observer {
 	return &Observer{Metrics: NewRegistry(), Timeline: NewTimeline(DefaultTimelineCap)}
 }
 
-// Registry returns the observer's metrics registry, nil when o is nil.
-func (o *Observer) Registry() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics
-}
-
 // Emit delivers one engine fact to every recorder: the metric families, the
 // timeline, then each subscriber. It is the layer's only gate — emitters
-// never ask whether anyone listens.
+// never ask whether anyone listens — and small enough to inline, so a nil
+// observer costs its emitters a compare.
 func (o *Observer) Emit(ev Event) {
-	if o == nil {
-		return
+	if o != nil {
+		o.emit(ev)
 	}
+}
+
+func (o *Observer) emit(ev Event) {
 	o.once.Do(func() { o.fam = newFamilies(o.Metrics) })
 	o.fam.observe(ev)
 	o.Timeline.observe(ev)

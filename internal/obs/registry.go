@@ -43,11 +43,8 @@ type cell struct {
 }
 
 // Counter is a monotonically increasing integer series handle. The zero
-// Counter is a valid no-op (the disabled-observability path).
+// Counter is a valid no-op.
 type Counter struct{ c *cell }
-
-// Enabled reports whether the handle is wired to a registry cell.
-func (c Counter) Enabled() bool { return c.c != nil }
 
 // Inc adds one.
 func (c Counter) Inc() {
@@ -74,9 +71,6 @@ func (c Counter) Value() int64 {
 
 // Gauge is a last-value float series handle. The zero Gauge is a no-op.
 type Gauge struct{ c *cell }
-
-// Enabled reports whether the handle is wired to a registry cell.
-func (g Gauge) Enabled() bool { return g.c != nil }
 
 // Set stores v.
 func (g Gauge) Set(v float64) {
@@ -181,39 +175,28 @@ func (v *vec) cell(vals []string) *cell {
 	return c
 }
 
-// CounterVec is a counter family. The zero CounterVec (disabled
-// observability) hands out no-op handles.
+// CounterVec is a counter family of a Registry.
 type CounterVec struct{ v *vec }
 
 // With resolves a label-value tuple to a Counter handle, interning it on
 // first use. Resolution is the cold path; keep the handle.
 func (cv CounterVec) With(vals ...string) Counter {
-	if cv.v == nil {
-		return Counter{}
-	}
 	return Counter{c: cv.v.cell(vals)}
 }
 
-// GaugeVec is a gauge family. The zero GaugeVec hands out no-op handles.
+// GaugeVec is a gauge family of a Registry.
 type GaugeVec struct{ v *vec }
 
 // With resolves a label-value tuple to a Gauge handle.
 func (gv GaugeVec) With(vals ...string) Gauge {
-	if gv.v == nil {
-		return Gauge{}
-	}
 	return Gauge{c: gv.v.cell(vals)}
 }
 
-// HistogramVec is a histogram family. The zero HistogramVec hands out no-op
-// handles.
+// HistogramVec is a histogram family of a Registry.
 type HistogramVec struct{ v *vec }
 
 // With resolves a label-value tuple to a Histogram handle.
 func (hv HistogramVec) With(vals ...string) Histogram {
-	if hv.v == nil {
-		return Histogram{}
-	}
 	return Histogram{c: hv.v.cell(vals), upper: hv.v.upper}
 }
 
@@ -221,10 +204,9 @@ func (hv HistogramVec) With(vals ...string) Histogram {
 var DefBuckets = []float64{0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 
 // Registry holds instrument vectors by name. Registration is idempotent:
-// asking for an existing name returns the existing vector (so engines
-// sharing a registry share series), and a kind or label-key mismatch panics
-// — that is a programming error, not runtime input. A nil *Registry is the
-// disabled layer: every registration returns a zero vector.
+// asking for an existing name returns the existing vector, and a kind or
+// label-key mismatch panics — that is a programming error, not runtime
+// input. A nil *Registry exports nothing.
 type Registry struct {
 	mu   sync.Mutex
 	vecs map[string]*vec
@@ -265,26 +247,17 @@ func (r *Registry) register(name, help string, kind Kind, upper []float64, keys 
 
 // Counter registers (or finds) a counter family.
 func (r *Registry) Counter(name, help string, keys ...string) CounterVec {
-	if r == nil {
-		return CounterVec{}
-	}
 	return CounterVec{v: r.register(name, help, KindCounter, nil, keys)}
 }
 
 // Gauge registers (or finds) a gauge family.
 func (r *Registry) Gauge(name, help string, keys ...string) GaugeVec {
-	if r == nil {
-		return GaugeVec{}
-	}
 	return GaugeVec{v: r.register(name, help, KindGauge, nil, keys)}
 }
 
 // Histogram registers (or finds) a histogram family with fixed upper bounds
 // (ascending; +Inf is implicit). Nil buckets take DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64, keys ...string) HistogramVec {
-	if r == nil {
-		return HistogramVec{}
-	}
 	if buckets == nil {
 		buckets = DefBuckets
 	}

@@ -79,7 +79,57 @@ const (
 	EvFailoverStall
 	// EvFailover: the meta-reducer role moved from Site to Peer.
 	EvFailover
+
+	// EvProbe: the monitor probed the link Site→Peer; Value is the link's
+	// estimate after the sample, MB/s.
+	EvProbe
+	// EvResample: the network resampled the link Site→Peer; Value is its
+	// deliverable capacity, MB/s, for the Nodes distinct senders it carries.
+	EvResample
+	// EvEgress: a WAN flow of job Job finished, charging Bytes of egress to
+	// its source Site.
+	EvEgress
+	// EvRealloc: a max-min reallocation pass re-rated Value flows.
+	EvRealloc
+	// EvPlan: the route planner answered one call with outcome Note
+	// (PlanHit, PlanRepair, PlanFull, or PlanRefresh for a graph refresh
+	// that planned nothing), after committing Value dirty edges, ID of which
+	// changed weight.
+	EvPlan
 )
+
+// The outcomes of an EvPlan: a query answered from an untouched cached
+// plan, one recomputed after a dirty edge touched its cached plan, one with
+// no usable cached plan, and a graph refresh that was no query.
+const (
+	PlanHit     = "hit"
+	PlanRepair  = "repair"
+	PlanFull    = "full"
+	PlanRefresh = "refresh"
+)
+
+// PlanCounts are the route-planner counters that planner calls advance, in
+// the terms of route.PlannerStats.
+type PlanCounts struct {
+	Replans, CacheHits, Repairs, FullRecomputes, DirtyEdges, ChangedEdges uint64
+}
+
+// Add folds one EvPlan into c.
+func (c *PlanCounts) Add(ev Event) {
+	switch ev.Note {
+	case PlanHit:
+		c.CacheHits++
+	case PlanRepair:
+		c.Repairs++
+	case PlanFull:
+		c.FullRecomputes++
+	}
+	if ev.Note != PlanRefresh {
+		c.Replans++
+	}
+	c.DirtyEdges += uint64(ev.Value)
+	c.ChangedEdges += ev.ID
+}
 
 // Event is one engine fact on the simulated clock. It is a plain value — no
 // field points at anything an emit allocates — so building and emitting one
@@ -96,11 +146,12 @@ type Event struct {
 	Value      float64
 	// ID correlates related events: the window start for window-scoped
 	// facts, the transfer ID for transfer-scoped ones, the sequence number
-	// of a checkpoint.
+	// of a checkpoint. EvPlan carries a count in it instead.
 	ID    uint64
 	Note  string
 	Lanes int
-	// Predicted, Actual, Nodes and Replans are set on EvDelivered only.
+	// Predicted, Actual and Replans are set on EvDelivered only; Nodes on
+	// EvDelivered and EvResample.
 	Predicted, Actual Outcome
 	Nodes, Replans    int
 }
@@ -119,16 +170,26 @@ type Subscriber interface {
 	Observe(Event)
 }
 
-// families are the metric families the spine feeds. Label handles resolve
-// once: per (family, site, job) series on first use — so the exposition
-// holds exactly the series a fact has touched — and per link all six
-// transfer handles at once.
+// families are the metric families the spine feeds; they are every family
+// an engine fact feeds. Label handles resolve once: per (family, site, job)
+// series on first use — so the exposition holds exactly the series a fact
+// has touched — and per link one handle group at a time, on the group's
+// first fact. The label-free network and planner series resolve at
+// registration, so an observed run that never plans still exports them at 0.
 type families struct {
 	jobs, windows, events, partials                          CounterVec
 	checkpoints, ckptBytes, failovers, siteFails, recoveries CounterVec
 	winLatency                                               HistogramVec
 	started, bytes, acks, retransmits, replans               CounterVec
 	seconds                                                  HistogramVec
+	capacity, flows, estimates                               GaugeVec
+	probes, egress                                           CounterVec
+
+	// passes / rerated count reallocation passes and the flows they
+	// re-rated; their ratio is the mean component size per event.
+	passes, rerated                                      Counter
+	planReplans, planHits, planRepairs, planFulls, dirty Counter
+	dirtyLast                                            Gauge
 
 	mu     sync.Mutex
 	series map[seriesKey]*cell
@@ -143,10 +204,15 @@ type seriesKey struct {
 	job  int
 }
 
-// linkHandles is the per-link handle set of the transfer families.
+// linkHandles are the per-link handles, in three groups that resolve
+// separately: the transfer families (started is nil until the link's first
+// transfer fact), the network's link state and the monitor's probes.
 type linkHandles struct {
 	started, bytes, acks, retransmits, replans Counter
 	seconds                                    Histogram
+	capacity, flows                            Gauge
+	probes                                     Counter
+	estimate                                   Gauge
 }
 
 // newFamilies registers the spine's families; a nil registry yields nil,
@@ -172,6 +238,19 @@ func newFamilies(r *Registry) *families {
 		retransmits: r.Counter("sage_retransmits_total", "chunks re-sent after loss or timeout", "from", "to"),
 		replans:     r.Counter("sage_replans_total", "lane replans (periodic and self-heal)", "from", "to"),
 		seconds:     r.Histogram("sage_transfer_seconds", "transfer wall time", DefBuckets, "from", "to"),
+		capacity:    r.Gauge("sage_link_capacity_mbps", "current deliverable WAN link capacity", "from", "to"),
+		flows:       r.Gauge("sage_link_flows", "distinct sender nodes with active flows on the link", "from", "to"),
+		egress:      r.Counter("sage_egress_bytes_total", "WAN egress bytes charged to the site", "site"),
+		probes:      r.Counter("sage_probes_total", "monitoring probes taken", "from", "to"),
+		estimates:   r.Gauge("sage_link_estimate_mbps", "current link throughput estimate", "from", "to"),
+		passes:      r.Counter("sage_netsim_realloc_passes_total", "max-min reallocation passes").With(),
+		rerated:     r.Counter("sage_netsim_flows_rerated_total", "flows re-rated by reallocation passes (over passes: mean component size per event)").With(),
+		planReplans: r.Counter("sage_planner_replans_total", "route plan queries answered").With(),
+		planHits:    r.Counter("sage_planner_cache_hits_total", "plan queries answered from an untouched cached plan").With(),
+		planRepairs: r.Counter("sage_planner_repairs_total", "plan queries recomputed after a dirty edge touched the cached plan").With(),
+		planFulls:   r.Counter("sage_planner_full_recomputes_total", "plan queries computed with no usable cached plan").With(),
+		dirty:       r.Counter("sage_planner_dirty_edges_total", "dirty-edge refreshes committed before plan queries").With(),
+		dirtyLast:   r.Gauge("sage_planner_dirty_edges_last", "dirty edges committed by the most recent planner round").With(),
 		series:      make(map[seriesKey]*cell),
 		links:       make(map[[2]string]*linkHandles),
 	}
@@ -198,20 +277,27 @@ func (f *families) counter(v CounterVec, site string, job int) Counter {
 	return Counter{c: f.cell(v.v, site, job)}
 }
 
-// link returns the handle set of a directed link.
+// link returns the handles of a directed link.
 func (f *families) link(from, to string) *linkHandles {
 	k := [2]string{from, to}
 	lh := f.links[k]
 	if lh == nil {
-		lh = &linkHandles{
-			started:     f.started.With(from, to),
-			bytes:       f.bytes.With(from, to),
-			acks:        f.acks.With(from, to),
-			retransmits: f.retransmits.With(from, to),
-			replans:     f.replans.With(from, to),
-			seconds:     f.seconds.With(from, to),
-		}
+		lh = &linkHandles{}
 		f.links[k] = lh
+	}
+	return lh
+}
+
+// transfer returns a link's handles with the transfer group resolved.
+func (f *families) transfer(from, to string) *linkHandles {
+	lh := f.link(from, to)
+	if lh.started.c == nil {
+		lh.started = f.started.With(from, to)
+		lh.bytes = f.bytes.With(from, to)
+		lh.acks = f.acks.With(from, to)
+		lh.retransmits = f.retransmits.With(from, to)
+		lh.replans = f.replans.With(from, to)
+		lh.seconds = f.seconds.With(from, to)
 	}
 	return lh
 }
@@ -244,16 +330,46 @@ func (f *families) observe(ev Event) {
 	case EvSiteRecover:
 		f.counter(f.recoveries, ev.Site, -1).Inc()
 	case EvTransferStart:
-		f.link(ev.Site, ev.Peer).started.Inc()
+		f.transfer(ev.Site, ev.Peer).started.Inc()
 	case EvRetransmit:
-		f.link(ev.Site, ev.Peer).retransmits.Inc()
+		f.transfer(ev.Site, ev.Peer).retransmits.Inc()
 	case EvReplan, EvSelfHeal:
-		f.link(ev.Site, ev.Peer).replans.Inc()
+		f.transfer(ev.Site, ev.Peer).replans.Inc()
 	case EvChunkAck, EvDuplicateAck:
-		f.link(ev.Site, ev.Peer).acks.Inc()
+		f.transfer(ev.Site, ev.Peer).acks.Inc()
 	case EvTransferDone:
-		lh := f.link(ev.Site, ev.Peer)
+		lh := f.transfer(ev.Site, ev.Peer)
 		lh.bytes.Add(ev.Bytes)
 		lh.seconds.Observe(ev.Dur.Seconds())
+	case EvProbe:
+		lh := f.link(ev.Site, ev.Peer)
+		if lh.probes.c == nil {
+			lh.probes = f.probes.With(ev.Site, ev.Peer)
+			lh.estimate = f.estimates.With(ev.Site, ev.Peer)
+		}
+		lh.probes.Inc()
+		lh.estimate.Set(ev.Value)
+	case EvResample:
+		lh := f.link(ev.Site, ev.Peer)
+		if lh.capacity.c == nil {
+			lh.capacity = f.capacity.With(ev.Site, ev.Peer)
+			lh.flows = f.flows.With(ev.Site, ev.Peer)
+		}
+		lh.capacity.Set(ev.Value)
+		lh.flows.Set(float64(ev.Nodes))
+	case EvEgress:
+		f.counter(f.egress, ev.Site, -1).Add(ev.Bytes)
+	case EvRealloc:
+		f.passes.Inc()
+		f.rerated.Add(int64(ev.Value))
+	case EvPlan:
+		var d PlanCounts
+		d.Add(ev)
+		f.planReplans.Add(int64(d.Replans))
+		f.planHits.Add(int64(d.CacheHits))
+		f.planRepairs.Add(int64(d.Repairs))
+		f.planFulls.Add(int64(d.FullRecomputes))
+		f.dirty.Add(int64(d.DirtyEdges))
+		f.dirtyLast.Set(ev.Value)
 	}
 }

@@ -60,9 +60,8 @@ type Span struct {
 }
 
 // Timeline is the bounded flight recorder: a ring of the most recent spans,
-// cheap enough to leave running for a whole daemon's life. A nil *Timeline
-// is a no-op recorder. Recording is serialized by a
-// mutex — spans land per window and per transfer, not per event, so the lock
+// cheap enough to leave running for a whole daemon's life. Recording is
+// serialized by a mutex — spans land per window and per transfer, not per event, so the lock
 // is far off any hot path — which makes one Timeline safe to share between
 // parallel simulations.
 type Timeline struct {
@@ -81,11 +80,8 @@ func NewTimeline(capacity int) *Timeline {
 	return &Timeline{cap: capacity, spans: make([]Span, 0, capacity)}
 }
 
-// Record appends a span, evicting the oldest when full. No-op on nil.
+// Record appends a span, evicting the oldest when full.
 func (t *Timeline) Record(s Span) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	if len(t.spans) < t.cap {
 		t.spans = append(t.spans, s)
@@ -99,9 +95,6 @@ func (t *Timeline) Record(s Span) {
 
 // Len returns the number of retained spans.
 func (t *Timeline) Len() int {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
@@ -109,19 +102,13 @@ func (t *Timeline) Len() int {
 
 // Dropped returns how many spans were evicted.
 func (t *Timeline) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
 }
 
-// Snapshot returns the retained spans oldest-first. Nil Timeline → nil.
+// Snapshot returns the retained spans oldest-first.
 func (t *Timeline) Snapshot() []Span {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Span, 0, len(t.spans))
@@ -134,7 +121,8 @@ func (t *Timeline) Snapshot() []Span {
 	return out
 }
 
-// observe records the span an event makes, if it makes one. No-op on nil.
+// observe records the span an event makes, if it makes one. No-op on nil:
+// an Observer need not carry a Timeline.
 func (t *Timeline) observe(ev Event) {
 	if t == nil {
 		return

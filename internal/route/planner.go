@@ -69,7 +69,7 @@ type Planner struct {
 const maxCachedPlans = 256
 
 // PlannerStats are cumulative counters of planner behaviour, readable at
-// any time; the transfer layer diffs them into observability counters.
+// any time; the transfer layer diffs them into one event per planner call.
 type PlannerStats struct {
 	// Replans counts plan queries (WidestPath + PlanMultipath calls).
 	Replans uint64

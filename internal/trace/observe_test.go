@@ -68,7 +68,8 @@ func TestObserveWireCompatible(t *testing.T) {
 	}
 	for _, k := range []obs.EventKind{obs.EvJobStart, obs.EvWindowClose, obs.EvPartialShipped,
 		obs.EvEstimate, obs.EvModelSize, obs.EvDispatch, obs.EvMerge, obs.EvDelivered, obs.EvRoute,
-		obs.EvChunkAck, obs.EvDuplicateAck} {
+		obs.EvChunkAck, obs.EvDuplicateAck, obs.EvProbe, obs.EvResample, obs.EvEgress, obs.EvRealloc,
+		obs.EvPlan} {
 		observed.Observe(obs.Event{Kind: k, At: at, Site: "tokyo"})
 	}
 	for i, e := range observed.Events() {

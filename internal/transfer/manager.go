@@ -172,7 +172,7 @@ type Options struct {
 	Params model.Params
 	// Obs, when non-nil, receives the transfer lifecycle's events (start,
 	// route, chunk acknowledgements, retransmits, replans, completion) and
-	// exports the route planner's counters.
+	// one event per route-planner call.
 	Obs *obs.Observer
 }
 
@@ -223,9 +223,8 @@ type Manager struct {
 	// only those edges instead of rebuilding an n² estimate matrix.
 	planner *route.Planner
 
-	// pm / lastPlanner export planner behaviour: after each planner call the
-	// manager diffs the cumulative PlannerStats into the obs counters.
-	pm          plannerMetrics
+	// lastPlanner is the planner's cumulative stats after the previous
+	// call; notePlanner emits each call as the difference.
 	lastPlanner route.PlannerStats
 }
 
@@ -244,7 +243,6 @@ func NewManager(net *netsim.Network, mon *monitor.Service, opt Options) *Manager
 		poolNext: make(map[cloud.SiteID]int),
 		siteIdx:  make(map[cloud.SiteID]int),
 		nodeIdx:  make(map[*netsim.Node]int),
-		pm:       newPlannerMetrics(opt.Obs.Registry()),
 	}
 	ids := net.Topology().SiteIDs() // sorted
 	m.siteList = append(m.siteList, ids...)
@@ -347,6 +345,24 @@ func (m *Manager) planMultipath(from, to cloud.SiteID, budget int, par model.Par
 	a, ok := m.planner.PlanMultipath(from, to, budget, par, maxPaths)
 	m.notePlanner()
 	return a, ok
+}
+
+// notePlanner emits the planner call that just returned: its outcome and
+// the dirty and changed edges it committed, read off the cumulative stats.
+func (m *Manager) notePlanner() {
+	s, d := m.planner.Stats(), m.lastPlanner
+	m.lastPlanner = s
+	outcome := obs.PlanRefresh
+	switch {
+	case s.CacheHits != d.CacheHits:
+		outcome = obs.PlanHit
+	case s.Repairs != d.Repairs:
+		outcome = obs.PlanRepair
+	case s.FullRecomputes != d.FullRecomputes:
+		outcome = obs.PlanFull
+	}
+	m.opt.Obs.Emit(obs.Event{Kind: obs.EvPlan, At: m.sched.Now(), Note: outcome,
+		Value: float64(s.DirtyEdges - d.DirtyEdges), ID: s.ChangedEdges - d.ChangedEdges})
 }
 
 func (m *Manager) observe(from, to cloud.SiteID, mbps float64) {

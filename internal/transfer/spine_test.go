@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 	"sage/internal/simtime"
 )
 
-// newObsRig is newRig's diamond world with the observability layer attached.
-func newObsRig(t *testing.T) (*rig, *obs.Observer) {
+// newObsRig is newRig's monitored diamond world with o, which may be nil,
+// attached to every layer.
+func newObsRig(t *testing.T, o *obs.Observer) *rig {
 	t.Helper()
 	sched := simtime.New()
 	topo := cloud.NewTopology(250, 2*time.Millisecond)
@@ -27,8 +29,7 @@ func newObsRig(t *testing.T) (*rig, *obs.Observer) {
 	topo.AddSymmetricLink(cloud.LinkSpec{From: "A", To: "C", BaseMBps: 6, RTT: ms(30), Jitter: 1e-9})
 	topo.AddSymmetricLink(cloud.LinkSpec{From: "C", To: "D", BaseMBps: 8, RTT: ms(30), Jitter: 1e-9})
 	topo.AddSymmetricLink(cloud.LinkSpec{From: "A", To: "D", BaseMBps: 4, RTT: ms(60), Jitter: 1e-9})
-	net := netsim.New(sched, topo, rng.New(1), netsim.Options{GlitchMeanGap: -1, ProbeNoise: 1e-9})
-	o := obs.NewObserver()
+	net := netsim.New(sched, topo, rng.New(1), netsim.Options{GlitchMeanGap: -1, ProbeNoise: 1e-9, Obs: o})
 	mon := monitor.NewService(net, monitor.Options{Interval: 15 * time.Second, Obs: o})
 	mon.Start()
 	mgr := NewManager(net, mon, Options{
@@ -40,15 +41,13 @@ func newObsRig(t *testing.T) (*rig, *obs.Observer) {
 	for _, id := range []cloud.SiteID{"A", "B", "C", "D"} {
 		mgr.Deploy(id, cloud.Medium, 8)
 	}
-	return &rig{sched: sched, net: net, mon: mon, mgr: mgr}, o
+	return &rig{sched: sched, net: net, mon: mon, mgr: mgr}
 }
 
-// TestPlannerMetricsExported runs a replanning transfer with observability
-// attached and checks the planner counters land in the registry and agree
-// with the planner's own taxonomy: every replan is exactly one of cache hit,
-// repair, or full recompute.
-func TestPlannerMetricsExported(t *testing.T) {
-	r, o := newObsRig(t)
+// replanningTransfer runs a dynamic transfer whose best path degrades midway,
+// so the planner is asked again, and returns its result.
+func replanningTransfer(t *testing.T, r *rig) Result {
+	t.Helper()
 	r.sched.RunFor(time.Minute)
 	var res *Result
 	if _, err := r.mgr.Transfer(Request{From: "A", To: "D", Size: 1 << 30,
@@ -60,9 +59,20 @@ func TestPlannerMetricsExported(t *testing.T) {
 	if res == nil {
 		t.Fatal("dynamic transfer did not finish")
 	}
+	return *res
+}
 
-	reg := o.Registry()
-	val := func(name string) int64 { return reg.Counter(name, "").With().Value() }
+// TestPlannerMetricsExported runs a replanning transfer with observability
+// attached and checks that the planner-call events land in the planner
+// families and agree with the planner's own counters: every replan is
+// exactly one of cache hit, repair, or full recompute, and every dirty-edge
+// commit is counted.
+func TestPlannerMetricsExported(t *testing.T) {
+	o := obs.NewObserver()
+	r := newObsRig(t, o)
+	replanningTransfer(t, r)
+
+	val := func(name string) int64 { return o.Metrics.Counter(name, "").With().Value() }
 	replans := val("sage_planner_replans_total")
 	hits := val("sage_planner_cache_hits_total")
 	repairs := val("sage_planner_repairs_total")
@@ -78,8 +88,10 @@ func TestPlannerMetricsExported(t *testing.T) {
 		t.Fatal("no dirty-edge commits exported despite live monitoring")
 	}
 	s := r.mgr.Planner().Stats()
-	if int64(s.Replans) != replans {
-		t.Fatalf("exported %d replans, planner counted %d", replans, s.Replans)
+	got := [5]int64{replans, hits, repairs, fulls, val("sage_planner_dirty_edges_total")}
+	want := [5]int64{int64(s.Replans), int64(s.CacheHits), int64(s.Repairs), int64(s.FullRecomputes), int64(s.DirtyEdges)}
+	if got != want {
+		t.Fatalf("exported replans, hits, repairs, fulls, dirty edges %v; planner counted %v", got, want)
 	}
 
 	// The replan timeline span must appear: the transfer above replanned.
@@ -98,16 +110,21 @@ func TestPlannerMetricsExported(t *testing.T) {
 }
 
 // TestPlannerMetricsInertWhenOff checks the disabled path: without an
-// observer every planner handle is a no-op, but the planner itself still
-// plans and counts.
+// observer the planner still plans and counts, and the transfer and the
+// planner's counters are those of the observed run.
 func TestPlannerMetricsInertWhenOff(t *testing.T) {
-	r := newRig(t, true)
-	r.sched.RunFor(time.Minute)
-	r.run(t, Request{From: "A", To: "D", Size: 64 << 20, Strategy: WidestStatic, Lanes: 2, Intr: 1}, 12*time.Hour)
-	if r.mgr.pm.replans.Enabled() || r.mgr.pm.dirtyLast.Enabled() {
-		t.Fatal("planner metric handles live despite observability off")
-	}
-	if s := r.mgr.Planner().Stats(); s.Replans == 0 {
+	off := newObsRig(t, nil)
+	offRes := replanningTransfer(t, off)
+	if s := off.mgr.Planner().Stats(); s.Replans == 0 {
 		t.Fatalf("planner did not count replans: %+v", s)
+	}
+	on := newObsRig(t, obs.NewObserver())
+	onRes := replanningTransfer(t, on)
+	if !reflect.DeepEqual(offRes, onRes) {
+		t.Fatalf("observer changed the transfer:\noff %+v\non  %+v", offRes, onRes)
+	}
+	if off.mgr.Planner().Stats() != on.mgr.Planner().Stats() {
+		t.Fatalf("observer changed the planner: off %+v, on %+v",
+			off.mgr.Planner().Stats(), on.mgr.Planner().Stats())
 	}
 }
