@@ -198,5 +198,7 @@ echo
 if [ ${#moved[@]} -eq 0 ]; then
 	echo "verdict: unchanged"
 else
-	echo "verdict: $(IFS=,; echo "${moved[*]}")"
+	verdict=${moved[0]}
+	for m in "${moved[@]:1}"; do verdict+=", $m"; done
+	echo "verdict: $verdict"
 fi

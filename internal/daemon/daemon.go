@@ -253,8 +253,9 @@ func (d *Daemon) submit(ros *apiv1.Roster) (*apiv1.SubmitResponse, error) {
 	// Build into locals and adopt only after the whole roster validates: a
 	// rejected first roster must leave the daemon world-less, so the next
 	// roster is still "first" and gets its arrivals scheduled through Open.
-	// (A discarded engine is harmless — metric registration is find-or-create
-	// and the audit log sees no events from a world that never runs.)
+	// (A discarded engine is harmless — it registers no metric family, and
+	// the only facts it emits are its monitor's learning probes, which the
+	// probe counters take and the audit log ignores.)
 	first := d.eng == nil
 	eng, sc, seed := d.eng, d.sc, d.seed
 	if first {

@@ -205,8 +205,9 @@ type seriesKey struct {
 }
 
 // linkHandles are the per-link handles, in three groups that resolve
-// separately: the transfer families (started is nil until the link's first
-// transfer fact), the network's link state and the monitor's probes.
+// separately, each on its own first fact: the transfer families, the
+// network's link state and the monitor's probes. A group's handles are zero
+// until then.
 type linkHandles struct {
 	started, bytes, acks, retransmits, replans Counter
 	seconds                                    Histogram
