@@ -383,9 +383,9 @@ type stagedWindow struct {
 type windowState struct {
 	window  stream.Window
 	arrived int
-	// merged accumulates the arrived partials; freed once the window
-	// completes (significant at 10^6-key scale, where each merged aggregate
-	// holds a cell per key).
+	// merged accumulates the arrived partials; it goes back to the job's sink
+	// pool once the window completes (significant at 10^6-key scale, where
+	// each merged aggregate holds a cell per key).
 	merged *stream.KeyedAgg
 	// from marks which source slots have delivered this window — maintained
 	// only for resilient jobs, where replays can re-deliver a partial the
@@ -428,17 +428,18 @@ type JobRun struct {
 	// guard is the job's resilience orchestrator (nil when disabled): a set
 	// of commit-phase hooks, never a different window path.
 	guard *jobGuard
-	// sinkTable is the union of every source generator's interned keys,
-	// built at Start: the sink-side merge aggregates (per-window merged
-	// state, the global answer, and whatever a failover rebuilds from a
-	// checkpoint) index dense cells over it instead of hashing strings.
-	sinkTable *stream.KeyTable
+	// srcs are the run's sources, in JobSpec.Sources order.
+	srcs []*sourceState
+	// sinkPool holds the sink-side merge aggregates (per-window merged state,
+	// the global answer, and whatever a failover rebuilds from a
+	// checkpoint), dense over the union of every source generator's interned
+	// keys, built at Start: they index cells instead of hashing strings. A
+	// window's merged table returns to it once the window completes.
+	sinkPool *stream.AggPool
 }
 
 // newSinkAgg returns an empty sink-side aggregate over the union key table.
-func (r *JobRun) newSinkAgg() *stream.KeyedAgg {
-	return stream.NewKeyedAggDense(r.job.Agg, r.sinkTable)
-}
+func (r *JobRun) newSinkAgg() *stream.KeyedAgg { return r.sinkPool.Get() }
 
 // Done reports whether all windows have been processed and every partial
 // has landed.
@@ -564,10 +565,11 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 			agg: stream.NewWindowAggDense(job.Window, job.Agg, gen.Table()),
 		}
 	}
+	run.srcs = srcs
 	// The sink merges each source's partials into the union table by index,
 	// through the source's remap: no key string is looked up.
-	var remaps [][]int
-	run.sinkTable, remaps = workload.KeyUnion(gens)
+	sinkTable, remaps := workload.KeyUnion(gens)
+	run.sinkPool = stream.NewAggPool(job.Agg, sinkTable)
 	for i, s := range srcs {
 		s.remap = remaps[i]
 	}
@@ -591,7 +593,9 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	run.complete = func(ws *windowState, at simtime.Time) {
 		rep.Global.Merge(ws.merged)
 		// Every source has delivered, so any later arrival for this window
-		// state is a duplicate the guard drops before merging.
+		// state is a duplicate the guard drops before merging: the merged
+		// table has had its last reader.
+		run.sinkPool.Put(ws.merged)
 		ws.merged = nil
 		if run.guard != nil && !run.guard.noteComplete(ws.window.Start) {
 			// Re-collection of a window already counted before a failover:
@@ -606,7 +610,7 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	}
 
 	if job.Resilience != nil {
-		run.guard = newJobGuard(e, run, *job.Resilience, srcs, base)
+		run.guard = newJobGuard(e, run, *job.Resilience, base)
 	}
 
 	// The one window path: every source window is a two-phase event on the
@@ -711,7 +715,6 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 		// order, on recovery.
 		return
 	}
-	job := run.job
 	run.processed++
 	coveredCurrent := false
 	for i, cw := range st.closed {
@@ -730,7 +733,7 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 		// from "site missing".
 		empty := stream.Closed{
 			Window: stream.Window{Start: st.start, End: end},
-			Agg:    stream.NewKeyedAggDense(job.Agg, s.gen.Table()),
+			Agg:    s.agg.Pool().Get(),
 		}
 		e.ship(run, s, empty, st.kept, -1, nil)
 	}
@@ -815,6 +818,11 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 		})
 		rep.TotalBytes += bytes
 		rep.TotalCost += cost
+		if run.guard == nil {
+			// The sink merge is a partial's last reader unless a batch log
+			// keeps it for replay (then its trim is, jobGuard.checkpoint).
+			s.agg.Pool().Put(cw.Agg)
+		}
 		if ws.arrived == len(job.Sources) {
 			run.complete(ws, e.Sched.Now())
 		}

@@ -65,16 +65,19 @@ type jobGuard struct {
 	log *resilience.BatchLog
 	met resilience.Metrics
 
-	srcs []*sourceState
-
 	ckptTick *simtime.Ticker
 	ckptSeq  int
 	lastCkpt []byte // encoded latest checkpoint, nil before the first
 	// A checkpoint round reuses its big storage: ckptCells takes the sink's
 	// cell snapshots, and the round encodes into ckptSpare — the buffer of the
 	// checkpoint before last — so lastCkpt stays whole until its successor is.
-	ckptCells []stream.KeyCell
-	ckptSpare []byte
+	// ckptCells[:globalCells] is the global answer's snapshot; globalStale
+	// marks it out of date, which only a window completion or a failover
+	// makes it.
+	ckptCells   []stream.KeyCell
+	ckptSpare   []byte
+	globalCells int
+	globalStale bool
 	// first is the start of the job's first window: where the completion
 	// frontier starts walking.
 	first simtime.Time
@@ -111,31 +114,31 @@ type parkedWindow struct {
 	st  stagedWindow
 }
 
-func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, srcs []*sourceState, first simtime.Time) *jobGuard {
+func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, first simtime.Time) *jobGuard {
 	cfg = cfg.WithDefaults()
 	g := &jobGuard{
-		e:         e,
-		run:       run,
-		cfg:       cfg,
-		det:       e.detector(cfg),
-		log:       resilience.NewBatchLog(),
-		srcs:      srcs,
-		first:     first,
-		completed: make(map[simtime.Time]bool),
-		counted:   make(map[simtime.Time]bool),
+		e:           e,
+		run:         run,
+		cfg:         cfg,
+		det:         e.detector(cfg),
+		log:         resilience.NewBatchLog(),
+		first:       first,
+		completed:   make(map[simtime.Time]bool),
+		counted:     make(map[simtime.Time]bool),
+		globalStale: true,
 	}
-	n := len(srcs)
+	n := len(run.srcs)
 	g.acked = make([]map[simtime.Time]bool, n)
 	g.aborted = make([]map[simtime.Time]int64, n)
 	g.parked = make([][]parkedWindow, n)
 	g.open = make([][]resilience.WindowCells, n)
 	g.recovering = make([]map[simtime.Time]bool, n)
-	for i := range srcs {
+	for i := range run.srcs {
 		g.acked[i] = make(map[simtime.Time]bool)
 		g.aborted[i] = make(map[simtime.Time]int64)
 		g.recovering[i] = make(map[simtime.Time]bool)
 	}
-	for _, s := range srcs {
+	for _, s := range run.srcs {
 		g.det.Watch(s.spec.Site)
 	}
 	g.det.Watch(run.job.Sink)
@@ -186,7 +189,8 @@ func (g *jobGuard) parkOrPublish(s *sourceState, end simtime.Time, st stagedWind
 
 // recordWindow retains a shipped window in the source's batch log (first
 // ship only; replays find their window already present). The log keeps the
-// closed aggregate itself: nothing writes it again.
+// closed aggregate itself: nothing writes it until the trim that drops it
+// hands it back to the source's pool (release).
 func (g *jobGuard) recordWindow(s *sourceState, cw stream.Closed, events int, bytes int64) {
 	if _, ok := g.log.Get(s.idx, cw.Window.Start); ok {
 		return
@@ -229,8 +233,10 @@ func (g *jobGuard) noteArrive(s *sourceState, ws *windowState, bytes int64) bool
 }
 
 // noteComplete reports whether a completing window should be counted in the
-// report (false for re-collections after a failover).
+// report (false for re-collections after a failover). The window has just
+// merged into the global answer.
 func (g *jobGuard) noteComplete(start simtime.Time) bool {
+	g.globalStale = true
 	g.completed[start] = true
 	if g.counted[start] {
 		return false
@@ -256,7 +262,7 @@ func (g *jobGuard) checkpoint() {
 	// is skipped while any of them is declared dead. This is what makes the
 	// interval matter: a failure invalidates every round since the last
 	// completed one.
-	for _, s := range g.srcs {
+	for _, s := range g.run.srcs {
 		if g.det.State(s.spec.Site) == resilience.Dead {
 			return
 		}
@@ -272,10 +278,30 @@ func (g *jobGuard) checkpoint() {
 	g.met.CheckpointBytes += int64(len(b))
 	g.met.LastCheckpointBytes = int64(len(b))
 	cutoff := g.completionFrontier()
-	for i := range g.srcs {
-		g.log.TrimThrough(i, cutoff)
+	for i, s := range g.run.srcs {
+		g.log.TrimThrough(i, cutoff, func(lw resilience.LoggedWindow) { g.release(s, lw.Agg) })
 	}
 	g.emit(obs.Event{Kind: obs.EvCheckpoint, Site: string(g.run.sink), Bytes: int64(len(b)), ID: uint64(g.ckptSeq)})
+}
+
+// release returns a partial the batch log has dropped to its source's pool.
+// The trim is the partial's last reader unless a ship of it is still in
+// flight or held by a preemption — a replay that duplicates a delivery the
+// window completed with — and then the ship's own arrival is, and the
+// partial is left to the collector: only a partial with no reader left may
+// be reused.
+func (g *jobGuard) release(s *sourceState, agg *stream.KeyedAgg) {
+	for i := range g.run.live {
+		if g.run.live[i].cw.Agg == agg {
+			return
+		}
+	}
+	for i := range g.run.held {
+		if g.run.held[i].cw.Agg == agg {
+			return
+		}
+	}
+	s.agg.Pool().Put(agg)
 }
 
 // completionFrontier returns the largest time T such that every window of
@@ -294,8 +320,8 @@ func (g *jobGuard) completionFrontier() simtime.Time {
 
 func (g *jobGuard) buildCheckpoint() *resilience.Checkpoint {
 	ck := &resilience.Checkpoint{Seq: g.ckptSeq, At: g.e.Sched.Now(),
-		Sources: make([]resilience.SourceState, 0, len(g.srcs))}
-	for i, s := range g.srcs {
+		Sources: make([]resilience.SourceState, 0, len(g.run.srcs))}
+	for i, s := range g.run.srcs {
 		ss := resilience.SourceState{Site: s.spec.Site, Index: i}
 		ss.Acked = g.currentAcked(i)
 		ss.Open = g.open[i]
@@ -311,8 +337,14 @@ func (g *jobGuard) buildCheckpoint() *resilience.Checkpoint {
 	// The sink's cells go into one scratch buffer that lives across rounds:
 	// the checkpoint is encoded before the next round overwrites it. (A list
 	// taken before the buffer grew keeps pointing at the old array, which
-	// still holds its cells.)
-	cells := g.run.rep.Global.AppendSnapshot(g.ckptCells[:0])
+	// still holds its cells.) The global answer's snapshot leads it and is
+	// retaken only after the answer changed: a round between two window
+	// completions finds the last round's.
+	cells := g.ckptCells[:g.globalCells]
+	if g.globalStale {
+		cells = g.run.rep.Global.AppendSnapshot(cells[:0])
+		g.globalCells, g.globalStale = len(cells), false
+	}
 	ck.Sink.Global = cells
 	for _, start := range sortedTimes(g.run.windows) {
 		ws := g.run.windows[start]
@@ -357,11 +389,30 @@ func (g *jobGuard) decodeCkpt() *resilience.Checkpoint {
 	}
 	ck, err := resilience.DecodeCheckpoint(g.lastCkpt)
 	if err != nil {
-		// A corrupt checkpoint is equivalent to having none.
-		g.emit(obs.Event{Kind: obs.EvCheckpointLost, Site: string(g.run.sink), Note: err.Error()})
+		g.lostCkpt(err)
 		return nil
 	}
 	return ck
+}
+
+// decodeSources is decodeCkpt for a source transition, which reads only the
+// sources' entries: the same checks, without building the sink's cells.
+func (g *jobGuard) decodeSources() []resilience.SourceState {
+	if g.lastCkpt == nil {
+		return nil
+	}
+	srcs, err := resilience.DecodeSources(g.lastCkpt)
+	if err != nil {
+		g.lostCkpt(err)
+		return nil
+	}
+	return srcs
+}
+
+// lostCkpt reports a checkpoint that failed to decode: a corrupt checkpoint
+// is equivalent to having none.
+func (g *jobGuard) lostCkpt(err error) {
+	g.emit(obs.Event{Kind: obs.EvCheckpointLost, Site: string(g.run.sink), Note: err.Error()})
 }
 
 // ---- failure handling ------------------------------------------------------
@@ -388,7 +439,7 @@ func (g *jobGuard) onDead(site cloud.SiteID) {
 	}
 	g.e.Monitor.PauseSite(site)
 	g.emit(obs.Event{Kind: obs.EvSiteFail, Site: string(site), Dur: g.det.DetectLatency(site)})
-	for i, s := range g.srcs {
+	for i, s := range g.run.srcs {
 		if s.spec.Site != site {
 			continue
 		}
@@ -423,32 +474,31 @@ func (g *jobGuard) abortInflight(i int) {
 // window aggregate restarts from the open-window state of the last
 // checkpoint (none can complete while the site is down, so it is the one
 // recovery will read). A stage may already have run up to one lookahead past
-// the commit clock, so the swap is itself a two-phase event on the source's
+// the commit clock, so the reset is itself a two-phase event on the source's
 // shard, one lookahead ahead — the earliest a control message could reach the
 // site — and the shard's (time, seq) order places it between the same two
-// window stages at any shard count.
+// window stages at any shard count. The reset keeps the source's pool: the
+// dropped windows' aggregates join it.
 func (g *jobGuard) loseOperator(i int, s *sourceState) {
 	var open []resilience.WindowCells
-	if ss := ckptSource(g.decodeCkpt(), i); ss != nil {
+	if ss := ckptSource(g.decodeSources(), i); ss != nil {
 		open = ss.Open
 	}
 	sh := g.e.shard
 	sh.At(s.shard, g.e.Sched.Now()+sh.Lookahead(), func() {
-		s.agg = stream.NewWindowAggDense(g.run.job.Window, g.run.job.Agg, s.gen.Table())
+		s.agg.Reset()
 		for _, w := range open {
 			s.agg.RestoreWindow(stream.Window{Start: w.Start, End: w.End}, w.Cells)
 		}
 	}, func() { g.open[i] = open })
 }
 
-// ckptSource returns source i's entry in a checkpoint (nil without one).
-func ckptSource(ck *resilience.Checkpoint, i int) *resilience.SourceState {
-	if ck == nil {
-		return nil
-	}
-	for j := range ck.Sources {
-		if ck.Sources[j].Index == i {
-			return &ck.Sources[j]
+// ckptSource returns source i's entry among a checkpoint's sources (nil
+// without one).
+func ckptSource(srcs []resilience.SourceState, i int) *resilience.SourceState {
+	for j := range srcs {
+		if srcs[j].Index == i {
+			return &srcs[j]
 		}
 	}
 	return nil
@@ -462,19 +512,19 @@ func (g *jobGuard) onRecover(site cloud.SiteID) {
 	g.met.Recoveries++
 	g.e.Monitor.ResumeSite(site)
 	g.emit(obs.Event{Kind: obs.EvSiteRecover, Site: string(site)})
-	ck := g.decodeCkpt()
-	for i, s := range g.srcs {
+	srcs := g.decodeSources()
+	for i, s := range g.run.srcs {
 		if s.spec.Site != site {
 			continue
 		}
-		g.recoverSource(i, s, ck, now)
+		g.recoverSource(i, s, srcs, now)
 	}
 }
 
-func (g *jobGuard) recoverSource(i int, s *sourceState, ck *resilience.Checkpoint, now simtime.Time) {
+func (g *jobGuard) recoverSource(i int, s *sourceState, ckSrcs []resilience.SourceState, now simtime.Time) {
 	ckAcked := make(map[simtime.Time]bool)
 	ckLed := make(map[simtime.Time]transfer.Ledger)
-	if ss := ckptSource(ck, i); ss != nil {
+	if ss := ckptSource(ckSrcs, i); ss != nil {
 		for _, t := range ss.Acked {
 			ckAcked[t] = true
 		}
@@ -543,11 +593,11 @@ func (g *jobGuard) failover(oldSink cloud.SiteID) {
 	now := g.e.Sched.Now()
 	run := g.run
 	// Everything in flight was heading to a dead receiver.
-	for i := range g.srcs {
+	for i := range g.run.srcs {
 		g.abortInflight(i)
 	}
 	var sourceSites []cloud.SiteID
-	for _, s := range g.srcs {
+	for _, s := range g.run.srcs {
 		sourceSites = append(sourceSites, s.spec.Site)
 	}
 	exclude := func(c cloud.SiteID) bool {
@@ -593,12 +643,13 @@ func (g *jobGuard) failover(oldSink cloud.SiteID) {
 		}
 	}
 	run.rep.Global = global
+	g.globalStale = true
 	g.completed = completed
 
 	// Alive sources re-ship retained windows the checkpoint does not prove
 	// completed (a dead source replays on its own recovery).
 	g.startRecovery(now)
-	for i, s := range g.srcs {
+	for i, s := range g.run.srcs {
 		if g.det.State(s.spec.Site) != resilience.Alive {
 			continue
 		}

@@ -172,7 +172,7 @@ func TestSourcesDealtRoundRobin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range run.guard.srcs {
+		for _, s := range run.srcs {
 			perShard[s.shard]++
 		}
 	}

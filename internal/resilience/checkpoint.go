@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"sage/internal/cloud"
 	"sage/internal/simtime"
@@ -147,7 +148,24 @@ func (c *Checkpoint) AppendEncode(dst []byte) []byte {
 
 // DecodeCheckpoint parses bytes produced by Encode, verifying the magic and
 // checksum.
-func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
+func DecodeCheckpoint(b []byte) (*Checkpoint, error) { return decode(b, false) }
+
+// DecodeSources is DecodeCheckpoint for a reader that needs only the
+// sources' entries (a source site failing or returning): it makes the same
+// checks and accepts exactly the bytes DecodeCheckpoint accepts, but walks
+// over the sink's section — its cell lists hold a cell per key of the job —
+// without building it.
+func DecodeSources(b []byte) ([]SourceState, error) {
+	c, err := decode(b, true)
+	if err != nil {
+		return nil, err
+	}
+	return c.Sources, nil
+}
+
+// decode is the one checkpoint parser; with sourcesOnly it checks the sink's
+// section without keeping it.
+func decode(b []byte, sourcesOnly bool) (*Checkpoint, error) {
 	if len(b) < len(checkpointMagic)+8 {
 		return nil, errors.New("resilience: checkpoint truncated")
 	}
@@ -179,6 +197,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 			s.Ledgers[j].Ledger = d.ledger()
 		}
 	}
+	d.skip = sourcesOnly
 	c.Sink.Site = cloud.SiteID(d.str())
 	c.Sink.Completed = d.times()
 	c.Sink.Global = d.cells()
@@ -205,22 +224,41 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 // ckptEncoder appends fixed-width big-endian fields to a buffer.
 type ckptEncoder struct{ buf []byte }
 
-func (e *ckptEncoder) raw(s string)  { e.buf = append(e.buf, s...) }
-func (e *ckptEncoder) u64(v uint64)  { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-func (e *ckptEncoder) i64(v int64)   { e.u64(uint64(v)) }
-func (e *ckptEncoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *ckptEncoder) str(s string)  { e.u64(uint64(len(s))); e.raw(s) }
+func (e *ckptEncoder) raw(s string) { e.buf = append(e.buf, s...) }
+func (e *ckptEncoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
+func (e *ckptEncoder) i64(v int64)  { e.u64(uint64(v)) }
+func (e *ckptEncoder) str(s string) { e.u64(uint64(len(s))); e.raw(s) }
 
+// cells writes a cell list: its length, then per cell the key as a string
+// and the four accumulator fields. A list can hold a cell per key of the job,
+// so it is not appended field by field: the buffer grows once to the list's
+// encoded size, and each cell is stored at fixed offsets into it.
 func (e *ckptEncoder) cells(cs []stream.KeyCell) {
 	e.u64(uint64(len(cs)))
-	for _, c := range cs {
-		e.str(c.Key)
-		e.i64(c.Count)
-		e.f64(c.Sum)
-		e.f64(c.Min)
-		e.f64(c.Max)
+	n := cellBytes * len(cs)
+	for i := range cs {
+		n += len(cs[i].Key)
+	}
+	at := len(e.buf)
+	e.buf = slices.Grow(e.buf, n)[:at+n]
+	b := e.buf[at:]
+	for i := range cs {
+		c := &cs[i]
+		k := len(c.Key)
+		binary.BigEndian.PutUint64(b, uint64(k))
+		copy(b[8:], c.Key)
+		r := b[8+k : cellBytes+k]
+		binary.BigEndian.PutUint64(r[0:], uint64(c.Count))
+		binary.BigEndian.PutUint64(r[8:], math.Float64bits(c.Sum))
+		binary.BigEndian.PutUint64(r[16:], math.Float64bits(c.Min))
+		binary.BigEndian.PutUint64(r[24:], math.Float64bits(c.Max))
+		b = b[cellBytes+k:]
 	}
 }
+
+// cellBytes is a cell's encoded size but for its key: the key's length and
+// the four fixed64 accumulator fields.
+const cellBytes = 8 + 32
 
 func (e *ckptEncoder) ledger(l *transfer.Ledger) {
 	e.u64(l.TransferID)
@@ -235,10 +273,13 @@ func (e *ckptEncoder) ledger(l *transfer.Ledger) {
 }
 
 // ckptDecoder reads the encoder's fields back, sticky-erroring on underrun.
+// With skip set, strings, time lists and cell lists are checked and passed
+// over instead of built (read as empty).
 type ckptDecoder struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	skip bool
 }
 
 func (d *ckptDecoder) u64() uint64 {
@@ -277,13 +318,31 @@ func (d *ckptDecoder) str() string {
 		d.err = errors.New("resilience: checkpoint underrun")
 		return ""
 	}
+	if d.skip {
+		d.off += n
+		return ""
+	}
 	s := string(d.buf[d.off : d.off+n])
 	d.off += n
 	return s
 }
 
+// pass skips n fixed-width fields, failing as reading them would.
+func (d *ckptDecoder) pass(n int) {
+	if d.err == nil && d.off+8*n > len(d.buf) {
+		d.err = errors.New("resilience: checkpoint underrun")
+		return
+	}
+	d.off += 8 * n
+}
+
 func (d *ckptDecoder) times() []simtime.Time {
-	out := make([]simtime.Time, d.len())
+	n := d.len()
+	if d.skip {
+		d.pass(n)
+		return nil
+	}
+	out := make([]simtime.Time, n)
 	for i := range out {
 		out[i] = simtime.Time(d.i64())
 	}
@@ -291,7 +350,15 @@ func (d *ckptDecoder) times() []simtime.Time {
 }
 
 func (d *ckptDecoder) cells() []stream.KeyCell {
-	out := make([]stream.KeyCell, d.len())
+	n := d.len()
+	if d.skip {
+		for i := 0; i < n && d.err == nil; i++ {
+			d.str()
+			d.pass(4)
+		}
+		return nil
+	}
+	out := make([]stream.KeyCell, n)
 	for i := range out {
 		out[i].Key = d.str()
 		out[i].Count = d.i64()

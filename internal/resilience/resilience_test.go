@@ -248,10 +248,11 @@ func snapshotEvents(a *stream.KeyedAgg) int64 {
 
 // FuzzDecodeCheckpoint: DecodeCheckpoint never panics on outside bytes, and
 // whatever it accepts re-encodes to exactly those bytes, which decode again
-// to the same checkpoint. Each input is tried as it is and resealed — its
-// last eight bytes replaced by the checksum of the rest — so mutations reach
-// the parser behind the trailer check. Seeded with the per-kind round trip's
-// encodings and the sample checkpoint.
+// to the same checkpoint. DecodeSources accepts exactly what DecodeCheckpoint
+// accepts and returns the same sources. Each input is tried as it is and
+// resealed — its last eight bytes replaced by the checksum of the rest — so
+// mutations reach the parser behind the trailer check. Seeded with the
+// per-kind round trip's encodings and the sample checkpoint.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, kind := range allKinds {
 		ck, _, _, _ := perKindCheckpoint(kind)
@@ -267,8 +268,16 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		for _, in := range inputs {
 			ck, err := DecodeCheckpoint(in)
+			srcs, serr := DecodeSources(in)
+			if (err == nil) != (serr == nil) {
+				t.Fatalf("DecodeCheckpoint error %v, DecodeSources error %v", err, serr)
+			}
 			if err != nil {
 				continue
+			}
+			// Compared by encoding: cells may hold NaNs.
+			if a, b := (&Checkpoint{Sources: srcs}).Encode(), (&Checkpoint{Sources: ck.Sources}).Encode(); !bytes.Equal(a, b) {
+				t.Fatalf("DecodeSources returned %+v, DecodeCheckpoint %+v", srcs, ck.Sources)
 			}
 			re := ck.Encode()
 			if !bytes.Equal(re, in) {
@@ -373,8 +382,13 @@ func TestBatchLogRetentionAndTrim(t *testing.T) {
 	if w, ok := l.Get(0, win(3).Window.Start); !ok || w.Events != 40 {
 		t.Fatalf("retained window lost: %+v %v", w, ok)
 	}
-	// Trim behind a checkpoint frontier.
-	l.TrimThrough(0, win(98).Window.End)
+	// Trim behind a checkpoint frontier: every dropped window goes to the
+	// release, oldest first.
+	var released []int
+	l.TrimThrough(0, win(98).Window.End, func(w LoggedWindow) { released = append(released, w.Events/10-1) })
+	if len(released) != 99 || released[0] != 0 || released[98] != 98 || !slices.IsSorted(released) {
+		t.Fatalf("released windows %v, want 0 … 98 in order", released)
+	}
 	if l.Len(0) != 1 {
 		t.Fatalf("len after trim = %d, want 1", l.Len(0))
 	}
@@ -488,7 +502,7 @@ func TestBatchLogDropsReleaseStorage(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		trimmed.Append(0, win(i))
 	}
-	trimmed.TrimThrough(0, win(3).Window.End)
+	trimmed.TrimThrough(0, win(3).Window.End, func(LoggedWindow) {})
 	check("trim", trimmed, 2)
 	if got := trimmed.Windows(0)[0].Window; got != win(4).Window {
 		t.Fatalf("trim kept %v first, want %v", got, win(4).Window)

@@ -16,10 +16,9 @@ import (
 // The step (Uint64's body) is written out in each loop. As an inlined helper
 // returning the word and the four new state words it compiles (go1.24, amd64)
 // to a loop that spills s1 to the stack and reloads it every iteration — the
-// memory round trip the fills exist to remove; written out, Zipf.Fill and
-// FillZigNorm keep the state in registers and spill only loop invariants.
-// FillIntn's three multiplies pin AX:DX and still push one state word out.
-// The sequence tests hold the copies together.
+// memory round trip the fills exist to remove; written out, the loops keep
+// the state in registers and spill only loop invariants. The sequence tests
+// hold the copies together.
 
 // Fill draws len(ids) keys: ids[i] = int32(z.Uint64()) + off. It panics when
 // the largest key plus off does not fit an int32.
@@ -87,7 +86,10 @@ func (r *Rand) FillIntn(ids []int32, n int, off int32) {
 	if int64(n)-1+int64(off) > math.MaxInt32 {
 		panic("rng: FillIntn keys do not fit int32")
 	}
-	m := newModulus(uint64(n))
+	// The hardware remainder: a 64-bit DIV measured 4.0–4.9 ns a draw against
+	// 5.1–6.7 ns for the Lemire–Kaser–Kurz multiply reduction it replaced
+	// (2-vCPU amd64 VM, 1 024-draw blocks, n = 100 to 2^30+7).
+	m := uint64(n)
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	for i := range ids {
 		u := bits.RotateLeft64(s1*5, 7) * 9
@@ -98,39 +100,7 @@ func (r *Rand) FillIntn(ids []int32, n int, off int32) {
 		s0 ^= s3
 		s2 ^= t
 		s3 = bits.RotateLeft64(s3, 45)
-		ids[i] = int32(m.reduce(u)) + off
+		ids[i] = int32(u%m) + off
 	}
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
-}
-
-// modulus computes u % n for one n and many u without dividing (Lemire, Kaser
-// and Kurz, "Faster remainder by direct computation", at 64 bits): with
-// M = ceil(2^128 / n), the fraction u/n is (M·u mod 2^128) / 2^128 up to an
-// error too small to carry into the product's integer part, so multiplying
-// that fraction by n and keeping the integer part gives the remainder. It is
-// exact for every u and every n >= 1 (FuzzIntnReduction); a 64-bit DIV costs
-// as much as the rest of a key draw.
-type modulus struct {
-	n        uint64
-	mhi, mlo uint64 // M mod 2^128; n = 1 gives M = 2^128, stored as 0, and u % 1 = 0
-}
-
-func newModulus(n uint64) modulus {
-	// M = floor((2^128 - 1) / n) + 1, by long division of the two all-ones
-	// words: the first quotient word's remainder is below n, as Div64 requires.
-	mhi, rem := math.MaxUint64/n, math.MaxUint64%n
-	mlo, _ := bits.Div64(rem, math.MaxUint64, n)
-	mlo, carry := bits.Add64(mlo, 1, 0)
-	return modulus{n: n, mhi: mhi + carry, mlo: mlo}
-}
-
-// reduce returns u % m.n.
-func (m modulus) reduce(u uint64) uint64 {
-	// f = M·u mod 2^128, then floor(f·n / 2^128).
-	fhi, flo := bits.Mul64(m.mlo, u)
-	fhi += m.mhi * u
-	top, mid := bits.Mul64(fhi, m.n)
-	low, _ := bits.Mul64(flo, m.n)
-	_, carry := bits.Add64(mid, low, 0)
-	return top + carry
 }

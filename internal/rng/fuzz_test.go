@@ -2,13 +2,17 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
-// FuzzIntnReduction: the multiply reduction FillIntn draws keys with is
-// u % n, for every u and every n >= 1. The seeds are the moduli where a
-// rounded reciprocal is most likely to be one off — 1, powers of two and
-// their neighbours, the largest ints — and the engine's own, each with the
+// FuzzIntnReduction: a key Intn or FillIntn draws from the word u is u % n,
+// placed at the offset, for every u and every n >= 1, and FillIntn refuses
+// exactly the (n, offset) pairs whose keys would not fit an int32. Each draw
+// starts from a state built to emit u next (nextWord), so the fuzzer picks the
+// word as well as the modulus. The seeds are the moduli where a remainder is
+// most likely to go wrong — 1, powers of two and their neighbours, the int32
+// and int64 edges, the largest words — and the engine's own, each with the
 // words next to a multiple of it.
 func FuzzIntnReduction(f *testing.F) {
 	moduli := []uint64{1, 2, 3, 20_000, 1<<31 - 1, 1<<62 + 12_345, math.MaxInt64, math.MaxUint64}
@@ -25,10 +29,75 @@ func FuzzIntnReduction(f *testing.F) {
 		if n == 0 {
 			t.Skip("no remainder modulo 0")
 		}
-		if got, want := newModulus(n).reduce(u), u%n; got != want {
-			t.Fatalf("reduce(%#x) modulo %#x = %#x, %% gives %#x", u, n, got, want)
+		if got := nextWord(u).Uint64(); got != u {
+			t.Fatalf("nextWord(%#x) emits %#x", u, got)
+		}
+		if n > math.MaxInt64 {
+			// int(n) is negative: both draws refuse it as Intn's range error.
+			for name, draw := range map[string]func(){
+				"Intn":     func() { nextWord(u).Intn(int(n)) },
+				"FillIntn": func() { nextWord(u).FillIntn(make([]int32, 1), int(n), math.MinInt32) },
+			} {
+				if got := panicOf(draw); got != errIntnRange {
+					t.Fatalf("%s modulo %#x panicked with %v, want %q", name, n, got, errIntnRange)
+				}
+			}
+			return
+		}
+		want := u % n
+		if got := nextWord(u).Intn(int(n)); uint64(got) != want {
+			t.Fatalf("Intn(%#x) from word %#x = %#x, %% gives %#x", n, u, got, want)
+		}
+		offs := []int32{0, math.MinInt32}
+		if top := math.MaxInt32 - (int64(n) - 1); top >= math.MinInt32 && top != 0 {
+			offs = append(offs, int32(top)) // the largest key is MaxInt32
+		}
+		for _, off := range offs {
+			r, twin := nextWord(u), nextWord(u)
+			ids := make([]int32, 1)
+			fits := int64(n)-1+int64(off) <= math.MaxInt32
+			if got := panicOf(func() { r.FillIntn(ids, int(n), off) }); (got == nil) != fits {
+				t.Fatalf("FillIntn(%#x, off %d) panicked with %v; keys fit int32: %v", n, off, got, fits)
+			}
+			if !fits {
+				continue
+			}
+			twin.Uint64()
+			if key := int64(want) + int64(off); int64(ids[0]) != key {
+				t.Fatalf("FillIntn(%#x, off %d) from word %#x = %d, want %d", n, off, u, ids[0], key)
+			}
+			if *r != *twin {
+				t.Fatalf("FillIntn(%#x, off %d) left the generator off its one-word step", n, off)
+			}
 		}
 	})
+}
+
+// nextWord returns a generator whose next Uint64 is u. xoshiro256** emits
+// rotl(s1·5, 7)·9 before it steps, and 5 and 9 are odd, so s1 is u times the
+// inverse of 9, rotated back, times the inverse of 5 (mod 2^64); the other
+// words are fixed and keep the state off all-zero.
+func nextWord(u uint64) *Rand {
+	s1 := bits.RotateLeft64(u*inverseOdd(9), -7) * inverseOdd(5)
+	return &Rand{s0: 0x9e3779b97f4a7c15, s1: s1, s2: 0xbf58476d1ce4e5b9, s3: 0x94d049bb133111eb}
+}
+
+// inverseOdd returns the inverse of an odd a modulo 2^64 by Newton's
+// iteration, x ← x·(2 − a·x): a is its own inverse to 3 bits, and each step
+// doubles the bits that are right.
+func inverseOdd(a uint64) uint64 {
+	x := a
+	for range 5 {
+		x *= 2 - a*x
+	}
+	return x
+}
+
+// panicOf runs draw and returns what it panicked with, or nil.
+func panicOf(draw func()) (v any) {
+	defer func() { v = recover() }()
+	draw()
+	return nil
 }
 
 // FuzzFillSplit lifts the seeded scripts of fill_test.go into a fuzz target:

@@ -332,7 +332,7 @@ func (a *KeyedAgg) mergeIndexed(src []cell, remap []int) {
 
 // Reset clears every accumulated value while keeping the aggregate's kind,
 // table, and allocated storage, leaving it indistinguishable from a freshly
-// constructed one. It backs WindowAgg's recycling pool.
+// constructed one. AggPool.Get calls it on the aggregate it hands out.
 func (a *KeyedAgg) Reset() {
 	if a.live > 0 {
 		clear(a.dense)
@@ -489,6 +489,61 @@ func (a *KeyedAgg) RestoreCell(kc KeyCell) {
 	a.slot(kc.Key).merge(a.Kind, &cell{count: kc.Count, acc: *kc.field(a.Kind)})
 }
 
+// AggPool keeps spent aggregates of one kind over one key table for reuse,
+// so a stream of same-shaped windows runs without allocating (or zeroing) a
+// fresh dense table per window. Put files an aggregate whose last reader is
+// done with it; Get hands one back cleared, or builds a fresh one when the
+// pool is empty. The clearing happens on Get, not Put: an aggregate filed
+// away keeps its cells, unread, until it is reused, so the step that files it
+// can still check what it held, and the clearing runs where the next window
+// is filled (on a sharded engine, the parallel stage). A pool is not safe for
+// concurrent use; its owner serialises Get and Put.
+type AggPool struct {
+	kind  AggKind
+	table *KeyTable // nil: map-backed aggregates
+	free  []*KeyedAgg
+}
+
+// NewAggPool returns an empty pool of kind-kind aggregates, dense over t when
+// t is non-nil.
+func NewAggPool(kind AggKind, t *KeyTable) *AggPool {
+	return &AggPool{kind: kind, table: t}
+}
+
+// Get returns an empty aggregate: the last one Put, cleared, or a new one.
+func (p *AggPool) Get() *KeyedAgg {
+	n := len(p.free)
+	if n == 0 {
+		if p.table != nil {
+			return NewKeyedAggDense(p.kind, p.table)
+		}
+		return NewKeyedAgg(p.kind)
+	}
+	a := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	a.Reset()
+	return a
+}
+
+// Put files an aggregate for reuse. It must be of the pool's kind over the
+// pool's table (anything else panics: a mismatched aggregate would corrupt
+// the window that reuses it), and the caller must hold no reference to it:
+// the next Get clears it and hands it to a new owner.
+func (p *AggPool) Put(a *KeyedAgg) {
+	if a.Kind != p.kind || a.table != p.table {
+		panic(fmt.Sprintf("stream: pooling a %v aggregate in a %v pool of another table", a.Kind, p.kind))
+	}
+	if p.Holds(a) {
+		panic("stream: aggregate pooled twice: two owners would share it")
+	}
+	p.free = append(p.free, a)
+}
+
+// Holds reports whether a is filed in the pool. The pool stays a handful of
+// aggregates long, so the scan is short.
+func (p *AggPool) Holds(a *KeyedAgg) bool { return slices.Contains(p.free, a) }
+
 // Window is a half-open event-time interval [Start, End).
 type Window struct {
 	Start, End simtime.Time
@@ -506,15 +561,15 @@ type WindowAgg struct {
 	// table, when non-nil, makes every window's aggregate dense (see
 	// NewKeyedAggDense).
 	table *KeyTable
+	// pool supplies every window's aggregate and takes spent ones back.
+	pool *AggPool
 	// last{Start,Agg} cache the most recent window so in-order event runs
 	// skip the map lookup; invalidated on Advance.
 	lastStart simtime.Time
 	lastAgg   *KeyedAgg
 	starts    []simtime.Time // Advance scratch, reused across calls
-	// aggPool and closedPool hold storage returned via Recycle, so a
-	// caller that consumes each Advance batch immediately can run the
-	// window churn without allocating.
-	aggPool    []*KeyedAgg
+	// closedPool holds the slice Recycle took back: it backs the next Advance
+	// result.
 	closedPool []Closed
 	// events is AddBlock's scratch for a block it has to fold event by event.
 	events []Event
@@ -531,43 +586,41 @@ func NewWindowAggDense(width time.Duration, kind AggKind, t *KeyTable) *WindowAg
 	if width <= 0 {
 		panic("stream: window width must be positive")
 	}
-	return &WindowAgg{Width: width, Kind: kind, table: t, open: make(map[simtime.Time]*KeyedAgg)}
+	return &WindowAgg{Width: width, Kind: kind, table: t, pool: NewAggPool(kind, t),
+		open: make(map[simtime.Time]*KeyedAgg)}
 }
 
-// newAgg builds one window's aggregate, dense when a table is configured.
-// Recycled aggregates are reused before anything is allocated.
-func (w *WindowAgg) newAgg() *KeyedAgg {
-	if n := len(w.aggPool); n > 0 {
-		a := w.aggPool[n-1]
-		w.aggPool[n-1] = nil
-		w.aggPool = w.aggPool[:n-1]
-		return a
-	}
-	if w.table != nil {
-		return NewKeyedAggDense(w.Kind, w.table)
-	}
-	return NewKeyedAgg(w.Kind)
-}
+// Pool returns the pool the aggregator takes its windows' aggregates from.
+// An aggregate Advance returned is never written again by the aggregator
+// (a late event for the same start opens a fresh one) nor by a merge, which
+// only reads its argument; its last reader hands it back here with Put, and
+// the aggregator reuses it for a later window.
+func (w *WindowAgg) Pool() *AggPool { return w.pool }
 
-// Recycle returns a batch obtained from this aggregator's Advance to its
-// internal pool: the aggregates are cleared and reused for future windows,
-// and the slice backs the next Advance result. Only call it once per batch,
-// and only after the caller is completely done with the aggregates —
-// recycled aggregates must not be retained. Recycle is the only way an
-// aggregate Advance has returned is ever written again: the aggregator itself
-// has dropped it (a late event for the same start opens a fresh one) and
-// Merge only reads its argument. The engine ships closed partials downstream
-// and its resilience batch log retains them by reference for replay, so the
-// engine must NOT recycle them (core's TestLoggedAggregatesImmutable pins it).
+// Recycle hands back a whole batch Advance returned, for a caller that is
+// done with it at once: every aggregate goes to the pool, and the slice backs
+// the next Advance result. Only call it once per batch, and keep no reference
+// to its aggregates. A caller whose partials have readers of their own (the
+// engine) hands each back to Pool when its last reader is done instead.
 func (w *WindowAgg) Recycle(batch []Closed) {
 	for i := range batch {
 		if a := batch[i].Agg; a != nil {
-			a.Reset()
-			w.aggPool = append(w.aggPool, a)
+			w.pool.Put(a)
 			batch[i] = Closed{}
 		}
 	}
 	w.closedPool = batch[:0]
+}
+
+// Reset drops every open window, leaving the aggregator as it was built but
+// for its pool, which takes the dropped windows' aggregates: what a
+// restarted operator holds before it restores a checkpoint.
+func (w *WindowAgg) Reset() {
+	for start, a := range w.open {
+		w.pool.Put(a)
+		delete(w.open, start)
+	}
+	w.lastAgg = nil
 }
 
 // Add folds an event into its window.
@@ -596,7 +649,7 @@ func (w *WindowAgg) aggFor(t simtime.Time) *KeyedAgg {
 	start := t - (t % simtime.Time(w.Width))
 	agg := w.open[start]
 	if agg == nil {
-		agg = w.newAgg()
+		agg = w.pool.Get()
 		w.open[start] = agg
 	}
 	w.lastStart, w.lastAgg = start, agg
@@ -635,7 +688,7 @@ func (w *WindowAgg) OpenSnapshot() []OpenWindow {
 func (w *WindowAgg) RestoreWindow(win Window, cells []KeyCell) {
 	agg := w.open[win.Start]
 	if agg == nil {
-		agg = w.newAgg()
+		agg = w.pool.Get()
 		w.open[win.Start] = agg
 	}
 	for _, kc := range cells {
