@@ -379,6 +379,42 @@ type stagedWindow struct {
 	open []resilience.WindowCells
 }
 
+// partial is the one record of one source's closed window partial, made by
+// the commit that closes the window. Every reader points to it: the ship and
+// its arrival, the live transfer (JobRun.live), a preemption's hold
+// (JobRun.held), a resilient job's batch log and every replay from the log.
+// At most one ship of a partial is outstanding — a replay or a resume follows
+// the abort, drop or hold of the ship before — so the per-ship state lives
+// here too.
+type partial struct {
+	stream.Closed
+	s      *sourceState
+	events int
+	// bytes is the wire size measured at the commit (serialized or raw, plus
+	// PartialOverheadBytes). The aggregate is not written after its window
+	// closed, so every replay and resume ships the same size.
+	bytes  int64
+	logged bool // in its source's batch log (jobGuard.log)
+	// h is the acknowledged transfer carrying it while it is in JobRun.live.
+	h *transfer.Handle
+	// held marks it parked in JobRun.held by a preemption; resume is the held
+	// ship's ledger (nil: it was never dispatched, ship from scratch).
+	held   bool
+	resume *transfer.Ledger
+	// abortAcked is what its last aborted ship had delivered: the replay
+	// charges whatever its resume point does not cover as duplicate work.
+	abortAcked int64
+}
+
+// release returns the partial's aggregate to its source's pool once nothing
+// reads it: not logged, not live and not held. Each reader calls it as it
+// lets go, so the last one files the aggregate.
+func (p *partial) release() {
+	if !p.logged && p.h == nil && !p.held {
+		p.s.agg.Pool().Put(p.Agg)
+	}
+}
+
 // windowState tracks global completion of one window at the sink.
 type windowState struct {
 	window  stream.Window
@@ -409,13 +445,13 @@ type JobRun struct {
 	// completedAt is the virtual time Done() first became true (0 until
 	// then): the job's precise finish for multi-job completion accounting.
 	completedAt simtime.Time
-	// live is the one record of in-flight acknowledged transfers, keyed by
-	// source slot and window start: checkpoint ledgers, abort-on-death,
-	// preemption and cancellation all read it. held queues ships deferred
-	// while the job's transfers are paused; each held entry owns one
-	// provisional inflight count.
-	live       []liveXfer
-	held       []heldShip
+	// live lists the partials an acknowledged transfer is carrying:
+	// checkpoint ledgers, abort-on-death, preemption and cancellation all
+	// read it. held queues the partials whose ships were deferred while the
+	// job's transfers are paused; each held entry owns one provisional
+	// inflight count.
+	live       []*partial
+	held       []*partial
 	xferPaused bool
 	// cancelled marks a run withdrawn by Engine.CancelJob: its remaining
 	// window closes and ships become no-ops and it is Done immediately.
@@ -721,21 +757,21 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 		if cw.Window.Start == st.start {
 			coveredCurrent = true
 		}
-		pre := int64(-1)
+		var pre int64
 		if st.preBytes != nil {
 			pre = st.preBytes[i]
 		}
-		e.ship(run, s, cw, st.kept, pre, nil)
+		e.ship(run, run.newPartial(s, cw, st.kept, pre), nil)
 	}
 	if !coveredCurrent {
 		// Every window ships a partial even when all events were
 		// filtered out: the sink must be able to distinguish "no data"
-		// from "site missing".
+		// from "site missing". An empty aggregate serializes to no bytes.
 		empty := stream.Closed{
 			Window: stream.Window{Start: st.start, End: end},
 			Agg:    s.agg.Pool().Get(),
 		}
-		e.ship(run, s, empty, st.kept, -1, nil)
+		e.ship(run, run.newPartial(s, empty, st.kept, 0), nil)
 	}
 	run.rep.TotalEvents += int64(st.kept)
 	e.Obs.Emit(obs.Event{Kind: obs.EvWindowClose, At: end, Job: run.id,
@@ -743,45 +779,45 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 	run.noteDone(e.Sched.Now())
 }
 
-// ship moves one closed window partial from a source site to the sink.
-// preBytes is the partial's serialized size when the stage phase measured it
-// (-1: measure here). resume, when non-nil, is the ledger of an interrupted
-// transfer of the same partial — a preemption hold or a checkpoint — so
-// delivery restarts from the last acknowledged chunk.
-func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
-	preBytes int64, resume *transfer.Ledger) {
+// newPartial makes the record of a closed window partial of source s, sized
+// from the aggregate's serialized bytes as the stage measured them, or from
+// its events for a job that ships them raw. A resilient job's batch log
+// keeps the record from here on, so a held partial whose source or sink dies
+// is re-shipped from the log.
+func (r *JobRun) newPartial(s *sourceState, cw stream.Closed, events int, serialized int64) *partial {
+	p := &partial{Closed: cw, s: s, events: events, bytes: serialized}
+	if r.job.ShipRaw {
+		p.bytes = int64(events) * s.spec.EventBytes
+	}
+	p.bytes += PartialOverheadBytes
+	if r.guard != nil {
+		r.guard.logPartial(p)
+	}
+	return p
+}
 
+// ship moves one closed window partial from its source site to the sink.
+// resume, when non-nil, is the ledger of an interrupted transfer of the same
+// partial — a preemption hold or a checkpoint — so delivery restarts from the
+// last acknowledged chunk.
+func (e *Engine) ship(run *JobRun, p *partial, resume *transfer.Ledger) {
 	job := run.job
 	rep := run.rep
 	inflight := &run.inflight
 	sink := run.sink
+	s, cw, events := p.s, p.Closed, p.events
 
 	if run.cancelled {
 		return
 	}
-	var bytes int64
-	switch {
-	case job.ShipRaw:
-		bytes = int64(events) * s.spec.EventBytes
-	case preBytes >= 0:
-		bytes = preBytes
-	default:
-		bytes = cw.Agg.SerializedBytes()
-	}
-	bytes += PartialOverheadBytes
-	if run.guard != nil {
-		// Logged before a pause can park the ship: a held partial whose
-		// source or sink dies is dropped and re-shipped from the batch log.
-		run.guard.recordWindow(s, cw, events, bytes)
-	}
+	bytes := p.bytes
 	if run.xferPaused {
 		// The scheduler has preempted this job's transfers: park the ship
-		// (with its resume ledger, if any, and the size measured above) and
-		// keep one provisional inflight count so Done() stays false until the
-		// held work replays.
+		// (with its resume ledger, if any) and keep one provisional inflight
+		// count so Done() stays false until the held work replays.
 		*inflight++
-		run.held = append(run.held, heldShip{s: s, cw: cw, events: events,
-			preBytes: bytes - PartialOverheadBytes, resume: resume})
+		p.held, p.resume = true, resume
+		run.held = append(run.held, p)
 		return
 	}
 
@@ -818,11 +854,10 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 		})
 		rep.TotalBytes += bytes
 		rep.TotalCost += cost
-		if run.guard == nil {
-			// The sink merge is a partial's last reader unless a batch log
-			// keeps it for replay (then its trim is, jobGuard.checkpoint).
-			s.agg.Pool().Put(cw.Agg)
-		}
+		// The sink merge is the partial's last reader unless a batch log
+		// keeps it for replay (then the trim is, jobGuard.checkpoint). A
+		// duplicate arrival reads nothing, so it files nothing either.
+		p.release()
 		if ws.arrived == len(job.Sources) {
 			run.complete(ws, e.Sched.Now())
 		}
@@ -928,7 +963,7 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 	var err error
 	h, err = e.Mgr.Transfer(req, func(res transfer.Result) {
 		*inflight--
-		run.untrack(h)
+		run.untrack(p)
 		if job.Calibrate {
 			e.Calib.RecordNormalized(s.spec.Site, e.Sched.Now(), lanes, res.Duration, res.Bytes)
 		}
@@ -945,8 +980,8 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 			Site: string(s.spec.Site), Peer: string(sink), Bytes: size, Note: job.Strategy.String(),
 			Lanes: lanes, Predicted: pred, Nodes: res.NodesUsed, Replans: res.Replans,
 			Actual: obs.Outcome{MBps: res.MBps, Time: res.Duration, Cost: res.Cost}})
-		// untrack dropped the last reference to the handle, so the run can
-		// return to the manager's pool for the next window.
+		// untrack dropped the record's reference to the handle, so the run
+		// can return to the manager's pool for the next window.
 		e.Mgr.Recycle(h)
 		run.noteDone(e.Sched.Now())
 	})
@@ -955,9 +990,11 @@ func (e *Engine) ship(run *JobRun, s *sourceState, cw stream.Closed, events int,
 		run.noteDone(e.Sched.Now())
 		// A partial that cannot be shipped is lost; the window will be
 		// reported incomplete.
+		p.release()
 		return
 	}
-	run.live = append(run.live, liveXfer{h: h, s: s, cw: cw, events: events})
+	p.h = h
+	run.live = append(run.live, p)
 }
 
 // estimate is the monitor's current rate estimate of the link from one site

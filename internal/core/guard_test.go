@@ -23,7 +23,7 @@ import (
 // TestBatchLogTrimsAfterWarmup is the completion-frontier regression. Every
 // scenario / saged / sagesim job starts after a warm-up, and every
 // scheduler-admitted job mid-run, so its first window does not start at
-// virtual time 0; a frontier that walks from 0 never moves, TrimThrough drops
+// virtual time 0; a frontier that walks from 0 never moves, the trim drops
 // nothing, and the batch log holds every window of the run (here all 10 per
 // source, each a dense cell table). With the walk started at the job's first
 // window the log holds what the last checkpoint could not vouch for, and the
@@ -56,7 +56,7 @@ func TestBatchLogTrimsAfterWarmup(t *testing.T) {
 		t.Fatalf("checkpoints = %d, want one per 30 s of a 5 m run", g.met.Checkpoints)
 	}
 	for i := range g.run.srcs {
-		if n := g.log.Len(i); n > 2 {
+		if n := len(g.log[i]); n > 2 {
 			t.Errorf("source %d: batch log holds %d windows after the last checkpoint, want <= 2", i, n)
 		}
 	}
@@ -118,13 +118,13 @@ func TestLoggedAggregatesImmutable(t *testing.T) {
 	left := 0
 	for end := simtime.Time(dur + time.Minute); e.Sched.Now() < end && e.Sched.Step(); {
 		now := make(map[*stream.KeyedAgg]bool)
-		for i := range g.run.srcs {
-			for _, lw := range g.log.Windows(i) {
-				now[lw.Agg] = true
-				if _, ok := inLog[lw.Agg]; !ok {
-					inLog[lw.Agg] = logged{src: i, window: lw.Window, cells: lw.Agg.Snapshot()}
-					windows[[2]int64{int64(i), int64(lw.Window.Start)}] = true
-					aggs[lw.Agg]++
+		for i, log := range g.log {
+			for _, p := range log {
+				now[p.Agg] = true
+				if _, ok := inLog[p.Agg]; !ok {
+					inLog[p.Agg] = logged{src: i, window: p.Window, cells: p.Agg.Snapshot()}
+					windows[[2]int64{int64(i), int64(p.Window.Start)}] = true
+					aggs[p.Agg]++
 				}
 			}
 		}
@@ -167,10 +167,12 @@ func TestLoggedAggregatesImmutable(t *testing.T) {
 // partials go back at the sink merge. The scheduler preempts both twice:
 // across the source's recovery and the next checkpoint, so the replays of
 // windows that had completed are held when the trim drops them, and across
-// the failover, so held ships are dropped with the sink. Every checkpoint
-// must also record the global answer as it stands, though a round reuses the
-// last round's snapshot of it until a window completes. Both answers must
-// still be their unfailed, unpreempted runs'.
+// the failover, so held ships are dropped with the sink. A window the trim
+// dropped never enters its source's batch log again, though a held replay of
+// it is resumed after the trim. Every checkpoint must also record the global
+// answer as it stands, though a round reuses the last round's snapshot of it
+// until a window completes. Both answers must still be their unfailed,
+// unpreempted runs'.
 func TestPooledAggregatesHaveNoReader(t *testing.T) {
 	const dur = 5 * time.Minute
 	plain := func() JobSpec {
@@ -222,7 +224,27 @@ func TestPooledAggregatesHaveNoReader(t *testing.T) {
 
 	var pooled, held, merged int // what the rule was checked against
 	g, rounds := runs[0].guard, 0
+	// (source, window start) in a batch log after the last event, and every
+	// one a trim has dropped since the run began.
+	logged, dropped := map[[2]int64]bool{}, map[[2]int64]bool{}
 	for end := simtime.Time(dur + time.Minute); e.Sched.Now() < end && e.Sched.Step(); {
+		now := make(map[[2]int64]bool)
+		for i, log := range g.log {
+			for _, p := range log {
+				w := [2]int64{int64(i), int64(p.Window.Start)}
+				if dropped[w] {
+					t.Fatalf("at %v: source %d window %v entered the batch log again after a trim dropped it",
+						e.Sched.Now(), i, p.Window)
+				}
+				now[w] = true
+			}
+		}
+		for w := range logged {
+			if !now[w] {
+				dropped[w] = true
+			}
+		}
+		logged = now
 		if g.met.Checkpoints > rounds {
 			rounds = g.met.Checkpoints
 			ck, err := resilience.DecodeCheckpoint(g.lastCkpt)
@@ -254,7 +276,7 @@ func TestPooledAggregatesHaveNoReader(t *testing.T) {
 			}
 		}
 		for _, p := range pools {
-			pooled += poolLen(p)
+			pooled += len(poolFree(p))
 		}
 	}
 	reps := e.Wait(0, runs...)
@@ -262,8 +284,9 @@ func TestPooledAggregatesHaveNoReader(t *testing.T) {
 	if rm := reps[0].Resilience; rm.Failures != 2 || rm.Recoveries != 1 || rm.Failovers != 1 {
 		t.Fatalf("schedule did not exercise recovery and failover: %+v", rm)
 	}
-	if pooled == 0 || held == 0 || merged == 0 {
-		t.Fatalf("the rule was not exercised: %d pooled, %d held and %d merged aggregate-steps", pooled, held, merged)
+	if pooled == 0 || held == 0 || merged == 0 || len(dropped) == 0 {
+		t.Fatalf("the rule was not exercised: %d pooled, %d held and %d merged aggregate-steps, %d trimmed windows",
+			pooled, held, merged, len(dropped))
 	}
 	for i, rep := range reps {
 		if rep.Windows != clean[i].Windows || rep.Incomplete != 0 {
@@ -288,11 +311,11 @@ func aggReaders(r *JobRun) []aggReader {
 			out = append(out, aggReader{a, what})
 		}
 	}
-	for _, lx := range r.live {
-		add(lx.cw.Agg, "a live transfer")
+	for _, p := range r.live {
+		add(p.Agg, "a live transfer")
 	}
-	for _, hs := range r.held {
-		add(hs.cw.Agg, "a held ship")
+	for _, p := range r.held {
+		add(p.Agg, "a held ship")
 	}
 	for _, s := range r.srcs {
 		for _, st := range s.pending[s.pendingHead:] {
@@ -305,9 +328,9 @@ func aggReaders(r *JobRun) []aggReader {
 		}
 	}
 	if g := r.guard; g != nil {
-		for i := range g.run.srcs {
-			for _, lw := range g.log.Windows(i) {
-				add(lw.Agg, "the batch log")
+		for i, log := range g.log {
+			for _, p := range log {
+				add(p.Agg, "the batch log")
 			}
 			for _, p := range g.parked[i] {
 				for _, cw := range p.st.closed {
@@ -335,9 +358,82 @@ func openAggs(w *stream.WindowAgg) []*stream.KeyedAgg {
 	return out
 }
 
-// poolLen returns how many aggregates a pool holds, by the same reflection.
-func poolLen(p *stream.AggPool) int {
-	return reflect.ValueOf(p).Elem().FieldByName("free").Len()
+// poolFree returns the aggregates a pool holds in the order they were filed,
+// by the same reflection.
+func poolFree(p *stream.AggPool) []*stream.KeyedAgg {
+	free := reflect.ValueOf(p).Elem().FieldByName("free")
+	out := make([]*stream.KeyedAgg, free.Len())
+	for i := range out {
+		out[i] = (*stream.KeyedAgg)(free.Index(i).UnsafePointer())
+	}
+	return out
+}
+
+// loggedPartials returns n logged partials of one source, one per 30 s
+// window from time 0, each with an aggregate from the source's pool.
+func loggedPartials(n int) []*partial {
+	const width = 30 * time.Second
+	s := &sourceState{agg: stream.NewWindowAgg(width, stream.Sum)}
+	log := make([]*partial, n)
+	for i := range log {
+		w := stream.Window{Start: simtime.Time(i) * simtime.Time(width), End: simtime.Time(i+1) * simtime.Time(width)}
+		log[i] = &partial{Closed: stream.Closed{Window: w, Agg: s.agg.Pool().Get()}, s: s, logged: true}
+	}
+	return log
+}
+
+// TestTrimLogReleasesOldestFirst: a trim takes every partial ending at or
+// before the cutoff out of the log and releases each, oldest first, so
+// their aggregates reach the pool in window order. A dropped partial that a
+// ship still reads, live or held, stays out of the pool until that ship lets
+// go of it.
+func TestTrimLogReleasesOldestFirst(t *testing.T) {
+	all := loggedPartials(100)
+	pool := all[0].s.agg.Pool()
+	live, held := all[10], all[20]
+	live.h, held.held = &transfer.Handle{}, true
+
+	kept := trimLog(slices.Clone(all), all[98].Window.End)
+	if len(kept) != 1 || kept[0] != all[99] || !kept[0].logged {
+		t.Fatalf("trim kept %d partials, want only window %v, still logged", len(kept), all[99].Window)
+	}
+	var want []*stream.KeyedAgg
+	for _, p := range all[:99] {
+		if p.logged {
+			t.Fatalf("window %v was trimmed but still reads as logged", p.Window)
+		}
+		if p != live && p != held {
+			want = append(want, p.Agg)
+		}
+	}
+	if got := poolFree(pool); !slices.Equal(got, want) {
+		t.Fatalf("the trim filed %d aggregates, want the 97 dropped ones no ship reads, oldest first", len(got))
+	}
+
+	live.h = nil
+	live.release()
+	held.held = false
+	held.release()
+	if got := poolFree(pool); len(got) != 99 || got[97] != live.Agg || got[98] != held.Agg {
+		t.Fatal("a trimmed partial did not reach the pool when its last ship let go of it")
+	}
+}
+
+// TestTrimLogClearsVacatedSlots: a trim compacts the log in place; the
+// slots it vacates past the new length must not keep pointing at the
+// dropped partials, or a trimmed window stays reachable — and its aggregate
+// uncollectable — for as long as the log lives.
+func TestTrimLogClearsVacatedSlots(t *testing.T) {
+	all := loggedPartials(6)
+	log := trimLog(slices.Clone(all), all[3].Window.End)
+	if len(log) != 2 || log[0] != all[4] || log[1] != all[5] {
+		t.Fatalf("trim kept %d partials, want windows %v and %v", len(log), all[4].Window, all[5].Window)
+	}
+	for i, p := range log[len(log):cap(log)] {
+		if p != nil {
+			t.Fatalf("vacated slot %d still holds window %v", i, p.Window)
+		}
+	}
 }
 
 // TestCheckpointSteadyStateAllocs is the price tag on a checkpoint round: at

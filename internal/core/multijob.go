@@ -5,34 +5,11 @@ import (
 	"slices"
 
 	"sage/internal/simtime"
-	"sage/internal/stream"
-	"sage/internal/transfer"
 )
 
 // This file is the engine's multi-job surface: the per-run identity,
 // accounting and preemption hooks the sched package builds on. A single-job
 // engine never touches any of it beyond the zero-valued fields.
-
-// liveXfer tracks one in-flight acknowledged transfer, keyed by (s.idx,
-// cw.Window.Start), with enough context to checkpoint its ledger, abort it
-// and later replay the ship from that ledger.
-type liveXfer struct {
-	h      *transfer.Handle
-	s      *sourceState
-	cw     stream.Closed
-	events int
-}
-
-// heldShip is a ship deferred while the job's transfers are paused. Each
-// held entry owns exactly one provisional inflight count, taken when the
-// ship was intercepted and released when the replay re-dispatches it.
-type heldShip struct {
-	s        *sourceState
-	cw       stream.Closed
-	events   int
-	preBytes int64
-	resume   *transfer.Ledger // nil: never dispatched, ship from scratch
-}
 
 // ID returns the run's engine-assigned job number (Start order, first job 0).
 func (r *JobRun) ID() int { return r.id }
@@ -59,48 +36,50 @@ func (r *JobRun) noteDone(now simtime.Time) {
 	}
 }
 
-// untrack drops a finished or aborted transfer from the live set.
-func (r *JobRun) untrack(h *transfer.Handle) {
-	for i := range r.live {
-		if r.live[i].h == h {
-			last := len(r.live) - 1
-			r.live[i] = r.live[last]
-			r.live[last] = liveXfer{}
-			r.live = r.live[:last]
-			return
-		}
-	}
+// untrack drops a live partial whose transfer finished or was aborted from
+// the live set.
+func (r *JobRun) untrack(p *partial) {
+	i := slices.Index(r.live, p)
+	last := len(r.live) - 1
+	r.live[i] = r.live[last]
+	r.live[last] = nil
+	r.live = r.live[:last]
+	p.h = nil
 }
 
-// liveOf returns source slot i's in-flight transfers in window order.
-func (r *JobRun) liveOf(i int) []liveXfer {
-	var out []liveXfer
-	for _, lx := range r.live {
-		if lx.s.idx == i {
-			out = append(out, lx)
+// liveOf returns source slot i's partials in flight on acknowledged
+// transfers, in window order.
+func (r *JobRun) liveOf(i int) []*partial {
+	var out []*partial
+	for _, p := range r.live {
+		if p.s.idx == i {
+			out = append(out, p)
 		}
 	}
-	slices.SortFunc(out, func(a, b liveXfer) int { return cmp.Compare(a.cw.Window.Start, b.cw.Window.Start) })
+	slices.SortFunc(out, func(a, b *partial) int { return cmp.Compare(a.Window.Start, b.Window.Start) })
 	return out
 }
 
 // dropHeld withdraws the held ships of source slot i (every source when
-// i < 0) together with the provisional inflight counts they own, and returns
-// them.
-func (r *JobRun) dropHeld(i int) []heldShip {
-	var dropped []heldShip
+// i < 0) together with the provisional inflight counts they own. A dropped
+// ship that had been dispatched keeps its acknowledged bytes as the
+// partial's abortAcked, and a partial no batch log keeps goes to its pool.
+func (r *JobRun) dropHeld(i int) {
 	kept := r.held[:0]
-	for _, hs := range r.held {
-		if i < 0 || hs.s.idx == i {
-			dropped = append(dropped, hs)
-		} else {
-			kept = append(kept, hs)
+	for _, p := range r.held {
+		if i >= 0 && p.s.idx != i {
+			kept = append(kept, p)
+			continue
 		}
+		r.inflight--
+		if p.resume != nil {
+			p.abortAcked = p.resume.AckedBytes()
+		}
+		p.held, p.resume = false, nil
+		p.release()
 	}
 	clear(r.held[len(kept):])
 	r.held = kept
-	r.inflight -= len(dropped)
-	return dropped
 }
 
 // PauseJobTransfers preempts a run's wide-area activity: every in-flight
@@ -116,15 +95,14 @@ func (e *Engine) PauseJobTransfers(run *JobRun) {
 		return
 	}
 	run.xferPaused = true
-	for _, lx := range run.live {
-		led := lx.h.Ledger()
-		e.Mgr.Abort(lx.h)
-		e.Mgr.Recycle(lx.h)
+	for _, p := range run.live {
+		led := p.h.Ledger()
+		e.Mgr.Abort(p.h)
+		e.Mgr.Recycle(p.h)
 		// The dispatch already counted this ship inflight; moving it from
 		// live to held transfers that count to the held entry untouched.
-		run.held = append(run.held, heldShip{
-			s: lx.s, cw: lx.cw, events: lx.events, preBytes: -1, resume: &led,
-		})
+		p.h, p.held, p.resume = nil, true, &led
+		run.held = append(run.held, p)
 	}
 	clear(run.live)
 	run.live = run.live[:0]
@@ -173,8 +151,10 @@ func (e *Engine) ResumeJobTransfers(run *JobRun) {
 	run.xferPaused = false
 	held := run.held
 	run.held = nil
-	for _, hs := range held {
+	for _, p := range held {
 		run.inflight-- // ship re-counts the dispatch
-		e.ship(run, hs.s, hs.cw, hs.events, hs.preBytes, hs.resume)
+		resume := p.resume
+		p.held, p.resume = false, nil
+		e.ship(run, p, resume)
 	}
 }

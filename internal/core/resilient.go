@@ -62,7 +62,6 @@ type jobGuard struct {
 	run *JobRun
 	cfg resilience.Config
 	det *resilience.Detector
-	log *resilience.BatchLog
 	met resilience.Metrics
 
 	ckptTick *simtime.Ticker
@@ -83,10 +82,12 @@ type jobGuard struct {
 	first simtime.Time
 
 	// Per-source bookkeeping, indexed by source slot. In-flight transfers
-	// are not tracked here: run.live is the one record.
-	acked   []map[simtime.Time]bool  // window ever delivered to a sink
-	aborted []map[simtime.Time]int64 // acked bytes at abort time
-	parked  [][]parkedWindow         // staged windows whose commit waits for recovery
+	// are not tracked here: run.live is the one list.
+	// log is the source's batch log: its shipped partials in window order,
+	// each kept for replay until the trim behind the completion frontier.
+	log    [][]*partial
+	acked  []map[simtime.Time]bool // window ever delivered to a sink
+	parked [][]parkedWindow        // staged windows whose commit waits for recovery
 	// open[i] is source i's open-window state as of its last committed
 	// window (or operator swap): what a checkpoint records. Ordered by
 	// commit, where the live WindowAgg is ordered by staging.
@@ -121,21 +122,19 @@ func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, first simtime.Ti
 		run:         run,
 		cfg:         cfg,
 		det:         e.detector(cfg),
-		log:         resilience.NewBatchLog(),
 		first:       first,
 		completed:   make(map[simtime.Time]bool),
 		counted:     make(map[simtime.Time]bool),
 		globalStale: true,
 	}
 	n := len(run.srcs)
+	g.log = make([][]*partial, n)
 	g.acked = make([]map[simtime.Time]bool, n)
-	g.aborted = make([]map[simtime.Time]int64, n)
 	g.parked = make([][]parkedWindow, n)
 	g.open = make([][]resilience.WindowCells, n)
 	g.recovering = make([]map[simtime.Time]bool, n)
 	for i := range run.srcs {
 		g.acked[i] = make(map[simtime.Time]bool)
-		g.aborted[i] = make(map[simtime.Time]int64)
 		g.recovering[i] = make(map[simtime.Time]bool)
 	}
 	for _, s := range run.srcs {
@@ -187,18 +186,12 @@ func (g *jobGuard) parkOrPublish(s *sourceState, end simtime.Time, st stagedWind
 	return false
 }
 
-// recordWindow retains a shipped window in the source's batch log (first
-// ship only; replays find their window already present). The log keeps the
-// closed aggregate itself: nothing writes it until the trim that drops it
-// hands it back to the source's pool (release).
-func (g *jobGuard) recordWindow(s *sourceState, cw stream.Closed, events int, bytes int64) {
-	if _, ok := g.log.Get(s.idx, cw.Window.Start); ok {
-		return
-	}
-	g.log.Append(s.idx, resilience.LoggedWindow{
-		Window: cw.Window, Agg: cw.Agg,
-		Events: events, EventBytes: bytes,
-	})
+// logPartial retains a newly committed partial in its source's batch log.
+// The log keeps the record, and with it the closed aggregate itself: nothing
+// writes it, and only the trim that drops the record lets it go.
+func (g *jobGuard) logPartial(p *partial) {
+	p.logged = true
+	g.log[p.s.idx] = append(g.log[p.s.idx], p)
 }
 
 // noteArrive updates delivery bookkeeping when a partial lands; it returns
@@ -278,30 +271,26 @@ func (g *jobGuard) checkpoint() {
 	g.met.CheckpointBytes += int64(len(b))
 	g.met.LastCheckpointBytes = int64(len(b))
 	cutoff := g.completionFrontier()
-	for i, s := range g.run.srcs {
-		g.log.TrimThrough(i, cutoff, func(lw resilience.LoggedWindow) { g.release(s, lw.Agg) })
+	for i, log := range g.log {
+		g.log[i] = trimLog(log, cutoff)
 	}
 	g.emit(obs.Event{Kind: obs.EvCheckpoint, Site: string(g.run.sink), Bytes: int64(len(b)), ID: uint64(g.ckptSeq)})
 }
 
-// release returns a partial the batch log has dropped to its source's pool.
-// The trim is the partial's last reader unless a ship of it is still in
-// flight or held by a preemption — a replay that duplicates a delivery the
-// window completed with — and then the ship's own arrival is, and the
-// partial is left to the collector: only a partial with no reader left may
-// be reused.
-func (g *jobGuard) release(s *sourceState, agg *stream.KeyedAgg) {
-	for i := range g.run.live {
-		if g.run.live[i].cw.Agg == agg {
-			return
-		}
+// trimLog drops the partials of a batch log that end at or before cutoff,
+// oldest first, and returns what is left. Each dropped partial is released
+// as it leaves: the trim is its last reader unless a ship of it is still live
+// or held — a replay that duplicates a delivery its window completed with.
+// The compaction zeroes the slots it vacates, so the log keeps no reference
+// to a dropped partial.
+func trimLog(log []*partial, cutoff simtime.Time) []*partial {
+	n := 0
+	for n < len(log) && log[n].Window.End <= cutoff {
+		log[n].logged = false
+		log[n].release()
+		n++
 	}
-	for i := range g.run.held {
-		if g.run.held[i].cw.Agg == agg {
-			return
-		}
-	}
-	s.agg.Pool().Put(agg)
+	return slices.Delete(log, 0, n)
 }
 
 // completionFrontier returns the largest time T such that every window of
@@ -325,9 +314,9 @@ func (g *jobGuard) buildCheckpoint() *resilience.Checkpoint {
 		ss := resilience.SourceState{Site: s.spec.Site, Index: i}
 		ss.Acked = g.currentAcked(i)
 		ss.Open = g.open[i]
-		for _, lx := range g.run.liveOf(i) {
+		for _, p := range g.run.liveOf(i) {
 			ss.Ledgers = append(ss.Ledgers, resilience.WindowLedger{
-				Start: lx.cw.Window.Start, Ledger: lx.h.Ledger(),
+				Start: p.Window.Start, Ledger: p.h.Ledger(),
 			})
 		}
 		ck.Sources = append(ck.Sources, ss)
@@ -451,23 +440,20 @@ func (g *jobGuard) onDead(site cloud.SiteID) {
 	}
 }
 
-// abortInflight kills source i's live transfers, recording their progress:
-// whatever the last checkpoint did not capture becomes duplicate work when
-// the window is re-sent. Ships a preemption is holding are dropped the same
-// way — every held partial is in the batch log, so recovery re-ships it.
+// abortInflight kills source i's live transfers, recording their progress
+// on the partial: whatever the last checkpoint did not capture becomes
+// duplicate work when the window is re-sent. Ships a preemption is holding
+// are dropped the same way — a held partial the trim has not dropped is in
+// the batch log, so recovery re-ships it.
 func (g *jobGuard) abortInflight(i int) {
-	for _, lx := range g.run.liveOf(i) {
-		done, _ := lx.h.Progress()
-		g.aborted[i][lx.cw.Window.Start] = done
-		g.e.Mgr.Abort(lx.h)
-		g.run.untrack(lx.h)
+	for _, p := range g.run.liveOf(i) {
+		p.abortAcked, _ = p.h.Progress()
+		g.e.Mgr.Abort(p.h)
+		g.run.untrack(p)
 		g.run.inflight--
+		p.release()
 	}
-	for _, hs := range g.run.dropHeld(i) {
-		if hs.resume != nil {
-			g.aborted[i][hs.cw.Window.Start] = hs.resume.AckedBytes()
-		}
-	}
+	g.run.dropHeld(i)
 }
 
 // loseOperator models the site's operator memory dying with it: source i's
@@ -536,20 +522,19 @@ func (g *jobGuard) recoverSource(i int, s *sourceState, ckSrcs []resilience.Sour
 	// Replay every retained window the checkpoint does not prove delivered.
 	// The sink deduplicates re-deliveries; the re-sent bytes are the
 	// duplicate-work price of checkpoint staleness.
-	replay := append([]resilience.LoggedWindow(nil), g.log.Windows(i)...)
-	for _, lw := range replay {
-		if ckAcked[lw.Window.Start] {
+	for _, p := range g.log[i] {
+		if ckAcked[p.Window.Start] {
+			p.abortAcked = 0
 			continue
 		}
 		var resume *transfer.Ledger
-		if led, ok := ckLed[lw.Window.Start]; ok && led.To == g.run.sink {
+		if led, ok := ckLed[p.Window.Start]; ok && led.To == g.run.sink {
 			// Resume the interrupted transfer from its last checkpointed
 			// acknowledgement; progress beyond the ledger is re-sent.
 			resume = &led
 		}
-		g.reship(i, s, lw, resume)
+		g.reship(p, resume)
 	}
-	clear(g.aborted[i])
 	// Commit the windows parked during downtime, in order: they were staged
 	// on time, so the generator's draw sequence — and the replayed stream —
 	// is byte-identical to an unfailed run's.
@@ -562,14 +547,13 @@ func (g *jobGuard) recoverSource(i int, s *sourceState, ckSrcs []resilience.Sour
 	}
 }
 
-// reship replays one retained window of source i: the batch log's aggregate
-// ships again as it is.
-// Whatever its aborted transfer had delivered beyond resume (the
-// checkpointed ledger; nil: nothing) is duplicate work.
-func (g *jobGuard) reship(i int, s *sourceState, lw resilience.LoggedWindow, resume *transfer.Ledger) {
-	start := lw.Window.Start
-	wasted := g.aborted[i][start]
-	delete(g.aborted[i], start)
+// reship replays one logged partial: its aggregate ships again as it is, at
+// the size measured when it was committed. Whatever its aborted ship had
+// delivered beyond resume (the checkpointed ledger; nil: nothing) is
+// duplicate work.
+func (g *jobGuard) reship(p *partial, resume *transfer.Ledger) {
+	wasted := p.abortAcked
+	p.abortAcked = 0
 	if resume != nil {
 		wasted -= resume.AckedBytes()
 		g.met.ResumedTransfers++
@@ -577,10 +561,10 @@ func (g *jobGuard) reship(i int, s *sourceState, lw resilience.LoggedWindow, res
 	if wasted > 0 {
 		g.met.DuplicateBytes += wasted
 	}
-	g.markRecovering(i, start)
+	g.markRecovering(p.s.idx, p.Window.Start)
 	g.met.ReplayedWindows++
-	g.met.ReplayedEvents += int64(lw.Events)
-	g.e.ship(g.run, s, stream.Closed{Window: lw.Window, Agg: lw.Agg}, lw.Events, -1, resume)
+	g.met.ReplayedEvents += int64(p.events)
+	g.e.ship(g.run, p, resume)
 }
 
 // ---- sink failover ---------------------------------------------------------
@@ -653,16 +637,15 @@ func (g *jobGuard) failover(oldSink cloud.SiteID) {
 		if g.det.State(s.spec.Site) != resilience.Alive {
 			continue
 		}
-		replay := append([]resilience.LoggedWindow(nil), g.log.Windows(i)...)
-		for _, lw := range replay {
-			start := lw.Window.Start
+		for _, p := range g.log[i] {
+			start := p.Window.Start
 			if g.completed[start] {
 				continue
 			}
 			if ws := run.windows[start]; ws != nil && ws.from[i] {
 				continue // the checkpoint carried this partial across
 			}
-			g.reship(i, s, lw, nil)
+			g.reship(p, nil)
 		}
 	}
 }

@@ -10,10 +10,10 @@
 //   - heartbeat-based failure detection with configurable interval and
 //     suspect→dead transitions, recording its samples through the monitor's
 //     history machinery (Detector);
-//   - the building blocks of recovery orchestration: a retained per-source
-//     batch log for gap replay (BatchLog) and a widest-path sink-failover
-//     planner (PlanFailover). The orchestration itself lives in
-//     internal/core, which owns the job state being recovered.
+//   - a widest-path sink-failover planner (PlanFailover) for recovery
+//     orchestration. The orchestration itself — with each source's batch
+//     log for gap replay — lives in internal/core, which owns the job state
+//     being recovered.
 //
 // Everything here is deterministic: no randomness, sorted iteration, and all
 // timing derived from the simulation scheduler, so a run with resilience

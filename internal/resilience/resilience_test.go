@@ -361,45 +361,6 @@ func TestCheckpointRoundTripPerKind(t *testing.T) {
 	}
 }
 
-func TestBatchLogRetentionAndTrim(t *testing.T) {
-	l := NewBatchLog()
-	win := func(i int) LoggedWindow {
-		return LoggedWindow{
-			Window: stream.Window{
-				Start: simtime.Time(i) * simtime.Time(30*time.Second),
-				End:   simtime.Time(i+1) * simtime.Time(30*time.Second),
-			},
-			Events: 10 * (i + 1),
-		}
-	}
-	// Retention is unbounded: every appended window stays until a trim.
-	for i := 0; i < 100; i++ {
-		l.Append(0, win(i))
-	}
-	if l.Len(0) != 100 {
-		t.Fatalf("len = %d, want 100 before any trim", l.Len(0))
-	}
-	if w, ok := l.Get(0, win(3).Window.Start); !ok || w.Events != 40 {
-		t.Fatalf("retained window lost: %+v %v", w, ok)
-	}
-	// Trim behind a checkpoint frontier: every dropped window goes to the
-	// release, oldest first.
-	var released []int
-	l.TrimThrough(0, win(98).Window.End, func(w LoggedWindow) { released = append(released, w.Events/10-1) })
-	if len(released) != 99 || released[0] != 0 || released[98] != 98 || !slices.IsSorted(released) {
-		t.Fatalf("released windows %v, want 0 … 98 in order", released)
-	}
-	if l.Len(0) != 1 {
-		t.Fatalf("len after trim = %d, want 1", l.Len(0))
-	}
-	if _, ok := l.Get(0, win(3).Window.Start); ok {
-		t.Fatal("trimmed window still retrievable")
-	}
-	if w, ok := l.Get(0, win(99).Window.Start); !ok || w.Events != 1000 {
-		t.Fatalf("window past the frontier lost: %+v %v", w, ok)
-	}
-}
-
 func TestPlanFailoverPicksWidestReachable(t *testing.T) {
 	topo := cloud.DefaultAzure()
 	sites := topo.SiteIDs()
@@ -465,106 +426,100 @@ func TestPlanFailoverPicksWidestReachable(t *testing.T) {
 	}
 }
 
-// TestBatchLogDropsReleaseStorage: a trim compacts a source's windows in
-// place; the slots it vacates past the new length must not keep
-// pointing at the dropped windows' aggregates, or a trimmed window stays
-// reachable — and uncollectable — for as long as the log lives.
-func TestBatchLogDropsReleaseStorage(t *testing.T) {
-	win := func(i int) LoggedWindow {
-		w := simtime.Time(30 * time.Second)
-		return LoggedWindow{
-			Window: stream.Window{Start: simtime.Time(i) * w, End: simtime.Time(i+1) * w},
-			Agg:    stream.NewKeyedAgg(stream.Sum),
+// FuzzCheckpointCellOrder: the order of cells inside a checkpoint follows
+// the snapshot's storage order and is not sorted, so recovery must not
+// depend on it. The input is a program: its first byte is how many cells
+// (at most 40, each with its own key) join the sample checkpoint's global
+// answer, and each later byte permutes one of three cell lists — the global
+// answer, a partial window's and an open window's — by reversing it, swapping
+// two cells or rotating it (op%3 picks the list, op/3%3 the permutation; a
+// swap reads two index bytes and a rotation one). The permuted checkpoint
+// encodes to the same size, to the same bytes exactly when no list moved,
+// decodes, and restores every list to the same aggregate. The first seed is
+// one reversal of each list and a swap of the global answer's second and
+// second-to-last cells.
+func FuzzCheckpointCellOrder(f *testing.F) {
+	f.Add([]byte{40, 0, 1, 2, 3, 1, 39})
+	f.Add([]byte{0, 2, 5})
+	f.Add([]byte{12, 6, 5, 8, 1, 3, 4, 4})
+	f.Add([]byte{3, 0, 0, 3, 2, 2})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
 		}
-	}
-	vacated := func(l *BatchLog) []LoggedWindow {
-		ws := l.Windows(0)
-		return ws[len(ws):cap(ws)]
-	}
-	check := func(what string, l *BatchLog, wantLen int) {
-		t.Helper()
-		if l.Len(0) != wantLen {
-			t.Fatalf("%s: len = %d, want %d", what, l.Len(0), wantLen)
+		ck := sampleCheckpoint()
+		for i := 0; i < int(prog[0])%41; i++ {
+			ck.Sink.Global = append(ck.Sink.Global, stream.KeyCell{
+				Key: fmt.Sprintf("g%02d", i*7%40), Count: int64(i + 1), Sum: float64(i) / 3, Min: -float64(i), Max: float64(i),
+			})
 		}
-		for _, w := range l.Windows(0) {
-			if w.Agg == nil {
-				t.Fatalf("%s: retained window %v lost its aggregate", what, w.Window)
+		permuted := sampleCheckpoint()
+		permuted.Sink.Global = slices.Clone(ck.Sink.Global)
+		permuted.Sink.Partial[0].Cells = slices.Clone(ck.Sink.Partial[0].Cells)
+		permuted.Sources[0].Open[0].Cells = slices.Clone(ck.Sources[0].Open[0].Cells)
+		lists := []*[]stream.KeyCell{
+			&permuted.Sink.Global, &permuted.Sink.Partial[0].Cells, &permuted.Sources[0].Open[0].Cells,
+		}
+		i := 1
+		next := func() int {
+			if i >= len(prog) {
+				return 0
+			}
+			i++
+			return int(prog[i-1])
+		}
+		for i < len(prog) {
+			op := next()
+			l := lists[op%3]
+			n := len(*l)
+			switch op / 3 % 3 {
+			case 0:
+				slices.Reverse(*l)
+			case 1:
+				a, b := next()%n, next()%n
+				(*l)[a], (*l)[b] = (*l)[b], (*l)[a]
+			case 2:
+				k := next() % n
+				*l = slices.Concat((*l)[k:], (*l)[:k])
 			}
 		}
-		for i, w := range vacated(l) {
-			if w.Agg != nil {
-				t.Fatalf("%s: vacated slot %d still holds window %v's aggregate", what, i, w.Window)
+
+		a, b := ck.Encode(), permuted.Encode()
+		if len(a) != len(b) {
+			t.Fatalf("permuting cells changed the encoded size: %d vs %d", len(b), len(a))
+		}
+		moved := !slices.Equal(ck.Sink.Global, permuted.Sink.Global) ||
+			!slices.Equal(ck.Sink.Partial[0].Cells, permuted.Sink.Partial[0].Cells) ||
+			!slices.Equal(ck.Sources[0].Open[0].Cells, permuted.Sources[0].Open[0].Cells)
+		if moved == bytes.Equal(a, b) {
+			t.Fatalf("a permutation that moved cells (%v) left the bytes equal (%v)", moved, bytes.Equal(a, b))
+		}
+		want, err := DecodeCheckpoint(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeCheckpoint(b)
+		if err != nil {
+			t.Fatalf("permuted checkpoint does not decode: %v", err)
+		}
+		restore := func(cells []stream.KeyCell) []stream.KV {
+			agg := stream.NewKeyedAggDense(stream.Mean, stream.NewKeyTableOf([]string{"k2", "g05"}))
+			for _, c := range cells {
+				agg.RestoreCell(c)
+			}
+			return agg.Result()
+		}
+		pairs := [][2][]stream.KeyCell{
+			{want.Sink.Global, got.Sink.Global},
+			{want.Sink.Partial[0].Cells, got.Sink.Partial[0].Cells},
+			{want.Sources[0].Open[0].Cells, got.Sources[0].Open[0].Cells},
+		}
+		for j, p := range pairs {
+			if w, g := restore(p[0]), restore(p[1]); len(w) == 0 || !slices.Equal(w, g) {
+				t.Fatalf("cell list %d restores to %+v, want %+v", j, g, w)
 			}
 		}
-	}
-
-	trimmed := NewBatchLog()
-	for i := 0; i < 6; i++ {
-		trimmed.Append(0, win(i))
-	}
-	trimmed.TrimThrough(0, win(3).Window.End, func(LoggedWindow) {})
-	check("trim", trimmed, 2)
-	if got := trimmed.Windows(0)[0].Window; got != win(4).Window {
-		t.Fatalf("trim kept %v first, want %v", got, win(4).Window)
-	}
-}
-
-// TestCheckpointCellOrderDoesNotMatter: the order of cells inside a
-// checkpoint follows the snapshot's storage order and is no longer sorted,
-// so recovery must not depend on it. A checkpoint whose every cell list is
-// permuted still decodes, to the same size, and restores to the same
-// aggregates.
-func TestCheckpointCellOrderDoesNotMatter(t *testing.T) {
-	ck := sampleCheckpoint()
-	for i := 0; i < 40; i++ {
-		ck.Sink.Global = append(ck.Sink.Global, stream.KeyCell{
-			Key: fmt.Sprintf("g%02d", i*7%40), Count: int64(i + 1), Sum: float64(i) / 3, Min: -float64(i), Max: float64(i),
-		})
-	}
-	permuted := sampleCheckpoint()
-	permuted.Sink.Global = slices.Clone(ck.Sink.Global)
-	lists := []*[]stream.KeyCell{
-		&permuted.Sink.Global, &permuted.Sink.Partial[0].Cells, &permuted.Sources[0].Open[0].Cells,
-	}
-	for _, l := range lists {
-		slices.Reverse(*l)
-		if n := len(*l); n > 3 {
-			(*l)[1], (*l)[n-2] = (*l)[n-2], (*l)[1]
-		}
-	}
-
-	a, b := ck.Encode(), permuted.Encode()
-	if len(a) != len(b) {
-		t.Fatalf("permuting cells changed the encoded size: %d vs %d", len(b), len(a))
-	}
-	if bytes.Equal(a, b) {
-		t.Fatal("the permutation did not reach the bytes: the test checks nothing")
-	}
-	want, err := DecodeCheckpoint(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCheckpoint(b)
-	if err != nil {
-		t.Fatalf("permuted checkpoint does not decode: %v", err)
-	}
-	restore := func(cells []stream.KeyCell) []stream.KV {
-		agg := stream.NewKeyedAggDense(stream.Mean, stream.NewKeyTableOf([]string{"k2", "g05"}))
-		for _, c := range cells {
-			agg.RestoreCell(c)
-		}
-		return agg.Result()
-	}
-	pairs := [][2][]stream.KeyCell{
-		{want.Sink.Global, got.Sink.Global},
-		{want.Sink.Partial[0].Cells, got.Sink.Partial[0].Cells},
-		{want.Sources[0].Open[0].Cells, got.Sources[0].Open[0].Cells},
-	}
-	for i, p := range pairs {
-		if w, g := restore(p[0]), restore(p[1]); len(w) == 0 || !slices.Equal(w, g) {
-			t.Fatalf("cell list %d restores to %+v, want %+v", i, g, w)
-		}
-	}
+	})
 }
 
 // TestAppendEncodeReusesBuffer: encoding after a prefix leaves the prefix
