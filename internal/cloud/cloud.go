@@ -100,9 +100,15 @@ type Topology struct {
 
 // NewTopology returns an empty topology with the given intra-site baseline.
 func NewTopology(intraMBps float64, intraRTT time.Duration) *Topology {
+	return newTopology(intraMBps, intraRTT, 0, 0)
+}
+
+// newTopology is NewTopology with room for the given numbers of sites and
+// directed links.
+func newTopology(intraMBps float64, intraRTT time.Duration, sites, links int) *Topology {
 	return &Topology{
-		sites:     make(map[SiteID]*Site),
-		links:     make(map[[2]SiteID]*LinkSpec),
+		sites:     make(map[SiteID]*Site, sites),
+		links:     make(map[[2]SiteID]*LinkSpec, links),
 		IntraMBps: intraMBps,
 		IntraRTT:  intraRTT,
 	}

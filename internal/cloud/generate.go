@@ -46,7 +46,17 @@ func GenerateWorld(sites, regions int, seed uint64) *Topology {
 		panic(fmt.Sprintf("cloud: GenerateWorld supports at most 1000 sites, got %d", sites))
 	}
 	r := rng.New(seed).Split("world")
-	t := NewTopology(250, 2*time.Millisecond)
+	t := newTopology(250, 2*time.Millisecond, sites, regions*(regions-1)+2*(sites-regions)*regions)
+	// Each site ID and region name is formatted once: the spoke loop below
+	// names every hub once per site.
+	ids := make([]SiteID, sites)
+	for i := range ids {
+		ids[i] = GeneratedSiteID(i)
+	}
+	regionNames := make([]string, regions)
+	for i := range regionNames {
+		regionNames[i] = GeneratedRegion(i)
+	}
 
 	// Region geometry: centers on a jittered circle. Chord distance between
 	// two regions (normalized to [0, 1]) drives long-haul latency, capacity
@@ -75,9 +85,9 @@ func GenerateWorld(sites, regions int, seed uint64) *Topology {
 			role = "hub"
 		}
 		t.AddSite(&Site{
-			ID:          GeneratedSiteID(i),
-			Name:        fmt.Sprintf("Generated %s %d (%s)", role, i, GeneratedRegion(reg)),
-			Region:      GeneratedRegion(reg),
+			ID:          ids[i],
+			Name:        fmt.Sprintf("Generated %s %d (%s)", role, i, regionNames[reg]),
+			Region:      regionNames[reg],
 			EgressPerGB: regs[reg].egress,
 		})
 	}
@@ -93,8 +103,8 @@ func GenerateWorld(sites, regions int, seed uint64) *Topology {
 		for b := a + 1; b < regions; b++ {
 			d := dist(a, b)
 			t.AddSymmetricLink(LinkSpec{
-				From:     GeneratedHub(a),
-				To:       GeneratedHub(b),
+				From:     ids[a],
+				To:       ids[b],
 				BaseMBps: round2(clamp(4+14*(1-d)+r.Normal(0, 0.8), 3, 20)),
 				RTT:      msDur(clamp(40+240*d+r.Normal(0, 6), 24, 300)),
 				Jitter:   round2(clamp(0.16+0.18*d+r.Normal(0, 0.01), 0.12, 0.4)),
@@ -116,14 +126,14 @@ func GenerateWorld(sites, regions int, seed uint64) *Topology {
 					Jitter:   round2(0.10 + 0.06*r.Float64()),
 				}
 			} else {
-				mesh := t.Link(GeneratedHub(home), GeneratedHub(h))
+				mesh := t.Link(ids[home], ids[h])
 				spec = LinkSpec{
 					BaseMBps: round2(clamp(mesh.BaseMBps*(0.72+0.18*r.Float64()), 3, 20)),
 					RTT:      mesh.RTT + msDur(4+8*r.Float64()),
 					Jitter:   round2(clamp(mesh.Jitter+0.02, 0, 0.42)),
 				}
 			}
-			spec.From, spec.To = GeneratedSiteID(i), GeneratedHub(h)
+			spec.From, spec.To = ids[i], ids[h]
 			t.AddSymmetricLink(spec)
 		}
 	}

@@ -130,7 +130,9 @@ type Service struct {
 	net   *netsim.Network
 	opt   Options
 	links map[LinkKey]*LinkState
-	order []LinkKey
+	// order holds the same states in topology order, the order probeAll
+	// walks them in.
+	order []*LinkState
 	tick  *simtime.Ticker
 	// onChange are the estimate-change subscribers, invoked after every
 	// sample folded into a link estimator (see OnEstimateChange).
@@ -145,16 +147,18 @@ func NewService(net *netsim.Network, opt Options) *Service {
 		sched: net.Scheduler(),
 		net:   net,
 		opt:   opt,
-		links: make(map[LinkKey]*LinkState),
 	}
-	for _, l := range net.Topology().Links() {
+	specs := net.Topology().Links()
+	s.links = make(map[LinkKey]*LinkState, len(specs))
+	s.order = make([]*LinkState, len(specs))
+	for i, l := range specs {
 		k := LinkKey{l.From, l.To}
-		s.links[k] = &LinkState{
+		st := &LinkState{
 			Key:       k,
 			Estimator: opt.Factory(),
 			History:   NewHistory(historySize),
 		}
-		s.order = append(s.order, k)
+		s.links[k], s.order[i] = st, st
 	}
 	return s
 }
@@ -191,11 +195,11 @@ func (s *Service) Start() {
 }
 
 func (s *Service) probeAll() {
-	for _, k := range s.order {
-		st := s.links[k]
+	for _, st := range s.order {
 		if st.paused > 0 {
 			continue
 		}
+		k := st.Key
 		v := s.net.Probe(k.From, k.To)
 		sm := Sample{Value: v, At: s.sched.Now()}
 		st.Estimator.Observe(sm)
@@ -218,11 +222,10 @@ func (s *Service) PauseSite(site cloud.SiteID) { s.setSitePaused(site, 1) }
 func (s *Service) ResumeSite(site cloud.SiteID) { s.setSitePaused(site, -1) }
 
 func (s *Service) setSitePaused(site cloud.SiteID, delta int) {
-	for _, k := range s.order {
-		if k.From != site && k.To != site {
+	for _, st := range s.order {
+		if st.Key.From != site && st.Key.To != site {
 			continue
 		}
-		st := s.links[k]
 		st.paused += delta
 		if st.paused < 0 {
 			st.paused = 0

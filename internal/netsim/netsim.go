@@ -396,17 +396,19 @@ type Network struct {
 // immediately; the caller drives time through the scheduler.
 func New(sched *simtime.Scheduler, topo *cloud.Topology, r *rng.Rand, opt Options) *Network {
 	opt = opt.withDefaults()
+	specs := topo.Links()
 	n := &Network{
-		sched:   sched,
-		topo:    topo,
-		opt:     opt,
-		rand:    r.Split("netsim"),
-		links:   make(map[[2]cloud.SiteID]*wanLink),
-		egress:  make(map[cloud.SiteID]int64),
-		nodeSeq: make(map[cloud.SiteID]int),
+		sched:    sched,
+		topo:     topo,
+		opt:      opt,
+		rand:     r.Split("netsim"),
+		links:    make(map[[2]cloud.SiteID]*wanLink, len(specs)),
+		linkList: make([]*wanLink, 0, len(specs)),
+		egress:   make(map[cloud.SiteID]int64),
+		nodeSeq:  make(map[cloud.SiteID]int),
 	}
 	n.onWake = func() { n.reschedule() }
-	for _, spec := range topo.Links() {
+	for _, spec := range specs {
 		key := [2]cloud.SiteID{spec.From, spec.To}
 		lr := r.Split("link/" + string(spec.From) + ">" + string(spec.To))
 		l := &wanLink{
@@ -418,7 +420,7 @@ func New(sched *simtime.Scheduler, topo *cloud.Topology, r *rng.Rand, opt Option
 			senders: make(map[*Node]int),
 		}
 		l.res = &resource{
-			name:  fmt.Sprintf("wan:%s>%s", spec.From, spec.To),
+			name:  "wan:" + string(spec.From) + ">" + string(spec.To),
 			capFn: func(k int) float64 { return l.capacityFor(len(l.senders)) },
 		}
 		n.links[key] = l

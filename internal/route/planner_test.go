@@ -1,6 +1,8 @@
 package route
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -75,103 +77,187 @@ func sameAlloc(a, b Allocation) bool {
 	return true
 }
 
-// TestPlannerMatchesFromScratch drives the incremental planner through
-// randomized estimate churn — weight drift, link death and revival, whole
-// sites pausing and resuming, edges appearing where the topology has none —
-// and checks after every round that WidestPath and PlanMultipath answers are
-// identical to a from-scratch GraphFromEstimates build over the same
-// estimates. This is the byte-identity contract the planner's cache-survival
-// rule must uphold.
-func TestPlannerMatchesFromScratch(t *testing.T) {
-	cw := newChurnWorld(60, 7)
-	p := NewPlanner(cw.sites, cw.est)
-	r := rng.New(42)
-	par := model.Params{Gain: 0.5, MaxSpeedup: 3, Intr: 1, Class: cloud.XLarge, EgressPerGB: 0.12}
+// Churn opcodes of FuzzPlannerMatchesFromScratch's interpreter, one byte
+// each (taken mod opCount), followed by their argument bytes.
+const (
+	opDrift  = iota // link, factor: the link's weight times 0.5 + factor/256
+	opKill          // link: the link's weight drops to 0
+	opRevive        // link: the link returns to its base weight
+	opSpawn         // from, to, weight: an edge where the topology may have none
+	opPause         // site: every link touching the site drops to 0
+	opResume        // none: the paused site of lowest index returns at base weights
+	opBlind         // none: mutations up to the next query skip MarkDirty, and the query calls MarkAllDirty first
+	opQuery         // src, dst, budget: WidestPath and PlanMultipath against the oracle
+	opCount
+)
 
-	paused := map[int]bool{}
-	mark := func(from, to cloud.SiteID) { p.MarkDirty(from, to) }
-	for round := 0; round < 250; round++ {
-		// Every ~20th round the mutations bypass MarkDirty and rely on the
-		// MarkAllDirty escape hatch instead.
-		all := r.Intn(20) == 0
-		if all {
-			mark = func(cloud.SiteID, cloud.SiteID) {}
+// plannerScript is a program for FuzzPlannerMatchesFromScratch drawn from r:
+// rounds of one to six mutations in the proportions of the seeded script the
+// fuzz target replaced, one round in twenty blind, each followed by three
+// queries among the first eight sites, so that pairs repeat and their
+// cached plans are hit, repaired and recomputed.
+func plannerScript(r *rng.Rand, rounds int) []byte {
+	arg := func() byte { return byte(r.Intn(256)) }
+	var prog []byte
+	for round := 0; round < rounds; round++ {
+		if r.Intn(20) == 0 {
+			prog = append(prog, opBlind)
 		}
 		for m := 1 + r.Intn(6); m > 0; m-- {
 			switch k := r.Intn(100); {
-			case k < 45: // drift a random link's weight
-				l := cw.links[r.Intn(len(cw.links))]
-				mark(cw.set(l[0], l[1], cw.w[l[0]*cw.n+l[1]]*(0.5+r.Float64())))
-			case k < 60: // kill a random link
-				l := cw.links[r.Intn(len(cw.links))]
-				mark(cw.set(l[0], l[1], 0))
-			case k < 75: // revive a random link to its base capacity
-				l := cw.links[r.Intn(len(cw.links))]
-				mark(cw.set(l[0], l[1], cw.base[l[0]*cw.n+l[1]]))
-			case k < 85: // spawn an edge where the topology has none
-				fi, ti := r.Intn(cw.n), r.Intn(cw.n)
+			case k < 45:
+				prog = append(prog, opDrift, arg(), arg())
+			case k < 60:
+				prog = append(prog, opKill, arg())
+			case k < 75:
+				prog = append(prog, opRevive, arg())
+			case k < 85:
+				prog = append(prog, opSpawn, arg(), arg(), arg())
+			case k < 93:
+				prog = append(prog, opPause, arg())
+			default:
+				prog = append(prog, opResume)
+			}
+		}
+		for q := 0; q < 3; q++ {
+			prog = append(prog, opQuery, byte(r.Intn(8)), byte(r.Intn(8)), arg())
+		}
+	}
+	return prog
+}
+
+// FuzzPlannerMatchesFromScratch interprets a byte string as estimate churn
+// on a generated world — weight drift, link death and revival, edges
+// appearing where the topology has none, whole sites pausing and resuming,
+// and blind stretches that skip MarkDirty for the MarkAllDirty escape hatch —
+// and queries between them. Every query's WidestPath and PlanMultipath
+// answers must be identical to a from-scratch GraphFromEstimates build over
+// the same estimates: the byte-identity contract the planner's cache-survival
+// rule must uphold. The seeded script among the seeds must exercise every op
+// and every planner path (replan, cache hit, repair, full recompute).
+func FuzzPlannerMatchesFromScratch(f *testing.F) {
+	script := plannerScript(rng.New(42), 10)
+	f.Add(script)
+	f.Add([]byte{opQuery, 0, 1, 9, opKill, 0, opQuery, 0, 1, 9, opQuery, 0, 1, 9})
+	f.Add([]byte{opPause, 4, opQuery, 4, 0, 20, opBlind, opResume, opSpawn, 4, 9, 128, opQuery, 4, 9, 3})
+	f.Add([]byte{opBlind, opDrift, 7, 255, opDrift, 7, 0, opQuery, 2, 3, 30, opRevive, 7, opQuery, 2, 3, 30})
+	world := newChurnWorld(24, 7)
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		cw := *world
+		cw.w = slices.Clone(world.w)
+		p := NewPlanner(cw.sites, cw.est)
+		par := model.Params{Gain: 0.5, MaxSpeedup: 3, Intr: 1, Class: cloud.XLarge, EgressPerGB: 0.12}
+
+		i := 0
+		next := func() int {
+			if i >= len(prog) {
+				return 0
+			}
+			i++
+			return int(prog[i-1])
+		}
+		var oracle *Graph // built at the first query after a mutation
+		blind := false
+		set := func(fi, ti int, v float64) {
+			from, to := cw.set(fi, ti, v)
+			if !blind {
+				p.MarkDirty(from, to)
+			}
+			oracle = nil
+		}
+		link := func() [2]int { return cw.links[next()%len(cw.links)] }
+		paused := make([]bool, cw.n)
+		counts := make([]int, opCount)
+		// Bounds that keep any input to a few times the seeded script's work.
+		const maxOps = 4000
+		for ops := 0; i < len(prog) && ops < maxOps; ops++ {
+			op := next() % opCount
+			counts[op]++
+			switch op {
+			case opDrift:
+				l, factor := link(), next()
+				set(l[0], l[1], cw.w[l[0]*cw.n+l[1]]*(0.5+float64(factor)/256))
+			case opKill:
+				l := link()
+				set(l[0], l[1], 0)
+			case opRevive:
+				l := link()
+				set(l[0], l[1], cw.base[l[0]*cw.n+l[1]])
+			case opSpawn:
+				fi, ti, w := next()%cw.n, next()%cw.n, next()
 				if fi != ti {
-					mark(cw.set(fi, ti, 1+20*r.Float64()))
+					set(fi, ti, 1+20*float64(w)/256)
 				}
-			case k < 93: // pause a site: all touching links go dead
-				s := r.Intn(cw.n)
+			case opPause:
+				s := next() % cw.n
 				paused[s] = true
 				for o := 0; o < cw.n; o++ {
 					if o != s {
-						mark(cw.set(s, o, 0))
-						mark(cw.set(o, s, 0))
+						set(s, o, 0)
+						set(o, s, 0)
 					}
 				}
-			default: // resume a paused site at base capacity
+			case opResume:
 				for s := range paused {
-					delete(paused, s)
+					if !paused[s] {
+						continue
+					}
+					paused[s] = false
 					for o := 0; o < cw.n; o++ {
 						if o != s {
-							mark(cw.set(s, o, cw.base[s*cw.n+o]))
-							mark(cw.set(o, s, cw.base[o*cw.n+s]))
+							set(s, o, cw.base[s*cw.n+o])
+							set(o, s, cw.base[o*cw.n+s])
 						}
 					}
 					break
 				}
+			case opBlind:
+				blind = true
+			case opQuery:
+				si, di, budget := next()%cw.n, next()%cw.n, 3+next()%30
+				if blind {
+					p.MarkAllDirty()
+					blind = false
+				}
+				if si == di {
+					continue
+				}
+				if oracle == nil {
+					oracle = GraphFromEstimates(cw.sites, cw.est)
+				}
+				src, dst := cw.sites[si], cw.sites[di]
+				wantP, wantOK := oracle.WidestPath(src, dst)
+				gotP, gotOK := p.WidestPath(src, dst)
+				if wantOK != gotOK || (wantOK && !samePath(wantP, gotP)) {
+					t.Fatalf("op %d: WidestPath(%s,%s) = %v,%v; from-scratch %v,%v",
+						ops, src, dst, gotP, gotOK, wantP, wantOK)
+				}
+				wantA, wantOK2 := PlanMultipath(oracle, src, dst, budget, par, 3)
+				gotA, gotOK2 := p.PlanMultipath(src, dst, budget, par, 3)
+				if wantOK2 != gotOK2 || (wantOK2 && !sameAlloc(wantA, gotA)) {
+					t.Fatalf("op %d: PlanMultipath(%s,%s,%d) = %+v,%v; from-scratch %+v,%v",
+						ops, src, dst, budget, gotA, gotOK2, wantA, wantOK2)
+				}
 			}
 		}
-		if all {
-			p.MarkAllDirty()
-			mark = func(from, to cloud.SiteID) { p.MarkDirty(from, to) }
+		if !bytes.Equal(prog, script) {
+			return
 		}
-
-		oracle := GraphFromEstimates(cw.sites, cw.est)
-		for q := 0; q < 3; q++ {
-			si, di := r.Intn(cw.n), r.Intn(cw.n)
-			if si == di {
-				continue
-			}
-			src, dst := cw.sites[si], cw.sites[di]
-			wantP, wantOK := oracle.WidestPath(src, dst)
-			gotP, gotOK := p.WidestPath(src, dst)
-			if wantOK != gotOK || (wantOK && !samePath(wantP, gotP)) {
-				t.Fatalf("round %d: WidestPath(%s,%s) = %v,%v; from-scratch %v,%v",
-					round, src, dst, gotP, gotOK, wantP, wantOK)
-			}
-			budget := 3 + r.Intn(30)
-			wantA, wantOK2 := PlanMultipath(oracle, src, dst, budget, par, 3)
-			gotA, gotOK2 := p.PlanMultipath(src, dst, budget, par, 3)
-			if wantOK2 != gotOK2 || (wantOK2 && !sameAlloc(wantA, gotA)) {
-				t.Fatalf("round %d: PlanMultipath(%s,%s,%d) = %+v,%v; from-scratch %+v,%v",
-					round, src, dst, budget, gotA, gotOK2, wantA, wantOK2)
+		for op, n := range counts {
+			if n == 0 {
+				t.Errorf("the seeded script never ran op %d", op)
 			}
 		}
-	}
-	s := p.Stats()
-	if s.Replans == 0 || s.CacheHits == 0 || s.Repairs == 0 || s.FullRecomputes == 0 {
-		t.Fatalf("churn did not exercise every planner path: %+v", s)
-	}
+		if s := p.Stats(); s.Replans == 0 || s.CacheHits == 0 || s.Repairs == 0 || s.FullRecomputes == 0 {
+			t.Errorf("the seeded script did not exercise every planner path: %+v", s)
+		}
+	})
 }
 
 // TestPlannerConcurrentMarkDirty hammers MarkDirty/MarkAllDirty from several
 // goroutines while queries run — the shape of monitor callbacks racing the
 // transfer manager's replan ticks. Run under -race; correctness of results
-// is covered by TestPlannerMatchesFromScratch.
+// is covered by FuzzPlannerMatchesFromScratch.
 func TestPlannerConcurrentMarkDirty(t *testing.T) {
 	cw := newChurnWorld(50, 3)
 	var mu sync.Mutex

@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"sage/internal/cloud"
@@ -38,7 +38,9 @@ import (
 //
 // What depends only on the options — the key list and the Zipf alias table —
 // is the generator's population, built once by NewSensorGen and shared
-// read-only by every generator Sibling makes from it.
+// read-only by every generator Sibling makes from it. The alias table depends
+// on the key count and skew alone, and NewSensorGen also shares the one it
+// built last with the next build of that shape (see lastAlias).
 type SensorGen struct {
 	r     *rng.Rand // key draws
 	vr    *rng.Rand // value draws
@@ -85,21 +87,76 @@ func NewSensorGen(r *rng.Rand, site cloud.SiteID, opt SensorOpts) *SensorGen {
 	}
 	// Distinct k format to distinct strings, so the key list is a table as it
 	// stands, hashed by nobody, with key k at ID k+1: FillBlock computes IDs
-	// instead of looking them up. The keys are substrings of one buffer, sized
-	// by the longest of them: a roster's generators format a hundred thousand
-	// keys at set-up, and fmt.Sprintf on each was most of that.
-	p := &population{opt: opt, keys: make([]string, opt.Keys)}
-	var all strings.Builder
-	all.Grow(opt.Keys * (len(opt.KeyPrefix) + len("sensor-") + max(4, len(strconv.Itoa(opt.Keys-1)))))
-	for k := range p.keys {
-		start := all.Len()
-		writeSensorKey(&all, opt.KeyPrefix, k)
-		p.keys[k] = all.String()[start:]
-	}
+	// instead of looking them up.
+	p := &population{opt: opt, keys: sensorKeys(opt.KeyPrefix, opt.Keys)}
 	if opt.Skew > 1 {
-		p.zipf = rng.NewZipf(r, opt.Skew, 1, uint64(opt.Keys-1))
+		p.zipf = aliasFor(r, opt.Keys, opt.Skew)
 	}
 	return p.gen(r, site)
+}
+
+// lastAlias is the Zipf alias table NewSensorGen built last, with the shape
+// it was built for. A world's sources mostly share one shape — agg_wide's 119
+// all ask for 1 200 keys at skew 1.3 — and a table costs an Exp and a Log per
+// key, so a build of the shape the slot holds draws through its cells instead
+// of building them again. One slot, not a map: it keeps at most one table
+// alive beyond the generators that hold it, whatever shapes a long-lived
+// process sees.
+var lastAlias atomic.Pointer[aliasTable]
+
+// aliasTable is a built table and its shape. Nothing writes either after the
+// build, and nothing draws from zipf itself: generators draw through On.
+type aliasTable struct {
+	keys int
+	skew float64
+	zipf *rng.Zipf
+}
+
+// aliasFor returns the table of the Zipf law with exponent skew over keys
+// keys, building it over r unless the slot holds it. NewZipf draws nothing
+// while building, so the table does not depend on r, and builds racing on
+// one shape make the same cells whichever of them the slot keeps.
+func aliasFor(r *rng.Rand, keys int, skew float64) *rng.Zipf {
+	if t := lastAlias.Load(); t != nil && t.keys == keys && t.skew == skew {
+		return t.zipf
+	}
+	t := &aliasTable{keys: keys, skew: skew, zipf: rng.NewZipf(r, skew, 1, uint64(keys-1))}
+	lastAlias.Store(t)
+	return t.zipf
+}
+
+// sensorKeys returns the keys fmt.Sprintf("%ssensor-%04d", prefix, k)
+// formats for k in [0, n), in order, as substrings of one string of exactly
+// their total length. A roster's generators make a hundred thousand keys at
+// set-up, so no key is formatted: the digits count up in place like an
+// odometer, and each key is one copy of the running text.
+func sensorKeys(prefix string, n int) []string {
+	head := len(prefix) + len("sensor-")
+	size := n * (head + 4)
+	for p := 10_000; p < n; p *= 10 {
+		size += n - p // every key from p on has one digit more
+	}
+	var all strings.Builder
+	all.Grow(size)
+	key := make([]byte, 0, head+20)
+	key = append(append(append(key, prefix...), "sensor-"...), "0000"...)
+	keys := make([]string, n)
+	for k := range keys {
+		start := all.Len()
+		all.Write(key)
+		keys[k] = all.String()[start:]
+		i := len(key) - 1
+		for ; i >= head && key[i] == '9'; i-- {
+			key[i] = '0'
+		}
+		if i < head { // 9…9 rolls over to 10…0
+			key[head] = '1'
+			key = append(key, '0')
+		} else {
+			key[i]++
+		}
+	}
+	return keys
 }
 
 // Sibling returns a generator for site that draws from r what
@@ -118,18 +175,6 @@ func (p *population) gen(r *rng.Rand, site cloud.SiteID) *SensorGen {
 		g.zipf = p.zipf.On(r)
 	}
 	return g
-}
-
-// writeSensorKey writes key k as fmt.Sprintf("%ssensor-%04d", prefix, k)
-// formats it.
-func writeSensorKey(b *strings.Builder, prefix string, k int) {
-	b.WriteString(prefix)
-	b.WriteString("sensor-")
-	for p := 1000; p > k && p > 1; p /= 10 {
-		b.WriteByte('0')
-	}
-	var digits [20]byte
-	b.Write(strconv.AppendInt(digits[:0], int64(k), 10))
 }
 
 // Table returns the generator's key table, for building dense aggregates
