@@ -159,10 +159,12 @@ func genCheckpoint(r *rng.Rand, kind stream.AggKind) *Checkpoint {
 }
 
 // TestEncodeMatchesPerFieldReference: the encoder writes the reference's
-// bytes on generated checkpoints of every aggregate kind, encoded onto nothing
-// and appended behind bytes already in the buffer.
+// bytes on generated checkpoints of every aggregate kind, encoded into a
+// fresh buffer, into the spent buffers of an Encoder, and again in a round
+// that copies the global cell list from the one before.
 func TestEncodeMatchesPerFieldReference(t *testing.T) {
 	r := rng.New(38)
+	var enc Encoder
 	for i := 0; i < 400; i++ {
 		kind := allKinds[i%len(allKinds)]
 		ck := genCheckpoint(r, kind)
@@ -171,9 +173,13 @@ func TestEncodeMatchesPerFieldReference(t *testing.T) {
 			t.Fatalf("checkpoint %d (%v): encoded %d bytes, the reference %d; first difference at %d",
 				i, kind, len(got), len(want), firstByteDiff(got, want))
 		}
-		prefix := []byte("spent buffer")
-		if got := ck.AppendEncode(prefix[:5:5]); !bytes.Equal(got[5:], want) || string(got[:5]) != "spent" {
-			t.Fatalf("checkpoint %d (%v): appending behind 5 bytes did not add the reference's bytes", i, kind)
+		if got := enc.Encode(ck, false); !bytes.Equal(got, want) {
+			t.Fatalf("checkpoint %d (%v): encoded into spent buffers, %d bytes differ from the reference's %d",
+				i, kind, len(got), len(want))
+		}
+		ck.Seq++
+		if got := enc.Encode(ck, true); !bytes.Equal(got, refEncode(ck, nil)) {
+			t.Fatalf("checkpoint %d (%v): a round copying the global list differs from the reference", i, kind)
 		}
 		if _, err := DecodeCheckpoint(want); err != nil {
 			t.Fatalf("checkpoint %d (%v): %v", i, kind, err)
