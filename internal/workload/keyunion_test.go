@@ -76,8 +76,7 @@ func TestNewSensorGenBuildsNoMap(t *testing.T) {
 	for id := 1; id <= g.Table().Len(); id++ {
 		keyBytes += len(g.Table().Key(id))
 	}
-	// A byte a key of slack: the buffer is sized by the longest key and
-	// allocations round up to size classes.
+	// A byte a key of slack: allocations round up to size classes.
 	const header = 16 // a string header on a 64-bit platform
 	if got, list := after.TotalAlloc-before.TotalAlloc, uint64(keyBytes+header*keys); got > list+keys {
 		t.Fatalf("NewSensorGen allocated %d B for %d keys; the keys and their list are %d B", got, keys, list)
