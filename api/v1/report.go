@@ -2,10 +2,10 @@ package apiv1
 
 // Report wire types: the JSON shapes of a job's summary, a finished
 // multi-job report, and the live status rows GET /api/v1/jobs serves. The
-// converters from the scheduler's in-memory types live in internal/sched
-// (sched.JobStatus.Wire, sched.MultiReport.Wire) so this package stays pure
-// wire; both the daemon and `sagesim -jobs-file -report-json` emit through
-// them.
+// scheduler builds them from its in-memory jobs and reports in
+// internal/sched (sched.Scheduler.Status, sched.MultiReport.Wire) so this
+// package stays pure wire; both the daemon and `sagesim -jobs-file
+// -report-json` emit through them.
 
 // Summary is the wire form of a latency/completion distribution in seconds.
 type Summary struct {

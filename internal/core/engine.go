@@ -957,7 +957,7 @@ func (e *Engine) ship(run *JobRun, p *partial, resume *transfer.Ledger) {
 	// Freeze the dispatch-time prediction the delivery event reports beside
 	// the outcome. Estimate is a pure read and the model arithmetic touches
 	// no state, so it costs the simulation nothing.
-	pred := e.predict(s.spec.Site, sink, bytes, req.Lanes)
+	pred := e.Predict(s.spec.Site, sink, bytes, req.Lanes)
 	lanes, size := req.Lanes, bytes
 	var h *transfer.Handle
 	var err error
@@ -1010,9 +1010,12 @@ func (e *Engine) estimate(from, to cloud.SiteID) float64 {
 	return est
 }
 
-// predict is the model's dispatch-time outcome for a bytes-sized transfer
-// from one site to another on lanes lanes (0: one), at estimate's rate.
-func (e *Engine) predict(from, to cloud.SiteID, bytes int64, lanes int) obs.Outcome {
+// Predict is the model's dispatch-time outcome for a bytes-sized transfer
+// from one site to another on lanes lanes (0: one), at estimate's rate (1
+// MB/s when there is neither an estimate nor a link). The dispatch path
+// records it beside each delivery, and the multi-job scheduler sizes jobs
+// with it.
+func (e *Engine) Predict(from, to cloud.SiteID, bytes int64, lanes int) obs.Outcome {
 	est := e.estimate(from, to)
 	if est <= 0 {
 		est = 1

@@ -108,6 +108,9 @@ func (e *Engine) PauseJobTransfers(run *JobRun) {
 	run.live = run.live[:0]
 }
 
+// TransfersPaused reports whether PauseJobTransfers holds the run's ships.
+func (r *JobRun) TransfersPaused() bool { return r.xferPaused }
+
 // Cancelled reports whether CancelJob withdrew the run.
 func (r *JobRun) Cancelled() bool { return r.cancelled }
 

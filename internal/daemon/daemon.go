@@ -300,11 +300,11 @@ func (d *Daemon) submit(ros *apiv1.Roster) (*apiv1.SubmitResponse, error) {
 
 // jobOp runs one named control operation (cancel/pause/resume) on the
 // driver goroutine and maps the scheduler's sentinel errors to statuses.
-func (d *Daemon) jobOp(name, action string, op func(string) error) error {
-	if op == nil {
+func (d *Daemon) jobOp(name, action string, op func(*sched.Scheduler, string) error) error {
+	if d.sc == nil {
 		return errStatus(404, "daemon: no roster submitted yet")
 	}
-	if err := op(name); err != nil {
+	if err := op(d.sc, name); err != nil {
 		status := 500
 		switch {
 		case errors.Is(err, sched.ErrUnknownJob):

@@ -8,6 +8,7 @@ import (
 
 	apiv1 "sage/api/v1"
 	"sage/internal/core"
+	"sage/internal/sched"
 )
 
 // Handler returns the daemon's HTTP surface:
@@ -30,9 +31,9 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/jobs", d.handleSubmit)
 	mux.HandleFunc("GET /api/v1/jobs", d.handleList)
 	mux.HandleFunc("GET /api/v1/jobs/{id}", d.handleJobGet)
-	mux.HandleFunc("DELETE /api/v1/jobs/{id}", d.handleJobOp("cancel"))
-	mux.HandleFunc("POST /api/v1/jobs/{id}/pause", d.handleJobOp("pause"))
-	mux.HandleFunc("POST /api/v1/jobs/{id}/resume", d.handleJobOp("resume"))
+	mux.HandleFunc("DELETE /api/v1/jobs/{id}", d.handleJobOp("cancel", (*sched.Scheduler).Cancel))
+	mux.HandleFunc("POST /api/v1/jobs/{id}/pause", d.handleJobOp("pause", (*sched.Scheduler).Pause))
+	mux.HandleFunc("POST /api/v1/jobs/{id}/resume", d.handleJobOp("resume", (*sched.Scheduler).Resume))
 	mux.HandleFunc("GET /api/v1/report", d.handleReport)
 	mux.HandleFunc("GET /api/v1/clock", d.handleClockGet)
 	mux.HandleFunc("POST /api/v1/clock", d.handleClockPost)
@@ -119,9 +120,7 @@ func (d *Daemon) list() apiv1.JobList {
 		l.Now = apiv1.Duration(d.eng.Sched.Now())
 	}
 	if d.sc != nil {
-		for _, st := range d.sc.Status() {
-			l.Jobs = append(l.Jobs, st.Wire())
-		}
+		l.Jobs = d.sc.Status()
 	}
 	return l
 }
@@ -137,56 +136,39 @@ func (d *Daemon) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("id")
-	var row *apiv1.JobStatus
+	var row apiv1.JobStatus
+	found := false
 	if err := d.do(func() {
-		for _, st := range d.list().Jobs {
-			if st.Name == name {
-				row = &st
-				break
-			}
+		if d.sc != nil {
+			row, found = d.sc.StatusOf(name)
 		}
 	}); err != nil {
 		writeErr(w, err)
 		return
 	}
-	if row == nil {
+	if !found {
 		writeErr(w, errStatus(http.StatusNotFound, "daemon: unknown job %q", name))
 		return
 	}
 	writeJSON(w, row)
 }
 
-// handleJobOp builds the handler for one named mutation: cancel (DELETE),
-// pause, resume.
-func (d *Daemon) handleJobOp(action string) http.HandlerFunc {
+// handleJobOp builds the handler for one named mutation, op: the
+// scheduler's Cancel (DELETE), Pause or Resume, audited as action. It
+// answers with the job's status row.
+func (d *Daemon) handleJobOp(action string, op func(*sched.Scheduler, string) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("id")
 		var herr error
-		var row *apiv1.JobStatus
+		var row apiv1.JobStatus
 		if err := d.do(func() {
-			var op func(string) error
-			if d.sc != nil {
-				switch action {
-				case "pause":
-					op = d.sc.Pause
-				case "resume":
-					op = d.sc.Resume
-				default:
-					op = d.sc.Cancel
-				}
-			}
 			if herr = d.jobOp(name, action, op); herr != nil {
 				return
 			}
 			// Snapshot at the same safe point as the mutation: with an
 			// unpaced clock a second mailbox round-trip could observe a much
 			// later simulation state than the operation's effect.
-			for _, st := range d.list().Jobs {
-				if st.Name == name {
-					row = &st
-					break
-				}
-			}
+			row, _ = d.sc.StatusOf(name)
 		}); err != nil {
 			writeErr(w, err)
 			return
@@ -195,11 +177,7 @@ func (d *Daemon) handleJobOp(action string) http.HandlerFunc {
 			writeErr(w, herr)
 			return
 		}
-		if row != nil {
-			writeJSON(w, *row)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
+		writeJSON(w, row)
 	}
 }
 

@@ -3,9 +3,8 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"sage/internal/simtime"
+	apiv1 "sage/api/v1"
 )
 
 // This file is the scheduler's live control surface: the daemon-facing
@@ -23,15 +22,8 @@ func (s *Scheduler) Open() error {
 	if s.started {
 		return errors.New("sched: Open after Run or Open")
 	}
-	s.started = true
-	s.live = true
-	// Arrivals before the ticker, mirroring Run: a live roster replays the
-	// exact event order a batch Run of the same roster would produce.
-	for _, j := range s.jobs {
-		j := j
-		j.arrivalEv = s.e.Sched.After(j.spec.Arrival, func() { s.arrive(j) })
-	}
-	s.e.Sched.NewTicker(s.opt.Tick, func(now simtime.Time) { s.Step(now) })
+	s.started, s.live = true, true
+	s.start()
 	return nil
 }
 
@@ -98,7 +90,7 @@ func (s *Scheduler) Cancel(name string) error {
 	if j.manual {
 		s.manualPauses--
 	}
-	j.manual, j.paused = false, false
+	j.manual = false
 	j.state = jobCancelled
 	j.finishedAt = now
 	s.Step(now) // a freed slot admits the next pending job immediately
@@ -123,8 +115,7 @@ func (s *Scheduler) Pause(name string) error {
 	}
 	j.manual = true
 	s.manualPauses++
-	if j.state == jobRunning && !j.paused {
-		j.paused = true
+	if j.state == jobRunning {
 		s.e.PauseJobTransfers(j.run)
 	}
 	return nil
@@ -149,35 +140,14 @@ func (s *Scheduler) Resume(name string) error {
 	j.manual = false
 	s.manualPauses--
 	now := s.e.Sched.Now()
-	if j.state == jobRunning && j.paused && !s.opt.Preempt {
+	if j.state == jobRunning && !s.opt.Preempt {
 		// With preemption on, the reconcile inside Step decides whether the
 		// job may actually run; without it the manual pause was the only
 		// reason to hold the transfers.
-		j.paused = false
 		s.e.ResumeJobTransfers(j.run)
 	}
 	s.Step(now)
 	return nil
-}
-
-// JobStatus is one read-only snapshot row of a job's live state.
-type JobStatus struct {
-	Name     string
-	Tenant   string
-	Priority int
-	// State is submitted|queued|running|paused|done|cancelled.
-	State string
-	// JobID is the engine-assigned id, -1 until the job is admitted.
-	JobID                       int
-	Arrived, Admitted, Finished time.Duration
-	EstDuration                 time.Duration
-	EstEgress                   float64
-	Preemptions                 int
-	// Windows/Cost/Egress are the job's completed windows and spend so far
-	// at the snapshot instant.
-	Windows int
-	Cost    float64
-	Egress  float64
 }
 
 func (j *job) stateString() string {
@@ -190,7 +160,7 @@ func (j *job) stateString() string {
 		}
 		return "queued"
 	case jobRunning:
-		if j.paused {
+		if j.run.TransfersPaused() {
 			return "paused"
 		}
 		return "running"
@@ -201,28 +171,25 @@ func (j *job) stateString() string {
 	}
 }
 
-// Status snapshots every job in submission order. Safe to call at any
-// point between events; running jobs report live progress and spend.
-func (s *Scheduler) Status() []JobStatus {
-	out := make([]JobStatus, 0, len(s.jobs))
+// Status snapshots every job's api/v1 row in submission order. Safe to
+// call at any point between events; running jobs report live progress and
+// spend.
+func (s *Scheduler) Status() []apiv1.JobStatus {
+	out := make([]apiv1.JobStatus, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		st := JobStatus{
-			Name: j.spec.Name, Tenant: j.spec.Tenant, Priority: j.spec.Priority,
-			State: j.stateString(), JobID: -1,
-			Arrived:     time.Duration(j.arrivedAt),
-			Admitted:    time.Duration(j.admittedAt),
-			Finished:    time.Duration(j.finishedAt),
-			EstDuration: j.estDur, EstEgress: j.estEgress,
-			Preemptions: j.preemptions,
-		}
-		if j.run != nil {
-			st.JobID = j.run.ID()
-			st.Windows = j.run.WindowsDone()
-			st.Cost, st.Egress = j.run.SpentSoFar()
-		}
-		out = append(out, st)
+		out = append(out, j.status())
 	}
 	return out
+}
+
+// StatusOf is the Status row of the job carrying name; false when no
+// submitted job does.
+func (s *Scheduler) StatusOf(name string) (apiv1.JobStatus, bool) {
+	j := s.byName[name]
+	if j == nil {
+		return apiv1.JobStatus{}, false
+	}
+	return j.status(), true
 }
 
 // Runnable counts jobs neither finished, cancelled nor held by a manual

@@ -29,10 +29,6 @@ type JobReport struct {
 	Wait, Completion time.Duration
 	// Preemptions counts distinct transfer pauses the job suffered.
 	Preemptions int
-	// EstDuration / EstEgressCost are the arrival-time estimates the
-	// policies ordered by, kept for calibration against the outcome.
-	EstDuration   time.Duration
-	EstEgressCost float64
 	// Report is the job's full single-job report.
 	Report *core.Report
 }
@@ -43,7 +39,9 @@ type MultiReport struct {
 	Policy        string
 	MaxConcurrent int
 	Jobs          []JobReport
-	// Makespan is the finish of the last job, from scheduler start.
+	// Makespan is the engine-clock instant the last job finished: it counts
+	// from the engine's time zero, not from scheduler start, so whatever the
+	// engine ran before Run (a monitor warm-up, say) is part of it.
 	Makespan time.Duration
 	// Completion summarizes per-job completion times in seconds.
 	Completion stats.Summary
@@ -68,13 +66,13 @@ func (s *Scheduler) report() *MultiReport {
 			Admitted:  j.admittedAt,
 			Finished:  j.finishedAt,
 			Wait:      j.admittedAt - j.arrivedAt,
-			// Completion clamps at the stream end: a job cannot finish
-			// before its own duration elapses.
-			Completion:    j.finishedAt - j.arrivedAt,
-			Preemptions:   j.preemptions,
-			EstDuration:   j.estDur,
-			EstEgressCost: j.estEgress,
-			Report:        j.rep,
+			// Nothing clamps Completion, yet it is never shorter than the
+			// job's whole windows: a run finishes only once its last window
+			// has committed, and its windows close on the tumbling grid from
+			// admission on.
+			Completion:  j.finishedAt - j.arrivedAt,
+			Preemptions: j.preemptions,
+			Report:      j.rep,
 		}
 		if j.run != nil {
 			jr.JobID = j.run.ID()

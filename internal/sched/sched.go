@@ -92,11 +92,10 @@ type job struct {
 	// arrivalEv is the scheduled arrival, cancellable while the job is
 	// still jobSubmitted.
 	arrivalEv *simtime.Event
-	// paused marks a job whose transfers are held; preemptions counts
-	// distinct policy pauses. manual marks a user-requested Pause, which
-	// holds a running job's transfers and keeps a queued job out of
-	// admission until Resume.
-	paused      bool
+	// manual marks a user-requested Pause, which holds a running job's
+	// transfers and keeps a queued job out of admission until Resume;
+	// preemptions counts distinct policy pauses. Whether a running job's
+	// transfers are held at all is its run's TransfersPaused.
 	manual      bool
 	preemptions int
 }
@@ -184,13 +183,9 @@ func (s *Scheduler) Run() (*MultiReport, error) {
 	}
 	var horizon time.Duration
 	for _, j := range s.jobs {
-		j := j
-		j.arrivalEv = s.e.Sched.After(j.spec.Arrival, func() { s.arrive(j) })
-		if h := j.spec.Arrival + j.spec.Duration; h > horizon {
-			horizon = h
-		}
+		horizon = max(horizon, j.spec.Arrival+j.spec.Duration)
 	}
-	tick := s.e.Sched.NewTicker(s.opt.Tick, func(now simtime.Time) { s.Step(now) })
+	tick := s.start()
 	defer tick.Stop()
 	s.e.Sched.RunFor(horizon)
 	for grace := 0; !s.allDone() && s.err == nil && grace < 100000; grace++ {
@@ -205,6 +200,16 @@ func (s *Scheduler) Run() (*MultiReport, error) {
 	return s.report(), nil
 }
 
+// start schedules the arrival of every job submitted so far, then installs
+// the admission tick. Run and Open share it, so a live roster replays the
+// exact event order a batch Run of the same roster produces.
+func (s *Scheduler) start() *simtime.Ticker {
+	for _, j := range s.jobs {
+		j.arrivalEv = s.e.Sched.After(j.spec.Arrival, func() { s.arrive(j) })
+	}
+	return s.e.Sched.NewTicker(s.opt.Tick, func(now simtime.Time) { s.Step(now) })
+}
+
 // arrive moves a job into the admission queue and immediately tries to
 // dispatch, so an empty scheduler admits at the arrival instant rather than
 // the next tick.
@@ -212,8 +217,7 @@ func (s *Scheduler) arrive(j *job) {
 	now := s.e.Sched.Now()
 	j.state = jobQueued
 	j.arrivedAt = now
-	j.estDur = s.estimateDuration(j.spec)
-	j.estEgress = s.estimateEgress(j.spec)
+	j.estDur, j.estEgress = s.estimate(j.spec)
 	s.pending = append(s.pending, j)
 	s.Step(now)
 }
@@ -319,14 +323,12 @@ func (s *Scheduler) reconcilePreemption() {
 	}
 	for _, j := range s.running {
 		want := j.manual || (s.opt.Preempt && j.spec.Priority < top)
-		if want && !j.paused {
-			j.paused = true
+		if paused := j.run.TransfersPaused(); want && !paused {
 			if !j.manual {
 				j.preemptions++
 			}
 			s.e.PauseJobTransfers(j.run)
-		} else if !want && j.paused {
-			j.paused = false
+		} else if !want && paused {
 			s.e.ResumeJobTransfers(j.run)
 		}
 	}
@@ -345,7 +347,7 @@ func (s *Scheduler) allDone() bool {
 // are exact modulo rate variation; aggregated jobs carry one cell per key,
 // whose population is unknown before the run, so the estimate assumes the
 // generator default (100 keys) capped by the event count.
-func (s *Scheduler) estWindowBytes(j core.JobSpec, src core.SourceSpec) int64 {
+func estWindowBytes(j core.JobSpec, src core.SourceSpec) int64 {
 	n := workload.EventCount(src.Rate, 0, j.Window)
 	if j.ShipRaw {
 		eb := src.EventBytes
@@ -361,19 +363,19 @@ func (s *Scheduler) estWindowBytes(j core.JobSpec, src core.SourceSpec) int64 {
 	return keys*48 + core.PartialOverheadBytes
 }
 
-// estimateDuration is the SJF input: stream duration plus the predicted
-// transfer backlog. If a source's per-window transfer time exceeds the
-// window, each window adds to the queue behind the link, so the job drains
-// (windows-1)·overshoot past its last transfer.
-func (s *Scheduler) estimateDuration(spec JobSpec) time.Duration {
+// estimate freezes a job's policy inputs at its arrival. dur, the SJF
+// input, is the stream duration plus the predicted transfer backlog: if a
+// source's per-window transfer time (the engine's dispatch-time Predict)
+// exceeds the window, each window adds to the queue behind the link, so the
+// job drains (windows-1)·overshoot past its last transfer. egress, the
+// fair-share charge, is the predicted egress spend of the whole job at its
+// sources' egress prices.
+func (s *Scheduler) estimate(spec JobSpec) (dur time.Duration, egress float64) {
 	j := spec.Spec
-	if j.Window <= 0 || len(j.Sources) == 0 {
-		return spec.Duration
+	if j.Window <= 0 {
+		return spec.Duration, 0
 	}
-	nWin := int(spec.Duration / j.Window)
-	if nWin < 1 {
-		nWin = 1
-	}
+	nWin := max(int(spec.Duration/j.Window), 1)
 	lanes := j.Lanes
 	if lanes <= 0 {
 		lanes = 2
@@ -383,49 +385,15 @@ func (s *Scheduler) estimateDuration(spec JobSpec) time.Duration {
 		if src.Site == j.Sink {
 			continue
 		}
-		bytes := s.estWindowBytes(j, src)
-		est, _ := s.e.Monitor.Estimate(src.Site, j.Sink)
-		if est <= 0 {
-			if l := s.e.Net.Topology().Link(src.Site, j.Sink); l != nil {
-				est = l.BaseMBps
-			}
-		}
-		if est <= 0 {
-			est = 1
-		}
-		tt := s.e.Params.TransferTime(bytes, est, lanes)
-		d := tt
-		if over := tt - j.Window; over > 0 {
+		bytes := estWindowBytes(j, src)
+		d := s.e.Predict(src.Site, j.Sink, bytes, lanes).Time
+		if over := d - j.Window; over > 0 {
 			d += time.Duration(nWin-1) * over
 		}
-		if d > worst {
-			worst = d
+		worst = max(worst, d)
+		if site := s.e.Net.Topology().Site(src.Site); site != nil {
+			egress += float64(nWin) * cloud.EgressCost(site, bytes)
 		}
 	}
-	return spec.Duration + worst
-}
-
-// estimateEgress is the fair-share charge: predicted egress spend of the
-// whole job at its sources' egress prices.
-func (s *Scheduler) estimateEgress(spec JobSpec) float64 {
-	j := spec.Spec
-	if j.Window <= 0 {
-		return 0
-	}
-	nWin := int(spec.Duration / j.Window)
-	if nWin < 1 {
-		nWin = 1
-	}
-	var total float64
-	for _, src := range j.Sources {
-		if src.Site == j.Sink {
-			continue
-		}
-		site := s.e.Net.Topology().Site(src.Site)
-		if site == nil {
-			continue
-		}
-		total += float64(nWin) * cloud.EgressCost(site, s.estWindowBytes(j, src))
-	}
-	return total
+	return spec.Duration + worst, egress
 }

@@ -174,14 +174,20 @@ func TestFairShareAdmitsStarvedTenantSooner(t *testing.T) {
 	}
 }
 
+// preemptRoster is a two-minute low-priority job and a priority-5 job that
+// arrives 30 s in and preempts it while it runs.
+func preemptRoster() []JobSpec {
+	return []JobSpec{
+		mkJob("low", "L", 0, 0, []cloud.SiteID{cloud.NorthEU}, 400, 2*time.Minute),
+		mkJob("high", "H", 5, 30*time.Second, []cloud.SiteID{cloud.WestEU}, 400, 40*time.Second),
+	}
+}
+
 // TestPreemptionPausesLowerPriority: a high-priority job arriving mid-run
 // pauses the low-priority job's transfers (ledger abort/resume) and both
 // still deliver every window.
 func TestPreemptionPausesLowerPriority(t *testing.T) {
-	roster := []JobSpec{
-		mkJob("low", "L", 0, 0, []cloud.SiteID{cloud.NorthEU}, 400, 2*time.Minute),
-		mkJob("high", "H", 5, 30*time.Second, []cloud.SiteID{cloud.WestEU}, 400, 40*time.Second),
-	}
+	roster := preemptRoster()
 	m := runRoster(t, 11, 1, roster, Options{MaxConcurrent: 2, Preempt: true})
 	low, high := m.Jobs[0], m.Jobs[1]
 	if low.Preemptions == 0 {
@@ -203,6 +209,58 @@ func TestPreemptionPausesLowerPriority(t *testing.T) {
 		t.Fatalf("preemption changed the low job's answer: %d/%d windows, %d/%d events",
 			low.Report.Windows, plain.Jobs[0].Report.Windows,
 			low.Report.TotalEvents, plain.Jobs[0].Report.TotalEvents)
+	}
+}
+
+// TestStatusRowsMatchReport: a job's live status row and its report row
+// come from one record. Run live through Open, the preempted job reads
+// "paused" beside its preemptor; once the roster drains every Status row
+// agrees with its MultiReport row, and the report is the batch Run's.
+func TestStatusRowsMatchReport(t *testing.T) {
+	opt := Options{MaxConcurrent: 2, Preempt: true}
+	e := testEngine(11, 1, nil)
+	s := New(e, opt)
+	for _, j := range preemptRoster() {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	e.Sched.RunFor(31 * time.Second)
+	for name, want := range map[string]string{"low": "paused", "high": "running"} {
+		if st, _ := s.StatusOf(name); st.State != want {
+			t.Fatalf("%s reads %q beside the preemptor, want %q", name, st.State, want)
+		}
+	}
+	if _, ok := s.StatusOf("ghost"); ok {
+		t.Fatal("StatusOf found a job nobody submitted")
+	}
+	for i := 0; !s.allDone() && i < 3600; i++ {
+		e.Sched.RunFor(time.Second)
+	}
+	m, err := s.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Jobs[0].Preemptions == 0 {
+		t.Fatal("low-priority job was never preempted")
+	}
+	rows := s.Status()
+	if len(rows) != len(m.Jobs) {
+		t.Fatalf("%d status rows, %d report rows", len(rows), len(m.Jobs))
+	}
+	for i, st := range rows {
+		jr := m.Jobs[i]
+		if st.Name != jr.Name || st.State != "done" || st.JobID != jr.JobID ||
+			time.Duration(st.Arrived) != jr.Arrived || time.Duration(st.Admitted) != jr.Admitted ||
+			time.Duration(st.Finished) != jr.Finished || st.Preemptions != jr.Preemptions {
+			t.Fatalf("status row %+v disagrees with report row %+v", st, jr)
+		}
+	}
+	if batch := runRoster(t, 11, 1, preemptRoster(), opt); batch.Fingerprint() != m.Fingerprint() {
+		t.Fatalf("live fingerprint %016x, batch %016x", m.Fingerprint(), batch.Fingerprint())
 	}
 }
 
@@ -240,7 +298,7 @@ func TestPreemptionHoldsResilientJob(t *testing.T) {
 		// high is admitted at 30 s and streams until 70 s: low is held
 		// throughout (31 s, 69 s).
 		e.Sched.RunUntil(start + 31*time.Second)
-		if !low.paused {
+		if !low.run.TransfersPaused() {
 			t.Fatalf("resilient=%v: low job not paused beside the priority-1 job", resilient)
 		}
 		before := e.Net.JobEgressBytes(low.run.ID())

@@ -9,7 +9,7 @@ import (
 )
 
 // Wire converters to the api/v1 types: the one place the scheduler's
-// in-memory reports become JSON shapes. Both the saged daemon and
+// in-memory jobs and reports become JSON shapes. Both the saged daemon and
 // `sagesim -report-json` emit through these.
 
 func wireSummary(s stats.Summary) apiv1.Summary {
@@ -31,19 +31,24 @@ func wireRun(r *core.Report) *apiv1.RunReport {
 	}
 }
 
-// Wire converts a status row to its api/v1 wire form.
-func (st JobStatus) Wire() apiv1.JobStatus {
-	return apiv1.JobStatus{
-		Name: st.Name, Tenant: st.Tenant, Priority: st.Priority,
-		State: st.State, JobID: st.JobID,
-		Arrived:     apiv1.Duration(st.Arrived),
-		Admitted:    apiv1.Duration(st.Admitted),
-		Finished:    apiv1.Duration(st.Finished),
-		EstDuration: apiv1.Duration(st.EstDuration),
-		EstEgress:   st.EstEgress,
-		Preemptions: st.Preemptions,
-		Windows:     st.Windows, Cost: st.Cost, Egress: st.Egress,
+// status is the job's live api/v1 row at the current instant.
+func (j *job) status() apiv1.JobStatus {
+	st := apiv1.JobStatus{
+		Name: j.spec.Name, Tenant: j.spec.Tenant, Priority: j.spec.Priority,
+		State: j.stateString(), JobID: -1,
+		Arrived:     apiv1.Duration(j.arrivedAt),
+		Admitted:    apiv1.Duration(j.admittedAt),
+		Finished:    apiv1.Duration(j.finishedAt),
+		EstDuration: apiv1.Duration(j.estDur),
+		EstEgress:   j.estEgress,
+		Preemptions: j.preemptions,
 	}
+	if j.run != nil {
+		st.JobID = j.run.ID()
+		st.Windows = j.run.WindowsDone()
+		st.Cost, st.Egress = j.run.SpentSoFar()
+	}
+	return st
 }
 
 // Wire converts the finished report to its api/v1 wire form, including the
