@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sage/internal/baseline"
@@ -84,11 +85,12 @@ func expVariabilityWeek(cfg Config) []*stats.Table {
 		net := netsim.New(sched, topo, rng.New(cfg.Seed+uint64(ti)), netsim.Options{})
 		client := net.NewNode(cloud.NorthEU, cloud.Small)
 		store := baseline.NewBlobStore(net, target)
+		link := linkIndex(topo, cloud.NorthEU, target)
 		var thr, stage []float64
 		probeGap := 24 * time.Hour / time.Duration(probesPerDay)
 		stageGap := 24 * time.Hour / time.Duration(stagesPerDay)
 		sched.NewTicker(probeGap, func(simtime.Time) {
-			thr = append(thr, net.Probe(cloud.NorthEU, target))
+			thr = append(thr, net.Probe(link))
 		})
 		sched.NewTicker(stageGap, func(simtime.Time) {
 			store.StageTime(client, 100<<20, func(d time.Duration) {
@@ -117,6 +119,12 @@ func expVariabilityWeek(cfg Config) []*stats.Table {
 	return []*stats.Table{ta, tbl}
 }
 
+// linkIndex is the place of the directed link from → to in topo.Links(), the
+// index netsim.Network.Probe takes.
+func linkIndex(topo *cloud.Topology, from, to cloud.SiteID) int {
+	return slices.IndexFunc(topo.Links(), func(l *cloud.LinkSpec) bool { return l.From == from && l.To == to })
+}
+
 // expEstimators replays the same 24h probe sequence into the three
 // estimators and reports tracking error against ground truth.
 func expEstimators(cfg Config) []*stats.Table {
@@ -137,6 +145,7 @@ func expEstimators(cfg Config) []*stats.Table {
 		ProbeNoise: 0.15, OUTheta: 1.0 / 1800, ProbeOutlierProb: 0.10,
 	})
 	wsi := monitor.NewWSI(12, time.Minute)
+	link := linkIndex(topo, cloud.NorthUS, cloud.NorthEU)
 	lsi := monitor.NewLSI()
 	last := monitor.NewLastSample()
 	ests := []monitor.Estimator{last, lsi, wsi}
@@ -154,7 +163,7 @@ func expEstimators(cfg Config) []*stats.Table {
 			return
 		}
 		truth := net.CapacityNow(cloud.NorthUS, cloud.NorthEU)
-		sample := monitor.Sample{Value: net.Probe(cloud.NorthUS, cloud.NorthEU), At: now}
+		sample := monitor.Sample{Value: net.Probe(link), At: now}
 		a := &acc[h]
 		a.truth += truth
 		a.n++

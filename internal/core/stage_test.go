@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -9,19 +11,22 @@ import (
 	"sage/internal/rng"
 	"sage/internal/simtime"
 	"sage/internal/stream"
+	"sage/internal/trace"
+	"sage/internal/transfer"
 	"sage/internal/workload"
 )
 
 // stageOne runs one source's stage for the window ending at end, outside any
-// scheduler and on an empty engine: stageWindow touches only the source's
-// own state.
-func stageOne(job JobSpec, gen *workload.SensorGen, end simtime.Time) (*sourceState, stagedWindow) {
+// scheduler and on an engine of one empty shard, and returns that shard's
+// scratch: stageWindow touches only the source's own state and its shard's.
+func stageOne(job JobSpec, gen *workload.SensorGen, end simtime.Time) (*stageScratch, stagedWindow) {
 	s := &sourceState{
 		spec: job.Sources[0],
 		gen:  gen,
 		agg:  stream.NewWindowAggDense(job.Window, job.Agg, gen.Table()),
 	}
-	return s, new(Engine).stageWindow(&JobRun{job: job}, s, end)
+	e := &Engine{scratch: make([]stageScratch, 1)}
+	return &e.scratch[0], e.stageWindow(&JobRun{job: job}, s, end)
 }
 
 func stageJob(mapFn stream.MapFunc) (JobSpec, func() *workload.SensorGen) {
@@ -40,23 +45,26 @@ func stageJob(mapFn stream.MapFunc) (JobSpec, func() *workload.SensorGen) {
 }
 
 // TestStageBufferIsOneBlock pins the memory claim of the block-at-a-time
-// stage: a 24 000-event window goes through one columnar block of stageBlock
-// events, 12 bytes each, and a job without a Map never materialises a
-// stream.Event, so the event buffer does not exist.
+// stage: a 24 000-event window goes through its shard's one columnar block of
+// stageBlock events, 12 bytes each, and a job without a Map never
+// materialises a stream.Event, so the shard's event buffer does not exist.
 func TestStageBufferIsOneBlock(t *testing.T) {
 	job, newGen := stageJob(nil)
-	s, st := stageOne(job, newGen(), simtime.Time(60*time.Second))
+	sc, st := stageOne(job, newGen(), simtime.Time(60*time.Second))
 	if st.kept != 24000 {
 		t.Fatalf("staged %d events, want 24000", st.kept)
 	}
-	if s.buf != nil {
-		t.Fatalf("a Map-less stage allocated an event buffer of %d events", cap(s.buf))
+	if sc.buf != nil {
+		t.Fatalf("a Map-less stage allocated an event buffer of %d events", cap(sc.buf))
 	}
-	if bytes := 4*cap(s.block.IDs) + 8*cap(s.block.Values); bytes != 12*stageBlock {
-		t.Fatalf("stage block holds %d IDs and %d values (%d bytes), want one block of %d × 12 bytes",
-			cap(s.block.IDs), cap(s.block.Values), bytes, stageBlock)
+	if bytes := blockBytes(sc); bytes != 12*stageBlock {
+		t.Fatalf("shard block holds %d IDs and %d values (%d bytes), want one block of %d × 12 bytes",
+			cap(sc.block.IDs), cap(sc.block.Values), bytes, stageBlock)
 	}
 }
+
+// blockBytes is what a shard's block columns hold.
+func blockBytes(sc *stageScratch) int { return 4*cap(sc.block.IDs) + 8*cap(sc.block.Values) }
 
 // TestStagePathsAgree: the columnar fold a Map-less job takes and the
 // materialise → Map → AddBatch path a job with a Map takes stage the same
@@ -67,9 +75,9 @@ func TestStagePathsAgree(t *testing.T) {
 	job, newGen := stageJob(nil)
 	_, columnar := stageOne(job, newGen(), end)
 	job.Map = func(ev stream.Event) (stream.Event, bool) { return ev, true }
-	s, mapped := stageOne(job, newGen(), end)
-	if cap(s.buf) < stageBlock {
-		t.Fatalf("the Map path ran without its event buffer (cap %d)", cap(s.buf))
+	sc, mapped := stageOne(job, newGen(), end)
+	if cap(sc.buf) < stageBlock {
+		t.Fatalf("the Map path ran without its event buffer (cap %d)", cap(sc.buf))
 	}
 	if columnar.kept != mapped.kept || len(columnar.closed) != 1 || len(mapped.closed) != 1 {
 		t.Fatalf("columnar staged %d events in %d windows, mapped %d in %d",
@@ -132,5 +140,77 @@ func TestStageMapSeesWholeWindowInOrder(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("row %d: staged %+v, reference %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestShardScratchSharedAcrossJobs: a stage's block and event buffer belong
+// to its executor shard, and the stages of every source dealt to a shard —
+// of any job — take turns with them. Three concurrent jobs of 15 sources on a
+// 4-worker engine put 45 generators on its 32 executor shards, so most shards
+// stage sources of two jobs, one of them with a Map. Under -race this is the
+// proof that a shard never runs two stages at once; the reports and the trace
+// equal a one-shard engine's, where all 45 sources share one block, and no
+// shard holds more than one block: at most stageBlock events' worth, or twice
+// that for a block whose first fill was short and grew once on the way.
+func TestShardScratchSharedAcrossJobs(t *testing.T) {
+	run := func(shards int) (string, *Engine) {
+		world := cloud.GenerateWorld(16, 3, 4)
+		rec := trace.New(1 << 16)
+		e := NewEngine(WithOptions(Options{Topology: world, Obs: traced(rec)}), WithShards(shards), WithSeed(3))
+		e.DeployEverywhere(cloud.Small, 2)
+		var runs []*JobRun
+		for j := 0; j < 3; j++ {
+			job := JobSpec{Sink: cloud.GeneratedHub(j), Window: time.Duration(10+5*j) * time.Second,
+				Agg: []stream.AggKind{stream.Sum, stream.Mean, stream.Max}[j], Strategy: transfer.Direct}
+			if j == 1 {
+				job.Map = func(ev stream.Event) (stream.Event, bool) { return ev, ev.KeyID%3 != 0 }
+			}
+			for i := 1; i < 16; i++ {
+				site := cloud.GeneratedSiteID(i)
+				job.Sources = append(job.Sources, SourceSpec{Site: site, Rate: workload.ConstantRate(float64(40 + 10*j)),
+					Gen: workload.NewSensorGen(rng.New(uint64(100*j+i)), site, workload.SensorOpts{Keys: 200, Skew: 1.2})})
+			}
+			r, err := e.Start(job, time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, r)
+		}
+		fp := ""
+		for _, rep := range e.Wait(time.Minute, runs...) {
+			fp += fmt.Sprintf("%d %d %d %.6f %v\n", rep.Windows, rep.TotalEvents, rep.TotalBytes, rep.TotalCost, rep.Global.Snapshot())
+		}
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return fp + buf.String(), e
+	}
+	seq, one := run(1)
+	par, four := run(4)
+	if four.ShardRounds() == 0 {
+		t.Fatal("the 4-worker run never staged in rounds")
+	}
+	if seq != par {
+		t.Fatalf("three jobs sharing shards diverge from one shard:\nseq: %.300s\npar: %.300s", seq, par)
+	}
+	oneBlock := func(b int) bool { return b > 0 && b <= 2*12*stageBlock }
+	if len(one.scratch) != 1 || !oneBlock(blockBytes(&one.scratch[0])) {
+		t.Fatalf("one-shard engine: %d scratches, the first %d bytes; want one block of at most %d", len(one.scratch), blockBytes(&one.scratch[0]), 2*12*stageBlock)
+	}
+	if len(four.scratch) != 4*shardsPerWorker {
+		t.Fatalf("4-worker engine has %d scratches, want one per executor shard (%d)", len(four.scratch), 4*shardsPerWorker)
+	}
+	mapped := 0
+	for i := range four.scratch {
+		if b := blockBytes(&four.scratch[i]); !oneBlock(b) {
+			t.Fatalf("shard %d holds %d block bytes, want one block of at most %d", i, b, 2*12*stageBlock)
+		}
+		if four.scratch[i].buf != nil {
+			mapped++
+		}
+	}
+	if mapped != 15 {
+		t.Fatalf("%d shards built an event buffer; the Map job's 15 sources sit on 15 shards", mapped)
 	}
 }

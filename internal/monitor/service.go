@@ -194,13 +194,15 @@ func (s *Service) Start() {
 	s.tick = s.sched.NewTicker(s.opt.Interval, func(simtime.Time) { s.probeAll() })
 }
 
+// probeAll probes every unpaused link. s.order is in topology order, the
+// network's link order, so a state's place is its link's.
 func (s *Service) probeAll() {
-	for _, st := range s.order {
+	for i, st := range s.order {
 		if st.paused > 0 {
 			continue
 		}
 		k := st.Key
-		v := s.net.Probe(k.From, k.To)
+		v := s.net.Probe(i)
 		sm := Sample{Value: v, At: s.sched.Now()}
 		st.Estimator.Observe(sm)
 		st.History.Add(sm)

@@ -835,13 +835,18 @@ func (n *Network) CapacityNow(from, to cloud.SiteID) float64 {
 	if l == nil {
 		return 0
 	}
-	return l.spec.BaseMBps * l.factor * l.glitch * l.scale
+	return l.capacity()
 }
 
-// Probe returns a noisy measurement of the link's single-sender capacity,
-// emulating an iperf-style probe.
-func (n *Network) Probe(from, to cloud.SiteID) float64 {
-	truth := n.CapacityNow(from, to)
+// capacity is the link's current single-sender capacity in MB/s.
+func (l *wanLink) capacity() float64 { return l.spec.BaseMBps * l.factor * l.glitch * l.scale }
+
+// Probe returns a noisy measurement of the single-sender capacity of link i
+// of Topology().Links(), emulating an iperf-style probe. A prober that visits
+// the links in that order, as the monitor does, addresses each by its place
+// and looks nothing up.
+func (n *Network) Probe(i int) float64 {
+	truth := n.linkList[i].capacity()
 	v := truth * (1 + n.opt.ProbeNoise*n.rand.NormFloat64())
 	if n.opt.ProbeOutlierProb > 0 && n.rand.Float64() < n.opt.ProbeOutlierProb {
 		if n.rand.Float64() < 0.5 {

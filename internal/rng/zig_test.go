@@ -174,5 +174,75 @@ func TestZigguratZeroAllocs(t *testing.T) {
 
 // The two normal samplers side by side; BENCH.json records both
 // (stream/NormFloat64/polar and /ziggurat).
+// TestZigLinesAgreeWithExp: the lines of zigLines decide a wedge draw only
+// the way the exact test y < exp(-x²/2) decides it, and decide most of them.
+// The draws are the sampler's own — words that land in a wedge, heights from
+// the next word — so the decided share is the one the sampler sees. Beside
+// them, every layer is probed at heights a hair either side of the curve,
+// where no line may decide against the exact test.
+func TestZigLinesAgreeWithExp(t *testing.T) {
+	r := New(29)
+	wedge, decided := 0, 0
+	for n := 0; n < 20_000_000; n++ {
+		u := r.Uint64()
+		i, j := u%zigLayers, u>>11
+		if i == 0 || j < zigCells[i].k {
+			continue
+		}
+		x := float64(int64(j)) * zigCells[i].w
+		y := zigF[i] + r.Float64()*(zigF[i-1]-zigF[i])
+		wedge++
+		if under, ok := zigLines(i, x, y); ok {
+			decided++
+			if exact := y < math.Exp(-0.5*x*x); under != exact {
+				t.Fatalf("layer %d, x = %v, y = %v: the lines say under = %v, exp says %v", i, x, y, under, exact)
+			}
+		}
+	}
+	if share := float64(decided) / float64(wedge); wedge < 100_000 || share < 0.8 {
+		t.Fatalf("the lines decided %d of %d wedge draws (%.1f%%), want at least 80%% of at least 100 000",
+			decided, wedge, 100*share)
+	}
+	t.Logf("the lines decided %d of %d wedge draws (%.1f%%)", decided, wedge, 100*float64(decided)/float64(wedge))
+	for i := uint64(1); i < zigLayers; i++ {
+		for _, p := range []float64{0, 0.001, 0.25, 0.5, 0.75, 0.999, 1} {
+			x := (float64(zigCells[i].k) + p*float64(1<<53-zigCells[i].k)) * zigCells[i].w
+			f := math.Exp(-0.5 * x * x)
+			for _, y := range []float64{f, math.Nextafter(f, 0), math.Nextafter(f, 2), f - 2e-12, f + 2e-12, f * (1 - 1e-9), f * (1 + 1e-9)} {
+				if got, want := zigUnder(i, x, y), y < f; got != want {
+					t.Fatalf("layer %d, x = %v, y = %v (curve %v): zigUnder = %v, exp says %v", i, x, y, f, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzZigWedge: for any word and any height, zigUnder is the exact test.
+// The word u picks a layer and a position in its wedge as a sampler draw
+// does (layer 0 is the tail, and folds onto layer 1); v picks the height, in
+// the layer's range or, when its low bit is set, within 2^-30 of the curve.
+func FuzzZigWedge(f *testing.F) {
+	for _, u := range []uint64{0, 1, 2, 37, 38, 128, 200, 254, 255, 1<<63 | 90, math.MaxUint64} {
+		for _, v := range []uint64{0, 1, 1 << 40, 1<<40 | 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64} {
+			f.Add(u, v)
+		}
+	}
+	f.Fuzz(func(t *testing.T, u, v uint64) {
+		i := max(u%zigLayers, 1)
+		k := zigCells[i].k
+		j := k + (u>>11)%(1<<53-k)
+		x := float64(int64(j)) * zigCells[i].w
+		curve := math.Exp(-0.5 * x * x)
+		frac := float64(v>>11) / (1 << 53)
+		y := zigF[i] + frac*(zigF[i-1]-zigF[i])
+		if v&1 == 1 {
+			y = curve + (frac-0.5)*0x1p-29
+		}
+		if got, want := zigUnder(i, x, y), y < curve; got != want {
+			t.Fatalf("layer %d, x = %v, y = %v (curve %v): zigUnder = %v, exp says %v", i, x, y, curve, got, want)
+		}
+	})
+}
+
 func BenchmarkNormFloat64(b *testing.B)    { RunBenchmarkNormFloat64(b) }
 func BenchmarkZigNormFloat64(b *testing.B) { RunBenchmarkZigNormFloat64(b) }

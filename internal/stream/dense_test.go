@@ -14,15 +14,19 @@ import (
 // FuzzKeyTable: a table built from a list of distinct keys answers every
 // Lookup and Key as the list does — the ID of a key is its position plus one,
 // an absent key or an out-of-range ID has none — and it builds no index until
-// a Lookup asks for one.
+// a Lookup asks for one. The list is handed over whole or cut into runs, as
+// the sink's union table is built; the table must not tell the two apart.
 //
-// ops[0] sizes the list, whose keys are the next bytes (repeats dropped);
-// every later byte is one operation: Lookup of key b&63 for b < 0x80,
-// Key(b&63) otherwise.
+// ops[0]'s low four bits size the list, whose keys are the next bytes
+// (repeats dropped); its high four bits cut it into runs of that many keys (0:
+// one run), with an empty run before each when they are 8 or more. Every later
+// byte is one operation: Lookup of key b&63 for b < 0x80, Key(b&63) otherwise.
 func FuzzKeyTable(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 0x80, 1, 0x45, 0xc0, 0xc3, 7})
 	f.Add([]byte{0, 0x81, 5, 5, 0x85, 0xc1})
 	f.Add([]byte{6, 9, 9, 4, 63, 0, 1, 0x7f, 0x3f, 0xbf, 0xff})
+	f.Add([]byte{0x27, 1, 2, 3, 4, 5, 6, 7, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87, 0x88, 6, 0x43})
+	f.Add([]byte{0x95, 10, 11, 12, 13, 14, 0x80, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 14, 10})
 	key := func(b byte) string { return fmt.Sprintf("k%02d", b&63) }
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
@@ -35,7 +39,18 @@ func FuzzKeyTable(f *testing.F) {
 				list = append(list, key(b))
 			}
 		}
-		got := NewKeyTableOf(slices.Clone(list))
+		var runs [][]string
+		if stride := int(ops[0] >> 4); stride == 0 {
+			runs = [][]string{slices.Clone(list)}
+		} else {
+			for i := 0; i < len(list); i += stride {
+				if stride >= 8 {
+					runs = append(runs, nil)
+				}
+				runs = append(runs, slices.Clone(list[i:min(i+stride, len(list))]))
+			}
+		}
+		got := NewKeyTableOf(runs...)
 		if got.Len() != len(list) || got.ids != nil {
 			t.Fatalf("built from %q: Len %d, indexed %v", list, got.Len(), got.ids != nil)
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -14,7 +15,10 @@ import (
 // source order, builds — the same key under every ID — and each remap is the
 // IDs that interning handed back, for rosters whose generators share a
 // prefix (nested lists), have their own (disjoint lists), appear more than
-// once, or all of these. The prefixes include ones that look like a key.
+// once, or all of these. The prefixes include ones that look like a key. In
+// "regrown" a prefix's population grows after other prefixes added theirs,
+// so its keys sit in several runs of the union, apart. Every key the union
+// holds is looked up to its ID too.
 func TestKeyUnionMatchesInternInSourceOrder(t *testing.T) {
 	gen := func(keys int, prefix string) *SensorGen {
 		return NewSensorGen(rng.New(uint64(keys)), "A", SensorOpts{Keys: keys, KeyPrefix: prefix})
@@ -29,6 +33,10 @@ func TestKeyUnionMatchesInternInSourceOrder(t *testing.T) {
 			gen(5, "sensor-"), gen(12, "sensor-1"), gen(1000, ""), gen(3, "a/"),
 		},
 		"one": {gen(1, "")},
+		"regrown": {
+			gen(30, "a/"), gen(10, "b/"), gen(60, "a/"), gen(40, "b/"), gen(10, "a/"),
+			gen(90, "a/"), gen(5, ""), gen(40, "b/"), gen(100, "b/"),
+		},
 	} {
 		union, remaps := KeyUnion(gens)
 		// Interning: each key gets the next ID at its first appearance.
@@ -57,6 +65,50 @@ func TestKeyUnionMatchesInternInSourceOrder(t *testing.T) {
 				t.Fatalf("%s: union key %d is %q, interning gives %q", name, id, union.Key(id), want[id-1])
 			}
 		}
+		for _, id := range []int{-1, 0, len(want) + 1} {
+			if k := union.Key(id); k != "" {
+				t.Fatalf("%s: union key %d is %q, want none", name, id, k)
+			}
+		}
+		for id, k := range want {
+			if got, ok := union.Lookup(k); !ok || got != id+1 {
+				t.Fatalf("%s: union Lookup(%q) = %d,%v, interning gives %d", name, k, got, ok, id+1)
+			}
+		}
+	}
+}
+
+// TestKeyUnionCopiesNoKeys: the union of agg_wide's roster — 119 sources with
+// prefixes of their own, 1 200 keys each — indexes the sources' key lists
+// instead of copying them. Its allocations do not grow with the key count,
+// and its bytes are the remaps' IDs (an int a key) with no string header (16
+// bytes a key) on top.
+func TestKeyUnionCopiesNoKeys(t *testing.T) {
+	const sources = 119
+	roster := func(keys int) []*SensorGen {
+		gens := make([]*SensorGen, sources)
+		for i := range gens {
+			gens[i] = NewSensorGen(rng.New(uint64(i+1)), "A", SensorOpts{Keys: keys, KeyPrefix: fmt.Sprintf("s%03d/", i)})
+		}
+		return gens
+	}
+	small, large := roster(100), roster(1200)
+	KeyUnion(large) // warm whatever the first call initialises
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	union, _ := KeyUnion(large)
+	runtime.ReadMemStats(&after)
+	if union.Len() != sources*1200 {
+		t.Fatalf("union holds %d keys, want %d", union.Len(), sources*1200)
+	}
+	// The remaps are one []int of keys+1 a prefix; the rest is a few
+	// hundred bytes a source (the run list, the maps) whatever the key count.
+	const perSource = 512
+	if got, ids := after.TotalAlloc-before.TotalAlloc, uint64(8*sources*(1200+1)); got > ids+perSource*sources {
+		t.Fatalf("KeyUnion allocated %d B for %d keys; the remaps are %d B", got, union.Len(), ids)
+	}
+	if a, b := testing.AllocsPerRun(5, func() { KeyUnion(small) }), testing.AllocsPerRun(5, func() { KeyUnion(large) }); a != b {
+		t.Fatalf("KeyUnion: %v allocations for %d × 100 keys, %v for %d × 1 200", a, sources, b, sources)
 	}
 }
 
