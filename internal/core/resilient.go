@@ -244,11 +244,9 @@ func (g *jobGuard) noteSkipped(bytes int64) { g.met.SkippedBytes += bytes }
 
 // checkpoint snapshots the job's distributed state, serializes it (the
 // encoded form is what recovery decodes — the serialization is exercised on
-// every cycle), and trims batch logs behind the completion frontier.
+// every cycle), and trims batch logs behind the completion frontier. Only
+// the ticker runs it, and stop stops the ticker.
 func (g *jobGuard) checkpoint() {
-	if g.stopped {
-		return
-	}
 	// A checkpoint is a coordinated snapshot: every current participant —
 	// the sources and the acting sink — must contribute state, so the round
 	// is skipped while any of them is declared dead. This is what makes the

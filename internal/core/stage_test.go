@@ -194,9 +194,9 @@ func TestShardScratchSharedAcrossJobs(t *testing.T) {
 	if seq != par {
 		t.Fatalf("three jobs sharing shards diverge from one shard:\nseq: %.300s\npar: %.300s", seq, par)
 	}
-	oneBlock := func(b int) bool { return b > 0 && b <= 2*12*stageBlock }
+	oneBlock := func(b int) bool { return b > 0 && b <= 12*stageBlock }
 	if len(one.scratch) != 1 || !oneBlock(blockBytes(&one.scratch[0])) {
-		t.Fatalf("one-shard engine: %d scratches, the first %d bytes; want one block of at most %d", len(one.scratch), blockBytes(&one.scratch[0]), 2*12*stageBlock)
+		t.Fatalf("one-shard engine: %d scratches, the first %d bytes; want one block of at most %d", len(one.scratch), blockBytes(&one.scratch[0]), 12*stageBlock)
 	}
 	if len(four.scratch) != 4*shardsPerWorker {
 		t.Fatalf("4-worker engine has %d scratches, want one per executor shard (%d)", len(four.scratch), 4*shardsPerWorker)
@@ -204,7 +204,7 @@ func TestShardScratchSharedAcrossJobs(t *testing.T) {
 	mapped := 0
 	for i := range four.scratch {
 		if b := blockBytes(&four.scratch[i]); !oneBlock(b) {
-			t.Fatalf("shard %d holds %d block bytes, want one block of at most %d", i, b, 2*12*stageBlock)
+			t.Fatalf("shard %d holds %d block bytes, want one block of at most %d", i, b, 12*stageBlock)
 		}
 		if four.scratch[i].buf != nil {
 			mapped++

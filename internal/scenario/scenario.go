@@ -198,6 +198,9 @@ type Result struct {
 	Report *core.Report       // for jobs
 	Gather *core.GatherReport // for gathers
 	Multi  *sched.MultiReport // for multi-job rosters
+	// Engine is the world the run used: its network's egress counters,
+	// its clock.
+	Engine *core.Engine
 }
 
 // BuildEngine constructs the scenario's world: engine options from the
@@ -253,7 +256,7 @@ func Run(s *apiv1.Roster, extra ...core.Option) (*Result, error) {
 		return nil, err
 	}
 	e := BuildEngine(s, extra...)
-	res := &Result{Name: s.Name}
+	res := &Result{Name: s.Name, Engine: e}
 	if s.Job != nil {
 		job, err := BuildJob(s.Seed, s.Job, "scenario/")
 		if err != nil {

@@ -199,9 +199,6 @@ func (l *lane) busy() bool {
 
 // healthy reports whether every node on the lane is up.
 func (l *lane) healthy() bool {
-	if l.dead {
-		return false
-	}
 	for _, n := range l.nodes {
 		if n.Failed() {
 			return false

@@ -446,7 +446,6 @@ func (m *Manager) acquireRun() *transferRun {
 	}
 	t := &transferRun{m: m}
 	t.handle.run = t
-	t.finishFn = t.finish
 	t.replanFn = t.replanFire
 	return t
 }
@@ -481,9 +480,6 @@ func (m *Manager) freeRun(t *transferRun) {
 	t.chains = t.chains[:0]
 	t.newLanes = t.newLanes[:0]
 	t.nodeScratch = t.nodeScratch[:0]
-	if t.finishEv != nil {
-		m.sched.Cancel(t.finishEv)
-	}
 	if t.replanEv != nil {
 		m.sched.Cancel(t.replanEv)
 	}
@@ -635,20 +631,17 @@ func (m *Manager) Transfer(req Request, onDone func(Result)) (*Handle, error) {
 		}
 	}
 	t.started = m.sched.Now()
+	var err error
 	if t.ackedCount == t.stats.Chunks {
-		// Every chunk was already acknowledged before the interruption.
-		// Complete asynchronously so the Handle is returned before onDone
-		// fires, matching the normal callback ordering.
-		t.emit(obs.Event{Kind: obs.EvTransferStart, Bytes: req.Size, Note: req.Strategy.String()})
-		if t.finishEv == nil {
-			t.finishEv = m.sched.After(0, t.finishFn)
-		} else {
-			m.sched.Reschedule(t.finishEv, m.sched.Now())
-		}
-		return &t.handle, nil
+		// Nothing is left to send. The engine resumes only transfers that
+		// were live when their ledger was taken, and the last ack finishes a
+		// transfer at once, so none of its ledgers names every chunk.
+		err = errors.New("transfer: resume ledger acknowledges every chunk")
+	} else {
+		err = t.plan()
 	}
-	if err := t.plan(); err != nil {
-		// The failed buildLanes already released its partial lanes; hand the
+	if err != nil {
+		// A failed buildLanes already released its partial lanes; hand the
 		// run back too.
 		t.finished = true
 		m.freeRun(t)
@@ -724,10 +717,7 @@ type transferRun struct {
 	outstandingAcks int
 	ackFree         []*ackEvent
 
-	// finishEv fires the all-skipped resume completion; replanEv drives the
-	// dynamic strategies (both reused via Reschedule).
-	finishFn   func()
-	finishEv   *simtime.Event
+	// replanEv drives the dynamic strategies (reused via Reschedule).
 	replanFn   func()
 	replanEv   *simtime.Event
 	replanStop bool
@@ -1009,8 +999,7 @@ func (t *transferRun) requeue(c *chunk, from *lane) {
 				t.emit(obs.Event{Kind: obs.EvSelfHeal, Value: float64(t.stats.Replans)})
 			} else {
 				for _, l := range lanes {
-					l.dead = true // unusable build: all nodes down
-					t.m.releaseLane(l)
+					t.m.releaseLane(l) // unusable build: all nodes down
 				}
 				t.newLanes = t.newLanes[:0]
 			}
@@ -1136,12 +1125,6 @@ func (t *transferRun) replan() {
 
 // finish completes the transfer and reports the result.
 func (t *transferRun) finish() {
-	if t.finished {
-		// Aborted between the last ack (or a scheduled all-skipped
-		// completion) and this call: the owner gave up on the transfer, so
-		// onDone must not fire.
-		return
-	}
 	t.finished = true
 	t.stopReplan()
 	for _, l := range t.lanes {

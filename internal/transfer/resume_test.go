@@ -52,36 +52,6 @@ func TestAbortThenResumeSkipsAckedChunks(t *testing.T) {
 	}
 }
 
-func TestResumeFullyAckedCompletesImmediately(t *testing.T) {
-	r := newRig(t, false)
-	req := Request{From: "A", To: "B", Size: 16 << 20, ChunkBytes: 4 << 20,
-		Strategy: Direct, Intr: 1}
-	first := r.run(t, req, time.Minute)
-	if first.Bytes != req.Size {
-		t.Fatalf("setup transfer incomplete: %+v", first)
-	}
-	// A ledger claiming everything acked: the resume finishes without
-	// touching the network.
-	led := Ledger{TransferID: 999, From: "A", To: "B", Size: req.Size,
-		ChunkBytes: 4 << 20, Acked: []int{0, 1, 2, 3}}
-	resumeReq := req
-	resumeReq.Resume = &led
-	var res *Result
-	if _, err := r.mgr.Transfer(resumeReq, func(x Result) { res = &x }); err != nil {
-		t.Fatal(err)
-	}
-	r.sched.RunFor(time.Second)
-	if res == nil {
-		t.Fatal("fully-acked resume never completed")
-	}
-	if res.SkippedBytes != req.Size {
-		t.Fatalf("skipped %d, want full %d", res.SkippedBytes, req.Size)
-	}
-	if res.Duration != 0 {
-		t.Fatalf("fully-acked resume took %v on the wire", res.Duration)
-	}
-}
-
 func TestResumeValidatesLedger(t *testing.T) {
 	r := newRig(t, false)
 	base := Request{From: "A", To: "B", Size: 16 << 20, Strategy: Direct, Intr: 1}
@@ -100,6 +70,13 @@ func TestResumeValidatesLedger(t *testing.T) {
 		ChunkBytes: 4 << 20, Acked: []int{99}}
 	if _, err := r.mgr.Transfer(bad, nil); err == nil {
 		t.Fatal("out-of-range acked chunk accepted")
+	}
+	// A ledger that acknowledges every chunk leaves nothing to resume.
+	bad = base
+	bad.Resume = &Ledger{TransferID: 1, From: "A", To: "B", Size: 16 << 20,
+		ChunkBytes: 4 << 20, Acked: []int{0, 1, 2, 3}}
+	if _, err := r.mgr.Transfer(bad, nil); err == nil {
+		t.Fatal("fully acknowledged ledger accepted")
 	}
 }
 

@@ -222,7 +222,8 @@ func KeyUnion(gens []*SensorGen) (*stream.KeyTable, [][]int) {
 }
 
 // FillBlock draws n events into b, event i stamped from + i·step, reusing
-// b's columns when they are large enough. It is the one draw loop: every
+// b's columns when they are large enough and replacing them at exactly n
+// when not (never grown past n: a stage's block stays one block). It is the one draw loop: every
 // other way of getting events out of the generator goes through it, so a
 // window drawn in blocks that start at multiples of step is the window drawn
 // at once. Each column is one of rng's block draws, which step the generator
@@ -232,8 +233,13 @@ func KeyUnion(gens []*SensorGen) (*stream.KeyTable, [][]int) {
 func (g *SensorGen) FillBlock(b *stream.Block, n int, from simtime.Time, step time.Duration) {
 	n = max(n, 0)
 	b.Table, b.Site, b.From, b.Step = g.table, g.site, from, step
-	b.IDs = slices.Grow(b.IDs[:0], n)[:n]
-	b.Values = slices.Grow(b.Values[:0], n)[:n]
+	if cap(b.IDs) < n {
+		b.IDs = make([]int32, n)
+	}
+	if cap(b.Values) < n {
+		b.Values = make([]float64, n)
+	}
+	b.IDs, b.Values = b.IDs[:n], b.Values[:n]
 	if g.zipf != nil {
 		g.zipf.Fill(b.IDs, 1)
 	} else {
