@@ -20,11 +20,10 @@ import (
 	"sage/internal/workload"
 )
 
-// The window-path matrix: {plain, resilient under a kill/restore schedule,
-// resilient with a time-shifting Map} × {1, 4 shards} × {single Engine.Run,
-// 3-job sched roster with preemption on}. Every cell runs the one
-// stage → commit window path; the properties below are what "the features
-// compose" means.
+// The window-path matrix: {plain, resilient under a kill/restore schedule} ×
+// {1, 4 shards} × {single Engine.Run, 3-job sched roster with preemption on}.
+// Every cell runs the one stage → commit window path; the properties below
+// are what "the features compose" means.
 
 const (
 	matrixWindow = 20 * time.Second
@@ -34,21 +33,11 @@ const (
 type matrixKind struct {
 	name      string
 	resilient bool
-	// shift moves every event one window later, so a source's open-window
-	// state is non-empty at every checkpoint tick and site death — the state
-	// a stage running ahead of the commit clock could corrupt.
-	shift bool
 }
 
 var matrixKinds = []matrixKind{
 	{name: "plain"},
 	{name: "resilient", resilient: true},
-	{name: "resilient-shift", resilient: true, shift: true},
-}
-
-func shiftOneWindow(ev stream.Event) (stream.Event, bool) {
-	ev.Time += matrixWindow
-	return ev, true
 }
 
 // matrixEngine builds a calm 6-site world; with fail set, NEU is down from
@@ -105,9 +94,6 @@ func matrixJob(k matrixKind, sites ...cloud.SiteID) core.JobSpec {
 		// The interval divides the window, so a checkpoint follows every
 		// window commit and recovery restores exactly what the site lost.
 		js.Resilience = &resilience.Config{CheckpointInterval: matrixWindow / 2}
-	}
-	if k.shift {
-		js.Map = shiftOneWindow
 	}
 	return js
 }
@@ -264,7 +250,7 @@ func TestWindowPathMatrix(t *testing.T) {
 					return
 				}
 				// The recovered answer equals the unfailed run's.
-				calm := mode.run(t, matrixKind{name: k.name, shift: k.shift}, 1, false)
+				calm := mode.run(t, matrixKind{name: k.name}, 1, false)
 				for j := range calm.answers {
 					if len(calm.answers[j]) == 0 {
 						t.Fatalf("job %d: unfailed run has an empty answer", j)

@@ -160,11 +160,9 @@ func NewEngine(opts ...Option) *Engine {
 }
 
 // stageScratch is a stage's working memory: the one block of drawn events,
-// refilled across blocks, windows and sources, and the block's materialised
-// events for a job with a Map (nil until such a job stages on the shard).
+// refilled across blocks, windows and sources.
 type stageScratch struct {
 	block stream.Block
-	buf   []stream.Event
 }
 
 // shardsPerWorker is how many executor shards the engine deals generators to
@@ -211,12 +209,13 @@ type JobSpec struct {
 	Window time.Duration
 	// Agg is the keyed aggregation applied locally and merged globally.
 	Agg stream.AggKind
-	// Map optionally transforms/filters events before aggregation. It runs
-	// in the stage half of a window, so on an engine with more than one
-	// shard (the default on a multi-core host) it may be called
-	// concurrently for different sources: it must be pure, or guard any
-	// state it shares across sources. Each source calls it in its own draw
-	// order.
+	// Map optionally filters events and rewrites their Key or Value before
+	// aggregation. An event stays in the window it was drawn in: the Time a
+	// Map returns is not read. It runs in the stage half of a window, so on
+	// an engine with more than one shard (the default on a multi-core host)
+	// it may be called concurrently for different sources: it must be pure,
+	// or guard any state it shares across sources. Each source calls it in
+	// its own draw order.
 	Map stream.MapFunc
 	// ShipRaw disables local aggregation: every raw event is shipped to
 	// the sink (the centralized baseline). Default false — SAGE mode.
@@ -346,7 +345,10 @@ type sourceState struct {
 	// that generator.
 	shard int
 	gen   *workload.SensorGen
-	agg   *stream.WindowAgg
+	// pool supplies each staged window's aggregate, dense over gen.Table(),
+	// and takes it back once the window's partial has no reader left
+	// (partial.release).
+	pool *stream.AggPool
 	// remap[id] is the sink-table ID of the key with ID id in gen.Table(),
 	// fixed at Start: the sink merges this source's partials through it, by
 	// index (stream.KeyedAgg.MergeMapped).
@@ -374,17 +376,13 @@ func (s *sourceState) takeStaged() stagedWindow {
 // pure, shard-parallel half of window processing produces for the
 // sequential commit half to ship and account.
 type stagedWindow struct {
-	start  simtime.Time
-	closed []stream.Closed
-	kept   int
-	// preBytes[i] is closed[i]'s serialized size, measured during staging
-	// so the O(keys) scan parallelizes; nil when the job ships raw events.
-	preBytes []int64
-	// open is the source's still-open window state after this stage, taken
-	// for resilient jobs only: a stage may run one lookahead ahead of the
-	// commit clock, so a checkpoint reads the snapshot its last committed
-	// window published, never the live aggregate.
-	open []resilience.WindowCells
+	start simtime.Time
+	// agg is the window's partial: every kept event of the window, folded.
+	agg  *stream.KeyedAgg
+	kept int
+	// bytes is agg's serialized size, measured during staging so the
+	// O(keys) scan parallelizes; 0 when the job ships raw events.
+	bytes int64
 }
 
 // partial is the one record of one source's closed window partial, made by
@@ -419,7 +417,7 @@ type partial struct {
 // lets go, so the last one files the aggregate.
 func (p *partial) release() {
 	if !p.logged && p.h == nil && !p.held {
-		p.s.agg.Pool().Put(p.Agg)
+		p.s.pool.Put(p.Agg)
 	}
 }
 
@@ -605,8 +603,8 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 			shard: genShard[gen],
 			gen:   gen,
 			// Dense cells over the generator's interned key table: the
-			// per-event aggregation path does no string hashing.
-			agg: stream.NewWindowAggDense(job.Window, job.Agg, gen.Table()),
+			// fold does no string hashing.
+			pool: stream.NewAggPool(job.Agg, gen.Table()),
 		}
 	}
 	run.srcs = srcs
@@ -623,12 +621,12 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	nWindows := int(dur / job.Window)
 	run.expected = nWindows * len(srcs)
 
-	// Window ends snap to the global tumbling grid: the aggregator buckets
-	// events by absolute time (start % width), so a job admitted off-grid —
-	// a scheduler admitting into a freed slot mid-run — must open its first
-	// window at the next grid boundary or every process window would span
-	// two aggregate windows and double-ship. For jobs started on the grid
-	// (time zero, warmup multiples) this is the identity.
+	// Window ends snap to the global tumbling grid: a job admitted off-grid
+	// — a scheduler admitting into a freed slot mid-run — opens its first
+	// window at the next grid boundary, so every job's windows, and the
+	// window starts that key the sink's state and a checkpoint, line up with
+	// every other job's. For jobs started on the grid (time zero, warmup
+	// multiples) this is the identity.
 	base := e.Sched.Now()
 	if off := base % simtime.Time(job.Window); off != 0 {
 		base += simtime.Time(job.Window) - off
@@ -684,24 +682,24 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 const stageBlock = 1024
 
 // stageWindow is the pure half of one source's window close: draw the
-// window's events a columnar block at a time, fold each block into the
-// source-local aggregate, and advance the watermark. Only a job with a Map
-// sees stream.Events — MapFunc takes one — so only then is a block
-// materialised, mapped and folded event by event; which path runs is decided
-// by the job, and both fold the same draws in the same order. The stage
-// touches only state owned by the source (its generator's streams, its window
-// aggregate) and by its shard (the block and buffer), never the clock, the
-// network or the report — which is what makes it safe to run concurrently
-// with other shards' stages under the conservative barrier. It may run up to
-// one lookahead ahead of the commit clock, so nothing on the scheduler
-// goroutine reads or replaces s.agg directly: the resilience guard sees the
-// open-window snapshot the commit publishes and swaps the aggregate through a
-// staged event of its own (jobGuard.loseOperator).
+// window's events a columnar block at a time and fold each block into the
+// window's aggregate, one from the source's pool. Only a job with a Map sees
+// stream.Events — MapFunc takes one — so only then are a block's events
+// materialised, one at a time, mapped and folded; which path runs is decided
+// by the job, and both fold the same draws in the same order into the same
+// one aggregate: an event stays in the window it was drawn in. The stage
+// touches only state owned by the source (its generator's streams, its pool)
+// and by its shard (the block), never the clock, the network or the
+// report — which is what makes it safe to run concurrently with other
+// shards' stages under the conservative barrier. It may run up to one
+// lookahead ahead of the commit clock; everything it makes is handed over in
+// the staged window it returns, so the commit side never reads state a later
+// stage is writing.
 func (e *Engine) stageWindow(run *JobRun, s *sourceState, end simtime.Time) stagedWindow {
 	job := run.job
 	start := end - simtime.Time(job.Window)
+	st := stagedWindow{start: start, agg: s.pool.Get()}
 	n := workload.EventCount(s.spec.Rate, start, job.Window)
-	kept := 0
 	if n > 0 {
 		sc := &e.scratch[s.shard]
 		// Blocks that start at multiples of the whole window's timestamp step
@@ -711,77 +709,46 @@ func (e *Engine) stageWindow(run *JobRun, s *sourceState, end simtime.Time) stag
 			m := min(stageBlock, n-i0)
 			s.gen.FillBlock(&sc.block, m, start+simtime.Time(i0)*step, step)
 			if job.Map == nil {
-				s.agg.AddBlock(&sc.block)
-				kept += m
+				st.agg.AddBlock(&sc.block)
+				st.kept += m
 				continue
 			}
-			sc.buf = sc.block.AppendEvents(sc.buf[:0])
-			// Compact in place: the write index never passes the read.
-			evs := sc.buf[:0]
-			for _, ev := range sc.buf {
-				if ev, ok := job.Map(ev); ok {
-					evs = append(evs, ev)
+			for i := range m {
+				if ev, ok := job.Map(sc.block.Event(i)); ok {
+					st.agg.Add(ev)
+					st.kept++
 				}
 			}
-			s.agg.AddBatch(evs)
-			kept += len(evs)
 		}
 	}
-	st := stagedWindow{start: start, closed: s.agg.Advance(end), kept: kept}
-	if !job.ShipRaw && len(st.closed) > 0 {
-		// Pre-size the partials here so the O(keys) serialization scan runs
-		// in parallel instead of on the commit path.
-		st.preBytes = make([]int64, len(st.closed))
-		for i := range st.closed {
-			st.preBytes[i] = st.closed[i].Agg.SerializedBytes()
-		}
-	}
-	if run.guard != nil {
-		for _, ow := range s.agg.OpenSnapshot() {
-			st.open = append(st.open, resilience.WindowCells{
-				Start: ow.Window.Start, End: ow.Window.End, Cells: ow.Cells,
-			})
-		}
+	if !job.ShipRaw {
+		// Pre-size the partial here so the O(keys) serialization scan runs in
+		// parallel instead of on the commit path.
+		st.bytes = st.agg.SerializedBytes()
 	}
 	return st
 }
 
-// commitWindow is the sequential half: ship every closed partial, account
+// commitWindow is the sequential half: ship the window's partial, account
 // the report and emit observability. It runs on the scheduler goroutine in
-// exact (time, sequence) order for any shard count.
+// exact (time, sequence) order for any shard count. Every window ships a
+// partial, even one whose events were all filtered out: the sink must be
+// able to tell "no data" from "site missing". An empty aggregate serializes
+// to no bytes.
 func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st stagedWindow) {
 	if run.cancelled {
 		// A cancelled run's remaining window closes are no-ops; expected was
 		// clamped to processed at cancel time, so Done stays true.
 		return
 	}
-	if run.guard != nil && run.guard.parkOrPublish(s, end, st) {
+	if run.guard != nil && run.guard.park(s, end, st) {
 		// The source's site is down: the guard commits the staged window, in
 		// order, on recovery.
 		return
 	}
 	run.processed++
-	coveredCurrent := false
-	for i, cw := range st.closed {
-		if cw.Window.Start == st.start {
-			coveredCurrent = true
-		}
-		var pre int64
-		if st.preBytes != nil {
-			pre = st.preBytes[i]
-		}
-		e.ship(run, run.newPartial(s, cw, st.kept, pre), nil)
-	}
-	if !coveredCurrent {
-		// Every window ships a partial even when all events were
-		// filtered out: the sink must be able to distinguish "no data"
-		// from "site missing". An empty aggregate serializes to no bytes.
-		empty := stream.Closed{
-			Window: stream.Window{Start: st.start, End: end},
-			Agg:    s.agg.Pool().Get(),
-		}
-		e.ship(run, run.newPartial(s, empty, st.kept, 0), nil)
-	}
+	cw := stream.Closed{Window: stream.Window{Start: st.start, End: end}, Agg: st.agg}
+	e.ship(run, run.newPartial(s, cw, st.kept, st.bytes), nil)
 	run.rep.TotalEvents += int64(st.kept)
 	e.Obs.Emit(obs.Event{Kind: obs.EvWindowClose, At: end, Job: run.id,
 		Site: string(s.spec.Site), Value: float64(st.kept), ID: uint64(st.start)})

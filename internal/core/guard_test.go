@@ -75,13 +75,13 @@ func TestBatchLogTrimsAfterWarmup(t *testing.T) {
 
 // TestLoggedAggregatesImmutable pins the invariant the batch log leans on
 // when it keeps a closed window's aggregate by reference instead of copying
-// its cells: nothing writes an aggregate between WindowAgg.Advance returning
-// it and the trim that drops it from the log. The run is driven one event at
+// its cells: nothing writes an aggregate between the stage returning it and
+// the trim that drops it from the log. The run is driven one event at
 // a time; every aggregate is snapshotted right after the event that logged it
 // and compared with itself right after the event that dropped it (the trim
 // hands it to its source's pool, which clears it only when a later window
 // takes it), or at run end if it is still logged, across a source outage
-// (operator reset, replay from the log), a sink failover (every alive source
+// (replay from the log), a sink failover (every alive source
 // re-ships from the log) and the trims in between. Four shards, so that under
 // -race a stage still writing an aggregate the scheduler goroutine has logged
 // would also show as a race.
@@ -109,7 +109,7 @@ func TestLoggedAggregatesImmutable(t *testing.T) {
 		if len(was.cells) == 0 {
 			t.Fatalf("source %d window %v was logged empty", was.src, was.window)
 		}
-		if !slices.Equal(agg.Snapshot(), was.cells) {
+		if !slices.Equal(agg.AppendSnapshot(nil), was.cells) {
 			t.Errorf("source %d window %v: the logged aggregate changed before %s", was.src, was.window, when)
 		}
 	}
@@ -123,7 +123,7 @@ func TestLoggedAggregatesImmutable(t *testing.T) {
 			for _, p := range log {
 				now[p.Agg] = true
 				if _, ok := inLog[p.Agg]; !ok {
-					inLog[p.Agg] = logged{src: i, window: p.Window, cells: p.Agg.Snapshot()}
+					inLog[p.Agg] = logged{src: i, window: p.Window, cells: p.Agg.AppendSnapshot(nil)}
 					windows[[2]int64{int64(i), int64(p.Window.Start)}] = true
 					aggs[p.Agg]++
 				}
@@ -161,8 +161,8 @@ func TestLoggedAggregatesImmutable(t *testing.T) {
 // TestPooledAggregatesHaveNoReader pins the ownership rule behind aggregate
 // pooling: an aggregate in a pool — a source's or a job's sink pool — has no
 // reader left. After every event of a run it must not be in a batch log, a
-// live transfer, a held ship, a staged or parked window, an open window, a
-// sink window's merged state or a job's global answer. Two jobs share the
+// live transfer, a held ship, a staged or parked window, a sink window's
+// merged state or a job's global answer. Two jobs share the
 // engine and its four shards: a resilient one through a source outage and a
 // sink failover, whose partials go back at the trim, and a plain one, whose
 // partials go back at the sink merge. The scheduler preempts both twice:
@@ -252,7 +252,7 @@ func TestPooledAggregatesHaveNoReader(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(ck.Sink.Global, runs[0].rep.Global.Snapshot()) {
+			if !slices.Equal(ck.Sink.Global, runs[0].rep.Global.AppendSnapshot(nil)) {
 				t.Fatalf("at %v: checkpoint %d records a stale global answer", e.Sched.Now(), rounds)
 			}
 		}
@@ -261,7 +261,7 @@ func TestPooledAggregatesHaveNoReader(t *testing.T) {
 		for _, r := range runs {
 			pools = append(pools, r.sinkPool)
 			for _, s := range r.srcs {
-				pools = append(pools, s.agg.Pool())
+				pools = append(pools, s.pool)
 			}
 			readers = append(readers, aggReaders(r)...)
 			held += len(r.held)
@@ -320,12 +320,7 @@ func aggReaders(r *JobRun) []aggReader {
 	}
 	for _, s := range r.srcs {
 		for _, st := range s.pending[s.pendingHead:] {
-			for _, cw := range st.closed {
-				add(cw.Agg, "a staged window")
-			}
-		}
-		for _, a := range openAggs(s.agg) {
-			add(a, "an open window")
+			add(st.agg, "a staged window")
 		}
 	}
 	if g := r.guard; g != nil {
@@ -334,9 +329,7 @@ func aggReaders(r *JobRun) []aggReader {
 				add(p.Agg, "the batch log")
 			}
 			for _, p := range g.parked[i] {
-				for _, cw := range p.st.closed {
-					add(cw.Agg, "a parked window")
-				}
+				add(p.st.agg, "a parked window")
 			}
 		}
 	}
@@ -347,20 +340,9 @@ func aggReaders(r *JobRun) []aggReader {
 	return out
 }
 
-// openAggs returns the aggregates of a WindowAgg's open windows. The map is
-// the aggregator's own; the probe reads it by reflection rather than widen
-// the package's API for a test.
-func openAggs(w *stream.WindowAgg) []*stream.KeyedAgg {
-	var out []*stream.KeyedAgg
-	it := reflect.ValueOf(w).Elem().FieldByName("open").MapRange()
-	for it.Next() {
-		out = append(out, (*stream.KeyedAgg)(it.Value().UnsafePointer()))
-	}
-	return out
-}
-
-// poolFree returns the aggregates a pool holds in the order they were filed,
-// by the same reflection.
+// poolFree returns the aggregates a pool holds in the order they were filed.
+// The list is the pool's own; the probe reads it by reflection rather than
+// widen the package's API for a test.
 func poolFree(p *stream.AggPool) []*stream.KeyedAgg {
 	free := reflect.ValueOf(p).Elem().FieldByName("free")
 	out := make([]*stream.KeyedAgg, free.Len())
@@ -374,11 +356,11 @@ func poolFree(p *stream.AggPool) []*stream.KeyedAgg {
 // window from time 0, each with an aggregate from the source's pool.
 func loggedPartials(n int) []*partial {
 	const width = 30 * time.Second
-	s := &sourceState{agg: stream.NewWindowAgg(width, stream.Sum)}
+	s := &sourceState{pool: stream.NewAggPool(stream.Sum, nil)}
 	log := make([]*partial, n)
 	for i := range log {
 		w := stream.Window{Start: simtime.Time(i) * simtime.Time(width), End: simtime.Time(i+1) * simtime.Time(width)}
-		log[i] = &partial{Closed: stream.Closed{Window: w, Agg: s.agg.Pool().Get()}, s: s, logged: true}
+		log[i] = &partial{Closed: stream.Closed{Window: w, Agg: s.pool.Get()}, s: s, logged: true}
 	}
 	return log
 }
@@ -390,7 +372,7 @@ func loggedPartials(n int) []*partial {
 // go of it.
 func TestTrimLogReleasesOldestFirst(t *testing.T) {
 	all := loggedPartials(100)
-	pool := all[0].s.agg.Pool()
+	pool := all[0].s.pool
 	live, held := all[10], all[20]
 	live.h, held.held = &transfer.Handle{}, true
 

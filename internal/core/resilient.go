@@ -87,10 +87,6 @@ type jobGuard struct {
 	log    [][]*partial
 	acked  []map[simtime.Time]bool // window ever delivered to a sink
 	parked [][]parkedWindow        // staged windows whose commit waits for recovery
-	// open[i] is source i's open-window state as of its last committed
-	// window (or operator swap): what a checkpoint records. Ordered by
-	// commit, where the live WindowAgg is ordered by staging.
-	open [][]resilience.WindowCells
 
 	// completed marks windows fully merged into the CURRENT sink's Global
 	// (reset to the checkpoint's set on failover); counted marks windows
@@ -130,7 +126,6 @@ func newJobGuard(e *Engine, run *JobRun, cfg resilience.Config, first simtime.Ti
 	g.log = make([][]*partial, n)
 	g.acked = make([]map[simtime.Time]bool, n)
 	g.parked = make([][]parkedWindow, n)
-	g.open = make([][]resilience.WindowCells, n)
 	g.recovering = make([]map[simtime.Time]bool, n)
 	for i := range run.srcs {
 		g.acked[i] = make(map[simtime.Time]bool)
@@ -172,16 +167,14 @@ func (g *jobGuard) emit(ev obs.Event) {
 
 // ---- engine hooks ----------------------------------------------------------
 
-// parkOrPublish is the commit-phase gate: while the source's site is declared
-// dead the already-staged window is parked (true) and commits, in order, on
-// recovery. Otherwise the commit proceeds and the window's open-state
-// snapshot becomes the source's checkpointable state.
-func (g *jobGuard) parkOrPublish(s *sourceState, end simtime.Time, st stagedWindow) bool {
+// park is the commit-phase gate: while the source's site is declared dead
+// the already-staged window is parked (true) and commits, in order, on
+// recovery.
+func (g *jobGuard) park(s *sourceState, end simtime.Time, st stagedWindow) bool {
 	if !g.stopped && g.det.State(s.spec.Site) == resilience.Dead {
 		g.parked[s.idx] = append(g.parked[s.idx], parkedWindow{end: end, st: st})
 		return true
 	}
-	g.open[s.idx] = st.open
 	return false
 }
 
@@ -309,7 +302,6 @@ func (g *jobGuard) buildCheckpoint() *resilience.Checkpoint {
 	for i, s := range g.run.srcs {
 		ss := resilience.SourceState{Site: s.spec.Site, Index: i}
 		ss.Acked = g.currentAcked(i)
-		ss.Open = g.open[i]
 		for _, p := range g.run.liveOf(i) {
 			ss.Ledgers = append(ss.Ledgers, resilience.WindowLedger{
 				Start: p.Window.Start, Ledger: p.h.Ledger(),
@@ -414,9 +406,10 @@ func (g *jobGuard) onTransition(site cloud.SiteID, from, to resilience.SiteState
 	}
 }
 
-// onDead reacts to a site being declared dead: its operators' memory is
-// gone, its in-flight transfers are aborted, and if it hosted the sink the
-// meta-reducer fails over immediately.
+// onDead reacts to a site being declared dead: its in-flight transfers are
+// aborted, and if it hosted the sink the meta-reducer fails over
+// immediately. Its operators hold no window between stages, so their memory
+// dying with the site loses nothing the batch log cannot replay.
 func (g *jobGuard) onDead(site cloud.SiteID) {
 	g.met.Failures++
 	if lat := g.det.DetectLatency(site); lat > g.met.DetectTime {
@@ -429,7 +422,6 @@ func (g *jobGuard) onDead(site cloud.SiteID) {
 			continue
 		}
 		g.abortInflight(i)
-		g.loseOperator(i, s)
 	}
 	if site == g.run.sink {
 		g.failover(site)
@@ -450,29 +442,6 @@ func (g *jobGuard) abortInflight(i int) {
 		p.release()
 	}
 	g.run.dropHeld(i)
-}
-
-// loseOperator models the site's operator memory dying with it: source i's
-// window aggregate restarts from the open-window state of the last
-// checkpoint (none can complete while the site is down, so it is the one
-// recovery will read). A stage may already have run up to one lookahead past
-// the commit clock, so the reset is itself a two-phase event on the source's
-// shard, one lookahead ahead — the earliest a control message could reach the
-// site — and the shard's (time, seq) order places it between the same two
-// window stages at any shard count. The reset keeps the source's pool: the
-// dropped windows' aggregates join it.
-func (g *jobGuard) loseOperator(i int, s *sourceState) {
-	var open []resilience.WindowCells
-	if ss := ckptSource(g.decodeSources(), i); ss != nil {
-		open = ss.Open
-	}
-	sh := g.e.shard
-	sh.At(s.shard, g.e.Sched.Now()+sh.Lookahead(), func() {
-		s.agg.Reset()
-		for _, w := range open {
-			s.agg.RestoreWindow(stream.Window{Start: w.Start, End: w.End}, w.Cells)
-		}
-	}, func() { g.open[i] = open })
 }
 
 // ckptSource returns source i's entry among a checkpoint's sources (nil

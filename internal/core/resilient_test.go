@@ -44,7 +44,7 @@ func restoreSite(e *Engine, site cloud.SiteID, at time.Duration) {
 // order of the partials leaves.
 func sameGlobal(t *testing.T, want, got *stream.KeyedAgg) {
 	t.Helper()
-	ws, gs := want.Snapshot(), got.Snapshot()
+	ws, gs := want.AppendSnapshot(nil), got.AppendSnapshot(nil)
 	if len(gs) != len(ws) {
 		t.Fatalf("global has %d keys, want %d", len(gs), len(ws))
 	}

@@ -134,7 +134,7 @@ func TestShardsDefaultIsOnePerCore(t *testing.T) {
 			t.Fatal(err)
 		}
 		return e, fmt.Sprintf("%d %d %d %.9f %v", rep.Windows, rep.TotalEvents, rep.TotalBytes,
-			rep.TotalCost, rep.Global.Snapshot())
+			rep.TotalCost, rep.Global.AppendSnapshot(nil))
 	}
 	seq, seqRep := run(WithShards(1))
 	if seq.Shards() != 1 || seq.ShardRounds() != 0 {
@@ -268,7 +268,7 @@ func TestStageLookupsOnOwnTables(t *testing.T) {
 		if _, ok := rep.Global.Value("elsewhere"); !ok || rep.Global.Keys() != len(names)+1 {
 			t.Fatalf("shards=%d: %d keys in the answer, want the %d rewritten ones", shards, rep.Global.Keys(), len(names)+1)
 		}
-		return fmt.Sprintf("%d %d %d %v", rep.Windows, rep.TotalEvents, rep.TotalBytes, rep.Global.Snapshot()), e.ShardRounds()
+		return fmt.Sprintf("%d %d %d %v", rep.Windows, rep.TotalEvents, rep.TotalBytes, rep.Global.AppendSnapshot(nil)), e.ShardRounds()
 	}
 	seq, _ := run(1)
 	par, rounds := run(4)
@@ -280,17 +280,15 @@ func TestStageLookupsOnOwnTables(t *testing.T) {
 	}
 }
 
-// TestGuardOrderedByCommit pins the stage-ahead hazard. A stage may run up
-// to one lookahead ahead of the commit clock, so everything the resilience
-// guard reads from or does to a source's WindowAgg — the open-window
-// snapshot at a checkpoint tick, the operator swap on a site death — must be
-// ordered by commit, not by staging. The job's Map shifts every event one
-// window later, so open-window state is never empty; two-phase no-ops one
+// TestGuardOrderedByCommit pins that the resilience guard decides at commit,
+// not at stage. A stage may run up to one lookahead ahead of the commit
+// clock, so whether a window is parked (its site declared dead) and what a
+// checkpoint tick records must follow the commit order. Two-phase no-ops one
 // lookahead before each window end make a 4-shard engine stage that window
-// early; and the checkpoint ticks and heartbeat polls (hence the death
+// early, and the checkpoint ticks and heartbeat polls (hence the death
 // declaration) land between that early stage and the window's commit. A
-// guard that looked at the live aggregate would checkpoint, and lose,
-// different state at 1 and 4 shards.
+// guard that decided at stage would park, and checkpoint, different windows
+// at 1 and 4 shards.
 func TestGuardOrderedByCommit(t *testing.T) {
 	const window = 30 * time.Second
 	run := func(shards int) (string, *resilience.Metrics) {
@@ -300,16 +298,13 @@ func TestGuardOrderedByCommit(t *testing.T) {
 			Obs: traced(rec), Shards: shards,
 		}))
 		e.DeployEverywhere(cloud.Medium, 8)
-		look := e.shard.Lookahead()
+		// The engine's lookahead: the topology's minimum WAN RTT.
+		look := cloud.DefaultAzure().MinWANRTT()
 		// Tick k fires at k·window − k·d, poll 6k with it: inside the last
 		// lookahead before window end k for every k of the run.
 		d := look / 60 * 6
 		job := basicJob(transfer.EnvAware)
 		job.Window = window
-		job.Map = func(ev stream.Event) (stream.Event, bool) {
-			ev.Time += window
-			return ev, true
-		}
 		job.Resilience = &resilience.Config{
 			CheckpointInterval: window - d,
 			HeartbeatInterval:  (window - d) / 6,
@@ -331,7 +326,7 @@ func TestGuardOrderedByCommit(t *testing.T) {
 		}
 		return fmt.Sprintf("windows=%d incomplete=%d events=%d bytes=%d cost=%.9f res=%+v global=%v\n%s",
 			rep.Windows, rep.Incomplete, rep.TotalEvents, rep.TotalBytes, rep.TotalCost,
-			rep.Resilience, rep.Global.Snapshot(), buf.Bytes()), rep.Resilience
+			rep.Resilience, rep.Global.AppendSnapshot(nil), buf.Bytes()), rep.Resilience
 	}
 	seq, rm := run(1)
 	par, _ := run(4)

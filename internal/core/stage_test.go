@@ -23,7 +23,7 @@ func stageOne(job JobSpec, gen *workload.SensorGen, end simtime.Time) (*stageScr
 	s := &sourceState{
 		spec: job.Sources[0],
 		gen:  gen,
-		agg:  stream.NewWindowAggDense(job.Window, job.Agg, gen.Table()),
+		pool: stream.NewAggPool(job.Agg, gen.Table()),
 	}
 	e := &Engine{scratch: make([]stageScratch, 1)}
 	return &e.scratch[0], e.stageWindow(&JobRun{job: job}, s, end)
@@ -46,16 +46,12 @@ func stageJob(mapFn stream.MapFunc) (JobSpec, func() *workload.SensorGen) {
 
 // TestStageBufferIsOneBlock pins the memory claim of the block-at-a-time
 // stage: a 24 000-event window goes through its shard's one columnar block of
-// stageBlock events, 12 bytes each, and a job without a Map never
-// materialises a stream.Event, so the shard's event buffer does not exist.
+// stageBlock events, 12 bytes each.
 func TestStageBufferIsOneBlock(t *testing.T) {
 	job, newGen := stageJob(nil)
 	sc, st := stageOne(job, newGen(), simtime.Time(60*time.Second))
 	if st.kept != 24000 {
 		t.Fatalf("staged %d events, want 24000", st.kept)
-	}
-	if sc.buf != nil {
-		t.Fatalf("a Map-less stage allocated an event buffer of %d events", cap(sc.buf))
 	}
 	if bytes := blockBytes(sc); bytes != 12*stageBlock {
 		t.Fatalf("shard block holds %d IDs and %d values (%d bytes), want one block of %d × 12 bytes",
@@ -67,27 +63,34 @@ func TestStageBufferIsOneBlock(t *testing.T) {
 func blockBytes(sc *stageScratch) int { return 4*cap(sc.block.IDs) + 8*cap(sc.block.Values) }
 
 // TestStagePathsAgree: the columnar fold a Map-less job takes and the
-// materialise → Map → AddBatch path a job with a Map takes stage the same
-// partial, bit for bit, when the Map is the identity — which path runs is the
-// job's choice, never a different answer.
+// materialise → Map → Add path a job with a Map takes stage the same
+// partial, bit for bit, when the Map leaves keys and values alone: the
+// identity, or a Map that moves every event one window later, whose Time the
+// stage does not read — an event stays in the window it was drawn in. Which
+// path runs is the job's choice, never a different answer.
 func TestStagePathsAgree(t *testing.T) {
 	end := simtime.Time(60 * time.Second)
 	job, newGen := stageJob(nil)
 	_, columnar := stageOne(job, newGen(), end)
-	job.Map = func(ev stream.Event) (stream.Event, bool) { return ev, true }
-	sc, mapped := stageOne(job, newGen(), end)
-	if cap(sc.buf) < stageBlock {
-		t.Fatalf("the Map path ran without its event buffer (cap %d)", cap(sc.buf))
+	maps := []struct {
+		name string
+		fn   stream.MapFunc
+	}{
+		{"identity", func(ev stream.Event) (stream.Event, bool) { return ev, true }},
+		{"one window later", func(ev stream.Event) (stream.Event, bool) {
+			ev.Time += simtime.Time(job.Window)
+			return ev, true
+		}},
 	}
-	if columnar.kept != mapped.kept || len(columnar.closed) != 1 || len(mapped.closed) != 1 {
-		t.Fatalf("columnar staged %d events in %d windows, mapped %d in %d",
-			columnar.kept, len(columnar.closed), mapped.kept, len(mapped.closed))
-	}
-	a, b := columnar.closed[0], mapped.closed[0]
-	if a.Window != b.Window || !slices.Equal(a.Agg.Snapshot(), b.Agg.Snapshot()) ||
-		!slices.Equal(columnar.preBytes, mapped.preBytes) {
-		t.Fatalf("columnar partial %v (%d keys, %v bytes) differs from the mapped one %v (%d keys, %v bytes)",
-			a.Window, a.Agg.Keys(), columnar.preBytes, b.Window, b.Agg.Keys(), mapped.preBytes)
+	for _, m := range maps {
+		job.Map = m.fn
+		_, mapped := stageOne(job, newGen(), end)
+		if columnar.start != mapped.start || columnar.kept != mapped.kept || columnar.bytes != mapped.bytes ||
+			!slices.Equal(columnar.agg.AppendSnapshot(nil), mapped.agg.AppendSnapshot(nil)) {
+			t.Fatalf("%s: columnar partial (start %v, %d events, %d keys, %d bytes) differs from the mapped one (start %v, %d events, %d keys, %d bytes)",
+				m.name, columnar.start, columnar.kept, columnar.agg.Keys(), columnar.bytes,
+				mapped.start, mapped.kept, mapped.agg.Keys(), mapped.bytes)
+		}
 	}
 }
 
@@ -129,10 +132,10 @@ func TestStageMapSeesWholeWindowInOrder(t *testing.T) {
 			kept++
 		}
 	}
-	if st.kept != kept || len(st.closed) != 1 {
-		t.Fatalf("staged kept %d in %d windows, want %d in 1", st.kept, len(st.closed), kept)
+	if st.kept != kept {
+		t.Fatalf("staged kept %d, want %d", st.kept, kept)
 	}
-	a, b := st.closed[0].Agg.Result(), want.Result()
+	a, b := st.agg.Result(), want.Result()
 	if len(a) != len(b) {
 		t.Fatalf("staged partial has %d keys, reference %d", len(a), len(b))
 	}
@@ -143,9 +146,9 @@ func TestStageMapSeesWholeWindowInOrder(t *testing.T) {
 	}
 }
 
-// TestShardScratchSharedAcrossJobs: a stage's block and event buffer belong
-// to its executor shard, and the stages of every source dealt to a shard —
-// of any job — take turns with them. Three concurrent jobs of 15 sources on a
+// TestShardScratchSharedAcrossJobs: a stage's block belongs to its executor
+// shard, and the stages of every source dealt to a shard — of any job — take
+// turns with it. Three concurrent jobs of 15 sources on a
 // 4-worker engine put 45 generators on its 32 executor shards, so most shards
 // stage sources of two jobs, one of them with a Map. Under -race this is the
 // proof that a shard never runs two stages at once; the reports and the trace
@@ -178,7 +181,7 @@ func TestShardScratchSharedAcrossJobs(t *testing.T) {
 		}
 		fp := ""
 		for _, rep := range e.Wait(time.Minute, runs...) {
-			fp += fmt.Sprintf("%d %d %d %.6f %v\n", rep.Windows, rep.TotalEvents, rep.TotalBytes, rep.TotalCost, rep.Global.Snapshot())
+			fp += fmt.Sprintf("%d %d %d %.6f %v\n", rep.Windows, rep.TotalEvents, rep.TotalBytes, rep.TotalCost, rep.Global.AppendSnapshot(nil))
 		}
 		var buf bytes.Buffer
 		if err := rec.WriteJSONL(&buf); err != nil {
@@ -201,16 +204,9 @@ func TestShardScratchSharedAcrossJobs(t *testing.T) {
 	if len(four.scratch) != 4*shardsPerWorker {
 		t.Fatalf("4-worker engine has %d scratches, want one per executor shard (%d)", len(four.scratch), 4*shardsPerWorker)
 	}
-	mapped := 0
 	for i := range four.scratch {
 		if b := blockBytes(&four.scratch[i]); !oneBlock(b) {
 			t.Fatalf("shard %d holds %d block bytes, want one block of at most %d", i, b, 12*stageBlock)
 		}
-		if four.scratch[i].buf != nil {
-			mapped++
-		}
-	}
-	if mapped != 15 {
-		t.Fatalf("%d shards built an event buffer; the Map job's 15 sources sit on 15 shards", mapped)
 	}
 }

@@ -15,9 +15,12 @@ import (
 )
 
 // Checkpoint is a consistent snapshot of one job's distributed state at a
-// virtual-time instant: for every source site the windows it still holds and
-// the ledgers of its in-flight transfers, and for the sink the merged global
-// aggregate plus partially-merged windows. It serializes deterministically
+// virtual-time instant: for every source site the windows the sink
+// acknowledged and the ledgers of its in-flight transfers, and for the sink
+// the merged global aggregate plus partially-merged windows. A source
+// operator holds no window open between stages (a stage folds a window's
+// events into the one partial its commit ships), so a source has no cells to
+// record. It serializes deterministically
 // (cells in the order the snapshot lists them — stream.AppendSnapshot's
 // storage order, fixed by the order the job interned its key tables in —
 // fixed-width fields, checksummed), so the same state always produces the
@@ -41,16 +44,8 @@ type SourceState struct {
 	// Acked lists window start times whose partials the sink acknowledged,
 	// sorted ascending.
 	Acked []simtime.Time
-	// Open are the operator's still-open window partials, sorted by start.
-	Open []WindowCells
 	// Ledgers snapshot in-flight transfers, sorted by window start.
 	Ledgers []WindowLedger
-}
-
-// WindowCells is one window's keyed-aggregate partial.
-type WindowCells struct {
-	Start, End simtime.Time
-	Cells      []stream.KeyCell
 }
 
 // WindowLedger pairs a window with the ledger of the transfer shipping it.
@@ -145,12 +140,9 @@ func (c *Checkpoint) encodeInto(buf, global []byte) ([]byte, [2]int) {
 		for _, t := range s.Acked {
 			e.i64(int64(t))
 		}
-		e.u64(uint64(len(s.Open)))
-		for _, w := range s.Open {
-			e.i64(int64(w.Start))
-			e.i64(int64(w.End))
-			e.cells(w.Cells)
-		}
+		// The layout keeps the count of the open windows a source once
+		// carried; there are none.
+		e.u64(0)
 		e.u64(uint64(len(s.Ledgers)))
 		for _, wl := range s.Ledgers {
 			e.i64(int64(wl.Start))
@@ -222,11 +214,8 @@ func decode(b []byte, sourcesOnly bool) (*Checkpoint, error) {
 		s.Site = cloud.SiteID(d.str())
 		s.Index = int(d.u64())
 		s.Acked = d.times()
-		s.Open = make([]WindowCells, d.len())
-		for j := range s.Open {
-			s.Open[j].Start = simtime.Time(d.i64())
-			s.Open[j].End = simtime.Time(d.i64())
-			s.Open[j].Cells = d.cells()
+		if d.u64() != 0 {
+			d.err = errors.New("resilience: checkpoint holds open windows")
 		}
 		s.Ledgers = make([]WindowLedger, d.len())
 		for j := range s.Ledgers {

@@ -46,12 +46,7 @@ func refEncode(c *Checkpoint, dst []byte) []byte {
 		str(string(s.Site))
 		u64(uint64(s.Index))
 		times(s.Acked)
-		u64(uint64(len(s.Open)))
-		for _, w := range s.Open {
-			u64(uint64(w.Start))
-			u64(uint64(w.End))
-			cells(w.Cells)
-		}
+		u64(0) // open windows: none
 		u64(uint64(len(s.Ledgers)))
 		for _, wl := range s.Ledgers {
 			u64(uint64(wl.Start))
@@ -86,8 +81,8 @@ func refEncode(c *Checkpoint, dst []byte) []byte {
 // genCheckpoint builds a checkpoint from a seeded generator: cell lists
 // snapshotted from aggregates of the given kind, empty, or of raw cells with
 // every field set (NaN, infinities, -0 among them); keys from empty to
-// several kilobytes; any number of sources, windows, ledgers and partials,
-// zero included.
+// several kilobytes; any number of sources, ledgers and partials, zero
+// included.
 func genCheckpoint(r *rng.Rand, kind stream.AggKind) *Checkpoint {
 	key := func() string {
 		switch r.Intn(4) {
@@ -121,7 +116,7 @@ func genCheckpoint(r *rng.Rand, kind stream.AggKind) *Checkpoint {
 			for n := r.Intn(200); n > 0; n-- {
 				a.AddValue(key(), num())
 			}
-			return a.Snapshot()
+			return a.AppendSnapshot(nil)
 		}
 	}
 	times := func() []simtime.Time {
@@ -134,9 +129,6 @@ func genCheckpoint(r *rng.Rand, kind stream.AggKind) *Checkpoint {
 	ck := &Checkpoint{Seq: r.Intn(1 << 20), At: simtime.Time(r.Uint64())}
 	for i := r.Intn(4); i > 0; i-- {
 		s := SourceState{Site: cloud.SiteID(key()), Index: r.Intn(64), Acked: times()}
-		for j := r.Intn(3); j > 0; j-- {
-			s.Open = append(s.Open, WindowCells{Start: simtime.Time(r.Uint64()), End: simtime.Time(r.Uint64()), Cells: cells()})
-		}
 		for j := r.Intn(3); j > 0; j-- {
 			l := transfer.Ledger{TransferID: r.Uint64(), From: cloud.SiteID(key()), To: cloud.SiteID(key()),
 				Size: int64(r.Uint64()), ChunkBytes: int64(r.Uint64())}

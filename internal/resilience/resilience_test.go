@@ -116,14 +116,6 @@ func sampleCheckpoint() *Checkpoint {
 				Site:  "NEU",
 				Index: 0,
 				Acked: []simtime.Time{0, simtime.Time(30 * time.Second)},
-				Open: []WindowCells{{
-					Start: simtime.Time(60 * time.Second),
-					End:   simtime.Time(90 * time.Second),
-					Cells: []stream.KeyCell{
-						{Key: "k1", Count: 3, Sum: 4.5, Min: 1, Max: 2},
-						{Key: "k2", Count: 1, Sum: 9, Min: 9, Max: 9},
-					},
-				}},
 				Ledgers: []WindowLedger{{
 					Start: simtime.Time(30 * time.Second),
 					Ledger: transfer.Ledger{
@@ -143,7 +135,10 @@ func sampleCheckpoint() *Checkpoint {
 				Start:   simtime.Time(30 * time.Second),
 				End:     simtime.Time(60 * time.Second),
 				Sources: []int{1},
-				Cells:   []stream.KeyCell{{Key: "k3", Count: 2, Sum: 2, Min: 1, Max: 1}},
+				Cells: []stream.KeyCell{
+					{Key: "k3", Count: 2, Sum: 2, Min: 1, Max: 1},
+					{Key: "k2", Count: 1, Sum: 9, Min: 9, Max: 9},
+				},
 			}},
 		},
 	}
@@ -191,6 +186,22 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if _, err := DecodeCheckpoint(bad); err == nil {
 		t.Fatal("wrong magic decoded")
 	}
+	// The layout keeps a source's open-window count, always 0: a blob that
+	// says 1, resealed so it passes the checksum, is refused by both decoders.
+	src := sampleCheckpoint().Sources[0]
+	at := len(checkpointMagic) + 8*3 + 8 + len(src.Site) + 8 + 8 + 8*len(src.Acked)
+	if n := binary.BigEndian.Uint64(b[at:]); n != 0 {
+		t.Fatalf("open-window count at byte %d reads %d, want 0", at, n)
+	}
+	open := slices.Clone(b)
+	binary.BigEndian.PutUint64(open[at:], 1)
+	binary.BigEndian.PutUint64(open[len(open)-8:], checksum(open[:len(open)-8]))
+	if _, err := DecodeCheckpoint(open); err == nil || !strings.Contains(err.Error(), "open windows") {
+		t.Fatalf("a checkpoint with an open window: err = %v, want it refused", err)
+	}
+	if _, err := DecodeSources(open); err == nil {
+		t.Fatal("DecodeSources accepted a checkpoint with an open window")
+	}
 }
 
 // TestCheckpointRefusesVersion01: a well-formed blob of the previous
@@ -221,26 +232,23 @@ var allKinds = []stream.AggKind{stream.Count, stream.Sum, stream.Mean, stream.Mi
 
 // perKindCheckpoint is the fixture of TestCheckpointRoundTripPerKind: an
 // aggregate of the kind over a three-key table plus an ad-hoc key, ±0 and +Inf
-// among its values, snapshotted into a checkpoint as a source's open window
-// and as the sink's global answer.
-func perKindCheckpoint(kind stream.AggKind) (ck *Checkpoint, tb *stream.KeyTable, orig *stream.KeyedAgg, win stream.Window) {
+// among its values, snapshotted into a checkpoint as the sink's global answer.
+func perKindCheckpoint(kind stream.AggKind) (ck *Checkpoint, tb *stream.KeyTable, orig *stream.KeyedAgg) {
 	tb = stream.NewKeyTableOf([]string{"b", "a", "c"})
 	orig = stream.NewKeyedAggDense(kind, tb)
 	for i, v := range []float64{3.5, -1.25, math.Copysign(0, -1), 0, 7, math.Inf(1), -1.25, 2} {
 		orig.AddValue([]string{"a", "b", "adhoc"}[i%3], v)
 	}
-	win = stream.Window{Start: simtime.Time(30 * time.Second), End: simtime.Time(60 * time.Second)}
-	ck = &Checkpoint{Seq: 1, Sources: []SourceState{{Site: "NEU", Open: []WindowCells{
-		{Start: win.Start, End: win.End, Cells: orig.Snapshot()},
-	}}}, Sink: SinkState{Site: "NUS", Global: orig.Snapshot()}}
-	return ck, tb, orig, win
+	ck = &Checkpoint{Seq: 1, Sources: []SourceState{{Site: "NEU"}},
+		Sink: SinkState{Site: "NUS", Global: orig.AppendSnapshot(nil)}}
+	return ck, tb, orig
 }
 
 // snapshotEvents returns the number of events folded into a: the counts of its
 // snapshot cells.
 func snapshotEvents(a *stream.KeyedAgg) int64 {
 	var n int64
-	for _, c := range a.Snapshot() {
+	for _, c := range a.AppendSnapshot(nil) {
 		n += c.Count
 	}
 	return n
@@ -255,7 +263,7 @@ func snapshotEvents(a *stream.KeyedAgg) int64 {
 // per-kind round trip's encodings and the sample checkpoint.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, kind := range allKinds {
-		ck, _, _, _ := perKindCheckpoint(kind)
+		ck, _, _ := perKindCheckpoint(kind)
 		f.Add(ck.Encode())
 	}
 	f.Add(sampleCheckpoint().Encode())
@@ -295,15 +303,15 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 }
 
 // TestCheckpointRoundTripPerKind: an aggregate of each kind, snapshotted into
-// a checkpoint, encoded, decoded and restored — into a sink-style dense
-// aggregate and into an open window — reports what it reported before, bit
-// for bit, and goes on merging as the original does. A record is 32 bytes
+// a checkpoint, encoded, decoded and restored into a sink-style dense
+// aggregate reports what it reported before, bit for bit, and goes on
+// folding as the original does. A record is 32 bytes
 // plus the key whatever the kind: the aggregate fills in the count and its
 // kind's field and leaves the others zero.
 func TestCheckpointRoundTripPerKind(t *testing.T) {
 	var sizes []int
 	for _, kind := range allKinds {
-		ck, tb, orig, win := perKindCheckpoint(kind)
+		ck, tb, orig := perKindCheckpoint(kind)
 		for _, c := range ck.Sink.Global {
 			zero := 0
 			for _, f := range []float64{c.Sum, c.Min, c.Max} {
@@ -326,32 +334,22 @@ func TestCheckpointRoundTripPerKind(t *testing.T) {
 		for _, c := range got.Sink.Global {
 			sink.RestoreCell(c)
 		}
-		w := stream.NewWindowAggDense(30*time.Second, kind, tb)
-		open := got.Sources[0].Open[0]
-		w.RestoreWindow(stream.Window{Start: open.Start, End: open.End}, open.Cells)
-		// Both go on folding after the restore, as the original does.
-		more := stream.Event{Key: "a", KeyID: 2, Value: -8, Time: win.Start + 1}
+		// It goes on folding after the restore, as the original does.
+		more := stream.Event{Key: "a", KeyID: 2, Value: -8}
 		orig.Add(more)
 		sink.Add(more)
-		w.Add(more)
-		closed := w.Advance(win.End)
-		if len(closed) != 1 || closed[0].Window != win {
-			t.Fatalf("%v: restored window closed as %+v", kind, closed)
+		want, have := orig.Result(), sink.Result()
+		if len(want) != len(have) {
+			t.Fatalf("%v: restored %+v, want %+v", kind, have, want)
 		}
-		for name, agg := range map[string]*stream.KeyedAgg{"sink": sink, "window": closed[0].Agg} {
-			want, have := orig.Result(), agg.Result()
-			if len(want) != len(have) {
-				t.Fatalf("%v/%s: restored %+v, want %+v", kind, name, have, want)
+		for i := range want {
+			if want[i].Key != have[i].Key || math.Float64bits(want[i].Value) != math.Float64bits(have[i].Value) {
+				t.Fatalf("%v: restored %+v, want %+v", kind, have[i], want[i])
 			}
-			for i := range want {
-				if want[i].Key != have[i].Key || math.Float64bits(want[i].Value) != math.Float64bits(have[i].Value) {
-					t.Fatalf("%v/%s: restored %+v, want %+v", kind, name, have[i], want[i])
-				}
-			}
-			if snapshotEvents(agg) != snapshotEvents(orig) || agg.SerializedBytes() != orig.SerializedBytes() {
-				t.Fatalf("%v/%s: %d events %d bytes, want %d and %d", kind, name,
-					snapshotEvents(agg), agg.SerializedBytes(), snapshotEvents(orig), orig.SerializedBytes())
-			}
+		}
+		if snapshotEvents(sink) != snapshotEvents(orig) || sink.SerializedBytes() != orig.SerializedBytes() {
+			t.Fatalf("%v: %d events %d bytes, want %d and %d", kind,
+				snapshotEvents(sink), sink.SerializedBytes(), snapshotEvents(orig), orig.SerializedBytes())
 		}
 	}
 	for _, n := range sizes {
@@ -430,19 +428,21 @@ func TestPlanFailoverPicksWidestReachable(t *testing.T) {
 // the snapshot's storage order and is not sorted, so recovery must not
 // depend on it. The input is a program: its first byte is how many cells
 // (at most 40, each with its own key) join the sample checkpoint's global
-// answer, and each later byte permutes one of three cell lists — the global
-// answer, a partial window's and an open window's — by reversing it, swapping
-// two cells or rotating it (op%3 picks the list, op/3%3 the permutation; a
-// swap reads two index bytes and a rotation one). The permuted checkpoint
-// encodes to the same size, to the same bytes exactly when no list moved,
-// decodes, and restores every list to the same aggregate. The first seed is
-// one reversal of each list and a swap of the global answer's second and
-// second-to-last cells.
+// answer, and each later byte permutes one of two cell lists — the global
+// answer and a partial window's — by reversing it, swapping two cells or
+// rotating it (op%2 picks the list, op/2%3 the permutation; a swap reads two
+// index bytes and a rotation one). The permuted checkpoint encodes to the
+// same size, to the same bytes exactly when no list moved, decodes, and
+// restores every list to the same aggregate. The seeds are: one reversal of
+// each list and a swap of the global answer's second and second-to-last
+// cells; a reversal of the partial window's list and a swap whose index
+// bytes are missing; a rotation of each list and a swap of a cell with
+// itself; two reversals that cancel and a self-swap, which move nothing.
 func FuzzCheckpointCellOrder(f *testing.F) {
-	f.Add([]byte{40, 0, 1, 2, 3, 1, 39})
-	f.Add([]byte{0, 2, 5})
-	f.Add([]byte{12, 6, 5, 8, 1, 3, 4, 4})
-	f.Add([]byte{3, 0, 0, 3, 2, 2})
+	f.Add([]byte{40, 0, 1, 2, 1, 39})
+	f.Add([]byte{0, 1, 3})
+	f.Add([]byte{12, 4, 5, 5, 1, 2, 4, 4})
+	f.Add([]byte{3, 0, 0, 2, 2, 2})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 {
 			return
@@ -456,10 +456,7 @@ func FuzzCheckpointCellOrder(f *testing.F) {
 		permuted := sampleCheckpoint()
 		permuted.Sink.Global = slices.Clone(ck.Sink.Global)
 		permuted.Sink.Partial[0].Cells = slices.Clone(ck.Sink.Partial[0].Cells)
-		permuted.Sources[0].Open[0].Cells = slices.Clone(ck.Sources[0].Open[0].Cells)
-		lists := []*[]stream.KeyCell{
-			&permuted.Sink.Global, &permuted.Sink.Partial[0].Cells, &permuted.Sources[0].Open[0].Cells,
-		}
+		lists := []*[]stream.KeyCell{&permuted.Sink.Global, &permuted.Sink.Partial[0].Cells}
 		i := 1
 		next := func() int {
 			if i >= len(prog) {
@@ -470,9 +467,9 @@ func FuzzCheckpointCellOrder(f *testing.F) {
 		}
 		for i < len(prog) {
 			op := next()
-			l := lists[op%3]
+			l := lists[op%2]
 			n := len(*l)
-			switch op / 3 % 3 {
+			switch op / 2 % 3 {
 			case 0:
 				slices.Reverse(*l)
 			case 1:
@@ -489,8 +486,7 @@ func FuzzCheckpointCellOrder(f *testing.F) {
 			t.Fatalf("permuting cells changed the encoded size: %d vs %d", len(b), len(a))
 		}
 		moved := !slices.Equal(ck.Sink.Global, permuted.Sink.Global) ||
-			!slices.Equal(ck.Sink.Partial[0].Cells, permuted.Sink.Partial[0].Cells) ||
-			!slices.Equal(ck.Sources[0].Open[0].Cells, permuted.Sources[0].Open[0].Cells)
+			!slices.Equal(ck.Sink.Partial[0].Cells, permuted.Sink.Partial[0].Cells)
 		if moved == bytes.Equal(a, b) {
 			t.Fatalf("a permutation that moved cells (%v) left the bytes equal (%v)", moved, bytes.Equal(a, b))
 		}
@@ -512,7 +508,6 @@ func FuzzCheckpointCellOrder(f *testing.F) {
 		pairs := [][2][]stream.KeyCell{
 			{want.Sink.Global, got.Sink.Global},
 			{want.Sink.Partial[0].Cells, got.Sink.Partial[0].Cells},
-			{want.Sources[0].Open[0].Cells, got.Sources[0].Open[0].Cells},
 		}
 		for j, p := range pairs {
 			if w, g := restore(p[0]), restore(p[1]); len(w) == 0 || !slices.Equal(w, g) {
@@ -547,7 +542,7 @@ func TestEncoderReusesGlobalSection(t *testing.T) {
 	global := ck.Sink.Global
 	for round := 2; round <= 4; round++ {
 		ck.Seq, ck.At = round, simtime.Time(round)*simtime.Time(30*time.Second)
-		ck.Sources[0].Open = ck.Sources[0].Open[:round%2]
+		ck.Sources[0].Acked = ck.Sources[0].Acked[:round%2]
 		ck.Sink.Partial[0].Sources = append(ck.Sink.Partial[0].Sources, round)
 		// The same cells in a fresh list: the encoder copies bytes, so only
 		// the caller's promise ties them to the last round's.

@@ -70,9 +70,6 @@ func (sh *Sharded) Shards() int { return len(sh.queues) }
 // Workers returns how many stages may run at once.
 func (sh *Sharded) Workers() int { return sh.workers }
 
-// Lookahead returns the conservative horizon.
-func (sh *Sharded) Lookahead() Time { return sh.lookahead }
-
 // Rounds returns the number of parallel staging rounds executed — an
 // instrumentation hook for tests and the scaling experiment.
 func (sh *Sharded) Rounds() uint64 { return sh.rounds }

@@ -51,23 +51,40 @@ func (b *Block) AppendEvents(dst []Event) []Event {
 	return dst
 }
 
+// AddBlock folds a block into the aggregate: the same result, bit for bit, as
+// Add of each of the block's events in order — same per-key accumulation
+// order — without materialising them. Event times are not read. That a
+// block's IDs belong to this aggregate's table is checked here, once, by
+// comparing the tables, which is what add re-proves for every single event by
+// comparing key strings; a block over any other table (or onto a map-backed
+// aggregate) is folded through its events, where that per-event guard still
+// stands.
+func (a *KeyedAgg) AddBlock(b *Block) {
+	if a.table == nil || b.Table != a.table {
+		for i := range b.IDs {
+			e := b.Event(i)
+			a.add(&e)
+		}
+		return
+	}
+	a.addColumns(b.IDs, b.Values)
+}
+
 // AddBlock folds a block into its windows: the same result, bit for bit, as
 // AddBatch of the block's materialised events — same per-key accumulation
 // order, same windows opened, late data treated alike — without materialising
-// them. That a block's IDs belong to this aggregate's table is checked here,
-// once, by comparing the tables, which is what KeyedAgg.add re-proves for
-// every single event by comparing key strings; a block over any other table
-// (or onto a map-backed aggregate) is folded through its events, where that
-// per-event guard still stands.
+// them. The block is cut where it crosses a window boundary, which is
+// arithmetic on From and Step, and each run goes to its window's
+// KeyedAgg.AddBlock.
 func (w *WindowAgg) AddBlock(b *Block) {
-	n := len(b.IDs)
-	if w.table == nil || b.Table != w.table || b.Step < 0 {
-		// A descending block goes the same way: the split below counts
-		// forward from each segment's first event.
+	if b.Step < 0 {
+		// A descending block is folded event by event: the cut below counts
+		// forward from each run's first event.
 		w.events = b.AppendEvents(w.events[:0])
 		w.AddBatch(w.events)
 		return
 	}
+	n := len(b.IDs)
 	for i := 0; i < n; {
 		t := b.From + simtime.Time(i)*b.Step
 		agg := w.aggFor(t)
@@ -78,7 +95,8 @@ func (w *WindowAgg) AddBlock(b *Block) {
 			left := w.lastStart + simtime.Time(w.Width) - t
 			m = min(m, int((left+b.Step-1)/b.Step))
 		}
-		agg.addColumns(b.IDs[i:i+m], b.Values[i:i+m])
+		run := Block{Table: b.Table, IDs: b.IDs[i : i+m], Values: b.Values[i : i+m], From: t, Step: b.Step, Site: b.Site}
+		agg.AddBlock(&run)
 		i += m
 	}
 }

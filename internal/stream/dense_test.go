@@ -355,7 +355,7 @@ func FuzzAddBlock(f *testing.F) {
 				t.Fatalf("advance to %v: AddBlock vs the oracle: %v", mark, err)
 			}
 			for i := range a {
-				if !slices.Equal(a[i].Agg.Snapshot(), b[i].Agg.Snapshot()) {
+				if !slices.Equal(a[i].Agg.AppendSnapshot(nil), b[i].Agg.AppendSnapshot(nil)) {
 					t.Fatalf("advance to %v: window %v snapshots differ", mark, a[i].Window)
 				}
 			}
@@ -456,13 +456,13 @@ func TestPropertyMergeMappedMatchesMerge(t *testing.T) {
 					o.AddValue(k, v)
 				}
 			}
-			before := o.Snapshot()
+			before := o.AppendSnapshot(nil)
 			viaRemap.MergeMapped(o, remap)
 			viaMerge.Merge(o)
-			return slices.Equal(viaRemap.Snapshot(), viaMerge.Snapshot()) &&
+			return slices.Equal(viaRemap.AppendSnapshot(nil), viaMerge.AppendSnapshot(nil)) &&
 				slices.Equal(viaRemap.Result(), viaMerge.Result()) &&
 				viaRemap.Keys() == viaMerge.Keys() &&
-				slices.Equal(o.Snapshot(), before)
+				slices.Equal(o.AppendSnapshot(nil), before)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("kind %v: %v", kind, err)

@@ -3,13 +3,10 @@ package stream
 import (
 	"slices"
 	"testing"
-	"time"
-
-	"sage/internal/simtime"
 )
 
 // These tests cover the snapshot/restore surface the resilience subsystem
-// checkpoints through: KeyedAgg cells and WindowAgg open-window state.
+// checkpoints through: KeyedAgg cells.
 
 func TestKeyedAggSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
@@ -17,7 +14,7 @@ func TestKeyedAggSnapshotRestoreRoundTrip(t *testing.T) {
 		a.Add(Event{Key: "b", Value: 2})
 		a.Add(Event{Key: "a", Value: 5})
 		a.Add(Event{Key: "b", Value: 8})
-		snap := a.Snapshot()
+		snap := a.AppendSnapshot(nil)
 		// Map cells come out sorted by key: map iteration order must not
 		// reach the serialization.
 		for i := 1; i < len(snap); i++ {
@@ -45,7 +42,7 @@ func TestKeyedAggSnapshotCoversDenseCells(t *testing.T) {
 	a := NewKeyedAggDense(Sum, NewKeyTableOf([]string{"hot"}))
 	a.Add(Event{Key: "hot", KeyID: 1, Value: 3})
 	a.Add(Event{Key: "cold", Value: 4}) // not in the table: map path
-	snap := a.Snapshot()
+	snap := a.AppendSnapshot(nil)
 	if len(snap) != 2 {
 		t.Fatalf("snapshot = %+v, want both dense and map cells", snap)
 	}
@@ -65,71 +62,6 @@ func TestRestoreCellMergesIntoExisting(t *testing.T) {
 	res := a.Result()
 	if len(res) != 1 || res[0].Value != 10 {
 		t.Fatalf("merge-restore = %+v, want sum 10", res)
-	}
-}
-
-func TestWindowAggOpenSnapshotRestore(t *testing.T) {
-	width := 30 * time.Second
-	w := NewWindowAgg(width, Mean)
-	at := func(d time.Duration) simtime.Time { return simtime.Time(d) }
-	w.Add(Event{Key: "x", Value: 2, Time: at(5 * time.Second)})
-	w.Add(Event{Key: "y", Value: 4, Time: at(40 * time.Second)})
-	w.Add(Event{Key: "x", Value: 6, Time: at(41 * time.Second)})
-
-	snap := w.OpenSnapshot()
-	if len(snap) != 2 {
-		t.Fatalf("open windows = %d, want 2", len(snap))
-	}
-	if snap[0].Window.Start >= snap[1].Window.Start {
-		t.Fatalf("open snapshot not start-sorted: %+v", snap)
-	}
-
-	// Rebuild a fresh aggregator from the snapshot: closing both windows
-	// must reproduce the original contents.
-	r := NewWindowAgg(width, Mean)
-	for _, ow := range snap {
-		r.RestoreWindow(ow.Window, ow.Cells)
-	}
-	orig := w.Advance(at(time.Minute))
-	rest := r.Advance(at(time.Minute))
-	if len(orig) != len(rest) {
-		t.Fatalf("closed %d windows, want %d", len(rest), len(orig))
-	}
-	for i := range orig {
-		ow, rw := orig[i].Agg.Result(), rest[i].Agg.Result()
-		if len(ow) != len(rw) {
-			t.Fatalf("window %d keys: %d vs %d", i, len(rw), len(ow))
-		}
-		for j := range ow {
-			if ow[j] != rw[j] {
-				t.Fatalf("window %d cell %d = %+v, want %+v", i, j, rw[j], ow[j])
-			}
-		}
-	}
-
-	// The snapshot is a deep copy: mutating the source afterwards must not
-	// leak into a snapshot taken earlier.
-	w2 := NewWindowAgg(width, Sum)
-	w2.Add(Event{Key: "k", Value: 1, Time: at(time.Second)})
-	snap2 := w2.OpenSnapshot()
-	w2.Add(Event{Key: "k", Value: 100, Time: at(2 * time.Second)})
-	if snap2[0].Cells[0].Sum != 1 {
-		t.Fatalf("snapshot aliased live state: %+v", snap2[0].Cells)
-	}
-}
-
-func TestRestoreWindowMergesIntoOpenWindow(t *testing.T) {
-	width := 30 * time.Second
-	w := NewWindowAgg(width, Sum)
-	w.Add(Event{Key: "k", Value: 1, Time: simtime.Time(time.Second)})
-	w.RestoreWindow(Window{Start: 0, End: simtime.Time(width)},
-		[]KeyCell{{Key: "k", Count: 1, Sum: 5, Min: 5, Max: 5}})
-	closed := w.Advance(simtime.Time(width))
-	if len(closed) != 1 {
-		t.Fatalf("closed = %d windows", len(closed))
-	}
-	if res := closed[0].Agg.Result(); len(res) != 1 || res[0].Value != 6 {
-		t.Fatalf("restore-merge = %+v, want sum 6", res)
 	}
 }
 
@@ -184,7 +116,7 @@ func TestAppendSnapshotRoundTrip(t *testing.T) {
 // events arrived in), then ad-hoc map cells by key.
 func TestAppendSnapshotStorageOrder(t *testing.T) {
 	var keys []string
-	for _, c := range snapshotFixtures(Sum)["mixed"].Snapshot() {
+	for _, c := range snapshotFixtures(Sum)["mixed"].AppendSnapshot(nil) {
 		keys = append(keys, c.Key)
 	}
 	if want := []string{"m", "x", "a", "b", "n", "zz"}; !slices.Equal(keys, want) {
@@ -197,7 +129,7 @@ func TestAppendSnapshotStorageOrder(t *testing.T) {
 // point of it — allocates nothing once the buffer fits, map cells included.
 func TestAppendSnapshotReusesBuffer(t *testing.T) {
 	for name, a := range snapshotFixtures(Mean) {
-		want := a.Snapshot()
+		want := a.AppendSnapshot(nil)
 		// A buffer that last held some other, longer snapshot.
 		buf := make([]KeyCell, 16)
 		for i := range buf {

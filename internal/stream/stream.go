@@ -31,7 +31,7 @@ type Event struct {
 	// (stale IDs are detected and fall back to the string path).
 	// An Event cannot say which table its ID came from, so that detection
 	// compares key strings per event; a Block names its table and is checked
-	// once (WindowAgg.AddBlock).
+	// once (KeyedAgg.AddBlock).
 	KeyID int
 	// Value is the measurement.
 	Value float64
@@ -41,7 +41,9 @@ type Event struct {
 	Site cloud.SiteID
 }
 
-// MapFunc transforms an event; returning false drops it (filter).
+// MapFunc transforms an event; returning false drops it (filter). What it
+// returns is folded by key and value: the Time and Site it returns are not
+// read.
 type MapFunc func(Event) (Event, bool)
 
 // AggKind selects the per-key aggregation function.
@@ -181,8 +183,9 @@ func NewKeyedAggDense(kind AggKind, t *KeyTable) *KeyedAgg {
 // Add folds one event into the aggregate.
 func (a *KeyedAgg) Add(e Event) { a.add(&e) }
 
-// add is the one cell update behind Add and WindowAgg's Add and AddBatch;
-// it takes the event by pointer so batch folds do not copy it per call.
+// add is the one cell update behind Add, AddBlock's event-by-event path and
+// WindowAgg's Add and AddBatch; it takes the event by pointer so batch folds
+// do not copy it per call.
 func (a *KeyedAgg) add(e *Event) {
 	if a.table != nil && e.KeyID > 0 && a.table.Key(e.KeyID) == e.Key {
 		a.denseSlot(e.KeyID).add(a.Kind, e.Value)
@@ -454,10 +457,6 @@ func (c *cell) keyCell(kind AggKind, key string) KeyCell {
 	return kc
 }
 
-// Snapshot returns every key's raw accumulator in a fresh slice; see
-// AppendSnapshot for the order.
-func (a *KeyedAgg) Snapshot() []KeyCell { return a.AppendSnapshot(nil) }
-
 // AppendSnapshot appends every key's raw accumulator to dst and returns the
 // extended slice: dense cells in KeyID order, then ad-hoc map cells sorted by
 // key. That is storage order — nothing is sorted but the (normally empty) map
@@ -558,10 +557,8 @@ type WindowAgg struct {
 	Width time.Duration
 	Kind  AggKind
 	open  map[simtime.Time]*KeyedAgg
-	// table, when non-nil, makes every window's aggregate dense (see
-	// NewKeyedAggDense).
-	table *KeyTable
-	// pool supplies every window's aggregate and takes spent ones back.
+	// pool supplies every window's aggregate — dense over the aggregator's
+	// table, if it has one — and takes spent ones back.
 	pool *AggPool
 	// last{Start,Agg} cache the most recent window so in-order event runs
 	// skip the map lookup; invalidated on Advance.
@@ -571,7 +568,8 @@ type WindowAgg struct {
 	// closedPool holds the slice Recycle took back: it backs the next Advance
 	// result.
 	closedPool []Closed
-	// events is AddBlock's scratch for a block it has to fold event by event.
+	// events is AddBlock's scratch for a descending block, which it folds
+	// event by event.
 	events []Event
 }
 
@@ -586,22 +584,14 @@ func NewWindowAggDense(width time.Duration, kind AggKind, t *KeyTable) *WindowAg
 	if width <= 0 {
 		panic("stream: window width must be positive")
 	}
-	return &WindowAgg{Width: width, Kind: kind, table: t, pool: NewAggPool(kind, t),
+	return &WindowAgg{Width: width, Kind: kind, pool: NewAggPool(kind, t),
 		open: make(map[simtime.Time]*KeyedAgg)}
 }
 
-// Pool returns the pool the aggregator takes its windows' aggregates from.
-// An aggregate Advance returned is never written again by the aggregator
-// (a late event for the same start opens a fresh one) nor by a merge, which
-// only reads its argument; its last reader hands it back here with Put, and
-// the aggregator reuses it for a later window.
-func (w *WindowAgg) Pool() *AggPool { return w.pool }
-
 // Recycle hands back a whole batch Advance returned, for a caller that is
-// done with it at once: every aggregate goes to the pool, and the slice backs
-// the next Advance result. Only call it once per batch, and keep no reference
-// to its aggregates. A caller whose partials have readers of their own (the
-// engine) hands each back to Pool when its last reader is done instead.
+// done with it at once: every aggregate goes to the aggregator's pool, and the
+// slice backs the next Advance result. Only call it once per batch, and keep
+// no reference to its aggregates.
 func (w *WindowAgg) Recycle(batch []Closed) {
 	for i := range batch {
 		if a := batch[i].Agg; a != nil {
@@ -610,17 +600,6 @@ func (w *WindowAgg) Recycle(batch []Closed) {
 		}
 	}
 	w.closedPool = batch[:0]
-}
-
-// Reset drops every open window, leaving the aggregator as it was built but
-// for its pool, which takes the dropped windows' aggregates: what a
-// restarted operator holds before it restores a checkpoint.
-func (w *WindowAgg) Reset() {
-	for start, a := range w.open {
-		w.pool.Put(a)
-		delete(w.open, start)
-	}
-	w.lastAgg = nil
 }
 
 // Add folds an event into its window.
@@ -654,49 +633,6 @@ func (w *WindowAgg) aggFor(t simtime.Time) *KeyedAgg {
 	}
 	w.lastStart, w.lastAgg = start, agg
 	return agg
-}
-
-// OpenWindow is one still-open window's snapshotted accumulator state.
-type OpenWindow struct {
-	Window Window
-	Cells  []KeyCell
-}
-
-// OpenSnapshot returns the still-open windows with their accumulator cells,
-// sorted by window start — the checkpointable portion of a site operator's
-// state. The cells are deep copies; mutating them does not touch the live
-// aggregates.
-func (w *WindowAgg) OpenSnapshot() []OpenWindow {
-	starts := make([]simtime.Time, 0, len(w.open))
-	for s := range w.open {
-		starts = append(starts, s)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	out := make([]OpenWindow, 0, len(starts))
-	for _, s := range starts {
-		out = append(out, OpenWindow{
-			Window: Window{Start: s, End: s + simtime.Time(w.Width)},
-			Cells:  w.open[s].Snapshot(),
-		})
-	}
-	return out
-}
-
-// RestoreWindow re-opens a window and folds the snapshot cells into it —
-// the inverse of OpenSnapshot, used when recovering an operator from a
-// checkpoint. Restoring into an already-open window merges.
-func (w *WindowAgg) RestoreWindow(win Window, cells []KeyCell) {
-	agg := w.open[win.Start]
-	if agg == nil {
-		agg = w.pool.Get()
-		w.open[win.Start] = agg
-	}
-	for _, kc := range cells {
-		agg.RestoreCell(kc)
-	}
-	// Drop the last-window cache: it may alias a pooled aggregate that the
-	// restore path just brought back, and a stale hit would corrupt state.
-	w.lastAgg = nil
 }
 
 // Closed is an emitted window partial.
