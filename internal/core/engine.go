@@ -349,10 +349,10 @@ type sourceState struct {
 	// and takes it back once the window's partial has no reader left
 	// (partial.release).
 	pool *stream.AggPool
-	// remap[id] is the sink-table ID of the key with ID id in gen.Table(),
-	// fixed at Start: the sink merges this source's partials through it, by
-	// index (stream.KeyedAgg.MergeMapped).
-	remap   []int
+	// spans map gen.Table()'s IDs to the sink table's, fixed at Start: the
+	// sink merges this source's partials through them, by index
+	// (stream.KeyedAgg.MergeMapped).
+	spans   []stream.Span
 	shipped int // partials shipped, drives calibration exploration
 	// pending queues staged window results (appended by the source's stage
 	// on its shard goroutine, consumed FIFO by commits on the scheduler
@@ -609,11 +609,11 @@ func (e *Engine) Start(job JobSpec, dur time.Duration) (*JobRun, error) {
 	}
 	run.srcs = srcs
 	// The sink merges each source's partials into the union table by index,
-	// through the source's remap: no key string is looked up.
-	sinkTable, remaps := workload.KeyUnion(gens)
+	// through the source's spans: no key string is looked up.
+	sinkTable, spans := workload.KeyUnion(gens)
 	run.sinkPool = stream.NewAggPool(job.Agg, sinkTable)
 	for i, s := range srcs {
-		s.remap = remaps[i]
+		s.spans = spans[i]
 	}
 	run.rep = &Report{Global: run.newSinkAgg()}
 	rep := run.rep
@@ -819,7 +819,7 @@ func (e *Engine) ship(run *JobRun, p *partial, resume *transfer.Ledger) {
 		if ws.merged != nil {
 			// Merged state is freed once the window completes; a partial
 			// landing after that would be late data.
-			ws.merged.MergeMapped(cw.Agg, s.remap)
+			ws.merged.MergeMapped(cw.Agg, s.spans)
 		}
 		e.Obs.Emit(obs.Event{Kind: obs.EvMerge, At: e.Sched.Now(), Job: run.id,
 			Site: string(sink), Bytes: bytes, ID: uint64(cw.Window.Start)})

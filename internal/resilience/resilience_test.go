@@ -234,7 +234,7 @@ var allKinds = []stream.AggKind{stream.Count, stream.Sum, stream.Mean, stream.Mi
 // aggregate of the kind over a three-key table plus an ad-hoc key, ±0 and +Inf
 // among its values, snapshotted into a checkpoint as the sink's global answer.
 func perKindCheckpoint(kind stream.AggKind) (ck *Checkpoint, tb *stream.KeyTable, orig *stream.KeyedAgg) {
-	tb = stream.NewKeyTableOf([]string{"b", "a", "c"})
+	tb = stream.NewKeyTable(stream.KeyListOf([]string{"b", "a", "c"}))
 	orig = stream.NewKeyedAggDense(kind, tb)
 	for i, v := range []float64{3.5, -1.25, math.Copysign(0, -1), 0, 7, math.Inf(1), -1.25, 2} {
 		orig.AddValue([]string{"a", "b", "adhoc"}[i%3], v)
@@ -499,7 +499,7 @@ func FuzzCheckpointCellOrder(f *testing.F) {
 			t.Fatalf("permuted checkpoint does not decode: %v", err)
 		}
 		restore := func(cells []stream.KeyCell) []stream.KV {
-			agg := stream.NewKeyedAggDense(stream.Mean, stream.NewKeyTableOf([]string{"k2", "g05"}))
+			agg := stream.NewKeyedAggDense(stream.Mean, stream.NewKeyTable(stream.KeyListOf([]string{"k2", "g05"})))
 			for _, c := range cells {
 				agg.RestoreCell(c)
 			}

@@ -37,7 +37,7 @@ func benchEvents(keys int) ([]Event, *KeyTable) {
 			Time:  simtime.Time(i) * step,
 		}
 	}
-	return events, NewKeyTableOf(strs)
+	return events, NewKeyTable(KeyListOf(strs))
 }
 
 // RunBenchmarkWindowAggDense measures the dense (KeyID-indexed) window

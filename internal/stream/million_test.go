@@ -15,7 +15,7 @@ func millionTable(tb testing.TB) *KeyTable {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("sensor-%07d", i)
 	}
-	return NewKeyTableOf(keys)
+	return NewKeyTable(KeyListOf(keys))
 }
 
 // TestMillionKeyDenseMatchesMap checks the dense KeyedAgg against the map

@@ -39,7 +39,7 @@ func TestKeyedAggSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 func TestKeyedAggSnapshotCoversDenseCells(t *testing.T) {
-	a := NewKeyedAggDense(Sum, NewKeyTableOf([]string{"hot"}))
+	a := NewKeyedAggDense(Sum, NewKeyTable(KeyListOf([]string{"hot"})))
 	a.Add(Event{Key: "hot", KeyID: 1, Value: 3})
 	a.Add(Event{Key: "cold", Value: 4}) // not in the table: map path
 	snap := a.AppendSnapshot(nil)
@@ -70,7 +70,7 @@ func TestRestoreCellMergesIntoExisting(t *testing.T) {
 // keys its table does not know. The table holds its keys in an order that is
 // not key order, and only some of them receive events.
 func snapshotFixtures(kind AggKind) map[string]*KeyedAgg {
-	tb := NewKeyTableOf([]string{"m", "c", "x", "a", "q"})
+	tb := NewKeyTable(KeyListOf([]string{"m", "c", "x", "a", "q"}))
 	dense := NewKeyedAggDense(kind, tb)
 	plain := NewKeyedAgg(kind)
 	mixed := NewKeyedAggDense(kind, tb)
@@ -98,7 +98,7 @@ func TestAppendSnapshotRoundTrip(t *testing.T) {
 			if len(snap) != a.Keys() {
 				t.Fatalf("%v/%s: %d cells for %d keys", kind, name, len(snap), a.Keys())
 			}
-			other := NewKeyTableOf([]string{"n", "x"})
+			other := NewKeyTable(KeyListOf([]string{"n", "x"}))
 			for _, b := range []*KeyedAgg{NewKeyedAgg(kind), NewKeyedAggDense(kind, other)} {
 				for _, c := range snap {
 					b.RestoreCell(c)

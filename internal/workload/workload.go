@@ -56,7 +56,7 @@ type SensorGen struct {
 // list and, for skewed keys, the alias table. Nothing writes it once built.
 type population struct {
 	opt  SensorOpts // defaults applied
-	keys []string
+	keys stream.KeyList
 	zipf *rng.Zipf // nil for uniform keys; generators draw through On
 }
 
@@ -126,25 +126,27 @@ func aliasFor(r *rng.Rand, keys int, skew float64) *rng.Zipf {
 }
 
 // sensorKeys returns the keys fmt.Sprintf("%ssensor-%04d", prefix, k)
-// formats for k in [0, n), in order, as substrings of one string of exactly
-// their total length. A roster's generators make a hundred thousand keys at
-// set-up, so no key is formatted: the digits count up in place like an
-// odometer, and each key is one copy of the running text.
-func sensorKeys(prefix string, n int) []string {
+// formats for k in [0, n), in order, as one text of exactly their total length
+// and the offsets that cut it. A roster's generators make a hundred thousand
+// keys at set-up, so no key is formatted: the digits count up in place like
+// an odometer, and each key is one copy of the running text and one offset.
+func sensorKeys(prefix string, n int) stream.KeyList {
 	head := len(prefix) + len("sensor-")
 	size := n * (head + 4)
 	for p := 10_000; p < n; p *= 10 {
 		size += n - p // every key from p on has one digit more
 	}
+	if size > math.MaxUint32 {
+		panic(fmt.Sprintf("workload: %d keys of prefix %q are %d bytes, past the 4 GiB a key list holds", n, prefix, size))
+	}
 	var all strings.Builder
 	all.Grow(size)
-	key := make([]byte, 0, head+20)
+	ends := make([]uint32, 1, n+1)
+	key := make([]byte, 0, 64) // on the stack unless the prefix is long
 	key = append(append(append(key, prefix...), "sensor-"...), "0000"...)
-	keys := make([]string, n)
-	for k := range keys {
-		start := all.Len()
+	for range n {
 		all.Write(key)
-		keys[k] = all.String()[start:]
+		ends = append(ends, uint32(all.Len()))
 		i := len(key) - 1
 		for ; i >= head && key[i] == '9'; i-- {
 			key[i] = '0'
@@ -156,7 +158,7 @@ func sensorKeys(prefix string, n int) []string {
 			key[i]++
 		}
 	}
-	return keys
+	return stream.NewKeyList(all.String(), ends)
 }
 
 // Sibling returns a generator for site that draws from r what
@@ -170,7 +172,7 @@ func (g *SensorGen) Sibling(r *rng.Rand, site cloud.SiteID) *SensorGen {
 // gen builds a generator over p that draws keys from r and values from a
 // stream split off r.
 func (p *population) gen(r *rng.Rand, site cloud.SiteID) *SensorGen {
-	g := &SensorGen{r: r, vr: r.Split("values"), pop: p, table: stream.NewKeyTableOf(p.keys), site: site}
+	g := &SensorGen{r: r, vr: r.Split("values"), pop: p, table: stream.NewKeyTable(p.keys), site: site}
 	if p.zipf != nil {
 		g.zipf = p.zipf.On(r)
 	}
@@ -183,42 +185,59 @@ func (g *SensorGen) Table() *stream.KeyTable { return g.table }
 
 // KeyUnion returns the table of every key the generators draw, with the IDs
 // interning their tables in gens order would assign, and for each generator
-// the remap from its table's IDs to the union's (remaps[i][0] is 0), as
-// stream.KeyedAgg.MergeMapped takes it. No key is hashed or copied:
-// generators with one KeyPrefix draw nested key lists, and different prefixes
-// disjoint ones — a key is prefix + "sensor-" + digits, and "sensor-" cannot
-// overlap itself — so the keys a generator adds to the union are one slice of
-// its own list, and the union is a table over those slices.
-func KeyUnion(gens []*SensorGen) (*stream.KeyTable, [][]int) {
-	// A prefix's keys are its largest generator's. Sizing the ID lists first
-	// matters: grown by appends, a 119 × 1 200-key union took 10 ms and 12 MB
-	// to build, against 2.5 ms and 3.5 MB sized (2-vCPU Xeon, go1.24).
-	size := make(map[string]int)
-	for _, g := range gens {
-		prefix := g.pop.opt.KeyPrefix
-		size[prefix] = max(size[prefix], len(g.pop.keys))
-	}
-	runs := make([][]string, 0, len(gens))
-	ids := make(map[string][]int, len(size)) // ids[p][k+1]: the union ID of prefix p's key k
-	remaps := make([][]int, len(gens))
+// the spans from its table's IDs to the union's, as
+// stream.KeyedAgg.MergeMapped takes them. No key is hashed or copied, and
+// nothing is allocated per key: generators with one KeyPrefix draw nested
+// key lists, and different prefixes disjoint ones — a key is prefix +
+// "sensor-" + digits, and "sensor-" cannot overlap itself — so the keys a
+// generator adds to the union are one slice of its own list, and the union
+// is a table over those slices. A generator's keys map to the union in one
+// span per stretch of union IDs they occupy: one, unless another prefix's
+// keys came between two generators that grew its prefix.
+func KeyUnion(gens []*SensorGen) (*stream.KeyTable, [][]stream.Span) {
+	runs := make([]stream.KeyList, 0, len(gens))
+	placed := make(map[string][]stream.Span) // a prefix's keys, placed in the union so far
+	spans := make([][]stream.Span, len(gens))
 	union := 0
 	for i, g := range gens {
-		prefix, n := g.pop.opt.KeyPrefix, len(g.pop.keys)
-		have := ids[prefix]
-		if have == nil {
-			have = make([]int, 1, size[prefix]+1)
+		prefix, keys := g.pop.opt.KeyPrefix, g.pop.keys
+		have := placed[prefix]
+		k := 0 // the prefix's keys the union holds
+		if len(have) > 0 {
+			k = have[len(have)-1].From + have[len(have)-1].N - 1
 		}
-		if k := len(have) - 1; k < n {
-			runs = append(runs, g.pop.keys[k:n])
-			for ; k < n; k++ {
-				union++
-				have = append(have, union)
+		if n := keys.Len(); k < n {
+			runs = append(runs, keys.Slice(k, n))
+			if last := len(have) - 1; last >= 0 && have[last].To+have[last].N == union+1 {
+				// The prefix's last keys are the union's last: grow the span,
+				// in a copy, since earlier generators' spans share its cells.
+				have = slices.Clone(have)
+				have[last].N += n - k
+			} else {
+				have = append(have, stream.Span{From: k + 1, To: union + 1, N: n - k})
 			}
+			union += n - k
+			placed[prefix] = have
 		}
-		ids[prefix] = have
-		remaps[i] = have[: n+1 : n+1]
+		spans[i] = spansUpTo(have, keys.Len())
 	}
-	return stream.NewKeyTableOf(runs...), remaps
+	return stream.NewKeyTable(runs...), spans
+}
+
+// spansUpTo returns the spans of a prefix's placed keys that cover its
+// first n keys, the last one cut at key n: have itself when it covers
+// exactly n keys.
+func spansUpTo(have []stream.Span, n int) []stream.Span {
+	r := 0
+	for r < len(have) && have[r].From <= n {
+		r++
+	}
+	out := have[:r:r]
+	if r > 0 && out[r-1].From+out[r-1].N-1 > n {
+		out = slices.Clone(out)
+		out[r-1].N = n - out[r-1].From + 1
+	}
+	return out
 }
 
 // FillBlock draws n events into b, event i stamped from + i·step, reusing
@@ -243,7 +262,7 @@ func (g *SensorGen) FillBlock(b *stream.Block, n int, from simtime.Time, step ti
 	if g.zipf != nil {
 		g.zipf.Fill(b.IDs, 1)
 	} else {
-		g.r.FillIntn(b.IDs, len(g.pop.keys), 1)
+		g.r.FillIntn(b.IDs, g.pop.keys.Len(), 1)
 	}
 	vals := b.Values
 	g.vr.FillZigNorm(vals)
