@@ -20,6 +20,8 @@
 #	shutdown   a stop, abort, cleanup or already-finished path
 #	fault      a recovery path no committed roster reaches; NOTE names the test
 #	           that pins it, and the line says why no roster can
+#	shape      a job shape api/v1 cannot express (ad-hoc keys, a Map, key
+#	           prefixes); NOTE names the test that pins it and the missing field
 #	oracle     a reference a named test compares against (NOTE names it)
 #	stringer   a String method
 #
@@ -400,7 +402,7 @@ tabulate() {
 	echo "# Written by .github/scripts/stmt-census.sh --write and checked in CI. Lines:"
 	echo "#   package DIR UNREACHED TOTAL"
 	echo "#   func DIR.[Type.]Name UNREACHED REASON [NOTE]"
-	echo "# REASON is invariant, input, error, shutdown, fault, oracle or stringer (see the script)."
+	echo "# REASON is invariant, input, error, shutdown, fault, shape, oracle or stringer (see the script)."
 	for kind in package total func; do
 		grep "^$kind " "$work/rows.txt" | LC_ALL=C sort
 	done
@@ -409,7 +411,7 @@ tabulate() {
 # compare GOT WANT prints every difference between the swept table GOT and
 # the table WANT and fails if there is one.
 compare() {
-	awk -v vocab="invariant input error shutdown fault oracle stringer" '
+	awk -v vocab="invariant input error shutdown fault shape oracle stringer" '
 	BEGIN { split(vocab, v, " "); for (i in v) okwhy[v[i]] = 1 }
 	FNR == 1 { file++ }
 	/^#/ { next }
@@ -420,7 +422,7 @@ compare() {
 	{
 		want[key] = cnt
 		if ($1 == "func" && !($4 in okwhy)) { print "no reason: " $2 " (\"" $4 "\" is not one of: " vocab ")"; bad = 1 }
-		if ($1 == "func" && ($4 == "fault" || $4 == "oracle") && $5 !~ /^(Test|Fuzz)/) { print "no named test: " $2 " (" $4 ")"; bad = 1 }
+		if ($1 == "func" && ($4 == "fault" || $4 == "shape" || $4 == "oracle") && $5 !~ /^(Test|Fuzz)/) { print "no named test: " $2 " (" $4 ")"; bad = 1 }
 	}
 	END {
 		for (k in got) {
@@ -439,11 +441,11 @@ compare() {
 	return "${PIPESTATUS[0]}"
 }
 
-# named_tests TABLE fails for a fault or oracle line whose test no test file
-# declares.
+# named_tests TABLE fails for a fault, shape or oracle line whose test no test
+# file declares.
 named_tests() {
 	local status=0 name
-	for name in $(awk '$1 == "func" && ($4 == "fault" || $4 == "oracle") { print $5 }' "$1" | sort -u); do
+	for name in $(awk '$1 == "func" && ($4 == "fault" || $4 == "shape" || $4 == "oracle") { print $5 }' "$1" | sort -u); do
 		if ! grep -rqE "^func ${name}\(" --include='*_test.go' .; then
 			echo "no such test: $name (named in $1)"
 			status=1
