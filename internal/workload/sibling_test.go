@@ -24,7 +24,7 @@ var siblingShapes = map[string]SensorOpts{
 // TestSiblingMatchesNewSensorGen: a Sibling is NewSensorGen with the same
 // options over the same stream, bit for bit — the blocks it draws at every
 // length around the block size and at 10⁵, its table's keys and IDs, the
-// remaps KeyUnion gives it, and the state of both its streams after drawing.
+// spans KeyUnion gives it, and the state of both its streams after drawing.
 // The generator it is made from has drawn first, which must not matter.
 func TestSiblingMatchesNewSensorGen(t *testing.T) {
 	for name, opt := range siblingShapes {
@@ -42,11 +42,11 @@ func TestSiblingMatchesNewSensorGen(t *testing.T) {
 			}
 		}
 		other := NewSensorGen(rng.New(2), "C", SensorOpts{Keys: opt.Keys / 2, KeyPrefix: opt.KeyPrefix})
-		_, sibRemaps := KeyUnion([]*SensorGen{other, sib})
-		_, freshRemaps := KeyUnion([]*SensorGen{other, fresh})
-		for i := range sibRemaps {
-			if !slices.Equal(sibRemaps[i], freshRemaps[i]) {
-				t.Fatalf("%s: KeyUnion remap %d differs between sibling and fresh generator", name, i)
+		_, sibSpans := KeyUnion([]*SensorGen{other, sib})
+		_, freshSpans := KeyUnion([]*SensorGen{other, fresh})
+		for i := range sibSpans {
+			if !slices.Equal(sibSpans[i], freshSpans[i]) {
+				t.Fatalf("%s: KeyUnion spans %d differ between sibling and fresh generator", name, i)
 			}
 		}
 
