@@ -58,6 +58,10 @@ var perfRows = []perfRow{
 	// block at a time.
 	{"stream/NormFloat64/polar", rng.RunBenchmarkNormFloat64},
 	{"stream/NormFloat64/ziggurat", rng.RunBenchmarkZigNormFloat64},
+	// The two key draws, ns per key, 1 024-key blocks: agg_wide's Zipf
+	// domain and resil_recover's uniform one.
+	{"stream/KeyDraw/zipf", func(b *testing.B) { rng.RunBenchmarkKeyDraw(b, 1200, 1.3) }},
+	{"stream/KeyDraw/uniform", func(b *testing.B) { rng.RunBenchmarkKeyDraw(b, 20000, 0) }},
 	// Event generation, dense vs map windowed aggregation and the
 	// fill → fold → advance pipeline a source's stage runs.
 	{"stream/SensorGen/keys=100", func(b *testing.B) { workload.RunBenchmarkSensorGen(b, 100, 1.3) }},
@@ -68,9 +72,10 @@ var perfRows = []perfRow{
 	{"stream/WindowAggMap/keys=1000", func(b *testing.B) { stream.RunBenchmarkWindowAggMap(b, 1000) }},
 	{"stream/StreamPipeline/keys=100", func(b *testing.B) { workload.RunBenchmarkStreamPipeline(b, 100) }},
 	{"stream/StreamPipeline/keys=1000", func(b *testing.B) { workload.RunBenchmarkStreamPipeline(b, 1000) }},
-	// resil_recover's shape, 20 000 uniform keys: the multiply-reduced key
-	// draw, and the columnar fold of one 100 000-event window, where cells
-	// miss the cache, for the sum loop (Mean) and an extreme loop (Min).
+	// resil_recover's shape, 20 000 uniform keys: generation over the
+	// uniform key draw, and the columnar fold of one 100 000-event window,
+	// where cells miss the cache, for the sum loop (Mean) and an extreme loop
+	// (Min).
 	{"stream/SensorGen/keys=20000/uniform", func(b *testing.B) { workload.RunBenchmarkSensorGen(b, 20000, 0) }},
 	{"stream/WindowAggDense/keys=20000/uniform", func(b *testing.B) {
 		stream.RunBenchmarkWindowAggDenseUniform(b, 20000, stream.Mean)

@@ -29,6 +29,8 @@ var perfAllocCaps = []struct {
 	{"netsim/FlowChurn/flows=1000", 100},
 	{"stream/NormFloat64/polar", 0},
 	{"stream/NormFloat64/ziggurat", 0},
+	{"stream/KeyDraw/zipf", 0},
+	{"stream/KeyDraw/uniform", 0},
 	{"stream/SensorGen/keys=100", 0},
 	{"stream/SensorGen/keys=1000", 0},
 	{"stream/SensorGen/keys=20000/uniform", 0},
@@ -76,6 +78,12 @@ var perfRatios = []struct {
 	{"stream", "ziggurat ≤ ½ polar", func(rows map[string]PerfResult) (float64, bool) {
 		v := rows["stream/NormFloat64/ziggurat"].NsPerOp / rows["stream/NormFloat64/polar"].NsPerOp
 		return v, v <= 0.5
+	}},
+	// A uniform key is a remainder and a Zipf key an alias-table lookup;
+	// a remainder by hardware divide made the uniform draw ≈ 1.5× the Zipf.
+	{"stream", "uniform key draw ≤ 1.3× Zipf key draw", func(rows map[string]PerfResult) (float64, bool) {
+		v := rows["stream/KeyDraw/uniform"].NsPerOp / rows["stream/KeyDraw/zipf"].NsPerOp
+		return v, v <= 1.3
 	}},
 	// The sum loop has no data-dependent step; an extreme loop has the
 	// compare. A sum fold as dear as the Min fold has grown one.
@@ -241,6 +249,8 @@ func TestPerfBudgetsRejectDoctoredRows(t *testing.T) {
 			func(_ map[string]PerfResult, r *PerfResult) { r.BytesPerOp = perfBytesCap + 1 })},
 		{"budget ziggurat ≤ ½ polar", set("stream/NormFloat64/ziggurat",
 			func(rows map[string]PerfResult, r *PerfResult) { r.NsPerOp = rows["stream/NormFloat64/polar"].NsPerOp })},
+		{"budget uniform key draw ≤ 1.3× Zipf key draw", set("stream/KeyDraw/uniform",
+			func(rows map[string]PerfResult, r *PerfResult) { r.NsPerOp = 1.5 * rows["stream/KeyDraw/zipf"].NsPerOp })},
 		{"budget uniform Mean fold < Min fold", set("stream/WindowAggDense/keys=20000/uniform",
 			func(rows map[string]PerfResult, r *PerfResult) {
 				r.NsPerOp = 2 * rows["stream/WindowAggDense/keys=20000/uniform/min"].NsPerOp

@@ -375,24 +375,36 @@ func (d *ckptDecoder) times() []simtime.Time {
 	return out
 }
 
+// cells reads a cell list. A cell of count 0 is refused, skipped or not: an
+// aggregate's snapshot holds only keys that saw an event.
 func (d *ckptDecoder) cells() []stream.KeyCell {
 	n := d.len()
 	if d.skip {
 		for i := 0; i < n && d.err == nil; i++ {
 			d.str()
-			d.pass(4)
+			d.count()
+			d.pass(3)
 		}
 		return nil
 	}
 	out := make([]stream.KeyCell, n)
 	for i := range out {
 		out[i].Key = d.str()
-		out[i].Count = d.i64()
+		out[i].Count = d.count()
 		out[i].Sum = d.f64()
 		out[i].Min = d.f64()
 		out[i].Max = d.f64()
 	}
 	return out
+}
+
+// count reads a cell's event count, refusing 0.
+func (d *ckptDecoder) count() int64 {
+	c := d.i64()
+	if c == 0 && d.err == nil {
+		d.err = errors.New("resilience: checkpoint cell with count 0")
+	}
+	return c
 }
 
 func (d *ckptDecoder) ledger() transfer.Ledger {

@@ -228,6 +228,33 @@ func TestCheckpointRefusesVersion01(t *testing.T) {
 	}
 }
 
+// emptyCellCheckpoint is sampleCheckpoint with a count-0 cell in its
+// partial window, where DecodeSources walks over the cells without keeping
+// them.
+func emptyCellCheckpoint() *Checkpoint {
+	ck := sampleCheckpoint()
+	ck.Sink.Partial[0].Cells[1].Count = 0
+	return ck
+}
+
+// TestDecodeRefusesEmptyCells: a cell of count 0, in the global answer or a
+// partial window, is refused by both decoders — a snapshot never holds one,
+// and restoring one would count a key no event reached.
+func TestDecodeRefusesEmptyCells(t *testing.T) {
+	global := sampleCheckpoint()
+	global.Sink.Global[0].Count = 0
+	for name, ck := range map[string]*Checkpoint{"global": global, "partial": emptyCellCheckpoint()} {
+		b := ck.Encode()
+		_, err := DecodeCheckpoint(b)
+		_, serr := DecodeSources(b)
+		for _, e := range []error{err, serr} {
+			if e == nil || !strings.Contains(e.Error(), "count 0") {
+				t.Fatalf("%s: DecodeCheckpoint error %v, DecodeSources error %v; want both refused for the count", name, err, serr)
+			}
+		}
+	}
+}
+
 var allKinds = []stream.AggKind{stream.Count, stream.Sum, stream.Mean, stream.Min, stream.Max}
 
 // perKindCheckpoint is the fixture of TestCheckpointRoundTripPerKind: an
@@ -267,6 +294,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Add(ck.Encode())
 	}
 	f.Add(sampleCheckpoint().Encode())
+	f.Add(emptyCellCheckpoint().Encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		inputs := [][]byte{b}
 		if len(b) >= 8 {

@@ -6,11 +6,11 @@ import (
 )
 
 // Block forms of the three draws the engine makes once per event. Each is
-// defined by the per-draw method it repeats — same values, same order, same
-// generator state afterwards (fill_test.go, fuzz_test.go) — and differs from
-// calling it in a loop in this: the xoshiro state is lifted into locals once,
-// stepped in registers for the whole slice and stored back once, and nothing
-// is called per draw. A per-draw call loads and stores the four words every
+// defined by the per-draw expression it repeats — same values, same order,
+// same generator state afterwards (fill_test.go, fuzz_test.go) — and differs
+// from calling it in a loop in this: the xoshiro state is lifted into locals
+// once, stepped in registers for the whole slice and stored back once, and
+// nothing is called per draw. A per-draw call loads and stores the four words every
 // time, so the recurrence runs through store-to-load forwarding.
 //
 // The step (Uint64's body) is written out in each loop. As an inlined helper
@@ -50,10 +50,12 @@ func (z *Zipf) Fill(ids []int32, off int32) {
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
-// FillZigNorm draws len(vals) standard normal variates: vals[i] =
-// r.ZigNormFloat64(). The draws that leave their layer's inner rectangle
-// hand the state back to the Rand, take zigFinish and reload.
-func (r *Rand) FillZigNorm(vals []float64) {
+// FillNormal draws len(vals) normal variates of mean mean and standard
+// deviation sd: vals[i] = mean + sd*r.ZigNormFloat64(). Each variate is
+// scaled where it is drawn, so a column is written once. The draws that leave
+// their layer's inner rectangle hand the state back to the Rand, take
+// zigFinish and reload.
+func (r *Rand) FillNormal(vals []float64, mean, sd float64) {
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	for i := range vals {
 		u := bits.RotateLeft64(s1*5, 7) * 9
@@ -66,11 +68,11 @@ func (r *Rand) FillZigNorm(vals []float64) {
 		s3 = bits.RotateLeft64(s3, 45)
 		c := &zigCells[u%zigLayers]
 		if j := u >> 11; j < c.k {
-			vals[i] = zigSigned(float64(int64(j))*c.w, u)
+			vals[i] = mean + sd*zigSigned(float64(int64(j))*c.w, u)
 			continue
 		}
 		r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
-		vals[i] = r.zigFinish(u)
+		vals[i] = mean + sd*r.zigFinish(u)
 		s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
 	}
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
@@ -86,10 +88,15 @@ func (r *Rand) FillIntn(ids []int32, n int, off int32) {
 	if int64(n)-1+int64(off) > math.MaxInt32 {
 		panic("rng: FillIntn keys do not fit int32")
 	}
-	// The hardware remainder: a 64-bit DIV measured 4.0–4.9 ns a draw against
-	// 5.1–6.7 ns for the Lemire–Kaser–Kurz multiply reduction it replaced
-	// (2-vCPU amd64 VM, 1 024-draw blocks, n = 100 to 2^30+7).
+	// u % m by one multiply (Barrett): rec = ⌊(2⁶⁴−1)/m⌋ ≥ (2⁶⁴−m)/m, so
+	// q = ⌊u·rec/2⁶⁴⌋ is ⌊u/m⌋ or one short of it and rem = u − q·m is below
+	// 2m; the unsigned min takes rem − m exactly when rem ≥ m (below, it
+	// wraps past rem). On a 2-vCPU amd64 VM this draws a key in 2.1 ns at
+	// m = 20 000, a 64-bit DIV in 3.5 ns, and the three-multiply 128-bit
+	// reduction the DIV replaced took 5.1–6.7 ns; see DESIGN.md
+	// "Register-resident block draws".
 	m := uint64(n)
+	rec := ^uint64(0) / m
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	for i := range ids {
 		u := bits.RotateLeft64(s1*5, 7) * 9
@@ -100,7 +107,9 @@ func (r *Rand) FillIntn(ids []int32, n int, off int32) {
 		s0 ^= s3
 		s2 ^= t
 		s3 = bits.RotateLeft64(s3, 45)
-		ids[i] = int32(u%m) + off
+		q, _ := bits.Mul64(u, rec)
+		rem := u - q*m
+		ids[i] = int32(min(rem, rem-m)) + off
 	}
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -15,9 +16,13 @@ type filler struct {
 }
 
 // newFillers binds the three fills for a Zipf domain of zipfKeys keys, a
-// uniform one of intnKeys and the ID offset off.
+// uniform one of intnKeys and the ID offset off; FillNormal twice, at a
+// workload's mean and deviation and at (0, 1), where the scalar expression
+// turns a -0 into +0.
 func newFillers(zipfKeys, intnKeys int, off int32) []filler {
 	return []filler{
+		normalFiller(20, 5),
+		normalFiller(0, 1),
 		{"Zipf.Fill", func(r *Rand) (fill, scalar func(n int) []uint64) {
 			z := NewZipf(r, 1.3, 1, uint64(zipfKeys-1))
 			return func(n int) []uint64 {
@@ -30,19 +35,6 @@ func newFillers(zipfKeys, intnKeys int, off int32) []filler {
 						ids[i] = int32(z.Uint64()) + off
 					}
 					return idBits(ids)
-				}
-		}},
-		{"FillZigNorm", func(r *Rand) (fill, scalar func(n int) []uint64) {
-			return func(n int) []uint64 {
-					vals := make([]float64, n)
-					r.FillZigNorm(vals)
-					return valueBits(vals)
-				}, func(n int) []uint64 {
-					vals := make([]float64, n)
-					for i := range vals {
-						vals[i] = r.ZigNormFloat64()
-					}
-					return valueBits(vals)
 				}
 		}},
 		{"FillIntn", func(r *Rand) (fill, scalar func(n int) []uint64) {
@@ -59,6 +51,24 @@ func newFillers(zipfKeys, intnKeys int, off int32) []filler {
 				}
 		}},
 	}
+}
+
+// normalFiller binds FillNormal at (mean, sd) and its definition,
+// mean + sd*ZigNormFloat64().
+func normalFiller(mean, sd float64) filler {
+	return filler{fmt.Sprintf("FillNormal(%g, %g)", mean, sd), func(r *Rand) (fill, scalar func(n int) []uint64) {
+		return func(n int) []uint64 {
+				vals := make([]float64, n)
+				r.FillNormal(vals, mean, sd)
+				return valueBits(vals)
+			}, func(n int) []uint64 {
+				vals := make([]float64, n)
+				for i := range vals {
+					vals[i] = mean + sd*r.ZigNormFloat64()
+				}
+				return valueBits(vals)
+			}
+	}}
 }
 
 // fillers are the fills at the engine's shapes: agg_wide's Zipf domain,
@@ -113,16 +123,16 @@ func TestFillsMatchScalarDraws(t *testing.T) {
 	}
 }
 
-// TestFillZigNormCrossesTheSlowPath: the million-draw case above is a test of
+// TestFillNormalCrossesTheSlowPath: the million-draw case above is a test of
 // zigFinish under the fill only if the fill gets there. Words that miss
 // their layer's inner rectangle are counted on a twin of the stream the way
 // ZigNormFloat64 reads them; words a slow draw consumes beyond its first are
 // uniforms, and counting them as if they were first words can only change the
 // count by the few per cent they are.
-func TestFillZigNormCrossesTheSlowPath(t *testing.T) {
+func TestFillNormalCrossesTheSlowPath(t *testing.T) {
 	const n = 1_000_000
 	r, twin := New(53), New(53)
-	r.FillZigNorm(make([]float64, n))
+	r.FillNormal(make([]float64, n), 20, 5)
 	var slow, base int
 	for *twin != *r {
 		u := twin.Uint64()
@@ -136,6 +146,22 @@ func TestFillZigNormCrossesTheSlowPath(t *testing.T) {
 	t.Logf("%d of %d draws left the inner rectangle, %d of them in the base strip", slow, n, base)
 	if slow < 5000 || base < 100 {
 		t.Fatalf("a million draws took the slow path %d times (base strip %d); want >= 5000 and >= 100", slow, base)
+	}
+}
+
+// TestFillNormalScalesNegativeZero: a word at the bottom of a layer with the
+// sign bit set is a standard normal -0, and FillNormal at (0, 1) writes
+// 0 + 1·(-0) = +0 as its definition does — a fill that left the standard
+// variate unscaled at (0, 1) would write -0.
+func TestFillNormalScalesNegativeZero(t *testing.T) {
+	const u = 1<<8 | 5 // layer 5, sign bit, position 0
+	if z := nextWord(u).ZigNormFloat64(); math.Float64bits(z) != math.Float64bits(math.Copysign(0, -1)) {
+		t.Fatalf("word %#x draws %v, want -0", u, z)
+	}
+	vals := make([]float64, 1)
+	nextWord(u).FillNormal(vals, 0, 1)
+	if math.Float64bits(vals[0]) != 0 {
+		t.Fatalf("FillNormal(0, 1) from word %#x = %v (bits %#x), want +0", u, vals[0], math.Float64bits(vals[0]))
 	}
 }
 

@@ -10,20 +10,12 @@ import (
 // placed at the offset, for every u and every n >= 1, and FillIntn refuses
 // exactly the (n, offset) pairs whose keys would not fit an int32. Each draw
 // starts from a state built to emit u next (nextWord), so the fuzzer picks the
-// word as well as the modulus. The seeds are the moduli where a remainder is
-// most likely to go wrong — 1, powers of two and their neighbours, the int32
-// and int64 edges, the largest words — and the engine's own, each with the
-// words next to a multiple of it.
+// word as well as the modulus. FillIntn reduces by one multiply, whose
+// quotient estimate is exact or one short (intnEstimate); the seeds reach
+// both for every modulus (TestIntnReductionSeedsReachBothSides).
 func FuzzIntnReduction(f *testing.F) {
-	moduli := []uint64{1, 2, 3, 20_000, 1<<31 - 1, 1<<62 + 12_345, math.MaxInt64, math.MaxUint64}
-	for k := 1; k < 64; k++ {
-		moduli = append(moduli, 1<<k-1, 1<<k, 1<<k+1)
-	}
-	for _, n := range moduli {
-		for _, u := range []uint64{0, math.MaxUint64, n - 1, n, n + 1, 3*n - 1, 3 * n, 3*n + 1,
-			math.MaxUint64 / n * n, math.MaxUint64/n*n - 1, math.MaxUint64/n*n + 1} {
-			f.Add(u, n)
-		}
+	for _, s := range intnReductionSeeds() {
+		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, u, n uint64) {
 		if n == 0 {
@@ -71,6 +63,65 @@ func FuzzIntnReduction(f *testing.F) {
 			}
 		}
 	})
+}
+
+// intnReductionSeeds are FuzzIntnReduction's (word, modulus) seeds: the
+// moduli where a remainder is most likely to go wrong — 1, powers of two and
+// their neighbours, the int32 and int64 edges, the largest words — and the
+// engine's own, each with the words next to a multiple of it.
+func intnReductionSeeds() [][2]uint64 {
+	moduli := []uint64{1, 2, 3, 20_000, 1<<31 - 1, 1<<62 + 12_345, math.MaxInt64, math.MaxUint64}
+	for k := 1; k < 64; k++ {
+		moduli = append(moduli, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	var seeds [][2]uint64
+	for _, n := range moduli {
+		for _, u := range []uint64{0, math.MaxUint64, n - 1, n, n + 1, 3*n - 1, 3 * n, 3*n + 1,
+			math.MaxUint64 / n * n, math.MaxUint64/n*n - 1, math.MaxUint64/n*n + 1} {
+			seeds = append(seeds, [2]uint64{u, n})
+		}
+	}
+	return seeds
+}
+
+// intnEstimate is FillIntn's quotient estimate of u / n, ⌊u·rec/2⁶⁴⌋ with
+// rec = ⌊(2⁶⁴−1)/n⌋, and whether it is one short of ⌊u/n⌋.
+func intnEstimate(u, n uint64) (q uint64, short bool) {
+	q, _ = bits.Mul64(u, math.MaxUint64/n)
+	return q, q != u/n
+}
+
+// TestIntnReductionSeedsReachBothSides: for every modulus FillIntn accepts,
+// FuzzIntnReduction's seeds hold a word whose quotient estimate is one short
+// (the correction subtracts n) and a word with a quotient of at least one
+// whose estimate is exact (it must not) — for n = 1 the only exact word is 0.
+// No estimate is off by more than one.
+func TestIntnReductionSeedsReachBothSides(t *testing.T) {
+	type sides struct{ exact, short bool }
+	reached := map[uint64]*sides{}
+	for _, s := range intnReductionSeeds() {
+		u, n := s[0], s[1]
+		if n > math.MaxInt64 {
+			continue
+		}
+		if reached[n] == nil {
+			reached[n] = &sides{}
+		}
+		q, short := intnEstimate(u, n)
+		if want := u / n; q != want && q != want-1 {
+			t.Fatalf("word %#x modulo %#x: estimate %d, quotient %d", u, n, q, want)
+		}
+		if short {
+			reached[n].short = true
+		} else if q >= 1 || n == 1 {
+			reached[n].exact = true
+		}
+	}
+	for n, s := range reached {
+		if !s.exact || !s.short {
+			t.Errorf("modulus %#x: seeds reach the exact estimate %v, the short one %v", n, s.exact, s.short)
+		}
+	}
 }
 
 // nextWord returns a generator whose next Uint64 is u. xoshiro256** emits

@@ -19,13 +19,15 @@
 // the polar method with Rand.hasSpare / spare.
 //
 // The three draws the engine makes once per event — a Zipf key, a uniform
-// key, a ziggurat normal — each have two forms. The per-draw methods
-// (Zipf.Uint64, Rand.Intn, Rand.ZigNormFloat64) are the definitions: they say
-// which variate a word of the stream becomes, and the distribution and
-// stream-cost tests judge them. What runs is the block form of each
-// (Zipf.Fill, Rand.FillIntn, Rand.FillZigNorm in fill.go), which steps the
-// generator in registers for a whole column of a stream.Block and is pinned
-// to its definition bit for bit, generator state included. Zipf.Uint64 and
+// key, a scaled ziggurat normal — each have two forms. The per-draw
+// expressions (Zipf.Uint64, Rand.Intn, mean + sd*Rand.ZigNormFloat64()) are
+// the definitions: they say which variate a word of the stream becomes, and
+// the distribution and stream-cost tests judge them. What runs is the block
+// form of each (Zipf.Fill, Rand.FillIntn, Rand.FillNormal in fill.go), which
+// steps the generator in registers for a whole column of a stream.Block and
+// is pinned to its definition bit for bit, generator state included:
+// FillIntn takes Intn's u % n by one multiply rather than a divide, and
+// FillNormal scales each variate where it draws it. Zipf.Uint64 and
 // ZigNormFloat64 have no caller outside tests; Intn keeps the many it has
 // away from the kernel.
 package rng

@@ -290,15 +290,11 @@ func TestZipfInvalidArgsPanic(t *testing.T) {
 	}
 }
 
-// BenchmarkZipf measures the key draw the way the engine makes it, a block at
-// a time (Zipf.Fill); one op is one key.
-func BenchmarkZipf(b *testing.B) {
-	z := NewZipf(New(1), 1.3, 1, 1199)
-	ids := make([]int32, fillBenchBlock)
-	for i := 0; i < b.N; i += len(ids) {
-		z.Fill(ids[:min(len(ids), b.N-i)], 1)
-	}
-	sinkU64 = uint64(ids[0])
+// BenchmarkKeyDraw measures the two key draws at the engine's shapes:
+// agg_wide's Zipf domain and resil_recover's uniform one.
+func BenchmarkKeyDraw(b *testing.B) {
+	b.Run("zipf", func(b *testing.B) { RunBenchmarkKeyDraw(b, 1200, 1.3) })
+	b.Run("uniform", func(b *testing.B) { RunBenchmarkKeyDraw(b, 20_000, 0) })
 }
 
 func BenchmarkNewZipf(b *testing.B) {

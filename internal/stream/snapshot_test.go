@@ -65,6 +65,42 @@ func TestRestoreCellMergesIntoExisting(t *testing.T) {
 	}
 }
 
+// TestRestoreCellSkipsEmptyCells: a cell of count 0 is no key. Restored
+// into a dense aggregate over a two-key table or into a plain one, before or
+// after a live cell, it leaves Keys, Result and the snapshot as the live
+// cells alone leave them, for every kind.
+func TestRestoreCellSkipsEmptyCells(t *testing.T) {
+	tb := NewKeyTable(KeyListOf([]string{"a", "b"}))
+	live := KeyCell{Key: "b", Count: 2, Sum: 6, Min: 1, Max: 5}
+	for name, cells := range map[string][]KeyCell{
+		"empty table key":          {{Key: "a"}},
+		"empty ad-hoc key":         {{Key: "zz", Sum: 3}},
+		"empty beside a live cell": {{Key: "a"}, live},
+		"empty onto a live cell":   {live, {Key: "b", Min: -1, Max: 9}},
+	} {
+		for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
+			want := NewKeyedAgg(kind)
+			for _, c := range cells {
+				if c.Count != 0 {
+					want.RestoreCell(c)
+				}
+			}
+			for _, a := range []*KeyedAgg{NewKeyedAggDense(kind, tb), NewKeyedAgg(kind)} {
+				for _, c := range cells {
+					a.RestoreCell(c)
+				}
+				res := a.Result()
+				if a.Keys() != want.Keys() || len(res) != a.Keys() || !slices.Equal(res, want.Result()) {
+					t.Fatalf("%s, %v: Keys %d, Result %+v; want %d, %+v", name, kind, a.Keys(), res, want.Keys(), want.Result())
+				}
+				if snap := a.AppendSnapshot(nil); len(snap) != a.Keys() {
+					t.Fatalf("%s, %v: snapshot %+v for %d keys", name, kind, snap, a.Keys())
+				}
+			}
+		}
+	}
+}
+
 // snapshotFixtures are the three storage shapes AppendSnapshot walks: dense
 // cells only, map cells only, and a dense aggregate that also holds ad-hoc
 // keys its table does not know. The table holds its keys in an order that is

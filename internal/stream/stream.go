@@ -498,7 +498,12 @@ func (a *KeyedAgg) AppendSnapshot(dst []KeyCell) []KeyCell {
 
 // RestoreCell folds one snapshot cell back in, as if the cell's original
 // events had been merged here. Restoring into a non-empty aggregate merges.
+// A cell of no events (Count 0) is no key, and restores nothing: a snapshot
+// never holds one.
 func (a *KeyedAgg) RestoreCell(kc KeyCell) {
+	if kc.Count == 0 {
+		return
+	}
 	a.slot(kc.Key).merge(a.Kind, &cell{count: kc.Count, acc: *kc.field(a.Kind)})
 }
 

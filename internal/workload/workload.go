@@ -247,8 +247,7 @@ func spansUpTo(have []stream.Span, n int) []stream.Span {
 // window drawn in blocks that start at multiples of step is the window drawn
 // at once. Each column is one of rng's block draws, which step the generator
 // in registers for the whole column (keys and values come from separate
-// streams, so the order between them is free); the standard normals are
-// scaled in place afterwards.
+// streams, so the order between them is free) and writes each entry once.
 func (g *SensorGen) FillBlock(b *stream.Block, n int, from simtime.Time, step time.Duration) {
 	n = max(n, 0)
 	b.Table, b.Site, b.From, b.Step = g.table, g.site, from, step
@@ -264,12 +263,7 @@ func (g *SensorGen) FillBlock(b *stream.Block, n int, from simtime.Time, step ti
 	} else {
 		g.r.FillIntn(b.IDs, g.pop.keys.Len(), 1)
 	}
-	vals := b.Values
-	g.vr.FillZigNorm(vals)
-	mean, sd := g.pop.opt.Mean, g.pop.opt.Stddev
-	for i, z := range vals {
-		vals[i] = mean + sd*z
-	}
+	g.vr.FillNormal(b.Values, g.pop.opt.Mean, g.pop.opt.Stddev)
 }
 
 // appendChunk bounds the scratch block AppendEvents draws through, so
