@@ -375,7 +375,7 @@ func (d *ckptDecoder) times() []simtime.Time {
 	return out
 }
 
-// cells reads a cell list. A cell of count 0 is refused, skipped or not: an
+// cells reads a cell list. A cell of count 0 is refused, kept or skipped: an
 // aggregate's snapshot holds only keys that saw an event.
 func (d *ckptDecoder) cells() []stream.KeyCell {
 	n := d.len()
