@@ -12,8 +12,8 @@
 // For full-size (non-quick) tables use the sagebench binary instead.
 //
 // These end-to-end benchmarks sit on top of the per-layer micro-benchmarks
-// (BenchmarkReallocate in internal/netsim, BenchmarkWindowAggDense in
-// internal/stream, …); `go run ./cmd/sagebench -perf` records the
+// (BenchmarkReallocate in internal/netsim, BenchmarkFold in
+// internal/workload, …); `go run ./cmd/sagebench -perf` records the
 // micro-benchmarks, not these, to BENCH.json.
 package sage_test
 

@@ -46,8 +46,8 @@ func run(shipRaw bool) *core.Report {
 		Window:  time.Minute,
 		Agg:     stream.Max,
 		// Physically impossible readings are sensor faults: drop them.
-		Map: func(e stream.Event) (stream.Event, bool) {
-			return e, e.Value > 0 && e.Value < 150
+		Map: func(_ string, v float64) (float64, bool) {
+			return v, v > 0 && v < 150
 		},
 		ShipRaw:  shipRaw,
 		Strategy: transfer.MultipathDynamic,

@@ -62,26 +62,26 @@ var perfRows = []perfRow{
 	// domain and resil_recover's uniform one.
 	{"stream/KeyDraw/zipf", func(b *testing.B) { rng.RunBenchmarkKeyDraw(b, 1200, 1.3) }},
 	{"stream/KeyDraw/uniform", func(b *testing.B) { rng.RunBenchmarkKeyDraw(b, 20000, 0) }},
-	// Event generation, dense vs map windowed aggregation and the
-	// fill → fold → advance pipeline a source's stage runs.
+	// Event generation, the fold alone and the fill → fold pipeline a
+	// source's stage runs, at 100 and 1 000 Zipf keys (skew 1.3), one
+	// 1 000-event window an op. Every fold is KeyedAgg.AddBlock over a block
+	// FillBlock drew, into an aggregate from an AggPool, put back after.
 	{"stream/SensorGen/keys=100", func(b *testing.B) { workload.RunBenchmarkSensorGen(b, 100, 1.3) }},
 	{"stream/SensorGen/keys=1000", func(b *testing.B) { workload.RunBenchmarkSensorGen(b, 1000, 1.3) }},
-	{"stream/WindowAggDense/keys=100", func(b *testing.B) { stream.RunBenchmarkWindowAggDense(b, 100) }},
-	{"stream/WindowAggDense/keys=1000", func(b *testing.B) { stream.RunBenchmarkWindowAggDense(b, 1000) }},
-	{"stream/WindowAggMap/keys=100", func(b *testing.B) { stream.RunBenchmarkWindowAggMap(b, 100) }},
-	{"stream/WindowAggMap/keys=1000", func(b *testing.B) { stream.RunBenchmarkWindowAggMap(b, 1000) }},
+	{"stream/Fold/keys=100", func(b *testing.B) { workload.RunBenchmarkFold(b, 100, 1.3, workload.PipelineBatch, stream.Mean) }},
+	{"stream/Fold/keys=1000", func(b *testing.B) { workload.RunBenchmarkFold(b, 1000, 1.3, workload.PipelineBatch, stream.Mean) }},
 	{"stream/StreamPipeline/keys=100", func(b *testing.B) { workload.RunBenchmarkStreamPipeline(b, 100) }},
 	{"stream/StreamPipeline/keys=1000", func(b *testing.B) { workload.RunBenchmarkStreamPipeline(b, 1000) }},
 	// resil_recover's shape, 20 000 uniform keys: generation over the
-	// uniform key draw, and the columnar fold of one 100 000-event window,
-	// where cells miss the cache, for the sum loop (Mean) and an extreme loop
-	// (Min).
+	// uniform key draw, and the fold of one 100 000-event window drawn once,
+	// where cells miss the cache and every key is a random load, for the sum
+	// loop (Mean) and an extreme loop (Min).
 	{"stream/SensorGen/keys=20000/uniform", func(b *testing.B) { workload.RunBenchmarkSensorGen(b, 20000, 0) }},
-	{"stream/WindowAggDense/keys=20000/uniform", func(b *testing.B) {
-		stream.RunBenchmarkWindowAggDenseUniform(b, 20000, stream.Mean)
+	{"stream/Fold/keys=20000/uniform", func(b *testing.B) {
+		workload.RunBenchmarkFold(b, 20000, 0, workload.UniformWindowEvents, stream.Mean)
 	}},
-	{"stream/WindowAggDense/keys=20000/uniform/min", func(b *testing.B) {
-		stream.RunBenchmarkWindowAggDenseUniform(b, 20000, stream.Min)
+	{"stream/Fold/keys=20000/uniform/min", func(b *testing.B) {
+		workload.RunBenchmarkFold(b, 20000, 0, workload.UniformWindowEvents, stream.Min)
 	}},
 
 	// Live and no-op instrument updates and flight-recorder appends.

@@ -10,12 +10,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"sage/internal/workload"
 )
 
 // perfAllocCaps are the allocation budgets of the baseline: the hot paths
-// that allocate nothing per op in steady state, and three ceilings.
+// that allocate nothing per op in steady state, and one ceiling.
 var perfAllocCaps = []struct {
 	key    string
 	allocs int64
@@ -34,9 +32,14 @@ var perfAllocCaps = []struct {
 	{"stream/SensorGen/keys=100", 0},
 	{"stream/SensorGen/keys=1000", 0},
 	{"stream/SensorGen/keys=20000/uniform", 0},
-	// One pipeline op pushes PipelineBatch events: ≤ 1 alloc an event.
-	{"stream/StreamPipeline/keys=100", workload.PipelineBatch},
-	{"stream/StreamPipeline/keys=1000", workload.PipelineBatch},
+	// A fold takes its aggregate from a pool and puts it back: no cell
+	// table, no result slice.
+	{"stream/Fold/keys=100", 0},
+	{"stream/Fold/keys=1000", 0},
+	{"stream/Fold/keys=20000/uniform", 0},
+	{"stream/Fold/keys=20000/uniform/min", 0},
+	{"stream/StreamPipeline/keys=100", 0},
+	{"stream/StreamPipeline/keys=1000", 0},
 	{"obs/CounterInc", 0},
 	{"obs/GaugeSet", 0},
 	{"obs/HistogramObserve", 0},
@@ -54,13 +57,6 @@ var perfAllocCaps = []struct {
 	{"transfer/TransferMultipathDynamic/chunks=10000", 0},
 	{"sched/SchedDispatch/jobs=16", 0},
 }
-
-// A dense window's table is 16 B a key: one op of WindowAggDense/keys=1000
-// allocates one table plus the Advance result.
-const (
-	perfBytesKey = "stream/WindowAggDense/keys=1000"
-	perfBytesCap = 16*1001 + 512
-)
 
 // The transfer executor's cost immediately before its pooled, closure-free
 // rewrite, on the same diamond rig: ≈ 16 allocations a chunk end to end. The
@@ -88,8 +84,8 @@ var perfRatios = []struct {
 	// The sum loop has no data-dependent step; an extreme loop has the
 	// compare. A sum fold as dear as the Min fold has grown one.
 	{"stream", "uniform Mean fold < Min fold", func(rows map[string]PerfResult) (float64, bool) {
-		v := rows["stream/WindowAggDense/keys=20000/uniform"].NsPerOp /
-			rows["stream/WindowAggDense/keys=20000/uniform/min"].NsPerOp
+		v := rows["stream/Fold/keys=20000/uniform"].NsPerOp /
+			rows["stream/Fold/keys=20000/uniform/min"].NsPerOp
 		return v, v < 1
 	}},
 	{"route", "FromScratchReplan/sites=500 ≥ 10× ReplanChurn/sites=500/dirty=10", func(rows map[string]PerfResult) (float64, bool) {
@@ -142,9 +138,6 @@ func checkPerf(p Perf, layer string) error {
 		if a := p.Rows[c.key].AllocsPerOp; a > c.allocs {
 			errs = append(errs, fmt.Errorf("budget %s allocs/op ≤ %d: %d", c.key, c.allocs, a))
 		}
-	}
-	if b := p.Rows[perfBytesKey].BytesPerOp; inLayer(perfBytesKey, layer) && b > perfBytesCap {
-		errs = append(errs, fmt.Errorf("budget %s B/op ≤ %d: %d", perfBytesKey, perfBytesCap, b))
 	}
 	for _, r := range perfRatios {
 		if layer != "" && r.layer != layer {
@@ -245,15 +238,13 @@ func TestPerfBudgetsRejectDoctoredRows(t *testing.T) {
 			func(_ map[string]PerfResult, r *PerfResult) { r.NsPerOp = 0 })},
 		{"row netsim/Reallocate/flows=10000 is not in the row table", set("netsim/Reallocate/flows=10000",
 			func(_ map[string]PerfResult, r *PerfResult) { r.NsPerOp = 1 })},
-		{"budget " + perfBytesKey + " B/op", set(perfBytesKey,
-			func(_ map[string]PerfResult, r *PerfResult) { r.BytesPerOp = perfBytesCap + 1 })},
 		{"budget ziggurat ≤ ½ polar", set("stream/NormFloat64/ziggurat",
 			func(rows map[string]PerfResult, r *PerfResult) { r.NsPerOp = rows["stream/NormFloat64/polar"].NsPerOp })},
 		{"budget uniform key draw ≤ 1.3× Zipf key draw", set("stream/KeyDraw/uniform",
 			func(rows map[string]PerfResult, r *PerfResult) { r.NsPerOp = 1.5 * rows["stream/KeyDraw/zipf"].NsPerOp })},
-		{"budget uniform Mean fold < Min fold", set("stream/WindowAggDense/keys=20000/uniform",
+		{"budget uniform Mean fold < Min fold", set("stream/Fold/keys=20000/uniform",
 			func(rows map[string]PerfResult, r *PerfResult) {
-				r.NsPerOp = 2 * rows["stream/WindowAggDense/keys=20000/uniform/min"].NsPerOp
+				r.NsPerOp = 2 * rows["stream/Fold/keys=20000/uniform/min"].NsPerOp
 			})},
 		{"budget FromScratchReplan/sites=500 ≥ 10×", set("route/FromScratchReplan/sites=500",
 			func(rows map[string]PerfResult, r *PerfResult) {
@@ -290,7 +281,7 @@ func TestPerfBudgetsRejectDoctoredRows(t *testing.T) {
 			budgets++
 		}
 	}
-	if want := len(perfAllocCaps) + 1 + len(perfRatios); budgets != want {
+	if want := len(perfAllocCaps) + len(perfRatios); budgets != want {
 		t.Errorf("%d budgets doctored, the check holds %d", budgets, want)
 	}
 }

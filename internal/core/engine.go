@@ -209,13 +209,13 @@ type JobSpec struct {
 	Window time.Duration
 	// Agg is the keyed aggregation applied locally and merged globally.
 	Agg stream.AggKind
-	// Map optionally filters events and rewrites their Key or Value before
-	// aggregation. An event stays in the window it was drawn in: the Time a
-	// Map returns is not read. It runs in the stage half of a window, so on
-	// an engine with more than one shard (the default on a multi-core host)
-	// it may be called concurrently for different sources: it must be pure,
-	// or guard any state it shares across sources. Each source calls it in
-	// its own draw order.
+	// Map optionally filters events and rewrites their values before
+	// aggregation. It sees an event's key and value; an event stays in the
+	// window it was drawn in and in its key's cell. It runs in the stage half
+	// of a window, so on an engine with more than one shard (the default on
+	// a multi-core host) it may be called concurrently for different
+	// sources: it must be pure, or guard any state it shares across sources.
+	// Each source calls it in its own draw order.
 	Map stream.MapFunc
 	// ShipRaw disables local aggregation: every raw event is shipped to
 	// the sink (the centralized baseline). Default false — SAGE mode.
@@ -393,7 +393,8 @@ type stagedWindow struct {
 // the abort, drop or hold of the ship before — so the per-ship state lives
 // here too.
 type partial struct {
-	stream.Closed
+	window stream.Window
+	agg    *stream.KeyedAgg
 	s      *sourceState
 	events int
 	// bytes is the wire size measured at the commit (serialized or raw, plus
@@ -417,7 +418,7 @@ type partial struct {
 // lets go, so the last one files the aggregate.
 func (p *partial) release() {
 	if !p.logged && p.h == nil && !p.held {
-		p.s.pool.Put(p.Agg)
+		p.s.pool.Put(p.agg)
 	}
 }
 
@@ -683,11 +684,9 @@ const stageBlock = 1024
 
 // stageWindow is the pure half of one source's window close: draw the
 // window's events a columnar block at a time and fold each block into the
-// window's aggregate, one from the source's pool. Only a job with a Map sees
-// stream.Events — MapFunc takes one — so only then are a block's events
-// materialised, one at a time, mapped and folded; which path runs is decided
-// by the job, and both fold the same draws in the same order into the same
-// one aggregate: an event stays in the window it was drawn in. The stage
+// window's aggregate, one from the source's pool. A job's Map filters and
+// rewrites each block in place before the fold, so every job folds through
+// the one AddBlock: an event stays in the window it was drawn in. The stage
 // touches only state owned by the source (its generator's streams, its pool)
 // and by its shard (the block), never the clock, the network or the
 // report — which is what makes it safe to run concurrently with other
@@ -708,17 +707,11 @@ func (e *Engine) stageWindow(run *JobRun, s *sourceState, end simtime.Time) stag
 		for i0 := 0; i0 < n; i0 += stageBlock {
 			m := min(stageBlock, n-i0)
 			s.gen.FillBlock(&sc.block, m, start+simtime.Time(i0)*step, step)
-			if job.Map == nil {
-				st.agg.AddBlock(&sc.block)
-				st.kept += m
-				continue
+			if job.Map != nil {
+				sc.block.Map(job.Map)
 			}
-			for i := range m {
-				if ev, ok := job.Map(sc.block.Event(i)); ok {
-					st.agg.Add(ev)
-					st.kept++
-				}
-			}
+			st.agg.AddBlock(&sc.block)
+			st.kept += len(sc.block.IDs)
 		}
 	}
 	if !job.ShipRaw {
@@ -747,23 +740,22 @@ func (e *Engine) commitWindow(run *JobRun, s *sourceState, end simtime.Time, st 
 		return
 	}
 	run.processed++
-	cw := stream.Closed{Window: stream.Window{Start: st.start, End: end}, Agg: st.agg}
-	e.ship(run, run.newPartial(s, cw, st.kept, st.bytes), nil)
+	e.ship(run, run.newPartial(s, stream.Window{Start: st.start, End: end}, st), nil)
 	run.rep.TotalEvents += int64(st.kept)
 	e.Obs.Emit(obs.Event{Kind: obs.EvWindowClose, At: end, Job: run.id,
 		Site: string(s.spec.Site), Value: float64(st.kept), ID: uint64(st.start)})
 	run.noteDone(e.Sched.Now())
 }
 
-// newPartial makes the record of a closed window partial of source s, sized
-// from the aggregate's serialized bytes as the stage measured them, or from
-// its events for a job that ships them raw. A resilient job's batch log
-// keeps the record from here on, so a held partial whose source or sink dies
-// is re-shipped from the log.
-func (r *JobRun) newPartial(s *sourceState, cw stream.Closed, events int, serialized int64) *partial {
-	p := &partial{Closed: cw, s: s, events: events, bytes: serialized}
+// newPartial makes the record of source s's closed window w from what its
+// stage made: the aggregate, sized from its serialized bytes as the stage
+// measured them, or from its events for a job that ships them raw. A
+// resilient job's batch log keeps the record from here on, so a held partial
+// whose source or sink dies is re-shipped from the log.
+func (r *JobRun) newPartial(s *sourceState, w stream.Window, st stagedWindow) *partial {
+	p := &partial{window: w, agg: st.agg, s: s, events: st.kept, bytes: st.bytes}
 	if r.job.ShipRaw {
-		p.bytes = int64(events) * s.spec.EventBytes
+		p.bytes = int64(st.kept) * s.spec.EventBytes
 	}
 	p.bytes += PartialOverheadBytes
 	if r.guard != nil {
@@ -781,7 +773,7 @@ func (e *Engine) ship(run *JobRun, p *partial, resume *transfer.Ledger) {
 	rep := run.rep
 	inflight := &run.inflight
 	sink := run.sink
-	s, cw, events := p.s, p.Closed, p.events
+	s, w, agg, events := p.s, p.window, p.agg, p.events
 
 	if run.cancelled {
 		return
@@ -797,10 +789,10 @@ func (e *Engine) ship(run *JobRun, p *partial, resume *transfer.Ledger) {
 		return
 	}
 
-	ws := run.windows[cw.Window.Start]
+	ws := run.windows[w.Start]
 	if ws == nil {
-		ws = &windowState{window: cw.Window, merged: run.newSinkAgg()}
-		run.windows[cw.Window.Start] = ws
+		ws = &windowState{window: w, merged: run.newSinkAgg()}
+		run.windows[w.Start] = ws
 	}
 	e.Obs.Emit(obs.Event{Kind: obs.EvPartialShipped, At: e.Sched.Now(), Job: run.id, Site: string(s.spec.Site)})
 
@@ -819,13 +811,13 @@ func (e *Engine) ship(run *JobRun, p *partial, resume *transfer.Ledger) {
 		if ws.merged != nil {
 			// Merged state is freed once the window completes; a partial
 			// landing after that would be late data.
-			ws.merged.MergeMapped(cw.Agg, s.spans)
+			ws.merged.MergeMapped(agg, s.spans)
 		}
 		e.Obs.Emit(obs.Event{Kind: obs.EvMerge, At: e.Sched.Now(), Job: run.id,
-			Site: string(sink), Bytes: bytes, ID: uint64(cw.Window.Start)})
+			Site: string(sink), Bytes: bytes, ID: uint64(w.Start)})
 		rep.SiteWindows = append(rep.SiteWindows, SiteWindow{
-			Site: s.spec.Site, Window: cw.Window,
-			Events: events, Keys: cw.Agg.Keys(), Bytes: bytes,
+			Site: s.spec.Site, Window: w,
+			Events: events, Keys: agg.Keys(), Bytes: bytes,
 			Lanes: lanes, Transfer: tr, Cost: cost,
 		})
 		rep.TotalBytes += bytes
@@ -879,7 +871,7 @@ func (e *Engine) ship(run *JobRun, p *partial, resume *transfer.Ledger) {
 	if job.BudgetPerWindow > 0 || job.DeadlinePerWindow > 0 {
 		est := e.estimate(s.spec.Site, sink)
 		e.Obs.Emit(obs.Event{Kind: obs.EvEstimate, At: e.Sched.Now(), Job: run.id,
-			Site: string(s.spec.Site), Peer: string(sink), Value: est, ID: uint64(cw.Window.Start)})
+			Site: string(s.spec.Site), Peer: string(sink), Value: est, ID: uint64(w.Start)})
 		p := e.Params
 		if job.Intr > 0 {
 			p.Intr = job.Intr
@@ -894,7 +886,7 @@ func (e *Engine) ship(run *JobRun, p *partial, resume *transfer.Ledger) {
 			}
 			e.Obs.Emit(obs.Event{Kind: obs.EvModelSize, At: e.Sched.Now(), Job: run.id,
 				Site: string(s.spec.Site), Peer: string(sink), Bytes: bytes, Lanes: n,
-				ID: uint64(cw.Window.Start)})
+				ID: uint64(w.Start)})
 		}
 		explored := false
 		if job.Calibrate {
@@ -929,7 +921,7 @@ func (e *Engine) ship(run *JobRun, p *partial, resume *transfer.Ledger) {
 	s.shipped++
 	*inflight++
 	e.Obs.Emit(obs.Event{Kind: obs.EvDispatch, At: e.Sched.Now(), Job: run.id,
-		Site: string(s.spec.Site), Peer: string(sink), Bytes: bytes, ID: uint64(cw.Window.Start)})
+		Site: string(s.spec.Site), Peer: string(sink), Bytes: bytes, ID: uint64(w.Start)})
 	// Freeze the dispatch-time prediction the delivery event reports beside
 	// the outcome. Estimate is a pure read and the model arithmetic touches
 	// no state, so it costs the simulation nothing.

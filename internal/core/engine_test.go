@@ -137,7 +137,7 @@ func TestMapFilterApplied(t *testing.T) {
 	e := quietEngine(5)
 	job := basicJob(transfer.Direct)
 	job.Sources = job.Sources[:1]
-	job.Map = func(ev stream.Event) (stream.Event, bool) { return ev, false } // drop all
+	job.Map = func(string, float64) (float64, bool) { return 0, false } // drop all
 	rep, err := e.Run(job, 2*time.Minute)
 	if err != nil {
 		t.Fatal(err)

@@ -121,11 +121,11 @@ func TestLoggedAggregatesImmutable(t *testing.T) {
 		now := make(map[*stream.KeyedAgg]bool)
 		for i, log := range g.log {
 			for _, p := range log {
-				now[p.Agg] = true
-				if _, ok := inLog[p.Agg]; !ok {
-					inLog[p.Agg] = logged{src: i, window: p.Window, cells: p.Agg.AppendSnapshot(nil)}
-					windows[[2]int64{int64(i), int64(p.Window.Start)}] = true
-					aggs[p.Agg]++
+				now[p.agg] = true
+				if _, ok := inLog[p.agg]; !ok {
+					inLog[p.agg] = logged{src: i, window: p.window, cells: p.agg.AppendSnapshot(nil)}
+					windows[[2]int64{int64(i), int64(p.window.Start)}] = true
+					aggs[p.agg]++
 				}
 			}
 		}
@@ -232,10 +232,10 @@ func TestPooledAggregatesHaveNoReader(t *testing.T) {
 		now := make(map[[2]int64]bool)
 		for i, log := range g.log {
 			for _, p := range log {
-				w := [2]int64{int64(i), int64(p.Window.Start)}
+				w := [2]int64{int64(i), int64(p.window.Start)}
 				if dropped[w] {
 					t.Fatalf("at %v: source %d window %v entered the batch log again after a trim dropped it",
-						e.Sched.Now(), i, p.Window)
+						e.Sched.Now(), i, p.window)
 				}
 				now[w] = true
 			}
@@ -313,10 +313,10 @@ func aggReaders(r *JobRun) []aggReader {
 		}
 	}
 	for _, p := range r.live {
-		add(p.Agg, "a live transfer")
+		add(p.agg, "a live transfer")
 	}
 	for _, p := range r.held {
-		add(p.Agg, "a held ship")
+		add(p.agg, "a held ship")
 	}
 	for _, s := range r.srcs {
 		for _, st := range s.pending[s.pendingHead:] {
@@ -326,7 +326,7 @@ func aggReaders(r *JobRun) []aggReader {
 	if g := r.guard; g != nil {
 		for i, log := range g.log {
 			for _, p := range log {
-				add(p.Agg, "the batch log")
+				add(p.agg, "the batch log")
 			}
 			for _, p := range g.parked[i] {
 				add(p.st.agg, "a parked window")
@@ -356,11 +356,11 @@ func poolFree(p *stream.AggPool) []*stream.KeyedAgg {
 // window from time 0, each with an aggregate from the source's pool.
 func loggedPartials(n int) []*partial {
 	const width = 30 * time.Second
-	s := &sourceState{pool: stream.NewAggPool(stream.Sum, nil)}
+	s := &sourceState{pool: stream.NewAggPool(stream.Sum, stream.NewKeyTable(stream.NewKeyList("k", []uint32{0, 1})))}
 	log := make([]*partial, n)
 	for i := range log {
 		w := stream.Window{Start: simtime.Time(i) * simtime.Time(width), End: simtime.Time(i+1) * simtime.Time(width)}
-		log[i] = &partial{Closed: stream.Closed{Window: w, Agg: s.pool.Get()}, s: s, logged: true}
+		log[i] = &partial{window: w, agg: s.pool.Get(), s: s, logged: true}
 	}
 	return log
 }
@@ -376,17 +376,17 @@ func TestTrimLogReleasesOldestFirst(t *testing.T) {
 	live, held := all[10], all[20]
 	live.h, held.held = &transfer.Handle{}, true
 
-	kept := trimLog(slices.Clone(all), all[98].Window.End)
+	kept := trimLog(slices.Clone(all), all[98].window.End)
 	if len(kept) != 1 || kept[0] != all[99] || !kept[0].logged {
-		t.Fatalf("trim kept %d partials, want only window %v, still logged", len(kept), all[99].Window)
+		t.Fatalf("trim kept %d partials, want only window %v, still logged", len(kept), all[99].window)
 	}
 	var want []*stream.KeyedAgg
 	for _, p := range all[:99] {
 		if p.logged {
-			t.Fatalf("window %v was trimmed but still reads as logged", p.Window)
+			t.Fatalf("window %v was trimmed but still reads as logged", p.window)
 		}
 		if p != live && p != held {
-			want = append(want, p.Agg)
+			want = append(want, p.agg)
 		}
 	}
 	if got := poolFree(pool); !slices.Equal(got, want) {
@@ -397,7 +397,7 @@ func TestTrimLogReleasesOldestFirst(t *testing.T) {
 	live.release()
 	held.held = false
 	held.release()
-	if got := poolFree(pool); len(got) != 99 || got[97] != live.Agg || got[98] != held.Agg {
+	if got := poolFree(pool); len(got) != 99 || got[97] != live.agg || got[98] != held.agg {
 		t.Fatal("a trimmed partial did not reach the pool when its last ship let go of it")
 	}
 }
@@ -408,13 +408,13 @@ func TestTrimLogReleasesOldestFirst(t *testing.T) {
 // uncollectable — for as long as the log lives.
 func TestTrimLogClearsVacatedSlots(t *testing.T) {
 	all := loggedPartials(6)
-	log := trimLog(slices.Clone(all), all[3].Window.End)
+	log := trimLog(slices.Clone(all), all[3].window.End)
 	if len(log) != 2 || log[0] != all[4] || log[1] != all[5] {
-		t.Fatalf("trim kept %d partials, want windows %v and %v", len(log), all[4].Window, all[5].Window)
+		t.Fatalf("trim kept %d partials, want windows %v and %v", len(log), all[4].window, all[5].window)
 	}
 	for i, p := range log[len(log):cap(log)] {
 		if p != nil {
-			t.Fatalf("vacated slot %d still holds window %v", i, p.Window)
+			t.Fatalf("vacated slot %d still holds window %v", i, p.window)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func (r *JobRun) liveOf(i int) []*partial {
 			out = append(out, p)
 		}
 	}
-	slices.SortFunc(out, func(a, b *partial) int { return cmp.Compare(a.Window.Start, b.Window.Start) })
+	slices.SortFunc(out, func(a, b *partial) int { return cmp.Compare(a.window.Start, b.window.Start) })
 	return out
 }
 

@@ -274,7 +274,7 @@ func (g *jobGuard) checkpoint() {
 // to a dropped partial.
 func trimLog(log []*partial, cutoff simtime.Time) []*partial {
 	n := 0
-	for n < len(log) && log[n].Window.End <= cutoff {
+	for n < len(log) && log[n].window.End <= cutoff {
 		log[n].logged = false
 		log[n].release()
 		n++
@@ -304,7 +304,7 @@ func (g *jobGuard) buildCheckpoint() *resilience.Checkpoint {
 		ss.Acked = g.currentAcked(i)
 		for _, p := range g.run.liveOf(i) {
 			ss.Ledgers = append(ss.Ledgers, resilience.WindowLedger{
-				Start: p.Window.Start, Ledger: p.h.Ledger(),
+				Start: p.window.Start, Ledger: p.h.Ledger(),
 			})
 		}
 		ck.Sources = append(ck.Sources, ss)
@@ -488,12 +488,12 @@ func (g *jobGuard) recoverSource(i int, s *sourceState, ckSrcs []resilience.Sour
 	// The sink deduplicates re-deliveries; the re-sent bytes are the
 	// duplicate-work price of checkpoint staleness.
 	for _, p := range g.log[i] {
-		if ckAcked[p.Window.Start] {
+		if ckAcked[p.window.Start] {
 			p.abortAcked = 0
 			continue
 		}
 		var resume *transfer.Ledger
-		if led, ok := ckLed[p.Window.Start]; ok && led.To == g.run.sink {
+		if led, ok := ckLed[p.window.Start]; ok && led.To == g.run.sink {
 			// Resume the interrupted transfer from its last checkpointed
 			// acknowledgement; progress beyond the ledger is re-sent.
 			resume = &led
@@ -526,7 +526,7 @@ func (g *jobGuard) reship(p *partial, resume *transfer.Ledger) {
 	if wasted > 0 {
 		g.met.DuplicateBytes += wasted
 	}
-	g.markRecovering(p.s.idx, p.Window.Start)
+	g.markRecovering(p.s.idx, p.window.Start)
 	g.met.ReplayedWindows++
 	g.met.ReplayedEvents += int64(p.events)
 	g.e.ship(g.run, p, resume)
@@ -603,7 +603,7 @@ func (g *jobGuard) failover(oldSink cloud.SiteID) {
 			continue
 		}
 		for _, p := range g.log[i] {
-			start := p.Window.Start
+			start := p.window.Start
 			if g.completed[start] {
 				continue
 			}

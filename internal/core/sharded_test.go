@@ -11,7 +11,6 @@ import (
 	"sage/internal/cloud"
 	"sage/internal/resilience"
 	"sage/internal/rng"
-	"sage/internal/stream"
 	"sage/internal/trace"
 	"sage/internal/transfer"
 	"sage/internal/workload"
@@ -220,63 +219,6 @@ func TestShardedSharedGenCoSharded(t *testing.T) {
 	}
 	if rounds == 0 {
 		t.Fatal("shared-generator job never staged in rounds: it fell back to sequential")
-	}
-}
-
-// TestStageLookupsOnOwnTables: a Map that rewrites keys sends the stage's fold
-// through KeyTable.Lookup on the source generator's table, and the first such
-// Lookup builds that table's index. Each generator's stages run on the one
-// shard it was dealt (sources sharing a generator share it), so under -race a
-// 4-shard run indexes every table from one goroutine at a time, and it reports
-// what a one-shard run does. Siblings of the shared generator are generators
-// of their own, dealt their own shards: each indexes its own table over the
-// one key list they all read.
-func TestStageLookupsOnOwnTables(t *testing.T) {
-	var names [30]string
-	for k := range names {
-		names[k] = fmt.Sprintf("sensor-%04d", k)
-	}
-	run := func(shards int) (string, uint64) {
-		world := cloud.GenerateWorld(12, 3, 2)
-		e := NewEngine(WithOptions(Options{Topology: world}), WithShards(shards), WithSeed(5))
-		e.DeployEverywhere(cloud.Small, 1)
-		shared := workload.NewSensorGen(rng.New(7), cloud.GeneratedSiteID(3), workload.SensorOpts{Keys: 40})
-		job := JobSpec{Sink: cloud.GeneratedHub(0), Window: 10 * time.Second, Strategy: transfer.Direct}
-		// Every key folds into a neighbour's cell, found by its string; one in
-		// seven leaves the tables for an ad-hoc cell.
-		job.Map = func(ev stream.Event) (stream.Event, bool) {
-			ev.Key = names[ev.KeyID%len(names)]
-			if ev.KeyID%7 == 0 {
-				ev.Key = "elsewhere"
-			}
-			return ev, true
-		}
-		for i := 3; i < 12; i++ {
-			src := SourceSpec{Site: cloud.GeneratedSiteID(i), Rate: workload.ConstantRate(60)}
-			switch {
-			case i < 5:
-				src.Gen = shared
-			case i < 9:
-				src.Gen = shared.Sibling(rng.New(uint64(i)), src.Site)
-			}
-			job.Sources = append(job.Sources, src)
-		}
-		rep, err := e.Run(job, time.Minute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := rep.Global.Value("elsewhere"); !ok || rep.Global.Keys() != len(names)+1 {
-			t.Fatalf("shards=%d: %d keys in the answer, want the %d rewritten ones", shards, rep.Global.Keys(), len(names)+1)
-		}
-		return fmt.Sprintf("%d %d %d %v", rep.Windows, rep.TotalEvents, rep.TotalBytes, rep.Global.AppendSnapshot(nil)), e.ShardRounds()
-	}
-	seq, _ := run(1)
-	par, rounds := run(4)
-	if rounds == 0 {
-		t.Fatal("the 4-shard run never staged in rounds")
-	}
-	if seq != par {
-		t.Fatalf("key-rewriting job diverges under sharding:\nseq: %.300s\npar: %.300s", seq, par)
 	}
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"slices"
+	"math"
 	"testing"
 	"time"
 
@@ -62,87 +62,88 @@ func TestStageBufferIsOneBlock(t *testing.T) {
 // blockBytes is what a shard's block columns hold.
 func blockBytes(sc *stageScratch) int { return 4*cap(sc.block.IDs) + 8*cap(sc.block.Values) }
 
-// TestStagePathsAgree: the columnar fold a Map-less job takes and the
-// materialise → Map → Add path a job with a Map takes stage the same
-// partial, bit for bit, when the Map leaves keys and values alone: the
-// identity, or a Map that moves every event one window later, whose Time the
-// stage does not read — an event stays in the window it was drawn in. Which
-// path runs is the job's choice, never a different answer.
+// TestStagePathsAgree: a job's stage folds the partial a reference folds, bit
+// for bit, with no Map and with an identity Map, a Map that rewrites values
+// and a Map that drops events. The reference regenerates the window with
+// AppendEvents, applies the Map to each event's key and value and folds what
+// it keeps by AddValue into a map-backed aggregate: it shares with the stage
+// neither the block, nor the compaction, nor the dense cells.
 func TestStagePathsAgree(t *testing.T) {
 	end := simtime.Time(60 * time.Second)
-	job, newGen := stageJob(nil)
-	_, columnar := stageOne(job, newGen(), end)
-	maps := []struct {
+	for _, m := range []struct {
 		name string
 		fn   stream.MapFunc
 	}{
-		{"identity", func(ev stream.Event) (stream.Event, bool) { return ev, true }},
-		{"one window later", func(ev stream.Event) (stream.Event, bool) {
-			ev.Time += simtime.Time(job.Window)
-			return ev, true
-		}},
-	}
-	for _, m := range maps {
-		job.Map = m.fn
-		_, mapped := stageOne(job, newGen(), end)
-		if columnar.start != mapped.start || columnar.kept != mapped.kept || columnar.bytes != mapped.bytes ||
-			!slices.Equal(columnar.agg.AppendSnapshot(nil), mapped.agg.AppendSnapshot(nil)) {
-			t.Fatalf("%s: columnar partial (start %v, %d events, %d keys, %d bytes) differs from the mapped one (start %v, %d events, %d keys, %d bytes)",
-				m.name, columnar.start, columnar.kept, columnar.agg.Keys(), columnar.bytes,
-				mapped.start, mapped.kept, mapped.agg.Keys(), mapped.bytes)
+		{"no Map", nil},
+		{"identity", func(_ string, v float64) (float64, bool) { return v, true }},
+		{"value-rewriting", func(key string, v float64) (float64, bool) { return v*float64(len(key)) - 3, true }},
+		{"dropping", func(key string, v float64) (float64, bool) { return v, v > 0 && key[len(key)-1] != '7' }},
+	} {
+		job, newGen := stageJob(m.fn)
+		_, st := stageOne(job, newGen(), end)
+		want := stream.NewKeyedAgg(job.Agg)
+		kept := 0
+		for _, ev := range newGen().AppendEvents(nil, 24000, end-simtime.Time(job.Window), job.Window) {
+			v, ok := ev.Value, true
+			if m.fn != nil {
+				v, ok = m.fn(ev.Key, ev.Value)
+			}
+			if ok {
+				want.AddValue(ev.Key, v)
+				kept++
+			}
+		}
+		got, ref := st.agg.Result(), want.Result()
+		same := len(got) == len(ref)
+		for i := 0; same && i < len(got); i++ {
+			same = got[i].Key == ref[i].Key && math.Float64bits(got[i].Value) == math.Float64bits(ref[i].Value)
+		}
+		if !same || st.kept != kept || st.bytes != want.SerializedBytes() || st.agg.SerializedBytes() != st.bytes {
+			t.Fatalf("%s: staged %d events, %d keys, %d bytes; the reference %d events, %d keys, %d bytes (rows equal: %v)",
+				m.name, st.kept, len(got), st.bytes, kept, len(ref), want.SerializedBytes(), same)
 		}
 	}
 }
 
-// TestStageMapSeesWholeWindowInOrder: a Map that drops some events and
-// rewrites others is handed exactly the events a whole-window draw yields, in
-// that order, and the staged partial is the fold of what it returned.
+// TestStageMapSeesWholeWindowInOrder: a Map is handed exactly the (key, value)
+// pairs a whole-window draw yields, in that order, once each, whatever it
+// keeps.
 func TestStageMapSeesWholeWindowInOrder(t *testing.T) {
-	var seen []stream.Event
-	mapFn := func(ev stream.Event) (stream.Event, bool) {
-		seen = append(seen, ev)
-		switch len(seen) % 5 {
-		case 0:
-			return ev, false
-		case 1:
-			ev.Key, ev.KeyID = "rewritten", 0
-		case 2:
-			ev.Value = -ev.Value
-		}
-		return ev, true
-	}
-	job, newGen := stageJob(mapFn)
+	var seen []stream.KV
+	job, newGen := stageJob(func(key string, v float64) (float64, bool) {
+		seen = append(seen, stream.KV{Key: key, Value: v})
+		return -v, len(seen)%5 != 0
+	})
 	end := simtime.Time(60 * time.Second)
 	_, st := stageOne(job, newGen(), end)
-
 	whole := newGen().AppendEvents(nil, 24000, end-simtime.Time(job.Window), job.Window)
-	got := seen
-	seen = nil
-	want := stream.NewKeyedAggDense(job.Agg, newGen().Table())
-	if len(got) != len(whole) {
-		t.Fatalf("Map saw %d events, window has %d", len(got), len(whole))
+	if len(seen) != len(whole) || st.kept != len(whole)-len(whole)/5 {
+		t.Fatalf("Map saw %d events and kept %d, window has %d", len(seen), st.kept, len(whole))
 	}
-	kept := 0
 	for i, ev := range whole {
-		if got[i] != ev {
-			t.Fatalf("Map call %d saw %+v, whole-window draw has %+v", i, got[i], ev)
-		}
-		if out, ok := mapFn(ev); ok {
-			want.Add(out)
-			kept++
+		if seen[i] != (stream.KV{Key: ev.Key, Value: ev.Value}) {
+			t.Fatalf("Map call %d saw %+v, whole-window draw has %+v", i, seen[i], ev)
 		}
 	}
-	if st.kept != kept {
-		t.Fatalf("staged kept %d, want %d", st.kept, kept)
+}
+
+// TestMapStageSteadyStateAllocs: a steady-state stage of a job whose Map
+// drops events and rewrites values — draw, map, fold, size the partial, put
+// the aggregate back — allocates nothing: the Map sees keys the table already
+// holds and the block is compacted where it lies.
+func TestMapStageSteadyStateAllocs(t *testing.T) {
+	job, newGen := stageJob(func(_ string, v float64) (float64, bool) { return 2 * v, v > 0 })
+	gen := newGen()
+	s := &sourceState{spec: job.Sources[0], gen: gen, pool: stream.NewAggPool(job.Agg, gen.Table())}
+	e, run := &Engine{scratch: make([]stageScratch, 1)}, &JobRun{job: job}
+	end := simtime.Time(0)
+	stage := func() {
+		end += simtime.Time(job.Window)
+		s.pool.Put(e.stageWindow(run, s, end).agg)
 	}
-	a, b := st.agg.Result(), want.Result()
-	if len(a) != len(b) {
-		t.Fatalf("staged partial has %d keys, reference %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d: staged %+v, reference %+v", i, a[i], b[i])
-		}
+	stage()
+	if a := testing.AllocsPerRun(20, stage); a != 0 {
+		t.Fatalf("a steady-state stage with a Map allocates %v per window", a)
 	}
 }
 
@@ -166,7 +167,7 @@ func TestShardScratchSharedAcrossJobs(t *testing.T) {
 			job := JobSpec{Sink: cloud.GeneratedHub(j), Window: time.Duration(10+5*j) * time.Second,
 				Agg: []stream.AggKind{stream.Sum, stream.Mean, stream.Max}[j], Strategy: transfer.Direct}
 			if j == 1 {
-				job.Map = func(ev stream.Event) (stream.Event, bool) { return ev, ev.KeyID%3 != 0 }
+				job.Map = func(key string, v float64) (float64, bool) { return v, key[len(key)-1]%3 != 0 }
 			}
 			for i := 1; i < 16; i++ {
 				site := cloud.GeneratedSiteID(i)

@@ -261,7 +261,7 @@ var allKinds = []stream.AggKind{stream.Count, stream.Sum, stream.Mean, stream.Mi
 // aggregate of the kind over a three-key table plus an ad-hoc key, ±0 and +Inf
 // among its values, snapshotted into a checkpoint as the sink's global answer.
 func perKindCheckpoint(kind stream.AggKind) (ck *Checkpoint, tb *stream.KeyTable, orig *stream.KeyedAgg) {
-	tb = stream.NewKeyTable(stream.KeyListOf([]string{"b", "a", "c"}))
+	tb = stream.NewKeyTable(stream.NewKeyList("bac", []uint32{0, 1, 2, 3}))
 	orig = stream.NewKeyedAggDense(kind, tb)
 	for i, v := range []float64{3.5, -1.25, math.Copysign(0, -1), 0, 7, math.Inf(1), -1.25, 2} {
 		orig.AddValue([]string{"a", "b", "adhoc"}[i%3], v)
@@ -363,9 +363,9 @@ func TestCheckpointRoundTripPerKind(t *testing.T) {
 			sink.RestoreCell(c)
 		}
 		// It goes on folding after the restore, as the original does.
-		more := stream.Event{Key: "a", KeyID: 2, Value: -8}
-		orig.Add(more)
-		sink.Add(more)
+		more := stream.Block{Table: tb, IDs: []int32{2}, Values: []float64{-8}} // key "a"
+		orig.AddBlock(&more)
+		sink.AddBlock(&more)
 		want, have := orig.Result(), sink.Result()
 		if len(want) != len(have) {
 			t.Fatalf("%v: restored %+v, want %+v", kind, have, want)
@@ -527,7 +527,7 @@ func FuzzCheckpointCellOrder(f *testing.F) {
 			t.Fatalf("permuted checkpoint does not decode: %v", err)
 		}
 		restore := func(cells []stream.KeyCell) []stream.KV {
-			agg := stream.NewKeyedAggDense(stream.Mean, stream.NewKeyTable(stream.KeyListOf([]string{"k2", "g05"})))
+			agg := stream.NewKeyedAggDense(stream.Mean, stream.NewKeyTable(stream.NewKeyList("k2g05", []uint32{0, 2, 5})))
 			for _, c := range cells {
 				agg.RestoreCell(c)
 			}

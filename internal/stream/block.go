@@ -12,10 +12,9 @@ import (
 // operator generates and folds, 12 bytes an event where an Event is 56. Event
 // i has key Table.Key(IDs[i]), value Values[i], time From + i·Step and site
 // Site. Timestamps are implicit because a producer emits a block evenly
-// spaced, and the only thing the window stage needs from them is where the
-// block crosses a window boundary, which is arithmetic on From and Step; key
-// strings are absent because an aggregate over the same table indexes cells
-// by ID. A consumer that wants the struct materialises it (AppendEvents).
+// spaced, and the engine's stage draws each window's blocks inside the
+// window, so the fold reads none; key strings are absent because an aggregate
+// over the same table indexes cells by ID. A consumer that wants the struct materialises it (AppendEvents).
 //
 // Every ID must be an ID of Table (1 … Table.Len()), IDs and Values the same
 // length. The producer owns the columns and refills them: a block is valid
@@ -31,10 +30,8 @@ type Block struct {
 
 // Event materialises event i.
 func (b *Block) Event(i int) Event {
-	id := int(b.IDs[i])
 	return Event{
-		Key:   b.Table.Key(id),
-		KeyID: id,
+		Key:   b.Table.Key(int(b.IDs[i])),
 		Value: b.Values[i],
 		Time:  b.From + simtime.Time(i)*b.Step,
 		Site:  b.Site,
@@ -51,54 +48,32 @@ func (b *Block) AppendEvents(dst []Event) []Event {
 	return dst
 }
 
-// AddBlock folds a block into the aggregate: the same result, bit for bit, as
-// Add of each of the block's events in order — same per-key accumulation
-// order — without materialising them. Event times are not read. That a
-// block's IDs belong to this aggregate's table is checked here, once, by
-// comparing the tables, which is what add re-proves for every single event by
-// comparing key strings; a block over any other table (or onto a map-backed
-// aggregate) is folded through its events, where that per-event guard still
-// stands.
-func (a *KeyedAgg) AddBlock(b *Block) {
-	if a.table == nil || b.Table != a.table {
-		for i := range b.IDs {
-			e := b.Event(i)
-			a.add(&e)
+// Map hands each event's key and value, in order, to f and compacts the
+// columns in place to the events f keeps, with the values it returns. The IDs
+// stay: f cannot move an event to another key.
+func (b *Block) Map(f MapFunc) {
+	k := 0
+	for i, id := range b.IDs {
+		if v, ok := f(b.Table.Key(int(id)), b.Values[i]); ok {
+			b.IDs[k], b.Values[k] = id, v
+			k++
 		}
-		return
 	}
-	a.addColumns(b.IDs, b.Values)
+	b.IDs, b.Values = b.IDs[:k], b.Values[:k]
 }
 
-// AddBlock folds a block into its windows: the same result, bit for bit, as
-// AddBatch of the block's materialised events — same per-key accumulation
-// order, same windows opened, late data treated alike — without materialising
-// them. The block is cut where it crosses a window boundary, which is
-// arithmetic on From and Step, and each run goes to its window's
-// KeyedAgg.AddBlock.
-func (w *WindowAgg) AddBlock(b *Block) {
-	if b.Step < 0 {
-		// A descending block is folded event by event: the cut below counts
-		// forward from each run's first event.
-		w.events = b.AppendEvents(w.events[:0])
-		w.AddBatch(w.events)
-		return
+// AddBlock folds a block into the aggregate: the same result, bit for bit, as
+// AddValue of each of the block's events' key and value in order — same
+// per-key accumulation order — without materialising them. Event times are
+// not read. The block must be over the aggregate's own table, which is
+// checked here, once, by comparing the tables: its IDs index this table's
+// cells and no other's. A block over another table, or onto a map-backed
+// aggregate, panics before it folds anything.
+func (a *KeyedAgg) AddBlock(b *Block) {
+	if b.Table != a.table || a.table == nil {
+		panic("stream: folding a block over another table")
 	}
-	n := len(b.IDs)
-	for i := 0; i < n; {
-		t := b.From + simtime.Time(i)*b.Step
-		agg := w.aggFor(t)
-		// Events i … i+m-1 are the ones before the end of the window aggFor
-		// has just made current.
-		m := n - i
-		if b.Step > 0 {
-			left := w.lastStart + simtime.Time(w.Width) - t
-			m = min(m, int((left+b.Step-1)/b.Step))
-		}
-		run := Block{Table: b.Table, IDs: b.IDs[i : i+m], Values: b.Values[i : i+m], From: t, Step: b.Step, Site: b.Site}
-		agg.AddBlock(&run)
-		i += m
-	}
+	a.addColumns(b.IDs, b.Values)
 }
 
 // addColumns folds values into the dense cells of their IDs, in order: one

@@ -41,7 +41,7 @@ func FuzzKeyTable(f *testing.F) {
 				list = append(list, key(b))
 			}
 		}
-		whole := KeyListOf(list)
+		whole := keyListOf(list)
 		runs := []KeyList{whole}
 		if stride := int(ops[0] >> 4); stride > 0 {
 			runs = nil
@@ -80,6 +80,15 @@ func FuzzKeyTable(f *testing.F) {
 	})
 }
 
+// keyListOf returns a list of keys, copied into one text.
+func keyListOf(keys []string) KeyList {
+	ends := []uint32{0}
+	for _, k := range keys {
+		ends = append(ends, ends[len(ends)-1]+uint32(len(k)))
+	}
+	return NewKeyList(strings.Join(keys, ""), ends)
+}
+
 // listKey is the key a table built from list holds under id, "" for none.
 func listKey(list []string, id int) string {
 	if id <= 0 || id > len(list) {
@@ -94,95 +103,84 @@ func denseTable() *KeyTable {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("sensor-%04d", i)
 	}
-	return NewKeyTable(KeyListOf(keys))
+	return NewKeyTable(keyListOf(keys))
 }
 
-// denseEvents deterministically builds a mixed event sequence: most keys are
-// the keys of table, a denseTable, a few are ad-hoc strings that exercise the
-// map fallback, and raw drives values, timestamps, and duplicates.
-func denseEvents(raw []uint16, table *KeyTable) []Event {
-	events := make([]Event, len(raw))
+// denseEvents deterministically builds a mixed key/value sequence: most keys
+// are the keys of table, a denseTable, a few are ad-hoc strings that exercise
+// the map fallback, and raw drives values and duplicates.
+func denseEvents(raw []uint16, table *KeyTable) []KV {
+	events := make([]KV, len(raw))
 	for i, r := range raw {
-		e := Event{
-			Value: float64(r%251)/3 - 40,
-			Time:  simtime.Time(r%200) * simtime.Time(time.Second),
-		}
+		e := KV{Key: table.Key(int(r)%table.Len() + 1), Value: float64(r%251)/3 - 40}
 		if i%7 == 3 {
 			// Ad-hoc key: in no table, exercises the map path even inside
 			// a dense aggregate.
 			e.Key = fmt.Sprintf("adhoc-%d", r%4)
-		} else {
-			e.KeyID = int(r)%table.Len() + 1
-			e.Key = table.Key(e.KeyID)
 		}
 		events[i] = e
 	}
 	return events
 }
 
-func sameClosed(a, b []Closed) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("closed %d vs %d windows", len(a), len(b))
+// sameAggs compares two aggregates by everything a caller can observe of
+// them: rows bit for bit, snapshot, key and event counts, wire size.
+func sameAggs(x, y *KeyedAgg) error {
+	if err := sameKVs(x.Result(), y.Result()); err != nil {
+		return err
 	}
-	for i := range a {
-		if a[i].Window != b[i].Window {
-			return fmt.Errorf("window %d: %v vs %v", i, a[i].Window, b[i].Window)
-		}
-		ra, rb := a[i].Agg.Result(), b[i].Agg.Result()
-		if len(ra) != len(rb) {
-			return fmt.Errorf("window %v: %d vs %d keys", a[i].Window, len(ra), len(rb))
-		}
-		for j := range ra {
-			if ra[j] != rb[j] {
-				return fmt.Errorf("window %v row %d: %+v vs %+v", a[i].Window, j, ra[j], rb[j])
-			}
-		}
+	if !slices.Equal(x.AppendSnapshot(nil), y.AppendSnapshot(nil)) {
+		return fmt.Errorf("snapshots %v and %v", x.AppendSnapshot(nil), y.AppendSnapshot(nil))
+	}
+	if x.Keys() != y.Keys() || eventCount(x) != eventCount(y) || x.SerializedBytes() != y.SerializedBytes() {
+		return fmt.Errorf("keys %d/%d events %d/%d bytes %d/%d",
+			x.Keys(), y.Keys(), eventCount(x), eventCount(y), x.SerializedBytes(), y.SerializedBytes())
 	}
 	return nil
 }
 
-// Property: for every aggregation kind, a dense (KeyID-indexed) tumbling
-// aggregate and the plain string-map aggregate produce identical closed
-// windows — same windows, same keys, same order, bit-identical values —
-// for the same event sequence, and they are the windows of the four-field
-// oracle, which computes every kind's number for every key: a kind that fell
-// into another kind's fold on both sides alike would still fail.
+// Property: for every aggregation kind, a run of tumbling windows folded the
+// way the engine's stage folds them — each window's events as blocks of IDs
+// into an aggregate from one AggPool, put back once the window is read — and
+// the plain string-map aggregate fed each window's keys and values by
+// AddValue close identical windows (same keys, same order, bit-identical
+// values), and they are the windows of the four-field oracle, which computes
+// every kind's number for every key: a kind that fell into another kind's fold
+// on both sides alike would still fail, and so would a pooled aggregate that
+// kept a cell of the window before.
 func TestPropertyDenseMatchesMapTumbling(t *testing.T) {
 	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
-		kind := kind
-		f := func(raw []uint16) bool {
+		f := func(raw []uint16, cuts []uint8) bool {
 			table := denseTable()
-			events := denseEvents(raw, table)
-			dense := NewWindowAggDense(30*time.Second, kind, table)
-			plain := NewWindowAgg(30*time.Second, kind)
-			oracle := newOracleWindows(30*time.Second, kind)
-			for _, e := range events {
-				dense.Add(e)
-				me := e
-				me.KeyID = 0 // force the string-map path
-				plain.Add(me)
-				oracle.add(e)
+			pool := NewAggPool(kind, table)
+			for len(raw) > 0 {
+				n := len(raw)
+				if len(cuts) > 0 {
+					n, cuts = min(n, int(cuts[0])%50), cuts[1:]
+				}
+				dense, plain, oracle := pool.Get(), NewKeyedAgg(kind), newOracleAgg(kind)
+				b := Block{Table: table}
+				for i, r := range raw[:n] {
+					id, v := int(r)%table.Len()+1, float64(r%251)/3-40
+					b.IDs, b.Values = append(b.IDs, int32(id)), append(b.Values, v)
+					plain.AddValue(table.Key(id), v)
+					oracle.add(table.Key(id), v)
+					if i%8 == 7 || i == n-1 {
+						dense.AddBlock(&b)
+						b.IDs, b.Values = b.IDs[:0], b.Values[:0]
+					}
+				}
+				if sameAggs(dense, plain) != nil || matchesOracle(dense, oracle) != nil {
+					return false
+				}
+				pool.Put(dense)
+				raw = raw[n:]
 			}
-			closed := dense.Advance(simtime.Time(time.Hour))
-			return sameClosed(closed, plain.Advance(simtime.Time(time.Hour))) == nil &&
-				closedMatchOracle(closed, oracle.advance(simtime.Time(time.Hour))) == nil
+			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 			t.Errorf("kind %v: %v", kind, err)
 		}
-	}
-}
-
-// A stale KeyID — one that does not match the event's Key in the aggregate's
-// table — must fall back to the string path, not corrupt another key's cell.
-func TestDenseStaleKeyIDFallsBack(t *testing.T) {
-	a := NewKeyedAggDense(Sum, NewKeyTable(KeyListOf([]string{"real"})))
-	a.Add(Event{Key: "impostor", KeyID: 1, Value: 7})
-	if v, ok := a.Value("impostor"); !ok || v != 7 {
-		t.Fatalf("impostor value = %v,%v", v, ok)
-	}
-	if _, ok := a.Value("real"); ok {
-		t.Fatal("stale KeyID credited the table's key")
 	}
 }
 
@@ -211,9 +209,9 @@ func TestDenseMergeAcrossRepresentations(t *testing.T) {
 			for i, e := range events {
 				want.AddValue(e.Key, e.Value)
 				if i%2 == 0 {
-					dst.Add(e)
+					dst.AddValue(e.Key, e.Value)
 				} else {
-					src.Add(e)
+					src.AddValue(e.Key, e.Value)
 				}
 			}
 			dst.Merge(src)
@@ -230,96 +228,24 @@ func TestDenseMergeAcrossRepresentations(t *testing.T) {
 	}
 }
 
-// sameAggs compares two closed-window lists by everything a caller can
-// observe of each aggregate: rows, key and event counts, wire size.
-func sameAggs(a, b []Closed) error {
-	if err := sameClosed(a, b); err != nil {
-		return err
-	}
-	for i := range a {
-		x, y := a[i].Agg, b[i].Agg
-		if x.Keys() != y.Keys() || eventCount(x) != eventCount(y) || x.SerializedBytes() != y.SerializedBytes() {
-			return fmt.Errorf("window %v: keys %d/%d events %d/%d bytes %d/%d", a[i].Window,
-				x.Keys(), y.Keys(), eventCount(x), eventCount(y), x.SerializedBytes(), y.SerializedBytes())
-		}
-	}
-	return nil
-}
-
-// Property: AddBatch(evs) leaves a WindowAgg in the state Add(ev) for each ev
-// in order does — for every kind, dense and map-backed, over batches that
-// straddle window boundaries, carry stale KeyIDs (a rewritten Key, an ID past
-// the table) and ad-hoc keys, with watermark advances in between that make
-// later events of earlier windows late.
-func TestPropertyAddBatchMatchesAdd(t *testing.T) {
-	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
-		for _, dense := range []bool{true, false} {
-			f := func(raw []uint16, cuts []uint8) bool {
-				table := denseTable()
-				events := denseEvents(raw, table)
-				for i := range events {
-					switch i % 11 {
-					case 5: // Key rewritten, ID left behind
-						events[i].Key = "rewritten"
-					case 9: // ID no table ever issued
-						events[i].KeyID = 1000 + i
-					}
-				}
-				if !dense {
-					table = nil
-				}
-				batched := NewWindowAggDense(30*time.Second, kind, table)
-				single := NewWindowAggDense(30*time.Second, kind, table)
-				for len(events) > 0 {
-					n := len(events)
-					if len(cuts) > 0 {
-						n, cuts = min(n, int(cuts[0])%40), cuts[1:]
-					}
-					batched.AddBatch(events[:n])
-					for _, e := range events[:n] {
-						single.Add(e)
-					}
-					if n%3 == 0 {
-						// Close what has ended by the batch's last event: any
-						// earlier timestamp still to come is late data.
-						var mark simtime.Time
-						if n > 0 {
-							mark = events[n-1].Time
-						}
-						if sameAggs(batched.Advance(mark), single.Advance(mark)) != nil {
-							return false
-						}
-					}
-					events = events[n:]
-				}
-				if len(batched.open) != len(single.open) {
-					return false
-				}
-				return sameAggs(batched.Advance(simtime.Time(time.Hour)), single.Advance(simtime.Time(time.Hour))) == nil
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-				t.Errorf("kind %v dense %v: %v", kind, dense, err)
-			}
-		}
-	}
-}
-
-// FuzzAddBlock: AddBlock(b) leaves a WindowAgg in the state AddBatch of b's
-// materialised events does — rows, snapshots, key and event counts, wire
-// size, bit for bit — for every kind, onto dense and map-backed aggregators,
-// over blocks that are empty, sit inside one window, straddle one boundary or
-// several (steps of 0, 1, 7, 31 and 95 s against 30 s windows), descend
-// (folded event by event), start before time zero, arrive late after an
-// Advance, or carry a foreign table: the same keys interned in another order
-// plus one key the aggregate's table does not hold. Both sides are also held
-// to the four-field oracle's windows, so each kind must have gone through a
+// FuzzAddBlock: AddBlock(b) leaves an aggregate over b's table in the state
+// AddValue of b's events' keys and values, in order, leaves a reference —
+// rows, snapshots, key and event counts, wire size, bit for bit — for every
+// kind, over blocks that are empty or up to 39 events long, onto cells that
+// earlier blocks filled, whatever times the blocks carry (times are not
+// read). A block over a foreign table — the same keys interned in another
+// order plus one key the aggregate's table does not hold — panics and leaves
+// the aggregate as it was: its IDs index another table's cells. Both sides are
+// also held to the four-field oracle, so each kind must have gone through a
 // fold of its own: addColumns taking, say, the sum loop for Min would agree
 // with nothing the oracle reads from its min field.
 //
-// kind%5 picks the aggregation and dense the table; each byte of shape is one
-// block (its length, step and, every third byte, a watermark advance), every
-// fourth block on the foreign table; seed draws starts, IDs and values. The
-// corpus is 60 random (seed, shape) pairs for each kind × table.
+// kind%5 picks the aggregation and dense the reference's storage: AddValue
+// onto a dense aggregate over the same table, which finds each key's cell by
+// its string, or onto a map-backed one. Each byte of shape is one block (its
+// length, its step and, every third byte, a comparison), every fourth block
+// on the foreign table; seed draws starts, IDs and values. The corpus is 60
+// random (seed, shape) pairs for each kind × reference.
 func FuzzAddBlock(f *testing.F) {
 	gen := rand.New(rand.NewSource(1))
 	for kind := uint8(0); kind < 5; kind++ {
@@ -331,7 +257,7 @@ func FuzzAddBlock(f *testing.F) {
 			}
 		}
 	}
-	steps := []time.Duration{0, time.Second, 7 * time.Second, 31 * time.Second, 95 * time.Second, -3 * time.Second}
+	steps := []time.Duration{0, time.Second, 31 * time.Second, -3 * time.Second}
 	f.Fuzz(func(t *testing.T, seed int64, shape []byte, kind uint8, dense bool) {
 		k := AggKind(kind % 5)
 		rnd := rand.New(rand.NewSource(seed))
@@ -340,75 +266,77 @@ func FuzzAddBlock(f *testing.F) {
 			ownKeys = append(ownKeys, fmt.Sprintf("sensor-%04d", i))
 			foreignKeys = append(foreignKeys, fmt.Sprintf("sensor-%04d", 5-i))
 		}
-		own, foreign := NewKeyTable(KeyListOf(ownKeys)), NewKeyTable(KeyListOf(append(foreignKeys, "elsewhere")))
-		table := own
-		if !dense {
-			table = nil
+		own, foreign := NewKeyTable(keyListOf(ownKeys)), NewKeyTable(keyListOf(append(foreignKeys, "elsewhere")))
+		blocked, ref, oracle := NewKeyedAggDense(k, own), NewKeyedAgg(k), newOracleAgg(k)
+		if dense {
+			ref = NewKeyedAggDense(k, own)
 		}
-		blocked := NewWindowAggDense(30*time.Second, k, table)
-		batched := NewWindowAggDense(30*time.Second, k, table)
-		oracle := newOracleWindows(30*time.Second, k)
-		same := func(mark simtime.Time) {
-			a, b := blocked.Advance(mark), batched.Advance(mark)
-			if err := sameAggs(a, b); err != nil {
-				t.Fatalf("advance to %v: AddBlock vs AddBatch: %v", mark, err)
+		same := func(i int) {
+			if err := sameAggs(blocked, ref); err != nil {
+				t.Fatalf("block %d: AddBlock vs AddValue: %v", i, err)
 			}
-			if err := closedMatchOracle(a, oracle.advance(mark)); err != nil {
-				t.Fatalf("advance to %v: AddBlock vs the oracle: %v", mark, err)
-			}
-			for i := range a {
-				if !slices.Equal(a[i].Agg.AppendSnapshot(nil), b[i].Agg.AppendSnapshot(nil)) {
-					t.Fatalf("advance to %v: window %v snapshots differ", mark, a[i].Window)
-				}
+			if err := matchesOracle(blocked, oracle); err != nil {
+				t.Fatalf("block %d: AddBlock vs the oracle: %v", i, err)
 			}
 		}
-		var mark simtime.Time
 		for i, sh := range shape {
 			n := int(sh) % 40
-			b := Block{Table: own, Step: steps[int(sh)%len(steps)], Site: "A"}
+			b := Block{Table: own, Step: steps[int(sh)%len(steps)], Site: "A",
+				From: simtime.Time(rnd.Intn(280_000)-100_000) * simtime.Time(time.Millisecond)}
 			if i%4 == 3 {
 				b.Table = foreign
 			}
-			// Starts range from 100 s before time zero to 180 s: behind the
-			// watermark once it has moved.
-			b.From = simtime.Time(rnd.Intn(280_000)-100_000) * simtime.Time(time.Millisecond)
 			for j := 0; j < n; j++ {
 				b.IDs = append(b.IDs, int32(rnd.Intn(b.Table.Len()))+1)
 				b.Values = append(b.Values, float64(rnd.Intn(251))/3-40)
 			}
-			blocked.AddBlock(&b)
-			events := b.AppendEvents(nil)
-			batched.AddBatch(events)
-			for _, e := range events {
-				oracle.add(e)
+			if b.Table == foreign {
+				before := blocked.AppendSnapshot(nil)
+				if !panics(func() { blocked.AddBlock(&b) }) {
+					t.Fatalf("block %d: a block over a foreign table folded", i)
+				}
+				if !slices.Equal(blocked.AppendSnapshot(nil), before) {
+					t.Fatalf("block %d: a refused foreign block changed the aggregate", i)
+				}
+				continue
 			}
-			if len(blocked.open) != len(batched.open) {
-				t.Fatalf("block %d: %d open windows, AddBatch has %d", i, len(blocked.open), len(batched.open))
+			blocked.AddBlock(&b)
+			for _, e := range b.AppendEvents(nil) {
+				ref.AddValue(e.Key, e.Value)
+				oracle.add(e.Key, e.Value)
 			}
 			if sh%3 == 0 {
-				mark += simtime.Time(sh) * simtime.Time(time.Second)
-				same(mark)
+				same(i)
 			}
 		}
-		same(simtime.Time(time.Hour))
+		same(len(shape))
 	})
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
 // A block's IDs are trusted once its table is the aggregate's. An ID the
 // table never issued must stop the fold, not land in another key's cell or in
-// the unused cell 0.
+// the unused cell 0; and a block over any other table — even one holding the
+// same key — or onto a map-backed aggregate must not fold at all.
 func TestAddBlockRejectsIDsOutsideItsTable(t *testing.T) {
-	table := NewKeyTable(KeyListOf([]string{"only"}))
+	keys := keyListOf([]string{"only"})
+	table := NewKeyTable(keys)
 	for _, id := range []int32{0, -1, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("AddBlock folded ID %d of a one-key table", id)
-				}
-			}()
-			w := NewWindowAggDense(30*time.Second, Sum, table)
-			w.AddBlock(&Block{Table: table, IDs: []int32{id}, Values: []float64{1}})
-		}()
+		if a := NewKeyedAggDense(Sum, table); !panics(func() { a.AddBlock(&Block{Table: table, IDs: []int32{id}, Values: []float64{1}}) }) {
+			t.Errorf("AddBlock folded ID %d of a one-key table", id)
+		}
+	}
+	twin := NewKeyTable(keys)
+	for name, a := range map[string]*KeyedAgg{"another table": NewKeyedAggDense(Sum, twin), "map-backed": NewKeyedAgg(Sum)} {
+		if !panics(func() { a.AddBlock(&Block{Table: table, IDs: []int32{1}, Values: []float64{1}}) }) || a.Keys() != 0 {
+			t.Errorf("a block folded onto a %s aggregate: %d keys", name, a.Keys())
+		}
 	}
 }
 
@@ -442,8 +370,8 @@ func TestPropertyMergeMappedMatchesMerge(t *testing.T) {
 					sinkKeys = append(sinkKeys, key((i+int(rot))%24))
 				}
 			}
-			src := NewKeyTable(cutRuns(KeyListOf(append(srcKeys, late...)), int(cut)%4+1)...)
-			sink := NewKeyTable(cutRuns(KeyListOf(sinkKeys), int(cut)/4%4+1)...)
+			src := NewKeyTable(cutRuns(keyListOf(append(srcKeys, late...)), int(cut)%4+1)...)
+			sink := NewKeyTable(cutRuns(keyListOf(sinkKeys), int(cut)/4%4+1)...)
 			remap := make([]int, len(srcKeys)+1)
 			for id := 1; id <= len(srcKeys); id++ {
 				remap[id], _ = sink.Lookup(src.Key(id))
@@ -513,7 +441,7 @@ func TestRunWalkMatchesIDWalk(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		keys = append(keys, fmt.Sprintf("k%02d", (i*7)%30))
 	}
-	l := KeyListOf(keys)
+	l := keyListOf(keys)
 	table := NewKeyTable(l.Slice(0, 4), l.Slice(4, 4), l.Slice(4, 19), l.Slice(19, 30))
 	a := NewKeyedAggDense(Max, table)
 	b := Block{Table: table}

@@ -1,40 +1,16 @@
 package stream
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "fmt"
 
 // KeyList is a list of keys held as one text and the offsets that cut it: key
 // i is text[ends[i]:ends[i+1]], a substring of the text, so reading a key
 // allocates nothing, and the offsets hold no pointer for the collector to
 // scan. A list of n keys has n+1 offsets (the zero KeyList, none). Offsets are
-// uint32, so a list's text is under 4 GiB; building a longer one panics.
-// Nothing writes a list once built, so slices of it (Slice) and tables over
+// uint32, so a list's text is under 4 GiB. Nothing writes a list once built, so slices of it (Slice) and tables over
 // it share its text and offsets.
 type KeyList struct {
 	text string
 	ends []uint32
-}
-
-// KeyListOf returns a list of keys, copied into one text.
-func KeyListOf(keys []string) KeyList {
-	size := 0
-	for _, k := range keys {
-		size += len(k)
-	}
-	if size > math.MaxUint32 {
-		panic(fmt.Sprintf("stream: a key list of %d bytes is past the 4 GiB its offsets reach", size))
-	}
-	var text strings.Builder
-	text.Grow(size)
-	ends := make([]uint32, 1, len(keys)+1)
-	for _, k := range keys {
-		text.WriteString(k)
-		ends = append(ends, uint32(text.Len()))
-	}
-	return KeyList{text: text.String(), ends: ends}
 }
 
 // NewKeyList returns the list whose key i is text[ends[i]:ends[i+1]], taking
@@ -64,13 +40,11 @@ func (l KeyList) Slice(lo, hi int) KeyList {
 
 // KeyTable maps event keys to small dense integer IDs shared between
 // generators and operators. A generator builds its table from its key list
-// once, at construction; every event it emits then carries the integer KeyID
-// next to the string Key, and keyed aggregates index a slice of cells instead
-// of hashing strings — the allocation-free fast path of the streaming data
-// plane.
+// once, at construction; every block it draws then carries IDs in place of
+// key strings, and keyed aggregates index a slice of cells instead of hashing
+// strings — the allocation-free fast path of the streaming data plane.
 //
-// IDs start at 1; 0 is reserved as "no key ID" so the Event zero value stays
-// valid. A table's keys are fixed when it is built. The string → ID index is
+// IDs start at 1; 0 is no key's ID, so a dense table's cell 0 stays unused. A table's keys are fixed when it is built. The string → ID index is
 // built by the first Lookup, so a table only ever addressed by ID hashes no
 // key. Ownership: a Lookup on a table not yet indexed writes the index, so
 // Lookups come from the one goroutine that owns the table; Key and Len read

@@ -3,9 +3,6 @@ package stream
 import (
 	"fmt"
 	"testing"
-	"time"
-
-	"sage/internal/simtime"
 )
 
 // millionTable holds 1<<20 keys — the dense plane's design point.
@@ -15,14 +12,14 @@ func millionTable(tb testing.TB) *KeyTable {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("sensor-%07d", i)
 	}
-	return NewKeyTable(KeyListOf(keys))
+	return NewKeyTable(keyListOf(keys))
 }
 
 // TestMillionKeyDenseMatchesMap checks the dense KeyedAgg against the map
 // fallback at 10^6 interned keys: identical values, counts and merge
-// behavior when the same event stream is folded through both storages, with
-// partials split across four dense aggregates and merged the way the engine
-// sink does.
+// behavior when the same event stream is folded through both storages — as
+// blocks of IDs into four dense partials merged the way the engine sink does,
+// and by key string into one map-backed aggregate.
 func TestMillionKeyDenseMatchesMap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-key sweep is not short")
@@ -31,8 +28,10 @@ func TestMillionKeyDenseMatchesMap(t *testing.T) {
 	n := table.Len()
 	mapAgg := NewKeyedAgg(Mean)
 	parts := make([]*KeyedAgg, 4)
+	blocks := make([]Block, len(parts))
 	for i := range parts {
 		parts[i] = NewKeyedAggDense(Mean, table)
+		blocks[i].Table = table
 	}
 	// A multiplicative-walk key sequence touches ids across the whole
 	// domain, hitting some keys repeatedly (exercising merge arithmetic).
@@ -40,13 +39,14 @@ func TestMillionKeyDenseMatchesMap(t *testing.T) {
 	id := 1
 	for i := 0; i < events; i++ {
 		id = (id*48271 + i) % n
-		key := table.Key(id + 1)
-		ev := Event{Key: key, KeyID: id + 1, Value: float64(i%1000) / 7, Time: simtime.Time(i)}
-		mapAgg.Add(ev)
-		parts[i%len(parts)].Add(ev)
+		v := float64(i%1000) / 7
+		mapAgg.AddValue(table.Key(id+1), v)
+		b := &blocks[i%len(parts)]
+		b.IDs, b.Values = append(b.IDs, int32(id+1)), append(b.Values, v)
 	}
 	merged := NewKeyedAggDense(Mean, table)
-	for _, p := range parts {
+	for i, p := range parts {
+		p.AddBlock(&blocks[i])
 		merged.Merge(p)
 	}
 	if merged.Keys() != mapAgg.Keys() {
@@ -77,39 +77,30 @@ func TestMillionKeyDenseMatchesMap(t *testing.T) {
 }
 
 // TestMillionKeySteadyStateAllocs pins the alloc budget of the dense plane
-// at 10^6 keys: once the cell slice exists, folding events and advancing
-// the watermark allocates nothing.
+// at 10^6 keys: once the pool holds a cell slice, a window taken from the
+// pool, folded a block at a time and put back allocates nothing.
 func TestMillionKeySteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-key sweep is not short")
 	}
 	table := millionTable(t)
 	n := table.Len()
-	win := NewWindowAggDense(30*time.Second, Mean, table)
-	// Prime one window so the pool holds a full-size dense aggregate.
-	batch := make([]Event, 512)
-	fill := func(base int) {
-		for i := range batch {
-			id := (base*31 + i*4099) % n
-			batch[i] = Event{Key: table.Key(id + 1), KeyID: id + 1,
-				Value: float64(i), Time: simtime.Time(base) * simtime.Time(30*time.Second)}
+	pool := NewAggPool(Mean, table)
+	b := Block{Table: table, IDs: make([]int32, 512), Values: make([]float64, 512)}
+	round := 0
+	window := func() {
+		for i := range b.IDs {
+			b.IDs[i] = int32((round*31+i*4099)%n) + 1
+			b.Values[i] = float64(i)
 		}
-	}
-	fill(0)
-	for _, ev := range batch {
-		win.Add(ev)
-	}
-	win.Recycle(win.Advance(simtime.Time(30 * time.Second)))
-	round := 1
-	allocs := testing.AllocsPerRun(20, func() {
-		fill(round)
-		for _, ev := range batch {
-			win.Add(ev)
-		}
+		a := pool.Get()
+		a.AddBlock(&b)
+		pool.Put(a)
 		round++
-		win.Recycle(win.Advance(simtime.Time(round) * simtime.Time(30*time.Second)))
-	})
-	if allocs != 0 {
+	}
+	// Prime one window so the pool holds a full-size dense aggregate.
+	window()
+	if allocs := testing.AllocsPerRun(20, window); allocs != 0 {
 		t.Fatalf("steady-state dense pipeline allocates %.1f per window at 1M keys; budget is 0", allocs)
 	}
 }

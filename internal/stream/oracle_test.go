@@ -8,10 +8,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 	"unsafe"
-
-	"sage/internal/simtime"
 )
 
 // The reference: the accumulator the package used before a cell shrank to a
@@ -206,68 +203,6 @@ func eventCount(a *KeyedAgg) int64 {
 	return n
 }
 
-// oracleWindows is WindowAgg over oracle aggregates: aggFor's bucketing (its
-// last-window shortcut included — before time zero the shortcut and the
-// modulo place an event differently, and the tests go there), the same
-// watermark rule, a late event opens a fresh window for its start.
-type oracleWindows struct {
-	kind      AggKind
-	width     simtime.Time
-	open      map[simtime.Time]*oracleAgg
-	lastStart simtime.Time
-	last      *oracleAgg
-}
-
-func newOracleWindows(width time.Duration, kind AggKind) *oracleWindows {
-	return &oracleWindows{kind: kind, width: simtime.Time(width), open: make(map[simtime.Time]*oracleAgg)}
-}
-
-func (w *oracleWindows) add(e Event) {
-	if d := e.Time - w.lastStart; w.last == nil || d < 0 || d >= w.width {
-		w.lastStart = e.Time - e.Time%w.width
-		if w.open[w.lastStart] == nil {
-			w.open[w.lastStart] = newOracleAgg(w.kind)
-		}
-		w.last = w.open[w.lastStart]
-	}
-	w.last.add(e.Key, e.Value)
-}
-
-// advance returns the aggregates of the windows the watermark closes, ordered
-// by window start.
-func (w *oracleWindows) advance(mark simtime.Time) []*oracleAgg {
-	w.last = nil
-	var starts []simtime.Time
-	for s := range w.open {
-		if s+w.width <= mark {
-			starts = append(starts, s)
-		}
-	}
-	slices.Sort(starts)
-	var out []*oracleAgg
-	for _, s := range starts {
-		out = append(out, w.open[s])
-		delete(w.open, s)
-	}
-	return out
-}
-
-// closedMatchOracle compares one Advance batch with the oracle's. Every kind
-// reads its own field of the oracle's cells, so a kind that took another
-// kind's fold loop fails here even when two implementations of the package
-// agree with each other.
-func closedMatchOracle(closed []Closed, want []*oracleAgg) error {
-	if len(closed) != len(want) {
-		return fmt.Errorf("closed %d windows, oracle %d", len(closed), len(want))
-	}
-	for i := range want {
-		if err := matchesOracle(closed[i].Agg, want[i]); err != nil {
-			return fmt.Errorf("window %v: %w", closed[i].Window, err)
-		}
-	}
-	return nil
-}
-
 // TestCellIsSixteenBytes pins the layout the dense tables are sized by.
 func TestCellIsSixteenBytes(t *testing.T) {
 	if n := unsafe.Sizeof(cell{}); n != 16 {
@@ -278,9 +213,9 @@ func TestCellIsSixteenBytes(t *testing.T) {
 // The ops of FuzzCellMatchesFourFieldOracle's byte-string interpreter. Each
 // is one byte, then its operands, one byte each.
 const (
-	opAdd         = iota // slot, n, seed: a burst of Adds with interned IDs, onto a source-table slot
+	opAdd         = iota // slot, n, seed: a burst as one block of interned IDs, onto a source-table slot
 	opAddValue           // slot, n, seed: a burst of AddValues of any key, onto any slot
-	opBlock              // start, n, seed: one block of a burst into the open window
+	opBlock              // n, seed: one block of a burst into the open window
 	opClose              // slot: close the open window into a source-table slot
 	opMerge              // dst, src: Merge one slot into another
 	opMergeMapped        // src: MergeMapped into the sink slot through the spans
@@ -353,7 +288,7 @@ func cellScript(rnd *rand.Rand, kind AggKind, rounds int) []byte {
 		for n := rnd.Intn(2); n >= 0; n-- {
 			prog = append(prog, byte(opAdd+rnd.Intn(2)), b(), b(), b())
 		}
-		prog = append(prog, opBlock, b(), b(), b())
+		prog = append(prog, opBlock, b(), b())
 		prog = append(prog, opClose, b(), opMerge, b(), b(), opMergeMapped, b())
 		if r%3 == 2 {
 			prog = append(prog, opRestore, b(), b())
@@ -368,8 +303,9 @@ func cellScript(rnd *rand.Rand, kind AggKind, rounds int) []byte {
 // FuzzCellMatchesFourFieldOracle interprets a byte string as a life of four
 // aggregates of one kind (the first byte), each beside a four-field oracle,
 // and requires the two-field cell to report, bit for bit, what the oracle
-// reports after every op: every way in — Add with an interned ID, AddValue onto
-// dense and ad-hoc keys, AddBlock and a window's close, Merge over a shared
+// reports after every op: every way in — AddBlock onto an aggregate that merges
+// and restores filled, AddValue onto dense and ad-hoc keys, a window's blocks
+// into an aggregate from an AggPool and its close, Merge over a shared
 // table, from a foreign table and of ad-hoc map cells, MergeMapped through
 // spans that cross key runs, AppendSnapshot → RestoreCell (the wire record
 // checked against the oracle's fields), Reset — and every way out: Result, Value, TopK, Keys, the event
@@ -382,7 +318,6 @@ func FuzzCellMatchesFourFieldOracle(f *testing.F) {
 		f.Add(scripts[kind])
 	}
 	f.Add([]byte{byte(Min), opAddValue, 3, 1, 24, opAddValue, 3, 1, 5, opMerge, 0, 3, opRestore, 0, 2})
-	const width = 30 * time.Second
 	key := func(b byte) string { return fmt.Sprintf("k%02d", int(b)%28) }
 	// Keys 0–19 are in the source table; a different 16 (14–23 then 8–13,
 	// plus strangers) in the sink's three runs, so that the two spans from
@@ -403,8 +338,8 @@ func FuzzCellMatchesFourFieldOracle(f *testing.F) {
 			return
 		}
 		kind := AggKind(prog[0] % 5)
-		sinkList := KeyListOf(sinkKeys)
-		src, sink := NewKeyTable(KeyListOf(srcKeys)), NewKeyTable(sinkList.Slice(0, 5), sinkList.Slice(5, 11), sinkList.Slice(11, 16))
+		sinkList := keyListOf(sinkKeys)
+		src, sink := NewKeyTable(keyListOf(srcKeys)), NewKeyTable(sinkList.Slice(0, 5), sinkList.Slice(5, 11), sinkList.Slice(11, 16))
 		remap := make([]int, src.Len()+1)
 		for id := 1; id <= src.Len(); id++ {
 			remap[id], _ = sink.Lookup(src.Key(id))
@@ -424,8 +359,10 @@ func FuzzCellMatchesFourFieldOracle(f *testing.F) {
 		for i := range aggs {
 			aggs[i], oracles[i] = fresh(i), newOracleAgg(kind)
 		}
-		w, oWin := NewWindowAggDense(width, kind, src), newOracleAgg(kind)
-		window := 0 // the open window's index: its events are stamped inside it
+		// The open window: an aggregate from the pool the source-table slots
+		// go back to when a close replaces them.
+		pool := NewAggPool(kind, src)
+		win, oWin := pool.Get(), newOracleAgg(kind)
 
 		i := 1
 		next := func() byte {
@@ -449,10 +386,12 @@ func FuzzCellMatchesFourFieldOracle(f *testing.F) {
 			case opAdd:
 				slot, n := int(next())%2, int(next())%32
 				keys, vals := burst(next(), n, 20)
+				blk := Block{Table: src}
 				for j, k := range keys {
-					aggs[slot].Add(Event{Key: key(k), KeyID: int(k) + 1, Value: vals[j]})
+					blk.IDs, blk.Values = append(blk.IDs, int32(k)+1), append(blk.Values, vals[j])
 					oracles[slot].add(key(k), vals[j])
 				}
+				aggs[slot].AddBlock(&blk)
 				check(op, slot)
 			case opAddValue:
 				slot, n := int(next())%cellSlots, int(next())%32
@@ -463,30 +402,25 @@ func FuzzCellMatchesFourFieldOracle(f *testing.F) {
 				}
 				check(op, slot)
 			case opBlock:
-				blk := Block{Table: src, From: simtime.Time(window)*simtime.Time(width) + simtime.Time(next()%29)*simtime.Time(time.Second),
-					Step: time.Millisecond}
+				blk := Block{Table: src}
 				n := int(next()) % 64
 				keys, vals := burst(next(), n, 20)
 				for j, k := range keys {
 					blk.IDs, blk.Values = append(blk.IDs, int32(k)+1), append(blk.Values, vals[j])
 					oWin.add(key(k), vals[j])
 				}
-				w.AddBlock(&blk)
+				win.AddBlock(&blk)
 			case opClose:
+				// The closed window takes the slot; the slot's old aggregate
+				// goes to the pool and comes back cleared as the next window.
 				slot := int(next()) % 2
-				window++
-				closed := w.Advance(simtime.Time(window) * simtime.Time(width))
-				want := []*oracleAgg{oWin}
-				if len(oWin.cells) == 0 {
-					want = nil // no event opened the window
+				pool.Put(aggs[slot])
+				aggs[slot], oracles[slot] = win, oWin
+				win, oWin = pool.Get(), newOracleAgg(kind)
+				check(op, slot)
+				if win.Keys() != 0 || eventCount(win) != 0 {
+					t.Fatalf("%v, op %d at byte %d: the pool handed out a window of %d keys", kind, op, i, win.Keys())
 				}
-				if err := closedMatchOracle(closed, want); err != nil {
-					t.Fatalf("%v, op %d at byte %d: %v", kind, op, i, err)
-				}
-				if len(closed) == 1 {
-					aggs[slot], oracles[slot] = closed[0].Agg, oWin
-				}
-				oWin = newOracleAgg(kind)
 			case opMerge:
 				dst, from := int(next())%cellSlots, int(next())%cellSlots
 				if dst == from {

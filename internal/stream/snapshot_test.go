@@ -11,9 +11,9 @@ import (
 func TestKeyedAggSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
 		a := NewKeyedAgg(kind)
-		a.Add(Event{Key: "b", Value: 2})
-		a.Add(Event{Key: "a", Value: 5})
-		a.Add(Event{Key: "b", Value: 8})
+		a.AddValue("b", 2)
+		a.AddValue("a", 5)
+		a.AddValue("b", 8)
 		snap := a.AppendSnapshot(nil)
 		// Map cells come out sorted by key: map iteration order must not
 		// reach the serialization.
@@ -39,9 +39,9 @@ func TestKeyedAggSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 func TestKeyedAggSnapshotCoversDenseCells(t *testing.T) {
-	a := NewKeyedAggDense(Sum, NewKeyTable(KeyListOf([]string{"hot"})))
-	a.Add(Event{Key: "hot", KeyID: 1, Value: 3})
-	a.Add(Event{Key: "cold", Value: 4}) // not in the table: map path
+	a := NewKeyedAggDense(Sum, NewKeyTable(keyListOf([]string{"hot"})))
+	a.AddValue("hot", 3)
+	a.AddValue("cold", 4) // not in the table: map path
 	snap := a.AppendSnapshot(nil)
 	if len(snap) != 2 {
 		t.Fatalf("snapshot = %+v, want both dense and map cells", snap)
@@ -57,7 +57,7 @@ func TestKeyedAggSnapshotCoversDenseCells(t *testing.T) {
 
 func TestRestoreCellMergesIntoExisting(t *testing.T) {
 	a := NewKeyedAgg(Sum)
-	a.Add(Event{Key: "k", Value: 1})
+	a.AddValue("k", 1)
 	a.RestoreCell(KeyCell{Key: "k", Count: 2, Sum: 9, Min: 4, Max: 5})
 	res := a.Result()
 	if len(res) != 1 || res[0].Value != 10 {
@@ -70,7 +70,7 @@ func TestRestoreCellMergesIntoExisting(t *testing.T) {
 // after a live cell, it leaves Keys, Result and the snapshot as the live
 // cells alone leave them, for every kind.
 func TestRestoreCellSkipsEmptyCells(t *testing.T) {
-	tb := NewKeyTable(KeyListOf([]string{"a", "b"}))
+	tb := NewKeyTable(keyListOf([]string{"a", "b"}))
 	live := KeyCell{Key: "b", Count: 2, Sum: 6, Min: 1, Max: 5}
 	for name, cells := range map[string][]KeyCell{
 		"empty table key":          {{Key: "a"}},
@@ -106,7 +106,7 @@ func TestRestoreCellSkipsEmptyCells(t *testing.T) {
 // keys its table does not know. The table holds its keys in an order that is
 // not key order, and only some of them receive events.
 func snapshotFixtures(kind AggKind) map[string]*KeyedAgg {
-	tb := NewKeyTable(KeyListOf([]string{"m", "c", "x", "a", "q"}))
+	tb := NewKeyTable(keyListOf([]string{"m", "c", "x", "a", "q"}))
 	dense := NewKeyedAggDense(kind, tb)
 	plain := NewKeyedAgg(kind)
 	mixed := NewKeyedAggDense(kind, tb)
@@ -134,7 +134,7 @@ func TestAppendSnapshotRoundTrip(t *testing.T) {
 			if len(snap) != a.Keys() {
 				t.Fatalf("%v/%s: %d cells for %d keys", kind, name, len(snap), a.Keys())
 			}
-			other := NewKeyTable(KeyListOf([]string{"n", "x"}))
+			other := NewKeyTable(keyListOf([]string{"n", "x"}))
 			for _, b := range []*KeyedAgg{NewKeyedAgg(kind), NewKeyedAggDense(kind, other)} {
 				for _, c := range snap {
 					b.RestoreCell(c)
@@ -148,7 +148,7 @@ func TestAppendSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestAppendSnapshotStorageOrder pins the order checkpoints serialize in:
-// dense cells by KeyID (the order of the table's key list, whatever order
+// dense cells by ID (the order of the table's key list, whatever order
 // events arrived in), then ad-hoc map cells by key.
 func TestAppendSnapshotStorageOrder(t *testing.T) {
 	var keys []string

@@ -1,6 +1,5 @@
 // Package stream provides SAGE's streaming-analysis primitives: events,
-// columnar event blocks, key tables, keyed mergeable aggregations and
-// tumbling windows.
+// columnar event blocks, key tables and keyed mergeable aggregations.
 //
 // The geo-distributed setting imposes one structural requirement on every
 // aggregation here: partial results computed independently at different
@@ -15,7 +14,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"sage/internal/cloud"
 	"sage/internal/simtime"
@@ -25,14 +23,6 @@ import (
 type Event struct {
 	// Key partitions the aggregation (sensor id, gene id, ...).
 	Key string
-	// KeyID is Key's ID in the producer's KeyTable, or 0 when the key has
-	// none. Aggregates built over the same table use it to index cells
-	// directly instead of hashing Key; stages that rewrite Key must clear it
-	// (stale IDs are detected and fall back to the string path).
-	// An Event cannot say which table its ID came from, so that detection
-	// compares key strings per event; a Block names its table and is checked
-	// once (KeyedAgg.AddBlock).
-	KeyID int
 	// Value is the measurement.
 	Value float64
 	// Time is the event timestamp in virtual time.
@@ -41,10 +31,10 @@ type Event struct {
 	Site cloud.SiteID
 }
 
-// MapFunc transforms an event; returning false drops it (filter). What it
-// returns is folded by key and value: the Time and Site it returns are not
-// read.
-type MapFunc func(Event) (Event, bool)
+// MapFunc sees one event's key and value and returns the value to fold in its
+// place, or false to drop the event (filter). It cannot rewrite the key: an
+// event stays in its key's cell, as it stays in its window and at its site.
+type MapFunc func(key string, v float64) (float64, bool)
 
 // AggKind selects the per-key aggregation function.
 type AggKind int
@@ -152,16 +142,16 @@ func (c *cell) value(kind AggKind) float64 {
 
 // KeyedAgg is a per-key mergeable aggregate. Built plain (NewKeyedAgg) it
 // hashes string keys into a map of cells; built over a KeyTable
-// (NewKeyedAggDense) events carrying a valid KeyID aggregate into
-// slice-indexed cells with no hashing and no per-key allocation, while
-// ad-hoc keys outside the table still take the map path. Results are
-// rendered identically either way: the same string keys, the same sorted
-// order, the same float accumulation order per key.
+// (NewKeyedAggDense) it folds blocks of the table's IDs into slice-indexed
+// cells with no hashing and no per-key allocation (AddBlock), while a key
+// outside the table, which only AddValue or RestoreCell can bring, still takes
+// the map path. Results are rendered identically either way: the same string
+// keys, the same sorted order, the same float accumulation order per key.
 type KeyedAgg struct {
 	Kind  AggKind
 	cells map[string]*cell // ad-hoc keys (always keys NOT in table)
 	table *KeyTable        // non-nil enables the dense path
-	dense []cell           // indexed by KeyID; dense[0] unused
+	dense []cell           // indexed by key ID; dense[0] unused
 	live  int              // dense cells with count > 0
 }
 
@@ -171,27 +161,13 @@ func NewKeyedAgg(kind AggKind) *KeyedAgg {
 }
 
 // NewKeyedAggDense returns an empty aggregate whose cells for keys interned
-// in t are indexed by KeyID instead of hashed.
+// in t are indexed by ID instead of hashed.
 func NewKeyedAggDense(kind AggKind, t *KeyTable) *KeyedAgg {
 	a := &KeyedAgg{Kind: kind, table: t}
 	if t != nil {
 		a.dense = make([]cell, t.cap())
 	}
 	return a
-}
-
-// Add folds one event into the aggregate.
-func (a *KeyedAgg) Add(e Event) { a.add(&e) }
-
-// add is the one cell update behind Add, AddBlock's event-by-event path and
-// WindowAgg's Add and AddBatch; it takes the event by pointer so batch folds
-// do not copy it per call.
-func (a *KeyedAgg) add(e *Event) {
-	if a.table != nil && e.KeyID > 0 && a.table.Key(e.KeyID) == e.Key {
-		a.denseSlot(e.KeyID).add(a.Kind, e.Value)
-		return
-	}
-	a.AddValue(e.Key, e.Value)
 }
 
 // AddValue folds a raw key/value pair.
@@ -471,7 +447,7 @@ func (c *cell) keyCell(kind AggKind, key string) KeyCell {
 }
 
 // AppendSnapshot appends every key's raw accumulator to dst and returns the
-// extended slice: dense cells in KeyID order, then ad-hoc map cells sorted by
+// extended slice: dense cells in ID order, then ad-hoc map cells sorted by
 // key. That is storage order — nothing is sorted but the (normally empty) map
 // part — and it is as deterministic as the aggregate's table: two aggregates
 // over tables of the same key list snapshot identically whatever order
@@ -518,12 +494,11 @@ func (a *KeyedAgg) RestoreCell(kc KeyCell) {
 // concurrent use; its owner serialises Get and Put.
 type AggPool struct {
 	kind  AggKind
-	table *KeyTable // nil: map-backed aggregates
+	table *KeyTable
 	free  []*KeyedAgg
 }
 
-// NewAggPool returns an empty pool of kind-kind aggregates, dense over t when
-// t is non-nil.
+// NewAggPool returns an empty pool of kind-kind aggregates dense over t.
 func NewAggPool(kind AggKind, t *KeyTable) *AggPool {
 	return &AggPool{kind: kind, table: t}
 }
@@ -532,10 +507,7 @@ func NewAggPool(kind AggKind, t *KeyTable) *AggPool {
 func (p *AggPool) Get() *KeyedAgg {
 	n := len(p.free)
 	if n == 0 {
-		if p.table != nil {
-			return NewKeyedAggDense(p.kind, p.table)
-		}
-		return NewKeyedAgg(p.kind)
+		return NewKeyedAggDense(p.kind, p.table)
 	}
 	a := p.free[n-1]
 	p.free[n-1] = nil
@@ -569,132 +541,3 @@ type Window struct {
 
 // String renders "[10s,20s)".
 func (w Window) String() string { return fmt.Sprintf("[%v,%v)", w.Start, w.End) }
-
-// WindowAgg accumulates keyed aggregates per tumbling window and releases
-// windows as a watermark advances — the site-local stage of a SAGE job.
-type WindowAgg struct {
-	Width time.Duration
-	Kind  AggKind
-	open  map[simtime.Time]*KeyedAgg
-	// pool supplies every window's aggregate — dense over the aggregator's
-	// table, if it has one — and takes spent ones back.
-	pool *AggPool
-	// last{Start,Agg} cache the most recent window so in-order event runs
-	// skip the map lookup; invalidated on Advance.
-	lastStart simtime.Time
-	lastAgg   *KeyedAgg
-	starts    []simtime.Time // Advance scratch, reused across calls
-	// closedPool holds the slice Recycle took back: it backs the next Advance
-	// result.
-	closedPool []Closed
-	// events is AddBlock's scratch for a descending block, which it folds
-	// event by event.
-	events []Event
-}
-
-// NewWindowAgg returns an empty windowed aggregator.
-func NewWindowAgg(width time.Duration, kind AggKind) *WindowAgg {
-	return NewWindowAggDense(width, kind, nil)
-}
-
-// NewWindowAggDense returns an empty windowed aggregator whose per-window
-// aggregates index cells by KeyID for keys interned in t.
-func NewWindowAggDense(width time.Duration, kind AggKind, t *KeyTable) *WindowAgg {
-	if width <= 0 {
-		panic("stream: window width must be positive")
-	}
-	return &WindowAgg{Width: width, Kind: kind, pool: NewAggPool(kind, t),
-		open: make(map[simtime.Time]*KeyedAgg)}
-}
-
-// Recycle hands back a whole batch Advance returned, for a caller that is
-// done with it at once: every aggregate goes to the aggregator's pool, and the
-// slice backs the next Advance result. Only call it once per batch, and keep
-// no reference to its aggregates.
-func (w *WindowAgg) Recycle(batch []Closed) {
-	for i := range batch {
-		if a := batch[i].Agg; a != nil {
-			w.pool.Put(a)
-			batch[i] = Closed{}
-		}
-	}
-	w.closedPool = batch[:0]
-}
-
-// Add folds an event into its window.
-func (w *WindowAgg) Add(e Event) { w.aggFor(e.Time).add(&e) }
-
-// AddBatch folds events into their windows, in order: the same result as
-// calling Add on each, without copying every event through two calls. Events
-// may straddle window boundaries or arrive late, exactly as with Add.
-func (w *WindowAgg) AddBatch(evs []Event) {
-	for i := range evs {
-		e := &evs[i]
-		w.aggFor(e.Time).add(e)
-	}
-}
-
-// aggFor returns the open aggregate of the window containing t, opening it
-// on first use.
-func (w *WindowAgg) aggFor(t simtime.Time) *KeyedAgg {
-	// In-window runs hit the cached window via a range check, skipping
-	// the 64-bit modulo below entirely.
-	if w.lastAgg != nil {
-		if d := t - w.lastStart; d >= 0 && d < simtime.Time(w.Width) {
-			return w.lastAgg
-		}
-	}
-	start := t - (t % simtime.Time(w.Width))
-	agg := w.open[start]
-	if agg == nil {
-		agg = w.pool.Get()
-		w.open[start] = agg
-	}
-	w.lastStart, w.lastAgg = start, agg
-	return agg
-}
-
-// Closed is an emitted window partial.
-type Closed struct {
-	Window Window
-	Agg    *KeyedAgg
-}
-
-// Advance closes every window that ends at or before the watermark and
-// returns them ordered by window start. Events older than the watermark
-// arriving later open a fresh (late) window; SAGE treats those as late data.
-func (w *WindowAgg) Advance(watermark simtime.Time) []Closed {
-	// The cached window may close below; a late event for the same start
-	// must then open a fresh window, not resurrect the closed aggregate.
-	w.lastAgg = nil
-	starts := w.starts[:0]
-	for start := range w.open {
-		if start+simtime.Time(w.Width) <= watermark {
-			starts = append(starts, start)
-		}
-	}
-	w.starts = starts
-	if len(starts) == 0 {
-		// Steady-state tick with nothing to close: no sort (whose
-		// interface conversion would allocate), no result slice.
-		return nil
-	}
-	if len(starts) > 1 {
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	}
-	out := w.closedPool
-	w.closedPool = nil
-	if cap(out) >= len(starts) {
-		out = out[:0]
-	} else {
-		out = make([]Closed, 0, len(starts))
-	}
-	for _, s := range starts {
-		out = append(out, Closed{
-			Window: Window{Start: s, End: s + simtime.Time(w.Width)},
-			Agg:    w.open[s],
-		})
-		delete(w.open, s)
-	}
-	return out
-}

@@ -2,20 +2,12 @@ package stream
 
 import (
 	"math"
-	"strconv"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"sage/internal/simtime"
 )
 
-func ev(key string, v float64, at time.Duration) Event {
-	return Event{Key: key, Value: v, Time: at}
-}
-
 func TestKeyedAggKinds(t *testing.T) {
-	events := []Event{ev("a", 2, 0), ev("a", 4, 0), ev("b", -1, 0)}
+	events := []KV{{"a", 2}, {"a", 4}, {"b", -1}}
 	cases := []struct {
 		kind AggKind
 		a, b float64
@@ -29,7 +21,7 @@ func TestKeyedAggKinds(t *testing.T) {
 	for _, c := range cases {
 		agg := NewKeyedAgg(c.kind)
 		for _, e := range events {
-			agg.Add(e)
+			agg.AddValue(e.Key, e.Value)
 		}
 		if got, ok := agg.Value("a"); !ok || got != c.a {
 			t.Fatalf("%v: a = %v,%v; want %v", c.kind, got, ok, c.a)
@@ -92,12 +84,12 @@ func TestMergeMatchesSingleNode(t *testing.T) {
 		siteB := NewKeyedAgg(kind)
 		vals := []float64{3, -2, 7, 0.5, 11, -4}
 		for i, v := range vals {
-			e := ev("k"+string(rune('a'+i%2)), v, 0)
-			central.Add(e)
+			key := "k" + string(rune('a'+i%2))
+			central.AddValue(key, v)
 			if i%2 == 0 {
-				siteA.Add(e)
+				siteA.AddValue(key, v)
 			} else {
-				siteB.Add(e)
+				siteB.AddValue(key, v)
 			}
 		}
 		siteA.Merge(siteB)
@@ -140,60 +132,6 @@ func TestSerializedBytes(t *testing.T) {
 	}
 }
 
-func TestWindowAggAdvance(t *testing.T) {
-	wa := NewWindowAgg(10*time.Second, Sum)
-	wa.Add(ev("k", 1, 5*time.Second))
-	wa.Add(ev("k", 2, 15*time.Second))
-	wa.Add(ev("k", 4, 25*time.Second))
-	if len(wa.open) != 3 {
-		t.Fatalf("open windows = %d", len(wa.open))
-	}
-	closed := wa.Advance(20 * time.Second)
-	if len(closed) != 2 {
-		t.Fatalf("closed %d windows, want 2", len(closed))
-	}
-	if closed[0].Window.Start != 0 || closed[1].Window.Start != 10*time.Second {
-		t.Fatalf("windows out of order: %v %v", closed[0].Window, closed[1].Window)
-	}
-	if v, _ := closed[0].Agg.Value("k"); v != 1 {
-		t.Fatalf("window 0 sum = %v", v)
-	}
-	if len(wa.open) != 1 {
-		t.Fatalf("open windows after advance = %d", len(wa.open))
-	}
-	// Watermark not past end: window stays open.
-	if got := wa.Advance(25 * time.Second); len(got) != 0 {
-		t.Fatalf("premature close: %v", got)
-	}
-}
-
-func TestWindowAggLateEventOpensNewWindow(t *testing.T) {
-	wa := NewWindowAgg(10*time.Second, Sum)
-	wa.Add(ev("k", 1, 5*time.Second))
-	wa.Advance(10 * time.Second)
-	wa.Add(ev("k", 9, 6*time.Second)) // late
-	closed := wa.Advance(simtime.Time(time.Hour))
-	if len(closed) != 1 {
-		t.Fatalf("late event produced %d windows", len(closed))
-	}
-	if v, _ := closed[0].Agg.Value("k"); v != 9 {
-		t.Fatalf("late window sum = %v", v)
-	}
-}
-
-func TestWindowInvalidWidthPanics(t *testing.T) {
-	for _, width := range []time.Duration{0, -time.Second} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewWindowAgg(%v) did not panic", width)
-				}
-			}()
-			NewWindowAgg(width, Sum)
-		}()
-	}
-}
-
 // Property: Merge is equivalent to adding all values into one aggregate,
 // for any kind and any split of any value sequence.
 func TestPropertyMergeEquivalence(t *testing.T) {
@@ -224,35 +162,6 @@ func TestPropertyMergeEquivalence(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: windows partition time — a WindowAgg folds every event into the
-// one aligned window of its width that contains the event's timestamp.
-func TestPropertyWindowPartition(t *testing.T) {
-	f := func(offsets []uint32) bool {
-		width := 10 * time.Second
-		w := NewWindowAgg(width, Count)
-		for i, o := range offsets {
-			w.Add(ev(strconv.Itoa(i), 1, simtime.Time(o)*time.Millisecond))
-		}
-		folded := 0
-		for _, c := range w.Advance(simtime.Time(1 << 62)) {
-			if c.Window.End-c.Window.Start != width || c.Window.Start%width != 0 {
-				return false
-			}
-			for _, kv := range c.Agg.Result() {
-				i, _ := strconv.Atoi(kv.Key)
-				if at := simtime.Time(offsets[i]) * time.Millisecond; at < c.Window.Start || at >= c.Window.End {
-					return false
-				}
-				folded++
-			}
-		}
-		return folded == len(offsets)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -420,7 +420,7 @@ func (m *Manager) Abort(h *Handle) {
 // Recycle hands a completed (finished or aborted) transfer's run — and its
 // chunk slab, lanes, queues and event objects — back to the manager's pool
 // for reuse by a later Transfer call. The caller must drop every reference
-// to the Handle first, exactly like stream.WindowAgg.Recycle; the Ledger
+// to the Handle first, as with stream.AggPool.Put; the Ledger
 // snapshot, being a copy, stays valid. Recycling an unfinished transfer is a
 // no-op, as is recycling twice. The run is reclaimed only once its last
 // in-flight flow callback and acknowledgement have drained, so pending

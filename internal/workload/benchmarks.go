@@ -11,12 +11,19 @@ import (
 )
 
 // Benchmark bodies shared between `go test -bench` and the perf-baseline
-// harness (`sagebench -perf`), mirroring internal/netsim/benchmarks.go.
+// harness (`sagebench -perf`), mirroring internal/netsim/benchmarks.go. What
+// they fold, they fold the way the engine's stage does: blocks FillBlock drew,
+// through KeyedAgg.AddBlock, into an aggregate taken from an AggPool and put
+// back.
 
-// PipelineBatch is the number of events one BenchmarkStreamPipeline op
-// pushes through generate → window-assign → aggregate → advance; per-event
-// cost is ns_per_op / PipelineBatch.
+// PipelineBatch is the number of events one pipeline or Zipf fold op pushes
+// through; per-event cost is ns_per_op / PipelineBatch.
 const PipelineBatch = 1000
+
+// UniformWindowEvents is the number of events one uniform fold op folds: one
+// window of one source of the resil_recover benchmark workload (5 000
+// events/s for 20 s).
+const UniformWindowEvents = 100_000
 
 // RunBenchmarkSensorGen measures drawing one event the way the engine draws
 // them, PipelineBatch at a time into a reused columnar block, with Zipf keys
@@ -34,14 +41,39 @@ func RunBenchmarkSensorGen(b *testing.B, keys int, skew float64) {
 	}
 }
 
+// RunBenchmarkFold measures the fold alone: one window of events over keys
+// keys — Zipf keys of the given skew or, at skew 0, uniform ones — drawn once
+// by FillBlock outside the timer, folded each op into an aggregate of the
+// given kind from an AggPool, which the op then puts back. The pool clears the
+// aggregate it hands out, so an op pays for clearing the cells the window
+// before filled, as a stage does. Steady-state budget: 0 allocs/op.
+func RunBenchmarkFold(b *testing.B, keys int, skew float64, events int, kind stream.AggKind) {
+	g := NewSensorGen(rng.New(1), "NEU", SensorOpts{Keys: keys, Skew: skew})
+	var blk stream.Block
+	g.FillBlock(&blk, events, 0, pipelineSpan/time.Duration(events))
+	pool := stream.NewAggPool(kind, g.Table())
+	fold := func() {
+		a := pool.Get()
+		a.AddBlock(&blk)
+		pool.Put(a)
+	}
+	fold() // the pool's one aggregate exists before the first measured op
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fold()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(events)), "ns/event")
+}
+
 // RunBenchmarkStreamPipeline measures the site-local data plane the way the
-// engine's stage drives it: each op draws one PipelineBatch-event window into
-// a reused columnar block, folds the block into a dense windowed aggregate,
-// advances the watermark, and recycles the closed batch. Steady-state budget:
-// 0 allocs/op.
+// engine's stage drives it: each op draws one PipelineBatch-event window of
+// Zipf keys into a reused columnar block and folds it into an aggregate from
+// the source's pool, which it puts back. Steady-state budget: 0 allocs/op.
 func RunBenchmarkStreamPipeline(b *testing.B, keys int) {
-	g := NewSensorGen(rng.New(1), "NEU", SensorOpts{Keys: keys, Skew: 1.3})
-	p := pipeline{gen: g, agg: stream.NewWindowAggDense(pipelineSpan, stream.Mean, g.Table())}
+	p := newPipeline(NewSensorGen(rng.New(1), "NEU", SensorOpts{Keys: keys, Skew: 1.3}))
+	p.window()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -56,17 +88,23 @@ const pipelineSpan = 30 * time.Second
 // pipeline is the state one source's stage holds between windows.
 type pipeline struct {
 	gen   *SensorGen
-	agg   *stream.WindowAgg
+	pool  *stream.AggPool
 	block stream.Block
 	at    simtime.Time
 }
 
-// window stages one PipelineBatch-event window: fill, fold, advance, recycle.
+func newPipeline(g *SensorGen) *pipeline {
+	return &pipeline{gen: g, pool: stream.NewAggPool(stream.Mean, g.Table())}
+}
+
+// window stages one PipelineBatch-event window: fill, take an aggregate,
+// fold, put it back.
 func (p *pipeline) window() {
 	p.gen.FillBlock(&p.block, PipelineBatch, p.at, pipelineSpan/PipelineBatch)
-	p.agg.AddBlock(&p.block)
+	a := p.pool.Get()
+	a.AddBlock(&p.block)
+	p.pool.Put(a)
 	p.at += simtime.Time(pipelineSpan)
-	p.agg.Recycle(p.agg.Advance(p.at))
 }
 
 // MillionKeys is the key cardinality of the million-key pipeline benchmark:
@@ -80,28 +118,27 @@ const MillionKeys = 1 << 20
 // long-running engine would hold.
 var millionKeyState struct {
 	once sync.Once
-	pipeline
+	p    *pipeline
 }
 
 // RunBenchmarkMillionKeyPipeline is RunBenchmarkStreamPipeline at the
 // million-key design point: each op pushes one PipelineBatch-event window
-// through fill → fold → advance → recycle against a 2^20-key interned table:
-// key draws index a 16 MB alias table and the dense window aggregate a
-// million-cell slice, so both miss the cache. Steady-state budget:
+// through fill → fold against a 2^20-key interned table: key draws index a
+// 16 MB alias table and the dense aggregate a million-cell slice, which the
+// pool clears for each window, so both miss the cache. Steady-state budget:
 // 0 allocs/op.
 func RunBenchmarkMillionKeyPipeline(b *testing.B) {
 	s := &millionKeyState
 	s.once.Do(func() {
-		s.gen = NewSensorGen(rng.New(1), "NEU", SensorOpts{Keys: MillionKeys, Skew: 1.2})
-		s.agg = stream.NewWindowAggDense(pipelineSpan, stream.Mean, s.gen.Table())
+		s.p = newPipeline(NewSensorGen(rng.New(1), "NEU", SensorOpts{Keys: MillionKeys, Skew: 1.2}))
 	})
 	// One warmup window outside the timer so the dense cell slice and the
 	// block exist before the first measured op.
-	s.window()
+	s.p.window()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.window()
+		s.p.window()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*PipelineBatch), "ns/event")

@@ -24,7 +24,7 @@ import (
 // a few are chatty and most are quiet. The "sensor-%04d" key strings are
 // formatted once, in order, into the key list the generator's own KeyTable
 // is built from, so key k has ID k+1 and drawing allocates
-// nothing. What the generator produces is a columnar stream.Block — KeyIDs and
+// nothing. What the generator produces is a columnar stream.Block — key IDs and
 // values, timestamps implicit — which table-aware aggregates fold without
 // ever seeing a key string; AppendEvents materialises blocks into
 // stream.Events for consumers that want the struct.
@@ -180,7 +180,7 @@ func (p *population) gen(r *rng.Rand, site cloud.SiteID) *SensorGen {
 }
 
 // Table returns the generator's key table, for building dense aggregates
-// over its events (e.g. stream.NewWindowAggDense).
+// over its blocks (e.g. stream.NewAggPool).
 func (g *SensorGen) Table() *stream.KeyTable { return g.table }
 
 // KeyUnion returns the table of every key the generators draw, with the IDs

@@ -159,11 +159,8 @@ func TestSensorGenInternedKeys(t *testing.T) {
 		t.Fatalf("table = %v", table)
 	}
 	for i, e := range g.AppendEvents(nil, 100, 0, time.Second) {
-		if e.KeyID == 0 {
-			t.Fatalf("event %d has no KeyID", i)
-		}
-		if table.Key(e.KeyID) != e.Key {
-			t.Fatalf("KeyID %d maps to %q, event key %q", e.KeyID, table.Key(e.KeyID), e.Key)
+		if _, ok := table.Lookup(e.Key); !ok {
+			t.Fatalf("event %d has key %q, which its generator's table does not hold", i, e.Key)
 		}
 	}
 }
@@ -255,7 +252,7 @@ func TestKeysHaveTheirOwnStream(t *testing.T) {
 			}
 			differ := 0
 			for j, e := range evs {
-				if e.Key != ref[j].Key || e.KeyID != ref[j].KeyID {
+				if e.Key != ref[j].Key {
 					t.Fatalf("%s: value options %+v moved key %d: %q, was %q", name, opt, j, e.Key, ref[j].Key)
 				}
 				if e.Value != ref[j].Value {
@@ -288,18 +285,17 @@ func TestSensorGenValueMoments(t *testing.T) {
 }
 
 // TestStageSteadyStateAllocs: a source's stage in steady state — refill the
-// block, fold it, advance, recycle, as RunBenchmarkStreamPipeline drives it —
-// allocates nothing, for either key law.
+// block, take an aggregate from the pool, fold, put it back, as
+// RunBenchmarkStreamPipeline drives it — allocates nothing, for either key
+// law.
 func TestStageSteadyStateAllocs(t *testing.T) {
 	for name, opt := range map[string]SensorOpts{
 		"uniform": {Keys: 50},
 		"zipf":    {Keys: 50, Skew: 1.3},
 	} {
 		g := NewSensorGen(rng.New(14), "A", opt)
-		p := pipeline{gen: g, agg: stream.NewWindowAggDense(pipelineSpan, stream.Mean, g.Table())}
-		// Two windows bring the block, the aggregate pool and the closed-batch
-		// slice into existence.
-		p.window()
+		p := newPipeline(g)
+		// A window brings the block and the pool's aggregate into existence.
 		p.window()
 		if a := testing.AllocsPerRun(100, p.window); a != 0 {
 			t.Fatalf("%s: a steady-state stage allocates %v per window", name, a)
@@ -308,7 +304,7 @@ func TestStageSteadyStateAllocs(t *testing.T) {
 }
 
 // TestFillBlockSequencePinned pins what FillBlock draws: the first 64
-// (KeyID, value bits) pairs of a Zipf and a uniform generator on seed 17, recorded before rng grew block forms of the key and value
+// (key ID, value bits) pairs of a Zipf and a uniform generator on seed 17, recorded before rng grew block forms of the key and value
 // draws. Only exp20 among the goldens prints an answer that depends on these
 // draws; this is the pin that says which sequence a faster draw loop must
 // still produce. Re-record it only in a change that means to move the draws.
