@@ -9,12 +9,13 @@ import (
 )
 
 // Block is a run of events from one producer in columnar form: what a site
-// operator generates and folds, 12 bytes an event where an Event is 56. Event
+// operator generates and folds, 12 bytes an event where an Event is 48. Event
 // i has key Table.Key(IDs[i]), value Values[i], time From + i·Step and site
 // Site. Timestamps are implicit because a producer emits a block evenly
 // spaced, and the engine's stage draws each window's blocks inside the
-// window, so the fold reads none; key strings are absent because an aggregate
-// over the same table indexes cells by ID. A consumer that wants the struct materialises it (AppendEvents).
+// window, so the fold reads none; key strings are absent because an
+// aggregate over the same table indexes cells by ID. A consumer that wants
+// the struct materialises it (AppendEvents).
 //
 // Every ID must be an ID of Table (1 … Table.Len()), IDs and Values the same
 // length. The producer owns the columns and refills them: a block is valid
