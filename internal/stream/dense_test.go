@@ -184,6 +184,89 @@ func TestPropertyDenseMatchesMapTumbling(t *testing.T) {
 	}
 }
 
+// A key the aggregate's table does not hold must fall back to the string
+// path — its own map cell — not be credited to a table key's cell; and a
+// block carrying a stale ID, one the table never issued, must not fold at all.
+func TestDenseStaleKeyIDFallsBack(t *testing.T) {
+	table := NewKeyTable(keyListOf([]string{"real"}))
+	a := NewKeyedAggDense(Sum, table)
+	a.AddValue("impostor", 7)
+	a.AddBlock(&Block{Table: table, IDs: []int32{1}, Values: []float64{2}})
+	if v, ok := a.Value("impostor"); !ok || v != 7 {
+		t.Fatalf("impostor value = %v,%v", v, ok)
+	}
+	if v, ok := a.Value("real"); !ok || v != 2 {
+		t.Fatalf("real value = %v,%v", v, ok)
+	}
+	before := a.AppendSnapshot(nil)
+	if !panics(func() { a.AddBlock(&Block{Table: table, IDs: []int32{2}, Values: []float64{5}}) }) {
+		t.Fatal("a stale ID folded")
+	}
+	if !slices.Equal(a.AppendSnapshot(nil), before) || a.Keys() != 2 {
+		t.Fatalf("a refused block changed the aggregate: %v, %d keys", a.AppendSnapshot(nil), a.Keys())
+	}
+}
+
+// Property: a batch of events cut at arbitrary points into blocks and folded
+// by AddBlock leaves an aggregate in the state AddValue of each event, in
+// order, leaves a reference — for every kind, against a dense reference over
+// the same table and a map-backed one — with ad-hoc keys, which no block can
+// carry, folded by AddValue on both sides between the blocks. Snapshots are
+// compared sorted by key: a map-backed aggregate stores the ad-hoc keys in
+// another order than a dense one.
+func TestPropertyAddBatchMatchesAdd(t *testing.T) {
+	byKey := func(a *KeyedAgg) []KeyCell {
+		s := a.AppendSnapshot(nil)
+		slices.SortFunc(s, func(x, y KeyCell) int { return strings.Compare(x.Key, y.Key) })
+		return s
+	}
+	same := func(x, y *KeyedAgg) bool {
+		return sameKVs(x.Result(), y.Result()) == nil && slices.Equal(byKey(x), byKey(y)) &&
+			x.Keys() == y.Keys() && eventCount(x) == eventCount(y) && x.SerializedBytes() == y.SerializedBytes()
+	}
+	for _, kind := range []AggKind{Count, Sum, Mean, Min, Max} {
+		for _, dense := range []bool{true, false} {
+			f := func(raw []uint16, cuts []uint8) bool {
+				table := denseTable()
+				events := denseEvents(raw, table)
+				batched, single := NewKeyedAggDense(kind, table), NewKeyedAgg(kind)
+				if dense {
+					single = NewKeyedAggDense(kind, table)
+				}
+				for len(events) > 0 {
+					n := len(events)
+					if len(cuts) > 0 {
+						n, cuts = min(n, int(cuts[0])%40), cuts[1:]
+					}
+					b := Block{Table: table}
+					flush := func() {
+						batched.AddBlock(&b)
+						b.IDs, b.Values = b.IDs[:0], b.Values[:0]
+					}
+					for _, e := range events[:n] {
+						single.AddValue(e.Key, e.Value)
+						if id, ok := table.Lookup(e.Key); ok {
+							b.IDs, b.Values = append(b.IDs, int32(id)), append(b.Values, e.Value)
+							continue
+						}
+						flush()
+						batched.AddValue(e.Key, e.Value)
+					}
+					flush()
+					if n%3 == 0 && !same(batched, single) {
+						return false
+					}
+					events = events[n:]
+				}
+				return same(batched, single)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Errorf("kind %v dense %v: %v", kind, dense, err)
+			}
+		}
+	}
+}
+
 // Merging a dense aggregate into a map aggregate (and vice versa) must agree
 // with merging the map aggregates — the cross-representation migration path.
 func TestDenseMergeAcrossRepresentations(t *testing.T) {
